@@ -17,11 +17,8 @@ from dataclasses import dataclass
 
 from .kernel import (
     ByAxiom,
-    ByGenAll,
-    ByGenEx,
+    ByGen,
     ByMP,
-    BySOGen,
-    BySOGenEx,
     Proof,
     ProofLine,
     TheoryLevel,
@@ -89,33 +86,21 @@ class ProofBuilder:
             ("mp", antecedent, implication), f.right, antecedent.hyps | implication.hyps
         )
 
-    def _gen(self, rule: str, d: Derivation, v) -> Derivation:
+    def gen(self, d: Derivation, v: Var | PredVar | FuncVar, kind: str) -> Derivation:
+        """Generalize over v: G -> F gives G -> forall v F (kind "forall"),
+        F -> G gives exists v F -> G (kind "exists")."""
         f = d.formula
         if not (isinstance(f, Binary) and f.op == "->"):
-            raise BuildError(f"{rule}: premise must be an implication")
-        fixed = f.left if rule in ("gen-all", "so-gen") else f.right
+            raise BuildError(f"gen {kind}: premise must be an implication")
+        fixed = f.left if kind == "forall" else f.right
         for h in d.hyps | {fixed}:
             if v in free_variables(h):
-                raise BuildError(
-                    f"{rule}: {getattr(v, 'name', v)} is free in {formula_to_text(h)}"
-                )
-        if rule in ("gen-all", "so-gen"):
-            out = impl(f.left, Quant("forall", v, f.right))
+                raise BuildError(f"gen {kind}: {v.name} is free in {formula_to_text(h)}")
+        if kind == "forall":
+            out = impl(f.left, Quant(kind, v, f.right))
         else:
-            out = impl(Quant("exists", v, f.left), f.right)
-        return self._add((rule, d, v), out, d.hyps)
-
-    def gen_all(self, d: Derivation, x: Var) -> Derivation:
-        return self._gen("gen-all", d, x)
-
-    def gen_ex(self, d: Derivation, x: Var) -> Derivation:
-        return self._gen("gen-ex", d, x)
-
-    def so_gen(self, d: Derivation, v: PredVar | FuncVar) -> Derivation:
-        return self._gen("so-gen", d, v)
-
-    def so_gen_ex(self, d: Derivation, v: PredVar | FuncVar) -> Derivation:
-        return self._gen("so-gen-ex", d, v)
+            out = impl(Quant(kind, v, f.left), f.right)
+        return self._add(("gen", d, v, kind), out, d.hyps)
 
     # -- the deduction theorem ----------------------------------------------
 
@@ -143,20 +128,19 @@ class ProofBuilder:
             db = self.imp_i(a, imp_d)
             s = self.ax("s", F=a, G=ant.formula, H=formula)
             out = self.mp(da, self.mp(db, s))
-        elif tag in ("gen-all", "so-gen"):
-            child, v = rule[1], rule[2]
-            g, body = child.formula.left, child.formula.right
-            dc = self.imp_i(a, child)  # a -> (g -> body)
-            imported = self.mp(dc, self._lemma_import(a, g, body))
-            gen = self._gen(tag, imported, v)
-            out = self.mp(gen, self._lemma_export(a, g, Quant("forall", v, body)))
-        elif tag in ("gen-ex", "so-gen-ex"):
-            child, v = rule[1], rule[2]
-            body, g = child.formula.left, child.formula.right
-            dc = self.imp_i(a, child)  # a -> (body -> g)
-            swapped = self.mp(dc, self._lemma_swap(a, body, g))
-            gen = self._gen(tag, swapped, v)
-            out = self.mp(gen, self._lemma_swap(Quant("exists", v, body), a, g))
+        elif tag == "gen":
+            child, v, kind = rule[1:]
+            dc = self.imp_i(a, child)
+            if kind == "forall":  # dc: a -> (g -> body)
+                g, body = child.formula.left, child.formula.right
+                imported = self.mp(dc, self._lemma_import(a, g, body))
+                gen = self.gen(imported, v, kind)
+                out = self.mp(gen, self._lemma_export(a, g, Quant(kind, v, body)))
+            else:  # dc: a -> (body -> g)
+                body, g = child.formula.left, child.formula.right
+                swapped = self.mp(dc, self._lemma_swap(a, body, g))
+                gen = self.gen(swapped, v, kind)
+                out = self.mp(gen, self._lemma_swap(Quant(kind, v, body), a, g))
         else:
             raise BuildError(f"cannot discharge through rule {tag}")
         assert out.formula == impl(a, formula)
@@ -260,10 +244,10 @@ class ProofBuilder:
             raise BuildError(f"not a universal formula: {formula_to_text(f)}")
         return self.mp(d, self.ax("forall-elim", x=f.binder, F=f.body, t=t))
 
-    def forall_i(self, x: Var, d: Derivation) -> Derivation:
+    def forall_i(self, x: Var | PredVar | FuncVar, d: Derivation) -> Derivation:
         top = self.ax("efq", F=BOTTOM)  # bot -> bot, a closed premise to hang on
         lifted = self.mp(d, self.ax("k", F=d.formula, G=top.formula))
-        gen = self.gen_all(lifted, x)
+        gen = self.gen(lifted, x, "forall")
         return self.mp(top, gen)
 
     def exists_i(self, d: Derivation, x: Var, body: FOFormula, t: Term) -> Derivation:
@@ -276,14 +260,11 @@ class ProofBuilder:
         if not (isinstance(f, Quant) and f.kind == "exists" and f.binder == x):
             raise BuildError(f"not an existential in {x.name}: {formula_to_text(f)}")
         step = self.imp_i(f.body, d_body)
-        gen = self.gen_ex(step, x)
+        gen = self.gen(step, x, "exists")
         return self.mp(d_ex, gen)
 
-    def so_forall_i(self, v: PredVar | FuncVar, d: Derivation) -> Derivation:
-        top = self.ax("efq", F=BOTTOM)
-        lifted = self.mp(d, self.ax("k", F=d.formula, G=top.formula))
-        gen = self.so_gen(lifted, v)
-        return self.mp(top, gen)
+    # a predicate or function binder makes forall_i the second-order rule
+    so_forall_i = forall_i
 
     # -- emission -------------------------------------------------------------
 
@@ -309,14 +290,8 @@ class ProofBuilder:
                 just = rule[1]
             elif tag == "mp":
                 just = ByMP(emit(rule[1].node), emit(rule[2].node))
-            elif tag == "gen-all":
-                just = ByGenAll(emit(rule[1].node), rule[2])
-            elif tag == "gen-ex":
-                just = ByGenEx(emit(rule[1].node), rule[2])
-            elif tag == "so-gen":
-                just = BySOGen(emit(rule[1].node), rule[2])
-            elif tag == "so-gen-ex":
-                just = BySOGenEx(emit(rule[1].node), rule[2])
+            elif tag == "gen":
+                just = ByGen(emit(rule[1].node), rule[2], rule[3])
             else:
                 raise BuildError("hypothesis leaked into a closed derivation")
             lines.append(ProofLine(formula, just))

@@ -6,7 +6,7 @@ certified by exhaustive validity checking of the instance.  Bounded-depth
 instantiation is a labeled approximation and never certifies.
 
 Exit codes: 0 success/valid (exact mode only), 1 rejected or countermodel
-or non-certifying, 2 usage, format or resource errors.
+or non-certifying, 2 usage, format or resource errors and unreadable paths.
 """
 
 from __future__ import annotations
@@ -17,14 +17,7 @@ import os
 import sys
 import time
 
-from .errors import (
-    BudgetExceeded,
-    ConclusionNotClosed,
-    ConclusionNotFirstOrder,
-    HhtError,
-    ParseError,
-    ProofError,
-)
+from .errors import ConclusionNotClosed, ConclusionNotFirstOrder, HhtError, ProofError
 from .herbrand import (
     DEFAULT_BUDGET,
     herbrand_base,
@@ -120,11 +113,23 @@ def _mode_from_args(args) -> tuple:
     return EXACT, "exact"
 
 
-def _cmd_check_proof(args, report: _Report) -> int:
+def _ms(seconds: float, pipeline: bool) -> str:
+    # pipeline stage lines end with the stage's wall time
+    return f" [{seconds * 1000:.1f} ms]" if pipeline else ""
+
+
+# Stages.  Each one records its `_stage` entry and text lines, then returns
+# its result or, when the run's verdict is already settled, an exit code.
+
+def _proof_stage(report: _Report, path: str, pipeline: bool):
+    """Parse and check a proof; in the pipeline its conclusion must also be
+    closed and first-order.  Returns (proof, conclusion) or exit code 1."""
     t0 = time.perf_counter()
-    proof = parse_proof_file(_read(args.proof_file))
+    proof = parse_proof_file(_read(path))
     try:
         conclusion = check_proof(proof)
+        if pipeline:
+            conclusion = conclusion_for_pipeline(proof)
     except ProofError as e:
         claimed = ""
         if 1 <= e.line <= len(proof.lines):
@@ -134,12 +139,78 @@ def _cmd_check_proof(args, report: _Report) -> int:
         report.say(f"proof: REJECTED at line {e.line}: {type(e).__name__}: {e.reason}")
         if claimed:
             report.say(f"claimed justification: {claimed}")
-        return report.emit(1)
-    _stage(report, "proof", t0, verdict="accepted", level=proof.level.value,
-           lines=len(proof.lines), conclusion=formula_to_text(conclusion))
-    report.say(f"proof: accepted (level {proof.level.value}, {len(proof.lines)} lines)")
-    report.say(f"conclusion: {formula_to_text(conclusion)}")
-    return report.emit(0)
+        return 1
+    except (ConclusionNotFirstOrder, ConclusionNotClosed) as e:
+        _stage(report, "proof", t0, verdict="rejected", kind=type(e).__name__,
+               reason=str(e))
+        report.say(f"proof: conclusion unusable: {type(e).__name__}: {e}")
+        return 1
+    text = formula_to_text(conclusion)
+    secs = _stage(report, "proof", t0, verdict="accepted", level=proof.level.value,
+                  lines=len(proof.lines), conclusion=text)
+    report.say(f"proof: accepted (level {proof.level.value}, "
+               f"{len(proof.lines)} lines){_ms(secs, pipeline)}")
+    report.say(f"conclusion: {text}")
+    return proof, conclusion
+
+
+def _instantiation_stage(report: _Report, args, sig, f, pipeline: bool):
+    """Instantiate `f` with `args.subst_file` in the mode `args` asks for.
+    Returns (instance, mode, mode label) or exit code 2 for missing entries."""
+    subst = parse_subst_file(_read(args.subst_file))
+    if subst.signature != sig:
+        source = "proof" if pipeline else "formula"
+        raise HhtError(f"{source} and substitution files declare different signatures")
+    mode, mode_label = _mode_from_args(args)
+    t0 = time.perf_counter()
+    missing = validate(subst, f, mode)
+    if missing:
+        report.data["missing"] = list(missing)
+        report.say("substitution is missing entries for: " + ", ".join(missing))
+        return 2
+    instance = instantiate(subst, f, mode)
+    stats = {
+        "atoms": len(prop_atoms(instance)),
+        "rank": rank(instance),
+        "nodes": prop_node_count(instance),
+    }
+    secs = _stage(report, "instantiation", t0, mode=mode_label, **stats)
+    counts = f"atoms={stats['atoms']} rank={stats['rank']} nodes={stats['nodes']}"
+    if pipeline:
+        report.say(f"instantiation: {mode_label}; {counts}{_ms(secs, pipeline)}")
+    else:
+        report.data["instance"] = text = prop_to_text(instance)
+        report.say(f"mode: {mode_label}")
+        report.say(f"instance: {text}")
+        report.say(counts)
+    return instance, mode, mode_label
+
+
+def _validity_stage(report: _Report, f, headlines: tuple, pipeline: bool) -> int:
+    """Exhaustively check `f`; exit code 0 if HT-valid, 1 on a countermodel.
+    `headlines` holds the verdict line for each outcome (None: no line)."""
+    t0 = time.perf_counter()
+    counter = ht_valid(f, atom_limit=_atom_limit())
+    atoms = sorted(prop_atoms(f))
+    found = counter is not None
+    fields = {}
+    if found:
+        fields["countermodel"] = {a: STATE_NAMES[counter.atom_state(a)] for a in atoms}
+    secs = _stage(report, "validity", t0,
+                  verdict="countermodel" if found else "valid", **fields)
+    if headlines[found]:
+        report.say(headlines[found] + _ms(secs, pipeline))
+    if found:
+        report.say(render_countermodel(counter, atoms))
+    return int(found)
+
+
+# ---------------------------------------------------------------------------
+# subcommands
+
+def _cmd_check_proof(args, report: _Report) -> int:
+    got = _proof_stage(report, args.proof_file, pipeline=False)
+    return report.emit(got if isinstance(got, int) else 0)
 
 
 def _cmd_eliminate(args, report: _Report) -> int:
@@ -150,70 +221,23 @@ def _cmd_eliminate(args, report: _Report) -> int:
     return report.emit(0)
 
 
-def _instance_stats(instance) -> dict:
-    return {
-        "atoms": len(prop_atoms(instance)),
-        "rank": rank(instance),
-        "nodes": prop_node_count(instance),
-    }
-
-
 def _cmd_instantiate(args, report: _Report) -> int:
     sig, f = parse_formula_file(_read(args.formula_file))
-    subst = parse_subst_file(_read(args.subst_file))
-    if subst.signature != sig:
-        raise HhtError("formula and substitution files declare different signatures")
-    mode, mode_label = _mode_from_args(args)
-    t0 = time.perf_counter()
-    missing = validate(subst, f, mode)
-    if missing:
-        report.data["missing"] = list(missing)
-        report.say("substitution is missing entries for: " + ", ".join(missing))
-        return report.emit(2)
-    instance = instantiate(subst, f, mode)
-    stats = _instance_stats(instance)
-    _stage(report, "instantiation", t0, mode=mode_label, **stats)
-    report.data["instance"] = prop_to_text(instance)
-    report.say(f"mode: {mode_label}")
-    report.say(f"instance: {prop_to_text(instance)}")
-    report.say(f"atoms={stats['atoms']} rank={stats['rank']} nodes={stats['nodes']}")
-    return report.emit(0)
+    got = _instantiation_stage(report, args, sig, f, pipeline=False)
+    return report.emit(got if isinstance(got, int) else 0)
 
 
-def _states(counter, atoms) -> dict[str, str]:
-    return {a: STATE_NAMES[counter.atom_state(a)] for a in atoms}
+# verdict lines (HT-valid, countermodel) of the stand-alone validity commands
+_VALIDITY_HEADLINES = {
+    "ht-valid": ("HT-valid", "countermodel found:"),
+    "countermodel": ("no countermodel: formula is HT-valid", None),
+}
 
 
-def _validity_verdict(report: _Report, instance, label: str) -> tuple[int, bool]:
-    t0 = time.perf_counter()
-    counter = ht_valid(instance, atom_limit=_atom_limit())
-    atoms = sorted(prop_atoms(instance))
-    if counter is None:
-        secs = _stage(report, "validity", t0, verdict="valid")
-        report.say(f"validity: HT-valid ({label}) [{secs * 1000:.1f} ms]")
-        return 0, True
-    secs = _stage(report, "validity", t0, verdict="countermodel",
-                  countermodel=_states(counter, atoms))
-    report.say(f"validity: countermodel found ({label}) [{secs * 1000:.1f} ms]")
-    report.say(render_countermodel(counter, atoms))
-    return 1, False
-
-
-def _cmd_ht_valid(args, report: _Report, countermodel_view: bool = False) -> int:
+def _cmd_ht_valid(args, report: _Report) -> int:
     f = parse_prop_file(_read(args.prop_file))
-    t0 = time.perf_counter()
-    counter = ht_valid(f, atom_limit=_atom_limit())
-    atoms = sorted(prop_atoms(f))
-    if counter is None:
-        _stage(report, "validity", t0, verdict="valid")
-        report.say("HT-valid" if not countermodel_view else "no countermodel: formula is HT-valid")
-        return report.emit(0)
-    _stage(report, "validity", t0, verdict="countermodel",
-           countermodel=_states(counter, atoms))
-    if not countermodel_view:
-        report.say("countermodel found:")
-    report.say(render_countermodel(counter, atoms))
-    return report.emit(1)
+    headlines = _VALIDITY_HEADLINES[args.command]
+    return report.emit(_validity_stage(report, f, headlines, pipeline=False))
 
 
 def _cmd_herbrand_check(args, report: _Report) -> int:
@@ -237,60 +261,23 @@ def _cmd_herbrand_check(args, report: _Report) -> int:
 
 
 def _cmd_pipeline(args, report: _Report) -> int:
-    t0 = time.perf_counter()
-    proof = parse_proof_file(_read(args.proof_file))
-    try:
-        check_proof(proof)
-    except ProofError as e:
-        claimed = ""
-        if 1 <= e.line <= len(proof.lines):
-            claimed = render_justification(proof.lines[e.line - 1].justification)
-        _stage(report, "proof", t0, verdict="rejected", line=e.line,
-               kind=type(e).__name__, reason=e.reason, justification=claimed)
-        report.say(f"proof: REJECTED at line {e.line}: {type(e).__name__}: {e.reason}")
-        if claimed:
-            report.say(f"claimed justification: {claimed}")
-        return report.emit(1)
-    try:
-        conclusion = conclusion_for_pipeline(proof)
-    except (ConclusionNotFirstOrder, ConclusionNotClosed) as e:
-        _stage(report, "proof", t0, verdict="rejected", kind=type(e).__name__,
-               reason=str(e))
-        report.say(f"proof: conclusion unusable: {type(e).__name__}: {e}")
-        return report.emit(1)
-    secs = _stage(report, "proof", t0, verdict="accepted", level=proof.level.value,
-                  lines=len(proof.lines), conclusion=formula_to_text(conclusion))
-    report.say(f"proof: accepted (level {proof.level.value}, "
-               f"{len(proof.lines)} lines) [{secs * 1000:.1f} ms]")
-    report.say(f"conclusion: {formula_to_text(conclusion)}")
-
-    subst = parse_subst_file(_read(args.subst_file))
-    if subst.signature != proof.signature:
-        raise HhtError("proof and substitution files declare different signatures")
-    mode, mode_label = _mode_from_args(args)
-    t1 = time.perf_counter()
-    missing = validate(subst, conclusion, mode)
-    if missing:
-        report.data["missing"] = list(missing)
-        report.say("substitution is missing entries for: " + ", ".join(missing))
-        return report.emit(2)
-    instance = instantiate(subst, conclusion, mode)
-    stats = _instance_stats(instance)
-    secs = _stage(report, "instantiation", t1, mode=mode_label, **stats)
-    report.say(f"instantiation: {mode_label}; atoms={stats['atoms']} "
-               f"rank={stats['rank']} nodes={stats['nodes']} [{secs * 1000:.1f} ms]")
-
-    code, valid = _validity_verdict(report, instance, mode_label)
-    exact = mode == EXACT
-    certifying = exact and valid
+    got = _proof_stage(report, args.proof_file, pipeline=True)
+    if isinstance(got, int):
+        return report.emit(got)
+    proof, conclusion = got
+    got = _instantiation_stage(report, args, proof.signature, conclusion, pipeline=True)
+    if isinstance(got, int):
+        return report.emit(got)
+    instance, mode, mode_label = got
+    headlines = (f"validity: HT-valid ({mode_label})",
+                 f"validity: countermodel found ({mode_label})")
+    valid = _validity_stage(report, instance, headlines, pipeline=True) == 0
+    certifying = mode == EXACT and valid
     report.data["certifying"] = certifying
     if certifying:
         report.say("certificate: VALID (accepted proof + exact instance)")
         return report.emit(0)
-    if valid:
-        report.say("certificate: NOT CERTIFYING (bounded mode: non-validity-preserving)")
-        return report.emit(1)
-    if not exact:
+    if mode != EXACT:
         report.say("certificate: NOT CERTIFYING (bounded mode: non-validity-preserving)")
     else:
         report.say("certificate: FAILED (countermodel for an exact instance "
@@ -359,20 +346,14 @@ def run(argv: list[str] | None = None) -> int:
         "check-proof": _cmd_check_proof,
         "instantiate": _cmd_instantiate,
         "ht-valid": _cmd_ht_valid,
-        "countermodel": lambda a, r: _cmd_ht_valid(a, r, countermodel_view=True),
+        "countermodel": _cmd_ht_valid,
         "eliminate-restrictors": _cmd_eliminate,
         "herbrand-check": _cmd_herbrand_check,
         "pipeline": _cmd_pipeline,
     }
     try:
         return handlers[args.command](args, report)
-    except FileNotFoundError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (ParseError, BudgetExceeded) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (HhtError, ValueError) as e:
+    except (OSError, HhtError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -150,10 +150,6 @@ class Substitution:
         raise UnmappedAtom(ground_atom_to_text(atom))
 
 
-def lookup(subst: Substitution, atom: GroundAtom) -> PropFormula:
-    return subst.lookup(atom)
-
-
 def _check_preconditions(f: FOFormula) -> None:
     free = free_variables(f)
     if free:

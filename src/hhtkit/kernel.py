@@ -24,8 +24,11 @@ Axiom schema inventory (see `list_schemas`):
                comprehension choice
   HHT2+DCA     dca
 
-Inference rules (justifications, not schemas): mp, gen-all, gen-ex and the
-second-order forms so-gen, so-gen-ex.
+Inference rules (justifications, not schemas): mp and generalization.
+Generalization is one rule, `ByGen`, with four spellings in proof files:
+gen-all and gen-ex bind an object variable, so-gen and so-gen-ex a
+predicate or function variable; the -ex forms introduce `exists` in the
+antecedent, the others `forall` in the consequent.
 """
 
 from __future__ import annotations
@@ -110,30 +113,29 @@ class ByMP:
 
 
 @dataclass(frozen=True)
-class ByGenAll:
+class ByGen:
+    """Generalize line i over v.  For kind "forall" line i is G -> F and
+    the result G -> forall v F; for "exists" line i is F -> G and the
+    result exists v F -> G.  Either way v must not be free in G."""
+
     i: int
-    x: Var
+    v: Var | PredVar | FuncVar
+    kind: str  # Quant kind: "forall" | "exists"
+
+    @property
+    def keyword(self) -> str:
+        return GEN_KEYWORDS[not isinstance(self.v, Var), self.kind]
 
 
-@dataclass(frozen=True)
-class ByGenEx:
-    i: int
-    x: Var
+# proof-file spelling of a generalization by (second-order binder, kind)
+GEN_KEYWORDS = {
+    (False, "forall"): "gen-all",
+    (False, "exists"): "gen-ex",
+    (True, "forall"): "so-gen",
+    (True, "exists"): "so-gen-ex",
+}
 
-
-@dataclass(frozen=True)
-class BySOGen:
-    i: int
-    v: PredVar | FuncVar
-
-
-@dataclass(frozen=True)
-class BySOGenEx:
-    i: int
-    v: PredVar | FuncVar
-
-
-Justification = ByAxiom | ByMP | ByGenAll | ByGenEx | BySOGen | BySOGenEx
+Justification = ByAxiom | ByMP | ByGen
 
 
 @dataclass(frozen=True)
@@ -640,39 +642,24 @@ def check_proof(proof: Proof) -> FOFormula:
                     n,
                     f"line {just.j} is not (line {just.i} -> this line)",
                 )
-        elif isinstance(just, (ByGenAll, ByGenEx)):
-            prem = ref(n, just.i)
-            if not (isinstance(prem, Binary) and prem.op == "->"):
-                raise SchemaMismatch(n, f"line {just.i} is not an implication")
-            if isinstance(just, ByGenAll):
-                g, body = prem.left, prem.right
-                expected = impl(g, Quant("forall", just.x, body))
-            else:
-                body, g = prem.left, prem.right
-                expected = impl(Quant("exists", just.x, body), g)
-            if f != expected:
-                raise SchemaMismatch(n, f"expected {formula_to_text(expected)}")
-            if just.x in free_variables(g):
-                raise SideConditionViolation(
-                    n, f"{just.x.name} must not be free in {formula_to_text(g)}"
-                )
-        elif isinstance(just, (BySOGen, BySOGenEx)):
-            if not level.admits(TheoryLevel.HHT2):
+        elif isinstance(just, ByGen):
+            v = just.v
+            if not isinstance(v, Var) and not level.admits(TheoryLevel.HHT2):
                 raise LevelViolation(n, "second-order rules need level HHT2 or HHT2+DCA")
             prem = ref(n, just.i)
             if not (isinstance(prem, Binary) and prem.op == "->"):
                 raise SchemaMismatch(n, f"line {just.i} is not an implication")
-            if isinstance(just, BySOGen):
+            if just.kind == "forall":
                 g, body = prem.left, prem.right
-                expected = impl(g, Quant("forall", just.v, body))
+                expected = impl(g, Quant(just.kind, v, body))
             else:
                 body, g = prem.left, prem.right
-                expected = impl(Quant("exists", just.v, body), g)
+                expected = impl(Quant(just.kind, v, body), g)
             if f != expected:
                 raise SchemaMismatch(n, f"expected {formula_to_text(expected)}")
-            if just.v in free_variables(g):
+            if v in free_variables(g):
                 raise SideConditionViolation(
-                    n, f"{just.v.name} must not be free in {formula_to_text(g)}"
+                    n, f"{v.name} must not be free in {formula_to_text(g)}"
                 )
         else:
             raise ProofError(n, f"unknown justification {just!r}")

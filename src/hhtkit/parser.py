@@ -18,12 +18,10 @@ from dataclasses import dataclass
 from .errors import ParseError
 from .instantiation import Substitution
 from .kernel import (
+    GEN_KEYWORDS,
     ByAxiom,
-    ByGenAll,
-    ByGenEx,
+    ByGen,
     ByMP,
-    BySOGen,
-    BySOGenEx,
     Proof,
     ProofLine,
     SCHEMAS,
@@ -583,6 +581,9 @@ def _parse_binding_value(cur: Cursor, sig: Signature, kind: str):
     raise cur.error(f"unhandled binding kind {kind}")
 
 
+_GEN_RULES = {kw: key for key, kw in GEN_KEYWORDS.items()}
+
+
 def _parse_justification(cur: Cursor, sig: Signature):
     cur.expect("by")
     kw = cur.expect_ident("justification").text
@@ -610,14 +611,11 @@ def _parse_justification(cur: Cursor, sig: Signature):
         i = cur.expect_num()
         j = cur.expect_num()
         return ByMP(i, j)
-    if kw in ("gen-all", "gen-ex"):
+    if kw in _GEN_RULES:
+        second_order, kind = _GEN_RULES[kw]
         i = cur.expect_num()
-        x = _parse_binding_value(cur, sig, "var")
-        return ByGenAll(i, x) if kw == "gen-all" else ByGenEx(i, x)
-    if kw in ("so-gen", "so-gen-ex"):
-        i = cur.expect_num()
-        v = _parse_sovar_token(cur)
-        return BySOGen(i, v) if kw == "so-gen" else BySOGenEx(i, v)
+        v = _parse_binding_value(cur, sig, "sovar" if second_order else "var")
+        return ByGen(i, v, kind)
     raise cur.error(f"unknown justification {kw!r}")
 
 

@@ -4,16 +4,7 @@ Output re-parses to structurally identical objects."""
 from __future__ import annotations
 
 from .instantiation import Substitution
-from .kernel import (
-    SCHEMAS,
-    ByAxiom,
-    ByGenAll,
-    ByGenEx,
-    ByMP,
-    BySOGen,
-    BySOGenEx,
-    Proof,
-)
+from .kernel import SCHEMAS, ByAxiom, ByGen, ByMP, Proof
 from .syntax import (
     FuncVar,
     PredVar,
@@ -74,14 +65,8 @@ def render_justification(just) -> str:
         return f"axiom {just.schema_id}{_render_binding(just)}"
     if isinstance(just, ByMP):
         return f"mp {just.i} {just.j}"
-    if isinstance(just, ByGenAll):
-        return f"gen-all {just.i} {just.x.name}"
-    if isinstance(just, ByGenEx):
-        return f"gen-ex {just.i} {just.x.name}"
-    if isinstance(just, BySOGen):
-        return f"so-gen {just.i} {_render_value(just.v)}"
-    if isinstance(just, BySOGenEx):
-        return f"so-gen-ex {just.i} {_render_value(just.v)}"
+    if isinstance(just, ByGen):
+        return f"{just.keyword} {just.i} {_render_value(just.v)}"
     raise TypeError(f"unknown justification {just!r}")
 
 

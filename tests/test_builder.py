@@ -38,7 +38,7 @@ def test_gen_refuses_free_variable_in_hypothesis():
     h = b.hyp(fof("P(x)"))
     lifted = b.imp_i(fof("Q"), h)  # Q -> P(x) with open hyp P(x)
     with pytest.raises(BuildError):
-        b.gen_all(lifted, Var("x"))
+        b.gen(lifted, Var("x"), "forall")
 
 
 def test_forall_intro_and_elim_round():

@@ -1,5 +1,7 @@
 import json
+import re
 
+import pytest
 
 from hhtkit.cli import run
 from hhtkit.corpus import data_path
@@ -136,3 +138,88 @@ def test_instantiate_reports_missing_entries(tmp_path, capsys):
     assert code == 2
     assert "missing entries" in out
     assert "Q" in out and "P(c2)" in out
+
+
+def test_directory_argument_is_usage_error(tmp_path, capsys):
+    code, out, err = invoke(capsys, "ht-valid", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+
+
+# exact text reports, one per shape; stage timings are masked
+
+_PINNED = {
+    "pipeline-accepted": (
+        ["pipeline", "subsum4.proof", "subsum4.subst"], 0,
+        "proof: accepted (level HHT, 210 lines) [N ms]\n"
+        "conclusion: exists x P(x) & Q <-> exists x (P(x) & Q)\n"
+        "instantiation: exact; atoms=4 rank=4 nodes=19 [N ms]\n"
+        "validity: HT-valid (exact) [N ms]\n"
+        "certificate: VALID (accepted proof + exact instance)\n",
+    ),
+    "check-proof-rejected": (
+        ["check-proof", "classical.proof"], 1,
+        "proof: REJECTED at line 1: SchemaMismatch: schema efq with this "
+        "binding yields bot -> P(c1)\n"
+        "claimed justification: axiom efq with F := P(c1)\n",
+    ),
+    "pipeline-rejected": (
+        ["pipeline", "classical.proof", "example1a.subst"], 1,
+        "proof: REJECTED at line 1: SchemaMismatch: schema efq with this "
+        "binding yields bot -> P(c1)\n"
+        "claimed justification: axiom efq with F := P(c1)\n",
+    ),
+    "check-proof-accepted": (
+        ["check-proof", "subsum4.proof"], 0,
+        "proof: accepted (level HHT, 210 lines)\n"
+        "conclusion: exists x P(x) & Q <-> exists x (P(x) & Q)\n",
+    ),
+    "pipeline-bounded-valid": (
+        ["pipeline", "example5_alt.proof", "example5_alt.subst", "--depth", "2"], 1,
+        "proof: accepted (level HHT, 138 lines) [N ms]\n"
+        "conclusion: forall x P(x) -> forall x P(f(x))\n"
+        "instantiation: bounded depth 2 (non-validity-preserving); "
+        "atoms=2 rank=2 nodes=6 [N ms]\n"
+        "validity: HT-valid (bounded depth 2 (non-validity-preserving)) [N ms]\n"
+        "certificate: NOT CERTIFYING (bounded mode: non-validity-preserving)\n",
+    ),
+    "pipeline-bounded-countermodel": (
+        ["pipeline", "example7.proof", "example7.subst", "--depth", "3"], 1,
+        "proof: accepted (level HHT2+DCA, 165 lines) [N ms]\n"
+        "conclusion: P(a) & forall x (P(x) -> P(s(x))) <-> forall x P(x)\n"
+        "instantiation: bounded depth 3 (non-validity-preserving); "
+        "atoms=5 rank=5 nodes=22 [N ms]\n"
+        "validity: countermodel found (bounded depth 3 (non-validity-preserving)) [N ms]\n"
+        "f0: there-only\nf1: there-only\nf2: there-only\nf3: there-only\nf4: absent\n"
+        "certificate: NOT CERTIFYING (bounded mode: non-validity-preserving)\n",
+    ),
+    "ht-valid-countermodel": (
+        ["ht-valid", "lem.prop"], 1, "countermodel found:\np: there-only\n",
+    ),
+    "ht-valid-valid": (["ht-valid", "hosoi.prop"], 0, "HT-valid\n"),
+    "countermodel-found": (["countermodel", "dne.prop"], 1, "p: there-only\n"),
+    "countermodel-none": (
+        ["countermodel", "hosoi.prop"], 0, "no countermodel: formula is HT-valid\n",
+    ),
+    "instantiate-missing": (
+        ["instantiate", "subsum4.fof", "{tmp}/partial.subst"], 2,
+        "substitution is missing entries for: P(c2), P(c3), Q\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_PINNED))
+def test_text_report_is_pinned(shape, tmp_path, capsys):
+    argv, exit_code, expected = _PINNED[shape]
+    (tmp_path / "partial.subst").write_text(
+        "const c1, c2, c3.  pred P/1, Q/0.\nP(c1) := f1;\n"
+    )
+    argv = [
+        a.format(tmp=tmp_path) if "{tmp}" in a
+        else data_path(a) if "." in a else a
+        for a in argv
+    ]
+    code, out, err = invoke(capsys, *argv)
+    assert (code, re.sub(r"\[\d+\.\d ms\]", "[N ms]", out), err) == (exit_code, expected, "")

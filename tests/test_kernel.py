@@ -21,6 +21,7 @@ from hhtkit.kernel import (
     list_schemas,
 )
 from hhtkit.parser import parse_formula_text, parse_proof_file
+from hhtkit.render import render_justification
 from hhtkit.syntax import (
     FnApp,
     FuncVar,
@@ -262,3 +263,96 @@ level HHT2;
 """
     proof = parse_proof_file(text)
     assert formula_to_text(check_proof(proof)) == "Q -> forall p/1 (p(a) -> Q)"
+
+
+# generalization: one rule, four spellings -----------------------------------
+
+_GEN_HEADER = "const a. pred P/1, Q/0.\nlevel {level};\n"
+
+# keyword -> (level, binder, premise line, accepted conclusion, wrong
+# conclusion, premise with the binder free in its fixed side, its conclusion)
+_GEN_RULES = {
+    "gen-all": (
+        "HHT", "x",
+        "Q -> P(x) -> Q by axiom k with F := Q, G := P(x)",
+        "Q -> forall x (P(x) -> Q)",
+        "Q -> exists x (P(x) -> Q)",
+        "P(x) -> P(x) -> P(x) by axiom k with F := P(x), G := P(x)",
+        "P(x) -> forall x (P(x) -> P(x))",
+    ),
+    "gen-ex": (
+        "HHT", "x",
+        "P(x) & Q -> Q by axiom and-elim-right with F := P(x), G := Q",
+        "exists x (P(x) & Q) -> Q",
+        "forall x (P(x) & Q) -> Q",
+        "P(x) & P(x) -> P(x) by axiom and-elim-right with F := P(x), G := P(x)",
+        "exists x (P(x) & P(x)) -> P(x)",
+    ),
+    "so-gen": (
+        "HHT2", "p/1",
+        "Q -> p(a) -> Q by axiom k with F := Q, G := p(a)",
+        "Q -> forall p/1 (p(a) -> Q)",
+        "Q -> exists p/1 (p(a) -> Q)",
+        "p(a) -> p(a) -> p(a) by axiom k with F := p(a), G := p(a)",
+        "p(a) -> forall p/1 (p(a) -> p(a))",
+    ),
+    "so-gen-ex": (
+        "HHT2", "p/1",
+        "p(a) & Q -> Q by axiom and-elim-right with F := p(a), G := Q",
+        "exists p/1 (p(a) & Q) -> Q",
+        "forall p/1 (p(a) & Q) -> Q",
+        "p(a) & p(a) -> p(a) by axiom and-elim-right with F := p(a), G := p(a)",
+        "exists p/1 (p(a) & p(a)) -> p(a)",
+    ),
+}
+
+
+def _gen_case(kw, case):
+    """The two-line proof for one table entry and its outcome: None when
+    accepted, else (error type, reason) at line 2."""
+    level, v, premise, good, wrong, free_premise, free_concl = _GEN_RULES[kw]
+    fixed = "p(a)" if kw.startswith("so-") else "P(x)"
+    line1, line2, outcome = {
+        "accepted": (premise, good, None),
+        "wrong-conclusion": (premise, wrong, (SchemaMismatch, f"expected {good}")),
+        "premise-not-implication": (
+            "a = a by axiom eq-refl with t := a", good,
+            (SchemaMismatch, "line 1 is not an implication"),
+        ),
+        "binder-free": (
+            free_premise, free_concl,
+            (SideConditionViolation, f"{v.split('/')[0]} must not be free in {fixed}"),
+        ),
+    }[case]
+    text = _GEN_HEADER.format(level=level) + f"1: {line1};\n2: {line2} by {kw} 1 {v};\n"
+    return parse_proof_file(text), outcome
+
+
+@pytest.mark.parametrize(
+    "case", ["accepted", "wrong-conclusion", "premise-not-implication", "binder-free"]
+)
+@pytest.mark.parametrize("kw", sorted(_GEN_RULES))
+def test_generalization_contract(kw, case):
+    proof, outcome = _gen_case(kw, case)
+    if outcome is None:
+        assert formula_to_text(check_proof(proof)) == _GEN_RULES[kw][3]
+        v = _GEN_RULES[kw][1]
+        assert render_justification(proof.lines[-1].justification) == f"{kw} 1 {v}"
+        return
+    error, reason = outcome
+    with pytest.raises(error) as err:
+        check_proof(proof)
+    assert (err.value.line, err.value.reason) == (2, reason)
+
+
+@pytest.mark.parametrize("kw", ["so-gen", "so-gen-ex"])
+def test_second_order_generalization_needs_hht2(kw):
+    # the line itself is first-order, so only the rule's level gate refuses it
+    text = _GEN_HEADER.format(level="HHT") + (
+        "1: Q -> P(a) -> Q by axiom k with F := Q, G := P(a);\n"
+        f"2: Q -> P(a) -> Q by {kw} 1 p/1;\n"
+    )
+    with pytest.raises(LevelViolation) as err:
+        check_proof(parse_proof_file(text))
+    assert err.value.line == 2
+    assert err.value.reason == "second-order rules need level HHT2 or HHT2+DCA"

@@ -1,8 +1,10 @@
+import os
 import random
 
 import pytest
 
 import gen
+from hhtkit.corpus import data_path, load_text
 from hhtkit.errors import ParseError
 from hhtkit.parser import (
     parse_formula_file,
@@ -11,6 +13,7 @@ from hhtkit.parser import (
     parse_prop_text,
     parse_subst_file,
 )
+from hhtkit.render import render_proof
 from hhtkit.syntax import (
     Atom,
     Binary,
@@ -168,3 +171,12 @@ def test_prop_round_trip_randomized():
         f = gen.rand_prop(rng, depth=3)
         text = prop_to_text(f)
         assert parse_prop_text(text) == f, text
+
+
+@pytest.mark.parametrize(
+    "name", sorted(n for n in os.listdir(os.path.dirname(data_path("lem.prop")))
+                   if n.endswith(".proof")),
+)
+def test_shipped_proof_renders_back_to_its_text(name):
+    text = load_text(name)
+    assert render_proof(parse_proof_file(text)) == text
