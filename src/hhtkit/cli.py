@@ -353,7 +353,7 @@ def run(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args, report)
-    except (OSError, HhtError, ValueError) as e:
+    except (OSError, HhtError, ValueError, RecursionError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -1,6 +1,21 @@
 """Two-world (here/there) interpretations, satisfaction, exhaustive
 validity checking with canonical countermodels, and the three-valued
 evaluator used as an independent fast path.
+
+The fast path is bit-parallel.  An interpretation over the sorted atoms
+a_1..a_n is numbered by its states (absent 0, there-only 1, both 2) read as
+base-3 digits with a_1 most significant; that number is its canonical
+position.  Each distinct node of the formula DAG is evaluated once to a pair
+of Python ints (here, there) holding one bit per interpretation: bit k is
+set when interpretation k satisfies the node at that world.  `And`/`Or` are
+`&`/`|` on both masks (empty: all ones / zero), and an implication is
+`there = ~lt | rt`, `here = (~lh | rh) & there`.  The formula is valid iff
+the here-mask is all ones, and its lowest clear bit is the first
+countermodel in canonical order.  To bound memory, at most `_CHUNK_ATOMS`
+trailing atoms (fewer for large formulas) go into the masks; the leading
+atoms are enumerated outside in canonical order as constant masks, so
+chunks are visited in canonical order too and the search stops at the
+first chunk with a clear bit.
 """
 
 from __future__ import annotations
@@ -10,7 +25,7 @@ from enum import IntEnum
 from typing import Iterable, Iterator
 
 from .errors import BudgetExceeded
-from .syntax import PAnd, PAtom, PImp, POr, PropFormula, prop_atoms
+from .syntax import PAnd, PAtom, PImp, POr, PropFormula
 
 DEFAULT_ATOM_LIMIT = 20
 
@@ -77,56 +92,155 @@ def g3_eval(i: HTInterpretation, f: PropFormula) -> int:
     """Three-valued evaluation: 0 false, 1 there-only, 2 here.
 
     Agrees with `satisfies`: value 2 iff satisfied at h, value >= 1 iff
-    satisfied at t.
+    satisfied at t.  Runs the bit-parallel engine on 1-bit masks.
     """
-    values = {a: i.atom_state(a) for a in prop_atoms(f)}
-    return _g3(f, values, {})
+    prog = _compile(f)
+    masks = {}
+    for op, name in prog:
+        if op == _ATOM:
+            state = i.atom_state(name)
+            masks[name] = (int(state == BOTH), int(state != ABSENT))
+    h, t = _evaluate(prog, masks, 1)
+    return h + t
 
 
-def _g3(f: PropFormula, values: dict[str, int], memo: dict[int, int]) -> int:
-    got = memo.get(id(f))
-    if got is not None:
-        return got
-    match f:
-        case PAtom(name):
-            v = values[name]
-        case PAnd(items):
-            v = 2
-            for g in items:
-                v = min(v, _g3(g, values, memo))
-                if v == 0:
-                    break
-        case POr(items):
-            v = 0
-            for g in items:
-                v = max(v, _g3(g, values, memo))
-                if v == 2:
-                    break
-        case PImp(l, r):
-            vl = _g3(l, values, memo)
-            vr = _g3(r, values, memo)
-            v = 2 if vl <= vr else vr
-        case _:
-            raise TypeError(f"not a propositional formula: {f!r}")
-    memo[id(f)] = v
-    return v
+_ATOM, _AND, _OR, _IMP = range(4)
+
+# the widest chunk, in trailing atoms: 3**13 bits is about 200 KB per mask
+_CHUNK_ATOMS = 13
+# bytes the masks of all nodes may hold at once; bounds the chunk width
+_MASK_BYTES = 1 << 25
+
+
+def _compile(f: PropFormula) -> list[tuple[int, object]]:
+    """Post-order program with one `(op, arg)` per distinct node, children
+    first: `arg` is the atom name, or the tuple of child positions.  Uses an
+    explicit stack, so nesting depth is not limited by recursion."""
+    slot: dict[int, int] = {}
+    prog: list[tuple[int, object]] = []
+    stack: list[tuple[PropFormula, bool]] = [(f, False)]
+    while stack:
+        g, expanded = stack.pop()
+        if id(g) in slot:
+            continue
+        match g:
+            case PAtom(name):
+                slot[id(g)] = len(prog)
+                prog.append((_ATOM, name))
+                continue
+            case PAnd(items):
+                op, kids = _AND, tuple(items)
+            case POr(items):
+                op, kids = _OR, tuple(items)
+            case PImp(l, r):
+                op, kids = _IMP, (l, r)
+            case _:
+                raise TypeError(f"not a propositional formula: {g!r}")
+        if expanded:
+            slot[id(g)] = len(prog)
+            prog.append((op, tuple(slot[id(k)] for k in kids)))
+        else:
+            stack.append((g, True))
+            stack.extend((k, False) for k in kids)
+    return prog
+
+
+def _evaluate(prog, masks: dict[str, tuple[int, int]], full: int) -> tuple[int, int]:
+    """(here, there) masks of the program's root; `full` has one bit per
+    interpretation and `masks` gives each atom's pair."""
+    hs: list[int] = []
+    ts: list[int] = []
+    for op, arg in prog:
+        if op == _ATOM:
+            h, t = masks[arg]
+        elif op == _IMP:
+            l, r = arg
+            t = (full ^ ts[l]) | ts[r]
+            h = ((full ^ hs[l]) | hs[r]) & t
+        elif op == _AND:
+            h = t = full
+            for k in arg:
+                h &= hs[k]
+                t &= ts[k]
+        else:
+            h = t = 0
+            for k in arg:
+                h |= hs[k]
+                t |= ts[k]
+        hs.append(h)
+        ts.append(t)
+    return hs[-1], ts[-1]
+
+
+def _digit_masks(weight: int, size: int) -> tuple[int, int]:
+    """(here, there) masks over `size` bits for the base-3 digit of the given
+    weight: bit k is set where that digit of k is 2, resp. at least 1.  One
+    period is built directly and doubled until it covers `size` bits."""
+    ones = (1 << weight) - 1
+    here = ones << 2 * weight
+    there = here | ones << weight
+    filled = 3 * weight
+    while filled < size:
+        here |= here << filled
+        there |= there << filled
+        filled *= 2
+    full = (1 << size) - 1
+    return here & full, there & full
+
+
+def _chunk_width(n_atoms: int, n_nodes: int) -> int:
+    """Trailing atoms to evaluate at once, so that one (here, there) pair per
+    node stays within `_MASK_BYTES`."""
+    width = min(n_atoms, _CHUNK_ATOMS)
+    while width > 0 and n_nodes * 3 ** width > _MASK_BYTES * 4:
+        width -= 1
+    return width
+
+
+def _first_countermodel(prog, atoms: list[str]) -> HTInterpretation | None:
+    """The first interpretation in canonical order whose here-mask bit is
+    clear.  The trailing atoms are the least significant digits, so inside a
+    chunk the bit index is the canonical order; the leading atoms are
+    enumerated outside it in canonical order as constant masks."""
+    width = _chunk_width(len(atoms), len(prog))
+    split = len(atoms) - width
+    lead, trail = atoms[:split], atoms[split:]
+    size = 3 ** width
+    full = (1 << size) - 1
+    masks = {a: _digit_masks(3 ** (width - 1 - j), size) for j, a in enumerate(trail)}
+    for values in _enumerate_states(lead):
+        for a, s in values.items():
+            masks[a] = (full if s == BOTH else 0, full if s != ABSENT else 0)
+        h, _ = _evaluate(prog, masks, full)
+        if h != full:
+            miss = full ^ h
+            index = (miss & -miss).bit_length() - 1
+            for a in reversed(trail):
+                index, values[a] = divmod(index, 3)
+            return _interpretation(values)
+    return None
+
+
+def _interpretation(values: dict[str, int]) -> HTInterpretation:
+    """The interpretation giving each atom its state."""
+    here = frozenset(a for a, s in values.items() if s == BOTH)
+    there = frozenset(a for a, s in values.items() if s != ABSENT)
+    return HTInterpretation(here, there)
 
 
 def enumerate_interpretations(atoms: Iterable[str]) -> Iterator[HTInterpretation]:
     """All interpretations over the given atoms in canonical order: atoms
     sorted lexicographically, per-atom states counted absent < there-only <
     both, first atom most significant."""
-    for _, i in _enumerate_states(sorted(atoms)):
-        yield i
+    for values in _enumerate_states(sorted(atoms)):
+        yield _interpretation(values)
 
 
-def _enumerate_states(atoms: list[str]) -> Iterator[tuple[dict[str, int], HTInterpretation]]:
+def _enumerate_states(atoms: list[str]) -> Iterator[dict[str, int]]:
     n = len(atoms)
     states = [0] * n
     while True:
-        here = frozenset(a for a, s in zip(atoms, states) if s == BOTH)
-        there = frozenset(a for a, s in zip(atoms, states) if s != ABSENT)
-        yield dict(zip(atoms, states)), HTInterpretation(here, there)
+        yield dict(zip(atoms, states))
         j = n - 1
         while j >= 0 and states[j] == 2:
             states[j] = 0
@@ -145,18 +259,17 @@ def ht_valid(
     """Exhaustively check validity over the atoms occurring in `f`.
 
     Returns None when valid, otherwise the first failing interpretation in
-    canonical order.  `evaluator` picks the three-valued fast path ("g3") or
+    canonical order.  `evaluator` picks the three-valued tables evaluated
+    over all interpretations at once by the bit-parallel engine ("g3") or
     the literal satisfaction recursion ("literal"); both define the same
     relation.
     """
-    atoms = sorted(prop_atoms(f))
+    prog = _compile(f)
+    atoms = sorted({arg for op, arg in prog if op == _ATOM})
     if len(atoms) > atom_limit:
         raise BudgetExceeded(3 ** len(atoms), 3 ** atom_limit, "interpretations")
     if evaluator == "g3":
-        for values, i in _enumerate_states(atoms):
-            if _g3(f, values, {}) != 2:
-                return i
-        return None
+        return _first_countermodel(prog, atoms)
     if evaluator == "literal":
         for i in enumerate_interpretations(atoms):
             if not satisfies(i, World.H, f):

@@ -148,6 +148,17 @@ def test_directory_argument_is_usage_error(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_deep_nesting_is_usage_error(json_flag, tmp_path, capsys):
+    path = tmp_path / "deep.prop"
+    path.write_text("not " * 3000 + "p\n")
+    code, out, err = invoke(capsys, *json_flag, "ht-valid", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+
+
 # exact text reports, one per shape; stage timings are masked
 
 _PINNED = {

@@ -3,6 +3,7 @@ import random
 import pytest
 
 import gen
+from hhtkit import semantics
 from hhtkit.errors import BudgetExceeded
 from hhtkit.parser import parse_prop_text
 from hhtkit.semantics import (
@@ -16,7 +17,7 @@ from hhtkit.semantics import (
     render_countermodel,
     satisfies,
 )
-from hhtkit.syntax import PAnd, PAtom, POr, prop_atoms
+from hhtkit.syntax import PAnd, PAtom, PImp, POr, prop_atoms
 
 
 def prop(text):
@@ -171,3 +172,66 @@ def test_ht_valid_implies_classical_validity():
             total = frozenset(a for k, a in enumerate(atoms) if bits >> k & 1)
             assert classical_eval(total, f)
     assert checked > 10
+
+
+@pytest.mark.parametrize("cap, value", [
+    ("_CHUNK_ATOMS", 1), ("_CHUNK_ATOMS", 2), ("_CHUNK_ATOMS", 3),
+    ("_MASK_BYTES", 16),  # a few bits per node: width falls with node count
+])
+def test_chunk_boundaries_match_literal(cap, value, monkeypatch):
+    # narrow chunks put 1-6 leading atoms outside the masks, so the first
+    # countermodel often lies past the first chunk
+    monkeypatch.setattr(semantics, cap, value)
+    rng = random.Random(41 + value)
+    found = 0
+    for _ in range(150):
+        atoms = tuple(f"x{k}" for k in range(rng.randint(4, 6)))
+        f = gen.rand_prop(rng, depth=4, atoms=atoms)
+        got = ht_valid(f)
+        assert got == ht_valid(f, evaluator="literal"), f
+        found += got is not None
+    assert found > 20
+
+
+def _leq(a, b):
+    return PAnd((PImp(a, b), PImp(b, a)))
+
+
+def _distributivity(atoms):
+    # Or{And{p..}; q} <-> And{Or{p; q}..}: valid
+    *ps, q = (PAtom(a) for a in atoms)
+    return _leq(POr((PAnd(ps), q)), PAnd(POr((p, q)) for p in ps))
+
+
+def _names(prefix, n):
+    return [f"{prefix}{k:02d}" for k in range(n)]
+
+
+@pytest.mark.parametrize("n", [14, 16])
+def test_known_answers_past_one_chunk(n):
+    assert n > semantics._CHUNK_ATOMS
+    ps = _names("p", n - 1)
+    assert ht_valid(_distributivity(ps + ["q"])) is None
+
+    # y sorts before every z, so the first countermodel (y there-only, all
+    # else absent) has index 3^(n-1) and opens a later chunk
+    y = PAtom("y")
+    f = PAnd((_distributivity(_names("z", n - 1)), POr((y, PImp(y, POr(()))))))
+    assert ht_valid(f) == HTInterpretation.of([], ["y"])
+
+    # the only countermodel: every p both, q there-only, index 3^n - 2
+    q = PAtom("q")
+    f = PImp(PAnd(PAtom(p) for p in ps), POr((q, PImp(q, POr(())))))
+    assert ht_valid(f) == HTInterpretation.of(ps, ps + ["q"])
+
+
+def test_deep_implication_chain():
+    # q -> (q -> ... -> p) fails first at p absent, q there-only; prefixing
+    # p -> makes it valid.  5000 levels exceed the recursion limit.
+    p, q = PAtom("p"), PAtom("q")
+    chain = p
+    for _ in range(5000):
+        chain = PImp(q, chain)
+    assert ht_valid(chain) == HTInterpretation.of([], ["q"])
+    assert ht_valid(PImp(p, chain)) is None
+    assert g3_eval(HTInterpretation.of(["q"], ["p", "q"]), chain) == 1
