@@ -12,6 +12,7 @@ or non-certifying, 2 usage, format or resource errors and unreadable paths.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -335,10 +336,13 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# parsing leaves no state in the parser, so one serves every call
+_arg_parser = functools.cache(build_arg_parser)
+
+
 def run(argv: list[str] | None = None) -> int:
-    ap = build_arg_parser()
     try:
-        args = ap.parse_args(argv)
+        args = _arg_parser().parse_args(argv)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     report = _Report(args.command, args.json or args.json_global)
@@ -355,6 +359,10 @@ def run(argv: list[str] | None = None) -> int:
         return handlers[args.command](args, report)
     except (OSError, HhtError, ValueError, RecursionError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except Exception as e:
+        # last resort: a fault of the program still ends in one line, exit 2
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return 2
 
 

@@ -42,6 +42,11 @@ class InfiniteUniverse(HhtError):
     """Exact mode requires every function constant to be nullary."""
 
 
+class OutsideUniverse(HhtError):
+    """A function name was applied to a term outside the universe its table
+    covers, as a truncated universe allows."""
+
+
 class BudgetExceeded(HhtError):
     """Enumeration would exceed the configured budget."""
 

@@ -1,8 +1,9 @@
 """Two-world models over the ground-term universe of a first-order
 signature: collapse of extended terms via function tables, the satisfaction
 relation including second-order quantification over concrete function and
-predicate names, brute-force validity, and the model transfer from a
-substitution plus a propositional interpretation.
+predicate names, validity over every interpretation of the Herbrand base,
+and the model transfer from a substitution plus a propositional
+interpretation.
 
 Second-order quantifiers range over names represented directly by their
 extensions: a function name is a total table over the universe, and a
@@ -10,6 +11,19 @@ predicate name is a persistent pair of relation extensions.  Enumerating
 names therefore means enumerating extensions, which explodes quickly; every
 entry point estimates the work first and refuses over-budget runs with the
 computed count.
+
+`h_satisfies` (through `_sat`) is the literal satisfaction relation.
+`hht_valid_bruteforce` does not walk the formula once per interpretation.
+HT quantifiers over a constant domain act world by world, so it grounds the
+formula once: a quantifier becomes the conjunction (forall) or disjunction
+(exists) of its body over the domain `_sat` uses, and each Herbrand base
+atom becomes an atom named by its text.  What no interpretation can change
+folds to a constant while grounding, with the short-circuits `_sat` takes:
+`bot`, equations, atoms outside the base, and atoms of predicate names,
+which may hold there but not here.  The ground program goes to the
+bit-parallel engine in `semantics`, which returns the first countermodel in
+canonical order.  The budget still counts 3^|base| interpretations times
+`estimate_cost`, as for the per-interpretation walk.
 """
 
 from __future__ import annotations
@@ -18,7 +32,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
-from .errors import BudgetExceeded, NotClosed
+from .errors import BudgetExceeded, NotClosed, OutsideUniverse
 from .instantiation import (
     EXACT,
     InstantiationMode,
@@ -27,7 +41,20 @@ from .instantiation import (
     instantiate,
     universe,
 )
-from .semantics import HTInterpretation, World, satisfies
+from .semantics import (
+    _AND,
+    _ATOM,
+    _CONST,
+    _IMP,
+    _OR,
+    ABSENT,
+    BOTH,
+    THERE_ONLY,
+    HTInterpretation,
+    World,
+    _first_countermodel,
+    satisfies,
+)
 from .syntax import (
     Atom,
     Binary,
@@ -47,6 +74,7 @@ from .syntax import (
     eliminate_restrictors,
     free_variables,
     ground_atom_to_text,
+    term_to_text,
 )
 
 DEFAULT_BUDGET = 10**6
@@ -63,7 +91,11 @@ class FunctionName:
         for key, value in self.table:
             if key == args:
                 return value
-        raise KeyError(args)
+        shown = ", ".join(term_to_text(a) for a in args)
+        raise OutsideUniverse(
+            f"a function variable is applied to ({shown}), "
+            "which lies outside the depth-truncated universe"
+        )
 
 
 @dataclass(frozen=True)
@@ -228,18 +260,10 @@ def _sat(
                     return False
             return True
         case Quant(kind, binder, body):
-            if isinstance(binder, Var):
-                domain: Iterable = terms
-            elif isinstance(binder, FuncVar):
-                domain = all_function_names(terms, binder.arity)
-            elif isinstance(binder, PredVar):
-                domain = all_predicate_names(terms, binder.arity)
-            else:
-                raise TypeError("generalized variables must be eliminated first")
             shadowed = env.get(binder)
             want_all = kind == "forall"
             result = want_all
-            for d in domain:
+            for d in _domain(binder, terms):
                 env[binder] = d
                 hit = _sat(j, w, body, terms, env)
                 if hit != want_all:
@@ -251,6 +275,18 @@ def _sat(
                 env[binder] = shadowed
             return result
     raise TypeError(f"not a formula: {f!r}")
+
+
+def _domain(binder, terms: tuple[Term, ...]) -> Iterable:
+    """What a quantifier's binder ranges over: the universe, or all function
+    or predicate names of the binder's arity."""
+    if isinstance(binder, Var):
+        return terms
+    if isinstance(binder, FuncVar):
+        return all_function_names(terms, binder.arity)
+    if isinstance(binder, PredVar):
+        return all_predicate_names(terms, binder.arity)
+    raise TypeError("generalized variables must be eliminated first")
 
 
 def enumerate_herbrand(
@@ -274,7 +310,9 @@ def hht_valid_bruteforce(
     """Check satisfaction at world h under every interpretation over the
     Herbrand base; None when valid, else the first failure in canonical
     order.  Exact mode is the real thing; Bounded mode is a labeled,
-    non-validity-preserving approximation."""
+    non-validity-preserving approximation.  The formula is grounded once
+    and evaluated over all interpretations at once (see the module
+    docstring); the result is the one `h_satisfies` defines."""
     f = eliminate_restrictors(f)
     terms = universe(sig, mode)
     base = herbrand_base(sig, terms)
@@ -283,10 +321,125 @@ def hht_valid_bruteforce(
         raise BudgetExceeded(cost, budget)
     if free_variables(f):
         raise NotClosed("validity checking needs a closed formula")
-    for j in enumerate_herbrand(sig, base):
-        if not _sat(j, World.H, f, terms, {}):
-            return j
-    return None
+    grounding = _Grounding(base, terms)
+    prog = _live_program(grounding.prog, grounding.ground(f, {}))
+    atoms = sorted(arg for op, arg in prog if op == _ATOM)
+    counter = _first_countermodel(prog, atoms)
+    if counter is None:
+        return None
+    atom_of = {ground_atom_to_text(a): a for a in base}
+    here = frozenset(atom_of[a] for a in counter.here)
+    there = frozenset(atom_of[a] for a in counter.there)
+    return HerbrandInterpretation(sig, here, there)
+
+
+class _Grounding:
+    """Grounds closed formulas over a universe into one program for the
+    engine in `semantics`, sharing equal nodes.  `ground` returns a node's
+    position; positions 0, 1 and 2 are the constants absent, there-only and
+    both, so a position below 3 is a constant whose value is its position."""
+
+    def __init__(self, base: tuple[GroundAtom, ...], terms: tuple[Term, ...]):
+        self.terms = terms
+        self.names = {(a.pred, a.args): ground_atom_to_text(a) for a in base}
+        self.prog: list[tuple[int, object]] = [
+            (_CONST, ABSENT), (_CONST, THERE_ONLY), (_CONST, BOTH)
+        ]
+        self.slot: dict[tuple[int, object], int] = {}
+
+    def emit(self, op: int, arg) -> int:
+        key = (op, arg)
+        got = self.slot.get(key)
+        if got is None:
+            got = self.slot[key] = len(self.prog)
+            self.prog.append(key)
+        return got
+
+    def junction(self, op: int, kids: list[int]) -> int:
+        """The conjunction (`_AND`) or disjunction (`_OR`) of `kids`."""
+        unit, zero = (BOTH, ABSENT) if op == _AND else (ABSENT, BOTH)
+        if zero in kids:
+            return zero
+        kept = tuple(sorted(set(kids) - {unit}))
+        if not kept:
+            return unit
+        if len(kept) == 1:
+            return kept[0]
+        return self.emit(op, kept)
+
+    def ground(self, f: FOFormula, env: dict) -> int:
+        """Mirrors `_sat`, evaluating at both worlds and every interpretation
+        at once."""
+        match f:
+            case Falsum():
+                return ABSENT
+            case Equals(l, r):
+                return BOTH if _hat(l, env) == _hat(r, env) else ABSENT
+            case Atom(pred, args):
+                hatted = tuple(_hat(a, env) for a in args)
+                if isinstance(pred, PredVar):
+                    pred = env[pred]
+                if isinstance(pred, PredicateName):
+                    if hatted in pred.here:
+                        return BOTH
+                    return THERE_ONLY if hatted in pred.there else ABSENT
+                name = self.names.get((pred, hatted))
+                return ABSENT if name is None else self.emit(_ATOM, name)
+            case Binary("->", l, r):
+                kl = self.ground(l, env)
+                if kl == ABSENT:
+                    return BOTH
+                kr = self.ground(r, env)
+                if kl < 3 and kr < 3:
+                    return BOTH if kl <= kr else kr
+                if kr == BOTH or kl == kr:
+                    return BOTH
+                if kl == BOTH:
+                    return kr
+                return self.emit(_IMP, (kl, kr))
+            case Binary(sym, l, r):
+                op, zero = (_AND, ABSENT) if sym == "&" else (_OR, BOTH)
+                kl = self.ground(l, env)
+                if kl == zero:
+                    return zero
+                return self.junction(op, [kl, self.ground(r, env)])
+            case Quant(kind, binder, body):
+                op, zero = (_AND, ABSENT) if kind == "forall" else (_OR, BOTH)
+                shadowed = env.get(binder)
+                kids = []
+                for d in _domain(binder, self.terms):
+                    env[binder] = d
+                    kids.append(self.ground(body, env))
+                    if kids[-1] == zero:
+                        break
+                if shadowed is None:
+                    env.pop(binder, None)
+                else:
+                    env[binder] = shadowed
+                return self.junction(op, kids)
+        raise TypeError(f"not a formula: {f!r}")
+
+
+def _live_program(prog: list[tuple[int, object]], root: int) -> list[tuple[int, object]]:
+    """The nodes `root` depends on, renumbered in the same order, so that
+    `root` comes last; atoms nothing depends on drop out."""
+    live = [False] * (root + 1)
+    live[root] = True
+    for i in range(root, -1, -1):
+        op, arg = prog[i]
+        if live[i] and op in (_AND, _OR, _IMP):
+            for k in arg:
+                live[k] = True
+    moved: dict[int, int] = {}
+    out: list[tuple[int, object]] = []
+    for i in range(root + 1):
+        if live[i]:
+            op, arg = prog[i]
+            if op in (_AND, _OR, _IMP):
+                arg = tuple(moved[k] for k in arg)
+            moved[i] = len(out)
+            out.append((op, arg))
+    return out
 
 
 def render_herbrand_countermodel(

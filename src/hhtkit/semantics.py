@@ -15,7 +15,8 @@ countermodel in canonical order.  To bound memory, at most `_CHUNK_ATOMS`
 trailing atoms (fewer for large formulas) go into the masks; the leading
 atoms are enumerated outside in canonical order as constant masks, so
 chunks are visited in canonical order too and the search stops at the
-first chunk with a clear bit.
+first chunk with a clear bit.  `herbrand` grounds first- and second-order
+formulas into programs for the same engine.
 """
 
 from __future__ import annotations
@@ -104,7 +105,7 @@ def g3_eval(i: HTInterpretation, f: PropFormula) -> int:
     return h + t
 
 
-_ATOM, _AND, _OR, _IMP = range(4)
+_ATOM, _AND, _OR, _IMP, _CONST = range(5)
 
 # the widest chunk, in trailing atoms: 3**13 bits is about 200 KB per mask
 _CHUNK_ATOMS = 13
@@ -115,7 +116,9 @@ _MASK_BYTES = 1 << 25
 def _compile(f: PropFormula) -> list[tuple[int, object]]:
     """Post-order program with one `(op, arg)` per distinct node, children
     first: `arg` is the atom name, or the tuple of child positions.  Uses an
-    explicit stack, so nesting depth is not limited by recursion."""
+    explicit stack, so nesting depth is not limited by recursion.  (Programs
+    grounded by `herbrand` also hold `_CONST` nodes, whose `arg` is a state:
+    the node has that value under every interpretation.)"""
     slot: dict[int, int] = {}
     prog: list[tuple[int, object]] = []
     stack: list[tuple[PropFormula, bool]] = [(f, False)]
@@ -162,6 +165,9 @@ def _evaluate(prog, masks: dict[str, tuple[int, int]], full: int) -> tuple[int, 
             for k in arg:
                 h &= hs[k]
                 t &= ts[k]
+        elif op == _CONST:
+            h = full if arg == BOTH else 0
+            t = full if arg != ABSENT else 0
         else:
             h = t = 0
             for k in arg:

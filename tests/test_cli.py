@@ -3,6 +3,7 @@ import re
 
 import pytest
 
+from hhtkit import cli
 from hhtkit.cli import run
 from hhtkit.corpus import data_path
 
@@ -157,6 +158,58 @@ def test_deep_nesting_is_usage_error(json_flag, tmp_path, capsys):
     assert out == ""
     assert err.startswith("error: ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_function_variable_outside_truncated_universe(json_flag, tmp_path, capsys):
+    # at depth 1 the universe is {a, f(a)}, so g(f(x)) needs g on f(f(a))
+    path = tmp_path / "outside.fof"
+    path.write_text("const a. fn f/1. pred P/1.\n"
+                    "forall g^1 forall x (P(g(f(x))) | not P(g(f(x))))\n")
+    code, out, err = invoke(capsys, *json_flag, "herbrand-check", str(path),
+                            "--depth", "1", "--budget", "100000000")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "(f(f(a)))" in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_internal_fault_is_one_line(json_flag, monkeypatch, capsys):
+    def fault(args, report):
+        raise AttributeError("no attribute 'x'")
+
+    monkeypatch.setattr(cli, "_cmd_ht_valid", fault)
+    code, out, err = invoke(capsys, *json_flag, "ht-valid", data_path("lem.prop"))
+    assert (code, out, err) == (2, "", "internal error: AttributeError: no attribute 'x'\n")
+
+
+def test_shared_parser_matches_fresh_parser(capsys, monkeypatch):
+    # options given in one call must not leak into the next
+    argvs = [
+        ["herbrand-check", data_path("hosoi_ground.fof"), "--budget", "10"],
+        ["herbrand-check", data_path("hosoi_ground.fof")],
+        ["--json", "ht-valid", data_path("lem.prop")],
+        ["ht-valid", data_path("lem.prop")],
+        ["pipeline", data_path("example7.proof"), data_path("example7.subst"),
+         "--depth", "3", "--json"],
+        ["ht-valid"],
+        ["pipeline", data_path("subsum4.proof"), data_path("subsum4.subst")],
+        ["no-such-command", "x"],
+        ["countermodel", data_path("dne.prop")],
+    ]
+
+    def results():
+        got = []
+        for argv in argvs:
+            code, out, err = invoke(capsys, *argv)
+            got.append((code, re.sub(r'\[\d+\.\d ms\]|"seconds": [^,\n]+', "N", out), err))
+        return got
+
+    shared = results()
+    monkeypatch.setattr(cli, "_arg_parser", cli.build_arg_parser)
+    assert shared == results()
+    assert [code for code, _, _ in shared] == [2, 0, 1, 1, 1, 2, 0, 2, 1]
 
 
 # exact text reports, one per shape; stage timings are masked

@@ -25,11 +25,15 @@ from hhtkit.semantics import World
 from hhtkit.syntax import (
     BOT,
     TOP,
+    Atom,
+    Binary,
     FnApp,
     FnNameApp,
     GroundAtom,
     PAtom,
+    Quant,
     Signature,
+    Var,
     const,
     universal_closure,
 )
@@ -159,6 +163,107 @@ def test_bounded_mode_evaluates_truncated_universe():
     sig = Signature.make({"a": 0, "s": 1}, {"P": 1})
     f = fof(sig, "forall x (s(x) != x)")
     assert hht_valid_bruteforce(sig, f, Bounded(1)) is None
+
+
+# --- grounded validity against the literal definition -----------------------
+
+def _literal_first_failure(sig, f, mode=EXACT):
+    """The first interpretation in canonical order that `h_satisfies` fails
+    at world h, by walking the formula once per interpretation."""
+    for j in enumerate_herbrand(sig, herbrand_base(sig, universe(sig, mode))):
+        if not h_satisfies(j, World.H, f, mode, budget=10**8):
+            return j
+    return None
+
+
+def _agrees_with_literal(sig, f, mode=EXACT):
+    got = hht_valid_bruteforce(sig, f, mode, budget=10**8)
+    assert got == _literal_first_failure(sig, f, mode), f
+    return got
+
+
+SIG_A2B = Signature.make({"a": 0, "b": 0}, {"P": 1, "Q": 0, "R": 0})
+
+
+@pytest.mark.parametrize("sig", [SIG_AB, SIG_A2B], ids=["P1Q0", "P1Q0R0"])
+def test_grounded_validity_matches_literal_on_random_formulas(sig):
+    rng = random.Random(73)
+    outcomes = set()
+    for _ in range(400):
+        f = universal_closure(gen.rand_formula(rng, sig, depth=4))
+        outcomes.add(_agrees_with_literal(sig, f) is None)
+    assert outcomes == {True, False}
+
+
+def test_grounded_validity_matches_literal_in_bounded_mode():
+    # depth 1: universe {a, s(a)}; s(s(a)) is outside it, so P(s(s(a))) is
+    # an atom outside the base
+    sig = Signature.make({"a": 0, "s": 1}, {"P": 1, "Q": 0})
+    texts = (
+        "forall x (P(x) -> P(s(x)))",
+        "forall x (P(x) -> P(s(x))) | Q",
+        "forall x (s(x) = x | not P(x) | Q)",
+        "exists x (P(s(x)) & not Q) | not not Q",
+        "forall x exists y (y = s(x) -> P(y)) -> Q",
+    )
+    for text in texts:
+        _agrees_with_literal(sig, fof(sig, text), Bounded(1))
+    rng = random.Random(79)
+    for _ in range(150):
+        f = universal_closure(gen.rand_formula(rng, sig, depth=3))
+        _agrees_with_literal(sig, f, Bounded(1))
+
+
+@pytest.mark.parametrize("text, valid", [
+    ("exists p/1 forall x (p(x) <-> P(x))", True),
+    ("forall p/0 (not not p -> p)", False),  # p there-only fails at h
+    ("forall p/0 (not not p -> p) | Q", False),
+    ("exists p/0 (p <-> Q) & (P(a) | not P(b))", False),
+    ("forall p/1 (p(a) & p(b) -> forall x p(x))", True),
+    ("exists g^1 (P(g(a)) -> P(a))", True),
+    ("forall g^1 exists x (P(g(x)) -> Q) | not Q", False),
+])
+def test_grounded_second_order_matches_literal(text, valid):
+    assert (_agrees_with_literal(SIG_AB, fof(SIG_AB, text)) is None) == valid
+
+
+def test_grounded_choice_matches_literal():
+    sig = Signature.make({"a": 0, "b": 0}, {"Q": 0})
+    f = universal_closure(
+        fof(sig, "forall x exists y p(x, y) -> exists g^1 forall x p(x, g(x))")
+    )
+    assert _agrees_with_literal(sig, f) is None
+    g = fof(sig, "forall p/1 exists g^1 (p(g(a)) | Q)")
+    assert _agrees_with_literal(sig, g) is not None
+
+
+def test_grounded_shadowed_binders_match_literal():
+    # the shape of a closed forall-elim instance: forall z (forall z F -> F)
+    z = Var("z")
+    pz_or_q = Binary("|", Atom("P", (z,)), Atom("Q"))
+    cases = (
+        Quant("forall", z, Binary("->", Quant("forall", z, pz_or_q), pz_or_q)),
+        Quant("exists", z, Binary("&", Quant("forall", z, Atom("P", (z,))),
+                                  Binary("->", Atom("P", (z,)), Atom("Q")))),
+        Quant("forall", z, Binary("|", Quant("exists", z, Atom("P", (z,))),
+                                  Binary("->", Atom("P", (z,)), Atom("Q")))),
+    )
+    for f in cases:
+        _agrees_with_literal(SIG_AB, f)
+
+
+@pytest.mark.parametrize("text, valid", [
+    ("forall x (x = x)", True),
+    ("a = b", False),
+    ("bot -> P(a)", True),
+    ("forall x (P(x) & x = a)", False),  # P(a), P(b) drop out: all absent
+    ("P(a) -> P(a) | a = b", True),
+])
+def test_grounded_constant_roots_match_literal(text, valid):
+    got = _agrees_with_literal(SIG_AB, fof(SIG_AB, text))
+    assert (got is None) == valid
+    if got is not None:
+        assert got.there == frozenset()
 
 
 # --- persistence -----------------------------------------------------------------
