@@ -5,6 +5,19 @@ Precedence, tightest first: `not` and quantifiers, `&`, `|`, `->`
 (right-associative), `<->`.  A quantifier takes the smallest formula that
 follows it, so `forall x P(x) -> Q` is `(forall x P(x)) -> Q`.
 
+Both formula languages share one precedence-climbing routine,
+`_parse_binary`, driven by the table `_BINARY` (connective -> binding power
+and associativity) and a per-language table of constructors; only the
+prefix forms (atoms, `not`, quantifiers, `And{..}`, `Or{..}`) have a parser
+per language.  Each level of `(`, `And{` or `Or{` costs two Python frames
+(`_parse_binary` and the prefix parser) and each `not` or quantifier one,
+so under the default recursion limit of 1000 about 490 nested parentheses
+or 980 nested `not` parse; deeper input ends in `RecursionError`.
+
+`Cursor` tokenizes a text in one regular-expression pass into
+`(kind, text, offset)` tuples; the `line:col` of a `ParseError` is worked
+out from the offset only when the error is raised.
+
 Identifiers not declared in the ambient signature parse as variables:
 object variables in term position, predicate variables (of the applied
 arity) in formula position.
@@ -13,7 +26,6 @@ arity) in formula position.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .errors import ParseError
 from .instantiation import Substitution
@@ -33,7 +45,6 @@ from .syntax import (
     TOP,
     TRUTH,
     Atom,
-    Binary,
     Equals,
     FnApp,
     FnVarApp,
@@ -52,106 +63,95 @@ from .syntax import (
     Term,
     Var,
     conj,
+    disj,
     iff,
     impl,
     neg,
+    pconj,
+    pdisj,
     piff,
     pneg,
 )
 
 _TOKEN_RE = re.compile(
-    r"""(?P<ws>\s+)
-      | (?P<comment>\#[^\n]*)
+    r"""(?P<skip>\s+|\#[^\n]*)
       | (?P<op><->|->|:=|!=|[(){}\[\],;:.&|=/^+])
       | (?P<ident>[A-Za-z_][A-Za-z0-9_]*(?:-[A-Za-z_][A-Za-z0-9_]*)*)
       | (?P<num>\d+)
+      | (?P<bad>.)
     """,
     re.VERBOSE,
 )
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # "ident" | "num" | "op" | "eof"
-    text: str
-    line: int
-    col: int
-
-
-def tokenize(text: str) -> list[Token]:
-    tokens = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-        kind = m.lastgroup
-        value = m.group()
-        if kind not in ("ws", "comment"):
-            tokens.append(Token(kind, value, line, col))
-        newlines = value.count("\n")
-        if newlines:
-            line += newlines
-            col = len(value) - value.rfind("\n")
-        else:
-            col += len(value)
-        pos = m.end()
-    tokens.append(Token("eof", "", line, col))
-    return tokens
-
-
 class Cursor:
+    """The tokens of one text as `(kind, text, offset)` tuples, kind one of
+    "op", "ident", "num", closed by an "eof" sentinel whose text is empty
+    (so no `at`/`eat`/`expect` of a non-empty text matches it)."""
+
     def __init__(self, text: str):
-        self.tokens = tokenize(text)
+        self.text = text
+        self.tokens: list[tuple[str, str, int]] = []
+        for m in _TOKEN_RE.finditer(text):
+            kind = m.lastgroup
+            if kind == "skip":
+                continue
+            if kind == "bad":
+                raise self.error(f"unexpected character {m.group()!r}", m.start())
+            self.tokens.append((kind, m.group(), m.start()))
+        self.tokens.append(("eof", "", len(text)))
         self.i = 0
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.i + ahead, len(self.tokens) - 1)]
+    def peek(self) -> tuple[str, str, int]:
+        return self.tokens[self.i]
 
-    def next(self) -> Token:
-        tok = self.peek()
-        if tok.kind != "eof":
+    def next(self) -> str:
+        kind, text, _ = self.tokens[self.i]
+        if kind != "eof":
             self.i += 1
-        return tok
+        return text
 
     def at(self, text: str) -> bool:
-        return self.peek().text == text and self.peek().kind != "eof"
+        return self.tokens[self.i][1] == text
 
     def eat(self, text: str) -> bool:
-        if self.at(text):
-            self.next()
+        if self.tokens[self.i][1] == text:
+            self.i += 1
             return True
         return False
 
-    def expect(self, text: str) -> Token:
-        tok = self.peek()
-        if tok.text != text or tok.kind == "eof":
-            found = repr(tok.text) if tok.kind != "eof" else "end of input"
+    def expect(self, text: str) -> None:
+        kind, found, _ = self.tokens[self.i]
+        if found != text:
+            found = repr(found) if kind != "eof" else "end of input"
             raise self.error(f"expected {text!r}, found {found}")
-        return self.next()
+        self.i += 1
 
-    def expect_ident(self, what: str = "identifier") -> Token:
-        tok = self.peek()
-        if tok.kind != "ident":
-            raise self.error(f"expected {what}, found {tok.text!r}")
-        return self.next()
+    def expect_ident(self, what: str = "identifier") -> str:
+        kind, text, _ = self.tokens[self.i]
+        if kind != "ident":
+            raise self.error(f"expected {what}, found {text!r}")
+        self.i += 1
+        return text
 
     def expect_num(self) -> int:
-        tok = self.peek()
-        if tok.kind != "num":
-            raise self.error(f"expected number, found {tok.text!r}")
-        self.next()
-        return int(tok.text)
+        kind, text, _ = self.tokens[self.i]
+        if kind != "num":
+            raise self.error(f"expected number, found {text!r}")
+        self.i += 1
+        return int(text)
 
     def expect_eof(self) -> None:
-        tok = self.peek()
-        if tok.kind != "eof":
-            raise self.error(f"unexpected trailing input {tok.text!r}")
+        kind, text, _ = self.tokens[self.i]
+        if kind != "eof":
+            raise self.error(f"unexpected trailing input {text!r}")
 
-    def error(self, message: str) -> ParseError:
-        tok = self.peek()
-        return ParseError(message, tok.line, tok.col)
+    def error(self, message: str, pos: int | None = None) -> ParseError:
+        """A ParseError at offset `pos`, by default that of the next token."""
+        if pos is None:
+            pos = self.tokens[self.i][2]
+        line = self.text.count("\n", 0, pos) + 1
+        return ParseError(message, line, pos - self.text.rfind("\n", 0, pos))
 
 
 # ---------------------------------------------------------------------------
@@ -172,10 +172,10 @@ def parse_signature_block(cur: Cursor) -> Signature:
                 raise cur.error(f"conflicting declaration of {name}")
         table[name] = arity
 
-    while cur.peek().kind == "ident" and cur.peek().text in _SIG_KEYWORDS:
-        kw = cur.next().text
+    while cur.peek()[1] in _SIG_KEYWORDS:
+        kw = cur.next()
         while True:
-            name = cur.expect_ident("name").text
+            name = cur.expect_ident("name")
             if kw == "const":
                 declare(functions, name, 0)
             else:
@@ -201,6 +201,30 @@ def parse_signature_block(cur: Cursor) -> Signature:
 
 
 # ---------------------------------------------------------------------------
+# binary connectives, shared by both formula languages
+
+# connective -> (binding power, right-associative)
+_BINARY = {"<->": (0, False), "->": (1, True), "|": (2, False), "&": (3, False)}
+
+
+def _parse_binary(cur: Cursor, sig: Signature | None, lang, min_power: int = 0):
+    """A formula whose top-level connectives bind at least `min_power`, by
+    precedence climbing.  `lang` is a pair (prefix parser, constructor per
+    connective); the prefix parser is called directly, so a nesting level
+    costs one frame here and one there."""
+    prefix, build = lang
+    f = prefix(cur, sig)
+    while True:
+        op = cur.peek()[1]
+        spec = _BINARY.get(op)
+        if spec is None or spec[0] < min_power:
+            return f
+        cur.next()
+        power, right = spec
+        f = build[op](f, _parse_binary(cur, sig, lang, power if right else power + 1))
+
+
+# ---------------------------------------------------------------------------
 # terms and first-order formulas
 
 def _parse_args(cur: Cursor, sig: Signature, allow_vars: bool) -> tuple[Term, ...]:
@@ -215,34 +239,33 @@ def _parse_args(cur: Cursor, sig: Signature, allow_vars: bool) -> tuple[Term, ..
     return tuple(args)
 
 
-def _term_from_ident(cur: Cursor, sig: Signature, name: str, allow_vars: bool) -> Term:
-    if cur.at("("):
-        args = _parse_args(cur, sig, allow_vars)
-        arity = sig.function_arity(name)
-        if arity is not None:
-            if arity != len(args):
-                raise cur.error(f"{name} expects {arity} arguments, got {len(args)}")
-            return FnApp(name, args)
-        if sig.predicate_arity(name) is not None:
-            raise cur.error(f"predicate {name} used in term position")
-        if not allow_vars:
-            raise cur.error(f"unknown function constant {name}")
-        return FnVarApp(FuncVar(name, len(args)), args)
+def _make_term(
+    cur: Cursor, sig: Signature, name: str, args: tuple[Term, ...] | None, allow_vars: bool
+) -> Term:
+    """The term `name` (`args` None) or `name(args)`; an undeclared head is
+    a variable, or an error unless `allow_vars`."""
     arity = sig.function_arity(name)
-    if arity == 0:
-        return FnApp(name, ())
-    if arity is not None:
-        raise cur.error(f"function constant {name} needs {arity} arguments")
+    if args is None:
+        if arity == 0:
+            return FnApp(name, ())
+        if arity is not None:
+            raise cur.error(f"function constant {name} needs {arity} arguments")
+    elif arity is not None:
+        if arity != len(args):
+            raise cur.error(f"{name} expects {arity} arguments, got {len(args)}")
+        return FnApp(name, args)
     if sig.predicate_arity(name) is not None:
         raise cur.error(f"predicate {name} used in term position")
     if not allow_vars:
-        raise cur.error(f"unknown constant {name}")
-    return Var(name)
+        what = "constant" if args is None else "function constant"
+        raise cur.error(f"unknown {what} {name}")
+    return Var(name) if args is None else FnVarApp(FuncVar(name, len(args)), args)
 
 
 def _parse_term(cur: Cursor, sig: Signature, allow_vars: bool = True) -> Term:
-    name = cur.expect_ident("term").text
-    return _term_from_ident(cur, sig, name, allow_vars)
+    name = cur.expect_ident("term")
+    args = _parse_args(cur, sig, allow_vars) if cur.at("(") else None
+    return _make_term(cur, sig, name, args, allow_vars)
 
 
 def parse_term_text(text: str, sig: Signature, allow_vars: bool = True) -> Term:
@@ -252,16 +275,23 @@ def parse_term_text(text: str, sig: Signature, allow_vars: bool = True) -> Term:
     return t
 
 
-def _parse_binder(cur: Cursor, sig: Signature):
-    if cur.at("("):
-        cur.expect("(")
+def _expect_variable(cur: Cursor, sig: Signature) -> str:
+    name = cur.expect_ident("variable")
+    if sig.function_arity(name) is not None or sig.predicate_arity(name) is not None:
+        raise cur.error(f"{name} is a declared constant, not a variable")
+    return name
+
+
+def _parse_binder(cur: Cursor, sig: Signature, second_order: bool = False):
+    """A quantifier's binder: `x`, `p/n`, `f^n` or `(x:R, ...)`.  With
+    `second_order` only `p/n` or `f^n`, whose name is not checked against
+    the signature."""
+    if not second_order and cur.eat("("):
         items = []
         while True:
-            vname = cur.expect_ident("variable").text
-            if sig.function_arity(vname) is not None or sig.predicate_arity(vname) is not None:
-                raise cur.error(f"{vname} is a declared constant, not a variable")
+            vname = _expect_variable(cur, sig)
             cur.expect(":")
-            rname = cur.expect_ident("restrictor").text
+            rname = cur.expect_ident("restrictor")
             if not sig.is_restrictor(rname):
                 raise cur.error(f"{rname} is not a declared restrictor")
             items.append((Var(vname), rname))
@@ -272,106 +302,69 @@ def _parse_binder(cur: Cursor, sig: Signature):
             return GenVar(tuple(items))
         except ValueError as e:
             raise cur.error(str(e)) from None
-    name = cur.expect_ident("variable").text
-    if sig.function_arity(name) is not None or sig.predicate_arity(name) is not None:
-        raise cur.error(f"{name} is a declared constant, not a variable")
+    if second_order:
+        name = cur.expect_ident("second-order variable")
+    else:
+        name = _expect_variable(cur, sig)
     if cur.eat("/"):
         return PredVar(name, cur.expect_num())
     if cur.eat("^"):
         return FuncVar(name, cur.expect_num())
+    if second_order:
+        raise cur.error("expected p/arity or f^arity")
     return Var(name)
 
 
 def _parse_unary(cur: Cursor, sig: Signature) -> FOFormula:
-    tok = cur.peek()
-    if tok.text == "(":
+    kind, text, _ = cur.peek()
+    if text == "(":
         cur.next()
-        f = _parse_formula(cur, sig)
+        f = _parse_binary(cur, sig, _FO)
         cur.expect(")")
         return f
-    if tok.text == "not":
+    if text == "not":
         cur.next()
         return neg(_parse_unary(cur, sig))
-    if tok.text in ("forall", "exists"):
+    if text in ("forall", "exists"):
         cur.next()
         binder = _parse_binder(cur, sig)
-        return Quant(tok.text, binder, _parse_unary(cur, sig))
-    if tok.text == "bot":
+        return Quant(text, binder, _parse_unary(cur, sig))
+    if text == "bot":
         cur.next()
         return BOTTOM
-    if tok.text == "top":
+    if text == "top":
         cur.next()
         return TRUTH
-    if tok.kind != "ident":
-        raise cur.error(f"expected a formula, found {tok.text!r}")
+    if kind != "ident":
+        raise cur.error(f"expected a formula, found {text!r}")
     cur.next()
-    name = tok.text
-    args: tuple[Term, ...] | None = None
-    if cur.at("("):
-        args = _parse_args(cur, sig, allow_vars=True)
+    args = _parse_args(cur, sig, allow_vars=True) if cur.at("(") else None
     if cur.at("=") or cur.at("!="):
-        negated = cur.next().text == "!="
-        if args is None:
-            left = _term_from_ident(cur, sig, name, allow_vars=True)
-        else:
-            arity = sig.function_arity(name)
-            if arity is not None:
-                if arity != len(args):
-                    raise cur.error(f"{name} expects {arity} arguments, got {len(args)}")
-                left = FnApp(name, args)
-            elif sig.predicate_arity(name) is not None:
-                raise cur.error(f"predicate {name} used in term position")
-            else:
-                left = FnVarApp(FuncVar(name, len(args)), args)
-        right = _parse_term(cur, sig, allow_vars=True)
-        eqf = Equals(left, right)
+        negated = cur.next() == "!="
+        if args is None and cur.at("("):
+            # a bare left side takes a `(...)` after `=` as its arguments:
+            # `x = (y) z` reads as `x(y) = z`
+            args = _parse_args(cur, sig, allow_vars=True)
+        left = _make_term(cur, sig, text, args, allow_vars=True)
+        eqf = Equals(left, _parse_term(cur, sig))
         return neg(eqf) if negated else eqf
-    arity = sig.predicate_arity(name)
+    arity = sig.predicate_arity(text)
     nargs = len(args) if args is not None else 0
     if arity is not None:
         if arity != nargs:
-            raise cur.error(f"{name} expects {arity} arguments, got {nargs}")
-        return Atom(name, args or ())
-    if sig.function_arity(name) is not None:
-        raise cur.error(f"function constant {name} used as a formula")
-    return Atom(PredVar(name, nargs), args or ())
+            raise cur.error(f"{text} expects {arity} arguments, got {nargs}")
+        return Atom(text, args or ())
+    if sig.function_arity(text) is not None:
+        raise cur.error(f"function constant {text} used as a formula")
+    return Atom(PredVar(text, nargs), args or ())
 
 
-def _parse_and(cur: Cursor, sig: Signature) -> FOFormula:
-    f = _parse_unary(cur, sig)
-    while cur.at("&"):
-        cur.next()
-        f = conj(f, _parse_unary(cur, sig))
-    return f
-
-
-def _parse_or(cur: Cursor, sig: Signature) -> FOFormula:
-    f = _parse_and(cur, sig)
-    while cur.at("|"):
-        cur.next()
-        f = Binary("|", f, _parse_and(cur, sig))
-    return f
-
-
-def _parse_imp(cur: Cursor, sig: Signature) -> FOFormula:
-    f = _parse_or(cur, sig)
-    if cur.at("->"):
-        cur.next()
-        return impl(f, _parse_imp(cur, sig))
-    return f
-
-
-def _parse_formula(cur: Cursor, sig: Signature) -> FOFormula:
-    f = _parse_imp(cur, sig)
-    while cur.at("<->"):
-        cur.next()
-        f = iff(f, _parse_imp(cur, sig))
-    return f
+_FO = (_parse_unary, {"&": conj, "|": disj, "->": impl, "<->": iff})
 
 
 def parse_formula_text(text: str, sig: Signature) -> FOFormula:
     cur = Cursor(text)
-    f = _parse_formula(cur, sig)
+    f = _parse_binary(cur, sig, _FO)
     cur.expect_eof()
     return f
 
@@ -380,7 +373,7 @@ def parse_formula_file(text: str) -> tuple[Signature, FOFormula]:
     """A signature block followed by one formula, optionally `;`-terminated."""
     cur = Cursor(text)
     sig = parse_signature_block(cur)
-    f = _parse_formula(cur, sig)
+    f = _parse_binary(cur, sig, _FO)
     cur.eat(";")
     cur.expect_eof()
     return sig, f
@@ -389,84 +382,53 @@ def parse_formula_file(text: str) -> tuple[Signature, FOFormula]:
 # ---------------------------------------------------------------------------
 # propositional formulas
 
-_PROP_KEYWORDS = {"And", "Or", "not", "top", "bot"}
-
-
-def _parse_prop_unary(cur: Cursor) -> PropFormula:
-    tok = cur.peek()
-    if tok.text == "(":
+def _parse_prop_unary(cur: Cursor, sig: None) -> PropFormula:
+    """`sig` is unused: it keeps the signature `_parse_binary` calls with."""
+    kind, text, _ = cur.peek()
+    if text == "(":
         cur.next()
-        f = _parse_prop(cur)
+        f = _parse_binary(cur, None, _PROP)
         cur.expect(")")
         return f
-    if tok.text == "not":
+    if text == "not":
         cur.next()
-        return pneg(_parse_prop_unary(cur))
-    if tok.text == "top":
+        return pneg(_parse_prop_unary(cur, None))
+    if text == "top":
         cur.next()
         return TOP
-    if tok.text == "bot":
+    if text == "bot":
         cur.next()
         return BOT
-    if tok.text in ("And", "Or"):
+    if text in ("And", "Or"):
         cur.next()
         cur.expect("{")
         items = []
         if not cur.at("}"):
             while True:
-                items.append(_parse_prop(cur))
+                items.append(_parse_binary(cur, None, _PROP))
                 if not cur.eat(";"):
                     break
         cur.expect("}")
-        return PAnd(items) if tok.text == "And" else POr(items)
-    if tok.kind != "ident":
-        raise cur.error(f"expected a propositional formula, found {tok.text!r}")
+        return PAnd(items) if text == "And" else POr(items)
+    if kind != "ident":
+        raise cur.error(f"expected a propositional formula, found {text!r}")
     cur.next()
-    return PAtom(tok.text)
+    return PAtom(text)
 
 
-def _parse_prop_and(cur: Cursor) -> PropFormula:
-    f = _parse_prop_unary(cur)
-    while cur.at("&"):
-        cur.next()
-        f = PAnd((f, _parse_prop_unary(cur)))
-    return f
-
-
-def _parse_prop_or(cur: Cursor) -> PropFormula:
-    f = _parse_prop_and(cur)
-    while cur.at("|"):
-        cur.next()
-        f = POr((f, _parse_prop_and(cur)))
-    return f
-
-
-def _parse_prop_imp(cur: Cursor) -> PropFormula:
-    f = _parse_prop_or(cur)
-    if cur.at("->"):
-        cur.next()
-        return PImp(f, _parse_prop_imp(cur))
-    return f
-
-
-def _parse_prop(cur: Cursor) -> PropFormula:
-    f = _parse_prop_imp(cur)
-    while cur.at("<->"):
-        cur.next()
-        f = piff(f, _parse_prop_imp(cur))
-    return f
+_PROP = (_parse_prop_unary, {"&": pconj, "|": pdisj, "->": PImp, "<->": piff})
 
 
 def parse_prop_text(text: str) -> PropFormula:
     cur = Cursor(text)
-    f = _parse_prop(cur)
+    f = _parse_binary(cur, None, _PROP)
     cur.expect_eof()
     return f
 
 
 def parse_prop_file(text: str) -> PropFormula:
     cur = Cursor(text)
-    f = _parse_prop(cur)
+    f = _parse_binary(cur, None, _PROP)
     cur.eat(";")
     cur.expect_eof()
     return f
@@ -482,16 +444,16 @@ def parse_subst_file(text: str) -> Substitution:
     sig = parse_signature_block(cur)
     entries: dict[GroundAtom, PropFormula] = {}
     defaults: dict[str, PropFormula] = {}
-    while cur.peek().kind != "eof":
+    while cur.peek()[0] != "eof":
         if cur.eat("default"):
-            pred = cur.expect_ident("predicate").text
+            pred = cur.expect_ident("predicate")
             if sig.predicate_arity(pred) is None:
                 raise cur.error(f"unknown predicate {pred}")
             cur.expect(":=")
-            defaults[pred] = _parse_prop(cur)
+            defaults[pred] = _parse_binary(cur, None, _PROP)
             cur.expect(";")
             continue
-        pred = cur.expect_ident("predicate").text
+        pred = cur.expect_ident("predicate")
         arity = sig.predicate_arity(pred)
         if arity is None:
             raise cur.error(f"unknown predicate {pred}")
@@ -501,7 +463,7 @@ def parse_subst_file(text: str) -> Substitution:
         if len(args) != arity:
             raise cur.error(f"{pred} expects {arity} arguments, got {len(args)}")
         cur.expect(":=")
-        image = _parse_prop(cur)
+        image = _parse_binary(cur, None, _PROP)
         cur.expect(";")
         atom = GroundAtom(pred, args)
         if atom in entries:
@@ -521,9 +483,9 @@ _LEVELS = {lvl.value: lvl for lvl in TheoryLevel}
 
 def _parse_level(cur: Cursor) -> TheoryLevel:
     cur.expect("level")
-    name = cur.expect_ident("theory level").text
+    name = cur.expect_ident("theory level")
     if name == "HHT2" and cur.eat("+"):
-        suffix = cur.expect_ident("DCA").text
+        suffix = cur.expect_ident("DCA")
         if suffix != "DCA":
             raise cur.error(f"unknown level HHT2+{suffix}")
         name = "HHT2+DCA"
@@ -534,32 +496,20 @@ def _parse_level(cur: Cursor) -> TheoryLevel:
     return level
 
 
-def _parse_sovar_token(cur: Cursor) -> PredVar | FuncVar:
-    name = cur.expect_ident("second-order variable").text
-    if cur.eat("/"):
-        return PredVar(name, cur.expect_num())
-    if cur.eat("^"):
-        return FuncVar(name, cur.expect_num())
-    raise cur.error("expected p/arity or f^arity")
-
-
 def _parse_binding_value(cur: Cursor, sig: Signature, kind: str):
     if kind == "formula":
-        return _parse_formula(cur, sig)
+        return _parse_binary(cur, sig, _FO)
     if kind == "term":
         return _parse_term(cur, sig)
     if kind == "var":
-        name = cur.expect_ident("variable").text
-        if sig.function_arity(name) is not None or sig.predicate_arity(name) is not None:
-            raise cur.error(f"{name} is a declared constant, not a variable")
-        return Var(name)
+        return Var(_expect_variable(cur, sig))
     if kind == "fn":
-        name = cur.expect_ident("function constant").text
+        name = cur.expect_ident("function constant")
         if sig.function_arity(name) is None:
             raise cur.error(f"unknown function constant {name}")
         return name
     if kind in ("sovar", "predvar", "funcvar"):
-        v = _parse_sovar_token(cur)
+        v = _parse_binder(cur, sig, second_order=True)
         if kind == "predvar" and not isinstance(v, PredVar):
             raise cur.error("expected a predicate variable p/arity")
         if kind == "funcvar" and not isinstance(v, FuncVar):
@@ -573,7 +523,7 @@ def _parse_binding_value(cur: Cursor, sig: Signature, kind: str):
                 if kind == "terms":
                     items.append(_parse_term(cur, sig))
                 else:
-                    items.append(_parse_binding_value(cur, sig, "var"))
+                    items.append(Var(_expect_variable(cur, sig)))
                 if not cur.eat(","):
                     break
         cur.expect("]")
@@ -586,9 +536,9 @@ _GEN_RULES = {kw: key for key, kw in GEN_KEYWORDS.items()}
 
 def _parse_justification(cur: Cursor, sig: Signature):
     cur.expect("by")
-    kw = cur.expect_ident("justification").text
+    kw = cur.expect_ident("justification")
     if kw == "axiom":
-        sid = cur.expect_ident("schema id").text
+        sid = cur.expect_ident("schema id")
         schema = SCHEMAS.get(sid)
         if schema is None:
             raise cur.error(f"unknown schema id {sid}")
@@ -596,7 +546,7 @@ def _parse_justification(cur: Cursor, sig: Signature):
         kinds = dict(schema.keys)
         if cur.eat("with"):
             while True:
-                key = cur.expect_ident("binding key").text
+                key = cur.expect_ident("binding key")
                 if key not in kinds:
                     raise cur.error(
                         f"schema {sid} has no metavariable {key} "
@@ -626,12 +576,12 @@ def parse_proof_file(text: str) -> Proof:
     sig = parse_signature_block(cur)
     level = _parse_level(cur)
     lines: list[ProofLine] = []
-    while cur.peek().kind != "eof":
+    while cur.peek()[0] != "eof":
         n = cur.expect_num()
         if n != len(lines) + 1:
             raise cur.error(f"expected line number {len(lines) + 1}, found {n}")
         cur.expect(":")
-        f = _parse_formula(cur, sig)
+        f = _parse_binary(cur, sig, _FO)
         just = _parse_justification(cur, sig)
         cur.expect(";")
         lines.append(ProofLine(f, just))

@@ -11,6 +11,7 @@ conjunction and `bot` the empty disjunction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Union
 
 from .errors import CaptureViolation, SignatureError
@@ -57,11 +58,21 @@ class Signature:
             rs,
         )
 
+    # built on first use and kept in the instance `__dict__`, outside the
+    # dataclass fields, so `==` and `hash` are unchanged
+    @cached_property
+    def _function_arities(self) -> dict[str, int]:
+        return dict(self.functions)
+
+    @cached_property
+    def _predicate_arities(self) -> dict[str, int]:
+        return dict(self.predicates)
+
     def function_arity(self, name: str) -> int | None:
-        return dict(self.functions).get(name)
+        return self._function_arities.get(name)
 
     def predicate_arity(self, name: str) -> int | None:
-        return dict(self.predicates).get(name)
+        return self._predicate_arities.get(name)
 
     def is_restrictor(self, name: str) -> bool:
         return name in self.restrictors

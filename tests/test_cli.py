@@ -160,6 +160,24 @@ def test_deep_nesting_is_usage_error(json_flag, tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command, name, text, exit_code, expected", [
+    ("ht-valid", "parens.prop", "(" * 300 + "p | not p" + ")" * 300 + "\n", 1,
+     "countermodel found:\np: there-only\n"),
+    ("ht-valid", "sets.prop", "And{" * 300 + "p" + "}" * 300 + "\n", 1,
+     "countermodel found:\np: absent\n"),
+    ("eliminate-restrictors", "parens.fof",
+     "const a. pred P/1.\n" + "(" * 300 + "P(a) | not P(a)" + ")" * 300 + "\n", 0,
+     "P(a) | not P(a)\n"),
+    ("ht-valid", "negations.prop", "not " * 900 + "p\n", 1,
+     "countermodel found:\np: absent\n"),
+], ids=["parens", "sets", "fof-parens", "negations"])
+def test_deep_nesting_gets_a_verdict(command, name, text, exit_code, expected,
+                                     tmp_path, capsys):
+    path = tmp_path / name
+    path.write_text(text)
+    assert invoke(capsys, command, str(path)) == (exit_code, expected, "")
+
+
 @pytest.mark.parametrize("json_flag", [[], ["--json"]])
 def test_function_variable_outside_truncated_universe(json_flag, tmp_path, capsys):
     # at depth 1 the universe is {a, f(a)}, so g(f(x)) needs g on f(f(a))

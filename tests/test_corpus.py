@@ -1,6 +1,11 @@
+import importlib.util
+import os
+import pathlib
+import sys
+
 import pytest
 
-from hhtkit.corpus import cases, load_text
+from hhtkit.corpus import cases, data_path, load_text
 from hhtkit.errors import SchemaMismatch
 from hhtkit.instantiation import EXACT, Bounded, instantiate, validate
 from hhtkit.kernel import TheoryLevel, check_proof, conclusion_for_pipeline
@@ -85,3 +90,20 @@ def test_valid_corpus_instances_are_classically_valid():
         for bits in range(2 ** len(atoms)):
             total = frozenset(a for k, a in enumerate(atoms) if bits >> k & 1)
             assert classical_eval(total, instance)
+
+
+def test_mkcorpus_regenerates_the_shipped_corpus(monkeypatch):
+    # tools/mkcorpus.py round-trips every proof and substitution through the
+    # parser; run it with its writes captured, so nothing lands on disk
+    path = pathlib.Path(__file__).resolve().parents[1] / "tools" / "mkcorpus.py"
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    spec = importlib.util.spec_from_file_location("mkcorpus", path)
+    mkcorpus = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mkcorpus)
+    written = {}
+    monkeypatch.setattr(mkcorpus, "write", written.__setitem__)
+    mkcorpus.main()
+    shipped = os.listdir(os.path.dirname(data_path("lem.prop")))
+    assert sorted(written) == sorted(shipped)
+    for name, text in written.items():
+        assert text == load_text(name), name

@@ -10,6 +10,7 @@ from hhtkit.parser import (
     parse_formula_file,
     parse_formula_text,
     parse_proof_file,
+    parse_prop_file,
     parse_prop_text,
     parse_subst_file,
 )
@@ -52,6 +53,20 @@ def test_imp_right_assoc():
     f = fof("Q -> Q -> Q")
     assert f == fof("Q -> (Q -> Q)")
     assert f != fof("(Q -> Q) -> Q")
+
+
+@pytest.mark.parametrize("parse, a, b, c", [
+    (fof, "Q", "P(a)", "P(b)"),
+    (parse_prop_text, "p", "q", "r"),
+])
+def test_associativity_in_both_languages(parse, a, b, c):
+    for op in ("<->", "|", "&"):
+        f = parse(f"{a} {op} {b} {op} {c}")
+        assert f == parse(f"({a} {op} {b}) {op} {c}"), op
+        assert f != parse(f"{a} {op} ({b} {op} {c})"), op
+    f = parse(f"{a} -> {b} -> {c}")
+    assert f == parse(f"{a} -> ({b} -> {c})")
+    assert f != parse(f"({a} -> {b}) -> {c}")
 
 
 def test_quantifier_takes_smallest_body():
@@ -122,8 +137,54 @@ def test_formula_file_and_errors():
 def test_parse_error_carries_position():
     with pytest.raises(ParseError) as err:
         parse_formula_text("P(a) &&", SIG)
-    assert err.value.line == 1
-    assert err.value.col > 0
+    assert (err.value.line, err.value.col) == (1, 7)
+    assert str(err.value) == "1:7: expected a formula, found '&'"
+
+
+_PROOF_HEAD = "const a. pred P/1.\nlevel HHT;\n"
+_PARSERS = {
+    "prop": parse_prop_file,
+    "fof": parse_formula_file,
+    "subst": parse_subst_file,
+    "proof": parse_proof_file,
+}
+
+
+@pytest.mark.parametrize("kind, text, message", [
+    ("prop", "# a comment line\np &\n\tq | @r\n", "3:6: unexpected character '@'"),
+    ("prop", "(p | q", "1:7: expected ')', found end of input"),
+    ("prop", "And{p; q", "1:9: expected '}', found end of input"),
+    ("prop", "And{p; }", "1:8: expected a propositional formula, found '}'"),
+    ("prop", "p q;", "1:3: unexpected trailing input 'q'"),
+    ("fof", "const a. pred P/1.\nP(a) P(a)\n", "2:6: unexpected trailing input 'P'"),
+    ("fof", "const a. pred P/1.\nP(a, a)\n", "3:1: P expects 1 arguments, got 2"),
+    ("fof", "const a. fn s/1. pred P/1.\ns(a, a) != a\n", "2:12: s expects 1 arguments, got 2"),
+    ("fof", "const a. fn s/1. pred P/1.\nP(s)\n", "2:4: function constant s needs 1 arguments"),
+    ("fof", "const a. pred P.\nP(a)\n", "1:16: expected /arity after P"),
+    ("fof", "const a. fn a/1.\n", "1:16: conflicting declaration of a"),
+    ("fof", "const a. pred P/1.\nforall a P(a)\n", "2:10: a is a declared constant, not a variable"),
+    ("fof", "const a. pred P/1, R/1.\nforall (x:P) P(x)\n", "2:12: P is not a declared restrictor"),
+    ("fof", "const a. fn s/1. pred P/1.\ns(a)\n", "3:1: function constant s used as a formula"),
+    ("fof", "const a. pred P/1.\nP(a) = a\n", "2:8: predicate P used in term position"),
+    ("subst", "const a. pred P/1.\nP(x) := p;\n", "2:4: unknown constant x"),
+    ("subst", "const a. pred P/1.\nQ(a) := p;\n", "2:2: unknown predicate Q"),
+    ("subst", "const a. pred P/1.\nP(a) := p;\nP(a) := q;\n", "4:1: duplicate entry for P"),
+    ("proof", _PROOF_HEAD + "2: P(a) -> P(a) by axiom k with F := P(a), G := P(a);\n",
+     "3:2: expected line number 1, found 2"),
+    ("proof", _PROOF_HEAD + "1: P(a) by axiom double-negation with F := P(a);\n",
+     "3:34: unknown schema id double-negation"),
+    ("proof", "const a. pred P/1.\nlevel HHT2+X;\n", "2:13: unknown level HHT2+X"),
+    ("proof", _PROOF_HEAD, "3:1: proof file has no lines"),
+    ("proof", _PROOF_HEAD + "1: P(a) by gen-all 1 a;\n", "3:23: a is a declared constant, not a variable"),
+    ("proof", _PROOF_HEAD + "1: P(a) by so-gen 1 x;\n", "3:22: expected p/arity or f^arity"),
+    ("proof", _PROOF_HEAD + "1: P(a) by axiom k with H := P(a);\n",
+     "3:27: schema k has no metavariable H (expected one of F, G)"),
+    ("proof", _PROOF_HEAD + "1: P(a) by magic;\n", "3:17: unknown justification 'magic'"),
+])
+def test_parse_error_message_is_pinned(kind, text, message):
+    with pytest.raises(ParseError) as err:
+        _PARSERS[kind](text)
+    assert str(err.value) == message
 
 
 def test_subst_file_restrictor_must_be_top_or_bot():
