@@ -18,14 +18,20 @@ import os
 import sys
 import time
 
-from .errors import ConclusionNotClosed, ConclusionNotFirstOrder, HhtError, ProofError
+from .errors import (
+    ConclusionNotClosed,
+    ConclusionNotFirstOrder,
+    HhtError,
+    ProofError,
+    UnmappedAtom,
+)
 from .herbrand import (
     DEFAULT_BUDGET,
     herbrand_base,
     hht_valid_bruteforce,
     render_herbrand_countermodel,
 )
-from .instantiation import EXACT, Bounded, universe, validate, instantiate
+from .instantiation import EXACT, Bounded, instantiate, universe
 from .kernel import check_proof, conclusion_for_pipeline
 from .parser import (
     parse_formula_file,
@@ -164,12 +170,12 @@ def _instantiation_stage(report: _Report, args, sig, f, pipeline: bool):
         raise HhtError(f"{source} and substitution files declare different signatures")
     mode, mode_label = _mode_from_args(args)
     t0 = time.perf_counter()
-    missing = validate(subst, f, mode)
-    if missing:
-        report.data["missing"] = list(missing)
-        report.say("substitution is missing entries for: " + ", ".join(missing))
+    try:
+        instance = instantiate(subst, f, mode)
+    except UnmappedAtom as e:
+        report.data["missing"] = list(e.missing)
+        report.say("substitution is missing entries for: " + ", ".join(e.missing))
         return 2
-    instance = instantiate(subst, f, mode)
     stats = {
         "atoms": len(prop_atoms(instance)),
         "rank": rank(instance),

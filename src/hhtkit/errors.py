@@ -31,11 +31,13 @@ class NotFirstOrder(HhtError):
 
 
 class UnmappedAtom(HhtError):
-    """A substitution has no entry or default for a ground atom."""
+    """A substitution has no entry or default for a ground atom.  `missing`
+    holds every such atom an instance reached, sorted, with `atom` first."""
 
-    def __init__(self, atom):
+    def __init__(self, atom, missing=()):
         super().__init__(f"no entry or default for atom {atom!r}")
         self.atom = atom
+        self.missing = tuple(missing) or (atom,)
 
 
 class InfiniteUniverse(HhtError):

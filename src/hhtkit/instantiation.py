@@ -2,6 +2,14 @@
 instance operation turning a closed first-order formula (restrictors
 allowed) into a propositional formula.
 
+The instance is built in one walk that carries an environment binding each
+quantified variable to a term; terms at atoms and equations are evaluated
+under it.  A generalized variable's restrictor domains are filtered once,
+one lookup per restrictor and term, and its tuples are their product.  The
+walk also collects the atoms the substitution does not map: a restrictor
+guard atom without an image is reported itself, and the bodies of the
+tuples it guards are skipped.
+
 Exact mode requires every function constant to be nullary, so the term
 universe is finite and the instance is faithful.  Bounded mode truncates
 the universe at a term depth and is not validity-preserving; every consumer
@@ -40,12 +48,12 @@ from .syntax import (
     Signature,
     Term,
     Var,
+    _term_subst,
     const,
     formula_to_text,
     free_variables,
     ground_atom_to_text,
     is_first_order,
-    substitute_term,
     term_to_text,
 )
 
@@ -167,11 +175,13 @@ def instantiate(
     Equality of ground terms maps to top/bot by syntactic identity;
     quantifiers expand to set conjunctions/disjunctions over the mode's
     universe; quantifiers over generalized variables range over exactly the
-    tuples whose restrictor images are all top.
+    tuples whose restrictor images are all top.  Raises UnmappedAtom for the
+    first missing atom in sorted order; its `missing` lists them all.
     """
-    _check_preconditions(f)
-    terms = universe(subst.signature, mode)
-    return _instantiate(subst, f, terms, None)
+    instance, missing = _instantiate(subst, f, mode)
+    if missing:
+        raise UnmappedAtom(missing[0], missing)
+    return instance
 
 
 def validate(
@@ -179,70 +189,66 @@ def validate(
 ) -> tuple[str, ...]:
     """Report every reachable atom lacking an entry and default, sorted.
 
-    Tuples whose restrictor guard cannot be evaluated contribute the guard
-    atom itself; their bodies are skipped, matching where `instantiate`
-    would fail first.
+    A restrictor guard atom without an entry is reported itself, and the
+    bodies of the tuples it guards are skipped.
     """
-    _check_preconditions(f)
-    terms = universe(subst.signature, mode)
-    missing: set[str] = set()
-    _instantiate(subst, f, terms, missing)
-    return tuple(sorted(missing))
+    return _instantiate(subst, f, mode)[1]
 
 
 def _instantiate(
-    subst: Substitution,
-    f: FOFormula,
-    terms: tuple[Term, ...],
-    missing: set[str] | None,
-) -> PropFormula:
-    def image(atom: GroundAtom) -> PropFormula:
+    subst: Substitution, f: FOFormula, mode: InstantiationMode
+) -> tuple[PropFormula, tuple[str, ...]]:
+    """The instance of `f`, with `bot` for each atom `subst` does not map,
+    and those atoms, sorted: the one walk the module docstring describes."""
+    _check_preconditions(f)
+    terms = universe(subst.signature, mode)
+    missing: set[str] = set()
+    env: dict[Var, Term] = {}
+
+    def image(pred: str, args: tuple[Term, ...]) -> PropFormula:
+        atom = GroundAtom(pred, args)
         try:
             return subst.lookup(atom)
         except UnmappedAtom:
-            if missing is None:
-                raise
             missing.add(ground_atom_to_text(atom))
             return BOT
-
-    def guard_ok(items: tuple, choice: tuple[Term, ...]) -> bool:
-        ok = True
-        for (_, restrictor), t in zip(items, choice):
-            got = image(GroundAtom(restrictor, (t,)))
-            if got != TOP:
-                ok = False
-        return ok
 
     def rec(g: FOFormula) -> PropFormula:
         match g:
             case Falsum():
                 return BOT
             case Equals(l, r):
-                return TOP if l == r else BOT
+                return TOP if _term_subst(l, env) == _term_subst(r, env) else BOT
             case Atom(pred, args):
-                return image(GroundAtom(pred, args))
+                return image(pred, tuple(_term_subst(a, env) for a in args))
             case Binary("&", l, r):
                 return PAnd((rec(l), rec(r)))
             case Binary("|", l, r):
                 return POr((rec(l), rec(r)))
             case Binary("->", l, r):
                 return PImp(rec(l), rec(r))
-            case Quant(kind, Var() as v, body):
-                children = (rec(substitute_term(body, v, t)) for t in terms)
-                return PAnd(children) if kind == "forall" else POr(children)
-            case Quant(kind, GenVar(items) as gv, body):
+            case Quant(kind, binder, body):
+                if isinstance(binder, GenVar):
+                    variables = binder.variables()
+                    domains = [[t for t in terms if image(r, (t,)) == TOP]
+                               for _, r in binder.items]
+                else:
+                    variables, domains = (binder,), [terms]
+                shadowed = [env.get(v) for v in variables]
                 children = []
-                for choice in itertools.product(terms, repeat=len(items)):
-                    if not guard_ok(items, choice):
-                        continue
-                    inst = body
-                    for v, t in zip(gv.variables(), choice):
-                        inst = substitute_term(inst, v, t)
-                    children.append(rec(inst))
+                for choice in itertools.product(*domains):
+                    env.update(zip(variables, choice))
+                    children.append(rec(body))
+                for v, t in zip(variables, shadowed):
+                    if t is None:
+                        env.pop(v, None)
+                    else:
+                        env[v] = t
                 return PAnd(children) if kind == "forall" else POr(children)
         raise TypeError(f"unexpected formula node: {g!r}")
 
-    return rec(f)
+    instance = rec(f)
+    return instance, tuple(sorted(missing))
 
 
 def herbrand_base(sig: Signature, terms: Iterable[Term]) -> tuple[GroundAtom, ...]:

@@ -341,10 +341,6 @@ def _parse_unary(cur: Cursor, sig: Signature) -> FOFormula:
     args = _parse_args(cur, sig, allow_vars=True) if cur.at("(") else None
     if cur.at("=") or cur.at("!="):
         negated = cur.next() == "!="
-        if args is None and cur.at("("):
-            # a bare left side takes a `(...)` after `=` as its arguments:
-            # `x = (y) z` reads as `x(y) = z`
-            args = _parse_args(cur, sig, allow_vars=True)
         left = _make_term(cur, sig, text, args, allow_vars=True)
         eqf = Equals(left, _parse_term(cur, sig))
         return neg(eqf) if negated else eqf

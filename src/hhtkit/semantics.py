@@ -26,7 +26,7 @@ from enum import IntEnum
 from typing import Iterable, Iterator
 
 from .errors import BudgetExceeded
-from .syntax import PAnd, PAtom, PImp, POr, PropFormula
+from .syntax import PAnd, PAtom, PImp, POr, PropFormula, prop_dag
 
 DEFAULT_ATOM_LIMIT = 20
 
@@ -106,6 +106,7 @@ def g3_eval(i: HTInterpretation, f: PropFormula) -> int:
 
 
 _ATOM, _AND, _OR, _IMP, _CONST = range(5)
+_OPS = {PAnd: _AND, POr: _OR, PImp: _IMP}
 
 # the widest chunk, in trailing atoms: 3**13 bits is about 200 KB per mask
 _CHUNK_ATOMS = 13
@@ -114,38 +115,13 @@ _MASK_BYTES = 1 << 25
 
 
 def _compile(f: PropFormula) -> list[tuple[int, object]]:
-    """Post-order program with one `(op, arg)` per distinct node, children
-    first: `arg` is the atom name, or the tuple of child positions.  Uses an
-    explicit stack, so nesting depth is not limited by recursion.  (Programs
-    grounded by `herbrand` also hold `_CONST` nodes, whose `arg` is a state:
-    the node has that value under every interpretation.)"""
-    slot: dict[int, int] = {}
-    prog: list[tuple[int, object]] = []
-    stack: list[tuple[PropFormula, bool]] = [(f, False)]
-    while stack:
-        g, expanded = stack.pop()
-        if id(g) in slot:
-            continue
-        match g:
-            case PAtom(name):
-                slot[id(g)] = len(prog)
-                prog.append((_ATOM, name))
-                continue
-            case PAnd(items):
-                op, kids = _AND, tuple(items)
-            case POr(items):
-                op, kids = _OR, tuple(items)
-            case PImp(l, r):
-                op, kids = _IMP, (l, r)
-            case _:
-                raise TypeError(f"not a propositional formula: {g!r}")
-        if expanded:
-            slot[id(g)] = len(prog)
-            prog.append((op, tuple(slot[id(k)] for k in kids)))
-        else:
-            stack.append((g, True))
-            stack.extend((k, False) for k in kids)
-    return prog
+    """Post-order program with one `(op, arg)` per distinct node of
+    `syntax.prop_dag`, children first: `arg` is the atom name, or the tuple
+    of child positions.  (Programs grounded by `herbrand` also hold `_CONST`
+    nodes, whose `arg` is a state: the node has that value under every
+    interpretation.)"""
+    return [(_ATOM, g.name) if isinstance(g, PAtom) else (_OPS[type(g)], kids)
+            for g, kids in prop_dag(f)]
 
 
 def _evaluate(prog, masks: dict[str, tuple[int, int]], full: int) -> tuple[int, int]:

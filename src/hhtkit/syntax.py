@@ -618,62 +618,53 @@ def piff(left: PropFormula, right: PropFormula) -> PAnd:
     return PAnd((PImp(left, right), PImp(right, left)))
 
 
+def prop_dag(f: PropFormula) -> list[tuple[PropFormula, tuple[int, ...]]]:
+    """The distinct nodes of `f` (shared objects once) in post-order, each
+    with the positions of its children: children come first and `f` last.
+    Uses an explicit stack, so nesting depth is not limited by recursion."""
+    slot: dict[int, int] = {}
+    out: list[tuple[PropFormula, tuple[int, ...]]] = []
+    # (node, None) is still to expand; (node, children) waits for them
+    stack: list[tuple[PropFormula, tuple | None]] = [(f, None)]
+    while stack:
+        g, kids = stack.pop()
+        if id(g) in slot:
+            continue
+        if kids is None:
+            match g:
+                case PAtom():
+                    kids = ()
+                case PAnd(items) | POr(items):
+                    kids = tuple(items)
+                case PImp(l, r):
+                    kids = (l, r)
+                case _:
+                    raise TypeError(f"not a propositional formula: {g!r}")
+            if kids:
+                stack.append((g, kids))
+                stack.extend([(k, None) for k in kids])
+                continue
+        slot[id(g)] = len(out)
+        out.append((g, tuple([slot[id(k)] for k in kids])))
+    return out
+
+
 def rank(f: PropFormula) -> int:
     """Nesting rank: atoms are rank 0; a set or implication node has the
     smallest rank strictly greater than the ranks of all its children."""
-    memo: dict[int, int] = {}
-
-    def rec(g: PropFormula) -> int:
-        got = memo.get(id(g))
-        if got is not None:
-            return got
-        match g:
-            case PAtom():
-                r = 0
-            case PAnd(items) | POr(items):
-                r = max((rec(c) for c in items), default=-1) + 1
-            case PImp(l, rgt):
-                r = max(rec(l), rec(rgt)) + 1
-            case _:
-                raise TypeError(f"not a propositional formula: {g!r}")
-        memo[id(g)] = r
-        return r
-
-    return rec(f)
+    ranks: list[int] = []
+    for _, kids in prop_dag(f):
+        ranks.append(max([ranks[k] for k in kids], default=-1) + 1)
+    return ranks[-1]
 
 
 def prop_atoms(f: PropFormula) -> frozenset[str]:
-    match f:
-        case PAtom(name):
-            return frozenset((name,))
-        case PAnd(items) | POr(items):
-            out: frozenset[str] = frozenset()
-            for c in items:
-                out |= prop_atoms(c)
-            return out
-        case PImp(l, r):
-            return prop_atoms(l) | prop_atoms(r)
-    raise TypeError(f"not a propositional formula: {f!r}")
+    return frozenset(g.name for g, _ in prop_dag(f) if isinstance(g, PAtom))
 
 
 def prop_node_count(f: PropFormula) -> int:
     """Number of distinct structural nodes (shared subterms counted once)."""
-    seen: set[int] = set()
-
-    def rec(g: PropFormula) -> int:
-        if id(g) in seen:
-            return 0
-        seen.add(id(g))
-        match g:
-            case PAtom():
-                return 1
-            case PAnd(items) | POr(items):
-                return 1 + sum(rec(c) for c in items)
-            case PImp(l, r):
-                return 1 + rec(l) + rec(r)
-        raise TypeError(f"not a propositional formula: {g!r}")
-
-    return rec(f)
+    return len(prop_dag(f))
 
 
 # ---------------------------------------------------------------------------

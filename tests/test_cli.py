@@ -141,6 +141,40 @@ def test_instantiate_reports_missing_entries(tmp_path, capsys):
     assert "Q" in out and "P(c2)" in out
 
 
+_GUARDED_FOF = ("const a, b, c.  pred P/1.  restrictor R/1.\n"
+                "forall (x:R, y:R) (P(x) -> P(y))\n")
+# R(c) has no entry, so the tuples with c are skipped and P(c) is not missing
+_GUARDED_SUBST = ("const a, b, c.  pred P/1.  restrictor R/1.\n"
+                  "R(a) := top;  R(b) := top;  P(b) := q;\n")
+
+
+@pytest.mark.parametrize("json_flag, expected", [
+    ([], "substitution is missing entries for: P(a), R(c)\n"),
+    (["--json"], '{\n  "command": "instantiate",\n  "missing": [\n    "P(a)",\n'
+                 '    "R(c)"\n  ],\n  "exit": 2\n}\n'),
+], ids=["text", "json"])
+def test_instantiate_missing_guard_and_body(json_flag, expected, tmp_path, capsys):
+    (tmp_path / "guarded.fof").write_text(_GUARDED_FOF)
+    (tmp_path / "guarded.subst").write_text(_GUARDED_SUBST)
+    got = invoke(capsys, "instantiate", str(tmp_path / "guarded.fof"),
+                 str(tmp_path / "guarded.subst"), *json_flag)
+    assert got == (2, expected, "")
+
+
+def test_instantiate_deep_image(tmp_path, capsys):
+    # the instance nests 400 sets deep through the image of P(c1)
+    deep = "And{" * 400 + "p" + "}" * 400
+    subst = tmp_path / "deep.subst"
+    subst.write_text("const c1, c2, c3.  pred P/1, Q/0.\n"
+                     f"P(c1) := {deep};  P(c2) := f2;  P(c3) := f3;  Q := g;\n")
+    instance = ("And{And{Or{f1; f2; f3}; g} -> Or{And{f1; g}; And{f2; g}; And{f3; g}}; "
+                "Or{And{f1; g}; And{f2; g}; And{f3; g}} -> And{Or{f1; f2; f3}; g}}")
+    expected = (f"mode: exact\ninstance: {instance.replace('f1', deep)}\n"
+                "atoms=4 rank=404 nodes=419\n")
+    got = invoke(capsys, "instantiate", data_path("subsum4.fof"), str(subst))
+    assert got == (0, expected, "")
+
+
 def test_directory_argument_is_usage_error(tmp_path, capsys):
     code, out, err = invoke(capsys, "ht-valid", str(tmp_path))
     assert code == 2

@@ -1,6 +1,8 @@
 import importlib.util
+import json
 import os
 import pathlib
+import re
 import sys
 
 import pytest
@@ -15,6 +17,7 @@ from hhtkit.syntax import prop_atoms
 
 PIPELINE = [c for c in cases() if c.proof and c.expect_proof == "accepted"]
 PROPS = [c for c in cases() if c.prop]
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize("case", PIPELINE, ids=lambda c: c.name)
@@ -92,14 +95,20 @@ def test_valid_corpus_instances_are_classically_valid():
             assert classical_eval(total, instance)
 
 
+def load_tool(name: str, monkeypatch):
+    """The module `tools/<name>.py`; changes it makes to `sys.path` are undone
+    after the test."""
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_mkcorpus_regenerates_the_shipped_corpus(monkeypatch):
     # tools/mkcorpus.py round-trips every proof and substitution through the
     # parser; run it with its writes captured, so nothing lands on disk
-    path = pathlib.Path(__file__).resolve().parents[1] / "tools" / "mkcorpus.py"
-    monkeypatch.setattr(sys, "path", list(sys.path))
-    spec = importlib.util.spec_from_file_location("mkcorpus", path)
-    mkcorpus = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mkcorpus)
+    mkcorpus = load_tool("mkcorpus", monkeypatch)
     written = {}
     monkeypatch.setattr(mkcorpus, "write", written.__setitem__)
     mkcorpus.main()
@@ -107,3 +116,17 @@ def test_mkcorpus_regenerates_the_shipped_corpus(monkeypatch):
     assert sorted(written) == sorted(shipped)
     for name, text in written.items():
         assert text == load_text(name), name
+
+
+def test_cli_snapshot_repeats(tmp_path, monkeypatch):
+    cli_snapshot = load_tool("cli_snapshot", monkeypatch)
+    out = tmp_path / "snapshot.json"
+    assert cli_snapshot.main([str(ROOT), str(out), "--workloads", "corpus", "--seeds", "1"]) == 0
+    text = out.read_text(encoding="utf-8")
+    assert str(ROOT) not in text
+    records = json.loads(text)
+    assert records == cli_snapshot.snapshot(ROOT, ["corpus"], [1])
+    assert len(records) == len(cases())
+    for r in records.values():
+        assert r["exit"] in (0, 1) and r["stderr"] == ""
+        assert '"seconds": N' in r["stdout"] and not re.search(r'"seconds": \d', r["stdout"])

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -10,10 +11,13 @@ from hhtkit.errors import (
     UnmappedAtom,
 )
 from hhtkit.instantiation import (
+    EXACT,
     Bounded,
     Substitution,
     ground_terms,
+    herbrand_base,
     instantiate,
+    universe,
     validate,
 )
 from hhtkit.parser import parse_formula_text, parse_subst_file
@@ -21,18 +25,28 @@ from hhtkit.semantics import World, satisfies
 from hhtkit.syntax import (
     BOT,
     TOP,
+    Atom,
+    Binary,
+    Equals,
+    Falsum,
     FnApp,
+    GenVar,
     GroundAtom,
     PAnd,
     PAtom,
     PImp,
     POr,
+    Quant,
     Signature,
+    Var,
     const,
     eliminate_restrictors,
     formula_depth,
+    ground_atom_to_text,
     prop_atoms,
+    prop_node_count,
     rank,
+    substitute_term,
 )
 
 SIG2 = Signature.make({"c1": 0, "c2": 0}, {"P": 1, "Q": 0})
@@ -221,3 +235,122 @@ def test_instance_atoms_come_from_range():
         for img in s.entries.values():
             range_atoms |= prop_atoms(img)
         assert prop_atoms(inst) <= range_atoms
+
+
+# ---------------------------------------------------------------------------
+# the one-walk instance against the literal expansion
+
+def literal_instance(subst, f, mode=EXACT):
+    """The instance by literal expansion: a quantifier substitutes each term
+    (or tuple of terms) into its body, and a generalized variable's guard is
+    evaluated on every tuple of the product.  Returns the instance, with
+    `bot` for each unmapped atom, and the sorted unmapped atoms; a tuple
+    whose guard atom is unmapped contributes that atom, not its body."""
+    terms = universe(subst.signature, mode)
+    missing = set()
+
+    def image(atom):
+        try:
+            return subst.lookup(atom)
+        except UnmappedAtom:
+            missing.add(ground_atom_to_text(atom))
+            return BOT
+
+    def guard_ok(items, choice):
+        images = [image(GroundAtom(r, (t,))) for (_, r), t in zip(items, choice)]
+        return all(got == TOP for got in images)
+
+    def rec(g):
+        match g:
+            case Falsum():
+                return BOT
+            case Equals(l, r):
+                return TOP if l == r else BOT
+            case Atom(pred, args):
+                return image(GroundAtom(pred, args))
+            case Binary("&", l, r):
+                return PAnd((rec(l), rec(r)))
+            case Binary("|", l, r):
+                return POr((rec(l), rec(r)))
+            case Binary("->", l, r):
+                return PImp(rec(l), rec(r))
+            case Quant(kind, Var() as v, body):
+                children = (rec(substitute_term(body, v, t)) for t in terms)
+                return PAnd(children) if kind == "forall" else POr(children)
+            case Quant(kind, GenVar(items) as gv, body):
+                children = []
+                for choice in itertools.product(terms, repeat=len(items)):
+                    if not guard_ok(items, choice):
+                        continue
+                    inst = body
+                    for v, t in zip(gv.variables(), choice):
+                        inst = substitute_term(inst, v, t)
+                    children.append(rec(inst))
+                return PAnd(children) if kind == "forall" else POr(children)
+        raise TypeError(f"unexpected formula node: {g!r}")
+
+    return rec(f), tuple(sorted(missing))
+
+
+def partial_substitution(rng, sig, mode, drop):
+    """Entries on the mode's Herbrand base, each left out with chance `drop`;
+    restrictor atoms get top or bot."""
+    entries = {}
+    for atom in herbrand_base(sig, universe(sig, mode)):
+        if rng.random() < drop:
+            continue
+        if sig.is_restrictor(atom.pred):
+            entries[atom] = TOP if rng.random() < 0.5 else BOT
+        else:
+            entries[atom] = gen.rand_prop(rng, 2)
+    return Substitution(sig, entries)
+
+
+def assert_matches_literal(s, f, mode):
+    want, want_missing = literal_instance(s, f, mode)
+    assert validate(s, f, mode) == want_missing
+    if want_missing:
+        with pytest.raises(UnmappedAtom) as err:
+            instantiate(s, f, mode)
+        assert (err.value.atom, err.value.missing) == (want_missing[0], want_missing)
+    else:
+        got = instantiate(s, f, mode)
+        assert got == want
+        assert prop_node_count(got) == prop_node_count(want)
+
+
+SIG_FN = Signature.make(
+    {"a": 0, "b": 0, "s": 1}, {"P": 1, "Q": 2, "R1": 1, "R2": 1}, {"R1", "R2"}
+)
+
+
+@pytest.mark.parametrize("sig, mode, share", [
+    (SIG2R, EXACT, 0.3),
+    (SIG2R, EXACT, 0.6),
+    (SIG_FN, Bounded(1), 0.5),
+    (SIG_FN, Bounded(2), 0.5),
+], ids=["sig2r-0.3", "sig2r-0.6", "fn-depth1", "fn-depth2"])
+def test_instance_matches_literal_expansion(sig, mode, share):
+    rng = random.Random(53)
+    for _ in range(60):
+        f = gen.rand_formula(rng, sig, depth=3, restrictor_share=share)
+        for drop in (0.0, 0.1, 0.3):
+            assert_matches_literal(partial_substitution(rng, sig, mode, drop), f, mode)
+
+
+@pytest.mark.parametrize("text", [
+    "forall x (P(x) & forall x Q(x))",
+    "forall x (forall x Q(x) & P(x))",
+    "exists y forall x (exists (x:R1, y:R2) S(x, y) -> S(y, x))",
+    "exists (x:R1) (P(x) | forall x S(x, x))",
+    "forall x (exists (x:R1, y:R2) (S(x, y) -> exists y P(y)) & P(x))",
+    "forall (x:R2) (exists (x:R1) P(x) -> x = a | Q(x))",
+    "exists y forall x (forall y S(x, y) -> S(y, x))",
+])
+def test_shadowed_binders_match_literal_expansion(text):
+    sig = Signature.make({"a": 0, "b": 0, "c": 0},
+                         {"P": 1, "Q": 1, "S": 2, "R1": 1, "R2": 1}, {"R1", "R2"})
+    f = parse_formula_text(text, sig)
+    rng = random.Random(59)
+    for drop in (0.0, 0.0, 0.1, 0.2, 0.4):
+        assert_matches_literal(partial_substitution(rng, sig, EXACT, drop), f, EXACT)

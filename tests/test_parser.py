@@ -143,6 +143,7 @@ def test_parse_error_carries_position():
 
 _PROOF_HEAD = "const a. pred P/1.\nlevel HHT;\n"
 _PARSERS = {
+    "formula": lambda text: parse_formula_text(text, SIG),
     "prop": parse_prop_file,
     "fof": parse_formula_file,
     "subst": parse_subst_file,
@@ -166,6 +167,9 @@ _PARSERS = {
     ("fof", "const a. pred P/1, R/1.\nforall (x:P) P(x)\n", "2:12: P is not a declared restrictor"),
     ("fof", "const a. fn s/1. pred P/1.\ns(a)\n", "3:1: function constant s used as a formula"),
     ("fof", "const a. pred P/1.\nP(a) = a\n", "2:8: predicate P used in term position"),
+    # a `(` after `=` starts no argument list of a bare left side
+    ("formula", "x = (y) z", "1:5: expected term, found '('"),
+    ("formula", "a = (b)", "1:5: expected term, found '('"),
     ("subst", "const a. pred P/1.\nP(x) := p;\n", "2:4: unknown constant x"),
     ("subst", "const a. pred P/1.\nQ(a) := p;\n", "2:2: unknown predicate Q"),
     ("subst", "const a. pred P/1.\nP(a) := p;\nP(a) := q;\n", "4:1: duplicate entry for P"),

@@ -1,0 +1,128 @@
+"""Record hhtkit's CLI output on every benchmark command line, for
+byte-identity checks between two checkouts.
+
+    python3 tools/cli_snapshot.py SRC_DIR OUT.json [--workloads ...] [--seeds ...]
+
+`SRC_DIR` is the root of a checkout; its `src/hhtkit` is imported and each
+command runs in-process through `hhtkit.cli.run`.  The command lines are those
+of this checkout's `hhtbench/workloads.py` for every workload and seed asked
+for (default: all four workloads, seeds 1-3), with generated inputs written to
+a temporary directory.  The `pairs` group adds `instantiate` of every shipped
+`.fof` with a `.subst` of the same name, exact and at `--depth` 1 and 2, each
+with and without `--json`.
+
+Each record holds the exit code, stdout and stderr.  Stage timings
+(`"seconds"` and `[N ms]`), `SRC_DIR` and the temporary directory are masked,
+so two snapshots differ only where the CLI's output does:
+
+    python3 tools/cli_snapshot.py ../parent parent.json
+    python3 tools/cli_snapshot.py . change.json
+    diff parent.json change.json
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import re
+import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "hhtbench"))
+import workloads  # noqa: E402
+
+GROUPS = ("corpus", "ht_atoms", "herbrand", "universe", "pairs")
+_TIMINGS = re.compile(r'(?<=\[)\d+\.\d(?= ms\])|(?<="seconds": )[-+.\deE]+')
+
+
+def _load_hhtkit(src_dir: Path):
+    """`hhtkit.cli` and `hhtkit.corpus` from `src_dir/src`."""
+    sys.path.insert(0, str(src_dir / "src"))
+    from hhtkit import cli, corpus
+
+    if not Path(cli.__file__).resolve().is_relative_to(src_dir):
+        raise SystemExit(f"cli_snapshot: hhtkit was imported from {cli.__file__}, "
+                         f"not from {src_dir}")
+    return cli, corpus
+
+
+def _pair_argvs(data_path) -> dict[str, list[str]]:
+    out = {}
+    for fof in sorted(Path(data_path("")).glob("*.fof")):
+        subst = fof.with_suffix(".subst")
+        if not subst.is_file():
+            continue
+        for depth in ([], ["--depth", "1"], ["--depth", "2"]):
+            for flag in ([], ["--json"]):
+                argv = ["instantiate", str(fof), str(subst), *depth, *flag]
+                out[" ".join(["pairs", fof.stem, *depth, *flag])] = argv
+    return out
+
+
+def _argvs(group: str, seed: int, corpus, workdir: str) -> dict[str, list[str]]:
+    """Label -> argv for one workload and seed, with its inputs written."""
+    if group == "pairs":
+        return _pair_argvs(corpus.data_path)
+    if group == "corpus":
+        cases = workloads.corpus(seed, corpus.cases, corpus.data_path)
+    elif group == "herbrand":
+        cases = workloads.herbrand(seed, corpus.data_path("excluded_middle.fof"))
+    else:
+        cases = getattr(workloads, group)(seed)
+    out = {}
+    for case in cases:
+        for name, text in case.files.items():
+            Path(workdir, name).write_text(text, encoding="utf-8")
+        out[f"{group} seed{seed} {case.id}"] = [a.replace("{dir}", workdir) for a in case.argv]
+    return out
+
+
+def snapshot(src_dir: Path, groups, seeds) -> dict[str, dict]:
+    """Label -> masked record of every command line of `groups` and `seeds`,
+    run against the hhtkit of the checkout at `src_dir`."""
+    src_dir = src_dir.resolve()
+    cli, corpus = _load_hhtkit(src_dir)
+    records = {}
+    with tempfile.TemporaryDirectory() as workdir:
+
+        def mask(text: str) -> str:
+            text = text.replace(workdir, "{dir}").replace(str(src_dir), "{src}")
+            return _TIMINGS.sub("N", text)
+
+        for group in groups:
+            for seed in seeds if group != "pairs" else [None]:
+                for label, argv in _argvs(group, seed, corpus, workdir).items():
+                    out, err = io.StringIO(), io.StringIO()
+                    with redirect_stdout(out), redirect_stderr(err):
+                        try:
+                            code = cli.run(list(argv))
+                        except Exception as e:  # recorded, so a diff shows it
+                            code = f"raised {type(e).__name__}: {e}"
+                    records[label] = {
+                        "argv": [mask(a) for a in argv],
+                        "exit": code,
+                        "stdout": mask(out.getvalue()),
+                        "stderr": mask(err.getvalue()),
+                    }
+    return records
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("src_dir", type=Path, help="root of the checkout to run")
+    ap.add_argument("out", type=Path, help="JSON file to write")
+    ap.add_argument("--workloads", nargs="+", choices=GROUPS, default=list(GROUPS))
+    ap.add_argument("--seeds", nargs="+", type=int, default=[1, 2, 3])
+    args = ap.parse_args(argv)
+    records = snapshot(args.src_dir, args.workloads, args.seeds)
+    args.out.write_text(json.dumps(records, indent=1, sort_keys=True) + "\n",
+                        encoding="utf-8")
+    print(f"{len(records)} command lines -> {args.out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
