@@ -26,7 +26,6 @@ from .errors import (
     UnmappedAtom,
 )
 from .herbrand import (
-    DEFAULT_BUDGET,
     herbrand_base,
     hht_valid_bruteforce,
     render_herbrand_countermodel,
@@ -41,7 +40,7 @@ from .parser import (
 )
 from .render import render_justification
 from .semantics import (
-    DEFAULT_ATOM_LIMIT,
+    DEFAULT_BUDGET,
     STATE_NAMES,
     ht_valid,
     render_countermodel,
@@ -50,38 +49,29 @@ from .syntax import (
     eliminate_restrictors,
     formula_to_text,
     prop_atoms,
-    prop_node_count,
+    prop_stats,
     prop_to_text,
-    rank,
 )
 
 BUDGET_ENV = "HHTKIT_BUDGET"
 
 
-def _budget() -> int:
-    raw = os.environ.get(BUDGET_ENV)
+def _budget(option: str | None = None) -> int:
+    """The step budget both checkers get: `option` (the `--budget` value) if
+    given, else `HHTKIT_BUDGET` if set, else the default.  Whichever is given
+    must be a positive integer."""
+    source, raw = "--budget", option
     if raw is None:
-        return DEFAULT_BUDGET
+        source, raw = BUDGET_ENV, os.environ.get(BUDGET_ENV)
+        if raw is None:
+            return DEFAULT_BUDGET
     try:
         value = int(raw)
         if value <= 0:
             raise ValueError
     except ValueError:
-        raise HhtError(f"{BUDGET_ENV} must be a positive integer, got {raw!r}") from None
+        raise HhtError(f"{source} must be a positive integer, got {raw!r}") from None
     return value
-
-
-def _atom_limit() -> int:
-    # one budget knob: with the env var set, allow as many atoms as fit in
-    # that many enumerated interpretations
-    raw = os.environ.get(BUDGET_ENV)
-    if raw is None:
-        return DEFAULT_ATOM_LIMIT
-    budget = _budget()
-    n = 0
-    while 3 ** (n + 1) <= budget:
-        n += 1
-    return max(1, n)
 
 
 def _read(path: str) -> str:
@@ -176,11 +166,8 @@ def _instantiation_stage(report: _Report, args, sig, f, pipeline: bool):
         report.data["missing"] = list(e.missing)
         report.say("substitution is missing entries for: " + ", ".join(e.missing))
         return 2
-    stats = {
-        "atoms": len(prop_atoms(instance)),
-        "rank": rank(instance),
-        "nodes": prop_node_count(instance),
-    }
+    atoms, rank, nodes = prop_stats(instance)
+    stats = {"atoms": len(atoms), "rank": rank, "nodes": nodes}
     secs = _stage(report, "instantiation", t0, mode=mode_label, **stats)
     counts = f"atoms={stats['atoms']} rank={stats['rank']} nodes={stats['nodes']}"
     if pipeline:
@@ -197,7 +184,7 @@ def _validity_stage(report: _Report, f, headlines: tuple, pipeline: bool) -> int
     """Exhaustively check `f`; exit code 0 if HT-valid, 1 on a countermodel.
     `headlines` holds the verdict line for each outcome (None: no line)."""
     t0 = time.perf_counter()
-    counter = ht_valid(f, atom_limit=_atom_limit())
+    counter = ht_valid(f, _budget())
     atoms = sorted(prop_atoms(f))
     found = counter is not None
     fields = {}
@@ -249,10 +236,9 @@ def _cmd_ht_valid(args, report: _Report) -> int:
 
 def _cmd_herbrand_check(args, report: _Report) -> int:
     sig, f = parse_formula_file(_read(args.formula_file))
-    budget = args.budget if args.budget is not None else _budget()
     mode, mode_label = _mode_from_args(args)
     t0 = time.perf_counter()
-    counter = hht_valid_bruteforce(sig, f, mode, budget)
+    counter = hht_valid_bruteforce(sig, f, mode, _budget(args.budget))
     base = herbrand_base(sig, universe(sig, mode))
     if counter is None:
         _stage(report, "validity", t0, verdict="valid", mode=mode_label)
@@ -329,7 +315,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("herbrand-check", parents=[common],
                        help="brute-force validity over ground-term models")
     p.add_argument("formula_file")
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", default=None,
+                   help=f"work budget in steps (default: ${BUDGET_ENV} or {DEFAULT_BUDGET})")
     p.add_argument("--depth", type=int, default=None,
                    help="bounded universe depth (approximate)")
 

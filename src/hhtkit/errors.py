@@ -52,10 +52,8 @@ class OutsideUniverse(HhtError):
 class BudgetExceeded(HhtError):
     """Enumeration would exceed the configured budget."""
 
-    def __init__(self, required: int, budget: int, what: str = "evaluations"):
-        super().__init__(
-            f"enumeration needs {required} {what}, budget is {budget}"
-        )
+    def __init__(self, required: int, budget: int):
+        super().__init__(f"enumeration needs {required} steps, budget is {budget}")
         self.required = required
         self.budget = budget
 

@@ -10,7 +10,7 @@ extensions: a function name is a total table over the universe, and a
 predicate name is a persistent pair of relation extensions.  Enumerating
 names therefore means enumerating extensions, which explodes quickly; every
 entry point estimates the work first and refuses over-budget runs with the
-computed count.
+computed count, in the steps of `semantics`.
 
 `h_satisfies` (through `_sat`) is the literal satisfaction relation.
 `hht_valid_bruteforce` does not walk the formula once per interpretation.
@@ -22,8 +22,10 @@ folds to a constant while grounding, with the short-circuits `_sat` takes:
 `bot`, equations, atoms outside the base, and atoms of predicate names,
 which may hold there but not here.  The ground program goes to the
 bit-parallel engine in `semantics`, which returns the first countermodel in
-canonical order.  The budget still counts 3^|base| interpretations times
-`estimate_cost`, as for the per-interpretation walk.
+canonical order.  The budget is checked twice: `estimate_cost` (the nodes
+grounding may visit) before grounding, since a second-order domain can
+explode, and that count plus the engine's steps on the ground program
+before evaluating it.
 """
 
 from __future__ import annotations
@@ -49,9 +51,11 @@ from .semantics import (
     _OR,
     ABSENT,
     BOTH,
+    DEFAULT_BUDGET,
     THERE_ONLY,
     HTInterpretation,
     World,
+    _engine_steps,
     _first_countermodel,
     satisfies,
 )
@@ -76,9 +80,6 @@ from .syntax import (
     ground_atom_to_text,
     term_to_text,
 )
-
-DEFAULT_BUDGET = 10**6
-
 
 @dataclass(frozen=True)
 class FunctionName:
@@ -185,7 +186,8 @@ def count_predicate_names(universe_size: int, arity: int) -> int:
 
 
 def estimate_cost(f: FOFormula, universe_size: int) -> int:
-    """Worst-case satisfaction checks for one interpretation."""
+    """Worst-case satisfaction checks for one interpretation, and a bound on
+    the nodes `hht_valid_bruteforce` visits while grounding."""
     match f:
         case Falsum() | Equals() | Atom():
             return 1
@@ -316,7 +318,7 @@ def hht_valid_bruteforce(
     f = eliminate_restrictors(f)
     terms = universe(sig, mode)
     base = herbrand_base(sig, terms)
-    cost = (3 ** len(base)) * estimate_cost(f, len(terms))
+    cost = estimate_cost(f, len(terms))
     if cost > budget:
         raise BudgetExceeded(cost, budget)
     if free_variables(f):
@@ -324,6 +326,9 @@ def hht_valid_bruteforce(
     grounding = _Grounding(base, terms)
     prog = _live_program(grounding.prog, grounding.ground(f, {}))
     atoms = sorted(arg for op, arg in prog if op == _ATOM)
+    cost += _engine_steps(prog, len(atoms))
+    if cost > budget:
+        raise BudgetExceeded(cost, budget)
     counter = _first_countermodel(prog, atoms)
     if counter is None:
         return None

@@ -268,13 +268,6 @@ def _parse_term(cur: Cursor, sig: Signature, allow_vars: bool = True) -> Term:
     return _make_term(cur, sig, name, args, allow_vars)
 
 
-def parse_term_text(text: str, sig: Signature, allow_vars: bool = True) -> Term:
-    cur = Cursor(text)
-    t = _parse_term(cur, sig, allow_vars)
-    cur.expect_eof()
-    return t
-
-
 def _expect_variable(cur: Cursor, sig: Signature) -> str:
     name = cur.expect_ident("variable")
     if sig.function_arity(name) is not None or sig.predicate_arity(name) is not None:

@@ -17,6 +17,12 @@ atoms are enumerated outside in canonical order as constant masks, so
 chunks are visited in canonical order too and the search stops at the
 first chunk with a clear bit.  `herbrand` grounds first- and second-order
 formulas into programs for the same engine.
+
+Both checkers share one work budget, counted in steps: a step is one child
+reference evaluated over 3^10 interpretations (`_engine_steps`), or one node
+`herbrand` may visit while grounding (`estimate_cost`).  An engine step
+takes 1-2 us and a grounding visit 0.6-5 us (README gives the measurements).
+A run over budget is refused before that work starts.
 """
 
 from __future__ import annotations
@@ -28,7 +34,8 @@ from typing import Iterable, Iterator
 from .errors import BudgetExceeded
 from .syntax import PAnd, PAtom, PImp, POr, PropFormula, prop_dag
 
-DEFAULT_ATOM_LIMIT = 20
+# steps either checker may spend by default (see the module docstring)
+DEFAULT_BUDGET = 5 * 10**6
 
 ABSENT, THERE_ONLY, BOTH = 0, 1, 2
 STATE_NAMES = {ABSENT: "absent", THERE_ONLY: "there-only", BOTH: "both"}
@@ -179,6 +186,16 @@ def _chunk_width(n_atoms: int, n_nodes: int) -> int:
     return width
 
 
+def _engine_steps(prog, n_atoms: int) -> int:
+    """The work of `_first_countermodel` on `prog` over `n_atoms` atoms, in
+    steps: one big-int operation per child reference of an `_AND`, `_OR` or
+    `_IMP` node and per 3^10 interpretations.  A chunk narrower than 10
+    atoms, as many nodes force, still costs a full step per reference."""
+    refs = sum(len(arg) for op, arg in prog if op in (_AND, _OR, _IMP))
+    width = min(_chunk_width(n_atoms, len(prog)), 10)
+    return refs * 3 ** max(n_atoms - width, 0)
+
+
 def _first_countermodel(prog, atoms: list[str]) -> HTInterpretation | None:
     """The first interpretation in canonical order whose here-mask bit is
     clear.  The trailing atoms are the least significant digits, so inside a
@@ -234,7 +251,7 @@ def _enumerate_states(atoms: list[str]) -> Iterator[dict[str, int]]:
 
 def ht_valid(
     f: PropFormula,
-    atom_limit: int = DEFAULT_ATOM_LIMIT,
+    budget: int = DEFAULT_BUDGET,
     *,
     evaluator: str = "g3",
 ) -> HTInterpretation | None:
@@ -244,12 +261,14 @@ def ht_valid(
     canonical order.  `evaluator` picks the three-valued tables evaluated
     over all interpretations at once by the bit-parallel engine ("g3") or
     the literal satisfaction recursion ("literal"); both define the same
-    relation.
+    relation.  Raises BudgetExceeded, before evaluating, when the engine
+    would need more than `budget` steps.
     """
     prog = _compile(f)
     atoms = sorted({arg for op, arg in prog if op == _ATOM})
-    if len(atoms) > atom_limit:
-        raise BudgetExceeded(3 ** len(atoms), 3 ** atom_limit, "interpretations")
+    steps = _engine_steps(prog, len(atoms))
+    if steps > budget:
+        raise BudgetExceeded(steps, budget)
     if evaluator == "g3":
         return _first_countermodel(prog, atoms)
     if evaluator == "literal":
@@ -293,5 +312,5 @@ __all__ = [
     "enumerate_interpretations",
     "render_countermodel",
     "classical_eval",
-    "DEFAULT_ATOM_LIMIT",
+    "DEFAULT_BUDGET",
 ]

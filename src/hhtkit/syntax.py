@@ -355,18 +355,10 @@ def _term_subst(t: Term, mapping: Mapping[Var, Term]) -> Term:
     raise TypeError(f"not a term: {t!r}")
 
 
-def substitute_terms(
-    f: FOFormula,
-    mapping: Mapping[Var, Term],
-    *,
-    require_substitutable: bool = True,
-) -> FOFormula:
-    """Simultaneously substitute terms for free object variables.
-
-    With `require_substitutable` (the default) a quantifier that would
-    capture a variable of a replacement term raises CaptureViolation;
-    otherwise the capture is performed literally.
-    """
+def substitute_terms(f: FOFormula, mapping: Mapping[Var, Term]) -> FOFormula:
+    """Simultaneously substitute terms for free object variables.  A
+    quantifier that would capture a variable of a replacement term raises
+    CaptureViolation."""
     if not mapping:
         return f
     match f:
@@ -377,38 +369,27 @@ def substitute_terms(
         case Atom(p, args):
             return Atom(p, tuple(_term_subst(a, mapping) for a in args))
         case Binary(op, l, r):
-            return Binary(
-                op,
-                substitute_terms(l, mapping, require_substitutable=require_substitutable),
-                substitute_terms(r, mapping, require_substitutable=require_substitutable),
-            )
+            return Binary(op, substitute_terms(l, mapping), substitute_terms(r, mapping))
         case Quant(kind, binder, body):
             bound = binder_variables(binder)
             inner = {v: t for v, t in mapping.items() if v not in bound}
             if not inner:
                 return f
-            if require_substitutable:
-                free_below = free_variables(body)
-                for v, t in inner.items():
-                    if v in free_below and bound & term_variables(t):
-                        captured = sorted(
-                            x.name for x in bound & term_variables(t) if not isinstance(x, (PredVar, FuncVar))
-                        ) or sorted(str(x) for x in bound & term_variables(t))
-                        raise CaptureViolation(
-                            f"substituting for {v.name} would capture {', '.join(captured)}"
-                        )
-            return Quant(
-                kind,
-                binder,
-                substitute_terms(body, inner, require_substitutable=require_substitutable),
-            )
+            free_below = free_variables(body)
+            for v, t in inner.items():
+                if v in free_below and bound & term_variables(t):
+                    captured = sorted(
+                        x.name for x in bound & term_variables(t) if not isinstance(x, (PredVar, FuncVar))
+                    ) or sorted(str(x) for x in bound & term_variables(t))
+                    raise CaptureViolation(
+                        f"substituting for {v.name} would capture {', '.join(captured)}"
+                    )
+            return Quant(kind, binder, substitute_terms(body, inner))
     raise TypeError(f"not a formula: {f!r}")
 
 
-def substitute_term(
-    f: FOFormula, v: Var, t: Term, *, require_substitutable: bool = True
-) -> FOFormula:
-    return substitute_terms(f, {v: t}, require_substitutable=require_substitutable)
+def substitute_term(f: FOFormula, v: Var, t: Term) -> FOFormula:
+    return substitute_terms(f, {v: t})
 
 
 def substitutable(f: FOFormula, v: Var, t: Term) -> bool:
@@ -419,12 +400,11 @@ def substitutable(f: FOFormula, v: Var, t: Term) -> bool:
     return True
 
 
-def substitute_sovar(
-    f: FOFormula, v: PredVar | FuncVar, w, *, require_substitutable: bool = True
-) -> FOFormula:
+def substitute_sovar(f: FOFormula, v: PredVar | FuncVar, w) -> FOFormula:
     """Substitute `w` (a variable of the same kind, or a concrete
     function/predicate name) for free occurrences of the second-order
-    variable `v`."""
+    variable `v`.  Raises CaptureViolation when a binder of the variable
+    `w` would capture it."""
 
     w_is_var = isinstance(w, (PredVar, FuncVar))
 
@@ -462,7 +442,7 @@ def substitute_sovar(
                 bound = binder_variables(binder)
                 if v in bound:
                     return g
-                if w_is_var and require_substitutable and w in bound and v in free_variables(body):
+                if w_is_var and w in bound and v in free_variables(body):
                     raise CaptureViolation(
                         f"substituting {w.name} for {v.name} under a binder of {w.name}"
                     )
@@ -649,13 +629,20 @@ def prop_dag(f: PropFormula) -> list[tuple[PropFormula, tuple[int, ...]]]:
     return out
 
 
+def prop_stats(f: PropFormula) -> tuple[frozenset[str], int, int]:
+    """`prop_atoms`, `rank` and `prop_node_count` of `f` from one `prop_dag`
+    pass."""
+    dag = prop_dag(f)
+    ranks: list[int] = []
+    for _, kids in dag:
+        ranks.append(max([ranks[k] for k in kids], default=-1) + 1)
+    return frozenset(g.name for g, _ in dag if isinstance(g, PAtom)), ranks[-1], len(dag)
+
+
 def rank(f: PropFormula) -> int:
     """Nesting rank: atoms are rank 0; a set or implication node has the
     smallest rank strictly greater than the ranks of all its children."""
-    ranks: list[int] = []
-    for _, kids in prop_dag(f):
-        ranks.append(max([ranks[k] for k in kids], default=-1) + 1)
-    return ranks[-1]
+    return prop_stats(f)[1]
 
 
 def prop_atoms(f: PropFormula) -> frozenset[str]:

@@ -1,5 +1,6 @@
 import json
 import re
+import time
 
 import pytest
 
@@ -339,3 +340,85 @@ def test_text_report_is_pinned(shape, tmp_path, capsys):
     ]
     code, out, err = invoke(capsys, *argv)
     assert (code, re.sub(r"\[\d+\.\d ms\]", "[N ms]", out), err) == (exit_code, expected, "")
+
+
+# One step budget gates both checkers (see `semantics._engine_steps`).
+
+_C13 = ("const a, c1, c2, c3, c4, c5, c6, c7, c8, c9, c10, c11, c12.  pred P/1.\n"
+        "forall x (P(x) -> P(x)) & exists x (P(x) | not P(x) | P(a))\n")
+
+
+def _example6_instance(k: int) -> str:
+    """The exact instance of example6's conclusion with k constants in each
+    restrictor: 2k atoms, all of them referenced on both sides."""
+    ps = [f"p{i}" for i in range(k)]
+    qs = [f"q{i}" for i in range(k)]
+    left = f"And{{Or{{{'; '.join(ps)}}}; Or{{{'; '.join(qs)}}}}}"
+    right = "Or{" + "; ".join(f"And{{{p}; {q}}}" for p in ps for q in qs) + "}"
+    return f"And{{{left} -> {right}; {right} -> {left}}}\n"
+
+
+def test_herbrand_13_constants_gets_a_verdict(tmp_path, capsys):
+    # refused by the old 3^|base| x estimate_cost gate; grounding makes it cheap
+    path = tmp_path / "c13.fof"
+    path.write_text(_C13)
+    code, out, err = invoke(capsys, "herbrand-check", str(path))
+    assert (code, err) == (1, "")
+    assert out.splitlines()[:4] == [
+        "countermodel found (exact):",
+        "P(a): there-only",
+        "P(c1): there-only",
+        "P(c10): there-only",
+    ]
+    assert len(out.splitlines()) == 14
+
+
+def test_herbrand_second_order_refused_before_grounding(tmp_path, capsys):
+    path = tmp_path / "f2.fof"
+    path.write_text("const a, b, c, d.  pred Q/0.\nforall f^2 (Q | not Q)\n")
+    t0 = time.perf_counter()
+    code, out, err = invoke(capsys, "herbrand-check", str(path))
+    assert time.perf_counter() - t0 < 1
+    assert (code, out) == (2, "")
+    assert err == "error: enumeration needs 30064771073 steps, budget is 5000000\n"
+
+
+def test_ht_valid_refuses_large_instance_before_evaluating(tmp_path, capsys):
+    path = tmp_path / "example6_k10.prop"
+    path.write_text(_example6_instance(10))
+    t0 = time.perf_counter()
+    code, out, err = invoke(capsys, "ht-valid", str(path))
+    assert time.perf_counter() - t0 < 1
+    assert (code, out) == (2, "")
+    assert err == "error: enumeration needs 38381850 steps, budget is 5000000\n"
+
+
+def test_budget_env_counts_steps_in_both_checkers(tmp_path, capsys, monkeypatch):
+    # the same instance both ways: the engine runs the same 4 child references,
+    # and herbrand-check first charges the 9 nodes estimate_cost lets grounding
+    # visit, checked alone before grounding and with the engine's 4 after it
+    prop, fof = tmp_path / "f.prop", tmp_path / "f.fof"
+    prop.write_text("p -> p | q\n")
+    fof.write_text("const a, b.  pred P/1.\nP(a) -> P(a) | P(b)\n")
+
+    def both(budget):
+        monkeypatch.setenv("HHTKIT_BUDGET", str(budget))
+        return [invoke(capsys, "ht-valid", str(prop))[::2],
+                invoke(capsys, "herbrand-check", str(fof))[::2]]
+
+    refused = "error: enumeration needs {} steps, budget is {}\n"
+    assert both(3) == [(2, refused.format(4, 3)), (2, refused.format(9, 3))]
+    assert both(12) == [(0, ""), (2, refused.format(13, 12))]
+    assert both(13) == [(0, ""), (0, "")]
+
+
+@pytest.mark.parametrize("value", ["0", "-3", "ten"])
+def test_budget_must_be_positive(value, capsys, monkeypatch):
+    fof = data_path("hosoi_ground.fof")
+    code, out, err = invoke(capsys, "herbrand-check", fof, "--budget", value)
+    assert (code, out, err) == (
+        2, "", f"error: --budget must be a positive integer, got {value!r}\n")
+    monkeypatch.setenv("HHTKIT_BUDGET", value)
+    for argv in (["herbrand-check", fof], ["ht-valid", data_path("lem.prop")]):
+        assert invoke(capsys, *argv) == (
+            2, "", f"error: HHTKIT_BUDGET must be a positive integer, got {value!r}\n")

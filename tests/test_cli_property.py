@@ -1,0 +1,102 @@
+"""Property: whatever text the CLI reads, it ends with a verdict (exit 0/1)
+or with exit 2 and one error line, never a traceback or an unexplained exit.
+
+Inputs are random text and single-token mutations of the small corpus files,
+run in-process under a small step budget so that no input runs long.
+"""
+
+import io
+import os
+import re
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import HealthCheck, event, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from hhtkit.cli import run  # noqa: E402
+from hhtkit.corpus import data_path  # noqa: E402
+
+_EXAMPLE4_SUBST = ("const c1, c2, c3.  pred P/1.\n"
+                   "P(c1) := f1;\nP(c2) := f2;\nP(c3) := f3;\n")
+
+
+def _read(name: str) -> str:
+    with open(data_path(name), encoding="utf-8") as fh:
+        return fh.read()
+
+
+def _seeds(*names: str) -> list[tuple[str, str]]:
+    return [(name.rsplit(".", 1)[1], _read(name)) for name in names]
+
+
+# command -> the argument lists to start from, as (file suffix, text) pairs
+_ARGS = {
+    "ht-valid": [[seed] for seed in _seeds(
+        "lem.prop", "dne.prop", "hosoi.prop", "sqht_inst.prop", "bad_direct.prop")],
+    "check-proof": [[seed] for seed in _seeds("classical.proof", "example4.proof")],
+    "eliminate-restrictors": [[seed] for seed in _seeds("subsum4.fof")],
+    "herbrand-check": [[seed] for seed in _seeds("excluded_middle.fof", "hosoi_ground.fof")],
+    "instantiate": [_seeds("subsum4.fof", "subsum4.subst")],
+    "pipeline": [_seeds("example4.proof") + [("subst", _EXAMPLE4_SUBST)]],
+}
+_TOKEN = re.compile(r"\w+|\s+|:=|->|<->|!=|\S")
+_REPLACEMENTS = ["(", ")", "{", "}", ";", ",", ".", ":", ":=", "->", "<->", "|", "&",
+                 "not", "bot", "top", "forall", "exists", "And", "Or", "x", "P",
+                 "P(x)", "c1", "f^1", "p/2", "0", "99", "level", "by", "axiom", "gen",
+                 "\n", " ", ""]
+
+
+@st.composite
+def _cases(draw):
+    """A command and its (suffix, text) arguments, one of them random text
+    or a corpus file with one token replaced."""
+    command = draw(st.sampled_from(sorted(_ARGS)))
+    files = list(draw(st.sampled_from(_ARGS[command])))
+    j = draw(st.integers(0, len(files) - 1))
+    suffix, text = files[j]
+    if draw(st.booleans()):
+        text = draw(st.text(st.characters(codec="utf-8"), max_size=80))
+    else:
+        tokens = _TOKEN.findall(text)
+        tokens[draw(st.integers(0, len(tokens) - 1))] = draw(st.sampled_from(_REPLACEMENTS))
+        text = "".join(tokens)
+    files[j] = (suffix, text)
+    return command, files
+
+
+@pytest.fixture(autouse=True, scope="module")
+def _small_budget():
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("HHTKIT_BUDGET", str(10**4))
+        yield
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_cases())
+def test_every_input_ends_in_a_verdict_or_one_error_line(case):
+    command, files = case
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as workdir:
+        argv = [command]
+        for j, (suffix, text) in enumerate(files):
+            argv.append(os.path.join(workdir, f"input{j}.{suffix}"))
+            with open(argv[-1], "w", encoding="utf-8") as fh:
+                fh.write(text)
+        with redirect_stdout(out), redirect_stderr(err):
+            code = run(argv)
+    out, err = out.getvalue(), err.getvalue()
+    event(f"{command} exit {code}")
+    assert code in (0, 1, 2)
+    if code != 2:
+        assert err == ""
+    elif err:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
+    else:
+        # the one exit 2 with a report: a substitution without every entry
+        assert command in ("instantiate", "pipeline")
+        assert "substitution is missing entries for: " in out

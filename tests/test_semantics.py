@@ -84,11 +84,25 @@ def test_ht_valid_first_failure_is_minimal():
 
 
 def test_budget_guard():
-    atoms = [f"a{i:02d}" for i in range(21)]
+    # 22 child references over 22 atoms: 22 x 3^12 steps, over the default budget
+    atoms = [f"a{i:02d}" for i in range(22)]
     f = POr(tuple(PAtom(a) for a in atoms))
     with pytest.raises(BudgetExceeded):
         ht_valid(f)
-    assert ht_valid(f, atom_limit=21) is not None
+    assert ht_valid(f, budget=10**8) is not None
+
+
+def test_budget_counts_narrowed_chunks():
+    # 6,144 nodes narrow the chunk to 9 atoms to bound the masks' memory, so
+    # 10 atoms take 3 chunks, each a step per child reference
+    atoms = [f"a{i}" for i in range(10)]
+    f = PAnd(PAnd(PAtom(a) for j, a in enumerate(atoms) if bits >> j & 1)
+             for bits in range(1, 1024))
+    refs = 1023 + 10 * 512
+    with pytest.raises(BudgetExceeded) as err:
+        ht_valid(f, budget=2 * refs)
+    assert err.value.required == 3 * refs
+    assert ht_valid(f, budget=3 * refs) == HTInterpretation.of([], [])
 
 
 def test_g3_tables():

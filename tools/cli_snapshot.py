@@ -9,7 +9,11 @@ of this checkout's `hhtbench/workloads.py` for every workload and seed asked
 for (default: all four workloads, seeds 1-3), with generated inputs written to
 a temporary directory.  The `pairs` group adds `instantiate` of every shipped
 `.fof` with a `.subst` of the same name, exact and at `--depth` 1 and 2, each
-with and without `--json`.
+with and without `--json`.  The `limits` group, run only when asked for,
+writes inputs near the default work budget (the example6 instances with 9
+and 10 constants per restrictor, a Herbrand base of 13 atoms, and a
+function quantifier over 4 constants) and records `ht-valid` or
+`herbrand-check` on each, with and without `--json`.
 
 Each record holds the exit code, stdout and stderr.  Stage timings
 (`"seconds"` and `[N ms]`), `SRC_DIR` and the temporary directory are masked,
@@ -25,6 +29,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import random
 import re
 import sys
 import tempfile
@@ -35,6 +40,12 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "hhtbench"))
 import workloads  # noqa: E402
 
 GROUPS = ("corpus", "ht_atoms", "herbrand", "universe", "pairs")
+UNSEEDED = ("pairs", "limits")
+_LIMIT_FOFS = {
+    "c13.fof": "const a, c1, c2, c3, c4, c5, c6, c7, c8, c9, c10, c11, c12.  pred P/1.\n"
+               "forall x (P(x) -> P(x)) & exists x (P(x) | not P(x) | P(a))\n",
+    "f2.fof": "const a, b, c, d.  pred Q/0.\nforall f^2 (Q | not Q)\n",
+}
 _TIMINGS = re.compile(r'(?<=\[)\d+\.\d(?= ms\])|(?<="seconds": )[-+.\deE]+')
 
 
@@ -62,10 +73,27 @@ def _pair_argvs(data_path) -> dict[str, list[str]]:
     return out
 
 
+def _limit_argvs(workdir: str) -> dict[str, list[str]]:
+    files = dict(_LIMIT_FOFS)
+    for k in (9, 10):
+        case = workloads.example6_case(random.Random(1), k)
+        files[f"example6-k{k}.prop"] = case.json["instance"] + "\n"
+    out = {}
+    for name, text in files.items():
+        path = Path(workdir, name)
+        path.write_text(text, encoding="utf-8")
+        command = "ht-valid" if name.endswith(".prop") else "herbrand-check"
+        for flag in ([], ["--json"]):
+            out[" ".join(["limits", name, *flag])] = [command, str(path), *flag]
+    return out
+
+
 def _argvs(group: str, seed: int, corpus, workdir: str) -> dict[str, list[str]]:
     """Label -> argv for one workload and seed, with its inputs written."""
     if group == "pairs":
         return _pair_argvs(corpus.data_path)
+    if group == "limits":
+        return _limit_argvs(workdir)
     if group == "corpus":
         cases = workloads.corpus(seed, corpus.cases, corpus.data_path)
     elif group == "herbrand":
@@ -93,7 +121,7 @@ def snapshot(src_dir: Path, groups, seeds) -> dict[str, dict]:
             return _TIMINGS.sub("N", text)
 
         for group in groups:
-            for seed in seeds if group != "pairs" else [None]:
+            for seed in seeds if group not in UNSEEDED else [None]:
                 for label, argv in _argvs(group, seed, corpus, workdir).items():
                     out, err = io.StringIO(), io.StringIO()
                     with redirect_stdout(out), redirect_stderr(err):
@@ -114,7 +142,8 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("src_dir", type=Path, help="root of the checkout to run")
     ap.add_argument("out", type=Path, help="JSON file to write")
-    ap.add_argument("--workloads", nargs="+", choices=GROUPS, default=list(GROUPS))
+    ap.add_argument("--workloads", nargs="+", choices=GROUPS + ("limits",),
+                    default=list(GROUPS))
     ap.add_argument("--seeds", nargs="+", type=int, default=[1, 2, 3])
     args = ap.parse_args(argv)
     records = snapshot(args.src_dir, args.workloads, args.seeds)
