@@ -187,7 +187,9 @@ def count_predicate_names(universe_size: int, arity: int) -> int:
 
 def estimate_cost(f: FOFormula, universe_size: int) -> int:
     """Worst-case satisfaction checks for one interpretation, and a bound on
-    the nodes `hht_valid_bruteforce` visits while grounding."""
+    the nodes `hht_valid_bruteforce` visits while grounding.  Each name a
+    predicate or function quantifier ranges over is also charged its table,
+    `universe_size ** arity` entries, which grounding builds."""
     match f:
         case Falsum() | Equals() | Atom():
             return 1
@@ -198,12 +200,14 @@ def estimate_cost(f: FOFormula, universe_size: int) -> int:
         case Quant(_, binder, body):
             inner = estimate_cost(body, universe_size)
             if isinstance(binder, PredVar):
-                return count_predicate_names(universe_size, binder.arity) * inner + 1
-            if isinstance(binder, FuncVar):
-                return count_function_names(universe_size, binder.arity) * inner + 1
-            # object variable or generalized variable (per bound variable)
-            width = 1 if isinstance(binder, Var) else len(binder.items)
-            return universe_size**width * inner + 1
+                names = count_predicate_names(universe_size, binder.arity)
+            elif isinstance(binder, FuncVar):
+                names = count_function_names(universe_size, binder.arity)
+            else:
+                # object variable or generalized variable (per bound variable)
+                width = 1 if isinstance(binder, Var) else len(binder.items)
+                return universe_size**width * inner + 1
+            return names * (inner + universe_size**binder.arity) + 1
     raise TypeError(f"not a formula: {f!r}")
 
 

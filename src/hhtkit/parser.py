@@ -18,6 +18,17 @@ or 980 nested `not` parse; deeper input ends in `RecursionError`.
 `(kind, text, offset)` tuples; the `line:col` of a `ParseError` is worked
 out from the offset only when the error is raised.
 
+A parse shares equal first-order nodes: terms, binders, atoms, equations,
+connectives and quantifiers are built through the `Cursor`'s table, keyed
+by the constructor tag, the `id()` of the children (already shared, so
+equal children are the same object) and the values of the str and int
+fields, e.g. `("->", id(left), id(right))`.  So a subformula that recurs,
+within a proof line or across lines and axiom bindings, is one object, and
+the walks that cache their result per node (`syntax.eliminate_restrictors`,
+`is_first_order`, `free_variables`) visit it once.  The table lives and
+dies with its `Cursor`: two parses share no node.  Propositional formulas
+are not shared.
+
 Identifiers not declared in the ambient signature parse as variables:
 object variables in term position, predicate variables (of the applied
 arity) in formula position.
@@ -45,6 +56,7 @@ from .syntax import (
     TOP,
     TRUTH,
     Atom,
+    Binary,
     Equals,
     FnApp,
     FnVarApp,
@@ -62,13 +74,6 @@ from .syntax import (
     Signature,
     Term,
     Var,
-    conj,
-    disj,
-    iff,
-    impl,
-    neg,
-    pconj,
-    pdisj,
     piff,
     pneg,
 )
@@ -87,7 +92,8 @@ _TOKEN_RE = re.compile(
 class Cursor:
     """The tokens of one text as `(kind, text, offset)` tuples, kind one of
     "op", "ident", "num", closed by an "eof" sentinel whose text is empty
-    (so no `at`/`eat`/`expect` of a non-empty text matches it)."""
+    (so no `at`/`eat`/`expect` of a non-empty text matches it), and the
+    table of the first-order nodes built from them (see `node`)."""
 
     def __init__(self, text: str):
         self.text = text
@@ -101,6 +107,22 @@ class Cursor:
             self.tokens.append((kind, m.group(), m.start()))
         self.tokens.append(("eof", "", len(text)))
         self.i = 0
+        self.nodes: dict[tuple, object] = {("->", id(BOTTOM), id(BOTTOM)): TRUTH}
+
+    def node(self, key: tuple, cls, *fields):
+        """The node `cls(*fields)`: the one built earlier under `key` if
+        there is one, else a new one, kept under `key`.  `key` is the
+        constructor tag, the `id()` of each child and the str/int fields."""
+        got = self.nodes.get(key)
+        if got is None:
+            # `cls(*fields)` without the call through the type, which counts
+            # as a level of recursion: building a node here costs no more
+            # depth than building it in the caller, so deep input parses as
+            # far as it would without sharing
+            got = object.__new__(cls)
+            got.__init__(*fields)
+            self.nodes[key] = got
+        return got
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.i]
@@ -209,9 +231,9 @@ _BINARY = {"<->": (0, False), "->": (1, True), "|": (2, False), "&": (3, False)}
 
 def _parse_binary(cur: Cursor, sig: Signature | None, lang, min_power: int = 0):
     """A formula whose top-level connectives bind at least `min_power`, by
-    precedence climbing.  `lang` is a pair (prefix parser, constructor per
-    connective); the prefix parser is called directly, so a nesting level
-    costs one frame here and one there."""
+    precedence climbing.  `lang` is a pair (prefix parser, constructor
+    `build(cur, connective, left, right)`); the prefix parser is called
+    directly, so a nesting level costs one frame here and one there."""
     prefix, build = lang
     f = prefix(cur, sig)
     while True:
@@ -221,7 +243,7 @@ def _parse_binary(cur: Cursor, sig: Signature | None, lang, min_power: int = 0):
             return f
         cur.next()
         power, right = spec
-        f = build[op](f, _parse_binary(cur, sig, lang, power if right else power + 1))
+        f = build(cur, op, f, _parse_binary(cur, sig, lang, power if right else power + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -247,19 +269,22 @@ def _make_term(
     arity = sig.function_arity(name)
     if args is None:
         if arity == 0:
-            return FnApp(name, ())
+            return cur.node(("fn", name), FnApp, name, ())
         if arity is not None:
             raise cur.error(f"function constant {name} needs {arity} arguments")
     elif arity is not None:
         if arity != len(args):
             raise cur.error(f"{name} expects {arity} arguments, got {len(args)}")
-        return FnApp(name, args)
+        return cur.node(("fn", name, *map(id, args)), FnApp, name, args)
     if sig.predicate_arity(name) is not None:
         raise cur.error(f"predicate {name} used in term position")
     if not allow_vars:
         what = "constant" if args is None else "function constant"
         raise cur.error(f"unknown {what} {name}")
-    return Var(name) if args is None else FnVarApp(FuncVar(name, len(args)), args)
+    if args is None:
+        return cur.node(("var", name), Var, name)
+    fv = cur.node(("f^", name, len(args)), FuncVar, name, len(args))
+    return cur.node(("fnvar", id(fv), *map(id, args)), FnVarApp, fv, args)
 
 
 def _parse_term(cur: Cursor, sig: Signature, allow_vars: bool = True) -> Term:
@@ -287,12 +312,13 @@ def _parse_binder(cur: Cursor, sig: Signature, second_order: bool = False):
             rname = cur.expect_ident("restrictor")
             if not sig.is_restrictor(rname):
                 raise cur.error(f"{rname} is not a declared restrictor")
-            items.append((Var(vname), rname))
+            items.append((cur.node(("var", vname), Var, vname), rname))
             if not cur.eat(","):
                 break
         cur.expect(")")
+        key = ("gen", *[x for v, r in items for x in (id(v), r)])
         try:
-            return GenVar(tuple(items))
+            return cur.node(key, GenVar, tuple(items))
         except ValueError as e:
             raise cur.error(str(e)) from None
     if second_order:
@@ -300,12 +326,14 @@ def _parse_binder(cur: Cursor, sig: Signature, second_order: bool = False):
     else:
         name = _expect_variable(cur, sig)
     if cur.eat("/"):
-        return PredVar(name, cur.expect_num())
+        arity = cur.expect_num()
+        return cur.node(("p/", name, arity), PredVar, name, arity)
     if cur.eat("^"):
-        return FuncVar(name, cur.expect_num())
+        arity = cur.expect_num()
+        return cur.node(("f^", name, arity), FuncVar, name, arity)
     if second_order:
         raise cur.error("expected p/arity or f^arity")
-    return Var(name)
+    return cur.node(("var", name), Var, name)
 
 
 def _parse_unary(cur: Cursor, sig: Signature) -> FOFormula:
@@ -317,11 +345,13 @@ def _parse_unary(cur: Cursor, sig: Signature) -> FOFormula:
         return f
     if text == "not":
         cur.next()
-        return neg(_parse_unary(cur, sig))
+        f = _parse_unary(cur, sig)
+        return cur.node(("->", id(f), id(BOTTOM)), Binary, "->", f, BOTTOM)
     if text in ("forall", "exists"):
         cur.next()
         binder = _parse_binder(cur, sig)
-        return Quant(text, binder, _parse_unary(cur, sig))
+        body = _parse_unary(cur, sig)
+        return cur.node((text, id(binder), id(body)), Quant, text, binder, body)
     if text == "bot":
         cur.next()
         return BOTTOM
@@ -335,20 +365,34 @@ def _parse_unary(cur: Cursor, sig: Signature) -> FOFormula:
     if cur.at("=") or cur.at("!="):
         negated = cur.next() == "!="
         left = _make_term(cur, sig, text, args, allow_vars=True)
-        eqf = Equals(left, _parse_term(cur, sig))
-        return neg(eqf) if negated else eqf
+        right = _parse_term(cur, sig)
+        eqf = cur.node(("=", id(left), id(right)), Equals, left, right)
+        if negated:
+            return cur.node(("->", id(eqf), id(BOTTOM)), Binary, "->", eqf, BOTTOM)
+        return eqf
+    args = args or ()
     arity = sig.predicate_arity(text)
-    nargs = len(args) if args is not None else 0
     if arity is not None:
-        if arity != nargs:
-            raise cur.error(f"{text} expects {arity} arguments, got {nargs}")
-        return Atom(text, args or ())
+        if arity != len(args):
+            raise cur.error(f"{text} expects {arity} arguments, got {len(args)}")
+        return cur.node(("atom", text, *map(id, args)), Atom, text, args)
     if sig.function_arity(text) is not None:
         raise cur.error(f"function constant {text} used as a formula")
-    return Atom(PredVar(text, nargs), args or ())
+    p = cur.node(("p/", text, len(args)), PredVar, text, len(args))
+    return cur.node(("atom", id(p), *map(id, args)), Atom, p, args)
 
 
-_FO = (_parse_unary, {"&": conj, "|": disj, "->": impl, "<->": iff})
+def _fo_binary(cur: Cursor, op: str, left: FOFormula, right: FOFormula) -> FOFormula:
+    """`left op right`, shared through `cur`; `<->` is the conjunction of
+    the two implications."""
+    if op == "<->":
+        left, right = (cur.node(("->", id(left), id(right)), Binary, "->", left, right),
+                       cur.node(("->", id(right), id(left)), Binary, "->", right, left))
+        op = "&"
+    return cur.node((op, id(left), id(right)), Binary, op, left, right)
+
+
+_FO = (_parse_unary, _fo_binary)
 
 
 def parse_formula_text(text: str, sig: Signature) -> FOFormula:
@@ -405,7 +449,18 @@ def _parse_prop_unary(cur: Cursor, sig: None) -> PropFormula:
     return PAtom(text)
 
 
-_PROP = (_parse_prop_unary, {"&": pconj, "|": pdisj, "->": PImp, "<->": piff})
+def _prop_binary(cur: Cursor, op: str, left: PropFormula, right: PropFormula) -> PropFormula:
+    """`left op right`; `cur` is unused (propositional nodes are not shared)."""
+    if op == "&":
+        return PAnd((left, right))
+    if op == "|":
+        return POr((left, right))
+    if op == "->":
+        return PImp(left, right)
+    return piff(left, right)
+
+
+_PROP = (_parse_prop_unary, _prop_binary)
 
 
 def parse_prop_text(text: str) -> PropFormula:
@@ -491,7 +546,8 @@ def _parse_binding_value(cur: Cursor, sig: Signature, kind: str):
     if kind == "term":
         return _parse_term(cur, sig)
     if kind == "var":
-        return Var(_expect_variable(cur, sig))
+        name = _expect_variable(cur, sig)
+        return cur.node(("var", name), Var, name)
     if kind == "fn":
         name = cur.expect_ident("function constant")
         if sig.function_arity(name) is None:
@@ -512,7 +568,8 @@ def _parse_binding_value(cur: Cursor, sig: Signature, kind: str):
                 if kind == "terms":
                     items.append(_parse_term(cur, sig))
                 else:
-                    items.append(Var(_expect_variable(cur, sig)))
+                    name = _expect_variable(cur, sig)
+                    items.append(cur.node(("var", name), Var, name))
                 if not cur.eat(","):
                     break
         cur.expect("]")

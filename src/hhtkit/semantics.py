@@ -21,7 +21,7 @@ formulas into programs for the same engine.
 Both checkers share one work budget, counted in steps: a step is one child
 reference evaluated over 3^10 interpretations (`_engine_steps`), or one node
 `herbrand` may visit while grounding (`estimate_cost`).  An engine step
-takes 1-2 us and a grounding visit 0.6-5 us (README gives the measurements).
+takes 1-2 us and a grounding step 0.6-2.5 us (README gives the measurements).
 A run over budget is refused before that work starts.
 """
 

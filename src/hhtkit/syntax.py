@@ -275,7 +275,12 @@ def binder_variables(binder: Binder) -> frozenset:
 
 
 def free_variables(f: FOFormula) -> frozenset:
-    """Free object, predicate and function variables of a formula."""
+    """Free object, predicate and function variables of a formula.
+
+    The result is cached on each `Binary` and `Quant` node, in the
+    instance `__dict__` outside the dataclass fields (as `Signature` keeps
+    its arity dicts), so a formula whose subformulas are shared is walked
+    once per distinct node; `==`, `hash` and `repr` are unchanged."""
     match f:
         case Falsum():
             return frozenset()
@@ -287,9 +292,15 @@ def free_variables(f: FOFormula) -> frozenset:
                 out |= term_variables(a)
             return out
         case Binary(_, l, r):
-            return free_variables(l) | free_variables(r)
+            out = f.__dict__.get("_free")
+            if out is None:
+                out = f.__dict__["_free"] = free_variables(l) | free_variables(r)
+            return out
         case Quant(_, binder, body):
-            return free_variables(body) - binder_variables(binder)
+            out = f.__dict__.get("_free")
+            if out is None:
+                out = f.__dict__["_free"] = free_variables(body) - binder_variables(binder)
+            return out
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -297,33 +308,42 @@ def is_closed(f: FOFormula) -> bool:
     return not free_variables(f)
 
 
+def _term_first_order(t: Term) -> bool:
+    """No function variable occurs in `t` (concrete tables are allowed)."""
+    match t:
+        case Var():
+            return True
+        case FnApp(_, args) | FnNameApp(_, args):
+            return all(_term_first_order(a) for a in args)
+    return False
+
+
 def is_first_order(f: FOFormula) -> bool:
     """True when no predicate or function variable occurs, bound or free.
-    Generalized variables are allowed."""
+    Generalized variables are allowed.
 
-    def term_ok(t: Term) -> bool:
-        match t:
-            case Var():
-                return True
-            case FnApp(_, args) | FnNameApp(_, args):
-                return all(term_ok(a) for a in args)
-            case FnVarApp():
-                return False
-        return False
-
+    The result is cached on each `Binary` and `Quant` node, in the
+    instance `__dict__` outside the dataclass fields, as for
+    `free_variables`."""
     match f:
         case Falsum():
             return True
         case Equals(l, r):
-            return term_ok(l) and term_ok(r)
+            return _term_first_order(l) and _term_first_order(r)
         case Atom(p, args):
-            return not isinstance(p, PredVar) and all(term_ok(a) for a in args)
+            return not isinstance(p, PredVar) and all(_term_first_order(a) for a in args)
         case Binary(_, l, r):
-            return is_first_order(l) and is_first_order(r)
+            out = f.__dict__.get("_first_order")
+            if out is None:
+                out = f.__dict__["_first_order"] = is_first_order(l) and is_first_order(r)
+            return out
         case Quant(_, binder, body):
-            if isinstance(binder, (PredVar, FuncVar)):
-                return False
-            return is_first_order(body)
+            out = f.__dict__.get("_first_order")
+            if out is None:
+                out = f.__dict__["_first_order"] = (
+                    not isinstance(binder, (PredVar, FuncVar)) and is_first_order(body)
+                )
+            return out
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -494,21 +514,37 @@ def apply_pred_abstraction(
 # restrictor elimination and closure
 
 def eliminate_restrictors(f: FOFormula) -> FOFormula:
-    """Unfold generalized variables into guarded plain quantifiers."""
+    """Unfold generalized variables into guarded plain quantifiers.  A
+    formula with no generalized variable below it is returned as it is.
+
+    The result is cached on each `Binary` and `Quant` node, in the
+    instance `__dict__` outside the dataclass fields, as for
+    `free_variables`; `False` stands for "the node itself", which stored
+    as such would make the node a reference cycle."""
     match f:
         case Falsum() | Equals() | Atom():
             return f
         case Binary(op, l, r):
-            return Binary(op, eliminate_restrictors(l), eliminate_restrictors(r))
+            out = f.__dict__.get("_unfolded")
+            if out is None:
+                el, er = eliminate_restrictors(l), eliminate_restrictors(r)
+                out = f.__dict__["_unfolded"] = (
+                    (el is not l or er is not r) and Binary(op, el, er)
+                )
+            return out or f
         case Quant(kind, binder, body):
-            body = eliminate_restrictors(body)
-            if not isinstance(binder, GenVar):
-                return Quant(kind, binder, body)
-            guard = conj_all(Atom(r, (v,)) for v, r in binder.items)
-            core = impl(guard, body) if kind == "forall" else conj(guard, body)
-            for v in reversed(binder.variables()):
-                core = Quant(kind, v, core)
-            return core
+            out = f.__dict__.get("_unfolded")
+            if out is None:
+                inner = eliminate_restrictors(body)
+                if isinstance(binder, GenVar):
+                    guard = conj_all(Atom(r, (v,)) for v, r in binder.items)
+                    out = impl(guard, inner) if kind == "forall" else conj(guard, inner)
+                    for v in reversed(binder.variables()):
+                        out = Quant(kind, v, out)
+                else:
+                    out = inner is not body and Quant(kind, binder, inner)
+                f.__dict__["_unfolded"] = out
+            return out or f
     raise TypeError(f"not a formula: {f!r}")
 
 

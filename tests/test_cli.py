@@ -380,7 +380,36 @@ def test_herbrand_second_order_refused_before_grounding(tmp_path, capsys):
     code, out, err = invoke(capsys, "herbrand-check", str(path))
     assert time.perf_counter() - t0 < 1
     assert (code, out) == (2, "")
-    assert err == "error: enumeration needs 30064771073 steps, budget is 5000000\n"
+    # 4^16 function names, each charged its 7 nodes and its 16 table entries
+    assert err == "error: enumeration needs 98784247809 steps, budget is 5000000\n"
+
+
+_SECOND_ORDER_REFUSED = [
+    # 3^12 predicate names x (5 nodes + 12 table entries) + 1; ran 12.3 s
+    # when the tables were not charged
+    (12, "forall p/1 (p(c1) -> p(c1))", 9034498),
+    # 7^7 function names x (5 nodes + 7 table entries) + 1; ran 16.5 s
+    (7, "forall f^1 (Q(f(c1)) -> Q(f(c1)))", 9882517),
+]
+
+
+@pytest.mark.parametrize("k, formula, steps", _SECOND_ORDER_REFUSED)
+def test_herbrand_charges_second_order_tables(k, formula, steps, tmp_path, capsys):
+    path = tmp_path / "so.fof"
+    consts = ", ".join(f"c{i}" for i in range(1, k + 1))
+    path.write_text(f"const {consts}.  pred Q/1.\n{formula}\n")
+    t0 = time.perf_counter()
+    code, out, err = invoke(capsys, "herbrand-check", str(path))
+    assert time.perf_counter() - t0 < 1
+    assert (code, out) == (2, "")
+    assert err == f"error: enumeration needs {steps} steps, budget is 5000000\n"
+
+
+def test_herbrand_small_predicate_quantifier_answered(tmp_path, capsys):
+    path = tmp_path / "p2.fof"
+    path.write_text("const c1, c2.  pred Q/1.\nforall p/1 (p(c1) -> p(c1))\n")
+    assert invoke(capsys, "herbrand-check", str(path)) == (
+        0, "valid over all interpretations (exact)\n", "")
 
 
 def test_ht_valid_refuses_large_instance_before_evaluating(tmp_path, capsys):

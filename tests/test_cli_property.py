@@ -1,11 +1,15 @@
 """Property: whatever text the CLI reads, it ends with a verdict (exit 0/1)
-or with exit 2 and one error line, never a traceback or an unexplained exit.
+or with exit 2 and one error line, never a traceback or an unexplained exit;
+with `--json` an exit 1 report carries a verdict field.  And `ht-valid`'s
+verdict on a random formula of at most five atoms, first countermodel
+included, is that of the literal satisfaction relation.
 
 Inputs are random text and single-token mutations of the small corpus files,
 run in-process under a small step budget so that no input runs long.
 """
 
 import io
+import json
 import os
 import re
 import tempfile
@@ -19,6 +23,8 @@ from hypothesis import strategies as st  # noqa: E402
 
 from hhtkit.cli import run  # noqa: E402
 from hhtkit.corpus import data_path  # noqa: E402
+from hhtkit.semantics import STATE_NAMES, ht_valid  # noqa: E402
+from hhtkit.syntax import BOT, TOP, PAnd, PAtom, PImp, POr, prop_atoms, prop_to_text  # noqa: E402
 
 _EXAMPLE4_SUBST = ("const c1, c2, c3.  pred P/1.\n"
                    "P(c1) := f1;\nP(c2) := f2;\nP(c3) := f3;\n")
@@ -52,20 +58,22 @@ _REPLACEMENTS = ["(", ")", "{", "}", ";", ",", ".", ":", ":=", "->", "<->", "|",
 
 @st.composite
 def _cases(draw):
-    """A command and its (suffix, text) arguments, one of them random text
-    or a corpus file with one token replaced."""
+    """A command, its (suffix, text) arguments, one of them random text, a
+    corpus file with one token replaced or a corpus file as shipped, and
+    whether to ask for `--json`."""
     command = draw(st.sampled_from(sorted(_ARGS)))
     files = list(draw(st.sampled_from(_ARGS[command])))
     j = draw(st.integers(0, len(files) - 1))
     suffix, text = files[j]
-    if draw(st.booleans()):
+    how = draw(st.sampled_from(("random", "mutated", "as shipped")))
+    if how == "random":
         text = draw(st.text(st.characters(codec="utf-8"), max_size=80))
-    else:
+    elif how == "mutated":
         tokens = _TOKEN.findall(text)
         tokens[draw(st.integers(0, len(tokens) - 1))] = draw(st.sampled_from(_REPLACEMENTS))
         text = "".join(tokens)
     files[j] = (suffix, text)
-    return command, files
+    return command, files, draw(st.booleans())
 
 
 @pytest.fixture(autouse=True, scope="module")
@@ -75,22 +83,27 @@ def _small_budget():
         yield
 
 
-@settings(max_examples=150, derandomize=True, database=None, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(_cases())
-def test_every_input_ends_in_a_verdict_or_one_error_line(case):
-    command, files = case
+def _run(command: str, files: list[tuple[str, str]], flags: list[str]) -> tuple[int, str, str]:
+    """`command` on the (suffix, text) files, written to a temporary directory."""
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as workdir:
-        argv = [command]
+        argv = [command, *flags]
         for j, (suffix, text) in enumerate(files):
             argv.append(os.path.join(workdir, f"input{j}.{suffix}"))
             with open(argv[-1], "w", encoding="utf-8") as fh:
                 fh.write(text)
         with redirect_stdout(out), redirect_stderr(err):
             code = run(argv)
-    out, err = out.getvalue(), err.getvalue()
-    event(f"{command} exit {code}")
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_cases())
+def test_every_input_ends_in_a_verdict_or_one_error_line(case):
+    command, files, as_json = case
+    code, out, err = _run(command, files, ["--json"] if as_json else [])
+    event(f"{command} exit {code}{' --json' if as_json else ''}")
     assert code in (0, 1, 2)
     if code != 2:
         assert err == ""
@@ -100,3 +113,49 @@ def test_every_input_ends_in_a_verdict_or_one_error_line(case):
         # the one exit 2 with a report: a substitution without every entry
         assert command in ("instantiate", "pipeline")
         assert "substitution is missing entries for: " in out
+    if code == 1 and as_json:
+        assert _carries_verdict(out), out
+
+
+def _carries_verdict(report: str) -> bool:
+    """Some stage of a `--json` report has a "verdict" field."""
+    return any(isinstance(s, dict) and "verdict" in s for s in json.loads(report).values())
+
+
+@pytest.mark.parametrize("command", sorted(_ARGS))
+def test_json_exit_1_carries_a_verdict_on_shipped_inputs(command):
+    codes = []
+    for files in _ARGS[command]:
+        code, out, _ = _run(command, files, ["--json"])
+        codes.append(code)
+        if code == 1:
+            assert _carries_verdict(out), out
+    assert set(codes) <= {0, 1}
+
+
+_ATOMS = ("a", "b", "c", "d", "e")
+_PROPS = st.recursive(
+    st.sampled_from([PAtom(a) for a in _ATOMS] + [TOP, BOT]),
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=3).map(PAnd),
+        st.lists(kids, max_size=3).map(POr),
+        st.tuples(kids, kids).map(lambda lr: PImp(*lr)),
+    ),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(_PROPS)
+def test_ht_valid_agrees_with_literal_semantics(f):
+    code, out, err = _run("ht-valid", [("prop", prop_to_text(f) + "\n")], ["--json"])
+    counter = ht_valid(f, evaluator="literal")
+    event("countermodel" if counter else "valid")
+    assert err == ""
+    validity = json.loads(out)["validity"]
+    if counter is None:
+        assert (code, validity["verdict"]) == (0, "valid")
+    else:
+        assert (code, validity["verdict"]) == (1, "countermodel")
+        assert validity["countermodel"] == {
+            a: STATE_NAMES[counter.atom_state(a)] for a in sorted(prop_atoms(f))}

@@ -1,0 +1,291 @@
+"""Sharing of equal first-order nodes within a parse, and the walks that
+cache their result on each node: checked against literal recursive
+references and against proofs rebuilt with nothing shared."""
+
+import dataclasses
+import random
+from pathlib import Path
+
+import pytest
+
+import gen
+from hhtkit.corpus import data_path, load_text
+from hhtkit.errors import ProofError
+from hhtkit.kernel import ByAxiom, ByGen, check_proof
+from hhtkit.parser import parse_formula_text, parse_proof_file
+from hhtkit.syntax import (
+    BOTTOM,
+    TRUTH,
+    Atom,
+    Binary,
+    Equals,
+    Falsum,
+    FnApp,
+    FnNameApp,
+    FnVarApp,
+    FOFormula,
+    FuncVar,
+    GenVar,
+    PredVar,
+    Quant,
+    Signature,
+    Term,
+    Var,
+    binder_variables,
+    conj,
+    conj_all,
+    const,
+    disj,
+    eliminate_restrictors,
+    formula_to_text,
+    free_variables,
+    impl,
+    is_first_order,
+    term_variables,
+)
+
+SIG = Signature.make({"a": 0, "b": 0}, {"P": 1, "Q": 2, "R": 1, "S": 1}, {"R", "S"})
+
+PROOFS = sorted(p.name for p in Path(data_path("")).glob("*.proof"))
+
+
+# --- literal references: the uncached recursive walks ----------------------
+
+def ref_free_variables(f: FOFormula) -> frozenset:
+    match f:
+        case Falsum():
+            return frozenset()
+        case Equals(l, r):
+            return term_variables(l) | term_variables(r)
+        case Atom(p, args):
+            out = frozenset((p,)) if isinstance(p, PredVar) else frozenset()
+            for a in args:
+                out |= term_variables(a)
+            return out
+        case Binary(_, l, r):
+            return ref_free_variables(l) | ref_free_variables(r)
+        case Quant(_, binder, body):
+            return ref_free_variables(body) - binder_variables(binder)
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def ref_is_first_order(f: FOFormula) -> bool:
+    def term_ok(t: Term) -> bool:
+        match t:
+            case Var():
+                return True
+            case FnApp(_, args) | FnNameApp(_, args):
+                return all(term_ok(a) for a in args)
+            case FnVarApp():
+                return False
+        return False
+
+    match f:
+        case Falsum():
+            return True
+        case Equals(l, r):
+            return term_ok(l) and term_ok(r)
+        case Atom(p, args):
+            return not isinstance(p, PredVar) and all(term_ok(a) for a in args)
+        case Binary(_, l, r):
+            return ref_is_first_order(l) and ref_is_first_order(r)
+        case Quant(_, binder, body):
+            if isinstance(binder, (PredVar, FuncVar)):
+                return False
+            return ref_is_first_order(body)
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def ref_eliminate_restrictors(f: FOFormula) -> FOFormula:
+    match f:
+        case Falsum() | Equals() | Atom():
+            return f
+        case Binary(op, l, r):
+            return Binary(op, ref_eliminate_restrictors(l), ref_eliminate_restrictors(r))
+        case Quant(kind, binder, body):
+            body = ref_eliminate_restrictors(body)
+            if not isinstance(binder, GenVar):
+                return Quant(kind, binder, body)
+            guard = conj_all(Atom(r, (v,)) for v, r in binder.items)
+            core = impl(guard, body) if kind == "forall" else conj(guard, body)
+            for v in reversed(binder.variables()):
+                core = Quant(kind, v, core)
+            return core
+    raise TypeError(f"not a formula: {f!r}")
+
+
+# --- helpers -----------------------------------------------------------------
+
+def _unshared(x):
+    """A copy of `x` rebuilt node by node: every occurrence is a new object
+    with no cached walk.  (`copy.deepcopy` keeps shared nodes shared.)"""
+    if isinstance(x, tuple):
+        return tuple(_unshared(y) for y in x)
+    if dataclasses.is_dataclass(x) and not isinstance(x, type):
+        return type(x)(*[_unshared(getattr(x, f.name)) for f in dataclasses.fields(x)])
+    return x
+
+
+def _children(x) -> list:
+    match x:
+        case Binary(_, l, r) | Equals(l, r):
+            return [l, r]
+        case Quant(_, binder, body):
+            return [binder, body]
+        case Atom(p, args):
+            return [*args] if isinstance(p, str) else [p, *args]
+        case FnApp(_, args) | FnNameApp(_, args):
+            return list(args)
+        case FnVarApp(v, args):
+            return [v, *args]
+        case GenVar(items):
+            return [v for v, _ in items]
+    return []
+
+
+def _nodes(roots) -> tuple[dict[int, object], int]:
+    """The distinct nodes (by id) under `roots`, and how many occurrences of
+    nodes there are in the trees they spell out."""
+    seen: dict[int, object] = {}
+    occurrences = 0
+    stack = list(roots)
+    while stack:
+        x = stack.pop()
+        occurrences += 1
+        seen.setdefault(id(x), x)
+        stack.extend(_children(x))
+    return seen, occurrences
+
+
+def _proof_roots(proof) -> list:
+    """Line formulas and every node a justification carries."""
+    roots = []
+    for line in proof.lines:
+        roots.append(line.formula)
+        just = line.justification
+        if isinstance(just, ByAxiom):
+            for _, value in just.binding:
+                if isinstance(value, tuple):
+                    roots.extend(value)
+                elif not isinstance(value, str):
+                    roots.append(value)
+        elif isinstance(just, ByGen):
+            roots.append(just.v)
+    return roots
+
+
+def _outcome(proof):
+    try:
+        return "accepted", check_proof(proof)
+    except ProofError as e:
+        return "rejected", (type(e).__name__, e.line, e.reason)
+
+
+def _formulas(seed: int, count: int, share: float) -> list[FOFormula]:
+    """Random formulas, open ones among them, some made second-order (by
+    an atom of a predicate variable, or by a quantifier over a function
+    variable that does not occur), each also as reparsed from its text
+    (equal nodes shared)."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        scope = (Var("y"),) if rng.random() < 0.3 else ()
+        f = gen.rand_formula(rng, SIG, depth=4, scope=scope, restrictor_share=share)
+        roll = rng.random()
+        if roll < 0.15:
+            q = PredVar("q", 1)
+            f = Quant("exists", q, Binary("|", f, Atom(q, (Var("y"),))))
+        elif roll < 0.3:
+            f = Binary("&", Quant("forall", FuncVar("g", 1), f), f)
+        out += [f, parse_formula_text(formula_to_text(f), SIG)]
+    return out
+
+
+# --- sharing within a parse --------------------------------------------------
+
+def test_equal_nodes_of_one_parse_are_one_object():
+    proof = parse_proof_file(load_text("example6.proof"))
+    distinct, occurrences = _nodes(_proof_roots(proof))
+    by_value: dict = {}
+    for node in distinct.values():
+        assert by_value.setdefault(node, node) is node, node
+    # the sharing is real: the text spells out far more nodes than it holds
+    assert len(distinct) * 20 < occurrences
+
+
+def test_two_parses_share_no_node():
+    text = load_text("example6.proof")
+    first, _ = _nodes(_proof_roots(parse_proof_file(text)))
+    second, _ = _nodes(_proof_roots(parse_proof_file(text)))
+    # `bot` and `top` are the module's own constants in every parse
+    common = set(first) & set(second)
+    assert common <= {id(BOTTOM), id(TRUTH)}
+    assert {type(x) for x in first.values() if id(x) not in common} >= {Var, Atom, Binary, Quant}
+
+
+def test_sharing_and_caches_leave_equality_hash_and_text_unchanged():
+    f = parse_formula_text("forall (x:R) (P(x) & P(x)) -> Q(a, x) | Q(a, x)", SIG)
+    assert f.left.body.left is f.left.body.right
+    assert f.right.left is f.right.right
+    tree = _unshared(f)
+    eliminate_restrictors(f), is_first_order(f), free_variables(f)
+    assert f == tree and hash(f) == hash(tree) and repr(f) == repr(tree)
+    assert formula_to_text(f) == "forall (x:R) (P(x) & P(x)) -> Q(a,x) | Q(a,x)"
+
+
+def test_sharing_keys_tell_constructors_apart():
+    # pairs that differ in one tag, str or int field only: a table key that
+    # missed it would hand back the first of the pair for the second
+    x, a, b = Var("x"), const("a"), const("b")
+    pa, pb, px = Atom("P", (a,)), Atom("P", (b,)), Atom("P", (x,))
+    f = conj_all([
+        Quant("forall", x, px), Quant("exists", x, px),
+        conj(pa, pb), disj(pa, pb), impl(pa, pb), impl(pb, pa),
+        Equals(a, b), Equals(b, a), Atom("Q", (a, b)), Atom("Q", (b, a)),
+        Quant("forall", GenVar(((x, "R"),)), px), Quant("forall", GenVar(((x, "S"),)), px),
+        Quant("forall", FuncVar("g", 1), pa), Quant("forall", FuncVar("g", 2), pa),
+        Quant("exists", PredVar("p", 1), pa), Quant("exists", PredVar("p", 2), pa),
+    ])
+    assert parse_formula_text(formula_to_text(f), SIG) == f
+
+
+# --- cached walks against the literal references -----------------------------
+
+@pytest.mark.parametrize("share", [0.3, 0.6])
+def test_cached_walks_match_references(share):
+    formulas = _formulas(11, 160, share)
+    for f in formulas:
+        nodes = list(_nodes([f])[0].values())
+        formula_nodes = [g for g in nodes if isinstance(g, (Falsum, Equals, Atom, Binary, Quant))]
+        for warm in (False, True):
+            # cold: the first call fills the caches of every node below `f`;
+            # warm: every node then answers from its cache
+            assert eliminate_restrictors(f) == ref_eliminate_restrictors(f)
+            assert is_first_order(f) == ref_is_first_order(f)
+            assert free_variables(f) == ref_free_variables(f)
+            if warm:
+                for g in formula_nodes:
+                    assert eliminate_restrictors(g) == ref_eliminate_restrictors(g)
+                    assert is_first_order(g) == ref_is_first_order(g)
+                    assert free_variables(g) == ref_free_variables(g)
+
+
+def test_eliminate_returns_formula_without_generalized_variables_itself():
+    for f in _formulas(12, 150, 0.0):
+        assert eliminate_restrictors(f) is f
+        assert eliminate_restrictors(f) is f
+    f = parse_formula_text("P(a) & forall (x:R) P(x)", SIG)
+    once = eliminate_restrictors(f)
+    assert once is not f and once.left is f.left
+    assert eliminate_restrictors(f) is once and eliminate_restrictors(once) is once
+
+
+# --- the kernel on proofs with nothing shared --------------------------------
+
+@pytest.mark.parametrize("name", PROOFS)
+def test_unshared_proof_checks_the_same(name):
+    proof = parse_proof_file(load_text(name))
+    copy = _unshared(proof)
+    distinct, occurrences = _nodes(_proof_roots(copy))
+    assert len(distinct) == occurrences
+    assert _outcome(copy) == _outcome(proof)

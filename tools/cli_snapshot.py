@@ -9,7 +9,12 @@ of this checkout's `hhtbench/workloads.py` for every workload and seed asked
 for (default: all four workloads, seeds 1-3), with generated inputs written to
 a temporary directory.  The `pairs` group adds `instantiate` of every shipped
 `.fof` with a `.subst` of the same name, exact and at `--depth` 1 and 2, each
-with and without `--json`.  The `limits` group, run only when asked for,
+with and without `--json`.  The `proofs` group runs `check-proof`, with and
+without `--json`, on seeded single-line mutations of every shipped `.proof`:
+an `mp` reference redirected, a formula binding replaced by another line's
+formula, and a `gen-all` binder renamed, two of each where the proof has
+such lines, so that rejection messages are compared too.  The `limits`
+group, run only when asked for,
 writes inputs near the default work budget (the example6 instances with 9
 and 10 constants per restrictor, a Herbrand base of 13 atoms, and a
 function quantifier over 4 constants) and records `ht-valid` or
@@ -39,8 +44,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "hhtbench"))
 import workloads  # noqa: E402
 
-GROUPS = ("corpus", "ht_atoms", "herbrand", "universe", "pairs")
-UNSEEDED = ("pairs", "limits")
+GROUPS = ("corpus", "ht_atoms", "herbrand", "universe", "pairs", "proofs")
+UNSEEDED = ("pairs", "proofs", "limits")
 _LIMIT_FOFS = {
     "c13.fof": "const a, c1, c2, c3, c4, c5, c6, c7, c8, c9, c10, c11, c12.  pred P/1.\n"
                "forall x (P(x) -> P(x)) & exists x (P(x) | not P(x) | P(a))\n",
@@ -73,6 +78,57 @@ def _pair_argvs(data_path) -> dict[str, list[str]]:
     return out
 
 
+# a numbered proof line, and the sites of each kind of mutation in its
+# justification: the two mp references, a formula binding's value, the
+# gen-all binder
+_PROOF_LINE = re.compile(r"(\d+): (.*) by (.*);$")
+_MUTATION_SITES = {
+    "mp": re.compile(r"^mp (\d+) (\d+)$"),
+    "binding": re.compile(r"(?:with|,) [FGH] := (.*?)(?=, [\w-]+ := |$)"),
+    "gen": re.compile(r"^gen-all \d+ (\w+)$"),
+}
+
+
+def _mutate(text: str, rng: random.Random) -> dict[str, str]:
+    """Label -> `text` with one proof line changed, two per kind of mutation
+    where the proof has a site for it."""
+    lines = text.split("\n")
+    numbered = [(i, m) for i, line in enumerate(lines) if (m := _PROOF_LINE.match(line))]
+    formulas = sorted({m.group(2) for _, m in numbered})
+    out = {}
+    for kind, site in _MUTATION_SITES.items():
+        sites = [(i, m, s) for i, m in numbered for s in site.finditer(m.group(3))]
+        for k, (i, m, s) in enumerate(rng.sample(sites, min(2, len(sites)))):
+            group = rng.randint(1, 2) if kind == "mp" else 1
+            old = s.group(group)
+            if kind == "mp":
+                choices = [str(n) for n in range(1, int(m.group(1))) if str(n) != old]
+            elif kind == "binding":
+                choices = [f for f in formulas if f != old]
+            else:
+                choices = [v for v in ("x", "y", "z", "u") if v != old]
+            if not choices:
+                continue
+            start, end = m.start(3) + s.start(group), m.start(3) + s.end(group)
+            line = lines[i]
+            mutated = lines[:i] + [line[:start] + rng.choice(choices) + line[end:]] + lines[i + 1:]
+            out[f"{kind}{k + 1}"] = "\n".join(mutated)
+    return out
+
+
+def _proof_argvs(data_path, workdir: str) -> dict[str, list[str]]:
+    out = {}
+    for proof in sorted(Path(data_path("")).glob("*.proof")):
+        rng = random.Random(proof.stem)
+        for label, text in _mutate(proof.read_text(encoding="utf-8"), rng).items():
+            path = Path(workdir, f"{proof.stem}-{label}.proof")
+            path.write_text(text, encoding="utf-8")
+            for flag in ([], ["--json"]):
+                argv = ["check-proof", str(path), *flag]
+                out[" ".join(["proofs", proof.stem, label, *flag])] = argv
+    return out
+
+
 def _limit_argvs(workdir: str) -> dict[str, list[str]]:
     files = dict(_LIMIT_FOFS)
     for k in (9, 10):
@@ -92,6 +148,8 @@ def _argvs(group: str, seed: int, corpus, workdir: str) -> dict[str, list[str]]:
     """Label -> argv for one workload and seed, with its inputs written."""
     if group == "pairs":
         return _pair_argvs(corpus.data_path)
+    if group == "proofs":
+        return _proof_argvs(corpus.data_path, workdir)
     if group == "limits":
         return _limit_argvs(workdir)
     if group == "corpus":
