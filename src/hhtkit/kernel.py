@@ -10,7 +10,10 @@ axiom.
 
 Checking is pure structural matching: every axiom line carries an explicit
 binding of the schema's metavariables, the checker rebuilds the expected
-instance and compares.  There is no unification and no search.  Formulas
+instance and compares.  There is no unification and no search.  One
+capture-avoiding substitution, `syntax.substitute`, builds every
+`F[x := t]`, `G[v := w]` and `G[p <= lambda xs. F]`; a capture it reports
+is a side-condition violation.  Formulas
 with generalized variables are admitted by eliminating them up front, so
 the matching core only ever sees plain formulas.
 
@@ -62,7 +65,6 @@ from .syntax import (
     Signature,
     Term,
     Var,
-    apply_pred_abstraction,
     conj,
     conj_all,
     disj,
@@ -73,9 +75,9 @@ from .syntax import (
     is_closed,
     is_first_order,
     neg,
-    substitute_sovar,
-    substitute_term,
+    substitute,
     term_is_first_order,
+    term_variables,
 )
 
 
@@ -203,9 +205,10 @@ def _as_vars(value, key: str) -> tuple[Var, ...]:
     return vs
 
 
-def _subst_req(f: FOFormula, x: Var, t: Term) -> FOFormula:
+def _subst_req(f: FOFormula, v, r) -> FOFormula:
+    """`f[v := r]` (see `syntax.substitute`); a capture is a side condition."""
     try:
-        return substitute_term(f, x, t)
+        return substitute(f, {v: r})
     except CaptureViolation as e:
         raise _SideCondition(f"term not substitutable: {e}") from None
 
@@ -323,21 +326,11 @@ def _build_cet_inject(sig, b):
     return impl(Equals(FnApp(f, ss), FnApp(f, ts)), conj_all(eqs))
 
 
-def _occurs(x: Var, t: Term) -> bool:
-    match t:
-        case Var():
-            return t == x
-        case FnApp(_, args) | FnVarApp(_, args):
-            return any(_occurs(x, a) for a in args)
-        case _:
-            return False
-
-
 def _build_cet_acyclic(sig, b):
     t, x = _need_term(b, "t"), _need_var(b, "x")
     if t == x:
         raise _SideCondition("term must be different from the variable")
-    if not _occurs(x, t):
+    if x not in term_variables(t):
         raise _SideCondition("term must contain the variable")
     # only constructor terms keep the variable as a structural subterm after
     # evaluation; a function variable could map it anywhere, so the
@@ -347,25 +340,22 @@ def _build_cet_acyclic(sig, b):
     return neg(Equals(t, x))
 
 
-def _build_so_forall_elim(sig, b):
+def _need_sovars(b: Mapping[str, object]):
+    """`v`, `G` and `G[v := w]` for a second-order variable `w` of the same
+    kind and arity as `v`."""
     v, g, w = _need(b, "v"), _need(b, "G"), _need(b, "w")
     if type(v) is not type(w) or v.arity != w.arity:
         raise _SideCondition("second-order variables must have the same kind and arity")
-    try:
-        inst = substitute_sovar(g, v, w)
-    except CaptureViolation as e:
-        raise _SideCondition(str(e)) from None
+    return v, g, _subst_req(g, v, w)
+
+
+def _build_so_forall_elim(sig, b):
+    v, g, inst = _need_sovars(b)
     return impl(Quant("forall", v, g), inst)
 
 
 def _build_so_exists_intro(sig, b):
-    v, g, w = _need(b, "v"), _need(b, "G"), _need(b, "w")
-    if type(v) is not type(w) or v.arity != w.arity:
-        raise _SideCondition("second-order variables must have the same kind and arity")
-    try:
-        inst = substitute_sovar(g, v, w)
-    except CaptureViolation as e:
-        raise _SideCondition(str(e)) from None
+    v, g, inst = _need_sovars(b)
     return impl(inst, Quant("exists", v, g))
 
 
@@ -376,11 +366,7 @@ def _build_so_forall_elim_abs(sig, b):
         raise _Mismatch("p must be a predicate variable")
     if len(xs) != p.arity:
         raise _SideCondition("xs must match the arity of p")
-    try:
-        inst = apply_pred_abstraction(g, p, xs, f)
-    except CaptureViolation as e:
-        raise _SideCondition(str(e)) from None
-    return impl(Quant("forall", p, g), inst)
+    return impl(Quant("forall", p, g), _subst_req(g, p, (xs, f)))
 
 
 def _build_comprehension(sig, b):

@@ -360,154 +360,76 @@ def formula_depth(f: FOFormula) -> int:
 
 
 # ---------------------------------------------------------------------------
-# substitution of terms for object variables
+# capture-avoiding substitution: the one walk behind every quantifier axiom
 
-def _term_subst(t: Term, mapping: Mapping[Var, Term]) -> Term:
+def _term_subst(t: Term, mapping: Mapping) -> Term:
+    """Replace the object and function variables of `t` that `mapping`
+    maps (to a term and to a function variable respectively)."""
     match t:
         case Var():
             return mapping.get(t, t)
         case FnApp(fn, args):
             return FnApp(fn, tuple(_term_subst(a, mapping) for a in args))
         case FnVarApp(v, args):
-            return FnVarApp(v, tuple(_term_subst(a, mapping) for a in args))
+            return FnVarApp(mapping.get(v, v), tuple(_term_subst(a, mapping) for a in args))
         case FnNameApp(name, args):
             return FnNameApp(name, tuple(_term_subst(a, mapping) for a in args))
     raise TypeError(f"not a term: {t!r}")
 
 
-def substitute_terms(f: FOFormula, mapping: Mapping[Var, Term]) -> FOFormula:
-    """Simultaneously substitute terms for free object variables.  A
-    quantifier that would capture a variable of a replacement term raises
-    CaptureViolation."""
-    if not mapping:
+def _replacement_variables(r) -> frozenset:
+    """Free variables of a replacement: a term, a second-order variable, or
+    an abstraction `(params, body)`."""
+    if isinstance(r, (PredVar, FuncVar)):
+        return frozenset((r,))
+    if isinstance(r, tuple):
+        params, body = r
+        return free_variables(body) - frozenset(params)
+    return term_variables(r)
+
+
+def substitute(f: FOFormula, mapping: Mapping) -> FOFormula:
+    """Simultaneously replace free variables of `f`: an object variable by a
+    term, a function or predicate variable by a variable of the same kind,
+    and a predicate variable `p` by an abstraction `(params, body)`, so that
+    `p(ts)` becomes `body[params := ts]`.
+
+    A binder that binds a free variable of the replacement for `v`, with `v`
+    free below it, raises CaptureViolation.  A subformula in which no mapped
+    variable is free is returned as it is (the same object), a test that
+    the cache of `free_variables` makes O(1) on `Binary` and `Quant` nodes."""
+    if not mapping or free_variables(f).isdisjoint(mapping):
         return f
     match f:
-        case Falsum():
-            return f
         case Equals(l, r):
             return Equals(_term_subst(l, mapping), _term_subst(r, mapping))
         case Atom(p, args):
-            return Atom(p, tuple(_term_subst(a, mapping) for a in args))
+            args = tuple(_term_subst(a, mapping) for a in args)
+            r = mapping.get(p, p)
+            if isinstance(r, tuple):
+                params, body = r
+                return substitute(body, dict(zip(params, args)))
+            return Atom(r, args)
         case Binary(op, l, r):
-            return Binary(op, substitute_terms(l, mapping), substitute_terms(r, mapping))
+            return Binary(op, substitute(l, mapping), substitute(r, mapping))
         case Quant(kind, binder, body):
             bound = binder_variables(binder)
-            inner = {v: t for v, t in mapping.items() if v not in bound}
-            if not inner:
-                return f
+            inner = {v: r for v, r in mapping.items() if v not in bound}
             free_below = free_variables(body)
-            for v, t in inner.items():
-                if v in free_below and bound & term_variables(t):
-                    captured = sorted(
-                        x.name for x in bound & term_variables(t) if not isinstance(x, (PredVar, FuncVar))
-                    ) or sorted(str(x) for x in bound & term_variables(t))
-                    raise CaptureViolation(
-                        f"substituting for {v.name} would capture {', '.join(captured)}"
-                    )
-            return Quant(kind, binder, substitute_terms(body, inner))
+            for v, r in inner.items():
+                if v in free_below and (captured := bound & _replacement_variables(r)):
+                    names = ", ".join(sorted(x.name for x in captured))
+                    raise CaptureViolation(f"substituting for {v.name} would capture {names}")
+            return Quant(kind, binder, substitute(body, inner))
     raise TypeError(f"not a formula: {f!r}")
-
-
-def substitute_term(f: FOFormula, v: Var, t: Term) -> FOFormula:
-    return substitute_terms(f, {v: t})
 
 
 def substitutable(f: FOFormula, v: Var, t: Term) -> bool:
     try:
-        substitute_term(f, v, t)
+        substitute(f, {v: t})
     except CaptureViolation:
         return False
     return True
-
-
-def substitute_sovar(f: FOFormula, v: PredVar | FuncVar, w) -> FOFormula:
-    """Substitute `w` (a variable of the same kind, or a concrete
-    function/predicate name) for free occurrences of the second-order
-    variable `v`.  Raises CaptureViolation when a binder of the variable
-    `w` would capture it."""
-
-    w_is_var = isinstance(w, (PredVar, FuncVar))
-
-    def sub_term(t: Term) -> Term:
-        match t:
-            case Var():
-                return t
-            case FnApp(fn, args):
-                return FnApp(fn, tuple(sub_term(a) for a in args))
-            case FnVarApp(fv, args):
-                new_args = tuple(sub_term(a) for a in args)
-                if fv == v:
-                    if isinstance(w, FuncVar):
-                        return FnVarApp(w, new_args)
-                    return FnNameApp(w, new_args)
-                return FnVarApp(fv, new_args)
-            case FnNameApp(name, args):
-                return FnNameApp(name, tuple(sub_term(a) for a in args))
-        raise TypeError(f"not a term: {t!r}")
-
-    def rec(g: FOFormula) -> FOFormula:
-        match g:
-            case Falsum():
-                return g
-            case Equals(l, r):
-                return Equals(sub_term(l), sub_term(r))
-            case Atom(p, args):
-                new_args = tuple(sub_term(a) for a in args)
-                if p == v:
-                    return Atom(w, new_args)
-                return Atom(p, new_args)
-            case Binary(op, l, r):
-                return Binary(op, rec(l), rec(r))
-            case Quant(kind, binder, body):
-                bound = binder_variables(binder)
-                if v in bound:
-                    return g
-                if w_is_var and w in bound and v in free_variables(body):
-                    raise CaptureViolation(
-                        f"substituting {w.name} for {v.name} under a binder of {w.name}"
-                    )
-                return Quant(kind, binder, rec(body))
-        raise TypeError(f"not a formula: {g!r}")
-
-    return rec(f)
-
-
-def apply_pred_abstraction(
-    g: FOFormula, p: PredVar, params: tuple[Var, ...], body: FOFormula
-) -> FOFormula:
-    """Replace every atom p(t1,...,tn) in `g` by body[params := ts].
-
-    Raises CaptureViolation when a free variable of `body` (other than the
-    parameters) would be captured at an occurrence site, or when an argument
-    term is not substitutable for its parameter in `body`.
-    """
-    if len(params) != p.arity:
-        raise ValueError("parameter count must match the predicate variable arity")
-    spare = free_variables(body) - set(params)
-
-    def rec(f: FOFormula, scope: frozenset) -> FOFormula:
-        match f:
-            case Falsum() | Equals():
-                return f
-            case Atom(pred, args):
-                if pred == p:
-                    captured = scope & spare
-                    if captured:
-                        names = sorted(getattr(x, "name", str(x)) for x in captured)
-                        raise CaptureViolation(
-                            f"abstraction body variable(s) {', '.join(names)} would be captured"
-                        )
-                    return substitute_terms(body, dict(zip(params, args)))
-                return f
-            case Binary(op, l, r):
-                return Binary(op, rec(l, scope), rec(r, scope))
-            case Quant(kind, binder, inner):
-                if p in binder_variables(binder):
-                    return f
-                return Quant(kind, binder, rec(inner, scope | binder_variables(binder)))
-        raise TypeError(f"not a formula: {f!r}")
-
-    return rec(g, frozenset())
 
 
 # ---------------------------------------------------------------------------

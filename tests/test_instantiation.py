@@ -46,7 +46,7 @@ from hhtkit.syntax import (
     prop_atoms,
     prop_node_count,
     rank,
-    substitute_term,
+    substitute,
 )
 
 SIG2 = Signature.make({"c1": 0, "c2": 0}, {"P": 1, "Q": 0})
@@ -275,7 +275,7 @@ def literal_instance(subst, f, mode=EXACT):
             case Binary("->", l, r):
                 return PImp(rec(l), rec(r))
             case Quant(kind, Var() as v, body):
-                children = (rec(substitute_term(body, v, t)) for t in terms)
+                children = (rec(substitute(body, {v: t})) for t in terms)
                 return PAnd(children) if kind == "forall" else POr(children)
             case Quant(kind, GenVar(items) as gv, body):
                 children = []
@@ -284,7 +284,7 @@ def literal_instance(subst, f, mode=EXACT):
                         continue
                     inst = body
                     for v, t in zip(gv.variables(), choice):
-                        inst = substitute_term(inst, v, t)
+                        inst = substitute(inst, {v: t})
                     children.append(rec(inst))
                 return PAnd(children) if kind == "forall" else POr(children)
         raise TypeError(f"unexpected formula node: {g!r}")

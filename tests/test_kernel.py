@@ -356,3 +356,84 @@ def test_second_order_generalization_needs_hht2(kw):
         check_proof(parse_proof_file(text))
     assert err.value.line == 2
     assert err.value.reason == "second-order rules need level HHT2 or HHT2+DCA"
+
+
+# quantifier axioms: second-order instances and captures ---------------------
+
+_QUANT_HEADER = "const a, b.  pred P/1, Q/2.\nlevel HHT2;\n"
+
+# label -> a proof line instantiating a second-order elimination schema
+_SO_INSTANCES = {
+    "so-forall-elim": (
+        "forall p/1 forall x (p(x) -> P(x)) -> forall x (q(x) -> P(x)) by axiom "
+        "so-forall-elim with v := p/1, G := forall x (p(x) -> P(x)), w := q/1"
+    ),
+    "so-forall-elim-function": (
+        "forall f^1 P(f(a)) -> P(g(a)) by axiom so-forall-elim with "
+        "v := f^1, G := P(f(a)), w := g^1"
+    ),
+    "so-exists-intro": (
+        "q(a) & P(b) -> exists p/1 (p(a) & P(b)) by axiom so-exists-intro with "
+        "v := p/1, G := p(a) & P(b), w := q/1"
+    ),
+    "so-forall-elim-abs": (
+        "forall p/1 (p(a) -> exists x p(x)) -> P(a) & Q(a,z) -> exists x (P(x) & Q(x,z)) "
+        "by axiom so-forall-elim-abs with p := p/1, G := p(a) -> exists x p(x), "
+        "xs := [y], F := P(y) & Q(y,z)"
+    ),
+}
+
+# schema -> (a proof line whose binding captures a variable, the reason)
+_CAPTURES = {
+    "forall-elim": (
+        "forall x forall g^1 P(x) -> forall g^1 P(g(a)) by axiom forall-elim with "
+        "x := x, F := forall g^1 P(x), t := g(a)",
+        "term not substitutable: substituting for x would capture g",
+    ),
+    "exists-intro": (
+        "exists y Q(y,y) -> exists x exists y Q(x,y) by axiom exists-intro with "
+        "x := x, F := exists y Q(x,y), t := y",
+        "term not substitutable: substituting for x would capture y",
+    ),
+    "eq-subst": (
+        "a = y -> forall y Q(a,y) -> forall y Q(y,y) by axiom eq-subst with "
+        "t1 := a, t2 := y, x := x, F := forall y Q(x,y)",
+        "term not substitutable: substituting for x would capture y",
+    ),
+    "so-forall-elim": (
+        "forall q/1 forall p/1 (q(a) -> p(a)) -> forall p/1 (p(a) -> p(a)) by axiom "
+        "so-forall-elim with v := q/1, G := forall p/1 (q(a) -> p(a)), w := p/1",
+        "term not substitutable: substituting for q would capture p",
+    ),
+    "so-exists-intro": (
+        "forall g^1 P(g(a)) -> exists f^1 forall g^1 P(f(a)) by axiom so-exists-intro "
+        "with v := f^1, G := forall g^1 P(f(a)), w := g^1",
+        "term not substitutable: substituting for f would capture g",
+    ),
+    "so-forall-elim-abs": (
+        "forall p/1 forall y p(y) -> forall y Q(y,y) by axiom so-forall-elim-abs with "
+        "p := p/1, G := forall y p(y), xs := [x], F := Q(x,y)",
+        "term not substitutable: substituting for p would capture y",
+    ),
+}
+
+
+@pytest.mark.parametrize("label", sorted(_SO_INSTANCES))
+def test_second_order_elimination_instances_accepted(label):
+    from hhtkit.herbrand import hht_valid_bruteforce
+    from hhtkit.syntax import universal_closure
+
+    proof = parse_proof_file(_QUANT_HEADER + f"1: {_SO_INSTANCES[label]};\n")
+    got = check_proof(proof)
+    assert got == proof.lines[0].formula
+    # each accepted instance is HHT-valid over the Herbrand universe {a, b}
+    assert hht_valid_bruteforce(proof.signature, universal_closure(got)) is None
+
+
+@pytest.mark.parametrize("schema", sorted(_CAPTURES))
+def test_quantifier_axiom_capture_reported(schema):
+    line, reason = _CAPTURES[schema]
+    assert f"by axiom {schema} with" in line
+    with pytest.raises(SideConditionViolation) as err:
+        check_proof(parse_proof_file(_QUANT_HEADER + f"1: {line};\n"))
+    assert (err.value.line, err.value.reason) == (1, reason)

@@ -24,7 +24,7 @@ from hhtkit.syntax import (
     prop_to_text,
     rank,
     substitutable,
-    substitute_term,
+    substitute,
     universal_closure,
 )
 
@@ -89,26 +89,26 @@ def test_set_children_deduplicate():
 
 def test_substitute_bound_occurrence_untouched():
     f = fof("forall x P(x) -> Q(x, x)")
-    got = substitute_term(f, Var("x"), const("a"))
+    got = substitute(f, {Var("x"): const("a")})
     assert formula_to_text(got) == "forall x P(x) -> Q(a,a)"
 
 
 def test_substitute_simple():
-    got = substitute_term(fof("P(x)"), Var("x"), FnApp("s", (const("a"),)))
+    got = substitute(fof("P(x)"), {Var("x"): FnApp("s", (const("a"),))})
     assert got == fof("P(s(a))")
 
 
 def test_substitute_capture_detected():
     f = fof("exists y Q(x, y)")
     with pytest.raises(CaptureViolation):
-        substitute_term(f, Var("x"), FnApp("f", (Var("y"),)))
+        substitute(f, {Var("x"): FnApp("f", (Var("y"),))})
     assert not substitutable(f, Var("x"), FnApp("f", (Var("y"),)))
     assert substitutable(f, Var("x"), const("a"))
 
 
 def test_substitute_identity():
     f = fof("forall y Q(x, y) & P(x)")
-    assert substitute_term(f, Var("x"), Var("x")) == f
+    assert substitute(f, {Var("x"): Var("x")}) == f
 
 
 # --- restrictor elimination ---------------------------------------------------

@@ -18,7 +18,12 @@ group, run only when asked for,
 writes inputs near the default work budget (the example6 instances with 9
 and 10 constants per restrictor, a Herbrand base of 13 atoms, and a
 function quantifier over 4 constants) and records `ht-valid` or
-`herbrand-check` on each, with and without `--json`.
+`herbrand-check` on each, with and without `--json`.  The `captures` group,
+also run only when asked for, writes one single-line proof per quantifier
+schema whose binding makes the substitution capture a variable
+(`forall-elim`, `exists-intro`, `eq-subst`, `so-forall-elim`,
+`so-exists-intro`, `so-forall-elim-abs`) and records `check-proof` on each,
+with and without `--json`, so that capture messages are compared too.
 
 Each record holds the exit code, stdout and stderr.  Stage timings
 (`"seconds"` and `[N ms]`), `SRC_DIR` and the temporary directory are masked,
@@ -45,11 +50,28 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "hhtbench"))
 import workloads  # noqa: E402
 
 GROUPS = ("corpus", "ht_atoms", "herbrand", "universe", "pairs", "proofs")
-UNSEEDED = ("pairs", "proofs", "limits")
+UNSEEDED = ("pairs", "proofs", "limits", "captures")
 _LIMIT_FOFS = {
     "c13.fof": "const a, c1, c2, c3, c4, c5, c6, c7, c8, c9, c10, c11, c12.  pred P/1.\n"
                "forall x (P(x) -> P(x)) & exists x (P(x) | not P(x) | P(a))\n",
     "f2.fof": "const a, b, c, d.  pred Q/0.\nforall f^2 (Q | not Q)\n",
+}
+_CAPTURE_HEADER = "const a, b.  pred P/1, Q/2.\nlevel HHT2;\n1: "
+_CAPTURE_LINES = {
+    "forall-elim": "forall x forall g^1 P(x) -> forall g^1 P(g(a)) by axiom forall-elim "
+                   "with x := x, F := forall g^1 P(x), t := g(a);",
+    "exists-intro": "exists y Q(y,y) -> exists x exists y Q(x,y) by axiom exists-intro "
+                    "with x := x, F := exists y Q(x,y), t := y;",
+    "eq-subst": "a = y -> forall y Q(a,y) -> forall y Q(y,y) by axiom eq-subst "
+                "with t1 := a, t2 := y, x := x, F := forall y Q(x,y);",
+    "so-forall-elim": "forall q/1 forall p/1 (q(a) -> p(a)) -> forall p/1 (p(a) -> p(a)) "
+                      "by axiom so-forall-elim with v := q/1, G := forall p/1 (q(a) -> p(a)), "
+                      "w := p/1;",
+    "so-exists-intro": "forall g^1 P(g(a)) -> exists f^1 forall g^1 P(f(a)) by axiom "
+                       "so-exists-intro with v := f^1, G := forall g^1 P(f(a)), w := g^1;",
+    "so-forall-elim-abs": "forall p/1 forall y p(y) -> forall y Q(y,y) by axiom "
+                          "so-forall-elim-abs with p := p/1, G := forall y p(y), xs := [x], "
+                          "F := Q(x,y);",
 }
 _TIMINGS = re.compile(r'(?<=\[)\d+\.\d(?= ms\])|(?<="seconds": )[-+.\deE]+')
 
@@ -144,6 +166,16 @@ def _limit_argvs(workdir: str) -> dict[str, list[str]]:
     return out
 
 
+def _capture_argvs(workdir: str) -> dict[str, list[str]]:
+    out = {}
+    for schema, line in _CAPTURE_LINES.items():
+        path = Path(workdir, f"capture-{schema}.proof")
+        path.write_text(_CAPTURE_HEADER + line + "\n", encoding="utf-8")
+        for flag in ([], ["--json"]):
+            out[" ".join(["captures", schema, *flag])] = ["check-proof", str(path), *flag]
+    return out
+
+
 def _argvs(group: str, seed: int, corpus, workdir: str) -> dict[str, list[str]]:
     """Label -> argv for one workload and seed, with its inputs written."""
     if group == "pairs":
@@ -152,6 +184,8 @@ def _argvs(group: str, seed: int, corpus, workdir: str) -> dict[str, list[str]]:
         return _proof_argvs(corpus.data_path, workdir)
     if group == "limits":
         return _limit_argvs(workdir)
+    if group == "captures":
+        return _capture_argvs(workdir)
     if group == "corpus":
         cases = workloads.corpus(seed, corpus.cases, corpus.data_path)
     elif group == "herbrand":
@@ -200,7 +234,7 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("src_dir", type=Path, help="root of the checkout to run")
     ap.add_argument("out", type=Path, help="JSON file to write")
-    ap.add_argument("--workloads", nargs="+", choices=GROUPS + ("limits",),
+    ap.add_argument("--workloads", nargs="+", choices=GROUPS + ("limits", "captures"),
                     default=list(GROUPS))
     ap.add_argument("--seeds", nargs="+", type=int, default=[1, 2, 3])
     args = ap.parse_args(argv)
