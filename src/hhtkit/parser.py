@@ -14,9 +14,10 @@ per language.  Each level of `(`, `And{` or `Or{` costs two Python frames
 so under the default recursion limit of 1000 about 490 nested parentheses
 or 980 nested `not` parse; deeper input ends in `RecursionError`.
 
-`Cursor` tokenizes a text in one regular-expression pass into
-`(kind, text, offset)` tuples; the `line:col` of a `ParseError` is worked
-out from the offset only when the error is raised.
+`Cursor` tokenizes a text with one `findall` into plain strings and reads
+a token's kind from its first character.  It keeps no offsets: the
+`line:col` of a `ParseError` is found only when the error is raised, by
+scanning the text again up to the failing token.
 
 A parse shares equal first-order nodes: terms, binders, atoms, equations,
 connectives and quantifiers are built through the `Cursor`'s table, keyed
@@ -29,6 +30,11 @@ the walks that cache their result per node (`syntax.eliminate_restrictors`,
 dies with its `Cursor`: two parses share no node.  Propositional formulas
 are not shared.
 
+Parsing is context-free given the signature, so a first-order `( ... )`
+group whose tokens occurred earlier in the parse is not parsed again: the
+`Cursor`'s group memo returns the node the table would give a second parse.
+A group that raised is never stored.  Propositional groups are not memoized.
+
 Identifiers not declared in the ambient signature parse as variables:
 object variables in term position, predicate variables (of the applied
 arity) in formula position.
@@ -37,6 +43,7 @@ arity) in formula position.
 from __future__ import annotations
 
 import re
+from itertools import accumulate, islice, repeat
 
 from .errors import ParseError
 from .instantiation import Substitution
@@ -78,36 +85,36 @@ from .syntax import (
     pneg,
 )
 
-_TOKEN_RE = re.compile(
-    r"""(?P<skip>\s+|\#[^\n]*)
-      | (?P<op><->|->|:=|!=|[(){}\[\],;:.&|=/^+])
-      | (?P<ident>[A-Za-z_][A-Za-z0-9_]*(?:-[A-Za-z_][A-Za-z0-9_]*)*)
-      | (?P<num>\d+)
-      | (?P<bad>.)
-    """,
-    re.VERBOSE,
-)
+_TOKEN = (r"[A-Za-z_][A-Za-z0-9_]*+(?:-[A-Za-z_][A-Za-z0-9_]*+)*+"
+          r"|[(){}\[\],;.&|=/^+]|->|<->|:=?|!=|\d++")
+_VALID_RE = re.compile(_TOKEN)
+# a token, a comment or any other non-space character; `findall` skips spaces
+_TOKEN_RE = re.compile(rf"{_TOKEN}|\#[^\n]*|\S")
+_IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+_DEPTH = {"(": 1, ")": -1}
 
 
 class Cursor:
-    """The tokens of one text as `(kind, text, offset)` tuples, kind one of
-    "op", "ident", "num", closed by an "eof" sentinel whose text is empty
-    (so no `at`/`eat`/`expect` of a non-empty text matches it), and the
-    table of the first-order nodes built from them (see `node`)."""
+    """The tokens of one text as plain strings, closed by the eof sentinel
+    `""` (so no `at`/`eat`/`expect` of a non-empty text matches it); a
+    token's kind is read from its first character.  It also holds the
+    table of the first-order nodes built from them (see `node`) and the
+    memo of the first-order groups parsed so far (see `group`)."""
 
     def __init__(self, text: str):
         self.text = text
-        self.tokens: list[tuple[str, str, int]] = []
-        for m in _TOKEN_RE.finditer(text):
-            kind = m.lastgroup
-            if kind == "skip":
-                continue
-            if kind == "bad":
-                raise self.error(f"unexpected character {m.group()!r}", m.start())
-            self.tokens.append((kind, m.group(), m.start()))
-        self.tokens.append(("eof", "", len(text)))
+        self.tokens: list[str] = _TOKEN_RE.findall(text)
+        if "#" in text:
+            self.tokens = [t for t in self.tokens if t[0] != "#"]
+        self.tokens.append("")
         self.i = 0
+        bad = [t for t in set(self.tokens) if t and not _VALID_RE.fullmatch(t)]
+        if bad:
+            self.i = min(map(self.tokens.index, bad))
+            raise self.error(f"unexpected character {self.tokens[self.i]!r}")
         self.nodes: dict[tuple, object] = {("->", id(BOTTOM), id(BOTTOM)): TRUTH}
+        self.groups: dict[tuple[str, ...], FOFormula] = {}
+        self.depth: list[int] | None = None
 
     def node(self, key: tuple, cls, *fields):
         """The node `cls(*fields)`: the one built earlier under `key` if
@@ -124,54 +131,67 @@ class Cursor:
             self.nodes[key] = got
         return got
 
-    def peek(self) -> tuple[str, str, int]:
+    def group(self) -> tuple[str, ...]:
+        """The tokens from the next one, a `(`, to its matching `)`: the
+        first token after it that brings the parenthesis depth back down."""
+        if self.depth is None:
+            self.depth = list(accumulate(map(_DEPTH.get, self.tokens, repeat(0))))
+        try:
+            end = self.depth.index(self.depth[self.i] - 1, self.i)
+        except ValueError:  # unbalanced: the parse raises before storing
+            return ()
+        return tuple(self.tokens[self.i:end + 1])
+
+    def peek(self) -> str:
         return self.tokens[self.i]
 
     def next(self) -> str:
-        kind, text, _ = self.tokens[self.i]
-        if kind != "eof":
+        text = self.tokens[self.i]
+        if text:
             self.i += 1
         return text
 
     def at(self, text: str) -> bool:
-        return self.tokens[self.i][1] == text
+        return self.tokens[self.i] == text
 
     def eat(self, text: str) -> bool:
-        if self.tokens[self.i][1] == text:
+        if self.tokens[self.i] == text:
             self.i += 1
             return True
         return False
 
     def expect(self, text: str) -> None:
-        kind, found, _ = self.tokens[self.i]
+        found = self.tokens[self.i]
         if found != text:
-            found = repr(found) if kind != "eof" else "end of input"
+            found = repr(found) if found else "end of input"
             raise self.error(f"expected {text!r}, found {found}")
         self.i += 1
 
     def expect_ident(self, what: str = "identifier") -> str:
-        kind, text, _ = self.tokens[self.i]
-        if kind != "ident":
+        text = self.tokens[self.i]
+        if text[:1] not in _IDENT_START:
             raise self.error(f"expected {what}, found {text!r}")
         self.i += 1
         return text
 
     def expect_num(self) -> int:
-        kind, text, _ = self.tokens[self.i]
-        if kind != "num":
+        text = self.tokens[self.i]
+        if not text.isdecimal():
             raise self.error(f"expected number, found {text!r}")
         self.i += 1
         return int(text)
 
     def expect_eof(self) -> None:
-        kind, text, _ = self.tokens[self.i]
-        if kind != "eof":
+        text = self.tokens[self.i]
+        if text:
             raise self.error(f"unexpected trailing input {text!r}")
 
-    def error(self, message: str, pos: int | None = None) -> ParseError:
-        """A ParseError at offset `pos`, by default that of the next token."""
-        if pos is None:
-            pos = self.tokens[self.i][2]
+    def error(self, message: str) -> ParseError:
+        """A ParseError at the next token, whose offset is found by scanning
+        the text again up to it."""
+        found = (m for m in _TOKEN_RE.finditer(self.text) if m.group()[0] != "#")
+        m = next(islice(found, self.i, None), None)
+        pos = m.start() if m else len(self.text)
         line = self.text.count("\n", 0, pos) + 1
         return ParseError(message, line, pos - self.text.rfind("\n", 0, pos))
 
@@ -194,7 +214,7 @@ def parse_signature_block(cur: Cursor) -> Signature:
                 raise cur.error(f"conflicting declaration of {name}")
         table[name] = arity
 
-    while cur.peek()[1] in _SIG_KEYWORDS:
+    while cur.peek() in _SIG_KEYWORDS:
         kw = cur.next()
         while True:
             name = cur.expect_ident("name")
@@ -237,7 +257,7 @@ def _parse_binary(cur: Cursor, sig: Signature | None, lang, min_power: int = 0):
     prefix, build = lang
     f = prefix(cur, sig)
     while True:
-        op = cur.peek()[1]
+        op = cur.peek()
         spec = _BINARY.get(op)
         if spec is None or spec[0] < min_power:
             return f
@@ -337,11 +357,17 @@ def _parse_binder(cur: Cursor, sig: Signature, second_order: bool = False):
 
 
 def _parse_unary(cur: Cursor, sig: Signature) -> FOFormula:
-    kind, text, _ = cur.peek()
+    text = cur.peek()
     if text == "(":
+        key = cur.group()
+        f = cur.groups.get(key)
+        if f is not None:
+            cur.i += len(key)
+            return f
         cur.next()
         f = _parse_binary(cur, sig, _FO)
         cur.expect(")")
+        cur.groups[key] = f
         return f
     if text == "not":
         cur.next()
@@ -358,7 +384,7 @@ def _parse_unary(cur: Cursor, sig: Signature) -> FOFormula:
     if text == "top":
         cur.next()
         return TRUTH
-    if kind != "ident":
+    if text[:1] not in _IDENT_START:
         raise cur.error(f"expected a formula, found {text!r}")
     cur.next()
     args = _parse_args(cur, sig, allow_vars=True) if cur.at("(") else None
@@ -417,7 +443,7 @@ def parse_formula_file(text: str) -> tuple[Signature, FOFormula]:
 
 def _parse_prop_unary(cur: Cursor, sig: None) -> PropFormula:
     """`sig` is unused: it keeps the signature `_parse_binary` calls with."""
-    kind, text, _ = cur.peek()
+    text = cur.peek()
     if text == "(":
         cur.next()
         f = _parse_binary(cur, None, _PROP)
@@ -443,7 +469,7 @@ def _parse_prop_unary(cur: Cursor, sig: None) -> PropFormula:
                     break
         cur.expect("}")
         return PAnd(items) if text == "And" else POr(items)
-    if kind != "ident":
+    if text[:1] not in _IDENT_START:
         raise cur.error(f"expected a propositional formula, found {text!r}")
     cur.next()
     return PAtom(text)
@@ -488,7 +514,7 @@ def parse_subst_file(text: str) -> Substitution:
     sig = parse_signature_block(cur)
     entries: dict[GroundAtom, PropFormula] = {}
     defaults: dict[str, PropFormula] = {}
-    while cur.peek()[0] != "eof":
+    while cur.peek():
         if cur.eat("default"):
             pred = cur.expect_ident("predicate")
             if sig.predicate_arity(pred) is None:
@@ -622,7 +648,7 @@ def parse_proof_file(text: str) -> Proof:
     sig = parse_signature_block(cur)
     level = _parse_level(cur)
     lines: list[ProofLine] = []
-    while cur.peek()[0] != "eof":
+    while cur.peek():
         n = cur.expect_num()
         if n != len(lines) + 1:
             raise cur.error(f"expected line number {len(lines) + 1}, found {n}")

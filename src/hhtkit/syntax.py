@@ -540,14 +540,6 @@ TOP = PAnd(())
 BOT = POr(())
 
 
-def pconj(*items: PropFormula) -> PAnd:
-    return PAnd(items)
-
-
-def pdisj(*items: PropFormula) -> POr:
-    return POr(items)
-
-
 def pneg(f: PropFormula) -> PImp:
     return PImp(f, BOT)
 

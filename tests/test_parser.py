@@ -1,5 +1,7 @@
+import dataclasses
 import os
 import random
+import re
 
 import pytest
 
@@ -7,6 +9,9 @@ import gen
 from hhtkit.corpus import data_path, load_text
 from hhtkit.errors import ParseError
 from hhtkit.parser import (
+    _FO,
+    Cursor,
+    _parse_binary,
     parse_formula_file,
     parse_formula_text,
     parse_proof_file,
@@ -245,3 +250,192 @@ def test_prop_round_trip_randomized():
 def test_shipped_proof_renders_back_to_its_text(name):
     text = load_text(name)
     assert render_proof(parse_proof_file(text)) == text
+
+
+# ---------------------------------------------------------------------------
+# the tokenizer against the one it replaced
+
+_DATA = sorted(n for n in os.listdir(os.path.dirname(data_path("lem.prop")))
+               if n.rsplit(".", 1)[-1] in ("prop", "fof", "subst", "proof"))
+
+# the tokenizer before tokens became plain strings: one `finditer` pass into
+# (kind, text, offset), kept as the reference for token texts and offsets
+_REFERENCE_RE = re.compile(
+    r"""(?P<skip>\s+|\#[^\n]*)
+      | (?P<op><->|->|:=|!=|[(){}\[\],;:.&|=/^+])
+      | (?P<ident>[A-Za-z_][A-Za-z0-9_]*(?:-[A-Za-z_][A-Za-z0-9_]*)*)
+      | (?P<num>\d+)
+      | (?P<bad>.)
+    """,
+    re.VERBOSE,
+)
+
+
+def _line_col(text, pos):
+    return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
+
+
+def _reference_tokens(text):
+    """(token texts, offsets, kinds), closed by "" at the end of the text,
+    or the (message, line, col) of the first bad character."""
+    tokens, offsets, kinds = [], [], []
+    for m in _REFERENCE_RE.finditer(text):
+        if m.lastgroup == "bad":
+            return (f"unexpected character {m.group()!r}", *_line_col(text, m.start()))
+        if m.lastgroup != "skip":
+            tokens.append(m.group())
+            offsets.append(m.start())
+            kinds.append(m.lastgroup)
+    return tokens + [""], offsets + [len(text)], kinds + ["eof"]
+
+
+def _kind(cur):
+    """The kind of the next token, as `expect_ident` and `expect_num` read it."""
+    cur.error = ParseError  # so a refusal does not scan the text for its position
+    try:
+        for kind, expect in (("ident", cur.expect_ident), ("num", cur.expect_num)):
+            try:
+                expect()
+            except ParseError:
+                continue
+            cur.i -= 1
+            return kind
+        return "op" if cur.peek() else "eof"
+    finally:
+        del cur.error
+
+
+def _assert_tokenizes_like_reference(text, at=None):
+    """Same tokens, or the same bad-character error; and at the token
+    indices `at` (default: all) the same kind, and `Cursor.error` reports
+    the reference `line:col`."""
+    ref = _reference_tokens(text)
+    try:
+        cur = Cursor(text)
+    except ParseError as e:
+        assert (str(e), e.line, e.col) == (f"{ref[1]}:{ref[2]}: {ref[0]}", *ref[1:])
+        return
+    tokens, offsets, kinds = ref
+    assert cur.tokens == tokens
+    for i in range(len(tokens)) if at is None else at:
+        cur.i = min(max(i, 0), len(tokens) - 1)
+        assert _kind(cur) == kinds[cur.i], i
+        e = cur.error("m")
+        assert (e.line, e.col) == _line_col(text, offsets[cur.i]), i
+
+
+@pytest.mark.parametrize("name", _DATA)
+def test_tokenizer_matches_reference_on_shipped_files(name):
+    text = load_text(name)
+    n = len(_reference_tokens(text)[0])
+    _assert_tokenizes_like_reference(text, at=[*random.Random(name).sample(range(n), min(n, 8)), n - 1])
+
+
+_SEPARATE = re.compile(r"\w+|\s+|:=|->|<->|!=|\S")  # as tests/test_cli_property.py splits
+_REPLACEMENTS = ["(", ")", "{", "}", ";", ":", ":=", "->", "<->", "<", "-", "!", "!=", "#",
+                 "# c\n", "x", "a-b", "9", "é", "²", "١", "\t", "\r", "\f", "\v", "\n", " ", ""]
+
+
+@pytest.mark.parametrize("name", _DATA)
+def test_tokenizer_matches_reference_on_mutations(name):
+    rng = random.Random(name)
+    pieces = _SEPARATE.findall(load_text(name))
+    for _ in range(8):
+        k = rng.randrange(len(pieces))
+        mutated = pieces[:k] + [rng.choice(_REPLACEMENTS)] + pieces[k + 1:]
+        # the token index of the site is at most its piece index
+        _assert_tokenizes_like_reference("".join(mutated), at=(k - 1, k))
+
+
+@pytest.mark.parametrize("text", [
+    "", " ", "\n\n", " \t\r\f\v\n", "# comment at the end", "p # comment at the end",
+    "p\t&\rq\f|\vr", "-", "<", "!", "p - q", "a-b", "a->b", "a - b", "a-b-c-", "a--b",
+    "x<->y<-z", ":=:", "!==", "é", "pé", "x²", "١", "P(١)", "12ab", "_x-_y", "((#)\n)",
+])
+def test_tokenizer_matches_reference_on_edge_cases(text):
+    _assert_tokenizes_like_reference(text)
+
+
+# ---------------------------------------------------------------------------
+# the group memo
+
+class _NoMemo(dict):
+    """A group memo that stores nothing, so every group is parsed."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+def _without_memo(monkeypatch):
+    init = Cursor.__init__
+
+    def no_memo(self, text):
+        init(self, text)
+        self.groups = _NoMemo()
+
+    monkeypatch.setattr(Cursor, "__init__", no_memo)
+
+
+def _same_sharing(a, b, seen):
+    """Walk `a` and `b` in parallel: one object of `a` always meets one
+    object of `b` (`seen` maps the id of the first to the second)."""
+    if isinstance(a, (str, int)) or a is None:
+        assert a == b
+        return
+    if id(a) in seen:
+        assert seen[id(a)] is b
+        return
+    seen[id(a)] = b
+    assert type(a) is type(b)
+    if isinstance(a, tuple):
+        assert len(a) == len(b)
+        for x, y in zip(a, b):
+            _same_sharing(x, y, seen)
+    else:
+        for field in dataclasses.fields(a):
+            _same_sharing(getattr(a, field.name), getattr(b, field.name), seen)
+
+
+@pytest.mark.parametrize("name", sorted(n for n in _DATA if n.endswith(".proof")))
+def test_memo_changes_no_parse(name, monkeypatch):
+    text = load_text(name)
+    memoized = parse_proof_file(text)
+    _without_memo(monkeypatch)
+    plain = parse_proof_file(text)
+    assert memoized == plain
+    assert repr(memoized) == repr(plain)
+    seen = {}
+    _same_sharing(memoized.lines, plain.lines, seen)
+    # and one object of `plain` always meets one object of `memoized`
+    assert len({id(b) for b in seen.values()}) == len(seen)
+
+
+def test_memo_is_used():
+    hits = []
+
+    class Counting(dict):
+        def get(self, key):
+            got = super().get(key)
+            hits.append(got is not None)
+            return got
+
+    cur = Cursor("(P(a) | Q) -> (P(a) | Q) & ((P(a) | Q))")
+    cur.groups = Counting()
+    f = _parse_binary(cur, SIG, _FO)
+    assert hits == [False, True, False, True]
+    assert f.left is f.right.left is f.right.right
+
+
+@pytest.mark.parametrize("text, message", [
+    ("(P(a) | Q) -> (P(a) | Q) P(b)", "1:26: unexpected trailing input 'P'"),
+    ("(P(a) | Q) ->\n  (P(a) | Q) &\n  (P(a) | Q) )", "3:14: unexpected trailing input ')'"),
+    ("(P(a) | Q) -> (P(a) | Q", "1:24: expected ')', found end of input"),
+    ("(P(a) | Q) -> (P(a) | Q) -> (P(a) | Q(a))", "1:41: Q expects 0 arguments, got 1"),
+])
+def test_error_after_a_memo_hit_is_pinned(text, message, monkeypatch):
+    for memo in (True, False):
+        if not memo:
+            _without_memo(monkeypatch)
+        with pytest.raises(ParseError) as err:
+            fof(text)
+        assert str(err.value) == message, memo

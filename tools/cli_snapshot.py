@@ -24,6 +24,12 @@ schema whose binding makes the substitution capture a variable
 (`forall-elim`, `exists-intro`, `eq-subst`, `so-forall-elim`,
 `so-exists-intro`, `so-forall-elim-abs`) and records `check-proof` on each,
 with and without `--json`, so that capture messages are compared too.
+The `syntax` group mutates every shipped `.proof`, `.prop`, `.fof` and
+`.subst` at three seeded token sites, each token replaced as
+`tests/test_cli_property.py` replaces one, and records `check-proof`,
+`ht-valid` or `instantiate` on each (a `.fof` or `.subst` with its
+same-named partner, else with subsum4's), with and without `--json`, so
+that parse-error text is compared too.
 
 Each record holds the exit code, stdout and stderr.  Stage timings
 (`"seconds"` and `[N ms]`), `SRC_DIR` and the temporary directory are masked,
@@ -49,8 +55,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "hhtbench"))
 import workloads  # noqa: E402
 
-GROUPS = ("corpus", "ht_atoms", "herbrand", "universe", "pairs", "proofs")
-UNSEEDED = ("pairs", "proofs", "limits", "captures")
+GROUPS = ("corpus", "ht_atoms", "herbrand", "universe", "pairs", "proofs", "syntax")
+UNSEEDED = ("pairs", "proofs", "syntax", "limits", "captures")
 _LIMIT_FOFS = {
     "c13.fof": "const a, c1, c2, c3, c4, c5, c6, c7, c8, c9, c10, c11, c12.  pred P/1.\n"
                "forall x (P(x) -> P(x)) & exists x (P(x) | not P(x) | P(a))\n",
@@ -73,6 +79,12 @@ _CAPTURE_LINES = {
                           "so-forall-elim-abs with p := p/1, G := forall y p(y), xs := [x], "
                           "F := Q(x,y);",
 }
+# how tests/test_cli_property.py splits a file into tokens and replaces one
+_SYNTAX_TOKEN = re.compile(r"\w+|\s+|:=|->|<->|!=|\S")
+_SYNTAX_REPLACEMENTS = ["(", ")", "{", "}", ";", ",", ".", ":", ":=", "->", "<->", "|", "&",
+                        "not", "bot", "top", "forall", "exists", "And", "Or", "x", "P",
+                        "P(x)", "c1", "f^1", "p/2", "0", "99", "level", "by", "axiom", "gen",
+                        "\n", " ", ""]
 _TIMINGS = re.compile(r'(?<=\[)\d+\.\d(?= ms\])|(?<="seconds": )[-+.\deE]+')
 
 
@@ -151,6 +163,35 @@ def _proof_argvs(data_path, workdir: str) -> dict[str, list[str]]:
     return out
 
 
+def _syntax_argvs(data_path, workdir: str) -> dict[str, list[str]]:
+    data = Path(data_path(""))
+    out = {}
+    for path in sorted(data.glob("*")):
+        suffix = path.suffix
+        if suffix not in (".proof", ".prop", ".fof", ".subst"):
+            continue
+        rng = random.Random(path.name)
+        tokens = _SYNTAX_TOKEN.findall(path.read_text(encoding="utf-8"))
+        for k in range(3):
+            mutated = list(tokens)
+            mutated[rng.randrange(len(tokens))] = rng.choice(_SYNTAX_REPLACEMENTS)
+            target = Path(workdir, f"syntax{k + 1}-{path.name}")
+            target.write_text("".join(mutated), encoding="utf-8")
+            if suffix == ".proof":
+                argv = ["check-proof", str(target)]
+            elif suffix == ".prop":
+                argv = ["ht-valid", str(target)]
+            else:
+                partner = path.with_suffix(".subst" if suffix == ".fof" else ".fof")
+                if not partner.is_file():
+                    partner = data / f"subsum4{partner.suffix}"
+                files = (target, partner) if suffix == ".fof" else (partner, target)
+                argv = ["instantiate", *map(str, files)]
+            for flag in ([], ["--json"]):
+                out[" ".join(["syntax", path.name, f"mutation{k + 1}", *flag])] = argv + flag
+    return out
+
+
 def _limit_argvs(workdir: str) -> dict[str, list[str]]:
     files = dict(_LIMIT_FOFS)
     for k in (9, 10):
@@ -182,6 +223,8 @@ def _argvs(group: str, seed: int, corpus, workdir: str) -> dict[str, list[str]]:
         return _pair_argvs(corpus.data_path)
     if group == "proofs":
         return _proof_argvs(corpus.data_path, workdir)
+    if group == "syntax":
+        return _syntax_argvs(corpus.data_path, workdir)
     if group == "limits":
         return _limit_argvs(workdir)
     if group == "captures":
