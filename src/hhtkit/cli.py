@@ -166,13 +166,16 @@ def _instantiation_stage(report: _Report, args, sig, f, pipeline: bool):
         report.data["missing"] = list(e.missing)
         report.say("substitution is missing entries for: " + ", ".join(e.missing))
         return 2
-    atoms, rank, nodes = prop_stats(instance)
+    atoms, rank, nodes, size = prop_stats(instance)
     stats = {"atoms": len(atoms), "rank": rank, "nodes": nodes}
     secs = _stage(report, "instantiation", t0, mode=mode_label, **stats)
     counts = f"atoms={stats['atoms']} rank={stats['rank']} nodes={stats['nodes']}"
     if pipeline:
         report.say(f"instantiation: {mode_label}; {counts}{_ms(secs, pipeline)}")
     else:
+        budget = _budget()  # the text is tree-sized, however much is shared
+        if size > budget:
+            raise HhtError(f"printing the instance needs {size} steps, budget is {budget}")
         report.data["instance"] = text = prop_to_text(instance)
         report.say(f"mode: {mode_label}")
         report.say(f"instance: {text}")

@@ -189,26 +189,37 @@ def estimate_cost(f: FOFormula, universe_size: int) -> int:
     """Worst-case satisfaction checks for one interpretation, and a bound on
     the nodes `hht_valid_bruteforce` visits while grounding.  Each name a
     predicate or function quantifier ranges over is also charged its table,
-    `universe_size ** arity` entries, which grounding builds."""
+    `universe_size ** arity` entries, which grounding builds.  Each shared
+    node's count is computed once."""
+    return _cost(f, universe_size, {})
+
+
+def _cost(f: FOFormula, universe_size: int, table: dict[int, int]) -> int:
+    """`estimate_cost` of `f`; `table` holds each node's cost by `id`."""
+    if (got := table.get(id(f))) is not None:
+        return got
     match f:
         case Falsum() | Equals() | Atom():
-            return 1
+            got = 1
         case Binary("->", l, r):
-            return 2 * (estimate_cost(l, universe_size) + estimate_cost(r, universe_size)) + 1
+            got = 2 * (_cost(l, universe_size, table) + _cost(r, universe_size, table)) + 1
         case Binary(_, l, r):
-            return estimate_cost(l, universe_size) + estimate_cost(r, universe_size) + 1
+            got = _cost(l, universe_size, table) + _cost(r, universe_size, table) + 1
         case Quant(_, binder, body):
-            inner = estimate_cost(body, universe_size)
-            if isinstance(binder, PredVar):
-                names = count_predicate_names(universe_size, binder.arity)
-            elif isinstance(binder, FuncVar):
-                names = count_function_names(universe_size, binder.arity)
+            inner = _cost(body, universe_size, table)
+            if isinstance(binder, (PredVar, FuncVar)):
+                count = (count_predicate_names if isinstance(binder, PredVar)
+                         else count_function_names)
+                names = count(universe_size, binder.arity)
+                got = names * (inner + universe_size**binder.arity) + 1
             else:
                 # object variable or generalized variable (per bound variable)
                 width = 1 if isinstance(binder, Var) else len(binder.items)
-                return universe_size**width * inner + 1
-            return names * (inner + universe_size**binder.arity) + 1
-    raise TypeError(f"not a formula: {f!r}")
+                got = universe_size**width * inner + 1
+        case _:
+            raise TypeError(f"not a formula: {f!r}")
+    table[id(f)] = got
+    return got
 
 
 def h_satisfies(

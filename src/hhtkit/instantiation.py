@@ -10,6 +10,14 @@ walk also collects the atoms the substitution does not map: a restrictor
 guard atom without an image is reported itself, and the bodies of the
 tuples it guards are skipped.
 
+The walk is memoized per node and environment: a subformula is instantiated
+once per binding of its own free variables, and its other occurrences under
+that binding get the same object.  The instance is thus a DAG sharing what
+the formula shares (both sides of a `<->`) and what its quantifiers repeat,
+and the walk's work grows with those (node, binding) pairs, not with the
+tree.  Its equality, atoms, rank and text are the tree's; only its count of
+distinct nodes falls.
+
 Exact mode requires every function constant to be nullary, so the term
 universe is finite and the instance is faithful.  Bounded mode truncates
 the universe at a term depth and is not validity-preserving; every consumer
@@ -213,20 +221,29 @@ def _instantiate(
             missing.add(ground_atom_to_text(atom))
             return BOT
 
+    # what `rec` built, by node and the terms of its free variables in `order`
+    order: dict[int, tuple] = {}
+    memo: dict[tuple, PropFormula] = {}
+
     def rec(g: FOFormula) -> PropFormula:
+        if (names := order.get(id(g))) is None:
+            names = order[id(g)] = tuple(free_variables(g))
+        key = (id(g), *[id(env[v]) for v in names])
+        if (out := memo.get(key)) is not None:
+            return out
         match g:
             case Falsum():
-                return BOT
+                out = BOT
             case Equals(l, r):
-                return TOP if _term_subst(l, env) == _term_subst(r, env) else BOT
+                out = TOP if _term_subst(l, env) == _term_subst(r, env) else BOT
             case Atom(pred, args):
-                return image(pred, tuple(_term_subst(a, env) for a in args))
+                out = image(pred, tuple(_term_subst(a, env) for a in args))
             case Binary("&", l, r):
-                return PAnd((rec(l), rec(r)))
+                out = PAnd((rec(l), rec(r)))
             case Binary("|", l, r):
-                return POr((rec(l), rec(r)))
+                out = POr((rec(l), rec(r)))
             case Binary("->", l, r):
-                return PImp(rec(l), rec(r))
+                out = PImp(rec(l), rec(r))
             case Quant(kind, binder, body):
                 if isinstance(binder, GenVar):
                     variables = binder.variables()
@@ -244,10 +261,16 @@ def _instantiate(
                         env.pop(v, None)
                     else:
                         env[v] = t
-                return PAnd(children) if kind == "forall" else POr(children)
-        raise TypeError(f"unexpected formula node: {g!r}")
+                out = PAnd(children) if kind == "forall" else POr(children)
+            case _:
+                raise TypeError(f"unexpected formula node: {g!r}")
+        memo[key] = out
+        return out
 
-    instance = rec(f)
+    try:
+        instance = rec(f)
+    finally:  # `rec` refers to itself: the memo would outlive the walk until a gc
+        memo.clear()
     return instance, tuple(sorted(missing))
 
 

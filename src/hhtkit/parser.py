@@ -86,7 +86,7 @@ from .syntax import (
 )
 
 _TOKEN = (r"[A-Za-z_][A-Za-z0-9_]*+(?:-[A-Za-z_][A-Za-z0-9_]*+)*+"
-          r"|[(){}\[\],;.&|=/^+]|->|<->|:=?|!=|\d++")
+          r"|[(){}\[\],;.&|=/^+]|->|<->|:=?|!=|[0-9]++")
 _VALID_RE = re.compile(_TOKEN)
 # a token, a comment or any other non-space character; `findall` skips spaces
 _TOKEN_RE = re.compile(rf"{_TOKEN}|\#[^\n]*|\S")

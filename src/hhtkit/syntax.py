@@ -579,14 +579,18 @@ def prop_dag(f: PropFormula) -> list[tuple[PropFormula, tuple[int, ...]]]:
     return out
 
 
-def prop_stats(f: PropFormula) -> tuple[frozenset[str], int, int]:
-    """`prop_atoms`, `rank` and `prop_node_count` of `f` from one `prop_dag`
-    pass."""
+def prop_stats(f: PropFormula) -> tuple[frozenset[str], int, int, int]:
+    """`prop_atoms`, `rank` and `prop_node_count` of `f`, and its size as a
+    tree (each shared node counted at each occurrence, as its text spells
+    it out), from one `prop_dag` pass."""
     dag = prop_dag(f)
     ranks: list[int] = []
+    sizes: list[int] = []
     for _, kids in dag:
         ranks.append(max([ranks[k] for k in kids], default=-1) + 1)
-    return frozenset(g.name for g, _ in dag if isinstance(g, PAtom)), ranks[-1], len(dag)
+        sizes.append(1 + sum([sizes[k] for k in kids]))
+    atoms = frozenset(g.name for g, _ in dag if isinstance(g, PAtom))
+    return atoms, ranks[-1], len(dag), sizes[-1]
 
 
 def rank(f: PropFormula) -> int:
@@ -692,20 +696,18 @@ def ground_atom_to_text(a: GroundAtom) -> str:
 
 
 def prop_to_text(f: PropFormula) -> str:
-    match f:
-        case PAtom(name):
-            return name
-        case PAnd(items):
-            if not items:
-                return "top"
-            return "And{" + "; ".join(sorted(prop_to_text(c) for c in items)) + "}"
-        case POr(items):
-            if not items:
-                return "bot"
-            return "Or{" + "; ".join(sorted(prop_to_text(c) for c in items)) + "}"
-        case PImp(l, r):
-            left = prop_to_text(l)
-            if isinstance(l, PImp):
-                left = f"({left})"
-            return f"{left} -> {prop_to_text(r)}"
-    raise TypeError(f"not a propositional formula: {f!r}")
+    """The text of `f`, rendering each distinct node of `prop_dag` once
+    however often it is printed."""
+    texts: list[str] = []
+    for g, kids in prop_dag(f):
+        match g:
+            case PAtom(name):
+                text = name
+            case PAnd() | POr():
+                empty, head = ("top", "And{") if isinstance(g, PAnd) else ("bot", "Or{")
+                text = head + "; ".join(sorted([texts[k] for k in kids])) + "}" if kids else empty
+            case PImp(l, _):
+                left, right = texts[kids[0]], texts[kids[1]]
+                text = f"({left}) -> {right}" if isinstance(l, PImp) else f"{left} -> {right}"
+        texts.append(text)
+    return texts[-1]

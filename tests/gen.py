@@ -122,6 +122,15 @@ def rand_substitution(
     return Substitution(sig, entries)
 
 
+def nested_iff(n: int) -> str:
+    """`P <-> (P <-> ... (P <-> P))` with `n` connectives `<->`: each level
+    shares its right side twice, so as a tree the formula doubles per level."""
+    text = "P <-> P"
+    for _ in range(n - 1):
+        text = f"P <-> ({text})"
+    return text
+
+
 def all_interpretations_over(atoms):
     """Plain product enumeration for test-local oracles."""
     atoms = sorted(atoms)

@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+import gen
 from hhtkit import cli
 from hhtkit.cli import run
 from hhtkit.corpus import data_path
@@ -171,7 +172,7 @@ def test_instantiate_deep_image(tmp_path, capsys):
     instance = ("And{And{Or{f1; f2; f3}; g} -> Or{And{f1; g}; And{f2; g}; And{f3; g}}; "
                 "Or{And{f1; g}; And{f2; g}; And{f3; g}} -> And{Or{f1; f2; f3}; g}}")
     expected = (f"mode: exact\ninstance: {instance.replace('f1', deep)}\n"
-                "atoms=4 rank=404 nodes=419\n")
+                "atoms=4 rank=404 nodes=413\n")
     got = invoke(capsys, "instantiate", data_path("subsum4.fof"), str(subst))
     assert got == (0, expected, "")
 
@@ -272,7 +273,7 @@ _PINNED = {
         ["pipeline", "subsum4.proof", "subsum4.subst"], 0,
         "proof: accepted (level HHT, 210 lines) [N ms]\n"
         "conclusion: exists x P(x) & Q <-> exists x (P(x) & Q)\n"
-        "instantiation: exact; atoms=4 rank=4 nodes=19 [N ms]\n"
+        "instantiation: exact; atoms=4 rank=4 nodes=13 [N ms]\n"
         "validity: HT-valid (exact) [N ms]\n"
         "certificate: VALID (accepted proof + exact instance)\n",
     ),
@@ -307,7 +308,7 @@ _PINNED = {
         "proof: accepted (level HHT2+DCA, 165 lines) [N ms]\n"
         "conclusion: P(a) & forall x (P(x) -> P(s(x))) <-> forall x P(x)\n"
         "instantiation: bounded depth 3 (non-validity-preserving); "
-        "atoms=5 rank=5 nodes=22 [N ms]\n"
+        "atoms=5 rank=5 nodes=15 [N ms]\n"
         "validity: countermodel found (bounded depth 3 (non-validity-preserving)) [N ms]\n"
         "f0: there-only\nf1: there-only\nf2: there-only\nf3: there-only\nf4: absent\n"
         "certificate: NOT CERTIFYING (bounded mode: non-validity-preserving)\n",
@@ -451,3 +452,62 @@ def test_budget_must_be_positive(value, capsys, monkeypatch):
     for argv in (["herbrand-check", fof], ["ht-valid", data_path("lem.prop")]):
         assert invoke(capsys, *argv) == (
             2, "", f"error: HHTKIT_BUDGET must be a positive integer, got {value!r}\n")
+
+
+def _nested_iff_files(tmp_path, n):
+    fof, subst = tmp_path / f"iff{n}.fof", tmp_path / "iff.subst"
+    fof.write_text(f"const a.  pred P/0.\n{gen.nested_iff(n)}\n")
+    subst.write_text("const a.  pred P/0.\nP := p;\n")
+    return str(fof), str(subst)
+
+
+def test_instantiate_nested_iff_is_linear(tmp_path, capsys):
+    # 655,358 nodes as a tree; took 14 s when the walk followed the tree
+    fof, subst = _nested_iff_files(tmp_path, 18)
+    t0 = time.perf_counter()
+    code, out, err = invoke(capsys, "instantiate", fof, subst, "--json")
+    assert time.perf_counter() - t0 < 5
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert {k: report["instantiation"][k] for k in ("atoms", "rank", "nodes")} == {
+        "atoms": 1, "rank": 36, "nodes": 54}
+    assert report["instance"].count("p") == 2 ** 19 - 2
+
+
+def test_instantiate_refuses_oversized_text(tmp_path, capsys):
+    # the instance is 90 nodes; its text would hold 9 x 2^29 - 5 of them
+    t0 = time.perf_counter()
+    for flag in ([], ["--json"]):
+        code, out, err = invoke(capsys, "instantiate", *_nested_iff_files(tmp_path, 30), *flag)
+        assert (code, out) == (2, "")
+        assert err == "error: printing the instance needs 4831838203 steps, budget is 5000000\n"
+    assert time.perf_counter() - t0 < 5
+
+
+def test_instantiate_text_gate_counts_tree_nodes(tmp_path, capsys, monkeypatch):
+    # n = 2: And{And{p -> p} -> p; p -> And{p -> p}} has 13 nodes as a tree
+    files = _nested_iff_files(tmp_path, 2)
+    monkeypatch.setenv("HHTKIT_BUDGET", "12")
+    assert invoke(capsys, "instantiate", *files) == (
+        2, "", "error: printing the instance needs 13 steps, budget is 12\n")
+    monkeypatch.setenv("HHTKIT_BUDGET", "13")
+    assert invoke(capsys, "instantiate", *files)[0] == 0
+    # subsum4's instance is 35 nodes as a tree and 20 engine steps: the
+    # pipeline prints no instance, so it is not gated on the text
+    monkeypatch.setenv("HHTKIT_BUDGET", "20")
+    subsum4 = data_path("subsum4.fof"), data_path("subsum4.subst")
+    assert invoke(capsys, "instantiate", *subsum4) == (
+        2, "", "error: printing the instance needs 35 steps, budget is 20\n")
+    code, out, _ = invoke(capsys, "pipeline", data_path("subsum4.proof"), subsum4[1])
+    assert code == 0 and "certificate: VALID" in out
+
+
+def test_herbrand_nested_iff_refused_at_once(tmp_path, capsys):
+    # the tree's estimate, (10 x 4^30 - 7) / 3, computed once per shared node;
+    # computing it over the tree took more than 60 s
+    fof, _ = _nested_iff_files(tmp_path, 30)
+    t0 = time.perf_counter()
+    code, out, err = invoke(capsys, "herbrand-check", fof)
+    assert time.perf_counter() - t0 < 5
+    assert (code, out) == (2, "")
+    assert err == "error: enumeration needs 3843071682022823251 steps, budget is 5000000\n"

@@ -45,6 +45,8 @@ from hhtkit.syntax import (
     ground_atom_to_text,
     prop_atoms,
     prop_node_count,
+    prop_stats,
+    prop_to_text,
     rank,
     substitute,
 )
@@ -316,7 +318,10 @@ def assert_matches_literal(s, f, mode):
     else:
         got = instantiate(s, f, mode)
         assert got == want
-        assert prop_node_count(got) == prop_node_count(want)
+        # the walk shares what the literal expansion builds twice: the same
+        # tree, in no more distinct nodes
+        assert prop_stats(got)[3] == prop_stats(want)[3]
+        assert prop_node_count(got) <= prop_node_count(want)
 
 
 SIG_FN = Signature.make(
@@ -354,3 +359,34 @@ def test_shadowed_binders_match_literal_expansion(text):
     rng = random.Random(59)
     for drop in (0.0, 0.0, 0.1, 0.2, 0.4):
         assert_matches_literal(partial_substitution(rng, sig, EXACT, drop), f, EXACT)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6, 10])
+def test_nested_iff_instance_is_shared(n):
+    # the parser shares each level's right side; the walk builds its instance
+    # once, so the instance holds 3 nodes per level while its tree doubles
+    sig = Signature.make({"a": 0}, {"P": 0})
+    f = parse_formula_text(gen.nested_iff(n), sig)
+    s = Substitution(sig, {GroundAtom("P", ()): PAtom("p")})
+    got = instantiate(s, f)
+    want, _ = literal_instance(s, f)
+    assert got == want
+    assert prop_stats(got) == (frozenset({"p"}), 2 * n, 3 * n, 9 * 2 ** (n - 1) - 5)
+    text = "And{p -> p}"
+    for _ in range(n - 1):
+        text = f"And{{{text} -> p; p -> {text}}}"
+    assert prop_to_text(got) == text
+
+
+def test_validate_under_iff_matches_literal():
+    # both sides of `<->` are instantiated once per term; a partial
+    # substitution must still report every missing atom exactly once
+    sig = Signature.make({"a": 0, "b": 0, "c": 0}, {"P": 1, "Q": 1})
+    f = parse_formula_text("forall x (P(x) <-> Q(x))", sig)
+    rng = random.Random(61)
+    reports = set()
+    for drop in (0.0, 0.2, 0.4, 0.6, 0.8, 1.0):
+        s = partial_substitution(rng, sig, EXACT, drop)
+        assert_matches_literal(s, f, EXACT)
+        reports.add(validate(s, f))
+    assert len(reports) > 3 and () in reports

@@ -167,6 +167,8 @@ _PARSERS = {
     ("fof", "const a. fn s/1. pred P/1.\ns(a, a) != a\n", "2:12: s expects 1 arguments, got 2"),
     ("fof", "const a. fn s/1. pred P/1.\nP(s)\n", "2:4: function constant s needs 1 arguments"),
     ("fof", "const a. pred P.\nP(a)\n", "1:16: expected /arity after P"),
+    # numbers are ASCII digits only
+    ("fof", "const a.  pred P/\u0661.\nP(a) -> P(a)\n", "1:18: unexpected character '\u0661'"),
     ("fof", "const a. fn a/1.\n", "1:16: conflicting declaration of a"),
     ("fof", "const a. pred P/1.\nforall a P(a)\n", "2:10: a is a declared constant, not a variable"),
     ("fof", "const a. pred P/1, R/1.\nforall (x:P) P(x)\n", "2:12: P is not a declared restrictor"),
@@ -264,7 +266,7 @@ _REFERENCE_RE = re.compile(
     r"""(?P<skip>\s+|\#[^\n]*)
       | (?P<op><->|->|:=|!=|[(){}\[\],;:.&|=/^+])
       | (?P<ident>[A-Za-z_][A-Za-z0-9_]*(?:-[A-Za-z_][A-Za-z0-9_]*)*)
-      | (?P<num>\d+)
+      | (?P<num>[0-9]+)
       | (?P<bad>.)
     """,
     re.VERBOSE,

@@ -1,6 +1,7 @@
 """Sharing of equal first-order nodes within a parse, and the walks that
-cache their result on each node: checked against literal recursive
-references and against proofs rebuilt with nothing shared."""
+cache their result on each node or compute it once per node: checked
+against literal recursive references and against proofs rebuilt with
+nothing shared."""
 
 import dataclasses
 import random
@@ -11,6 +12,8 @@ import pytest
 import gen
 from hhtkit.corpus import data_path, load_text
 from hhtkit.errors import ProofError
+from hhtkit.herbrand import count_function_names, count_predicate_names, estimate_cost
+from hhtkit.instantiation import instantiate
 from hhtkit.kernel import ByAxiom, ByGen, check_proof
 from hhtkit.parser import parse_formula_text, parse_proof_file
 from hhtkit.syntax import (
@@ -26,7 +29,12 @@ from hhtkit.syntax import (
     FOFormula,
     FuncVar,
     GenVar,
+    PAnd,
+    PAtom,
+    PImp,
+    POr,
     PredVar,
+    PropFormula,
     Quant,
     Signature,
     Term,
@@ -41,6 +49,7 @@ from hhtkit.syntax import (
     free_variables,
     impl,
     is_first_order,
+    prop_to_text,
     term_variables,
 )
 
@@ -112,6 +121,45 @@ def ref_eliminate_restrictors(f: FOFormula) -> FOFormula:
                 core = Quant(kind, v, core)
             return core
     raise TypeError(f"not a formula: {f!r}")
+
+
+def ref_estimate_cost(f: FOFormula, n: int) -> int:
+    match f:
+        case Falsum() | Equals() | Atom():
+            return 1
+        case Binary("->", l, r):
+            return 2 * (ref_estimate_cost(l, n) + ref_estimate_cost(r, n)) + 1
+        case Binary(_, l, r):
+            return ref_estimate_cost(l, n) + ref_estimate_cost(r, n) + 1
+        case Quant(_, binder, body):
+            inner = ref_estimate_cost(body, n)
+            if isinstance(binder, PredVar):
+                return count_predicate_names(n, binder.arity) * (inner + n**binder.arity) + 1
+            if isinstance(binder, FuncVar):
+                return count_function_names(n, binder.arity) * (inner + n**binder.arity) + 1
+            width = 1 if isinstance(binder, Var) else len(binder.items)
+            return n**width * inner + 1
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def ref_prop_to_text(f: PropFormula) -> str:
+    match f:
+        case PAtom(name):
+            return name
+        case PAnd(items):
+            if not items:
+                return "top"
+            return "And{" + "; ".join(sorted(ref_prop_to_text(c) for c in items)) + "}"
+        case POr(items):
+            if not items:
+                return "bot"
+            return "Or{" + "; ".join(sorted(ref_prop_to_text(c) for c in items)) + "}"
+        case PImp(l, r):
+            left = ref_prop_to_text(l)
+            if isinstance(l, PImp):
+                left = f"({left})"
+            return f"{left} -> {ref_prop_to_text(r)}"
+    raise TypeError(f"not a propositional formula: {f!r}")
 
 
 # --- helpers -----------------------------------------------------------------
@@ -289,3 +337,37 @@ def test_unshared_proof_checks_the_same(name):
     distinct, occurrences = _nodes(_proof_roots(copy))
     assert len(distinct) == occurrences
     assert _outcome(copy) == _outcome(proof)
+
+
+# --- walks that compute each shared node once --------------------------------
+
+@pytest.mark.parametrize("share", [0.3, 0.6])
+def test_estimate_cost_matches_reference(share):
+    for f in _formulas(13, 120, share):
+        g = eliminate_restrictors(f)
+        for n in (1, 2, 3):
+            assert estimate_cost(g, n) == ref_estimate_cost(g, n), f
+
+
+def test_estimate_cost_of_nested_iff_is_linear():
+    # each level costs 4 times its right side plus 7, a tree's count that
+    # the reference takes 4^n steps to reach
+    sig = Signature.make({"a": 0}, {"P": 0})
+    for n in (1, 4, 8):
+        f = parse_formula_text(gen.nested_iff(n), sig)
+        assert estimate_cost(f, 1) == ref_estimate_cost(f, 1) == (10 * 4**n - 7) // 3
+    f = parse_formula_text(gen.nested_iff(200), sig)
+    assert estimate_cost(f, 1) == (10 * 4**200 - 7) // 3
+
+
+def test_prop_to_text_matches_reference():
+    rng = random.Random(17)
+    for _ in range(300):
+        f = gen.rand_prop(rng, 4)
+        assert prop_to_text(f) == ref_prop_to_text(f)
+    # instances whose nodes are shared, printed as the tree they stand for
+    for f in _formulas(19, 60, 0.3):
+        if not is_first_order(f) or free_variables(f):
+            continue
+        instance = instantiate(gen.rand_substitution(rng, SIG), f)
+        assert prop_to_text(instance) == ref_prop_to_text(instance)

@@ -29,7 +29,12 @@ The `syntax` group mutates every shipped `.proof`, `.prop`, `.fof` and
 `tests/test_cli_property.py` replaces one, and records `check-proof`,
 `ht-valid` or `instantiate` on each (a `.fof` or `.subst` with its
 same-named partner, else with subsum4's), with and without `--json`, so
-that parse-error text is compared too.
+that parse-error text is compared too.  The `sharing` group writes
+`P <-> (P <-> ... (P <-> P))` with n = 2, 4, ..., 12 connectives, whose
+subformulas the parser shares while the text doubles per level, and records
+`instantiate` (with `P := p`, with and without `--json`) and
+`herbrand-check` on each, so that work linear in the shared formula is
+checked to print what the tree walks printed.
 
 Each record holds the exit code, stdout and stderr.  Stage timings
 (`"seconds"` and `[N ms]`), `SRC_DIR` and the temporary directory are masked,
@@ -55,8 +60,9 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "hhtbench"))
 import workloads  # noqa: E402
 
-GROUPS = ("corpus", "ht_atoms", "herbrand", "universe", "pairs", "proofs", "syntax")
-UNSEEDED = ("pairs", "proofs", "syntax", "limits", "captures")
+GROUPS = ("corpus", "ht_atoms", "herbrand", "universe", "pairs", "proofs", "syntax",
+          "sharing")
+UNSEEDED = ("pairs", "proofs", "syntax", "sharing", "limits", "captures")
 _LIMIT_FOFS = {
     "c13.fof": "const a, c1, c2, c3, c4, c5, c6, c7, c8, c9, c10, c11, c12.  pred P/1.\n"
                "forall x (P(x) -> P(x)) & exists x (P(x) | not P(x) | P(a))\n",
@@ -217,6 +223,23 @@ def _capture_argvs(workdir: str) -> dict[str, list[str]]:
     return out
 
 
+def _sharing_argvs(workdir: str) -> dict[str, list[str]]:
+    subst = Path(workdir, "iff.subst")
+    subst.write_text("const a.  pred P/0.\nP := p;\n", encoding="utf-8")
+    out = {}
+    for n in range(2, 13, 2):
+        text = "P <-> P"
+        for _ in range(n - 1):
+            text = f"P <-> ({text})"
+        path = Path(workdir, f"iff{n}.fof")
+        path.write_text(f"const a.  pred P/0.\n{text}\n", encoding="utf-8")
+        for flag in ([], ["--json"]):
+            argv = ["instantiate", str(path), str(subst), *flag]
+            out[" ".join(["sharing", f"iff{n}", "instantiate", *flag])] = argv
+        out[f"sharing iff{n} herbrand-check"] = ["herbrand-check", str(path)]
+    return out
+
+
 def _argvs(group: str, seed: int, corpus, workdir: str) -> dict[str, list[str]]:
     """Label -> argv for one workload and seed, with its inputs written."""
     if group == "pairs":
@@ -229,6 +252,8 @@ def _argvs(group: str, seed: int, corpus, workdir: str) -> dict[str, list[str]]:
         return _limit_argvs(workdir)
     if group == "captures":
         return _capture_argvs(workdir)
+    if group == "sharing":
+        return _sharing_argvs(workdir)
     if group == "corpus":
         cases = workloads.corpus(seed, corpus.cases, corpus.data_path)
     elif group == "herbrand":
