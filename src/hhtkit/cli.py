@@ -49,6 +49,7 @@ from .syntax import (
     eliminate_restrictors,
     formula_to_text,
     prop_atoms,
+    prop_dag,
     prop_stats,
     prop_to_text,
 )
@@ -166,7 +167,8 @@ def _instantiation_stage(report: _Report, args, sig, f, pipeline: bool):
         report.data["missing"] = list(e.missing)
         report.say("substitution is missing entries for: " + ", ".join(e.missing))
         return 2
-    atoms, rank, nodes, size = prop_stats(instance)
+    dag = prop_dag(instance)
+    atoms, rank, nodes, size = prop_stats(instance, dag)
     stats = {"atoms": len(atoms), "rank": rank, "nodes": nodes}
     secs = _stage(report, "instantiation", t0, mode=mode_label, **stats)
     counts = f"atoms={stats['atoms']} rank={stats['rank']} nodes={stats['nodes']}"
@@ -176,7 +178,7 @@ def _instantiation_stage(report: _Report, args, sig, f, pipeline: bool):
         budget = _budget()  # the text is tree-sized, however much is shared
         if size > budget:
             raise HhtError(f"printing the instance needs {size} steps, budget is {budget}")
-        report.data["instance"] = text = prop_to_text(instance)
+        report.data["instance"] = text = prop_to_text(instance, dag)
         report.say(f"mode: {mode_label}")
         report.say(f"instance: {text}")
         report.say(counts)

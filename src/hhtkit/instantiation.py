@@ -214,7 +214,7 @@ def _instantiate(
     env: dict[Var, Term] = {}
 
     def image(pred: str, args: tuple[Term, ...]) -> PropFormula:
-        atom = GroundAtom(pred, args)
+        atom = GroundAtom.of_ground(pred, args)  # `f` is closed: `env` binds every variable
         try:
             return subst.lookup(atom)
         except UnmappedAtom:

@@ -30,10 +30,16 @@ the walks that cache their result per node (`syntax.eliminate_restrictors`,
 dies with its `Cursor`: two parses share no node.  Propositional formulas
 are not shared.
 
-Parsing is context-free given the signature, so a first-order `( ... )`
-group whose tokens occurred earlier in the parse is not parsed again: the
-`Cursor`'s group memo returns the node the table would give a second parse.
-A group that raised is never stored.  Propositional groups are not memoized.
+Parsing is context-free given the signature and reads one token ahead, so
+a first-order span whose tokens, with the token that stops it, occurred
+earlier in the parse is not parsed again: the `Cursor`'s span memo returns
+the node the table would give a second parse.  `_parse_binary` looks a span
+up where it is told that stop: a group's `)`, a proof line's `by`, a formula
+binding's `,` or `;` at its depth and, for the right operand of `->` or
+`<->` in a span without `<->` (power 1 stops at one, power 0 does not), the
+span's own.  A span is stored once it parsed and stopped there, so a wrong
+prediction costs a miss and errors do not change.  The keys one parse
+slices hold at most 8 tokens per token of its text (corpus files take 2).
 
 Identifiers not declared in the ambient signature parse as variables:
 object variables in term position, predicate variables (of the applied
@@ -87,7 +93,8 @@ from .syntax import (
 
 _TOKEN = (r"[A-Za-z_][A-Za-z0-9_]*+(?:-[A-Za-z_][A-Za-z0-9_]*+)*+"
           r"|[(){}\[\],;.&|=/^+]|->|<->|:=?|!=|[0-9]++")
-_VALID_RE = re.compile(_TOKEN)
+# the valid one-character tokens: a longer one `_TOKEN_RE` finds is a token or a comment
+_ONE_CHAR = frozenset(c for c in map(chr, range(128)) if re.fullmatch(_TOKEN, c))
 # a token, a comment or any other non-space character; `findall` skips spaces
 _TOKEN_RE = re.compile(rf"{_TOKEN}|\#[^\n]*|\S")
 _IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
@@ -99,7 +106,7 @@ class Cursor:
     `""` (so no `at`/`eat`/`expect` of a non-empty text matches it); a
     token's kind is read from its first character.  It also holds the
     table of the first-order nodes built from them (see `node`) and the
-    memo of the first-order groups parsed so far (see `group`)."""
+    memo of the first-order spans parsed so far (see `end`)."""
 
     def __init__(self, text: str):
         self.text = text
@@ -108,13 +115,14 @@ class Cursor:
             self.tokens = [t for t in self.tokens if t[0] != "#"]
         self.tokens.append("")
         self.i = 0
-        bad = [t for t in set(self.tokens) if t and not _VALID_RE.fullmatch(t)]
+        bad = [t for t in set(self.tokens) if len(t) == 1 and t not in _ONE_CHAR]
         if bad:
             self.i = min(map(self.tokens.index, bad))
             raise self.error(f"unexpected character {self.tokens[self.i]!r}")
         self.nodes: dict[tuple, object] = {("->", id(BOTTOM), id(BOTTOM)): TRUTH}
-        self.groups: dict[tuple[str, ...], FOFormula] = {}
-        self.depth: list[int] | None = None
+        self.spans: dict[tuple[str, ...], FOFormula] = {}
+        self.room = 8 * len(self.tokens)  # key tokens left (module docstring)
+        self.depth: list[int] | None = None  # the parenthesis depth before each token
 
     def node(self, key: tuple, cls, *fields):
         """The node `cls(*fields)`: the one built earlier under `key` if
@@ -131,16 +139,22 @@ class Cursor:
             self.nodes[key] = got
         return got
 
-    def group(self) -> tuple[str, ...]:
-        """The tokens from the next one, a `(`, to its matching `)`: the
-        first token after it that brings the parenthesis depth back down."""
+    def end(self, stop: str) -> int:
+        """Where a formula from the next token on is predicted to stop, or -1:
+        the `)` closing the group the next token is in if `stop` is `)`; else
+        the first `stop` at its depth before the next `;`, or that `;`."""
         if self.depth is None:
-            self.depth = list(accumulate(map(_DEPTH.get, self.tokens, repeat(0))))
+            self.depth = [0, *accumulate(map(_DEPTH.get, self.tokens, repeat(0)))]
+        depth, tokens, i, end = self.depth, self.tokens, self.i, -1
         try:
-            end = self.depth.index(self.depth[self.i] - 1, self.i)
-        except ValueError:  # unbalanced: the parse raises before storing
-            return ()
-        return tuple(self.tokens[self.i:end + 1])
+            if stop == ")":
+                return depth.index(depth[i] - 1, i + 1) - 1
+            end = tokens.index(";", i)
+            while depth[j := tokens.index(stop, i, end)] != depth[self.i]:
+                i = j + 1
+            return j
+        except ValueError:  # unbalanced, no `;`, or no `stop` before it
+            return end
 
     def peek(self) -> str:
         return self.tokens[self.i]
@@ -249,21 +263,33 @@ def parse_signature_block(cur: Cursor) -> Signature:
 _BINARY = {"<->": (0, False), "->": (1, True), "|": (2, False), "&": (3, False)}
 
 
-def _parse_binary(cur: Cursor, sig: Signature | None, lang, min_power: int = 0):
+def _parse_binary(cur: Cursor, sig: Signature | None, lang, min_power: int = 0, end: int = -1):
     """A formula whose top-level connectives bind at least `min_power`, by
     precedence climbing.  `lang` is a pair (prefix parser, constructor
     `build(cur, connective, left, right)`); the prefix parser is called
-    directly, so a nesting level costs one frame here and one there."""
+    directly, so a nesting level costs one frame here and one there.  `end`
+    is where a first-order span is predicted to stop (module docstring)."""
+    key, inner = (), -1  # `inner`: the `end` of the right operands
+    if end >= 0 and cur.room > 0:
+        key = tuple(cur.tokens[cur.i:end + 1])
+        cur.room -= len(key)
+        if (f := cur.spans.get(key)) is not None:
+            cur.i = end
+            return f
+        inner = -1 if "<->" in key else end
     prefix, build = lang
     f = prefix(cur, sig)
     while True:
         op = cur.peek()
         spec = _BINARY.get(op)
         if spec is None or spec[0] < min_power:
+            if key and cur.i == end:
+                cur.spans[key] = f
             return f
         cur.next()
         power, right = spec
-        f = build(cur, op, f, _parse_binary(cur, sig, lang, power if right else power + 1))
+        f = build(cur, op, f, _parse_binary(cur, sig, lang, power if right else power + 1,
+                                            inner if power < 2 else -1))
 
 
 # ---------------------------------------------------------------------------
@@ -359,15 +385,9 @@ def _parse_binder(cur: Cursor, sig: Signature, second_order: bool = False):
 def _parse_unary(cur: Cursor, sig: Signature) -> FOFormula:
     text = cur.peek()
     if text == "(":
-        key = cur.group()
-        f = cur.groups.get(key)
-        if f is not None:
-            cur.i += len(key)
-            return f
         cur.next()
-        f = _parse_binary(cur, sig, _FO)
+        f = _parse_binary(cur, sig, _FO, 0, cur.end(")"))
         cur.expect(")")
-        cur.groups[key] = f
         return f
     if text == "not":
         cur.next()
@@ -568,7 +588,7 @@ def _parse_level(cur: Cursor) -> TheoryLevel:
 
 def _parse_binding_value(cur: Cursor, sig: Signature, kind: str):
     if kind == "formula":
-        return _parse_binary(cur, sig, _FO)
+        return _parse_binary(cur, sig, _FO, 0, cur.end(","))
     if kind == "term":
         return _parse_term(cur, sig)
     if kind == "var":
@@ -653,7 +673,7 @@ def parse_proof_file(text: str) -> Proof:
         if n != len(lines) + 1:
             raise cur.error(f"expected line number {len(lines) + 1}, found {n}")
         cur.expect(":")
-        f = _parse_binary(cur, sig, _FO)
+        f = _parse_binary(cur, sig, _FO, 0, cur.end("by"))
         just = _parse_justification(cur, sig)
         cur.expect(";")
         lines.append(ProofLine(f, just))

@@ -500,6 +500,13 @@ class GroundAtom:
             if not term_is_ground(a):
                 raise ValueError(f"ground atom argument contains variables: {a!r}")
 
+    @classmethod
+    def of_ground(cls, pred: str, args: tuple) -> GroundAtom:
+        """`GroundAtom(pred, args)` unchecked, for `args` ground by construction."""
+        atom = object.__new__(cls)
+        atom.__dict__.update(pred=pred, args=args)
+        return atom
+
 
 # ---------------------------------------------------------------------------
 # infinitary propositional formulas
@@ -579,11 +586,11 @@ def prop_dag(f: PropFormula) -> list[tuple[PropFormula, tuple[int, ...]]]:
     return out
 
 
-def prop_stats(f: PropFormula) -> tuple[frozenset[str], int, int, int]:
+def prop_stats(f: PropFormula, dag: list | None = None) -> tuple[frozenset[str], int, int, int]:
     """`prop_atoms`, `rank` and `prop_node_count` of `f`, and its size as a
     tree (each shared node counted at each occurrence, as its text spells
-    it out), from one `prop_dag` pass."""
-    dag = prop_dag(f)
+    it out), from one `prop_dag` pass: `dag` if the caller has it."""
+    dag = dag or prop_dag(f)
     ranks: list[int] = []
     sizes: list[int] = []
     for _, kids in dag:
@@ -695,11 +702,11 @@ def ground_atom_to_text(a: GroundAtom) -> str:
     return f"{a.pred}({','.join(term_to_text(t) for t in a.args)})"
 
 
-def prop_to_text(f: PropFormula) -> str:
-    """The text of `f`, rendering each distinct node of `prop_dag` once
-    however often it is printed."""
+def prop_to_text(f: PropFormula, dag: list | None = None) -> str:
+    """The text of `f`, rendering each distinct node of `prop_dag` (`dag` if
+    the caller has it) once however often it is printed."""
     texts: list[str] = []
-    for g, kids in prop_dag(f):
+    for g, kids in dag or prop_dag(f):
         match g:
             case PAtom(name):
                 text = name

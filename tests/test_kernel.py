@@ -9,6 +9,7 @@ from hhtkit.errors import (
     SchemaMismatch,
     SideConditionViolation,
 )
+from hhtkit.corpus import load_text
 from hhtkit.kernel import (
     ByAxiom,
     ByMP,
@@ -80,6 +81,26 @@ def test_schema_mismatch_on_wrong_binding():
     line = ProofLine(fof("not not P(a) -> P(a)"), ByAxiom.of("efq", F=fof("P(a)")))
     with pytest.raises(SchemaMismatch):
         check_proof(Proof(SIG, TheoryLevel.HHT, (line,)))
+
+
+def test_axiom_line_that_matches_only_after_restrictor_elimination():
+    # example5's line 142, whose binding now names `forall (x:R) P(x)` for
+    # the line's `forall x (R(x) -> P(x))`
+    text = load_text("example5.proof").splitlines(keepends=True)
+    line = "1: " + text[143].split(": ", 1)[1].replace(
+        "H := forall x (R(x) -> P(x))", "H := forall (x:R) P(x)")
+    proof = parse_proof_file("".join(text[:2]) + line)
+    (line1,) = proof.lines
+    built = build_axiom_instance(proof.signature, "s", line1.justification.as_dict())
+    assert built != line1.formula
+    assert check_proof(proof) is line1.formula
+    wrong = parse_proof_file("".join(text[:2]) + line.replace("G := top", "G := bot"))
+    with pytest.raises(SchemaMismatch) as err:
+        check_proof(wrong)
+    assert str(err.value) == (
+        "line 1: schema s with this binding yields (forall x P(x) -> bot -> "
+        "forall (x:R) P(x)) -> not forall x P(x) -> forall x P(x) -> forall (x:R) P(x)"
+    )
 
 
 def test_forall_elim_capture_side_condition():

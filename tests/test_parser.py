@@ -359,23 +359,45 @@ def test_tokenizer_matches_reference_on_edge_cases(text):
 
 
 # ---------------------------------------------------------------------------
-# the group memo
+# the span memo
 
 class _NoMemo(dict):
-    """A group memo that stores nothing, so every group is parsed."""
+    """A span memo that stores nothing, so every span is parsed."""
 
     def __setitem__(self, key, value):
         pass
 
 
-def _without_memo(monkeypatch):
-    init = Cursor.__init__
+class _Counting(dict):
+    """A span memo that records each lookup: the key, joined, and whether
+    it hit."""
 
-    def no_memo(self, text):
+    def __init__(self):
+        super().__init__()
+        self.lookups = []
+
+    def get(self, key):
+        got = super().get(key)
+        self.lookups.append((" ".join(key), got is not None))
+        return got
+
+
+def _with_memo(monkeypatch, memo):
+    """Make every `Cursor` use a new `memo()` as its span memo; return the
+    list of the memos made."""
+    init, made = Cursor.__init__, []
+
+    def patched(self, text):
         init(self, text)
-        self.groups = _NoMemo()
+        self.spans = memo()
+        made.append(self.spans)
 
-    monkeypatch.setattr(Cursor, "__init__", no_memo)
+    monkeypatch.setattr(Cursor, "__init__", patched)
+    return made
+
+
+def _without_memo(monkeypatch):
+    _with_memo(monkeypatch, _NoMemo)
 
 
 def _same_sharing(a, b, seen):
@@ -413,19 +435,104 @@ def test_memo_changes_no_parse(name, monkeypatch):
 
 
 def test_memo_is_used():
-    hits = []
-
-    class Counting(dict):
-        def get(self, key):
-            got = super().get(key)
-            hits.append(got is not None)
-            return got
-
     cur = Cursor("(P(a) | Q) -> (P(a) | Q) & ((P(a) | Q))")
-    cur.groups = Counting()
+    cur.spans = _Counting()
     f = _parse_binary(cur, SIG, _FO)
-    assert hits == [False, True, False, True]
+    # groups only: the formula's own end is not predicted
+    assert cur.spans.lookups == [
+        ("P ( a ) | Q )", False), ("P ( a ) | Q )", True),
+        ("( P ( a ) | Q ) )", False), ("P ( a ) | Q )", True),
+    ]
     assert f.left is f.right.left is f.right.right
+
+
+def test_memo_lookups_in_a_proof_are_pinned(monkeypatch):
+    made = _with_memo(monkeypatch, _Counting)
+    proof = parse_proof_file(
+        "const a.  pred P/0, Q/1.  level HHT;\n"
+        "1: P -> Q(x) -> P by axiom k with F := P, G := Q(x);\n"
+        "2: Q(x) -> P by mp 3 1;\n"
+        "3: (P <-> P) <-> P -> P by axiom k with F := (P <-> P) <-> P, G := P -> P;\n"
+    )
+    (memo,) = made
+    assert memo.lookups == [
+        # a line's formula, the right operand of each `->` and each binding
+        ("P -> Q ( x ) -> P by", False), ("Q ( x ) -> P by", False), ("P by", False),
+        ("P ,", False), ("Q ( x ) ;", False),
+        # an `mp` line restates a right operand
+        ("Q ( x ) -> P by", True),
+        # a group; no right operand of a span that holds `<->`
+        ("( P <-> P ) <-> P -> P by", False), ("P <-> P )", False),
+        # a binding stops at the first `,` at its depth, else at the `;`
+        ("( P <-> P ) <-> P ,", False), ("P <-> P )", True), ("P -> P ;", False), ("P ;", False),
+    ]
+    assert proof.lines[1].formula is proof.lines[0].formula.right
+
+
+def test_a_wrong_prediction_costs_a_miss(monkeypatch):
+    # `by` is a predicate here too, so each line's end is predicted at its
+    # first token; the parse stops elsewhere, and nothing is stored
+    line = "by -> by by axiom k with F := by, G := by;\n"
+    text = f"const a.  pred by/0.  level HHT;\n1: {line}2: {line}"
+    memoized = parse_proof_file(text)
+    _without_memo(monkeypatch)
+    assert repr(memoized) == repr(parse_proof_file(text))
+
+
+def test_a_right_operand_never_takes_a_parse_across_iff(monkeypatch):
+    # line 2's `->` operand has line 1's tokens and stop, but at power 1 it
+    # ends at `<->`: `(P -> Q) <-> R`, not `P -> (Q <-> R)`
+    text = ("const a.  pred P/0, Q/0, R/0.  level HHT;\n"
+            "1: Q <-> R by axiom efq with F := P;\n2: P -> Q <-> R by axiom efq with F := P;\n")
+    memoized = parse_proof_file(text)
+    assert memoized.lines[1].formula == parse_formula_text("(P -> Q) <-> R", memoized.signature)
+    _without_memo(monkeypatch)
+    assert repr(memoized) == repr(parse_proof_file(text))
+
+
+def test_memo_keys_stay_linear_in_the_text(monkeypatch):
+    # each line's right operands nest 300 deep: every one looked up, their
+    # keys would hold about 150 tokens per token of the text
+    text = "const a.  pred P/0, Q/1.  level HHT;\n" + "".join(
+        f"{k}: {'P -> ' * 300}Q(x{k}) by axiom efq with F := P;\n" for k in range(1, 11))
+    made = _with_memo(monkeypatch, _Counting)
+    memoized = parse_proof_file(text)
+    (memo,) = made
+    # 8 tokens per token, and the last key may run over by one text's worth
+    assert sum(len(key.split()) for key, _ in memo.lookups) <= 9 * len(Cursor(text).tokens)
+    _without_memo(monkeypatch)
+    assert repr(memoized) == repr(parse_proof_file(text))
+
+
+# edits that keep a proof's syntax or break it; a piece of the file itself
+# is drawn as well
+_EDITS = ["(", ")", ",", ";", "->", "<->", "&", "|", "not", "by", ":=", "x", "P(x)", ""]
+
+
+def _parse_outcome(text):
+    try:
+        return repr(parse_proof_file(text))
+    except ParseError as e:
+        return f"ParseError: {e}"
+
+
+def test_memo_changes_no_parse_of_a_mutation(monkeypatch):
+    rng = random.Random(13)
+    texts = []
+    for name in sorted(n for n in _DATA if n.endswith(".proof")):
+        pieces = _SEPARATE.findall(load_text(name))
+        for _ in range(4):
+            k = rng.randrange(len(pieces))
+            edit = rng.choice(_EDITS + [rng.choice(pieces)])
+            texts.append("".join(pieces[:k] + [edit] + pieces[k + 1:]))
+    made = _with_memo(monkeypatch, _Counting)
+    memoized = [_parse_outcome(text) for text in texts]
+    _without_memo(monkeypatch)
+    assert [_parse_outcome(text) for text in texts] == memoized
+    # not vacuous: the memo hit, and both outcomes occur
+    assert any(hit for memo in made for _, hit in memo.lookups)
+    errors = sum(out.startswith("ParseError") for out in memoized)
+    assert 0 < errors < len(texts)
 
 
 @pytest.mark.parametrize("text, message", [
