@@ -230,12 +230,6 @@ class ProofBuilder:
     def iff_i(self, d1: Derivation, d2: Derivation) -> Derivation:
         return self.and_i(d1, d2)
 
-    def iff_e1(self, d: Derivation) -> Derivation:
-        return self.and_e1(d)
-
-    def iff_e2(self, d: Derivation) -> Derivation:
-        return self.and_e2(d)
-
     # -- derived quantifier steps --------------------------------------------
 
     def forall_e(self, d: Derivation, t: Term) -> Derivation:

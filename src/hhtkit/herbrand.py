@@ -1,9 +1,9 @@
 """Two-world models over the ground-term universe of a first-order
-signature: collapse of extended terms via function tables, the satisfaction
-relation including second-order quantification over concrete function and
-predicate names, validity over every interpretation of the Herbrand base,
-and the model transfer from a substitution plus a propositional
-interpretation.
+signature: the satisfaction relation including second-order quantification
+over concrete function and predicate names (a function variable's
+application evaluates through the table it is bound to), validity over
+every interpretation of the Herbrand base, and the model transfer from a
+substitution plus a propositional interpretation.
 
 Second-order quantifiers range over names represented directly by their
 extensions: a function name is a total table over the universe, and a
@@ -65,7 +65,6 @@ from .syntax import (
     Equals,
     Falsum,
     FnApp,
-    FnNameApp,
     FnVarApp,
     FOFormula,
     FuncVar,
@@ -138,13 +137,9 @@ class HerbrandInterpretation:
         return "absent"
 
 
-def hat_eval(t: Term) -> Term:
-    """Collapse a ground extended term to a plain ground term by applying
-    function tables; plain constants and constructors map to themselves."""
-    return _hat(t, {})
-
-
 def _hat(t: Term, env: Mapping) -> Term:
+    """The ground term `t` denotes under `env`, which binds its object
+    variables to terms and its function variables to `FunctionName`s."""
     match t:
         case Var():
             got = env.get(t)
@@ -153,8 +148,6 @@ def _hat(t: Term, env: Mapping) -> Term:
             return got
         case FnApp(fn, args):
             return FnApp(fn, tuple(_hat(a, env) for a in args))
-        case FnNameApp(name, args):
-            return name.apply(tuple(_hat(a, env) for a in args))
         case FnVarApp(v, args):
             got = env.get(v)
             if got is None:
@@ -264,8 +257,6 @@ def _sat(
                 if name is None:
                     raise NotClosed(f"unbound predicate variable {pred.name}")
                 return hatted in name.world(w)
-            if isinstance(pred, PredicateName):
-                return hatted in pred.world(w)
             return GroundAtom(pred, hatted) in j.world(w)
         case Binary("&", l, r):
             return _sat(j, w, l, terms, env) and _sat(j, w, r, terms, env)

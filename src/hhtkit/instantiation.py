@@ -221,14 +221,12 @@ def _instantiate(
             missing.add(ground_atom_to_text(atom))
             return BOT
 
-    # what `rec` built, by node and the terms of its free variables in `order`
-    order: dict[int, tuple] = {}
+    # what `rec` built, by node and the terms of its free variables (a
+    # node's one `free` set iterates in one order)
     memo: dict[tuple, PropFormula] = {}
 
     def rec(g: FOFormula) -> PropFormula:
-        if (names := order.get(id(g))) is None:
-            names = order[id(g)] = tuple(free_variables(g))
-        key = (id(g), *[id(env[v]) for v in names])
+        key = (id(g), *[id(env[v]) for v in g.free])
         if (out := memo.get(key)) is not None:
             return out
         match g:

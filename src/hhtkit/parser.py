@@ -24,11 +24,11 @@ connectives and quantifiers are built through the `Cursor`'s table, keyed
 by the constructor tag, the `id()` of the children (already shared, so
 equal children are the same object) and the values of the str and int
 fields, e.g. `("->", id(left), id(right))`.  So a subformula that recurs,
-within a proof line or across lines and axiom bindings, is one object, and
-the walks that cache their result per node (`syntax.eliminate_restrictors`,
-`is_first_order`, `free_variables`) visit it once.  The table lives and
-dies with its `Cursor`: two parses share no node.  Propositional formulas
-are not shared.
+within a proof line or across lines and axiom bindings, is one object: its
+facts (`free`, `first_order`, `restricted`, see `syntax`) are computed once,
+when it is built, and `syntax.eliminate_restrictors` unfolds it once.  The
+table lives and dies with its `Cursor`: two parses share no node.
+Propositional formulas are not shared.
 
 Parsing is context-free given the signature and reads one token ahead, so
 a first-order span whose tokens, with the token that stops it, occurred

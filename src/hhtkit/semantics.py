@@ -27,6 +27,7 @@ A run over budget is refused before that work starts.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import Iterable, Iterator
@@ -236,17 +237,8 @@ def enumerate_interpretations(atoms: Iterable[str]) -> Iterator[HTInterpretation
 
 
 def _enumerate_states(atoms: list[str]) -> Iterator[dict[str, int]]:
-    n = len(atoms)
-    states = [0] * n
-    while True:
+    for states in itertools.product((ABSENT, THERE_ONLY, BOTH), repeat=len(atoms)):
         yield dict(zip(atoms, states))
-        j = n - 1
-        while j >= 0 and states[j] == 2:
-            states[j] = 0
-            j -= 1
-        if j < 0:
-            return
-        states[j] += 1
 
 
 def ht_valid(

@@ -122,15 +122,7 @@ class FnVarApp:
     args: tuple
 
 
-@dataclass(frozen=True)
-class FnNameApp:
-    """Application of a concrete function table (see herbrand.FunctionName)."""
-
-    name: object
-    args: tuple
-
-
-Term = Union[Var, FnApp, FnVarApp, FnNameApp]
+Term = Union[Var, FnApp, FnVarApp]
 
 
 def const(name: str) -> FnApp:
@@ -142,7 +134,7 @@ def term_variables(t: Term) -> frozenset:
     match t:
         case Var():
             return frozenset((t,))
-        case FnApp(_, args) | FnNameApp(_, args):
+        case FnApp(_, args):
             out: frozenset = frozenset()
             for a in args:
                 out |= term_variables(a)
@@ -161,7 +153,7 @@ def term_is_ground(t: Term) -> bool:
 
 def term_is_first_order(t: Term) -> bool:
     """True when the term is built from object variables and signature
-    function constants only (no function variables or concrete tables)."""
+    function constants only (no function variables)."""
     match t:
         case Var():
             return True
@@ -173,10 +165,23 @@ def term_is_first_order(t: Term) -> bool:
 
 # ---------------------------------------------------------------------------
 # first/second-order formulas
+#
+# Every formula node knows three facts from construction: `free`, its free
+# object, predicate and function variables; `first_order`, that no predicate
+# or function variable occurs in it, bound or free; and `restricted`, that a
+# generalized variable occurs in it.  `__post_init__` computes them from the
+# children's facts and keeps them in the instance `__dict__`, outside the
+# dataclass fields (as `Signature` keeps its arity dicts), so `==`, `hash`,
+# `repr` and `match` are unchanged; leaves that cannot hold a generalized
+# variable, and `Falsum`, keep them on the class.  Reading a fact is one
+# attribute lookup at any depth, and building a node never walks below its
+# children.
 
 @dataclass(frozen=True)
 class Falsum:
-    pass
+    free = frozenset()
+    first_order = True
+    restricted = False
 
 
 BOTTOM = Falsum()
@@ -187,14 +192,31 @@ class Equals:
     left: Term
     right: Term
 
+    restricted = False
+
+    def __post_init__(self):
+        l, r = self.left, self.right
+        vars(self).update(free=term_variables(l) | term_variables(r),
+                          first_order=term_is_first_order(l) and term_is_first_order(r))
+
 
 @dataclass(frozen=True)
 class Atom:
-    """Predicate application. `pred` is a predicate-constant name, a
-    PredVar, or (during Herbrand evaluation) a concrete PredicateName."""
+    """Predicate application. `pred` is a predicate-constant name or a
+    PredVar."""
 
     pred: object
     args: tuple = ()
+
+    restricted = False
+
+    def __post_init__(self):
+        p, args = self.pred, self.args
+        free = frozenset((p,)) if isinstance(p, PredVar) else frozenset()
+        for a in args:
+            free |= term_variables(a)
+        first_order = not isinstance(p, PredVar) and all(map(term_is_first_order, args))
+        vars(self).update(free=free, first_order=first_order)
 
 
 @dataclass(frozen=True)
@@ -202,6 +224,11 @@ class Binary:
     op: str  # "&", "|" or "->"
     left: "FOFormula"
     right: "FOFormula"
+
+    def __post_init__(self):
+        l, r = self.left, self.right
+        vars(self).update(free=l.free | r.free, first_order=l.first_order and r.first_order,
+                          restricted=l.restricted or r.restricted)
 
 
 @dataclass(frozen=True)
@@ -230,6 +257,14 @@ class Quant:
     kind: str  # "forall" | "exists"
     binder: Binder
     body: "FOFormula"
+
+    def __post_init__(self):
+        binder, body = self.binder, self.body
+        vars(self).update(
+            free=body.free - binder_variables(binder),
+            first_order=not isinstance(binder, (PredVar, FuncVar)) and body.first_order,
+            restricted=isinstance(binder, GenVar) or body.restricted,
+        )
 
 
 FOFormula = Union[Falsum, Equals, Atom, Binary, Quant]
@@ -275,76 +310,18 @@ def binder_variables(binder: Binder) -> frozenset:
 
 
 def free_variables(f: FOFormula) -> frozenset:
-    """Free object, predicate and function variables of a formula.
-
-    The result is cached on each `Binary` and `Quant` node, in the
-    instance `__dict__` outside the dataclass fields (as `Signature` keeps
-    its arity dicts), so a formula whose subformulas are shared is walked
-    once per distinct node; `==`, `hash` and `repr` are unchanged."""
-    match f:
-        case Falsum():
-            return frozenset()
-        case Equals(l, r):
-            return term_variables(l) | term_variables(r)
-        case Atom(p, args):
-            out = frozenset((p,)) if isinstance(p, PredVar) else frozenset()
-            for a in args:
-                out |= term_variables(a)
-            return out
-        case Binary(_, l, r):
-            out = f.__dict__.get("_free")
-            if out is None:
-                out = f.__dict__["_free"] = free_variables(l) | free_variables(r)
-            return out
-        case Quant(_, binder, body):
-            out = f.__dict__.get("_free")
-            if out is None:
-                out = f.__dict__["_free"] = free_variables(body) - binder_variables(binder)
-            return out
-    raise TypeError(f"not a formula: {f!r}")
+    """Free object, predicate and function variables of a formula."""
+    return f.free
 
 
 def is_closed(f: FOFormula) -> bool:
-    return not free_variables(f)
-
-
-def _term_first_order(t: Term) -> bool:
-    """No function variable occurs in `t` (concrete tables are allowed)."""
-    match t:
-        case Var():
-            return True
-        case FnApp(_, args) | FnNameApp(_, args):
-            return all(_term_first_order(a) for a in args)
-    return False
+    return not f.free
 
 
 def is_first_order(f: FOFormula) -> bool:
     """True when no predicate or function variable occurs, bound or free.
-    Generalized variables are allowed.
-
-    The result is cached on each `Binary` and `Quant` node, in the
-    instance `__dict__` outside the dataclass fields, as for
-    `free_variables`."""
-    match f:
-        case Falsum():
-            return True
-        case Equals(l, r):
-            return _term_first_order(l) and _term_first_order(r)
-        case Atom(p, args):
-            return not isinstance(p, PredVar) and all(_term_first_order(a) for a in args)
-        case Binary(_, l, r):
-            out = f.__dict__.get("_first_order")
-            if out is None:
-                out = f.__dict__["_first_order"] = is_first_order(l) and is_first_order(r)
-            return out
-        case Quant(_, binder, body):
-            out = f.__dict__.get("_first_order")
-            if out is None:
-                out = f.__dict__["_first_order"] = (
-                    not isinstance(binder, (PredVar, FuncVar)) and is_first_order(body)
-                )
-            return out
-    raise TypeError(f"not a formula: {f!r}")
+    Generalized variables are allowed."""
+    return f.first_order
 
 
 def formula_depth(f: FOFormula) -> int:
@@ -372,8 +349,6 @@ def _term_subst(t: Term, mapping: Mapping) -> Term:
             return FnApp(fn, tuple(_term_subst(a, mapping) for a in args))
         case FnVarApp(v, args):
             return FnVarApp(mapping.get(v, v), tuple(_term_subst(a, mapping) for a in args))
-        case FnNameApp(name, args):
-            return FnNameApp(name, tuple(_term_subst(a, mapping) for a in args))
     raise TypeError(f"not a term: {t!r}")
 
 
@@ -384,7 +359,7 @@ def _replacement_variables(r) -> frozenset:
         return frozenset((r,))
     if isinstance(r, tuple):
         params, body = r
-        return free_variables(body) - frozenset(params)
+        return body.free - frozenset(params)
     return term_variables(r)
 
 
@@ -397,8 +372,8 @@ def substitute(f: FOFormula, mapping: Mapping) -> FOFormula:
     A binder that binds a free variable of the replacement for `v`, with `v`
     free below it, raises CaptureViolation.  A subformula in which no mapped
     variable is free is returned as it is (the same object), a test that
-    the cache of `free_variables` makes O(1) on `Binary` and `Quant` nodes."""
-    if not mapping or free_variables(f).isdisjoint(mapping):
+    reads the node's `free`, set when it was built."""
+    if not mapping or f.free.isdisjoint(mapping):
         return f
     match f:
         case Equals(l, r):
@@ -415,9 +390,8 @@ def substitute(f: FOFormula, mapping: Mapping) -> FOFormula:
         case Quant(kind, binder, body):
             bound = binder_variables(binder)
             inner = {v: r for v, r in mapping.items() if v not in bound}
-            free_below = free_variables(body)
             for v, r in inner.items():
-                if v in free_below and (captured := bound & _replacement_variables(r)):
+                if v in body.free and (captured := bound & _replacement_variables(r)):
                     names = ", ".join(sorted(x.name for x in captured))
                     raise CaptureViolation(f"substituting for {v.name} would capture {names}")
             return Quant(kind, binder, substitute(body, inner))
@@ -439,35 +413,27 @@ def eliminate_restrictors(f: FOFormula) -> FOFormula:
     """Unfold generalized variables into guarded plain quantifiers.  A
     formula with no generalized variable below it is returned as it is.
 
-    The result is cached on each `Binary` and `Quant` node, in the
-    instance `__dict__` outside the dataclass fields, as for
-    `free_variables`; `False` stands for "the node itself", which stored
-    as such would make the node a reference cycle."""
-    match f:
-        case Falsum() | Equals() | Atom():
-            return f
-        case Binary(op, l, r):
-            out = f.__dict__.get("_unfolded")
-            if out is None:
-                el, er = eliminate_restrictors(l), eliminate_restrictors(r)
-                out = f.__dict__["_unfolded"] = (
-                    (el is not l or er is not r) and Binary(op, el, er)
-                )
-            return out or f
-        case Quant(kind, binder, body):
-            out = f.__dict__.get("_unfolded")
-            if out is None:
-                inner = eliminate_restrictors(body)
+    Only a node whose `restricted` fact is set is walked; its unfolding is
+    cached in its instance `__dict__`, next to its facts, so each such node
+    is unfolded once."""
+    if not f.restricted:
+        return f
+    out = f.__dict__.get("_unfolded")
+    if out is None:
+        match f:
+            case Binary(op, l, r):
+                out = Binary(op, eliminate_restrictors(l), eliminate_restrictors(r))
+            case Quant(kind, binder, body):
+                out = eliminate_restrictors(body)
                 if isinstance(binder, GenVar):
                     guard = conj_all(Atom(r, (v,)) for v, r in binder.items)
-                    out = impl(guard, inner) if kind == "forall" else conj(guard, inner)
+                    out = impl(guard, out) if kind == "forall" else conj(guard, out)
                     for v in reversed(binder.variables()):
                         out = Quant(kind, v, out)
                 else:
-                    out = inner is not body and Quant(kind, binder, inner)
-                f.__dict__["_unfolded"] = out
-            return out or f
-    raise TypeError(f"not a formula: {f!r}")
+                    out = Quant(kind, binder, out)
+        f.__dict__["_unfolded"] = out
+    return out
 
 
 def universal_closure(f: FOFormula) -> FOFormula:
@@ -628,8 +594,6 @@ def term_to_text(t: Term) -> str:
             return f"{fn}({','.join(term_to_text(a) for a in args)})"
         case FnVarApp(v, args):
             return f"{v.name}({','.join(term_to_text(a) for a in args)})"
-        case FnNameApp(name, args):
-            return f"{name!r}({','.join(term_to_text(a) for a in args)})"
     raise TypeError(f"not a term: {t!r}")
 
 

@@ -7,13 +7,13 @@ from hhtkit.errors import BudgetExceeded
 from hhtkit.herbrand import (
     FunctionName,
     HerbrandInterpretation,
+    _hat,
     all_function_names,
     all_predicate_names,
     count_function_names,
     count_predicate_names,
     enumerate_herbrand,
     h_satisfies,
-    hat_eval,
     hht_valid_bruteforce,
     lift,
     render_herbrand_countermodel,
@@ -28,7 +28,8 @@ from hhtkit.syntax import (
     Atom,
     Binary,
     FnApp,
-    FnNameApp,
+    FnVarApp,
+    FuncVar,
     GroundAtom,
     PAtom,
     Quant,
@@ -56,19 +57,21 @@ def pa(name, *consts):
 
 # --- hat evaluation ----------------------------------------------------------
 
+G1 = FuncVar("g", 1)
+TABLE_AB = FunctionName(1, (((const("a"),), const("b")), ((const("b"),), const("b"))))
+
+
 def test_hat_constant_is_itself():
-    assert hat_eval(const("a")) == const("a")
+    assert _hat(const("a"), {}) == const("a")
 
 
 def test_hat_applies_table():
-    table = FunctionName(1, (((const("a"),), const("b")), ((const("b"),), const("b"))))
-    assert hat_eval(FnNameApp(table, (const("a"),))) == const("b")
+    assert _hat(FnVarApp(G1, (const("a"),)), {G1: TABLE_AB}) == const("b")
 
 
 def test_hat_recurses_under_constructors():
-    table = FunctionName(1, (((const("a"),), const("b")), ((const("b"),), const("b"))))
-    t = FnApp("f", (FnNameApp(table, (const("a"),)),))
-    assert hat_eval(t) == FnApp("f", (const("b"),))
+    t = FnApp("f", (FnVarApp(G1, (Var("x"),)), const("a")))
+    assert _hat(t, {G1: TABLE_AB, Var("x"): const("a")}) == FnApp("f", (const("b"), const("a")))
 
 
 # --- satisfaction clauses -----------------------------------------------------

@@ -1,7 +1,7 @@
-"""Sharing of equal first-order nodes within a parse, and the walks that
-cache their result on each node or compute it once per node: checked
-against literal recursive references and against proofs rebuilt with
-nothing shared."""
+"""Sharing of equal first-order nodes within a parse, the facts each node
+gets when it is built, and the walks that cache their result on each node
+or compute it once per node: checked against literal recursive references
+and against proofs rebuilt with nothing shared."""
 
 import dataclasses
 import random
@@ -11,7 +11,7 @@ import pytest
 
 import gen
 from hhtkit.corpus import data_path, load_text
-from hhtkit.errors import ProofError
+from hhtkit.errors import CaptureViolation, ProofError
 from hhtkit.herbrand import count_function_names, count_predicate_names, estimate_cost
 from hhtkit.instantiation import instantiate
 from hhtkit.kernel import ByAxiom, ByGen, check_proof
@@ -24,7 +24,6 @@ from hhtkit.syntax import (
     Equals,
     Falsum,
     FnApp,
-    FnNameApp,
     FnVarApp,
     FOFormula,
     FuncVar,
@@ -50,6 +49,7 @@ from hhtkit.syntax import (
     impl,
     is_first_order,
     prop_to_text,
+    substitute,
     term_variables,
 )
 
@@ -83,7 +83,7 @@ def ref_is_first_order(f: FOFormula) -> bool:
         match t:
             case Var():
                 return True
-            case FnApp(_, args) | FnNameApp(_, args):
+            case FnApp(_, args):
                 return all(term_ok(a) for a in args)
             case FnVarApp():
                 return False
@@ -182,7 +182,7 @@ def _children(x) -> list:
             return [binder, body]
         case Atom(p, args):
             return [*args] if isinstance(p, str) else [p, *args]
-        case FnApp(_, args) | FnNameApp(_, args):
+        case FnApp(_, args):
             return list(args)
         case FnVarApp(v, args):
             return [v, *args]
@@ -306,8 +306,9 @@ def test_cached_walks_match_references(share):
         nodes = list(_nodes([f])[0].values())
         formula_nodes = [g for g in nodes if isinstance(g, (Falsum, Equals, Atom, Binary, Quant))]
         for warm in (False, True):
-            # cold: the first call fills the caches of every node below `f`;
-            # warm: every node then answers from its cache
+            # every node's facts were set when it was built; cold: the first
+            # call fills the unfolding cache of every node below `f` that has
+            # a generalized variable; warm: those nodes answer from it
             assert eliminate_restrictors(f) == ref_eliminate_restrictors(f)
             assert is_first_order(f) == ref_is_first_order(f)
             assert free_variables(f) == ref_free_variables(f)
@@ -316,6 +317,47 @@ def test_cached_walks_match_references(share):
                     assert eliminate_restrictors(g) == ref_eliminate_restrictors(g)
                     assert is_first_order(g) == ref_is_first_order(g)
                     assert free_variables(g) == ref_free_variables(g)
+
+
+def _assert_facts_match_references(f: FOFormula):
+    for g in _nodes([f])[0].values():
+        if isinstance(g, (Falsum, Equals, Atom, Binary, Quant)):
+            assert g.free == ref_free_variables(g), g
+            assert g.first_order == ref_is_first_order(g), g
+            # only a generalized variable makes the unfolding differ
+            assert g.restricted == (ref_eliminate_restrictors(g) != g), g
+
+
+def test_facts_of_built_nodes_match_references():
+    y, z = Var("y"), Var("z")
+    abstraction = ((z,), disj(Atom("P", (z,)), Quant("exists", y, Atom("Q", (z, y)))))
+    mappings = [{y: const("a")}, {y: Var("x")}, {y: FnVarApp(FuncVar("g", 1), (const("b"),))}]
+    checked = 0
+    for f in _formulas(14, 120, 0.4):
+        _assert_facts_match_references(eliminate_restrictors(f))
+        extra = []
+        if isinstance(f, Quant) and isinstance(f.binder, PredVar):
+            # `q(y)` becomes an instance of the abstraction's body
+            f, extra = f.body, [{f.binder: abstraction}]
+        for mapping in [*extra, *mappings]:
+            try:
+                g = substitute(f, mapping)
+            except CaptureViolation:
+                continue
+            _assert_facts_match_references(g)
+            checked += g is not f
+    assert checked > 50
+
+
+@pytest.mark.parametrize("shape", ["and", "forall"])
+def test_facts_of_deep_formulas_need_no_recursion(shape):
+    # a 5,000-deep `&` chain or `forall y` chain, built in code
+    leaf = f = Atom("P", (Var("x"),))
+    for _ in range(5000):
+        f = conj(f, leaf) if shape == "and" else Quant("forall", Var("y"), f)
+    assert free_variables(f) == {Var("x")}
+    assert is_first_order(f)
+    assert eliminate_restrictors(f) is f
 
 
 def test_eliminate_returns_formula_without_generalized_variables_itself():

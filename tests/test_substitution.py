@@ -16,7 +16,6 @@ from hhtkit.syntax import (
     Equals,
     Falsum,
     FnApp,
-    FnNameApp,
     FnVarApp,
     FOFormula,
     FuncVar,
@@ -49,8 +48,6 @@ def ref_term_subst(t: Term, mapping) -> Term:
             return FnApp(fn, tuple(ref_term_subst(a, mapping) for a in args))
         case FnVarApp(v, args):
             return FnVarApp(v, tuple(ref_term_subst(a, mapping) for a in args))
-        case FnNameApp(name, args):
-            return FnNameApp(name, tuple(ref_term_subst(a, mapping) for a in args))
     raise TypeError(f"not a term: {t!r}")
 
 
@@ -94,8 +91,6 @@ def ref_subst_sovar(f: FOFormula, v, w) -> FOFormula:
             case FnVarApp(fv, args):
                 new_args = tuple(sub_term(a) for a in args)
                 return FnVarApp(w if fv == v else fv, new_args)
-            case FnNameApp(name, args):
-                return FnNameApp(name, tuple(sub_term(a) for a in args))
         raise TypeError(f"not a term: {t!r}")
 
     def rec(g: FOFormula) -> FOFormula:

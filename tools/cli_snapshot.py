@@ -24,6 +24,11 @@ schema whose binding makes the substitution capture a variable
 (`forall-elim`, `exists-intro`, `eq-subst`, `so-forall-elim`,
 `so-exists-intro`, `so-forall-elim-abs`) and records `check-proof` on each,
 with and without `--json`, so that capture messages are compared too.
+The `depth` group, also run only when asked for, writes one single-line
+proof whose `forall-elim` binding `F` is a flat chain of `P(x) & ...`, a
+nest of `forall y`, or a nest of parentheses around `P(x)`, at depths 300,
+330, 490 and 1,000, and records `check-proof` on each, with and without
+`--json`, so that how deep each stage goes is compared too.
 The `syntax` group mutates every shipped `.proof`, `.prop`, `.fof` and
 `.subst` at three seeded token sites, each token replaced as
 `tests/test_cli_property.py` replaces one, and records `check-proof`,
@@ -62,7 +67,8 @@ import workloads  # noqa: E402
 
 GROUPS = ("corpus", "ht_atoms", "herbrand", "universe", "pairs", "proofs", "syntax",
           "sharing")
-UNSEEDED = ("pairs", "proofs", "syntax", "sharing", "limits", "captures")
+UNSEEDED = ("pairs", "proofs", "syntax", "sharing", "limits", "captures", "depth")
+ON_REQUEST = ("limits", "captures", "depth")
 _LIMIT_FOFS = {
     "c13.fof": "const a, c1, c2, c3, c4, c5, c6, c7, c8, c9, c10, c11, c12.  pred P/1.\n"
                "forall x (P(x) -> P(x)) & exists x (P(x) | not P(x) | P(a))\n",
@@ -84,6 +90,12 @@ _CAPTURE_LINES = {
     "so-forall-elim-abs": "forall p/1 forall y p(y) -> forall y Q(y,y) by axiom "
                           "so-forall-elim-abs with p := p/1, G := forall y p(y), xs := [x], "
                           "F := Q(x,y);",
+}
+# shape -> the `F` of a `forall-elim` line at a depth
+_DEPTH_SHAPES = {
+    "and": lambda n: "(" + " & ".join(["P(x)"] * n) + ")",
+    "forall": lambda n: "forall y " * n + "P(x)",
+    "parens": lambda n: "(" * n + "P(x)" + ")" * n,
 }
 # how tests/test_cli_property.py splits a file into tokens and replaces one
 _SYNTAX_TOKEN = re.compile(r"\w+|\s+|:=|->|<->|!=|\S")
@@ -223,6 +235,20 @@ def _capture_argvs(workdir: str) -> dict[str, list[str]]:
     return out
 
 
+def _depth_argvs(workdir: str) -> dict[str, list[str]]:
+    out = {}
+    for shape, body in _DEPTH_SHAPES.items():
+        for n in (300, 330, 490, 1000):
+            f = body(n)
+            line = (f"1: forall x {f} -> {f.replace('P(x)', 'P(a)')} by axiom forall-elim "
+                    f"with x := x, F := {f}, t := a;")
+            path = Path(workdir, f"depth-{shape}{n}.proof")
+            path.write_text(f"const a.  pred P/1.\nlevel HHT;\n{line}\n", encoding="utf-8")
+            for flag in ([], ["--json"]):
+                out[" ".join(["depth", f"{shape}{n}", *flag])] = ["check-proof", str(path), *flag]
+    return out
+
+
 def _sharing_argvs(workdir: str) -> dict[str, list[str]]:
     subst = Path(workdir, "iff.subst")
     subst.write_text("const a.  pred P/0.\nP := p;\n", encoding="utf-8")
@@ -252,6 +278,8 @@ def _argvs(group: str, seed: int, corpus, workdir: str) -> dict[str, list[str]]:
         return _limit_argvs(workdir)
     if group == "captures":
         return _capture_argvs(workdir)
+    if group == "depth":
+        return _depth_argvs(workdir)
     if group == "sharing":
         return _sharing_argvs(workdir)
     if group == "corpus":
@@ -302,7 +330,7 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("src_dir", type=Path, help="root of the checkout to run")
     ap.add_argument("out", type=Path, help="JSON file to write")
-    ap.add_argument("--workloads", nargs="+", choices=GROUPS + ("limits", "captures"),
+    ap.add_argument("--workloads", nargs="+", choices=GROUPS + ON_REQUEST,
                     default=list(GROUPS))
     ap.add_argument("--seeds", nargs="+", type=int, default=[1, 2, 3])
     args = ap.parse_args(argv)
