@@ -25,12 +25,8 @@ from .errors import (
     ProofError,
     UnmappedAtom,
 )
-from .herbrand import (
-    herbrand_base,
-    hht_valid_bruteforce,
-    render_herbrand_countermodel,
-)
-from .instantiation import EXACT, Bounded, instantiate, universe
+from .herbrand import hht_valid_bruteforce
+from .instantiation import EXACT, Bounded, herbrand_base, instantiate, universe
 from .kernel import check_proof, conclusion_for_pipeline
 from .parser import (
     parse_formula_file,
@@ -244,14 +240,13 @@ def _cmd_herbrand_check(args, report: _Report) -> int:
     mode, mode_label = _mode_from_args(args)
     t0 = time.perf_counter()
     counter = hht_valid_bruteforce(sig, f, mode, _budget(args.budget))
-    base = herbrand_base(sig, universe(sig, mode))
     if counter is None:
         _stage(report, "validity", t0, verdict="valid", mode=mode_label)
         report.say(f"valid over all interpretations ({mode_label})")
         if mode != EXACT:
             report.say("bounded mode: non-validity-preserving")
         return report.emit(0 if mode == EXACT else 1)
-    rendering = render_herbrand_countermodel(counter, base)
+    rendering = render_countermodel(counter, herbrand_base(sig, universe(sig, mode)))
     _stage(report, "validity", t0, verdict="countermodel", mode=mode_label)
     report.say(f"countermodel found ({mode_label}):")
     report.say(rendering)

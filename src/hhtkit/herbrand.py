@@ -5,12 +5,13 @@ application evaluates through the table it is bound to), validity over
 every interpretation of the Herbrand base, and the model transfer from a
 substitution plus a propositional interpretation.
 
-Second-order quantifiers range over names represented directly by their
-extensions: a function name is a total table over the universe, and a
-predicate name is a persistent pair of relation extensions.  Enumerating
-names therefore means enumerating extensions, which explodes quickly; every
-entry point estimates the work first and refuses over-budget runs with the
-computed count, in the steps of `semantics`.
+Every interpretation is a `semantics.HTInterpretation`: a Herbrand model
+holds `GroundAtom`s, and a second-order predicate name, which stands for its
+own extension, holds argument tuples.  A function name is a `dict` from
+argument tuples over the universe to terms.  Enumerating names therefore
+means enumerating extensions, which explodes quickly; every entry point
+estimates the work first and refuses over-budget runs with the computed
+count, in the steps of `semantics`.
 
 `h_satisfies` (through `_sat`) is the literal satisfaction relation.
 `hht_valid_bruteforce` does not walk the formula once per interpretation.
@@ -31,7 +32,6 @@ before evaluating it.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
 from .errors import BudgetExceeded, NotClosed, OutsideUniverse
@@ -56,7 +56,9 @@ from .semantics import (
     HTInterpretation,
     World,
     _engine_steps,
+    _enumerate_states,
     _first_countermodel,
+    _interpretation,
     satisfies,
 )
 from .syntax import (
@@ -80,66 +82,9 @@ from .syntax import (
     term_to_text,
 )
 
-@dataclass(frozen=True)
-class FunctionName:
-    """A concrete total function on the universe, acting as its own name."""
-
-    arity: int
-    table: tuple[tuple[tuple[Term, ...], Term], ...]
-
-    def apply(self, args: tuple[Term, ...]) -> Term:
-        for key, value in self.table:
-            if key == args:
-                return value
-        shown = ", ".join(term_to_text(a) for a in args)
-        raise OutsideUniverse(
-            f"a function variable is applied to ({shown}), "
-            "which lies outside the depth-truncated universe"
-        )
-
-
-@dataclass(frozen=True)
-class PredicateName:
-    """A persistent pair of relation extensions (here included in there)."""
-
-    arity: int
-    here: frozenset[tuple[Term, ...]]
-    there: frozenset[tuple[Term, ...]]
-
-    def __post_init__(self):
-        if not self.here <= self.there:
-            raise ValueError("here extension must be a subset of there")
-
-    def world(self, w: World) -> frozenset[tuple[Term, ...]]:
-        return self.here if w == World.H else self.there
-
-
-@dataclass(frozen=True)
-class HerbrandInterpretation:
-    """Pair of ground-atom sets over the Herbrand base, here inside there."""
-
-    signature: Signature
-    here: frozenset[GroundAtom]
-    there: frozenset[GroundAtom]
-
-    def __post_init__(self):
-        if not self.here <= self.there:
-            raise ValueError("here must be a subset of there")
-
-    def world(self, w: World) -> frozenset[GroundAtom]:
-        return self.here if w == World.H else self.there
-
-    def atom_state(self, atom: GroundAtom) -> str:
-        if atom in self.here:
-            return "both"
-        if atom in self.there:
-            return "there-only"
-        return "absent"
-
-
 def _hat(t: Term, env: Mapping) -> Term:
     """The ground term `t` denotes under `env`, which binds its object
-    variables to terms and its function variables to `FunctionName`s."""
+    variables to terms and its function variables to function names."""
     match t:
         case Var():
             got = env.get(t)
@@ -149,25 +94,28 @@ def _hat(t: Term, env: Mapping) -> Term:
         case FnApp(fn, args):
             return FnApp(fn, tuple(_hat(a, env) for a in args))
         case FnVarApp(v, args):
-            got = env.get(v)
-            if got is None:
+            table = env.get(v)
+            if table is None:
                 raise NotClosed(f"unbound function variable {v.name}")
-            return got.apply(tuple(_hat(a, env) for a in args))
+            hatted = tuple(_hat(a, env) for a in args)
+            got = table.get(hatted)
+            if got is None:
+                shown = ", ".join(term_to_text(a) for a in hatted)
+                raise OutsideUniverse(f"a function variable is applied to ({shown}), "
+                                      "which lies outside the depth-truncated universe")
+            return got
     raise TypeError(f"not a term: {t!r}")
 
 
-def all_function_names(terms: tuple[Term, ...], arity: int) -> Iterator[FunctionName]:
+def all_function_names(terms: tuple[Term, ...], arity: int) -> Iterator[dict]:
     keys = tuple(itertools.product(terms, repeat=arity))
     for values in itertools.product(terms, repeat=len(keys)):
-        yield FunctionName(arity, tuple(zip(keys, values)))
+        yield dict(zip(keys, values))
 
 
-def all_predicate_names(terms: tuple[Term, ...], arity: int) -> Iterator[PredicateName]:
-    keys = tuple(itertools.product(terms, repeat=arity))
-    for states in itertools.product((0, 1, 2), repeat=len(keys)):
-        here = frozenset(k for k, s in zip(keys, states) if s == 2)
-        there = frozenset(k for k, s in zip(keys, states) if s != 0)
-        yield PredicateName(arity, here, there)
+def all_predicate_names(terms: tuple[Term, ...], arity: int) -> Iterator[HTInterpretation]:
+    keys = list(itertools.product(terms, repeat=arity))
+    return map(_interpretation, _enumerate_states(keys))
 
 
 def count_function_names(universe_size: int, arity: int) -> int:
@@ -216,7 +164,8 @@ def _cost(f: FOFormula, universe_size: int, table: dict[int, int]) -> int:
 
 
 def h_satisfies(
-    j: HerbrandInterpretation,
+    sig: Signature,
+    j: HTInterpretation,
     w: World,
     f: FOFormula,
     mode: InstantiationMode = EXACT,
@@ -229,7 +178,7 @@ def h_satisfies(
     Bounded mode the verdict is a truncated approximation.
     """
     f = eliminate_restrictors(f)
-    terms = universe(j.signature, mode)
+    terms = universe(sig, mode)
     cost = estimate_cost(f, len(terms))
     if cost > budget:
         raise BudgetExceeded(cost, budget)
@@ -239,7 +188,7 @@ def h_satisfies(
 
 
 def _sat(
-    j: HerbrandInterpretation,
+    j: HTInterpretation,
     w: World,
     f: FOFormula,
     terms: tuple[Term, ...],
@@ -297,24 +246,12 @@ def _domain(binder, terms: tuple[Term, ...]) -> Iterable:
     raise TypeError("generalized variables must be eliminated first")
 
 
-def enumerate_herbrand(
-    sig: Signature, base: tuple[GroundAtom, ...]
-) -> Iterator[HerbrandInterpretation]:
-    """All interpretations over the base in canonical order: atoms sorted by
-    rendered text, per-atom states absent < there-only < both, first atom
-    most significant."""
-    for states in itertools.product((0, 1, 2), repeat=len(base)):
-        here = frozenset(a for a, s in zip(base, states) if s == 2)
-        there = frozenset(a for a, s in zip(base, states) if s != 0)
-        yield HerbrandInterpretation(sig, here, there)
-
-
 def hht_valid_bruteforce(
     sig: Signature,
     f: FOFormula,
     mode: InstantiationMode = EXACT,
     budget: int = DEFAULT_BUDGET,
-) -> HerbrandInterpretation | None:
+) -> HTInterpretation | None:
     """Check satisfaction at world h under every interpretation over the
     Herbrand base; None when valid, else the first failure in canonical
     order.  Exact mode is the real thing; Bounded mode is a labeled,
@@ -341,7 +278,7 @@ def hht_valid_bruteforce(
     atom_of = {ground_atom_to_text(a): a for a in base}
     here = frozenset(atom_of[a] for a in counter.here)
     there = frozenset(atom_of[a] for a in counter.there)
-    return HerbrandInterpretation(sig, here, there)
+    return HTInterpretation(here, there)
 
 
 class _Grounding:
@@ -390,10 +327,8 @@ class _Grounding:
                 hatted = tuple(_hat(a, env) for a in args)
                 if isinstance(pred, PredVar):
                     pred = env[pred]
-                if isinstance(pred, PredicateName):
-                    if hatted in pred.here:
-                        return BOTH
-                    return THERE_ONLY if hatted in pred.there else ABSENT
+                if isinstance(pred, HTInterpretation):
+                    return pred.atom_state(hatted)
                 name = self.names.get((pred, hatted))
                 return ABSENT if name is None else self.emit(_ATOM, name)
             case Binary("->", l, r):
@@ -453,16 +388,7 @@ def _live_program(prog: list[tuple[int, object]], root: int) -> list[tuple[int, 
     return out
 
 
-def render_herbrand_countermodel(
-    j: HerbrandInterpretation, base: Iterable[GroundAtom]
-) -> str:
-    lines = []
-    for atom in sorted(set(base), key=ground_atom_to_text):
-        lines.append(f"{ground_atom_to_text(atom)}: {j.atom_state(atom)}")
-    return "\n".join(lines)
-
-
-def lift(subst: Substitution, i: HTInterpretation) -> HerbrandInterpretation:
+def lift(subst: Substitution, i: HTInterpretation) -> HTInterpretation:
     """Build the interpretation that satisfies a ground atom at a world
     exactly when `i` satisfies the atom's image under the substitution."""
     sig = subst.signature
@@ -476,7 +402,7 @@ def lift(subst: Substitution, i: HTInterpretation) -> HerbrandInterpretation:
             here.append(atom)
         if satisfies(i, World.T, image):
             there.append(atom)
-    return HerbrandInterpretation(sig, frozenset(here), frozenset(there))
+    return HTInterpretation(frozenset(here), frozenset(there))
 
 
 def lifting_check(
@@ -490,6 +416,6 @@ def lifting_check(
     j = lift(subst, i)
     instance = instantiate(subst, f, EXACT)
     for w in (World.H, World.T):
-        if h_satisfies(j, w, f, EXACT, budget) != satisfies(i, w, instance):
+        if h_satisfies(subst.signature, j, w, f, EXACT, budget) != satisfies(i, w, instance):
             return False
     return True

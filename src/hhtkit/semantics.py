@@ -51,23 +51,26 @@ class World(IntEnum):
 
 @dataclass(frozen=True)
 class HTInterpretation:
-    """Pair of atom sets with here a subset of there."""
+    """Pair of atom sets with here a subset of there.  The atoms are of one
+    of three kinds: atom names (`str`) for propositional formulas,
+    `GroundAtom`s for a Herbrand model (what `herbrand` checks and `lift`
+    builds), or argument tuples for a second-order predicate name."""
 
-    here: frozenset[str]
-    there: frozenset[str]
+    here: frozenset
+    there: frozenset
 
     def __post_init__(self):
         if not self.here <= self.there:
             raise ValueError("here must be a subset of there")
 
     @staticmethod
-    def of(here: Iterable[str], there: Iterable[str]) -> "HTInterpretation":
+    def of(here: Iterable, there: Iterable) -> "HTInterpretation":
         return HTInterpretation(frozenset(here), frozenset(there))
 
-    def world(self, w: World) -> frozenset[str]:
+    def world(self, w: World) -> frozenset:
         return self.here if w == World.H else self.there
 
-    def atom_state(self, atom: str) -> int:
+    def atom_state(self, atom) -> int:
         if atom in self.here:
             return BOTH
         if atom in self.there:
@@ -221,22 +224,23 @@ def _first_countermodel(prog, atoms: list[str]) -> HTInterpretation | None:
     return None
 
 
-def _interpretation(values: dict[str, int]) -> HTInterpretation:
+def _interpretation(values: dict) -> HTInterpretation:
     """The interpretation giving each atom its state."""
     here = frozenset(a for a, s in values.items() if s == BOTH)
     there = frozenset(a for a, s in values.items() if s != ABSENT)
     return HTInterpretation(here, there)
 
 
-def enumerate_interpretations(atoms: Iterable[str]) -> Iterator[HTInterpretation]:
+def enumerate_interpretations(atoms: Iterable) -> Iterator[HTInterpretation]:
     """All interpretations over the given atoms in canonical order: atoms
-    sorted lexicographically, per-atom states counted absent < there-only <
+    sorted by text (`str`), per-atom states counted absent < there-only <
     both, first atom most significant."""
-    for values in _enumerate_states(sorted(atoms)):
-        yield _interpretation(values)
+    return map(_interpretation, _enumerate_states(sorted(atoms, key=str)))
 
 
-def _enumerate_states(atoms: list[str]) -> Iterator[dict[str, int]]:
+def _enumerate_states(atoms: list) -> Iterator[dict]:
+    """Each atom's state, for every interpretation over `atoms` in their
+    order, first atom most significant."""
     for states in itertools.product((ABSENT, THERE_ONLY, BOTH), repeat=len(atoms)):
         yield dict(zip(atoms, states))
 
@@ -271,10 +275,10 @@ def ht_valid(
     raise ValueError(f"unknown evaluator {evaluator!r}")
 
 
-def render_countermodel(i: HTInterpretation, atoms: Iterable[str]) -> str:
-    """One `atom: state` line per atom, sorted lexicographically."""
+def render_countermodel(i: HTInterpretation, atoms: Iterable) -> str:
+    """One `atom: state` line per atom, sorted by text."""
     lines = []
-    for a in sorted(set(atoms)):
+    for a in sorted(set(atoms), key=str):
         lines.append(f"{a}: {STATE_NAMES[i.atom_state(a)]}")
     return "\n".join(lines)
 

@@ -175,11 +175,15 @@ def term_is_first_order(t: Term) -> bool:
 # `repr` and `match` are unchanged; leaves that cannot hold a generalized
 # variable, and `Falsum`, keep them on the class.  Reading a fact is one
 # attribute lookup at any depth, and building a node never walks below its
-# children.
+# children.  A node reuses a child's `free` set when it equals its own, and
+# every node without free variables holds `_CLOSED`.
+
+_CLOSED = frozenset()
+
 
 @dataclass(frozen=True)
 class Falsum:
-    free = frozenset()
+    free = _CLOSED
     first_order = True
     restricted = False
 
@@ -196,7 +200,7 @@ class Equals:
 
     def __post_init__(self):
         l, r = self.left, self.right
-        vars(self).update(free=term_variables(l) | term_variables(r),
+        vars(self).update(free=term_variables(l) | term_variables(r) or _CLOSED,
                           first_order=term_is_first_order(l) and term_is_first_order(r))
 
 
@@ -216,7 +220,7 @@ class Atom:
         for a in args:
             free |= term_variables(a)
         first_order = not isinstance(p, PredVar) and all(map(term_is_first_order, args))
-        vars(self).update(free=free, first_order=first_order)
+        vars(self).update(free=free or _CLOSED, first_order=first_order)
 
 
 @dataclass(frozen=True)
@@ -227,7 +231,8 @@ class Binary:
 
     def __post_init__(self):
         l, r = self.left, self.right
-        vars(self).update(free=l.free | r.free, first_order=l.first_order and r.first_order,
+        free = l.free if r.free <= l.free else r.free if l.free <= r.free else l.free | r.free
+        vars(self).update(free=free, first_order=l.first_order and r.first_order,
                           restricted=l.restricted or r.restricted)
 
 
@@ -260,8 +265,10 @@ class Quant:
 
     def __post_init__(self):
         binder, body = self.binder, self.body
+        bound = binder_variables(binder)
+        free = body.free if body.free.isdisjoint(bound) else body.free - bound or _CLOSED
         vars(self).update(
-            free=body.free - binder_variables(binder),
+            free=free,
             first_order=not isinstance(binder, (PredVar, FuncVar)) and body.first_order,
             restricted=isinstance(binder, GenVar) or body.restricted,
         )
@@ -322,18 +329,6 @@ def is_first_order(f: FOFormula) -> bool:
     """True when no predicate or function variable occurs, bound or free.
     Generalized variables are allowed."""
     return f.first_order
-
-
-def formula_depth(f: FOFormula) -> int:
-    """Connective/quantifier nesting depth; atoms have depth 0."""
-    match f:
-        case Falsum() | Equals() | Atom():
-            return 0
-        case Binary(_, l, r):
-            return 1 + max(formula_depth(l), formula_depth(r))
-        case Quant(_, _, body):
-            return 1 + formula_depth(body)
-    raise TypeError(f"not a formula: {f!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -472,6 +467,9 @@ class GroundAtom:
         atom = object.__new__(cls)
         atom.__dict__.update(pred=pred, args=args)
         return atom
+
+    def __str__(self) -> str:
+        return ground_atom_to_text(self)
 
 
 # ---------------------------------------------------------------------------

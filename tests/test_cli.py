@@ -413,6 +413,15 @@ def test_herbrand_small_predicate_quantifier_answered(tmp_path, capsys):
         0, "valid over all interpretations (exact)\n", "")
 
 
+def test_herbrand_function_variable_outside_universe_message(tmp_path, capsys):
+    # depth 1: the universe is {a, s(a)}, and g is applied to s(s(a))
+    path = tmp_path / "outside.fof"
+    path.write_text("const a. fn s/1. pred P/1.\nforall g^1 forall x P(g(s(x)))\n")
+    assert invoke(capsys, "herbrand-check", "--depth", "1", str(path)) == (
+        2, "", "error: a function variable is applied to (s(s(a))), "
+        "which lies outside the depth-truncated universe\n")
+
+
 def test_ht_valid_refuses_large_instance_before_evaluating(tmp_path, capsys):
     path = tmp_path / "example6_k10.prop"
     path.write_text(_example6_instance(10))

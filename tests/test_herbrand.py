@@ -3,25 +3,28 @@ import random
 import pytest
 
 import gen
+from hhtkit.cli import run
 from hhtkit.errors import BudgetExceeded
 from hhtkit.herbrand import (
-    FunctionName,
-    HerbrandInterpretation,
     _hat,
     all_function_names,
     all_predicate_names,
     count_function_names,
     count_predicate_names,
-    enumerate_herbrand,
     h_satisfies,
     hht_valid_bruteforce,
     lift,
-    render_herbrand_countermodel,
     lifting_check,
 )
 from hhtkit.instantiation import EXACT, Bounded, Substitution, herbrand_base, universe
 from hhtkit.parser import parse_formula_text
-from hhtkit.semantics import World
+from hhtkit.semantics import (
+    THERE_ONLY,
+    HTInterpretation,
+    World,
+    enumerate_interpretations,
+    render_countermodel,
+)
 from hhtkit.syntax import (
     BOT,
     TOP,
@@ -47,8 +50,8 @@ def fof(sig, text):
     return parse_formula_text(text, sig)
 
 
-def interp(sig, here=(), there=()):
-    return HerbrandInterpretation(sig, frozenset(here), frozenset(there))
+def interp(here=(), there=()):
+    return HTInterpretation.of(here, there)
 
 
 def pa(name, *consts):
@@ -58,7 +61,7 @@ def pa(name, *consts):
 # --- hat evaluation ----------------------------------------------------------
 
 G1 = FuncVar("g", 1)
-TABLE_AB = FunctionName(1, (((const("a"),), const("b")), ((const("b"),), const("b"))))
+TABLE_AB = {(const("a"),): const("b"), (const("b"),): const("b")}
 
 
 def test_hat_constant_is_itself():
@@ -77,54 +80,49 @@ def test_hat_recurses_under_constructors():
 # --- satisfaction clauses -----------------------------------------------------
 
 def test_atom_clause_uses_worlds():
-    j = interp(SIG_AB, there=[pa("P", "a")])
+    j = interp(there=[pa("P", "a")])
     f = fof(SIG_AB, "P(a)")
-    assert not h_satisfies(j, World.H, f)
-    assert h_satisfies(j, World.T, f)
+    assert not h_satisfies(SIG_AB, j, World.H, f)
+    assert h_satisfies(SIG_AB, j, World.T, f)
 
 
 def test_equality_clause():
-    j = interp(SIG_AB)
-    assert h_satisfies(j, World.H, fof(SIG_AB, "a = a"))
-    assert not h_satisfies(j, World.H, fof(SIG_AB, "a = b"))
+    j = interp()
+    assert h_satisfies(SIG_AB, j, World.H, fof(SIG_AB, "a = a"))
+    assert not h_satisfies(SIG_AB, j, World.H, fof(SIG_AB, "a = b"))
 
 
 def test_object_quantifier_ranges_over_universe():
-    j = interp(SIG_AB, there=[pa("P", "a"), pa("P", "b")],
-               here=[pa("P", "a"), pa("P", "b")])
-    assert h_satisfies(j, World.H, fof(SIG_AB, "forall x P(x)"))
-    j2 = interp(SIG_AB, here=[pa("P", "a")], there=[pa("P", "a")])
-    assert not h_satisfies(j2, World.H, fof(SIG_AB, "forall x P(x)"))
-    assert h_satisfies(j2, World.H, fof(SIG_AB, "exists x P(x)"))
+    j = interp(there=[pa("P", "a"), pa("P", "b")], here=[pa("P", "a"), pa("P", "b")])
+    assert h_satisfies(SIG_AB, j, World.H, fof(SIG_AB, "forall x P(x)"))
+    j2 = interp(here=[pa("P", "a")], there=[pa("P", "a")])
+    assert not h_satisfies(SIG_AB, j2, World.H, fof(SIG_AB, "forall x P(x)"))
+    assert h_satisfies(SIG_AB, j2, World.H, fof(SIG_AB, "exists x P(x)"))
 
 
 def test_predicate_name_counts_and_comprehension_over_singleton():
     assert count_predicate_names(1, 1) == 3
     assert len(list(all_predicate_names((const("a"),), 1))) == 3
     f = fof(SIG_A, "exists p/1 forall x (p(x) <-> P(x))")
-    for j in enumerate_herbrand(SIG_A, herbrand_base(SIG_A, universe(SIG_A, EXACT))):
-        assert h_satisfies(j, World.H, f)
+    for j in enumerate_interpretations(herbrand_base(SIG_A, universe(SIG_A, EXACT))):
+        assert h_satisfies(SIG_A, j, World.H, f)
 
 
 def test_function_name_counts():
     assert count_function_names(2, 1) == 4
     names = list(all_function_names((const("a"), const("b")), 1))
     assert len(names) == 4
-    exts = {tuple(v for _, v in n.table) for n in names}
+    exts = {tuple(n.values()) for n in names}
     assert len(exts) == 4
 
 
 def test_restrictor_formulas_eliminated_before_evaluation():
     sig = Signature.make({"a": 0}, {"P": 1, "R": 1}, {"R"})
-    j = HerbrandInterpretation(
-        sig,
-        frozenset([GroundAtom("R", (const("a"),))]),
-        frozenset([GroundAtom("R", (const("a"),))]),
-    )
+    j = interp(here=[GroundAtom("R", (const("a"),))], there=[GroundAtom("R", (const("a"),))])
     f = parse_formula_text("forall (x:R) P(x)", sig)
     g = parse_formula_text("forall x (R(x) -> P(x))", sig)
     for w in World:
-        assert h_satisfies(j, w, f) == h_satisfies(j, w, g)
+        assert h_satisfies(sig, j, w, f) == h_satisfies(sig, j, w, g)
 
 
 # --- brute-force validity ------------------------------------------------------
@@ -138,8 +136,8 @@ def test_excluded_middle_countermodel_canonical():
     f = fof(SIG_A, "P(a) | not P(a)")
     j = hht_valid_bruteforce(SIG_A, f)
     assert j is not None
-    assert j.atom_state(pa("P", "a")) == "there-only"
-    assert render_herbrand_countermodel(j, [pa("P", "a")]) == "P(a): there-only"
+    assert j.atom_state(pa("P", "a")) == THERE_ONLY
+    assert render_countermodel(j, [pa("P", "a")]) == "P(a): there-only"
 
 
 def test_dca_instance_valid_over_two_constants():
@@ -173,8 +171,8 @@ def test_bounded_mode_evaluates_truncated_universe():
 def _literal_first_failure(sig, f, mode=EXACT):
     """The first interpretation in canonical order that `h_satisfies` fails
     at world h, by walking the formula once per interpretation."""
-    for j in enumerate_herbrand(sig, herbrand_base(sig, universe(sig, mode))):
-        if not h_satisfies(j, World.H, f, mode, budget=10**8):
+    for j in enumerate_interpretations(herbrand_base(sig, universe(sig, mode))):
+        if not h_satisfies(sig, j, World.H, f, mode, budget=10**8):
             return j
     return None
 
@@ -182,6 +180,8 @@ def _literal_first_failure(sig, f, mode=EXACT):
 def _agrees_with_literal(sig, f, mode=EXACT):
     got = hht_valid_bruteforce(sig, f, mode, budget=10**8)
     assert got == _literal_first_failure(sig, f, mode), f
+    if got is not None:  # here is a subset of there
+        assert all(isinstance(a, GroundAtom) for a in got.there), f
     return got
 
 
@@ -230,6 +230,20 @@ def test_grounded_second_order_matches_literal(text, valid):
     assert (_agrees_with_literal(SIG_AB, fof(SIG_AB, text)) is None) == valid
 
 
+@pytest.mark.parametrize("text", [
+    "P(a) | not P(a) | Q",
+    "forall p/0 (not not p -> p) | Q",
+    "forall g^1 exists x (P(g(x)) -> Q) | not Q",
+])
+def test_countermodel_renders_as_herbrand_check_prints(text, tmp_path, capsys):
+    j = _agrees_with_literal(SIG_AB, fof(SIG_AB, text))
+    path = tmp_path / "counter.fof"
+    path.write_text(f"const a, b.  pred P/1, Q/0.\n{text}\n")
+    assert run(["herbrand-check", str(path)]) == 1
+    lines = render_countermodel(j, herbrand_base(SIG_AB, universe(SIG_AB, EXACT)))
+    assert capsys.readouterr().out == f"countermodel found (exact):\n{lines}\n"
+
+
 def test_grounded_choice_matches_literal():
     sig = Signature.make({"a": 0, "b": 0}, {"Q": 0})
     f = universal_closure(
@@ -276,9 +290,9 @@ def test_persistence_randomized_first_order():
     for _ in range(300):
         f = gen.rand_formula(rng, SIG_AB, depth=3)
         base = herbrand_base(SIG_AB, universe(SIG_AB, EXACT))
-        j = _rand_interp(rng, SIG_AB, base)
-        if h_satisfies(j, World.H, f):
-            assert h_satisfies(j, World.T, f)
+        j = _rand_interp(rng, base)
+        if h_satisfies(SIG_AB, j, World.H, f):
+            assert h_satisfies(SIG_AB, j, World.T, f)
 
 
 def test_persistence_second_order():
@@ -292,13 +306,13 @@ def test_persistence_second_order():
     )
     for text in quantified:
         f = fof(SIG_A, text)
-        for j in enumerate_herbrand(SIG_A, base):
-            if h_satisfies(j, World.H, f):
-                assert h_satisfies(j, World.T, f)
+        for j in enumerate_interpretations(base):
+            if h_satisfies(SIG_A, j, World.H, f):
+                assert h_satisfies(SIG_A, j, World.T, f)
     del rng
 
 
-def _rand_interp(rng, sig, base):
+def _rand_interp(rng, base):
     here, there = [], []
     for atom in base:
         state = rng.randrange(3)
@@ -306,7 +320,7 @@ def _rand_interp(rng, sig, base):
             there.append(atom)
         if state == 2:
             here.append(atom)
-    return HerbrandInterpretation(sig, frozenset(here), frozenset(there))
+    return interp(here, there)
 
 
 # --- lifting ----------------------------------------------------------------------

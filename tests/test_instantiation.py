@@ -41,7 +41,6 @@ from hhtkit.syntax import (
     Var,
     const,
     eliminate_restrictors,
-    formula_depth,
     ground_atom_to_text,
     prop_atoms,
     prop_node_count,
@@ -215,6 +214,16 @@ def test_restrictor_coherence_small_cases():
                 assert satisfies(i, w, direct) == satisfies(i, w, unfolded)
 
 
+def _depth(f) -> int:
+    """Connective/quantifier nesting depth; atoms have depth 0."""
+    match f:
+        case Binary(_, l, r):
+            return 1 + max(_depth(l), _depth(r))
+        case Quant(_, _, body):
+            return 1 + _depth(body)
+    return 0
+
+
 def test_instance_rank_bound():
     rng = random.Random(43)
     for _ in range(200):
@@ -224,7 +233,7 @@ def test_instance_rank_bound():
         max_range_rank = max(
             (rank(img) for img in s.entries.values()), default=0
         )
-        assert rank(inst) <= max_range_rank + formula_depth(f)
+        assert rank(inst) <= max_range_rank + _depth(f)
 
 
 def test_instance_atoms_come_from_range():

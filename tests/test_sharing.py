@@ -349,6 +349,18 @@ def test_facts_of_built_nodes_match_references():
     assert checked > 50
 
 
+def test_nodes_reuse_free_sets():
+    x, y = Var("x"), Var("y")
+    px = Atom("P", (x,))
+    pxy = conj(px, Atom("Q", (x, y)))
+    assert conj(px, Atom("R", (const("a"),))).free is px.free
+    assert conj(Atom("R", (const("a"),)), px).free is px.free
+    assert conj(px, pxy).free is pxy.free
+    assert Quant("forall", y, px).free is px.free
+    assert Quant("forall", x, px).free is Atom("S", (const("b"),)).free is BOTTOM.free
+    assert Equals(const("a"), const("b")).free is BOTTOM.free
+
+
 @pytest.mark.parametrize("shape", ["and", "forall"])
 def test_facts_of_deep_formulas_need_no_recursion(shape):
     # a 5,000-deep `&` chain or `forall y` chain, built in code

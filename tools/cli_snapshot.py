@@ -39,7 +39,12 @@ that parse-error text is compared too.  The `sharing` group writes
 subformulas the parser shares while the text doubles per level, and records
 `instantiate` (with `P := p`, with and without `--json`) and
 `herbrand-check` on each, so that work linear in the shared formula is
-checked to print what the tree walks printed.
+checked to print what the tree walks printed.  The `models` group records
+`herbrand-check`, with and without `--json`, on second-order formulas over
+`const a, b` whose quantifiers range over predicate names and function
+tables, and at `--depth 1` on a function variable applied outside the
+truncated universe, so that countermodels and the message of that error
+are compared too.
 
 Each record holds the exit code, stdout and stderr.  Stage timings
 (`"seconds"` and `[N ms]`), `SRC_DIR` and the temporary directory are masked,
@@ -66,8 +71,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "hhtbench"))
 import workloads  # noqa: E402
 
 GROUPS = ("corpus", "ht_atoms", "herbrand", "universe", "pairs", "proofs", "syntax",
-          "sharing")
-UNSEEDED = ("pairs", "proofs", "syntax", "sharing", "limits", "captures", "depth")
+          "sharing", "models")
+UNSEEDED = ("pairs", "proofs", "syntax", "sharing", "models", "limits", "captures", "depth")
 ON_REQUEST = ("limits", "captures", "depth")
 _LIMIT_FOFS = {
     "c13.fof": "const a, c1, c2, c3, c4, c5, c6, c7, c8, c9, c10, c11, c12.  pred P/1.\n"
@@ -90,6 +95,19 @@ _CAPTURE_LINES = {
     "so-forall-elim-abs": "forall p/1 forall y p(y) -> forall y Q(y,y) by axiom "
                           "so-forall-elim-abs with p := p/1, G := forall y p(y), xs := [x], "
                           "F := Q(x,y);",
+}
+# name -> (herbrand-check options, file text)
+_MODEL_FOFS = {
+    "outside": (["--depth", "1"], "const a. fn s/1. pred P/1.\nforall g^1 forall x P(g(s(x)))\n"),
+    **{f"so{k}": ([], f"const a, b.  pred P/1, Q/0.\n{text}\n") for k, text in enumerate((
+        "exists p/1 forall x (p(x) <-> P(x))",
+        "forall p/0 (not not p -> p)",
+        "forall p/0 (not not p -> p) | Q",
+        "exists p/0 (p <-> Q) & (P(a) | not P(b))",
+        "forall p/1 (p(a) & p(b) -> forall x p(x))",
+        "exists g^1 (P(g(a)) -> P(a))",
+        "forall g^1 exists x (P(g(x)) -> Q) | not Q",
+    ), 1)},
 }
 # shape -> the `F` of a `forall-elim` line at a depth
 _DEPTH_SHAPES = {
@@ -249,6 +267,17 @@ def _depth_argvs(workdir: str) -> dict[str, list[str]]:
     return out
 
 
+def _model_argvs(workdir: str) -> dict[str, list[str]]:
+    out = {}
+    for name, (options, text) in _MODEL_FOFS.items():
+        path = Path(workdir, f"models-{name}.fof")
+        path.write_text(text, encoding="utf-8")
+        for flag in ([], ["--json"]):
+            argv = ["herbrand-check", str(path), *options, *flag]
+            out[" ".join(["models", name, *flag])] = argv
+    return out
+
+
 def _sharing_argvs(workdir: str) -> dict[str, list[str]]:
     subst = Path(workdir, "iff.subst")
     subst.write_text("const a.  pred P/0.\nP := p;\n", encoding="utf-8")
@@ -282,6 +311,8 @@ def _argvs(group: str, seed: int, corpus, workdir: str) -> dict[str, list[str]]:
         return _depth_argvs(workdir)
     if group == "sharing":
         return _sharing_argvs(workdir)
+    if group == "models":
+        return _model_argvs(workdir)
     if group == "corpus":
         cases = workloads.corpus(seed, corpus.cases, corpus.data_path)
     elif group == "herbrand":
