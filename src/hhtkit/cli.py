@@ -26,7 +26,7 @@ from .errors import (
     UnmappedAtom,
 )
 from .herbrand import hht_valid_bruteforce
-from .instantiation import EXACT, Bounded, herbrand_base, instantiate, universe
+from .instantiation import EXACT, Bounded, instantiate
 from .kernel import check_proof, conclusion_for_pipeline
 from .parser import (
     parse_formula_file,
@@ -246,7 +246,7 @@ def _cmd_herbrand_check(args, report: _Report) -> int:
         if mode != EXACT:
             report.say("bounded mode: non-validity-preserving")
         return report.emit(0 if mode == EXACT else 1)
-    rendering = render_countermodel(counter, herbrand_base(sig, universe(sig, mode)))
+    rendering = render_countermodel(counter, counter.atoms)
     _stage(report, "validity", t0, verdict="countermodel", mode=mode_label)
     report.say(f"countermodel found ({mode_label}):")
     report.say(rendering)

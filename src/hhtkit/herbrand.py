@@ -254,10 +254,10 @@ def hht_valid_bruteforce(
 ) -> HTInterpretation | None:
     """Check satisfaction at world h under every interpretation over the
     Herbrand base; None when valid, else the first failure in canonical
-    order.  Exact mode is the real thing; Bounded mode is a labeled,
-    non-validity-preserving approximation.  The formula is grounded once
-    and evaluated over all interpretations at once (see the module
-    docstring); the result is the one `h_satisfies` defines."""
+    order, whose `atoms` are the base.  Exact mode is the real thing;
+    Bounded mode is a labeled, non-validity-preserving approximation.  The
+    formula is grounded once and evaluated over all interpretations at once
+    (see the module docstring); the result is the one `h_satisfies` defines."""
     f = eliminate_restrictors(f)
     terms = universe(sig, mode)
     base = herbrand_base(sig, terms)
@@ -278,7 +278,7 @@ def hht_valid_bruteforce(
     atom_of = {ground_atom_to_text(a): a for a in base}
     here = frozenset(atom_of[a] for a in counter.here)
     there = frozenset(atom_of[a] for a in counter.there)
-    return HTInterpretation(here, there)
+    return HTInterpretation(here, there, base)
 
 
 class _Grounding:

@@ -14,10 +14,10 @@ per language.  Each level of `(`, `And{` or `Or{` costs two Python frames
 so under the default recursion limit of 1000 about 490 nested parentheses
 or 980 nested `not` parse; deeper input ends in `RecursionError`.
 
-`Cursor` tokenizes a text with one `findall` into plain strings and reads
-a token's kind from its first character.  It keeps no offsets: the
-`line:col` of a `ParseError` is found only when the error is raised, by
-scanning the text again up to the failing token.
+`Cursor` tokenizes a text into plain strings, per distinct word (split at
+spaces, comments removed) if most words repeat, as a proof's do, else in
+one `findall`.  It keeps no offsets: the `line:col` of a `ParseError` is
+found only when the error is raised, by scanning the text again.
 
 A parse shares equal first-order nodes: terms, binders, atoms, equations,
 connectives and quantifiers are built through the `Cursor`'s table, keyed
@@ -28,18 +28,19 @@ within a proof line or across lines and axiom bindings, is one object: its
 facts (`free`, `first_order`, `restricted`, see `syntax`) are computed once,
 when it is built, and `syntax.eliminate_restrictors` unfolds it once.  The
 table lives and dies with its `Cursor`: two parses share no node.
-Propositional formulas are not shared.
 
 Parsing is context-free given the signature and reads one token ahead, so
-a first-order span whose tokens, with the token that stops it, occurred
-earlier in the parse is not parsed again: the `Cursor`'s span memo returns
-the node the table would give a second parse.  `_parse_binary` looks a span
-up where it is told that stop: a group's `)`, a proof line's `by`, a formula
-binding's `,` or `;` at its depth and, for the right operand of `->` or
-`<->` in a span without `<->` (power 1 stops at one, power 0 does not), the
-span's own.  A span is stored once it parsed and stopped there, so a wrong
-prediction costs a miss and errors do not change.  The keys one parse
+a span whose tokens, with the token that stops it, occurred earlier in the
+parse is not parsed again: the `Cursor`'s span memo returns the node a
+second parse would give.  `_parse_binary` looks a span up where it is told
+that stop: a group's `)`, a proof line's `by`, a formula binding's `,` or
+`;` at its depth and, for the right operand of `->` or `<->` in a span
+without `<->` (power 1 stops at one, power 0 does not), the span's own.  A
+propositional group, `And{..}` and `Or{..}` whole, is looked up if most
+words repeat.  A span is stored once it parsed and stopped there, so a
+wrong prediction costs a miss and errors do not change.  The keys one parse
 slices hold at most 8 tokens per token of its text (corpus files take 2).
+`Cursor.end` reads a stop from a string of one mark per token.
 
 Identifiers not declared in the ambient signature parse as variables:
 object variables in term position, predicate variables (of the applied
@@ -49,7 +50,8 @@ arity) in formula position.
 from __future__ import annotations
 
 import re
-from itertools import accumulate, islice, repeat
+from collections import deque
+from itertools import islice, repeat
 
 from .errors import ParseError
 from .instantiation import Substitution
@@ -98,31 +100,51 @@ _ONE_CHAR = frozenset(c for c in map(chr, range(128)) if re.fullmatch(_TOKEN, c)
 # a token, a comment or any other non-space character; `findall` skips spaces
 _TOKEN_RE = re.compile(rf"{_TOKEN}|\#[^\n]*|\S")
 _IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
-_DEPTH = {"(": 1, ")": -1}
+# a token's mark (`Cursor.marks`); any other token's is `.`
+_MARKS = {"(": "(", "{": "(", ")": ")", "}": ")", ";": ";", ",": ",", "by": "b"}
+# skips marks but brackets, and groups closed within 8 levels, up to a `(` or `)`
+_FLAT = r"[^()]*+"
+for _ in range(8):
+    _FLAT = rf"[^()]*+(?:\({_FLAT}\)[^()]*+)*+"
+_FLAT = re.compile(_FLAT)
 
 
 class Cursor:
     """The tokens of one text as plain strings, closed by the eof sentinel
     `""` (so no `at`/`eat`/`expect` of a non-empty text matches it); a
-    token's kind is read from its first character.  It also holds the
-    table of the first-order nodes built from them (see `node`) and the
-    memo of the first-order spans parsed so far (see `end`)."""
+    token's kind is read from its first character, and `marks` holds its
+    mark (see `end`).  It also holds the table of the first-order nodes
+    built from them (see `node`) and the memo of the spans parsed so far."""
 
     def __init__(self, text: str):
         self.text = text
-        self.tokens: list[str] = _TOKEN_RE.findall(text)
         if "#" in text:
-            self.tokens = [t for t in self.tokens if t[0] != "#"]
+            text = re.sub(r"#[^\n]*", "", text)
+        words = text.split()  # at the same spaces as the regex's `\s`
+        distinct = set(words)
+        self.repeats = 2 * len(distinct) <= len(words)  # most words repeat
+        if self.repeats:
+            table = {w: _TOKEN_RE.findall(w) for w in distinct}
+            self.tokens: list[str] = []
+            deque(map(self.tokens.extend, map(table.__getitem__, words)), 0)
+            marks = {w: "".join(map(_MARKS.get, t, repeat("."))) for w, t in table.items()}
+            self.marks = "".join(map(marks.__getitem__, words)) + "."
+            distinct = set().union(*table.values())
+        else:
+            self.tokens = _TOKEN_RE.findall(text)
+            self.marks = ""  # made by the first `end`
+            distinct = set(self.tokens)
         self.tokens.append("")
         self.i = 0
-        bad = [t for t in set(self.tokens) if len(t) == 1 and t not in _ONE_CHAR]
+        bad = [t for t in distinct if len(t) == 1 and t not in _ONE_CHAR]
         if bad:
             self.i = min(map(self.tokens.index, bad))
             raise self.error(f"unexpected character {self.tokens[self.i]!r}")
         self.nodes: dict[tuple, object] = {("->", id(BOTTOM), id(BOTTOM)): TRUTH}
-        self.spans: dict[tuple[str, ...], FOFormula] = {}
+        self.spans: dict[tuple[str, ...], object] = {}
         self.room = 8 * len(self.tokens)  # key tokens left (module docstring)
-        self.depth: list[int] | None = None  # the parenthesis depth before each token
+        self.semi = (0, -1)  # a token and the first `;` from it on (see `end`)
+        self.closes: dict[int, int] = {}  # a group's first token -> its close (see `end`)
 
     def node(self, key: tuple, cls, *fields):
         """The node `cls(*fields)`: the one built earlier under `key` if
@@ -141,20 +163,45 @@ class Cursor:
 
     def end(self, stop: str) -> int:
         """Where a formula from the next token on is predicted to stop, or -1:
-        the `)` closing the group the next token is in if `stop` is `)`; else
-        the first `stop` at its depth before the next `;`, or that `;`."""
-        if self.depth is None:
-            self.depth = [0, *accumulate(map(_DEPTH.get, self.tokens, repeat(0)))]
-        depth, tokens, i, end = self.depth, self.tokens, self.i, -1
-        try:
-            if stop == ")":
-                return depth.index(depth[i] - 1, i + 1) - 1
-            end = tokens.index(";", i)
-            while depth[j := tokens.index(stop, i, end)] != depth[self.i]:
-                i = j + 1
-            return j
-        except ValueError:  # unbalanced, no `;`, or no `stop` before it
-            return end
+        the bracket closing the group (`(..)` or `{..}`) the next token is in
+        if `stop` is `)`, found once per group; else the first `stop` at its
+        depth before the next `;`, or that `;`."""
+        if not self.marks:
+            self.marks = "".join(map(_MARKS.get, self.tokens, repeat(".")))
+        marks, i = self.marks, self.i
+        if stop == ")":
+            if (got := self.closes.get(i)) is not None:
+                return got
+            opened = [i]  # the groups stepped into, by their first token
+            while True:
+                i = _FLAT.match(marks, i).end()
+                if i == len(marks):  # unbalanced: none of them closes
+                    self.closes.update(dict.fromkeys(opened, -1))
+                    return -1
+                if marks[i] == "(":
+                    opened.append(i + 1)
+                else:
+                    self.closes[opened.pop()] = i
+                    if not opened:
+                        return i
+                i += 1
+        if not self.semi[0] <= i <= self.semi[1]:  # found once per statement
+            self.semi = (i, marks.find(";", i))
+        end, j = self.semi[1], i - 1
+        if end < 0:
+            return -1
+        while (j := marks.find(_MARKS[stop], j + 1, end)) >= 0:
+            if marks.count("(", i, j) == marks.count(")", i, j):
+                return j
+        return end
+
+    def recall(self, start: int, end: int) -> tuple[tuple[str, ...], object]:
+        """The key of tokens `start` to `end` and its memo node; no key if -1 or out of room."""
+        if end < 0 or self.room <= 0:
+            return (), None
+        key = tuple(self.tokens[start:end + 1])
+        self.room -= len(key)
+        return key, self.spans.get(key)
 
     def peek(self) -> str:
         return self.tokens[self.i]
@@ -268,15 +315,12 @@ def _parse_binary(cur: Cursor, sig: Signature | None, lang, min_power: int = 0, 
     precedence climbing.  `lang` is a pair (prefix parser, constructor
     `build(cur, connective, left, right)`); the prefix parser is called
     directly, so a nesting level costs one frame here and one there.  `end`
-    is where a first-order span is predicted to stop (module docstring)."""
-    key, inner = (), -1  # `inner`: the `end` of the right operands
-    if end >= 0 and cur.room > 0:
-        key = tuple(cur.tokens[cur.i:end + 1])
-        cur.room -= len(key)
-        if (f := cur.spans.get(key)) is not None:
-            cur.i = end
-            return f
-        inner = -1 if "<->" in key else end
+    is where a span is predicted to stop (module docstring)."""
+    key, f = cur.recall(cur.i, end) if end >= 0 else ((), None)
+    if f is not None:
+        cur.i = end
+        return f
+    inner = end if key and "<->" not in key else -1  # the `end` of the right operands
     prefix, build = lang
     f = prefix(cur, sig)
     while True:
@@ -466,7 +510,7 @@ def _parse_prop_unary(cur: Cursor, sig: None) -> PropFormula:
     text = cur.peek()
     if text == "(":
         cur.next()
-        f = _parse_binary(cur, None, _PROP)
+        f = _parse_binary(cur, None, _PROP, 0, cur.end(")") if cur.repeats else -1)
         cur.expect(")")
         return f
     if text == "not":
@@ -481,6 +525,10 @@ def _parse_prop_unary(cur: Cursor, sig: None) -> PropFormula:
     if text in ("And", "Or"):
         cur.next()
         cur.expect("{")
+        key, f = cur.recall(cur.i - 2, end := cur.end(")")) if cur.repeats else ((), None)
+        if f is not None:
+            cur.i = end + 1
+            return f
         items = []
         if not cur.at("}"):
             while True:
@@ -488,7 +536,8 @@ def _parse_prop_unary(cur: Cursor, sig: None) -> PropFormula:
                 if not cur.eat(";"):
                     break
         cur.expect("}")
-        return PAnd(items) if text == "And" else POr(items)
+        f = cur.spans[key] = PAnd(items) if text == "And" else POr(items)  # closed at `end`
+        return f
     if text[:1] not in _IDENT_START:
         raise cur.error(f"expected a propositional formula, found {text!r}")
     cur.next()

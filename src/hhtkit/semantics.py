@@ -28,7 +28,7 @@ A run over budget is refused before that work starts.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import Iterable, Iterator
 
@@ -58,6 +58,7 @@ class HTInterpretation:
 
     here: frozenset
     there: frozenset
+    atoms: tuple = field(default=(), compare=False, repr=False)  # those it ranges over
 
     def __post_init__(self):
         if not self.here <= self.there:

@@ -429,7 +429,9 @@ def test_ht_valid_refuses_large_instance_before_evaluating(tmp_path, capsys):
     code, out, err = invoke(capsys, "ht-valid", str(path))
     assert time.perf_counter() - t0 < 1
     assert (code, out) == (2, "")
-    assert err == "error: enumeration needs 38381850 steps, budget is 5000000\n"
+    # the parse shares each repeated `And{..}`/`Or{..}` group, so the program
+    # is the one `pipeline` builds for the same instance and costs what it does
+    assert err == "error: enumeration needs 19368072 steps, budget is 5000000\n"
 
 
 def test_budget_env_counts_steps_in_both_checkers(tmp_path, capsys, monkeypatch):

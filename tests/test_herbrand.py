@@ -240,8 +240,11 @@ def test_countermodel_renders_as_herbrand_check_prints(text, tmp_path, capsys):
     path = tmp_path / "counter.fof"
     path.write_text(f"const a, b.  pred P/1, Q/0.\n{text}\n")
     assert run(["herbrand-check", str(path)]) == 1
-    lines = render_countermodel(j, herbrand_base(SIG_AB, universe(SIG_AB, EXACT)))
+    base = herbrand_base(SIG_AB, universe(SIG_AB, EXACT))
+    lines = render_countermodel(j, base)
     assert capsys.readouterr().out == f"countermodel found (exact):\n{lines}\n"
+    # the countermodel carries the base the CLI renders it over
+    assert j.atoms == base
 
 
 def test_grounded_choice_matches_literal():

@@ -2,14 +2,18 @@ import dataclasses
 import os
 import random
 import re
+import sys
+from itertools import accumulate, repeat
 
 import pytest
 
 import gen
+from hhtkit import parser
 from hhtkit.corpus import data_path, load_text
 from hhtkit.errors import ParseError
 from hhtkit.parser import (
     _FO,
+    _TOKEN_RE,
     Cursor,
     _parse_binary,
     parse_formula_file,
@@ -36,6 +40,7 @@ from hhtkit.syntax import (
     Var,
     const,
     formula_to_text,
+    prop_stats,
     prop_to_text,
 )
 
@@ -349,13 +354,174 @@ def test_tokenizer_matches_reference_on_mutations(name):
         _assert_tokenizes_like_reference("".join(mutated), at=(k - 1, k))
 
 
+# every code point the regex's `\s` matches; `str.split` splits at the same ones
+_SPACES = re.findall(r"\s", "".join(map(chr, range(sys.maxunicode + 1))))
+
+
 @pytest.mark.parametrize("text", [
     "", " ", "\n\n", " \t\r\f\v\n", "# comment at the end", "p # comment at the end",
     "p\t&\rq\f|\vr", "-", "<", "!", "p - q", "a-b", "a->b", "a - b", "a-b-c-", "a--b",
     "x<->y<-z", ":=:", "!==", "é", "pé", "x²", "١", "P(١)", "12ab", "_x-_y", "((#)\n)",
+    # each space between tokens, in a text whose words repeat (tokenized per word)
+    *(f"p{c}&{c}p{c}&{c}P(x){c}&{c}P(x)" for c in _SPACES),
+    # comments glued to tokens, and a `#` inside a word
+    "P(x)#c\nQ", "a#c", "ab#cd ef\ngh", "P(x)#c\nP(x)#c\nP(x) P(x)#c", "a a a#c",
+    "a#b a#b\na a", "p -#c\n> p -> p",
+    # most words distinct (one pass over the text), and most repeated (per word)
+    "p & q & r", "p & p & p", "p & q & p", "P(é) & P(é) & P(é)", "- - - -", "P(a) P(a) P(a) ١",
 ])
 def test_tokenizer_matches_reference_on_edge_cases(text):
     _assert_tokenizes_like_reference(text)
+
+
+class _Findall:
+    """Stands in for `parser._TOKEN_RE`, recording what it tokenizes."""
+
+    def __init__(self):
+        self.texts = []
+        self.finditer = _TOKEN_RE.finditer
+
+    def findall(self, text):
+        self.texts.append(text)
+        return _TOKEN_RE.findall(text)
+
+
+@pytest.mark.parametrize("text, per_word", [
+    ("p & q & r", False), ("p & q & p", False), ("p & p & p", True), ("P(a) P(a) P(a) ١", True),
+    (load_text("example1a.proof"), True), (load_text("example6.subst"), False),
+])
+def test_tokenizer_takes_the_path_its_edge_cases_name(text, per_word, monkeypatch):
+    recorded = _Findall()
+    monkeypatch.setattr(parser, "_TOKEN_RE", recorded)
+    try:
+        Cursor(text)
+    except ParseError:
+        pass
+    assert (recorded.texts != [text]) == per_word
+
+
+# ---------------------------------------------------------------------------
+# span ends against the depth list they replaced
+
+class _ReferenceEnds:
+    """`Cursor.end` before marks, kept as the reference for it: the answers
+    are read from the parenthesis depth before each token."""
+
+    def __init__(self, tokens):
+        self.tokens = tokens
+        self.depth = [0, *accumulate(map({"(": 1, ")": -1}.get, tokens, repeat(0)))]
+
+    def end(self, i, stop):
+        depth, tokens, start, end = self.depth, self.tokens, i, -1
+        try:
+            if stop == ")":
+                return depth.index(depth[i] - 1, i + 1) - 1
+            end = tokens.index(";", i)
+            while depth[j := tokens.index(stop, i, end)] != depth[start]:
+                i = j + 1
+            return j
+        except ValueError:  # unbalanced, no `;`, or no `stop` before it
+            return end
+
+
+def _reference(tokens):
+    """The reference over `tokens`, where `Cursor.end` reads braces as
+    parentheses (the same answers for a text without braces)."""
+    return _ReferenceEnds([{"{": "(", "}": ")"}.get(t, t) for t in tokens])
+
+
+def _checked_ends(monkeypatch):
+    """Make every `Cursor.end` call the parser makes check its answer
+    against the reference; return the list of (stop, answer) it checked."""
+    end, checked, refs = Cursor.end, [], {}
+
+    def patched(self, stop):
+        got = end(self, stop)
+        if id(self) not in refs:  # the cursor is kept, so its id is not reused
+            refs[id(self)] = (self, _reference(self.tokens))
+        ref = refs[id(self)][1]
+        assert got == ref.end(self.i, stop), (self.i, stop)
+        checked.append((stop, got))
+        return got
+
+    monkeypatch.setattr(Cursor, "end", patched)
+    return checked
+
+
+@pytest.mark.parametrize("name", sorted(n for n in _DATA if n.endswith(".proof")))
+def test_end_matches_reference_where_a_proof_parse_calls_it(name, monkeypatch):
+    text = load_text(name)
+    checked = _checked_ends(monkeypatch)
+    parse_proof_file(text)
+    assert len([stop for stop, _ in checked if stop == "by"]) == text.count(" by ")
+
+
+def test_end_matches_reference_where_a_mutation_parse_calls_it(monkeypatch):
+    texts = _proof_mutations()
+    checked = _checked_ends(monkeypatch)
+    for text in texts:
+        _parse_outcome(text)
+    assert len(checked) > 10_000
+
+
+def test_end_matches_reference_where_a_prop_parse_calls_it(monkeypatch):
+    texts = _prop_mutations()
+    checked = _checked_ends(monkeypatch)
+    for text in texts:
+        try:
+            parse_prop_text(text)
+        except ParseError:
+            pass
+    assert {stop for stop, _ in checked} == {")"} and -1 in {got for _, got in checked}
+
+
+@pytest.mark.parametrize("text", [
+    # unbalanced `(` and `)`
+    "((P(a) -> Q", "P(a))) -> (Q", ")(", "(((", ")))", "( ) ) ( ( )",
+    # no final `;`, and a `;` in a group
+    "1: P(a) by axiom k with F := P(a), G := (P(a), Q)", "(P; Q) by x, y;",
+    # a stop at another depth than the span's
+    "F := P(a, b), G := (Q by R), H := Q by S, T;",
+    "(a, (b, c), d) , e by (by) by ; f , g",
+    # nests deeper than the marks regex skips, balanced or not, with braces too
+    "(" * 20 + "P" + ")" * 20 + " by x;", "(" * 20 + "P" + ")" * 19 + " , ;",
+    "And{" * 12 + "p" + "}" * 12 + " ; " + "Or{(" * 11 + "p" + ")}" * 10,
+    "{ ( } )", "(P(a) & {Q}) ; {(p)}", "",
+])
+def test_end_matches_reference_at_every_token(text):
+    # forward, then backward, so no answer kept from an earlier call stands
+    # in for one it does not answer
+    for order, stops in ((range, (")", "by", ",", ";")),
+                         (lambda n: reversed(range(n)), (",", ")", "by"))):
+        cur = Cursor(text)
+        ref = _reference(cur.tokens)
+        for i in order(len(cur.tokens)):
+            for stop in stops:
+                cur.i = i
+                assert cur.end(stop) == ref.end(i, stop), (i, stop)
+
+
+@pytest.mark.parametrize("closed", [True, False])
+def test_a_deep_nest_finds_each_end_once(closed):
+    # 1,000 groups, each end asked for once, as a parse would, from the
+    # outside in: the first answer keeps the end of each group it stepped
+    # into (all but the 8 innermost closed ones), and the next read them
+    n = 1000
+    cur = Cursor("(" * n + "P" + ")" * n * closed + ";")
+    for i in range(1, n + 1):
+        cur.i = i
+        assert cur.end(")") == (2 * n + 1 - i if closed else -1)
+        assert len(cur.closes) == (max(n - 8, i) if closed else n)
+
+
+def test_groups_nested_8_deep_are_skipped_whole():
+    # the regex skips what nests at most 8 deep inside the group: only the
+    # group asked for is kept, and one more level is stepped into
+    for depth, kept in ((8, 1), (9, 2)):
+        cur = Cursor("(" * (depth + 1) + "P" + ")" * (depth + 1) + ";")
+        cur.i = 1
+        assert cur.end(")") == 2 * depth + 2
+        assert len(cur.closes) == kept
 
 
 # ---------------------------------------------------------------------------
@@ -516,7 +682,8 @@ def _parse_outcome(text):
         return f"ParseError: {e}"
 
 
-def test_memo_changes_no_parse_of_a_mutation(monkeypatch):
+def _proof_mutations():
+    """Each shipped proof with one piece replaced, at 4 seeded sites."""
     rng = random.Random(13)
     texts = []
     for name in sorted(n for n in _DATA if n.endswith(".proof")):
@@ -525,11 +692,68 @@ def test_memo_changes_no_parse_of_a_mutation(monkeypatch):
             k = rng.randrange(len(pieces))
             edit = rng.choice(_EDITS + [rng.choice(pieces)])
             texts.append("".join(pieces[:k] + [edit] + pieces[k + 1:]))
+    return texts
+
+
+def test_memo_changes_no_parse_of_a_mutation(monkeypatch):
+    texts = _proof_mutations()
     made = _with_memo(monkeypatch, _Counting)
     memoized = [_parse_outcome(text) for text in texts]
     _without_memo(monkeypatch)
     assert [_parse_outcome(text) for text in texts] == memoized
     # not vacuous: the memo hit, and both outcomes occur
+    assert any(hit for memo in made for _, hit in memo.lookups)
+    errors = sum(out.startswith("ParseError") for out in memoized)
+    assert 0 < errors < len(texts)
+
+
+def _nested_iff_instance(n):
+    """The printed instance of `gen.nested_iff(n)` under `P := p`."""
+    text = "And{p -> p}"
+    for _ in range(n - 1):
+        text = f"And{{{text} -> p; p -> {text}}}"
+    return text
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6, 18])
+def test_prop_groups_are_parsed_once(n):
+    # each level's group is parsed once and met again as a memo hit: 5 nodes
+    # a level (the group, two implications, two `p`) where the tree doubles;
+    # most words of n = 2 are distinct, so no group is looked up
+    f = parse_prop_text(_nested_iff_instance(n))
+    tree = 9 * 2 ** (n - 1) - 5
+    assert prop_stats(f)[2:] == (tree if n == 2 else 5 * n - 1, tree)
+
+
+def _prop_mutations():
+    """Prop texts with one piece replaced, at seeded sites."""
+    rng = random.Random(17)
+    # spaced out, so that most words repeat and groups are looked up
+    texts = [_nested_iff_instance(4), "( p | q ) -> ( p | q ) & ( ( p | q ) )",
+             "And{ Or{ p ; q } ; ( p -> q ) } -> Or{ ( p -> q ) ; And{ Or{ p ; q } } }"]
+    texts += [load_text(n) for n in _DATA if n.endswith(".prop")]
+    out = []
+    for text in texts:
+        pieces = _SEPARATE.findall(text)
+        for _ in range(6):
+            k = rng.randrange(len(pieces))
+            edit = rng.choice(["(", ")", "{", "}", ";", "And", "Or{", "->", "p", ""])
+            out.append("".join(pieces[:k] + [edit] + pieces[k + 1:]))
+    return texts + out
+
+
+def test_prop_memo_changes_no_parse(monkeypatch):
+    def outcome(text):
+        try:
+            return repr(parse_prop_text(text))
+        except ParseError as e:
+            return f"ParseError: {e}"
+
+    texts = _prop_mutations()
+    made = _with_memo(monkeypatch, _Counting)
+    memoized = [outcome(text) for text in texts]
+    _without_memo(monkeypatch)
+    assert [outcome(text) for text in texts] == memoized
     assert any(hit for memo in made for _, hit in memo.lookups)
     errors = sum(out.startswith("ParseError") for out in memoized)
     assert 0 < errors < len(texts)

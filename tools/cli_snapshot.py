@@ -44,7 +44,11 @@ checked to print what the tree walks printed.  The `models` group records
 `const a, b` whose quantifiers range over predicate names and function
 tables, and at `--depth 1` on a function variable applied outside the
 truncated universe, so that countermodels and the message of that error
-are compared too.
+are compared too.  The `spacing` group rejoins the tokens of every shipped
+`.proof` by a seeded mix of spaces, tabs, `\\r\\n`, `\\f`, U+3000 and
+`# comment\\n` lines, glued to a token or not, and records `check-proof` on
+each, with and without `--json`, so that how whole files are tokenized is
+compared too.
 
 Each record holds the exit code, stdout and stderr.  Stage timings
 (`"seconds"` and `[N ms]`), `SRC_DIR` and the temporary directory are masked,
@@ -71,8 +75,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "hhtbench"))
 import workloads  # noqa: E402
 
 GROUPS = ("corpus", "ht_atoms", "herbrand", "universe", "pairs", "proofs", "syntax",
-          "sharing", "models")
-UNSEEDED = ("pairs", "proofs", "syntax", "sharing", "models", "limits", "captures", "depth")
+          "sharing", "models", "spacing")
+UNSEEDED = ("pairs", "proofs", "syntax", "sharing", "models", "spacing", "limits", "captures",
+            "depth")
 ON_REQUEST = ("limits", "captures", "depth")
 _LIMIT_FOFS = {
     "c13.fof": "const a, c1, c2, c3, c4, c5, c6, c7, c8, c9, c10, c11, c12.  pred P/1.\n"
@@ -121,6 +126,10 @@ _SYNTAX_REPLACEMENTS = ["(", ")", "{", "}", ";", ",", ".", ":", ":=", "->", "<->
                         "not", "bot", "top", "forall", "exists", "And", "Or", "x", "P",
                         "P(x)", "c1", "f^1", "p/2", "0", "99", "level", "by", "axiom", "gen",
                         "\n", " ", ""]
+# a token as hhtkit reads one, and what `spacing` puts between two
+_SPACING_TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(?:-[A-Za-z_][A-Za-z0-9_]*)*"
+                            r"|<->|->|:=|!=|[0-9]+|\S")
+_SPACINGS = [" ", "\t", "\r\n", "\f", "\u3000", "# comment\n", "\t# comment\r\n\u3000"]
 _TIMINGS = re.compile(r'(?<=\[)\d+\.\d(?= ms\])|(?<="seconds": )[-+.\deE]+')
 
 
@@ -228,6 +237,25 @@ def _syntax_argvs(data_path, workdir: str) -> dict[str, list[str]]:
     return out
 
 
+def _spacing_argvs(data_path, workdir: str) -> dict[str, list[str]]:
+    out = {}
+    for proof in sorted(Path(data_path("")).glob("*.proof")):
+        rng = random.Random(proof.stem)
+        text = proof.read_text(encoding="utf-8")
+        # each gap between two tokens: glued as it was, or a drawn spacing
+        pieces = []
+        for m in _SPACING_TOKEN.finditer(text):
+            glued = m.start() == 0 or not text[m.start() - 1].isspace()
+            if pieces and not (glued and rng.random() < 0.5):
+                pieces.append(rng.choice(_SPACINGS))
+            pieces.append(m.group())
+        path = Path(workdir, f"spacing-{proof.name}")
+        path.write_text("".join(pieces) + rng.choice(_SPACINGS), encoding="utf-8")
+        for flag in ([], ["--json"]):
+            out[" ".join(["spacing", proof.stem, *flag])] = ["check-proof", str(path), *flag]
+    return out
+
+
 def _limit_argvs(workdir: str) -> dict[str, list[str]]:
     files = dict(_LIMIT_FOFS)
     for k in (9, 10):
@@ -303,6 +331,8 @@ def _argvs(group: str, seed: int, corpus, workdir: str) -> dict[str, list[str]]:
         return _proof_argvs(corpus.data_path, workdir)
     if group == "syntax":
         return _syntax_argvs(corpus.data_path, workdir)
+    if group == "spacing":
+        return _spacing_argvs(corpus.data_path, workdir)
     if group == "limits":
         return _limit_argvs(workdir)
     if group == "captures":
