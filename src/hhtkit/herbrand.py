@@ -135,9 +135,9 @@ def estimate_cost(f: FOFormula, universe_size: int) -> int:
     return _cost(f, universe_size, {})
 
 
-def _cost(f: FOFormula, universe_size: int, table: dict[int, int]) -> int:
-    """`estimate_cost` of `f`; `table` holds each node's cost by `id`."""
-    if (got := table.get(id(f))) is not None:
+def _cost(f: FOFormula, universe_size: int, table: dict[FOFormula, int]) -> int:
+    """`estimate_cost` of `f`; `table` holds each node's cost."""
+    if (got := table.get(f)) is not None:
         return got
     match f:
         case Falsum() | Equals() | Atom():
@@ -159,7 +159,7 @@ def _cost(f: FOFormula, universe_size: int, table: dict[int, int]) -> int:
                 got = universe_size**width * inner + 1
         case _:
             raise TypeError(f"not a formula: {f!r}")
-    table[id(f)] = got
+    table[f] = got
     return got
 
 

@@ -226,7 +226,7 @@ def _instantiate(
     memo: dict[tuple, PropFormula] = {}
 
     def rec(g: FOFormula) -> PropFormula:
-        key = (id(g), *[id(env[v]) for v in g.free])
+        key = (g, *[env[v] for v in g.free])
         if (out := memo.get(key)) is not None:
             return out
         match g:

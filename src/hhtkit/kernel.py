@@ -614,8 +614,8 @@ def check_proof(proof: Proof) -> FOFormula:
                 raise SideConditionViolation(n, str(e)) from None
             except _Mismatch as e:
                 raise SchemaMismatch(n, str(e)) from None
-            # elimination is a function: equal before it means equal after it
-            if expected != line.formula and eliminate_restrictors(expected) != f:
+            # interned: equal is identical, so an equal line unfolds to `f`
+            if eliminate_restrictors(expected) is not f:
                 raise SchemaMismatch(
                     n,
                     f"schema {schema.schema_id} with this binding yields "

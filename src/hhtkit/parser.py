@@ -19,25 +19,21 @@ spaces, comments removed) if most words repeat, as a proof's do, else in
 one `findall`.  It keeps no offsets: the `line:col` of a `ParseError` is
 found only when the error is raised, by scanning the text again.
 
-A parse shares equal first-order nodes: terms, binders, atoms, equations,
-connectives and quantifiers are built through the `Cursor`'s table, keyed
-by the constructor tag, the `id()` of the children (already shared, so
-equal children are the same object) and the values of the str and int
-fields, e.g. `("->", id(left), id(right))`.  So a subformula that recurs,
-within a proof line or across lines and axiom bindings, is one object: its
-facts (`free`, `first_order`, `restricted`, see `syntax`) are computed once,
-when it is built, and `syntax.eliminate_restrictors` unfolds it once.  The
-table lives and dies with its `Cursor`: two parses share no node.
+First-order constructors intern their nodes (see `syntax`): a subformula
+that recurs, within a line, across lines and bindings, or across parses, is
+one object while any occurrence of it is alive, so its facts are computed
+and `syntax.eliminate_restrictors` unfolds it once.  Propositional nodes
+are not interned.
 
 Parsing is context-free given the signature and reads one token ahead, so
 a span whose tokens, with the token that stops it, occurred earlier in the
 parse is not parsed again: the `Cursor`'s span memo returns the node a
-second parse would give.  `_parse_binary` looks a span up where it is told
-that stop: a group's `)`, a proof line's `by`, a formula binding's `,` or
-`;` at its depth and, for the right operand of `->` or `<->` in a span
-without `<->` (power 1 stops at one, power 0 does not), the span's own.  A
-propositional group, `And{..}` and `Or{..}` whole, is looked up if most
-words repeat.  A span is stored once it parsed and stopped there, so a
+second parse would give, which saves time only.  `_parse_binary` looks a
+span up where it is told that stop: a group's `)`, a proof line's `by`, a
+formula binding's `,` or `;` at its depth and, for the right operand of
+`->` or `<->` in a span without `<->` (power 1 stops at one, power 0 does
+not), the span's own.  A propositional group, `And{..}` and `Or{..}`
+whole, is looked up if most words repeat.  A span is stored once it parsed and stopped there, so a
 wrong prediction costs a miss and errors do not change.  The keys one parse
 slices hold at most 8 tokens per token of its text (corpus files take 2).
 `Cursor.end` reads a stop from a string of one mark per token.
@@ -89,6 +85,7 @@ from .syntax import (
     Signature,
     Term,
     Var,
+    iff,
     piff,
     pneg,
 )
@@ -113,8 +110,7 @@ class Cursor:
     """The tokens of one text as plain strings, closed by the eof sentinel
     `""` (so no `at`/`eat`/`expect` of a non-empty text matches it); a
     token's kind is read from its first character, and `marks` holds its
-    mark (see `end`).  It also holds the table of the first-order nodes
-    built from them (see `node`) and the memo of the spans parsed so far."""
+    mark (see `end`).  It also holds the memo of the spans parsed so far."""
 
     def __init__(self, text: str):
         self.text = text
@@ -140,26 +136,10 @@ class Cursor:
         if bad:
             self.i = min(map(self.tokens.index, bad))
             raise self.error(f"unexpected character {self.tokens[self.i]!r}")
-        self.nodes: dict[tuple, object] = {("->", id(BOTTOM), id(BOTTOM)): TRUTH}
         self.spans: dict[tuple[str, ...], object] = {}
         self.room = 8 * len(self.tokens)  # key tokens left (module docstring)
         self.semi = (0, -1)  # a token and the first `;` from it on (see `end`)
         self.closes: dict[int, int] = {}  # a group's first token -> its close (see `end`)
-
-    def node(self, key: tuple, cls, *fields):
-        """The node `cls(*fields)`: the one built earlier under `key` if
-        there is one, else a new one, kept under `key`.  `key` is the
-        constructor tag, the `id()` of each child and the str/int fields."""
-        got = self.nodes.get(key)
-        if got is None:
-            # `cls(*fields)` without the call through the type, which counts
-            # as a level of recursion: building a node here costs no more
-            # depth than building it in the caller, so deep input parses as
-            # far as it would without sharing
-            got = object.__new__(cls)
-            got.__init__(*fields)
-            self.nodes[key] = got
-        return got
 
     def end(self, stop: str) -> int:
         """Where a formula from the next token on is predicted to stop, or -1:
@@ -313,7 +293,7 @@ _BINARY = {"<->": (0, False), "->": (1, True), "|": (2, False), "&": (3, False)}
 def _parse_binary(cur: Cursor, sig: Signature | None, lang, min_power: int = 0, end: int = -1):
     """A formula whose top-level connectives bind at least `min_power`, by
     precedence climbing.  `lang` is a pair (prefix parser, constructor
-    `build(cur, connective, left, right)`); the prefix parser is called
+    `build(connective, left, right)`); the prefix parser is called
     directly, so a nesting level costs one frame here and one there.  `end`
     is where a span is predicted to stop (module docstring)."""
     key, f = cur.recall(cur.i, end) if end >= 0 else ((), None)
@@ -332,8 +312,8 @@ def _parse_binary(cur: Cursor, sig: Signature | None, lang, min_power: int = 0, 
             return f
         cur.next()
         power, right = spec
-        f = build(cur, op, f, _parse_binary(cur, sig, lang, power if right else power + 1,
-                                            inner if power < 2 else -1))
+        f = build(op, f, _parse_binary(cur, sig, lang, power if right else power + 1,
+                                       inner if power < 2 else -1))
 
 
 # ---------------------------------------------------------------------------
@@ -359,22 +339,21 @@ def _make_term(
     arity = sig.function_arity(name)
     if args is None:
         if arity == 0:
-            return cur.node(("fn", name), FnApp, name, ())
+            return FnApp(name, ())
         if arity is not None:
             raise cur.error(f"function constant {name} needs {arity} arguments")
     elif arity is not None:
         if arity != len(args):
             raise cur.error(f"{name} expects {arity} arguments, got {len(args)}")
-        return cur.node(("fn", name, *map(id, args)), FnApp, name, args)
+        return FnApp(name, args)
     if sig.predicate_arity(name) is not None:
         raise cur.error(f"predicate {name} used in term position")
     if not allow_vars:
         what = "constant" if args is None else "function constant"
         raise cur.error(f"unknown {what} {name}")
     if args is None:
-        return cur.node(("var", name), Var, name)
-    fv = cur.node(("f^", name, len(args)), FuncVar, name, len(args))
-    return cur.node(("fnvar", id(fv), *map(id, args)), FnVarApp, fv, args)
+        return Var(name)
+    return FnVarApp(FuncVar(name, len(args)), args)
 
 
 def _parse_term(cur: Cursor, sig: Signature, allow_vars: bool = True) -> Term:
@@ -402,13 +381,12 @@ def _parse_binder(cur: Cursor, sig: Signature, second_order: bool = False):
             rname = cur.expect_ident("restrictor")
             if not sig.is_restrictor(rname):
                 raise cur.error(f"{rname} is not a declared restrictor")
-            items.append((cur.node(("var", vname), Var, vname), rname))
+            items.append((Var(vname), rname))
             if not cur.eat(","):
                 break
         cur.expect(")")
-        key = ("gen", *[x for v, r in items for x in (id(v), r)])
         try:
-            return cur.node(key, GenVar, tuple(items))
+            return GenVar(tuple(items))
         except ValueError as e:
             raise cur.error(str(e)) from None
     if second_order:
@@ -417,13 +395,13 @@ def _parse_binder(cur: Cursor, sig: Signature, second_order: bool = False):
         name = _expect_variable(cur, sig)
     if cur.eat("/"):
         arity = cur.expect_num()
-        return cur.node(("p/", name, arity), PredVar, name, arity)
+        return PredVar(name, arity)
     if cur.eat("^"):
         arity = cur.expect_num()
-        return cur.node(("f^", name, arity), FuncVar, name, arity)
+        return FuncVar(name, arity)
     if second_order:
         raise cur.error("expected p/arity or f^arity")
-    return cur.node(("var", name), Var, name)
+    return Var(name)
 
 
 def _parse_unary(cur: Cursor, sig: Signature) -> FOFormula:
@@ -435,13 +413,12 @@ def _parse_unary(cur: Cursor, sig: Signature) -> FOFormula:
         return f
     if text == "not":
         cur.next()
-        f = _parse_unary(cur, sig)
-        return cur.node(("->", id(f), id(BOTTOM)), Binary, "->", f, BOTTOM)
+        return Binary("->", _parse_unary(cur, sig), BOTTOM)
     if text in ("forall", "exists"):
         cur.next()
         binder = _parse_binder(cur, sig)
         body = _parse_unary(cur, sig)
-        return cur.node((text, id(binder), id(body)), Quant, text, binder, body)
+        return Quant(text, binder, body)
     if text == "bot":
         cur.next()
         return BOTTOM
@@ -456,30 +433,24 @@ def _parse_unary(cur: Cursor, sig: Signature) -> FOFormula:
         negated = cur.next() == "!="
         left = _make_term(cur, sig, text, args, allow_vars=True)
         right = _parse_term(cur, sig)
-        eqf = cur.node(("=", id(left), id(right)), Equals, left, right)
-        if negated:
-            return cur.node(("->", id(eqf), id(BOTTOM)), Binary, "->", eqf, BOTTOM)
-        return eqf
+        eqf = Equals(left, right)
+        return Binary("->", eqf, BOTTOM) if negated else eqf
     args = args or ()
     arity = sig.predicate_arity(text)
     if arity is not None:
         if arity != len(args):
             raise cur.error(f"{text} expects {arity} arguments, got {len(args)}")
-        return cur.node(("atom", text, *map(id, args)), Atom, text, args)
+        return Atom(text, args)
     if sig.function_arity(text) is not None:
         raise cur.error(f"function constant {text} used as a formula")
-    p = cur.node(("p/", text, len(args)), PredVar, text, len(args))
-    return cur.node(("atom", id(p), *map(id, args)), Atom, p, args)
+    return Atom(PredVar(text, len(args)), args)
 
 
-def _fo_binary(cur: Cursor, op: str, left: FOFormula, right: FOFormula) -> FOFormula:
-    """`left op right`, shared through `cur`; `<->` is the conjunction of
-    the two implications."""
+def _fo_binary(op: str, left: FOFormula, right: FOFormula) -> FOFormula:
+    """`left op right`; `<->` is the conjunction of the two implications."""
     if op == "<->":
-        left, right = (cur.node(("->", id(left), id(right)), Binary, "->", left, right),
-                       cur.node(("->", id(right), id(left)), Binary, "->", right, left))
-        op = "&"
-    return cur.node((op, id(left), id(right)), Binary, op, left, right)
+        return iff(left, right)
+    return Binary(op, left, right)
 
 
 _FO = (_parse_unary, _fo_binary)
@@ -544,8 +515,8 @@ def _parse_prop_unary(cur: Cursor, sig: None) -> PropFormula:
     return PAtom(text)
 
 
-def _prop_binary(cur: Cursor, op: str, left: PropFormula, right: PropFormula) -> PropFormula:
-    """`left op right`; `cur` is unused (propositional nodes are not shared)."""
+def _prop_binary(op: str, left: PropFormula, right: PropFormula) -> PropFormula:
+    """`left op right`; `<->` is the conjunction of the two implications."""
     if op == "&":
         return PAnd((left, right))
     if op == "|":
@@ -641,8 +612,7 @@ def _parse_binding_value(cur: Cursor, sig: Signature, kind: str):
     if kind == "term":
         return _parse_term(cur, sig)
     if kind == "var":
-        name = _expect_variable(cur, sig)
-        return cur.node(("var", name), Var, name)
+        return Var(_expect_variable(cur, sig))
     if kind == "fn":
         name = cur.expect_ident("function constant")
         if sig.function_arity(name) is None:
@@ -663,8 +633,7 @@ def _parse_binding_value(cur: Cursor, sig: Signature, kind: str):
                 if kind == "terms":
                     items.append(_parse_term(cur, sig))
                 else:
-                    name = _expect_variable(cur, sig)
-                    items.append(cur.node(("var", name), Var, name))
+                    items.append(Var(_expect_variable(cur, sig)))
                 if not cur.eat(","):
                     break
         cur.expect("]")

@@ -10,9 +10,10 @@ conjunction and `bot` the empty disjunction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import MISSING, dataclass, fields
+from functools import cached_property, partial
 from typing import Iterable, Mapping, Union
+from weakref import ref
 
 from .errors import CaptureViolation, SignatureError
 
@@ -85,14 +86,52 @@ class Signature:
 
 
 # ---------------------------------------------------------------------------
+# hash-consing (Filliâtre and Conchon, "Type-safe modular hash-consing", 2006)
+
+def _interned(cls):
+    """`cls` as a frozen dataclass with one live instance per value: a call
+    returns the live instance with equal fields, else builds one, runs its
+    `__post_init__` (which may raise, storing nothing) and keeps it.  The
+    children in a key (the field tuple; a one-field class's field) are
+    interned too, so every instance hashes and compares by identity, O(1)
+    at any depth.  Keys map to plain `weakref.ref`s (calling a subclass's,
+    `KeyedRef`'s, costs a level of recursion): an unheld instance is freed."""
+    cls = dataclass(frozen=True, eq=False, init=False)(cls)
+    names = tuple(f.name for f in fields(cls))
+    defaults = tuple(f.default for f in fields(cls) if f.default is not MISSING)
+    post_init = getattr(cls, "__post_init__", None)
+    table: dict[object, ref] = {}
+
+    def drop(key, dead: ref) -> None:
+        if table.get(key) is dead:  # not yet replaced by a newer instance
+            del table[key]
+
+    def __new__(cls, *values):
+        if 0 < len(names) - len(values) <= len(defaults):
+            values += defaults[len(values) - len(names):]
+        key = values[0] if len(values) == 1 else values
+        if (got := table.get(key)) is not None and (node := got()) is not None:
+            return node
+        node = object.__new__(cls)
+        node.__dict__.update(zip(names, values, strict=True))  # ValueError if miscounted
+        if post_init is not None:
+            post_init(node)
+        table[key] = ref(node, partial(drop, key))
+        return node
+
+    cls.__new__ = staticmethod(__new__)
+    return cls
+
+
+# ---------------------------------------------------------------------------
 # terms
 
-@dataclass(frozen=True)
+@_interned
 class Var:
     name: str
 
 
-@dataclass(frozen=True)
+@_interned
 class PredVar:
     """Second-order predicate variable with a declared arity."""
 
@@ -100,7 +139,7 @@ class PredVar:
     arity: int
 
 
-@dataclass(frozen=True)
+@_interned
 class FuncVar:
     """Second-order function variable with a declared arity."""
 
@@ -108,7 +147,7 @@ class FuncVar:
     arity: int
 
 
-@dataclass(frozen=True)
+@_interned
 class FnApp:
     """Application of a function constant; nullary applications are constants."""
 
@@ -116,7 +155,7 @@ class FnApp:
     args: tuple = ()
 
 
-@dataclass(frozen=True)
+@_interned
 class FnVarApp:
     var: FuncVar
     args: tuple
@@ -134,21 +173,12 @@ def term_variables(t: Term) -> frozenset:
     match t:
         case Var():
             return frozenset((t,))
-        case FnApp(_, args):
-            out: frozenset = frozenset()
-            for a in args:
-                out |= term_variables(a)
-            return out
-        case FnVarApp(v, args):
-            out = frozenset((v,))
+        case FnApp(_, args) | FnVarApp(_, args):
+            out = frozenset((t.var,)) if isinstance(t, FnVarApp) else frozenset()
             for a in args:
                 out |= term_variables(a)
             return out
     raise TypeError(f"not a term: {t!r}")
-
-
-def term_is_ground(t: Term) -> bool:
-    return not term_variables(t)
 
 
 def term_is_first_order(t: Term) -> bool:
@@ -166,22 +196,23 @@ def term_is_first_order(t: Term) -> bool:
 # ---------------------------------------------------------------------------
 # first/second-order formulas
 #
-# Every formula node knows three facts from construction: `free`, its free
-# object, predicate and function variables; `first_order`, that no predicate
-# or function variable occurs in it, bound or free; and `restricted`, that a
+# Terms, binders and formulas are interned, so `==` is identity.  Every
+# formula node knows three facts from construction: `free`, its free object,
+# predicate and function variables; `first_order`, that no predicate or
+# function variable occurs in it, bound or free; and `restricted`, that a
 # generalized variable occurs in it.  `__post_init__` computes them from the
-# children's facts and keeps them in the instance `__dict__`, outside the
-# dataclass fields (as `Signature` keeps its arity dicts), so `==`, `hash`,
-# `repr` and `match` are unchanged; leaves that cannot hold a generalized
-# variable, and `Falsum`, keep them on the class.  Reading a fact is one
-# attribute lookup at any depth, and building a node never walks below its
-# children.  A node reuses a child's `free` set when it equals its own, and
-# every node without free variables holds `_CLOSED`.
+# children's facts, once per distinct node, and keeps them in the instance
+# `__dict__`, outside the fields (so outside `repr` and the interning key);
+# leaves that cannot hold a generalized variable, and `Falsum`, keep them on
+# the class.  Reading a fact is one attribute lookup at any depth, and
+# building a node never walks below its children.  A node reuses a child's
+# `free` set when it equals its own, and every node without free variables
+# holds `_CLOSED`.
 
 _CLOSED = frozenset()
 
 
-@dataclass(frozen=True)
+@_interned
 class Falsum:
     free = _CLOSED
     first_order = True
@@ -191,7 +222,7 @@ class Falsum:
 BOTTOM = Falsum()
 
 
-@dataclass(frozen=True)
+@_interned
 class Equals:
     left: Term
     right: Term
@@ -204,7 +235,7 @@ class Equals:
                           first_order=term_is_first_order(l) and term_is_first_order(r))
 
 
-@dataclass(frozen=True)
+@_interned
 class Atom:
     """Predicate application. `pred` is a predicate-constant name or a
     PredVar."""
@@ -223,7 +254,7 @@ class Atom:
         vars(self).update(free=free or _CLOSED, first_order=first_order)
 
 
-@dataclass(frozen=True)
+@_interned
 class Binary:
     op: str  # "&", "|" or "->"
     left: "FOFormula"
@@ -236,7 +267,7 @@ class Binary:
                           restricted=l.restricted or r.restricted)
 
 
-@dataclass(frozen=True)
+@_interned
 class GenVar:
     """Generalized variable: nonempty list of (variable, restrictor) pairs
     with distinct variables."""
@@ -257,7 +288,7 @@ class GenVar:
 Binder = Union[Var, GenVar, PredVar, FuncVar]
 
 
-@dataclass(frozen=True)
+@_interned
 class Quant:
     kind: str  # "forall" | "exists"
     binder: Binder
@@ -458,7 +489,7 @@ class GroundAtom:
 
     def __post_init__(self):
         for a in self.args:
-            if not term_is_ground(a):
+            if term_variables(a):
                 raise ValueError(f"ground atom argument contains variables: {a!r}")
 
     @classmethod

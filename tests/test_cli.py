@@ -214,6 +214,20 @@ def test_deep_nesting_gets_a_verdict(command, name, text, exit_code, expected,
     assert invoke(capsys, command, str(path)) == (exit_code, expected, "")
 
 
+@pytest.mark.parametrize("shape", ["and", "forall"])
+def test_deep_forall_elim_line_is_accepted(shape, tmp_path, capsys):
+    # the kernel compares the line with its schema instance by identity, so
+    # a flat 490-conjunct `F`, or 490 nested `forall y`, ends in no RecursionError
+    body = "(" + " & ".join(["P(x)"] * 490) + ")" if shape == "and" else "forall y " * 490 + "P(x)"
+    line = (f"1: forall x {body} -> {body.replace('P(x)', 'P(a)')} by axiom forall-elim "
+            f"with x := x, F := {body}, t := a;")
+    path = tmp_path / f"{shape}.proof"
+    path.write_text(f"const a.  pred P/1.\nlevel HHT;\n{line}\n")
+    code, out, err = invoke(capsys, "check-proof", str(path))
+    assert (code, err) == (0, "")
+    assert out.startswith("proof: accepted (level HHT, 1 lines)\n")
+
+
 @pytest.mark.parametrize("json_flag", [[], ["--json"]])
 def test_function_variable_outside_truncated_universe(json_flag, tmp_path, capsys):
     # at depth 1 the universe is {a, f(a)}, so g(f(x)) needs g on f(f(a))

@@ -1,20 +1,23 @@
-"""Sharing of equal first-order nodes within a parse, the facts each node
-gets when it is built, and the walks that cache their result on each node
-or compute it once per node: checked against literal recursive references
-and against proofs rebuilt with nothing shared."""
+"""Interning of first-order nodes (one live object per value, across
+parses, substitutions and schema builders), the facts each node gets when
+it is built, and the walks that cache their result on each node or compute
+it once per node: checked against literal recursive references and against
+proofs rebuilt node by node."""
 
 import dataclasses
+import gc
 import random
+import weakref
 from pathlib import Path
 
 import pytest
 
 import gen
 from hhtkit.corpus import data_path, load_text
-from hhtkit.errors import CaptureViolation, ProofError
+from hhtkit.errors import CaptureViolation, ParseError, ProofError
 from hhtkit.herbrand import count_function_names, count_predicate_names, estimate_cost
 from hhtkit.instantiation import instantiate
-from hhtkit.kernel import ByAxiom, ByGen, check_proof
+from hhtkit.kernel import ByAxiom, ByGen, build_axiom_instance, check_proof
 from hhtkit.parser import parse_formula_text, parse_proof_file
 from hhtkit.syntax import (
     BOTTOM,
@@ -165,8 +168,9 @@ def ref_prop_to_text(f: PropFormula) -> str:
 # --- helpers -----------------------------------------------------------------
 
 def _unshared(x):
-    """A copy of `x` rebuilt node by node: every occurrence is a new object
-    with no cached walk.  (`copy.deepcopy` keeps shared nodes shared.)"""
+    """`x` rebuilt node by node, each by calling its constructor again.
+    Interned constructors return the live node with the same fields, so no
+    unshared copy can be built: a first-order node comes back as itself."""
     if isinstance(x, tuple):
         return tuple(_unshared(y) for y in x)
     if dataclasses.is_dataclass(x) and not isinstance(x, type):
@@ -249,36 +253,105 @@ def _formulas(seed: int, count: int, share: float) -> list[FOFormula]:
     return out
 
 
-# --- sharing within a parse --------------------------------------------------
+# --- interning ----------------------------------------------------------------
 
 def test_equal_nodes_of_one_parse_are_one_object():
     proof = parse_proof_file(load_text("example6.proof"))
     distinct, occurrences = _nodes(_proof_roots(proof))
-    by_value: dict = {}
+    # a node's class and fields, children by identity: the interning key
+    by_fields: dict = {}
     for node in distinct.values():
-        assert by_value.setdefault(node, node) is node, node
+        key = (type(node), *[getattr(node, f.name) for f in dataclasses.fields(node)])
+        assert by_fields.setdefault(key, node) is node, node
     # the sharing is real: the text spells out far more nodes than it holds
     assert len(distinct) * 20 < occurrences
 
 
-def test_two_parses_share_no_node():
+def test_two_parses_share_every_node():
     text = load_text("example6.proof")
-    first, _ = _nodes(_proof_roots(parse_proof_file(text)))
-    second, _ = _nodes(_proof_roots(parse_proof_file(text)))
-    # `bot` and `top` are the module's own constants in every parse
-    common = set(first) & set(second)
-    assert common <= {id(BOTTOM), id(TRUTH)}
-    assert {type(x) for x in first.values() if id(x) not in common} >= {Var, Atom, Binary, Quant}
+    first, second = parse_proof_file(text), parse_proof_file(text)
+    assert first is not second
+    assert all(a is b for a, b in zip(_proof_roots(first), _proof_roots(second), strict=True))
+    assert _nodes(_proof_roots(first))[0].keys() == _nodes(_proof_roots(second))[0].keys()
+
+
+def test_constructors_return_the_live_node():
+    assert Var("x") is Var("x") and const("a") is FnApp("a")
+    assert Falsum() is BOTTOM and Binary("->", BOTTOM, BOTTOM) is TRUTH
+    assert parse_formula_text("top", SIG) is TRUTH
+    body = Atom("P", (Var("x"),))
+    assert Quant("forall", GenVar(((Var("x"), "R"),)), body) is \
+        Quant("forall", GenVar(((Var("x"), "R"),)), Atom("P", (Var("x"),)))
+    with pytest.raises(ValueError):
+        Binary("&", BOTTOM)
+    with pytest.raises(ValueError):
+        Var("x", "y")
 
 
 def test_sharing_and_caches_leave_equality_hash_and_text_unchanged():
     f = parse_formula_text("forall (x:R) (P(x) & P(x)) -> Q(a, x) | Q(a, x)", SIG)
     assert f.left.body.left is f.left.body.right
     assert f.right.left is f.right.right
-    tree = _unshared(f)
+    before = hash(f), repr(f)
     eliminate_restrictors(f), is_first_order(f), free_variables(f)
-    assert f == tree and hash(f) == hash(tree) and repr(f) == repr(tree)
+    assert _unshared(f) is f and (hash(f), repr(f)) == before
     assert formula_to_text(f) == "forall (x:R) (P(x) & P(x)) -> Q(a,x) | Q(a,x)"
+
+
+@pytest.mark.parametrize("name", PROOFS)
+def test_axiom_instances_are_the_parsed_lines(name):
+    # the schema builders and `substitute` build no copy of a line: what
+    # they return is the parsed line's own object (or unfolds to it)
+    proof = parse_proof_file(load_text(name))
+    if _outcome(proof)[0] != "accepted":
+        return
+    identical = 0
+    for line in proof.lines:
+        just = line.justification
+        if not isinstance(just, ByAxiom):
+            continue
+        binding = just.as_dict()
+        expected = build_axiom_instance(proof.signature, just.schema_id, binding)
+        assert eliminate_restrictors(expected) is eliminate_restrictors(line.formula)
+        identical += expected is line.formula
+        if just.schema_id == "forall-elim":
+            instance = substitute(binding["F"], {binding["x"]: binding["t"]})
+            assert instance is line.formula.right
+    assert identical
+
+
+@pytest.mark.parametrize("shape", ["and", "forall"])
+def test_deep_chains_built_apart_are_one_object(shape):
+    def chain():
+        leaf = f = Atom("P", (Var("x"),))
+        for _ in range(5000):
+            f = conj(f, leaf) if shape == "and" else Quant("forall", Var("y"), f)
+        return f
+
+    assert chain() is chain()
+
+
+def test_node_nobody_holds_is_freed():
+    leaf = f = Atom("P", (Var("freed"),))
+    for _ in range(5000):
+        f = Quant("forall", Var("y"), f)
+    root, bottom = weakref.ref(f), weakref.ref(leaf)
+    del f, leaf
+    gc.collect()
+    assert root() is None and bottom() is None
+    # the table keeps no dead entry in the way of a new node
+    assert Atom("P", (Var("freed"),)).free == {Var("freed")}
+
+
+def test_invalid_generalized_variable_raises_on_every_call():
+    x = Var("x")
+    for _ in range(3):
+        with pytest.raises(ValueError, match="distinct"):
+            GenVar(((x, "R"), (x, "S")))
+        with pytest.raises(ValueError, match="at least one"):
+            GenVar(())
+        with pytest.raises(ParseError, match="distinct"):
+            parse_formula_text("forall (x:R, x:S) P(x)", SIG)
 
 
 def test_sharing_keys_tell_constructors_apart():
@@ -382,14 +455,16 @@ def test_eliminate_returns_formula_without_generalized_variables_itself():
     assert eliminate_restrictors(f) is once and eliminate_restrictors(once) is once
 
 
-# --- the kernel on proofs with nothing shared --------------------------------
+# --- the kernel on proofs rebuilt node by node ----------------------------------
 
 @pytest.mark.parametrize("name", PROOFS)
 def test_unshared_proof_checks_the_same(name):
+    # `Proof` and `ProofLine` are not interned, so the rebuild is a new
+    # proof; every formula, term and binder in it is the parsed one
     proof = parse_proof_file(load_text(name))
     copy = _unshared(proof)
-    distinct, occurrences = _nodes(_proof_roots(copy))
-    assert len(distinct) == occurrences
+    assert copy is not proof and copy == proof
+    assert all(a is b for a, b in zip(_proof_roots(copy), _proof_roots(proof), strict=True))
     assert _outcome(copy) == _outcome(proof)
 
 

@@ -28,7 +28,10 @@ The `depth` group, also run only when asked for, writes one single-line
 proof whose `forall-elim` binding `F` is a flat chain of `P(x) & ...`, a
 nest of `forall y`, or a nest of parentheses around `P(x)`, at depths 300,
 330, 490 and 1,000, and records `check-proof` on each, with and without
-`--json`, so that how deep each stage goes is compared too.
+`--json`, so that how deep each stage goes is compared too.  The flat chain
+also runs at 987 and 988, and the nest of `forall y` at 983 and 984: the
+last depth each is accepted at and the first it is refused at, when this
+tool runs it (found by bisection between 490 and 1,000).
 The `syntax` group mutates every shipped `.proof`, `.prop`, `.fof` and
 `.subst` at three seeded token sites, each token replaced as
 `tests/test_cli_property.py` replaces one, and records `check-proof`,
@@ -114,12 +117,13 @@ _MODEL_FOFS = {
         "forall g^1 exists x (P(g(x)) -> Q) | not Q",
     ), 1)},
 }
-# shape -> the `F` of a `forall-elim` line at a depth
+# shape -> (the `F` of a `forall-elim` line at a depth, extra depths)
 _DEPTH_SHAPES = {
-    "and": lambda n: "(" + " & ".join(["P(x)"] * n) + ")",
-    "forall": lambda n: "forall y " * n + "P(x)",
-    "parens": lambda n: "(" * n + "P(x)" + ")" * n,
+    "and": (lambda n: "(" + " & ".join(["P(x)"] * n) + ")", (987, 988)),
+    "forall": (lambda n: "forall y " * n + "P(x)", (983, 984)),
+    "parens": (lambda n: "(" * n + "P(x)" + ")" * n, ()),
 }
+_DEPTHS = (300, 330, 490, 1000)
 # how tests/test_cli_property.py splits a file into tokens and replaces one
 _SYNTAX_TOKEN = re.compile(r"\w+|\s+|:=|->|<->|!=|\S")
 _SYNTAX_REPLACEMENTS = ["(", ")", "{", "}", ";", ",", ".", ":", ":=", "->", "<->", "|", "&",
@@ -283,8 +287,8 @@ def _capture_argvs(workdir: str) -> dict[str, list[str]]:
 
 def _depth_argvs(workdir: str) -> dict[str, list[str]]:
     out = {}
-    for shape, body in _DEPTH_SHAPES.items():
-        for n in (300, 330, 490, 1000):
+    for shape, (body, bounds) in _DEPTH_SHAPES.items():
+        for n in sorted({*_DEPTHS, *bounds}):
             f = body(n)
             line = (f"1: forall x {f} -> {f.replace('P(x)', 'P(a)')} by axiom forall-elim "
                     f"with x := x, F := {f}, t := a;")
