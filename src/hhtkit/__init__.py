@@ -68,7 +68,6 @@ from .syntax import (
     FOFormula,
     FuncVar,
     GenVar,
-    GroundAtom,
     PAnd,
     PAtom,
     PImp,

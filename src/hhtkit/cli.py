@@ -181,18 +181,16 @@ def _instantiation_stage(report: _Report, args, sig, f, pipeline: bool):
     return instance, mode, mode_label
 
 
-def _validity_stage(report: _Report, f, headlines: tuple, pipeline: bool) -> int:
-    """Exhaustively check `f`; exit code 0 if HT-valid, 1 on a countermodel.
+def _validity_stage(report: _Report, started: float, counter, atoms, headlines: tuple,
+                    pipeline: bool, **fields) -> int:
+    """Report a validity check begun at `started`: exit code 0 if `counter`
+    is None, 1 if it is a countermodel, shown over `atoms` (sorted by text).
     `headlines` holds the verdict line for each outcome (None: no line)."""
-    t0 = time.perf_counter()
-    counter = ht_valid(f, _budget())
-    atoms = sorted(prop_atoms(f))
     found = counter is not None
-    fields = {}
+    fields = {"verdict": "countermodel" if found else "valid", **fields}
     if found:
-        fields["countermodel"] = {a: STATE_NAMES[counter.atom_state(a)] for a in atoms}
-    secs = _stage(report, "validity", t0,
-                  verdict="countermodel" if found else "valid", **fields)
+        fields["countermodel"] = {str(a): STATE_NAMES[counter.atom_state(a)] for a in atoms}
+    secs = _stage(report, "validity", started, **fields)
     if headlines[found]:
         report.say(headlines[found] + _ms(secs, pipeline))
     if found:
@@ -231,8 +229,11 @@ _VALIDITY_HEADLINES = {
 
 def _cmd_ht_valid(args, report: _Report) -> int:
     f = parse_prop_file(_read(args.prop_file))
+    t0 = time.perf_counter()
+    counter = ht_valid(f, _budget())
     headlines = _VALIDITY_HEADLINES[args.command]
-    return report.emit(_validity_stage(report, f, headlines, pipeline=False))
+    return report.emit(_validity_stage(report, t0, counter, sorted(prop_atoms(f)),
+                                       headlines, pipeline=False))
 
 
 def _cmd_herbrand_check(args, report: _Report) -> int:
@@ -240,17 +241,14 @@ def _cmd_herbrand_check(args, report: _Report) -> int:
     mode, mode_label = _mode_from_args(args)
     t0 = time.perf_counter()
     counter = hht_valid_bruteforce(sig, f, mode, _budget(args.budget))
-    if counter is None:
-        _stage(report, "validity", t0, verdict="valid", mode=mode_label)
-        report.say(f"valid over all interpretations ({mode_label})")
-        if mode != EXACT:
-            report.say("bounded mode: non-validity-preserving")
-        return report.emit(0 if mode == EXACT else 1)
-    rendering = render_countermodel(counter, counter.atoms)
-    _stage(report, "validity", t0, verdict="countermodel", mode=mode_label)
-    report.say(f"countermodel found ({mode_label}):")
-    report.say(rendering)
-    return report.emit(1)
+    headlines = (f"valid over all interpretations ({mode_label})",
+                 f"countermodel found ({mode_label}):")
+    atoms = () if counter is None else counter.atoms
+    if _validity_stage(report, t0, counter, atoms, headlines, pipeline=False, mode=mode_label):
+        return report.emit(1)
+    if mode != EXACT:
+        report.say("bounded mode: non-validity-preserving")
+    return report.emit(0 if mode == EXACT else 1)
 
 
 def _cmd_pipeline(args, report: _Report) -> int:
@@ -262,9 +260,12 @@ def _cmd_pipeline(args, report: _Report) -> int:
     if isinstance(got, int):
         return report.emit(got)
     instance, mode, mode_label = got
+    t0 = time.perf_counter()
+    counter = ht_valid(instance, _budget())
     headlines = (f"validity: HT-valid ({mode_label})",
                  f"validity: countermodel found ({mode_label})")
-    valid = _validity_stage(report, instance, headlines, pipeline=True) == 0
+    valid = _validity_stage(report, t0, counter, sorted(prop_atoms(instance)), headlines,
+                            pipeline=True) == 0
     certifying = mode == EXACT and valid
     report.data["certifying"] = certifying
     if certifying:

@@ -6,27 +6,28 @@ every interpretation of the Herbrand base, and the model transfer from a
 substitution plus a propositional interpretation.
 
 Every interpretation is a `semantics.HTInterpretation`: a Herbrand model
-holds `GroundAtom`s, and a second-order predicate name, which stands for its
-own extension, holds argument tuples.  A function name is a `dict` from
-argument tuples over the universe to terms.  Enumerating names therefore
-means enumerating extensions, which explodes quickly; every entry point
-estimates the work first and refuses over-budget runs with the computed
-count, in the steps of `semantics`.
+holds ground atoms, which are closed `Atom`s (see `syntax`), and a
+second-order predicate name, which stands for its own extension, holds
+argument tuples.  A function name is a `dict` from argument tuples over the
+universe to terms.  Enumerating names therefore means enumerating
+extensions, which explodes quickly; every entry point estimates the work
+first and refuses over-budget runs with the computed count, in the steps of
+`semantics`.
 
 `h_satisfies` (through `_sat`) is the literal satisfaction relation.
 `hht_valid_bruteforce` does not walk the formula once per interpretation.
 HT quantifiers over a constant domain act world by world, so it grounds the
 formula once: a quantifier becomes the conjunction (forall) or disjunction
 (exists) of its body over the domain `_sat` uses, and each Herbrand base
-atom becomes an atom named by its text.  What no interpretation can change
-folds to a constant while grounding, with the short-circuits `_sat` takes:
-`bot`, equations, atoms outside the base, and atoms of predicate names,
-which may hold there but not here.  The ground program goes to the
-bit-parallel engine in `semantics`, which returns the first countermodel in
-canonical order.  The budget is checked twice: `estimate_cost` (the nodes
-grounding may visit) before grounding, since a second-order domain can
-explode, and that count plus the engine's steps on the ground program
-before evaluating it.
+atom becomes an atom of the program, the `Atom` itself.  What no
+interpretation can change folds to a constant while grounding, with the
+short-circuits `_sat` takes: `bot`, equations, atoms outside the base, and
+atoms of predicate names, which may hold there but not here.  The ground
+program goes to the bit-parallel engine in `semantics`, which returns the
+first countermodel in canonical order.  The budget is checked twice:
+`estimate_cost` (the nodes grounding may visit) before grounding, since a
+second-order domain can explode, and that count plus the engine's steps on
+the ground program before evaluating it.
 """
 
 from __future__ import annotations
@@ -70,7 +71,6 @@ from .syntax import (
     FnVarApp,
     FOFormula,
     FuncVar,
-    GroundAtom,
     PredVar,
     Quant,
     Signature,
@@ -78,7 +78,6 @@ from .syntax import (
     Var,
     eliminate_restrictors,
     free_variables,
-    ground_atom_to_text,
     term_to_text,
 )
 
@@ -206,7 +205,7 @@ def _sat(
                 if name is None:
                     raise NotClosed(f"unbound predicate variable {pred.name}")
                 return hatted in name.world(w)
-            return GroundAtom(pred, hatted) in j.world(w)
+            return Atom(pred, hatted) in j.world(w)
         case Binary("&", l, r):
             return _sat(j, w, l, terms, env) and _sat(j, w, r, terms, env)
         case Binary("|", l, r):
@@ -268,17 +267,15 @@ def hht_valid_bruteforce(
         raise NotClosed("validity checking needs a closed formula")
     grounding = _Grounding(base, terms)
     prog = _live_program(grounding.prog, grounding.ground(f, {}))
-    atoms = sorted(arg for op, arg in prog if op == _ATOM)
+    live = {arg for op, arg in prog if op == _ATOM}
+    atoms = [a for a in base if a in live]  # sorted by text, as `base` is
     cost += _engine_steps(prog, len(atoms))
     if cost > budget:
         raise BudgetExceeded(cost, budget)
     counter = _first_countermodel(prog, atoms)
     if counter is None:
         return None
-    atom_of = {ground_atom_to_text(a): a for a in base}
-    here = frozenset(atom_of[a] for a in counter.here)
-    there = frozenset(atom_of[a] for a in counter.there)
-    return HTInterpretation(here, there, base)
+    return HTInterpretation(counter.here, counter.there, base)
 
 
 class _Grounding:
@@ -287,9 +284,9 @@ class _Grounding:
     position; positions 0, 1 and 2 are the constants absent, there-only and
     both, so a position below 3 is a constant whose value is its position."""
 
-    def __init__(self, base: tuple[GroundAtom, ...], terms: tuple[Term, ...]):
+    def __init__(self, base: tuple[Atom, ...], terms: tuple[Term, ...]):
         self.terms = terms
-        self.names = {(a.pred, a.args): ground_atom_to_text(a) for a in base}
+        self.base = frozenset(base)
         self.prog: list[tuple[int, object]] = [
             (_CONST, ABSENT), (_CONST, THERE_ONLY), (_CONST, BOTH)
         ]
@@ -329,8 +326,8 @@ class _Grounding:
                     pred = env[pred]
                 if isinstance(pred, HTInterpretation):
                     return pred.atom_state(hatted)
-                name = self.names.get((pred, hatted))
-                return ABSENT if name is None else self.emit(_ATOM, name)
+                atom = Atom(pred, hatted)
+                return self.emit(_ATOM, atom) if atom in self.base else ABSENT
             case Binary("->", l, r):
                 kl = self.ground(l, env)
                 if kl == ABSENT:

@@ -1,6 +1,6 @@
-"""Substitutions mapping ground atoms to propositional formulas, and the
-instance operation turning a closed first-order formula (restrictors
-allowed) into a propositional formula.
+"""Substitutions mapping ground atoms (closed `Atom`s, see `syntax`) to
+propositional formulas, and the instance operation turning a closed
+first-order formula (restrictors allowed) into a propositional formula.
 
 The instance is built in one walk that carries an environment binding each
 quantified variable to a term; terms at atoms and equations are evaluated
@@ -47,7 +47,6 @@ from .syntax import (
     FnApp,
     FOFormula,
     GenVar,
-    GroundAtom,
     PAnd,
     PImp,
     POr,
@@ -60,7 +59,6 @@ from .syntax import (
     const,
     formula_to_text,
     free_variables,
-    ground_atom_to_text,
     is_first_order,
     term_to_text,
 )
@@ -124,7 +122,8 @@ def universe(sig: Signature, mode: InstantiationMode) -> tuple[Term, ...]:
 
 class Substitution:
     """Total map from ground atoms to propositional formulas, represented
-    by explicit entries plus optional per-predicate defaults.
+    by explicit entries, keyed by closed `Atom`s, plus optional
+    per-predicate defaults.
 
     Entries and defaults for restrictor predicates must be `top` or `bot`.
     """
@@ -132,23 +131,25 @@ class Substitution:
     def __init__(
         self,
         signature: Signature,
-        entries: Mapping[GroundAtom, PropFormula] = (),
+        entries: Mapping[Atom, PropFormula] = (),
         defaults: Mapping[str, PropFormula] = (),
     ):
         self.signature = signature
         self.entries = dict(entries.items() if isinstance(entries, Mapping) else entries)
         self.defaults = dict(defaults.items() if isinstance(defaults, Mapping) else defaults)
         for atom, image in self.entries.items():
+            if atom.free:
+                raise SubstitutionError(f"substitution key {atom} is not ground")
             arity = signature.predicate_arity(atom.pred)
             if arity is None:
                 raise SubstitutionError(f"unknown predicate {atom.pred}")
             if arity != len(atom.args):
                 raise SubstitutionError(
-                    f"arity mismatch for {ground_atom_to_text(atom)} (expected {arity} args)"
+                    f"arity mismatch for {atom} (expected {arity} args)"
                 )
             if signature.is_restrictor(atom.pred) and image not in (TOP, BOT):
                 raise SubstitutionError(
-                    f"restrictor atom {ground_atom_to_text(atom)} must map to top or bot"
+                    f"restrictor atom {atom} must map to top or bot"
                 )
         for pred, image in self.defaults.items():
             if signature.predicate_arity(pred) is None:
@@ -156,14 +157,14 @@ class Substitution:
             if signature.is_restrictor(pred) and image not in (TOP, BOT):
                 raise SubstitutionError(f"restrictor default {pred} must be top or bot")
 
-    def lookup(self, atom: GroundAtom) -> PropFormula:
+    def lookup(self, atom: Atom) -> PropFormula:
         got = self.entries.get(atom)
         if got is not None:
             return got
         got = self.defaults.get(atom.pred)
         if got is not None:
             return got
-        raise UnmappedAtom(ground_atom_to_text(atom))
+        raise UnmappedAtom(str(atom))
 
 
 def _check_preconditions(f: FOFormula) -> None:
@@ -213,12 +214,11 @@ def _instantiate(
     missing: set[str] = set()
     env: dict[Var, Term] = {}
 
-    def image(pred: str, args: tuple[Term, ...]) -> PropFormula:
-        atom = GroundAtom.of_ground(pred, args)  # `f` is closed: `env` binds every variable
+    def image(atom: Atom) -> PropFormula:
         try:
             return subst.lookup(atom)
         except UnmappedAtom:
-            missing.add(ground_atom_to_text(atom))
+            missing.add(str(atom))
             return BOT
 
     # what `rec` built, by node and the terms of its free variables (a
@@ -234,8 +234,8 @@ def _instantiate(
                 out = BOT
             case Equals(l, r):
                 out = TOP if _term_subst(l, env) == _term_subst(r, env) else BOT
-            case Atom(pred, args):
-                out = image(pred, tuple(_term_subst(a, env) for a in args))
+            case Atom(pred, args):  # `f` is closed: `env` binds every variable
+                out = image(Atom(pred, tuple([_term_subst(a, env) for a in args])))
             case Binary("&", l, r):
                 out = PAnd((rec(l), rec(r)))
             case Binary("|", l, r):
@@ -245,7 +245,7 @@ def _instantiate(
             case Quant(kind, binder, body):
                 if isinstance(binder, GenVar):
                     variables = binder.variables()
-                    domains = [[t for t in terms if image(r, (t,)) == TOP]
+                    domains = [[t for t in terms if image(Atom(r, (t,))) == TOP]
                                for _, r in binder.items]
                 else:
                     variables, domains = (binder,), [terms]
@@ -272,12 +272,12 @@ def _instantiate(
     return instance, tuple(sorted(missing))
 
 
-def herbrand_base(sig: Signature, terms: Iterable[Term]) -> tuple[GroundAtom, ...]:
+def herbrand_base(sig: Signature, terms: Iterable[Term]) -> tuple[Atom, ...]:
     """All ground predicate-constant atoms over the given universe, sorted
     by rendered text."""
     terms = tuple(terms)
     atoms = []
     for pred, arity in sig.predicates:
         for args in itertools.product(terms, repeat=arity):
-            atoms.append(GroundAtom(pred, args))
-    return tuple(sorted(atoms, key=ground_atom_to_text))
+            atoms.append(Atom(pred, args))
+    return tuple(sorted(atoms, key=str))

@@ -26,17 +26,19 @@ and `syntax.eliminate_restrictors` unfolds it once.  Propositional nodes
 are not interned.
 
 Parsing is context-free given the signature and reads one token ahead, so
-a span whose tokens, with the token that stops it, occurred earlier in the
-parse is not parsed again: the `Cursor`'s span memo returns the node a
-second parse would give, which saves time only.  `_parse_binary` looks a
-span up where it is told that stop: a group's `)`, a proof line's `by`, a
-formula binding's `,` or `;` at its depth and, for the right operand of
-`->` or `<->` in a span without `<->` (power 1 stops at one, power 0 does
-not), the span's own.  A propositional group, `And{..}` and `Or{..}`
-whole, is looked up if most words repeat.  A span is stored once it parsed and stopped there, so a
-wrong prediction costs a miss and errors do not change.  The keys one parse
-slices hold at most 8 tokens per token of its text (corpus files take 2).
-`Cursor.end` reads a stop from a string of one mark per token.
+in a text whose words mostly repeat, a span whose tokens, with the token
+that stops it, occurred earlier in the parse is not parsed again: the
+`Cursor`'s span memo returns the node a second parse would give, which
+saves time only.  `_parse_binary` looks a span up where it is told that
+stop: a group's `)` (a propositional `And{..}` or `Or{..}` whole), a proof
+line's `by`, a formula binding's `,` or `;` at its depth and, for the right
+operand of `->` or `<->` in a span without `<->` (power 1 stops at one,
+power 0 does not), the span's own.  A span is stored once it parsed and
+stopped there, so a wrong prediction costs a miss and errors do not change.
+The keys one parse slices hold at most 8 tokens per token of its text
+(corpus files take 2).  `Cursor.end` reads a stop from a string of one mark
+per token; in a text whose words are mostly distinct it predicts none, and
+no span is looked up.
 
 Identifiers not declared in the ambient signature parse as variables:
 object variables in term position, predicate variables (of the applied
@@ -74,7 +76,6 @@ from .syntax import (
     FOFormula,
     FuncVar,
     GenVar,
-    GroundAtom,
     PAnd,
     PAtom,
     PImp,
@@ -128,7 +129,6 @@ class Cursor:
             distinct = set().union(*table.values())
         else:
             self.tokens = _TOKEN_RE.findall(text)
-            self.marks = ""  # made by the first `end`
             distinct = set(self.tokens)
         self.tokens.append("")
         self.i = 0
@@ -145,9 +145,10 @@ class Cursor:
         """Where a formula from the next token on is predicted to stop, or -1:
         the bracket closing the group (`(..)` or `{..}`) the next token is in
         if `stop` is `)`, found once per group; else the first `stop` at its
-        depth before the next `;`, or that `;`."""
-        if not self.marks:
-            self.marks = "".join(map(_MARKS.get, self.tokens, repeat(".")))
+        depth before the next `;`, or that `;`.  Always -1 in a text whose
+        words mostly do not repeat, so no span of it is memoized."""
+        if not self.repeats:
+            return -1
         marks, i = self.marks, self.i
         if stop == ")":
             if (got := self.closes.get(i)) is not None:
@@ -481,7 +482,7 @@ def _parse_prop_unary(cur: Cursor, sig: None) -> PropFormula:
     text = cur.peek()
     if text == "(":
         cur.next()
-        f = _parse_binary(cur, None, _PROP, 0, cur.end(")") if cur.repeats else -1)
+        f = _parse_binary(cur, None, _PROP, 0, cur.end(")"))
         cur.expect(")")
         return f
     if text == "not":
@@ -496,7 +497,7 @@ def _parse_prop_unary(cur: Cursor, sig: None) -> PropFormula:
     if text in ("And", "Or"):
         cur.next()
         cur.expect("{")
-        key, f = cur.recall(cur.i - 2, end := cur.end(")")) if cur.repeats else ((), None)
+        key, f = cur.recall(cur.i - 2, end := cur.end(")"))
         if f is not None:
             cur.i = end + 1
             return f
@@ -552,7 +553,7 @@ def parse_subst_file(text: str) -> Substitution:
     `default P := <prop>;` lines."""
     cur = Cursor(text)
     sig = parse_signature_block(cur)
-    entries: dict[GroundAtom, PropFormula] = {}
+    entries: dict[Atom, PropFormula] = {}
     defaults: dict[str, PropFormula] = {}
     while cur.peek():
         if cur.eat("default"):
@@ -560,8 +561,11 @@ def parse_subst_file(text: str) -> Substitution:
             if sig.predicate_arity(pred) is None:
                 raise cur.error(f"unknown predicate {pred}")
             cur.expect(":=")
-            defaults[pred] = _parse_binary(cur, None, _PROP)
+            image = _parse_binary(cur, None, _PROP)
             cur.expect(";")
+            if pred in defaults:
+                raise cur.error(f"duplicate default for {pred}")
+            defaults[pred] = image
             continue
         pred = cur.expect_ident("predicate")
         arity = sig.predicate_arity(pred)
@@ -575,7 +579,7 @@ def parse_subst_file(text: str) -> Substitution:
         cur.expect(":=")
         image = _parse_binary(cur, None, _PROP)
         cur.expect(";")
-        atom = GroundAtom(pred, args)
+        atom = Atom(pred, args)
         if atom in entries:
             raise cur.error(f"duplicate entry for {pred}")
         entries[atom] = image

@@ -11,7 +11,6 @@ from .syntax import (
     Signature,
     Var,
     formula_to_text,
-    ground_atom_to_text,
     prop_to_text,
     term_to_text,
 )
@@ -80,8 +79,8 @@ def render_proof(proof: Proof) -> str:
 
 def render_subst(subst: Substitution) -> str:
     out = [render_signature(subst.signature)]
-    for atom in sorted(subst.entries, key=ground_atom_to_text):
-        out.append(f"{ground_atom_to_text(atom)} := {prop_to_text(subst.entries[atom])};")
+    for atom in sorted(subst.entries, key=str):
+        out.append(f"{atom} := {prop_to_text(subst.entries[atom])};")
     for pred in sorted(subst.defaults):
         out.append(f"default {pred} := {prop_to_text(subst.defaults[pred])};")
     return "\n".join(out) + "\n"

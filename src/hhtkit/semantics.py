@@ -52,9 +52,9 @@ class World(IntEnum):
 @dataclass(frozen=True)
 class HTInterpretation:
     """Pair of atom sets with here a subset of there.  The atoms are of one
-    of three kinds: atom names (`str`) for propositional formulas,
-    `GroundAtom`s for a Herbrand model (what `herbrand` checks and `lift`
-    builds), or argument tuples for a second-order predicate name."""
+    of three kinds: atom names (`str`) for propositional formulas, closed
+    `Atom`s for a Herbrand model (what `herbrand` checks and `lift` builds),
+    or argument tuples for a second-order predicate name."""
 
     here: frozenset
     there: frozenset

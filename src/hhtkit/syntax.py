@@ -6,6 +6,11 @@ First-order formulas keep `&`, `|`, `->` and `bot` primitive; `not F`,
 and re-sugared by the printer.  Propositional conjunctions/disjunctions are
 sets of children (duplicate-free by construction), so `top` is the empty
 conjunction and `bot` the empty disjunction.
+
+A ground atom is a closed `Atom` whose predicate is a name: being interned,
+it is one object however it was built (parsed from a substitution file,
+enumerated into a Herbrand base, or met while instantiating or grounding),
+so it is compared and hashed by identity.
 """
 
 from __future__ import annotations
@@ -238,12 +243,20 @@ class Equals:
 @_interned
 class Atom:
     """Predicate application. `pred` is a predicate-constant name or a
-    PredVar."""
+    PredVar.  A closed atom with a name is a ground atom, what substitutions
+    map and Herbrand interpretations hold; `str` gives its text."""
 
     pred: object
     args: tuple = ()
 
     restricted = False
+
+    def __str__(self) -> str:
+        """The atom's `formula_to_text`."""
+        name = self.pred.name if isinstance(self.pred, PredVar) else self.pred
+        if not self.args:
+            return name
+        return f"{name}({','.join(map(term_to_text, self.args))})"
 
     def __post_init__(self):
         p, args = self.pred, self.args
@@ -478,32 +491,6 @@ def universal_closure(f: FOFormula) -> FOFormula:
 
 
 # ---------------------------------------------------------------------------
-# ground atoms
-
-@dataclass(frozen=True)
-class GroundAtom:
-    """Closed predicate-constant atom (equality excluded by construction)."""
-
-    pred: str
-    args: tuple = ()
-
-    def __post_init__(self):
-        for a in self.args:
-            if term_variables(a):
-                raise ValueError(f"ground atom argument contains variables: {a!r}")
-
-    @classmethod
-    def of_ground(cls, pred: str, args: tuple) -> GroundAtom:
-        """`GroundAtom(pred, args)` unchecked, for `args` ground by construction."""
-        atom = object.__new__(cls)
-        atom.__dict__.update(pred=pred, args=args)
-        return atom
-
-    def __str__(self) -> str:
-        return ground_atom_to_text(self)
-
-
-# ---------------------------------------------------------------------------
 # infinitary propositional formulas
 
 @dataclass(frozen=True, init=False)
@@ -660,11 +647,8 @@ def formula_to_text(f: FOFormula) -> str:
                 return "bot"
             case Equals(l, r):
                 return f"{term_to_text(l)} = {term_to_text(r)}"
-            case Atom(p, args):
-                name = p.name if isinstance(p, PredVar) else str(p)
-                if not args:
-                    return name
-                return f"{name}({','.join(term_to_text(a) for a in args)})"
+            case Atom():
+                return str(g)
             case Binary("->", Equals(l, r), Falsum()):
                 return f"{term_to_text(l)} != {term_to_text(r)}"
             case Binary("->", inner, Falsum()):
@@ -687,12 +671,6 @@ def formula_to_text(f: FOFormula) -> str:
         raise TypeError(f"not a formula: {g!r}")
 
     return rec(f, _LEVEL_IFF)
-
-
-def ground_atom_to_text(a: GroundAtom) -> str:
-    if not a.args:
-        return a.pred
-    return f"{a.pred}({','.join(term_to_text(t) for t in a.args)})"
 
 
 def prop_to_text(f: PropFormula, dag: list | None = None) -> str:

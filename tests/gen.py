@@ -16,7 +16,6 @@ from hhtkit.syntax import (
     Equals,
     FOFormula,
     GenVar,
-    GroundAtom,
     PAnd,
     PAtom,
     PImp,
@@ -113,7 +112,7 @@ def rand_substitution(
     rng: random.Random, sig: Signature, prop_depth: int = 2
 ) -> Substitution:
     """Total on the Herbrand base; restrictor atoms get top or bot."""
-    entries: dict[GroundAtom, PropFormula] = {}
+    entries: dict[Atom, PropFormula] = {}
     for atom in herbrand_base(sig, universe(sig, EXACT)):
         if sig.is_restrictor(atom.pred):
             entries[atom] = TOP if rng.random() < 0.5 else BOT

@@ -103,6 +103,22 @@ def test_json_countermodel(capsys):
     assert doc["validity"]["countermodel"] == {"p": "there-only"}
 
 
+def test_herbrand_json_countermodel(tmp_path, capsys):
+    # the one validity report: `ht-valid --json`'s countermodel object, over
+    # the whole Herbrand base and keyed by each atom's text
+    path = tmp_path / "lem.fof"
+    path.write_text("const a, b.  pred P/1, Q/0.\nP(b) | not P(b)\n")
+    code, out, _ = invoke(capsys, "--json", "herbrand-check", str(path))
+    assert code == 1
+    doc = json.loads(out)
+    assert list(doc["validity"]) == ["verdict", "mode", "countermodel", "seconds"]
+    assert doc["validity"]["countermodel"] == {
+        "P(a)": "absent", "P(b)": "there-only", "Q": "absent"}
+    code, out, _ = invoke(capsys, "--json", "herbrand-check", data_path("hosoi_ground.fof"))
+    assert code == 0
+    assert list(json.loads(out)["validity"]) == ["verdict", "mode", "seconds"]
+
+
 def test_instantiate_reports_stats(capsys):
     code, out, _ = invoke(
         capsys, "instantiate", data_path("subsum4.fof"), data_path("subsum4.subst")

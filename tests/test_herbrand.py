@@ -33,7 +33,6 @@ from hhtkit.syntax import (
     FnApp,
     FnVarApp,
     FuncVar,
-    GroundAtom,
     PAtom,
     Quant,
     Signature,
@@ -55,7 +54,7 @@ def interp(here=(), there=()):
 
 
 def pa(name, *consts):
-    return GroundAtom(name, tuple(const(c) for c in consts))
+    return Atom(name, tuple(const(c) for c in consts))
 
 
 # --- hat evaluation ----------------------------------------------------------
@@ -118,7 +117,7 @@ def test_function_name_counts():
 
 def test_restrictor_formulas_eliminated_before_evaluation():
     sig = Signature.make({"a": 0}, {"P": 1, "R": 1}, {"R"})
-    j = interp(here=[GroundAtom("R", (const("a"),))], there=[GroundAtom("R", (const("a"),))])
+    j = interp(here=[Atom("R", (const("a"),))], there=[Atom("R", (const("a"),))])
     f = parse_formula_text("forall (x:R) P(x)", sig)
     g = parse_formula_text("forall x (R(x) -> P(x))", sig)
     for w in World:
@@ -181,7 +180,7 @@ def _agrees_with_literal(sig, f, mode=EXACT):
     got = hht_valid_bruteforce(sig, f, mode, budget=10**8)
     assert got == _literal_first_failure(sig, f, mode), f
     if got is not None:  # here is a subset of there
-        assert all(isinstance(a, GroundAtom) for a in got.there), f
+        assert all(isinstance(a, Atom) and not a.free for a in got.there), f
     return got
 
 
@@ -333,8 +332,8 @@ def _carving_subst():
     entries = {}
     members = {"c2", "c3"}
     for c in sig.object_constants():
-        entries[GroundAtom("P", (const(c),))] = PAtom(f"f_{c}")
-        entries[GroundAtom("R", (const(c),))] = TOP if c in members else BOT
+        entries[Atom("P", (const(c),))] = PAtom(f"f_{c}")
+        entries[Atom("R", (const(c),))] = TOP if c in members else BOT
     return sig, Substitution(sig, entries), members
 
 
@@ -343,10 +342,10 @@ def test_lift_definition_unfolds():
     i = gen.rand_interpretation(random.Random(61), atoms=("f_c1", "f_c2", "f_c3"))
     j = lift(subst, i)
     for c in sig.object_constants():
-        atom = GroundAtom("P", (const(c),))
+        atom = Atom("P", (const(c),))
         assert (atom in j.here) == (f"f_{c}" in i.here)
         assert (atom in j.there) == (f"f_{c}" in i.there)
-        r_atom = GroundAtom("R", (const(c),))
+        r_atom = Atom("R", (const(c),))
         # restrictor images are top or bot, so membership is two-valued
         assert (r_atom in j.here) == (c in members)
         assert (r_atom in j.there) == (c in members)

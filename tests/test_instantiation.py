@@ -8,6 +8,7 @@ from hhtkit.errors import (
     InfiniteUniverse,
     NotClosed,
     NotFirstOrder,
+    SubstitutionError,
     UnmappedAtom,
 )
 from hhtkit.instantiation import (
@@ -31,17 +32,16 @@ from hhtkit.syntax import (
     Falsum,
     FnApp,
     GenVar,
-    GroundAtom,
     PAnd,
     PAtom,
     PImp,
     POr,
+    PredVar,
     Quant,
     Signature,
     Var,
     const,
     eliminate_restrictors,
-    ground_atom_to_text,
     prop_atoms,
     prop_node_count,
     prop_stats,
@@ -56,10 +56,10 @@ SIG2R = Signature.make({"c1": 0, "c2": 0, "c3": 0}, {"P": 1, "R": 1}, {"R"})
 
 def subst_p(sig, q=False):
     entries = {
-        GroundAtom("P", (const(c),)): PAtom(f"f_{c}") for c in sig.object_constants()
+        Atom("P", (const(c),)): PAtom(f"f_{c}") for c in sig.object_constants()
     }
     if q:
-        entries[GroundAtom("Q", ())] = PAtom("g")
+        entries[Atom("Q", ())] = PAtom("g")
     return Substitution(sig, entries)
 
 
@@ -67,10 +67,10 @@ def test_lookup_entry_default_missing():
     s = parse_subst_file(
         "const a, b. pred P/1. restrictor R/1.\nP(a) := u; default R := bot;"
     )
-    assert s.lookup(GroundAtom("P", (const("a"),))) == PAtom("u")
-    assert s.lookup(GroundAtom("R", (const("b"),))) == BOT
+    assert s.lookup(Atom("P", (const("a"),))) == PAtom("u")
+    assert s.lookup(Atom("R", (const("b"),))) == BOT
     with pytest.raises(UnmappedAtom):
-        s.lookup(GroundAtom("P", (const("b"),)))
+        s.lookup(Atom("P", (const("b"),)))
 
 
 def test_instance_of_distribution_equivalence():
@@ -91,12 +91,12 @@ def test_equality_clauses():
 
 def test_restricted_forall_carves_index_set():
     entries = {
-        GroundAtom("P", (const(c),)): PAtom(f"f_{c}")
+        Atom("P", (const(c),)): PAtom(f"f_{c}")
         for c in ("c1", "c2", "c3")
     }
-    entries[GroundAtom("R", (const("c1"),))] = BOT
-    entries[GroundAtom("R", (const("c2"),))] = TOP
-    entries[GroundAtom("R", (const("c3"),))] = TOP
+    entries[Atom("R", (const("c1"),))] = BOT
+    entries[Atom("R", (const("c2"),))] = TOP
+    entries[Atom("R", (const("c3"),))] = TOP
     s = Substitution(SIG2R, entries)
     f = parse_formula_text("forall x P(x) -> forall (x:R) P(x)", SIG2R)
     got = instantiate(s, f)
@@ -114,10 +114,10 @@ def test_restricted_pair_distributes_over_product():
     )
     entries = {}
     for c in sig.object_constants():
-        entries[GroundAtom("P", (const(c),))] = PAtom(f"f_{c}")
-        entries[GroundAtom("Q", (const(c),))] = PAtom(f"g_{c}")
-        entries[GroundAtom("R1", (const(c),))] = TOP if c.startswith("a") else BOT
-        entries[GroundAtom("R2", (const(c),))] = TOP if c.startswith("b") else BOT
+        entries[Atom("P", (const(c),))] = PAtom(f"f_{c}")
+        entries[Atom("Q", (const(c),))] = PAtom(f"g_{c}")
+        entries[Atom("R1", (const(c),))] = TOP if c.startswith("a") else BOT
+        entries[Atom("R2", (const(c),))] = TOP if c.startswith("b") else BOT
     s = Substitution(sig, entries)
     f = parse_formula_text(
         "exists (x:R1) P(x) & exists (y:R2) Q(y) <-> exists (x:R1, y:R2) (P(x) & Q(y))",
@@ -133,9 +133,9 @@ def test_restricted_pair_distributes_over_product():
 
 
 def test_empty_restricted_sets_give_units():
-    entries = {GroundAtom("P", (const(c),)): PAtom("u") for c in ("c1", "c2", "c3")}
+    entries = {Atom("P", (const(c),)): PAtom("u") for c in ("c1", "c2", "c3")}
     for c in ("c1", "c2", "c3"):
-        entries[GroundAtom("R", (const(c),))] = BOT
+        entries[Atom("R", (const(c),))] = BOT
     s = Substitution(SIG2R, entries)
     assert instantiate(s, parse_formula_text("forall (x:R) P(x)", SIG2R)) == TOP
     assert instantiate(s, parse_formula_text("exists (x:R) P(x)", SIG2R)) == BOT
@@ -159,9 +159,15 @@ def test_preconditions():
 
 def test_exact_mode_refuses_function_constants():
     sig = Signature.make({"a": 0, "s": 1}, {"P": 1})
-    s = Substitution(sig, {GroundAtom("P", (const("a"),)): PAtom("u")})
+    s = Substitution(sig, {Atom("P", (const("a"),)): PAtom("u")})
     with pytest.raises(InfiniteUniverse):
         instantiate(s, parse_formula_text("forall x P(x)", sig))
+
+
+@pytest.mark.parametrize("key", [Atom("P", (Var("x"),)), Atom(PredVar("p", 1), (const("c1"),))])
+def test_substitution_refuses_a_non_ground_key(key):
+    with pytest.raises(SubstitutionError, match="is not ground"):
+        Substitution(SIG2, {key: PAtom("u")})
 
 
 def test_bounded_universe_terms():
@@ -192,12 +198,12 @@ def test_validate_bounded_reaches_pushed_terms():
     entries = {}
     t = const("a")
     for _ in range(3):
-        entries[GroundAtom("P", (t,))] = PAtom("u")
+        entries[Atom("P", (t,))] = PAtom("u")
         t = FnApp("s", (t,))
     s = Substitution(sig, entries)
     # depth-2 universe pushes one application deeper: s(s(s(a))) is missing
     assert validate(s, f, Bounded(2)) == ("P(s(s(s(a))))",)
-    entries[GroundAtom("P", (t,))] = PAtom("u")
+    entries[Atom("P", (t,))] = PAtom("u")
     assert validate(Substitution(sig, entries), f, Bounded(2)) == ()
 
 
@@ -264,11 +270,11 @@ def literal_instance(subst, f, mode=EXACT):
         try:
             return subst.lookup(atom)
         except UnmappedAtom:
-            missing.add(ground_atom_to_text(atom))
+            missing.add(str(atom))
             return BOT
 
     def guard_ok(items, choice):
-        images = [image(GroundAtom(r, (t,))) for (_, r), t in zip(items, choice)]
+        images = [image(Atom(r, (t,))) for (_, r), t in zip(items, choice)]
         return all(got == TOP for got in images)
 
     def rec(g):
@@ -278,7 +284,7 @@ def literal_instance(subst, f, mode=EXACT):
             case Equals(l, r):
                 return TOP if l == r else BOT
             case Atom(pred, args):
-                return image(GroundAtom(pred, args))
+                return image(Atom(pred, args))
             case Binary("&", l, r):
                 return PAnd((rec(l), rec(r)))
             case Binary("|", l, r):
@@ -376,7 +382,7 @@ def test_nested_iff_instance_is_shared(n):
     # once, so the instance holds 3 nodes per level while its tree doubles
     sig = Signature.make({"a": 0}, {"P": 0})
     f = parse_formula_text(gen.nested_iff(n), sig)
-    s = Substitution(sig, {GroundAtom("P", ()): PAtom("p")})
+    s = Substitution(sig, {Atom("P", ()): PAtom("p")})
     got = instantiate(s, f)
     want, _ = literal_instance(s, f)
     assert got == want

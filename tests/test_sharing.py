@@ -15,10 +15,20 @@ import pytest
 import gen
 from hhtkit.corpus import data_path, load_text
 from hhtkit.errors import CaptureViolation, ParseError, ProofError
-from hhtkit.herbrand import count_function_names, count_predicate_names, estimate_cost
-from hhtkit.instantiation import instantiate
+from hhtkit.herbrand import (
+    count_function_names,
+    count_predicate_names,
+    estimate_cost,
+    hht_valid_bruteforce,
+)
+from hhtkit.instantiation import EXACT, herbrand_base, instantiate, universe
 from hhtkit.kernel import ByAxiom, ByGen, build_axiom_instance, check_proof
-from hhtkit.parser import parse_formula_text, parse_proof_file
+from hhtkit.parser import (
+    parse_formula_file,
+    parse_formula_text,
+    parse_proof_file,
+    parse_subst_file,
+)
 from hhtkit.syntax import (
     BOTTOM,
     TRUTH,
@@ -368,6 +378,22 @@ def test_sharing_keys_tell_constructors_apart():
         Quant("exists", PredVar("p", 1), pa), Quant("exists", PredVar("p", 2), pa),
     ])
     assert parse_formula_text(formula_to_text(f), SIG) == f
+
+
+def test_a_ground_atom_is_one_object():
+    # a substitution key, the Herbrand base atom and the countermodel's atom
+    header = "const a, b.  pred P/1, Q/0."
+    subst = parse_subst_file(f"{header}\nP(a) := p;  P(b) := q;  Q := r;")
+    sig, f = parse_formula_file(f"{header}\nP(a) | not P(a) | Q")
+    base = herbrand_base(sig, universe(sig, EXACT))
+    keys = {str(k): k for k in subst.entries}
+    assert [str(a) for a in base] == ["P(a)", "P(b)", "Q"]
+    assert all(keys[str(a)] is a for a in base)
+    counter = hht_valid_bruteforce(sig, f)
+    assert all(x is y for x, y in zip(counter.atoms, base, strict=True))
+    (there,) = counter.there
+    assert there is keys["P(a)"] and counter.here == frozenset()
+    assert there is Atom("P", (FnApp("a"),)) and str(there) == "P(a)"
 
 
 # --- cached walks against the literal references -----------------------------

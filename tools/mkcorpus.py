@@ -26,8 +26,8 @@ from hhtkit.parser import (
 from hhtkit.render import render_proof, render_signature, render_subst
 from hhtkit.instantiation import Substitution
 from hhtkit.syntax import (
+    Atom,
     FnApp,
-    GroundAtom,
     Signature,
     Var,
     const,
@@ -352,7 +352,7 @@ level HHT;
 
 def p_entries(sig: Signature, pred: str, names: list[str], images: list[str]):
     return {
-        GroundAtom(pred, (const(c),)): parse_prop_text(img)
+        Atom(pred, (const(c),)): parse_prop_text(img)
         for c, img in zip(names, images)
     }
 
@@ -363,7 +363,7 @@ def subst_p3() -> Substitution:
 
 def subst_p3q() -> Substitution:
     entries = p_entries(SIG3Q, "P", ["c1", "c2", "c3"], ["f1", "f2", "f3"])
-    entries[GroundAtom("Q", ())] = parse_prop_text("g")
+    entries[Atom("Q", ())] = parse_prop_text("g")
     return Substitution(SIG3Q, entries)
 
 
@@ -394,9 +394,9 @@ def subst_example5_alt() -> Substitution:
 
     entries = {}
     for base, img in (("a", "fa"), ("b", "fb")):
-        entries[GroundAtom("P", (term(0, base),))] = parse_prop_text(img)
+        entries[Atom("P", (term(0, base),))] = parse_prop_text(img)
         for d in range(1, 4):
-            entries[GroundAtom("P", (term(d, base),))] = parse_prop_text("fb")
+            entries[Atom("P", (term(d, base),))] = parse_prop_text("fb")
     return Substitution(SIG_F, entries)
 
 
@@ -408,7 +408,7 @@ def subst_example7() -> Substitution:
         return t
 
     entries = {
-        GroundAtom("P", (term(i),)): parse_prop_text(f"f{i}") for i in range(5)
+        Atom("P", (term(i),)): parse_prop_text(f"f{i}") for i in range(5)
     }
     return Substitution(SIG_IND, entries)
 
