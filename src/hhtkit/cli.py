@@ -44,7 +44,6 @@ from .semantics import (
 from .syntax import (
     eliminate_restrictors,
     formula_to_text,
-    prop_atoms,
     prop_dag,
     prop_stats,
     prop_to_text,
@@ -181,20 +180,22 @@ def _instantiation_stage(report: _Report, args, sig, f, pipeline: bool):
     return instance, mode, mode_label
 
 
-def _validity_stage(report: _Report, started: float, counter, atoms, headlines: tuple,
+def _validity_stage(report: _Report, started: float, counter, headlines: tuple,
                     pipeline: bool, **fields) -> int:
     """Report a validity check begun at `started`: exit code 0 if `counter`
-    is None, 1 if it is a countermodel, shown over `atoms` (sorted by text).
-    `headlines` holds the verdict line for each outcome (None: no line)."""
+    is None, 1 if it is a countermodel, shown over its `atoms` (sorted by
+    text).  `headlines` holds the verdict line for each outcome (None: no
+    line)."""
     found = counter is not None
     fields = {"verdict": "countermodel" if found else "valid", **fields}
     if found:
-        fields["countermodel"] = {str(a): STATE_NAMES[counter.atom_state(a)] for a in atoms}
+        fields["countermodel"] = {str(a): STATE_NAMES[counter.atom_state(a)]
+                                  for a in counter.atoms}
     secs = _stage(report, "validity", started, **fields)
     if headlines[found]:
         report.say(headlines[found] + _ms(secs, pipeline))
     if found:
-        report.say(render_countermodel(counter, atoms))
+        report.say(render_countermodel(counter, counter.atoms))
     return int(found)
 
 
@@ -232,8 +233,7 @@ def _cmd_ht_valid(args, report: _Report) -> int:
     t0 = time.perf_counter()
     counter = ht_valid(f, _budget())
     headlines = _VALIDITY_HEADLINES[args.command]
-    return report.emit(_validity_stage(report, t0, counter, sorted(prop_atoms(f)),
-                                       headlines, pipeline=False))
+    return report.emit(_validity_stage(report, t0, counter, headlines, pipeline=False))
 
 
 def _cmd_herbrand_check(args, report: _Report) -> int:
@@ -243,8 +243,7 @@ def _cmd_herbrand_check(args, report: _Report) -> int:
     counter = hht_valid_bruteforce(sig, f, mode, _budget(args.budget))
     headlines = (f"valid over all interpretations ({mode_label})",
                  f"countermodel found ({mode_label}):")
-    atoms = () if counter is None else counter.atoms
-    if _validity_stage(report, t0, counter, atoms, headlines, pipeline=False, mode=mode_label):
+    if _validity_stage(report, t0, counter, headlines, pipeline=False, mode=mode_label):
         return report.emit(1)
     if mode != EXACT:
         report.say("bounded mode: non-validity-preserving")
@@ -264,8 +263,7 @@ def _cmd_pipeline(args, report: _Report) -> int:
     counter = ht_valid(instance, _budget())
     headlines = (f"validity: HT-valid ({mode_label})",
                  f"validity: countermodel found ({mode_label})")
-    valid = _validity_stage(report, t0, counter, sorted(prop_atoms(instance)), headlines,
-                            pipeline=True) == 0
+    valid = _validity_stage(report, t0, counter, headlines, pipeline=True) == 0
     certifying = mode == EXACT and valid
     report.data["certifying"] = certifying
     if certifying:

@@ -27,7 +27,9 @@ program goes to the bit-parallel engine in `semantics`, which returns the
 first countermodel in canonical order.  The budget is checked twice:
 `estimate_cost` (the nodes grounding may visit) before grounding, since a
 second-order domain can explode, and that count plus the engine's steps on
-the ground program before evaluating it.
+the ground program before evaluating it.  The first check runs on a count
+of the universe, before the universe and the Herbrand base are built, and
+also refuses a universe whose terms have more nodes than the budget.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from .instantiation import (
     EXACT,
     InstantiationMode,
     Substitution,
+    count_universe,
     herbrand_base,
     instantiate,
     universe,
@@ -162,6 +165,19 @@ def _cost(f: FOFormula, universe_size: int, table: dict[FOFormula, int]) -> int:
     return got
 
 
+def _check_budget(sig: Signature, f: FOFormula, mode: InstantiationMode, budget: int) -> int:
+    """`estimate_cost` of `f` over the universe of `mode`, refused with
+    BudgetExceeded over `budget`, as is a universe whose terms have more
+    nodes than `budget` (building and sorting it by text walks them all).
+    Both are counted before the universe is built."""
+    size, nodes = count_universe(sig, mode)
+    cost = estimate_cost(f, size)
+    for need in (cost, nodes):
+        if need > budget:
+            raise BudgetExceeded(need, budget)
+    return cost
+
+
 def h_satisfies(
     sig: Signature,
     j: HTInterpretation,
@@ -177,13 +193,10 @@ def h_satisfies(
     Bounded mode the verdict is a truncated approximation.
     """
     f = eliminate_restrictors(f)
-    terms = universe(sig, mode)
-    cost = estimate_cost(f, len(terms))
-    if cost > budget:
-        raise BudgetExceeded(cost, budget)
+    _check_budget(sig, f, mode, budget)
     if free_variables(f):
         raise NotClosed("satisfaction is defined for closed formulas")
-    return _sat(j, w, f, terms, {})
+    return _sat(j, w, f, universe(sig, mode), {})
 
 
 def _sat(
@@ -258,13 +271,11 @@ def hht_valid_bruteforce(
     formula is grounded once and evaluated over all interpretations at once
     (see the module docstring); the result is the one `h_satisfies` defines."""
     f = eliminate_restrictors(f)
-    terms = universe(sig, mode)
-    base = herbrand_base(sig, terms)
-    cost = estimate_cost(f, len(terms))
-    if cost > budget:
-        raise BudgetExceeded(cost, budget)
+    cost = _check_budget(sig, f, mode, budget)
     if free_variables(f):
         raise NotClosed("validity checking needs a closed formula")
+    terms = universe(sig, mode)
+    base = herbrand_base(sig, terms)
     grounding = _Grounding(base, terms)
     prog = _live_program(grounding.prog, grounding.ground(f, {}))
     live = {arg for op, arg in prog if op == _ATOM}

@@ -120,6 +120,25 @@ def universe(sig: Signature, mode: InstantiationMode) -> tuple[Term, ...]:
     return ground_terms(sig, mode.depth)
 
 
+def count_universe(sig: Signature, mode: InstantiationMode) -> tuple[int, int]:
+    """The number of terms `universe(sig, mode)` holds, and of the nodes
+    they have together, counted layer by layer without building them (or
+    raising as `universe` does).  With c constants, t_d terms of depth <= d
+    and n_d nodes among them: t_0 = n_0 = c, t_{d+1} = c + sum over the
+    functions f of t_d^arity(f), and an application's nodes are its own and
+    its arguments', so n_{d+1} = c + sum of t_d^a + a * t_d^(a-1) * n_d."""
+    if isinstance(mode, Exact):
+        size = len(universe(sig, mode))
+        return size, size
+    c = len(sig.object_constants())
+    fns = sig.nonnullary_functions()
+    terms = nodes = c
+    for _ in range(mode.depth):
+        terms, nodes = (c + sum(terms**a for _, a in fns),
+                        c + sum(terms**a + a * terms ** (a - 1) * nodes for _, a in fns))
+    return terms, nodes
+
+
 class Substitution:
     """Total map from ground atoms to propositional formulas, represented
     by explicit entries, keyed by closed `Atom`s, plus optional
@@ -226,7 +245,7 @@ def _instantiate(
     memo: dict[tuple, PropFormula] = {}
 
     def rec(g: FOFormula) -> PropFormula:
-        key = (g, *[env[v] for v in g.free])
+        key = (g, *map(env.__getitem__, g.free))
         if (out := memo.get(key)) is not None:
             return out
         match g:

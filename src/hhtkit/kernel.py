@@ -76,8 +76,6 @@ from .syntax import (
     is_first_order,
     neg,
     substitute,
-    term_is_first_order,
-    term_variables,
 )
 
 
@@ -330,12 +328,12 @@ def _build_cet_acyclic(sig, b):
     t, x = _need_term(b, "t"), _need_var(b, "x")
     if t == x:
         raise _SideCondition("term must be different from the variable")
-    if x not in term_variables(t):
+    if x not in t.free:
         raise _SideCondition("term must contain the variable")
     # only constructor terms keep the variable as a structural subterm after
     # evaluation; a function variable could map it anywhere, so the
     # acyclicity axiom is unsound for terms containing one
-    if not term_is_first_order(t):
+    if not t.first_order:
         raise _SideCondition("term must be built from signature constructors only")
     return neg(Equals(t, x))
 

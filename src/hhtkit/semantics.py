@@ -54,7 +54,13 @@ class HTInterpretation:
     """Pair of atom sets with here a subset of there.  The atoms are of one
     of three kinds: atom names (`str`) for propositional formulas, closed
     `Atom`s for a Herbrand model (what `herbrand` checks and `lift` builds),
-    or argument tuples for a second-order predicate name."""
+    or argument tuples for a second-order predicate name.
+
+    `atoms` lists, sorted by text, the atoms an interpretation ranges over,
+    absent ones included: a countermodel from `ht_valid` holds the atoms of
+    its formula and one from `herbrand.hht_valid_bruteforce` the Herbrand
+    base, and the CLI shows a countermodel over them.  It is empty
+    elsewhere and takes no part in `==`."""
 
     here: frozenset
     there: frozenset
@@ -255,11 +261,12 @@ def ht_valid(
     """Exhaustively check validity over the atoms occurring in `f`.
 
     Returns None when valid, otherwise the first failing interpretation in
-    canonical order.  `evaluator` picks the three-valued tables evaluated
-    over all interpretations at once by the bit-parallel engine ("g3") or
-    the literal satisfaction recursion ("literal"); both define the same
-    relation.  Raises BudgetExceeded, before evaluating, when the engine
-    would need more than `budget` steps.
+    canonical order, whose `atoms` are the atoms of `f`, sorted: those it
+    ranges over, which a caller shows it over.  `evaluator` picks the
+    three-valued tables evaluated over all interpretations at once by the
+    bit-parallel engine ("g3") or the literal satisfaction recursion
+    ("literal"); both define the same relation.  Raises BudgetExceeded,
+    before evaluating, when the engine would need more than `budget` steps.
     """
     prog = _compile(f)
     atoms = sorted({arg for op, arg in prog if op == _ATOM})
@@ -267,13 +274,15 @@ def ht_valid(
     if steps > budget:
         raise BudgetExceeded(steps, budget)
     if evaluator == "g3":
-        return _first_countermodel(prog, atoms)
-    if evaluator == "literal":
-        for i in enumerate_interpretations(atoms):
-            if not satisfies(i, World.H, f):
-                return i
+        counter = _first_countermodel(prog, atoms)
+    elif evaluator == "literal":
+        fails = (i for i in enumerate_interpretations(atoms) if not satisfies(i, World.H, f))
+        counter = next(fails, None)
+    else:
+        raise ValueError(f"unknown evaluator {evaluator!r}")
+    if counter is None:
         return None
-    raise ValueError(f"unknown evaluator {evaluator!r}")
+    return HTInterpretation(counter.here, counter.there, tuple(atoms))
 
 
 def render_countermodel(i: HTInterpretation, atoms: Iterable) -> str:

@@ -130,10 +130,23 @@ def _interned(cls):
 
 # ---------------------------------------------------------------------------
 # terms
+#
+# A term knows two facts from construction, as formula nodes do (see below):
+# `free`, its object and function variables, and `first_order`, that no
+# function variable occurs in it.  A closed term holds `_CLOSED`.
+
+_CLOSED = frozenset()
+
 
 @_interned
 class Var:
     name: str
+
+    first_order = True
+
+    @property
+    def free(self) -> frozenset:
+        return frozenset((self,))
 
 
 @_interned
@@ -159,11 +172,26 @@ class FnApp:
     fn: str
     args: tuple = ()
 
+    def __post_init__(self):
+        free, first_order = _CLOSED, True
+        for a in self.args:
+            free |= a.free
+            first_order = first_order and a.first_order
+        vars(self).update(free=free or _CLOSED, first_order=first_order)
+
 
 @_interned
 class FnVarApp:
     var: FuncVar
     args: tuple
+
+    first_order = False
+
+    def __post_init__(self):
+        free = frozenset((self.var,))
+        for a in self.args:
+            free |= a.free
+        vars(self)["free"] = free
 
 
 Term = Union[Var, FnApp, FnVarApp]
@@ -171,31 +199,6 @@ Term = Union[Var, FnApp, FnVarApp]
 
 def const(name: str) -> FnApp:
     return FnApp(name, ())
-
-
-def term_variables(t: Term) -> frozenset:
-    """Object and function variables occurring in a term."""
-    match t:
-        case Var():
-            return frozenset((t,))
-        case FnApp(_, args) | FnVarApp(_, args):
-            out = frozenset((t.var,)) if isinstance(t, FnVarApp) else frozenset()
-            for a in args:
-                out |= term_variables(a)
-            return out
-    raise TypeError(f"not a term: {t!r}")
-
-
-def term_is_first_order(t: Term) -> bool:
-    """True when the term is built from object variables and signature
-    function constants only (no function variables)."""
-    match t:
-        case Var():
-            return True
-        case FnApp(_, args):
-            return all(term_is_first_order(a) for a in args)
-        case _:
-            return False
 
 
 # ---------------------------------------------------------------------------
@@ -213,8 +216,6 @@ def term_is_first_order(t: Term) -> bool:
 # building a node never walks below its children.  A node reuses a child's
 # `free` set when it equals its own, and every node without free variables
 # holds `_CLOSED`.
-
-_CLOSED = frozenset()
 
 
 @_interned
@@ -236,8 +237,8 @@ class Equals:
 
     def __post_init__(self):
         l, r = self.left, self.right
-        vars(self).update(free=term_variables(l) | term_variables(r) or _CLOSED,
-                          first_order=term_is_first_order(l) and term_is_first_order(r))
+        free = l.free if r.free <= l.free else r.free if l.free <= r.free else l.free | r.free
+        vars(self).update(free=free, first_order=l.first_order and r.first_order)
 
 
 @_interned
@@ -259,11 +260,12 @@ class Atom:
         return f"{name}({','.join(map(term_to_text, self.args))})"
 
     def __post_init__(self):
-        p, args = self.pred, self.args
-        free = frozenset((p,)) if isinstance(p, PredVar) else frozenset()
-        for a in args:
-            free |= term_variables(a)
-        first_order = not isinstance(p, PredVar) and all(map(term_is_first_order, args))
+        p = self.pred
+        first_order = not isinstance(p, PredVar)
+        free = _CLOSED if first_order else frozenset((p,))
+        for a in self.args:
+            free |= a.free
+            first_order = first_order and a.first_order
         vars(self).update(free=free or _CLOSED, first_order=first_order)
 
 
@@ -399,7 +401,7 @@ def _replacement_variables(r) -> frozenset:
     if isinstance(r, tuple):
         params, body = r
         return body.free - frozenset(params)
-    return term_variables(r)
+    return r.free
 
 
 def substitute(f: FOFormula, mapping: Mapping) -> FOFormula:
@@ -540,31 +542,38 @@ def piff(left: PropFormula, right: PropFormula) -> PAnd:
 def prop_dag(f: PropFormula) -> list[tuple[PropFormula, tuple[int, ...]]]:
     """The distinct nodes of `f` (shared objects once) in post-order, each
     with the positions of its children: children come first and `f` last.
-    Uses an explicit stack, so nesting depth is not limited by recursion."""
+    Uses an explicit stack, so nesting depth is not limited by recursion.
+
+    Python 3.11 runs a list comprehension as a nested function call, so the
+    per-node work here, and in the folds over the result, goes through
+    `map` and plain loops instead: a node's child positions are
+    `map(slot.get, map(id, kids))`, and only unplaced children are pushed."""
     slot: dict[int, int] = {}
     out: list[tuple[PropFormula, tuple[int, ...]]] = []
-    # (node, None) is still to expand; (node, children) waits for them
-    stack: list[tuple[PropFormula, tuple | None]] = [(f, None)]
+    stack: list[PropFormula] = [f]  # a node stays until its children are placed
     while stack:
-        g, kids = stack.pop()
-        if id(g) in slot:
+        g = stack[-1]
+        if id(g) in slot:  # placed through another parent since it was pushed
+            stack.pop()
             continue
-        if kids is None:
-            match g:
-                case PAtom():
-                    kids = ()
-                case PAnd(items) | POr(items):
-                    kids = tuple(items)
-                case PImp(l, r):
-                    kids = (l, r)
-                case _:
-                    raise TypeError(f"not a propositional formula: {g!r}")
-            if kids:
-                stack.append((g, kids))
-                stack.extend([(k, None) for k in kids])
-                continue
+        t = type(g)
+        if t is PImp:
+            kids = (g.left, g.right)
+        elif t is PAnd or t is POr:
+            kids = g.items
+        elif t is PAtom:
+            kids = ()
+        else:
+            raise TypeError(f"not a propositional formula: {g!r}")
+        at = tuple(map(slot.get, map(id, kids)))
+        if None in at:
+            for k, s in zip(kids, at):
+                if s is None:
+                    stack.append(k)
+            continue
+        stack.pop()
         slot[id(g)] = len(out)
-        out.append((g, tuple([slot[id(k)] for k in kids])))
+        out.append((g, at))
     return out
 
 
@@ -575,11 +584,17 @@ def prop_stats(f: PropFormula, dag: list | None = None) -> tuple[frozenset[str],
     dag = dag or prop_dag(f)
     ranks: list[int] = []
     sizes: list[int] = []
-    for _, kids in dag:
-        ranks.append(max([ranks[k] for k in kids], default=-1) + 1)
-        sizes.append(1 + sum([sizes[k] for k in kids]))
-    atoms = frozenset(g.name for g, _ in dag if isinstance(g, PAtom))
-    return atoms, ranks[-1], len(dag), sizes[-1]
+    atoms: list[str] = []
+    for g, kids in dag:
+        if kids:
+            ranks.append(max(map(ranks.__getitem__, kids)) + 1)
+            sizes.append(sum(map(sizes.__getitem__, kids)) + 1)
+        else:
+            ranks.append(0)
+            sizes.append(1)
+            if type(g) is PAtom:
+                atoms.append(g.name)
+    return frozenset(atoms), ranks[-1], len(dag), sizes[-1]
 
 
 def rank(f: PropFormula) -> int:
@@ -678,14 +693,16 @@ def prop_to_text(f: PropFormula, dag: list | None = None) -> str:
     the caller has it) once however often it is printed."""
     texts: list[str] = []
     for g, kids in dag or prop_dag(f):
-        match g:
-            case PAtom(name):
-                text = name
-            case PAnd() | POr():
-                empty, head = ("top", "And{") if isinstance(g, PAnd) else ("bot", "Or{")
-                text = head + "; ".join(sorted([texts[k] for k in kids])) + "}" if kids else empty
-            case PImp(l, _):
-                left, right = texts[kids[0]], texts[kids[1]]
-                text = f"({left}) -> {right}" if isinstance(l, PImp) else f"{left} -> {right}"
+        t = type(g)
+        if t is PAtom:
+            text = g.name
+        elif t is PImp:
+            left, right = texts[kids[0]], texts[kids[1]]
+            text = f"({left}) -> {right}" if type(g.left) is PImp else f"{left} -> {right}"
+        elif kids:
+            head = "And{" if t is PAnd else "Or{"
+            text = head + "; ".join(sorted(map(texts.__getitem__, kids))) + "}"
+        else:
+            text = "top" if t is PAnd else "bot"
         texts.append(text)
     return texts[-1]

@@ -103,6 +103,25 @@ def test_json_countermodel(capsys):
     assert doc["validity"]["countermodel"] == {"p": "there-only"}
 
 
+def test_countermodel_lists_its_absent_atoms(tmp_path, capsys):
+    # shown over every atom of the checked formula, absent ones included
+    path = tmp_path / "lem_q.prop"
+    path.write_text("(p | not p) & (q -> q)\n")
+    assert invoke(capsys, "ht-valid", str(path)) == (
+        1, "countermodel found:\np: there-only\nq: absent\n", "")
+    code, out, _ = invoke(capsys, "--json", "ht-valid", str(path))
+    validity = json.loads(out)["validity"]
+    assert code == 1
+    assert list(validity) == ["verdict", "countermodel", "seconds"]
+    assert validity["countermodel"] == {"p": "there-only", "q": "absent"}
+    code, out, _ = invoke(capsys, "--json", "pipeline", data_path("example7.proof"),
+                          data_path("example7.subst"), "--depth", "3")
+    assert code == 1
+    assert json.loads(out)["validity"]["countermodel"] == {
+        "f0": "there-only", "f1": "there-only", "f2": "there-only", "f3": "there-only",
+        "f4": "absent"}
+
+
 def test_herbrand_json_countermodel(tmp_path, capsys):
     # the one validity report: `ht-valid --json`'s countermodel object, over
     # the whole Herbrand base and keyed by each atom's text
@@ -402,6 +421,18 @@ def test_herbrand_13_constants_gets_a_verdict(tmp_path, capsys):
         "P(c10): there-only",
     ]
     assert len(out.splitlines()) == 14
+
+
+def test_herbrand_deep_universe_refused_before_building(tmp_path, capsys):
+    # 458,330 terms at depth 5, 17,991,276 nodes together: building them
+    # and the Herbrand base ran for minutes before any check
+    path = tmp_path / "f2.fof"
+    path.write_text("const a.  fn f/2.  pred P/1.\nforall x P(x)\n")
+    t0 = time.perf_counter()
+    code, out, err = invoke(capsys, "herbrand-check", "--depth", "5", str(path))
+    assert time.perf_counter() - t0 < 1
+    assert (code, out) == (2, "")
+    assert err == "error: enumeration needs 17991276 steps, budget is 5000000\n"
 
 
 def test_herbrand_second_order_refused_before_grounding(tmp_path, capsys):

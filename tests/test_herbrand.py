@@ -159,6 +159,21 @@ def test_budget_exceeded_reports_count():
     assert "100" in str(err.value)
 
 
+@pytest.mark.parametrize("formula, required", [
+    ("forall x P(x)", 17991276),  # the universe's nodes: 458,330 terms
+    ("forall x forall y (P(x) | P(y))", 458330 ** 2 * 3 + 458330 + 1),  # estimate_cost
+])
+def test_both_checkers_count_the_universe_before_building_it(formula, required):
+    sig = Signature.make({"a": 0, "f": 2}, {"P": 1})
+    f = fof(sig, formula)
+    j = HTInterpretation.of([], [])
+    for check in (lambda: hht_valid_bruteforce(sig, f, Bounded(5)),
+                  lambda: h_satisfies(sig, j, World.H, f, Bounded(5))):
+        with pytest.raises(BudgetExceeded) as err:
+            check()
+        assert err.value.required == required
+
+
 def test_bounded_mode_evaluates_truncated_universe():
     sig = Signature.make({"a": 0, "s": 1}, {"P": 1})
     f = fof(sig, "forall x (s(x) != x)")

@@ -15,6 +15,7 @@ from hhtkit.instantiation import (
     EXACT,
     Bounded,
     Substitution,
+    count_universe,
     ground_terms,
     herbrand_base,
     instantiate,
@@ -175,6 +176,31 @@ def test_bounded_universe_terms():
     terms = ground_terms(sig, 2)
     a = const("a")
     assert terms == (a, FnApp("s", (a,)), FnApp("s", (FnApp("s", (a,)),)))
+
+
+def _term_nodes(t) -> int:
+    return 1 + sum(map(_term_nodes, getattr(t, "args", ())))
+
+
+@pytest.mark.parametrize("functions", [
+    {"f": 1}, {"f": 2}, {"f": 3}, {"s": 1, "g": 2}, {"g": 2, "h": 3},
+])
+@pytest.mark.parametrize("depth", range(5))
+def test_universe_count_matches_the_built_universe(functions, depth):
+    for constants in ({"a": 0}, {"a": 0, "b": 0}):
+        sig = Signature.make({**constants, **functions}, {"P": 1})
+        size, nodes = count_universe(sig, Bounded(depth))
+        if size > 20_000:  # too many to build, e.g. f/3 at depth 4: 1 + 730^3
+            continue
+        terms = ground_terms(sig, depth)
+        assert size == len(terms) == len(universe(sig, Bounded(depth)))
+        assert nodes == sum(map(_term_nodes, terms))
+
+
+def test_universe_count_in_exact_mode():
+    assert count_universe(SIG2R, EXACT) == (3, 3)
+    with pytest.raises(InfiniteUniverse):
+        count_universe(Signature.make({"a": 0, "s": 1}, {"P": 1}), EXACT)
 
 
 def test_unmapped_atom_names_offender():

@@ -169,6 +169,8 @@ def test_evaluators_agree_on_first_countermodel():
         got_lit = ht_valid(f, evaluator="literal")
         assert got_g3 == got_lit
         if got_g3 is not None:
+            # each ranges over the atoms of `f`, absent ones included
+            assert got_g3.atoms == got_lit.atoms == tuple(sorted(prop_atoms(f)))
             disagreements += 1
     assert disagreements > 50  # the sample includes plenty of invalid formulas
 

@@ -63,7 +63,6 @@ from hhtkit.syntax import (
     is_first_order,
     prop_to_text,
     substitute,
-    term_variables,
 )
 
 SIG = Signature.make({"a": 0, "b": 0}, {"P": 1, "Q": 2, "R": 1, "S": 1}, {"R", "S"})
@@ -73,16 +72,37 @@ PROOFS = sorted(p.name for p in Path(data_path("")).glob("*.proof"))
 
 # --- literal references: the uncached recursive walks ----------------------
 
+def ref_term_variables(t: Term) -> frozenset:
+    match t:
+        case Var():
+            return frozenset((t,))
+        case FnApp(_, args) | FnVarApp(_, args):
+            out = frozenset((t.var,)) if isinstance(t, FnVarApp) else frozenset()
+            for a in args:
+                out |= ref_term_variables(a)
+            return out
+    raise TypeError(f"not a term: {t!r}")
+
+
+def ref_term_is_first_order(t: Term) -> bool:
+    match t:
+        case Var():
+            return True
+        case FnApp(_, args):
+            return all(ref_term_is_first_order(a) for a in args)
+    return False
+
+
 def ref_free_variables(f: FOFormula) -> frozenset:
     match f:
         case Falsum():
             return frozenset()
         case Equals(l, r):
-            return term_variables(l) | term_variables(r)
+            return ref_term_variables(l) | ref_term_variables(r)
         case Atom(p, args):
             out = frozenset((p,)) if isinstance(p, PredVar) else frozenset()
             for a in args:
-                out |= term_variables(a)
+                out |= ref_term_variables(a)
             return out
         case Binary(_, l, r):
             return ref_free_variables(l) | ref_free_variables(r)
@@ -92,23 +112,13 @@ def ref_free_variables(f: FOFormula) -> frozenset:
 
 
 def ref_is_first_order(f: FOFormula) -> bool:
-    def term_ok(t: Term) -> bool:
-        match t:
-            case Var():
-                return True
-            case FnApp(_, args):
-                return all(term_ok(a) for a in args)
-            case FnVarApp():
-                return False
-        return False
-
     match f:
         case Falsum():
             return True
         case Equals(l, r):
-            return term_ok(l) and term_ok(r)
+            return ref_term_is_first_order(l) and ref_term_is_first_order(r)
         case Atom(p, args):
-            return not isinstance(p, PredVar) and all(term_ok(a) for a in args)
+            return not isinstance(p, PredVar) and all(map(ref_term_is_first_order, args))
         case Binary(_, l, r):
             return ref_is_first_order(l) and ref_is_first_order(r)
         case Quant(_, binder, body):
@@ -420,6 +430,9 @@ def test_cached_walks_match_references(share):
 
 def _assert_facts_match_references(f: FOFormula):
     for g in _nodes([f])[0].values():
+        if isinstance(g, (Var, FnApp, FnVarApp)):
+            assert g.free == ref_term_variables(g), g
+            assert g.first_order == ref_term_is_first_order(g), g
         if isinstance(g, (Falsum, Equals, Atom, Binary, Quant)):
             assert g.free == ref_free_variables(g), g
             assert g.first_order == ref_is_first_order(g), g

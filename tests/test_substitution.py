@@ -28,7 +28,6 @@ from hhtkit.syntax import (
     const,
     free_variables,
     substitute,
-    term_variables,
 )
 
 X, Y, Z = Var("x"), Var("y"), Var("z")
@@ -70,10 +69,10 @@ def ref_subst_terms(f: FOFormula, mapping) -> FOFormula:
                 return f
             free_below = free_variables(body)
             for v, t in inner.items():
-                if v in free_below and bound & term_variables(t):
+                if v in free_below and bound & t.free:
                     captured = sorted(
-                        x.name for x in bound & term_variables(t) if not isinstance(x, (PredVar, FuncVar))
-                    ) or sorted(str(x) for x in bound & term_variables(t))
+                        x.name for x in bound & t.free if not isinstance(x, (PredVar, FuncVar))
+                    ) or sorted(str(x) for x in bound & t.free)
                     raise CaptureViolation(
                         f"substituting for {v.name} would capture {', '.join(captured)}"
                     )
