@@ -19,6 +19,7 @@ import sys
 import time
 
 from .errors import (
+    BudgetExceeded,
     ConclusionNotClosed,
     ConclusionNotFirstOrder,
     HhtError,
@@ -26,7 +27,7 @@ from .errors import (
     UnmappedAtom,
 )
 from .herbrand import hht_valid_bruteforce
-from .instantiation import EXACT, Bounded, instantiate
+from .instantiation import EXACT, Bounded, count_universe, instantiate
 from .kernel import check_proof, conclusion_for_pipeline
 from .parser import (
     parse_formula_file,
@@ -149,12 +150,16 @@ def _proof_stage(report: _Report, path: str, pipeline: bool):
 
 def _instantiation_stage(report: _Report, args, sig, f, pipeline: bool):
     """Instantiate `f` with `args.subst_file` in the mode `args` asks for.
-    Returns (instance, mode, mode label) or exit code 2 for missing entries."""
+    Returns (instance, mode, mode label) or exit code 2 for missing entries.
+    A `--depth` universe is charged before it is built, as in herbrand."""
     subst = parse_subst_file(_read(args.subst_file))
     if subst.signature != sig:
         source = "proof" if pipeline else "formula"
         raise HhtError(f"{source} and substitution files declare different signatures")
     mode, mode_label = _mode_from_args(args)
+    budget = _budget()
+    if mode != EXACT and (nodes := count_universe(sig, mode)[1]) > budget:
+        raise BudgetExceeded(nodes, budget)
     t0 = time.perf_counter()
     try:
         instance = instantiate(subst, f, mode)
@@ -169,8 +174,7 @@ def _instantiation_stage(report: _Report, args, sig, f, pipeline: bool):
     counts = f"atoms={stats['atoms']} rank={stats['rank']} nodes={stats['nodes']}"
     if pipeline:
         report.say(f"instantiation: {mode_label}; {counts}{_ms(secs, pipeline)}")
-    else:
-        budget = _budget()  # the text is tree-sized, however much is shared
+    else:  # the text is tree-sized, however much is shared
         if size > budget:
             raise HhtError(f"printing the instance needs {size} steps, budget is {budget}")
         report.data["instance"] = text = prop_to_text(instance, dag)

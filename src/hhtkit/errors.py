@@ -1,4 +1,4 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the cap on budget counts."""
 
 from __future__ import annotations
 
@@ -49,11 +49,24 @@ class OutsideUniverse(HhtError):
     covers, as a truncated universe allows."""
 
 
+# Budget counts saturate here, above any budget parsed from text (at most
+# 4,300 digits), so counting stays cheap; such a count is always refused.
+STEP_CAP = 10**4300
+
+
+def capped_pow(base: int, exp: int) -> int:
+    """`min(base ** exp, STEP_CAP)`, computed without a larger power."""
+    if base > 1 and (base.bit_length() - 1) * exp >= STEP_CAP.bit_length():
+        return STEP_CAP
+    return min(base**exp, STEP_CAP)
+
+
 class BudgetExceeded(HhtError):
     """Enumeration would exceed the configured budget."""
 
     def __init__(self, required: int, budget: int):
-        super().__init__(f"enumeration needs {required} steps, budget is {budget}")
+        need = "at least 10^4300" if required >= STEP_CAP else required
+        super().__init__(f"enumeration needs {need} steps, budget is {budget}")
         self.required = required
         self.budget = budget
 

@@ -23,13 +23,14 @@ atom becomes an atom of the program, the `Atom` itself.  What no
 interpretation can change folds to a constant while grounding, with the
 short-circuits `_sat` takes: `bot`, equations, atoms outside the base, and
 atoms of predicate names, which may hold there but not here.  The ground
-program goes to the bit-parallel engine in `semantics`, which returns the
-first countermodel in canonical order.  The budget is checked twice:
-`estimate_cost` (the nodes grounding may visit) before grounding, since a
-second-order domain can explode, and that count plus the engine's steps on
-the ground program before evaluating it.  The first check runs on a count
-of the universe, before the universe and the Herbrand base are built, and
-also refuses a universe whose terms have more nodes than the budget.
+program goes to `semantics.first_countermodel`, as `ht_valid`'s does, which
+returns the first countermodel in canonical order.  The budget is checked
+twice: `estimate_cost` (the nodes grounding may visit) before grounding,
+since a second-order domain can explode, and that count plus the engine's
+steps on the ground program, by the engine, before evaluating it.  The
+first check runs on a count of the universe, before the universe and the
+Herbrand base are built, and also refuses a universe whose terms have more
+nodes than the budget.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Iterator, Mapping
 
-from .errors import BudgetExceeded, NotClosed, OutsideUniverse
+from .errors import STEP_CAP, BudgetExceeded, NotClosed, OutsideUniverse, capped_pow
 from .instantiation import (
     EXACT,
     InstantiationMode,
@@ -48,24 +49,23 @@ from .instantiation import (
     universe,
 )
 from .semantics import (
-    _AND,
-    _ATOM,
-    _CONST,
-    _IMP,
-    _OR,
     ABSENT,
     BOTH,
     DEFAULT_BUDGET,
     THERE_ONLY,
     HTInterpretation,
     World,
-    _engine_steps,
     _enumerate_states,
-    _first_countermodel,
     _interpretation,
+    first_countermodel,
     satisfies,
 )
 from .syntax import (
+    AND,
+    ATOM,
+    CONST,
+    IMP,
+    OR,
     Atom,
     Binary,
     Equals,
@@ -121,11 +121,11 @@ def all_predicate_names(terms: tuple[Term, ...], arity: int) -> Iterator[HTInter
 
 
 def count_function_names(universe_size: int, arity: int) -> int:
-    return universe_size ** (universe_size**arity)
+    return capped_pow(universe_size, capped_pow(universe_size, arity))
 
 
 def count_predicate_names(universe_size: int, arity: int) -> int:
-    return 3 ** (universe_size**arity)
+    return capped_pow(3, capped_pow(universe_size, arity))
 
 
 def estimate_cost(f: FOFormula, universe_size: int) -> int:
@@ -133,7 +133,7 @@ def estimate_cost(f: FOFormula, universe_size: int) -> int:
     the nodes `hht_valid_bruteforce` visits while grounding.  Each name a
     predicate or function quantifier ranges over is also charged its table,
     `universe_size ** arity` entries, which grounding builds.  Each shared
-    node's count is computed once."""
+    node's count is computed once, and saturates at `errors.STEP_CAP`."""
     return _cost(f, universe_size, {})
 
 
@@ -154,14 +154,14 @@ def _cost(f: FOFormula, universe_size: int, table: dict[FOFormula, int]) -> int:
                 count = (count_predicate_names if isinstance(binder, PredVar)
                          else count_function_names)
                 names = count(universe_size, binder.arity)
-                got = names * (inner + universe_size**binder.arity) + 1
+                got = names * (inner + capped_pow(universe_size, binder.arity)) + 1
             else:
                 # object variable or generalized variable (per bound variable)
                 width = 1 if isinstance(binder, Var) else len(binder.items)
-                got = universe_size**width * inner + 1
+                got = capped_pow(universe_size, width) * inner + 1
         case _:
             raise TypeError(f"not a formula: {f!r}")
-    table[f] = got
+    table[f] = got = min(got, STEP_CAP)
     return got
 
 
@@ -278,12 +278,9 @@ def hht_valid_bruteforce(
     base = herbrand_base(sig, terms)
     grounding = _Grounding(base, terms)
     prog = _live_program(grounding.prog, grounding.ground(f, {}))
-    live = {arg for op, arg in prog if op == _ATOM}
+    live = {arg for op, arg in prog if op == ATOM}
     atoms = [a for a in base if a in live]  # sorted by text, as `base` is
-    cost += _engine_steps(prog, len(atoms))
-    if cost > budget:
-        raise BudgetExceeded(cost, budget)
-    counter = _first_countermodel(prog, atoms)
+    counter = first_countermodel(prog, atoms, budget, spent=cost)
     if counter is None:
         return None
     return HTInterpretation(counter.here, counter.there, base)
@@ -299,7 +296,7 @@ class _Grounding:
         self.terms = terms
         self.base = frozenset(base)
         self.prog: list[tuple[int, object]] = [
-            (_CONST, ABSENT), (_CONST, THERE_ONLY), (_CONST, BOTH)
+            (CONST, ABSENT), (CONST, THERE_ONLY), (CONST, BOTH)
         ]
         self.slot: dict[tuple[int, object], int] = {}
 
@@ -312,8 +309,8 @@ class _Grounding:
         return got
 
     def junction(self, op: int, kids: list[int]) -> int:
-        """The conjunction (`_AND`) or disjunction (`_OR`) of `kids`."""
-        unit, zero = (BOTH, ABSENT) if op == _AND else (ABSENT, BOTH)
+        """The conjunction (`AND`) or disjunction (`OR`) of `kids`."""
+        unit, zero = (BOTH, ABSENT) if op == AND else (ABSENT, BOTH)
         if zero in kids:
             return zero
         kept = tuple(sorted(set(kids) - {unit}))
@@ -338,7 +335,7 @@ class _Grounding:
                 if isinstance(pred, HTInterpretation):
                     return pred.atom_state(hatted)
                 atom = Atom(pred, hatted)
-                return self.emit(_ATOM, atom) if atom in self.base else ABSENT
+                return self.emit(ATOM, atom) if atom in self.base else ABSENT
             case Binary("->", l, r):
                 kl = self.ground(l, env)
                 if kl == ABSENT:
@@ -350,15 +347,15 @@ class _Grounding:
                     return BOTH
                 if kl == BOTH:
                     return kr
-                return self.emit(_IMP, (kl, kr))
+                return self.emit(IMP, (kl, kr))
             case Binary(sym, l, r):
-                op, zero = (_AND, ABSENT) if sym == "&" else (_OR, BOTH)
+                op, zero = (AND, ABSENT) if sym == "&" else (OR, BOTH)
                 kl = self.ground(l, env)
                 if kl == zero:
                     return zero
                 return self.junction(op, [kl, self.ground(r, env)])
             case Quant(kind, binder, body):
-                op, zero = (_AND, ABSENT) if kind == "forall" else (_OR, BOTH)
+                op, zero = (AND, ABSENT) if kind == "forall" else (OR, BOTH)
                 shadowed = env.get(binder)
                 kids = []
                 for d in _domain(binder, self.terms):
@@ -381,7 +378,7 @@ def _live_program(prog: list[tuple[int, object]], root: int) -> list[tuple[int, 
     live[root] = True
     for i in range(root, -1, -1):
         op, arg = prog[i]
-        if live[i] and op in (_AND, _OR, _IMP):
+        if live[i] and op in (AND, OR, IMP):
             for k in arg:
                 live[k] = True
     moved: dict[int, int] = {}
@@ -389,7 +386,7 @@ def _live_program(prog: list[tuple[int, object]], root: int) -> list[tuple[int, 
     for i in range(root + 1):
         if live[i]:
             op, arg = prog[i]
-            if op in (_AND, _OR, _IMP):
+            if op in (AND, OR, IMP):
                 arg = tuple(moved[k] for k in arg)
             moved[i] = len(out)
             out.append((op, arg))

@@ -31,11 +31,13 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .errors import (
+    STEP_CAP,
     InfiniteUniverse,
     NotClosed,
     NotFirstOrder,
     SubstitutionError,
     UnmappedAtom,
+    capped_pow,
 )
 from .syntax import (
     BOT,
@@ -83,29 +85,17 @@ InstantiationMode = Exact | Bounded
 EXACT = Exact()
 
 
-def term_depth(t: Term) -> int:
-    match t:
-        case FnApp(_, args) if args:
-            return 1 + max(term_depth(a) for a in args)
-        case _:
-            return 0
-
-
 def ground_terms(sig: Signature, depth: int) -> tuple[Term, ...]:
-    """All ground terms of depth <= `depth`, sorted by (depth, text)."""
-    layers: list[list[Term]] = [[const(c) for c in sig.object_constants()]]
-    pool: list[Term] = list(layers[0])
+    """All ground terms of depth <= `depth`, sorted by (depth, text).  Those
+    of depth <= d + 1 are the constants and every application over those of
+    depth <= d, as `count_universe` counts them."""
+    consts: list[Term] = [const(c) for c in sig.object_constants()]
+    pool, out = consts, sorted(consts, key=term_to_text)
     for _ in range(depth):
-        prev = pool[:]
-        layer: list[Term] = []
-        for name, arity in sig.nonnullary_functions():
-            for args in itertools.product(prev, repeat=arity):
-                t = FnApp(name, args)
-                if term_depth(t) == len(layers):
-                    layer.append(t)
-        layers.append(layer)
-        pool.extend(layer)
-    return tuple(sorted(pool, key=lambda t: (term_depth(t), term_to_text(t))))
+        pool = consts + [FnApp(name, args) for name, arity in sig.nonnullary_functions()
+                         for args in itertools.product(pool, repeat=arity)]
+        out += sorted(set(pool).difference(out), key=term_to_text)  # those of depth d + 1
+    return tuple(out)
 
 
 def universe(sig: Signature, mode: InstantiationMode) -> tuple[Term, ...]:
@@ -134,8 +124,12 @@ def count_universe(sig: Signature, mode: InstantiationMode) -> tuple[int, int]:
     fns = sig.nonnullary_functions()
     terms = nodes = c
     for _ in range(mode.depth):
-        terms, nodes = (c + sum(terms**a for _, a in fns),
-                        c + sum(terms**a + a * terms ** (a - 1) * nodes for _, a in fns))
+        step = (min(c + sum(capped_pow(terms, a) for _, a in fns), STEP_CAP),
+                min(c + sum(capped_pow(terms, a) + a * capped_pow(terms, a - 1) * nodes
+                            for _, a in fns), STEP_CAP))
+        if step == (terms, nodes):  # both at `STEP_CAP`, or no deeper terms
+            break
+        terms, nodes = step
     return terms, nodes
 
 

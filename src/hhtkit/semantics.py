@@ -5,21 +5,22 @@ evaluator used as an independent fast path.
 The fast path is bit-parallel.  An interpretation over the sorted atoms
 a_1..a_n is numbered by its states (absent 0, there-only 1, both 2) read as
 base-3 digits with a_1 most significant; that number is its canonical
-position.  Each distinct node of the formula DAG is evaluated once to a pair
-of Python ints (here, there) holding one bit per interpretation: bit k is
-set when interpretation k satisfies the node at that world.  `And`/`Or` are
-`&`/`|` on both masks (empty: all ones / zero), and an implication is
-`there = ~lt | rt`, `here = (~lh | rh) & there`.  The formula is valid iff
-the here-mask is all ones, and its lowest clear bit is the first
-countermodel in canonical order.  To bound memory, at most `_CHUNK_ATOMS`
-trailing atoms (fewer for large formulas) go into the masks; the leading
-atoms are enumerated outside in canonical order as constant masks, so
-chunks are visited in canonical order too and the search stops at the
-first chunk with a clear bit.  `herbrand` grounds first- and second-order
-formulas into programs for the same engine.
+position.  Each entry of the formula's program (`syntax.prop_dag`) is
+evaluated once to a pair of Python ints (here, there) holding one bit per
+interpretation: bit k is set when interpretation k satisfies the node at
+that world.  `And`/`Or` are `&`/`|` on both masks (empty: all ones / zero),
+and an implication is `there = ~lt | rt`, `here = (~lh | rh) & there`.  The
+formula is valid iff the here-mask is all ones, and its lowest clear bit is
+the first countermodel in canonical order.  To bound memory, at most
+`_CHUNK_ATOMS` trailing atoms (fewer for large programs) go into the masks;
+the leading atoms are enumerated outside in canonical order as constant
+masks, so chunks are visited in canonical order too and the search stops at
+the first chunk with a clear bit.  Both checkers enter the engine through
+`first_countermodel`: `herbrand` with the program it grounds a first- or
+second-order formula into.
 
 Both checkers share one work budget, counted in steps: a step is one child
-reference evaluated over 3^10 interpretations (`_engine_steps`), or one node
+reference evaluated over 3^10 interpretations (`_plan`), or one node
 `herbrand` may visit while grounding (`estimate_cost`).  An engine step
 takes 1-2 us and a grounding step 0.6-2.5 us (README gives the measurements).
 A run over budget is refused before that work starts.
@@ -32,8 +33,8 @@ from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import Iterable, Iterator
 
-from .errors import BudgetExceeded
-from .syntax import PAnd, PAtom, PImp, POr, PropFormula, prop_dag
+from .errors import STEP_CAP, BudgetExceeded, capped_pow
+from .syntax import AND, ATOM, CONST, IMP, OR, PAnd, PAtom, PImp, POr, PropFormula, prop_dag
 
 # steps either checker may spend by default (see the module docstring)
 DEFAULT_BUDGET = 5 * 10**6
@@ -113,18 +114,15 @@ def g3_eval(i: HTInterpretation, f: PropFormula) -> int:
     Agrees with `satisfies`: value 2 iff satisfied at h, value >= 1 iff
     satisfied at t.  Runs the bit-parallel engine on 1-bit masks.
     """
-    prog = _compile(f)
+    prog = prop_dag(f)
     masks = {}
     for op, name in prog:
-        if op == _ATOM:
+        if op == ATOM:
             state = i.atom_state(name)
             masks[name] = (int(state == BOTH), int(state != ABSENT))
     h, t = _evaluate(prog, masks, 1)
     return h + t
 
-
-_ATOM, _AND, _OR, _IMP, _CONST = range(5)
-_OPS = {PAnd: _AND, POr: _OR, PImp: _IMP}
 
 # the widest chunk, in trailing atoms: 3**13 bits is about 200 KB per mask
 _CHUNK_ATOMS = 13
@@ -132,34 +130,25 @@ _CHUNK_ATOMS = 13
 _MASK_BYTES = 1 << 25
 
 
-def _compile(f: PropFormula) -> list[tuple[int, object]]:
-    """Post-order program with one `(op, arg)` per distinct node of
-    `syntax.prop_dag`, children first: `arg` is the atom name, or the tuple
-    of child positions.  (Programs grounded by `herbrand` also hold `_CONST`
-    nodes, whose `arg` is a state: the node has that value under every
-    interpretation.)"""
-    return [(_ATOM, g.name) if isinstance(g, PAtom) else (_OPS[type(g)], kids)
-            for g, kids in prop_dag(f)]
-
-
-def _evaluate(prog, masks: dict[str, tuple[int, int]], full: int) -> tuple[int, int]:
-    """(here, there) masks of the program's root; `full` has one bit per
-    interpretation and `masks` gives each atom's pair."""
+def _evaluate(prog, masks: dict, full: int) -> tuple[int, int]:
+    """(here, there) masks of the root of `prog`, a program as
+    `syntax.prop_dag` gives it; `full` has one bit per interpretation and
+    `masks` gives each atom's pair."""
     hs: list[int] = []
     ts: list[int] = []
     for op, arg in prog:
-        if op == _ATOM:
+        if op == ATOM:
             h, t = masks[arg]
-        elif op == _IMP:
+        elif op == IMP:
             l, r = arg
             t = (full ^ ts[l]) | ts[r]
             h = ((full ^ hs[l]) | hs[r]) & t
-        elif op == _AND:
+        elif op == AND:
             h = t = full
             for k in arg:
                 h &= hs[k]
                 t &= ts[k]
-        elif op == _CONST:
+        elif op == CONST:
             h = full if arg == BOTH else 0
             t = full if arg != ABSENT else 0
         else:
@@ -188,31 +177,30 @@ def _digit_masks(weight: int, size: int) -> tuple[int, int]:
     return here & full, there & full
 
 
-def _chunk_width(n_atoms: int, n_nodes: int) -> int:
-    """Trailing atoms to evaluate at once, so that one (here, there) pair per
-    node stays within `_MASK_BYTES`."""
+def _plan(prog, n_atoms: int, budget: int, spent: int = 0) -> int:
+    """The trailing atoms to evaluate `prog` over at once, so that one (here,
+    there) pair per node stays within `_MASK_BYTES`; raises BudgetExceeded
+    first if `spent` plus the engine's steps exceed `budget`.  A step is one
+    big-int operation per child reference and per 3^10 interpretations, and
+    a chunk narrower than 10 atoms, as many nodes force, still costs one."""
     width = min(n_atoms, _CHUNK_ATOMS)
-    while width > 0 and n_nodes * 3 ** width > _MASK_BYTES * 4:
+    while width > 0 and len(prog) * 3 ** width > _MASK_BYTES * 4:
         width -= 1
+    refs = sum(len(arg) for op, arg in prog if op in (AND, OR, IMP))
+    steps = min(spent + refs * capped_pow(3, max(n_atoms - min(width, 10), 0)), STEP_CAP)
+    if steps > budget:
+        raise BudgetExceeded(steps, budget)
     return width
 
 
-def _engine_steps(prog, n_atoms: int) -> int:
-    """The work of `_first_countermodel` on `prog` over `n_atoms` atoms, in
-    steps: one big-int operation per child reference of an `_AND`, `_OR` or
-    `_IMP` node and per 3^10 interpretations.  A chunk narrower than 10
-    atoms, as many nodes force, still costs a full step per reference."""
-    refs = sum(len(arg) for op, arg in prog if op in (_AND, _OR, _IMP))
-    width = min(_chunk_width(n_atoms, len(prog)), 10)
-    return refs * 3 ** max(n_atoms - width, 0)
-
-
-def _first_countermodel(prog, atoms: list[str]) -> HTInterpretation | None:
-    """The first interpretation in canonical order whose here-mask bit is
-    clear.  The trailing atoms are the least significant digits, so inside a
-    chunk the bit index is the canonical order; the leading atoms are
-    enumerated outside it in canonical order as constant masks."""
-    width = _chunk_width(len(atoms), len(prog))
+def first_countermodel(prog, atoms, budget: int, spent: int = 0) -> HTInterpretation | None:
+    """The first interpretation in canonical order over `atoms` (each atom
+    `prog` names, first most significant) that fails `prog` at h, with
+    `atoms` as its `atoms`, or None; `_plan` charges `spent` first.  The
+    trailing atoms are the least significant digits, so inside a chunk the
+    bit index is the canonical order; the leading atoms are enumerated
+    outside it in canonical order as constant masks."""
+    width = _plan(prog, len(atoms), budget, spent)
     split = len(atoms) - width
     lead, trail = atoms[:split], atoms[split:]
     size = 3 ** width
@@ -227,15 +215,15 @@ def _first_countermodel(prog, atoms: list[str]) -> HTInterpretation | None:
             index = (miss & -miss).bit_length() - 1
             for a in reversed(trail):
                 index, values[a] = divmod(index, 3)
-            return _interpretation(values)
+            return _interpretation(values, atoms)
     return None
 
 
-def _interpretation(values: dict) -> HTInterpretation:
-    """The interpretation giving each atom its state."""
+def _interpretation(values: dict, atoms=()) -> HTInterpretation:
+    """The interpretation giving each atom its state, over `atoms`."""
     here = frozenset(a for a, s in values.items() if s == BOTH)
     there = frozenset(a for a, s in values.items() if s != ABSENT)
-    return HTInterpretation(here, there)
+    return HTInterpretation(here, there, tuple(atoms))
 
 
 def enumerate_interpretations(atoms: Iterable) -> Iterator[HTInterpretation]:
@@ -266,23 +254,20 @@ def ht_valid(
     three-valued tables evaluated over all interpretations at once by the
     bit-parallel engine ("g3") or the literal satisfaction recursion
     ("literal"); both define the same relation.  Raises BudgetExceeded,
-    before evaluating, when the engine would need more than `budget` steps.
+    before evaluating, when the engine would need more than `budget` steps,
+    whichever evaluator runs.
     """
-    prog = _compile(f)
-    atoms = sorted({arg for op, arg in prog if op == _ATOM})
-    steps = _engine_steps(prog, len(atoms))
-    if steps > budget:
-        raise BudgetExceeded(steps, budget)
+    prog = prop_dag(f)
+    atoms = sorted({arg for op, arg in prog if op == ATOM})
     if evaluator == "g3":
-        counter = _first_countermodel(prog, atoms)
-    elif evaluator == "literal":
-        fails = (i for i in enumerate_interpretations(atoms) if not satisfies(i, World.H, f))
-        counter = next(fails, None)
-    else:
+        return first_countermodel(prog, atoms, budget)
+    if evaluator != "literal":
         raise ValueError(f"unknown evaluator {evaluator!r}")
-    if counter is None:
-        return None
-    return HTInterpretation(counter.here, counter.there, tuple(atoms))
+    _plan(prog, len(atoms), budget)
+    for i in enumerate_interpretations(atoms):
+        if not satisfies(i, World.H, f):
+            return HTInterpretation(i.here, i.there, tuple(atoms))
+    return None
 
 
 def render_countermodel(i: HTInterpretation, atoms: Iterable) -> str:
@@ -315,6 +300,7 @@ __all__ = [
     "models",
     "g3_eval",
     "ht_valid",
+    "first_countermodel",
     "enumerate_interpretations",
     "render_countermodel",
     "classical_eval",

@@ -539,9 +539,16 @@ def piff(left: PropFormula, right: PropFormula) -> PAnd:
     return PAnd((PImp(left, right), PImp(right, left)))
 
 
-def prop_dag(f: PropFormula) -> list[tuple[PropFormula, tuple[int, ...]]]:
-    """The distinct nodes of `f` (shared objects once) in post-order, each
-    with the positions of its children: children come first and `f` last.
+# Op codes of a program, the form of a formula that `prop_dag` gives and the
+# engine in `semantics` runs: `(ATOM, name)` or `(AND | OR | IMP, child
+# positions)`.  Programs `herbrand` grounds also hold `(CONST, state)`, which
+# has that `semantics` state under every interpretation.
+ATOM, AND, OR, IMP, CONST = range(5)
+
+
+def prop_dag(f: PropFormula) -> list[tuple[int, object]]:
+    """The program of `f`: one `(op, arg)` entry per distinct node (shared
+    objects once) in post-order, so children come first and `f` last.
     Uses an explicit stack, so nesting depth is not limited by recursion.
 
     Python 3.11 runs a list comprehension as a nested function call, so the
@@ -549,7 +556,7 @@ def prop_dag(f: PropFormula) -> list[tuple[PropFormula, tuple[int, ...]]]:
     `map` and plain loops instead: a node's child positions are
     `map(slot.get, map(id, kids))`, and only unplaced children are pushed."""
     slot: dict[int, int] = {}
-    out: list[tuple[PropFormula, tuple[int, ...]]] = []
+    out: list[tuple[int, object]] = []
     stack: list[PropFormula] = [f]  # a node stays until its children are placed
     while stack:
         g = stack[-1]
@@ -558,11 +565,11 @@ def prop_dag(f: PropFormula) -> list[tuple[PropFormula, tuple[int, ...]]]:
             continue
         t = type(g)
         if t is PImp:
-            kids = (g.left, g.right)
+            op, kids = IMP, (g.left, g.right)
         elif t is PAnd or t is POr:
-            kids = g.items
+            op, kids = AND if t is PAnd else OR, g.items
         elif t is PAtom:
-            kids = ()
+            op, kids = ATOM, ()
         else:
             raise TypeError(f"not a propositional formula: {g!r}")
         at = tuple(map(slot.get, map(id, kids)))
@@ -573,7 +580,7 @@ def prop_dag(f: PropFormula) -> list[tuple[PropFormula, tuple[int, ...]]]:
             continue
         stack.pop()
         slot[id(g)] = len(out)
-        out.append((g, at))
+        out.append((op, g.name if op == ATOM else at))
     return out
 
 
@@ -585,15 +592,15 @@ def prop_stats(f: PropFormula, dag: list | None = None) -> tuple[frozenset[str],
     ranks: list[int] = []
     sizes: list[int] = []
     atoms: list[str] = []
-    for g, kids in dag:
-        if kids:
-            ranks.append(max(map(ranks.__getitem__, kids)) + 1)
-            sizes.append(sum(map(sizes.__getitem__, kids)) + 1)
+    for op, arg in dag:
+        if op != ATOM and arg:
+            ranks.append(max(map(ranks.__getitem__, arg)) + 1)
+            sizes.append(sum(map(sizes.__getitem__, arg)) + 1)
         else:
             ranks.append(0)
             sizes.append(1)
-            if type(g) is PAtom:
-                atoms.append(g.name)
+            if op == ATOM:
+                atoms.append(arg)
     return frozenset(atoms), ranks[-1], len(dag), sizes[-1]
 
 
@@ -604,7 +611,7 @@ def rank(f: PropFormula) -> int:
 
 
 def prop_atoms(f: PropFormula) -> frozenset[str]:
-    return frozenset(g.name for g, _ in prop_dag(f) if isinstance(g, PAtom))
+    return frozenset(arg for op, arg in prop_dag(f) if op == ATOM)
 
 
 def prop_node_count(f: PropFormula) -> int:
@@ -633,7 +640,6 @@ _LEVEL_IMP = 1
 _LEVEL_OR = 2
 _LEVEL_AND = 3
 _LEVEL_UNARY = 4
-_LEVEL_ATOM = 5
 
 
 def _binder_to_text(binder: Binder) -> str:
@@ -689,20 +695,20 @@ def formula_to_text(f: FOFormula) -> str:
 
 
 def prop_to_text(f: PropFormula, dag: list | None = None) -> str:
-    """The text of `f`, rendering each distinct node of `prop_dag` (`dag` if
-    the caller has it) once however often it is printed."""
+    """The text of `f`, rendering each entry of its program (`dag` if the
+    caller has it) once however often it is printed."""
+    dag = dag or prop_dag(f)
     texts: list[str] = []
-    for g, kids in dag or prop_dag(f):
-        t = type(g)
-        if t is PAtom:
-            text = g.name
-        elif t is PImp:
-            left, right = texts[kids[0]], texts[kids[1]]
-            text = f"({left}) -> {right}" if type(g.left) is PImp else f"{left} -> {right}"
-        elif kids:
-            head = "And{" if t is PAnd else "Or{"
-            text = head + "; ".join(sorted(map(texts.__getitem__, kids))) + "}"
+    for op, arg in dag:
+        if op == ATOM:
+            text = arg
+        elif op == IMP:
+            left, right = texts[arg[0]], texts[arg[1]]
+            text = f"({left}) -> {right}" if dag[arg[0]][0] == IMP else f"{left} -> {right}"
+        elif arg:
+            head = "And{" if op == AND else "Or{"
+            text = head + "; ".join(sorted(map(texts.__getitem__, arg))) + "}"
         else:
-            text = "top" if t is PAnd else "bot"
+            text = "top" if op == AND else "bot"
         texts.append(text)
     return texts[-1]

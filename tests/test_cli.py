@@ -1,10 +1,15 @@
 import json
+import os
 import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
 import gen
+import hhtkit
 from hhtkit import cli
 from hhtkit.cli import run
 from hhtkit.corpus import data_path
@@ -583,3 +588,53 @@ def test_herbrand_nested_iff_refused_at_once(tmp_path, capsys):
     assert time.perf_counter() - t0 < 5
     assert (code, out) == (2, "")
     assert err == "error: enumeration needs 3843071682022823251 steps, budget is 5000000\n"
+
+
+# Each of these ran for 17 s to minutes computing a budget count or building
+# a universe, or printed Python's 4,300-digit conversion error: the counts
+# now saturate at `errors.STEP_CAP`, and `instantiate`/`pipeline --depth`
+# count the universe first.  A subprocess with a timeout keeps a relapse
+# from hanging the suite.
+_AT_CAP = "error: enumeration needs at least 10^4300 steps, budget is 5000000\n"
+_F2_UNIVERSE = "error: enumeration needs 17991276 steps, budget is 5000000\n"
+_F2 = "const a.  fn f/2.  pred P/1.\n"
+
+
+def _p3_over(n: int) -> str:
+    consts = ", ".join(f"c{i}" for i in range(n))
+    return f"const {consts}.  pred Q/0.\nforall p/3 (p(c1,c1,c1) -> p(c1,c1,c1))\n"
+
+
+_HUGE_COUNTS = [
+    (["herbrand-check", "{p3_1000}"], _AT_CAP),
+    (["herbrand-check", "{p3_300}"], _AT_CAP),
+    (["herbrand-check", "--depth", "25", "{f2_fof}"], _AT_CAP),
+    (["herbrand-check", "--depth", "40", "{f2_fof}"], _AT_CAP),
+    (["ht-valid", "{or10000}"], _AT_CAP),
+    (["instantiate", "--depth", "5", "{f2_fof}", "{f2_subst}"], _F2_UNIVERSE),
+    (["pipeline", "--depth", "5", "{f2_proof}", "{f2_subst}"], _F2_UNIVERSE),
+]
+
+
+@pytest.mark.parametrize("argv, err", _HUGE_COUNTS, ids=[
+    "p3-1000", "p3-300", "depth25", "depth40", "or10000", "instantiate", "pipeline"])
+def test_huge_counts_are_refused_at_once(argv, err, tmp_path):
+    files = {
+        "p3_1000": _p3_over(1000),
+        "p3_300": _p3_over(300),
+        "f2_fof": _F2 + "forall x P(x)\n",
+        "f2_subst": _F2 + "default P := p;\n",
+        "f2_proof": _F2 + "level HHT;\n"
+                          "1: P(a) -> P(a) -> P(a) by axiom k with F := P(a), G := P(a);\n",
+        "or10000": "Or{" + "; ".join(f"a{i}" for i in range(10_000)) + "}\n",
+    }
+    paths = {}
+    for name, text in files.items():
+        paths[name] = tmp_path / name
+        paths[name].write_text(text)
+    env = {**os.environ, "PYTHONPATH": str(Path(hhtkit.__file__).parents[1])}
+    env.pop("HHTKIT_BUDGET", None)
+    got = subprocess.run([sys.executable, "-m", "hhtkit.cli",
+                          *(a.format(**paths) for a in argv)],
+                         capture_output=True, text=True, timeout=5, env=env)
+    assert (got.returncode, got.stdout, got.stderr) == (2, "", err)

@@ -4,13 +4,14 @@ import pytest
 
 import gen
 from hhtkit.cli import run
-from hhtkit.errors import BudgetExceeded
+from hhtkit.errors import STEP_CAP, BudgetExceeded, capped_pow
 from hhtkit.herbrand import (
     _hat,
     all_function_names,
     all_predicate_names,
     count_function_names,
     count_predicate_names,
+    estimate_cost,
     h_satisfies,
     hht_valid_bruteforce,
     lift,
@@ -149,6 +150,26 @@ def test_choice_instance_valid():
         fof(SIG_AB, "forall x exists y p(x, y) -> exists g^1 forall x p(x, g(x))")
     )
     assert hht_valid_bruteforce(SIG_AB, f, budget=10**7) is None
+
+
+def test_capped_pow_is_the_power_capped():
+    for base in range(13):
+        for exp in (0, 1, 2, 4299, 4300, 4301, 9012, 9013, 14284, 14285, 14286):
+            assert capped_pow(base, exp) == min(base**exp, STEP_CAP)
+    assert capped_pow(3, 10**9) == capped_pow(10**9, 10**9) == STEP_CAP
+    assert capped_pow(1, STEP_CAP) == 1
+
+
+def test_name_counts_and_estimate_saturate_at_the_cap():
+    # 3^(1000^3) predicate names: computing the power ran past 60 s
+    assert count_predicate_names(1000, 3) == count_function_names(1000, 2) == STEP_CAP
+    assert count_function_names(300, 1) == 300**300  # below the cap: exact
+    sig = Signature.make({f"c{i}": 0 for i in range(1000)}, {"Q": 0})
+    f = fof(sig, "forall p/3 (p(c1,c1,c1) -> p(c1,c1,c1))")
+    assert estimate_cost(f, 1000) == STEP_CAP
+    with pytest.raises(BudgetExceeded) as err:
+        hht_valid_bruteforce(sig, f)
+    assert err.value.required == STEP_CAP
 
 
 def test_budget_exceeded_reports_count():

@@ -5,6 +5,7 @@ import pytest
 
 import gen
 from hhtkit.errors import (
+    STEP_CAP,
     InfiniteUniverse,
     NotClosed,
     NotFirstOrder,
@@ -49,6 +50,7 @@ from hhtkit.syntax import (
     prop_to_text,
     rank,
     substitute,
+    term_to_text,
 )
 
 SIG2 = Signature.make({"c1": 0, "c2": 0}, {"P": 1, "Q": 0})
@@ -195,6 +197,54 @@ def test_universe_count_matches_the_built_universe(functions, depth):
         terms = ground_terms(sig, depth)
         assert size == len(terms) == len(universe(sig, Bounded(depth)))
         assert nodes == sum(map(_term_nodes, terms))
+
+
+def ref_ground_terms(sig: Signature, depth: int) -> tuple:
+    """The filtering `ground_terms` it replaced: each layer keeps the
+    applications over all terms so far whose depth is the layer's."""
+    def term_depth(t) -> int:
+        return 1 + max(map(term_depth, t.args)) if t.args else 0
+
+    layers = [[const(c) for c in sig.object_constants()]]
+    pool = list(layers[0])
+    for _ in range(depth):
+        prev = pool[:]
+        layer = []
+        for name, arity in sig.nonnullary_functions():
+            for args in itertools.product(prev, repeat=arity):
+                t = FnApp(name, args)
+                if term_depth(t) == len(layers):
+                    layer.append(t)
+        layers.append(layer)
+        pool.extend(layer)
+    return tuple(sorted(pool, key=lambda t: (term_depth(t), term_to_text(t))))
+
+
+@pytest.mark.parametrize("functions, depth", [  # up to 5,552 terms (f/1, g/2 over 2)
+    ({"s": 1}, 30), ({"f": 2}, 3), ({"h": 3}, 2), ({"f": 1, "g": 2}, 3), ({"s": 1, "h": 3}, 2),
+])
+def test_ground_terms_match_the_filtering_reference(functions, depth):
+    for constants in ({"a": 0}, {"b": 0, "a": 0}):
+        sig = Signature.make({**constants, **functions}, {"P": 1})
+        for d in range(depth + 1):
+            assert ground_terms(sig, d) == ref_ground_terms(sig, d)
+
+
+def test_universe_count_saturates_at_the_cap():
+    # f/2 has about 2^(2^d) terms at depth d: past the cap by depth 14, and
+    # the count stops there however deep the universe is asked for
+    sig = Signature.make({"a": 0, "f": 2}, {"P": 1})
+    terms = nodes = 1
+    for depth in range(16):  # the recurrence unsaturated, capped only here
+        assert count_universe(sig, Bounded(depth)) == (min(terms, STEP_CAP),
+                                                       min(nodes, STEP_CAP))
+        terms, nodes = 1 + terms**2, 1 + terms**2 + 2 * terms * nodes
+    assert nodes > STEP_CAP
+    for depth in (40, 10**9):
+        assert count_universe(sig, Bounded(depth)) == (STEP_CAP, STEP_CAP)
+    # one unary function: 2 (d + 1) terms s^k(a), s^k(b) of k + 1 nodes each
+    sig = Signature.make({"a": 0, "b": 0, "s": 1}, {"P": 1})
+    assert count_universe(sig, Bounded(1000)) == (2002, 1001 * 1002)
 
 
 def test_universe_count_in_exact_mode():

@@ -1,17 +1,21 @@
 """`syntax.prop_dag`, `prop_stats` and `prop_to_text` against literal
 references: the match-dispatching, comprehension-per-node versions they
-replaced, copied here as they were.  The DAG order may differ; the node set,
-children before parents, the root last, each node's children, and the
-stats and text may not."""
+replaced, copied here as they were.  `prop_dag` returns the engine's
+program, so the reference's node list is mapped to `(op, arg)` entries as
+the engine's compiler once mapped it; the two programs must be equal, entry
+for entry, and the stats and text must be too."""
 
 import random
-from collections import Counter
 
 import pytest
 
 import gen
 from hhtkit.instantiation import instantiate
 from hhtkit.syntax import (
+    AND,
+    ATOM,
+    IMP,
+    OR,
     PAnd,
     PAtom,
     PImp,
@@ -52,6 +56,12 @@ def ref_prop_dag(f: PropFormula) -> list[tuple[PropFormula, tuple[int, ...]]]:
         slot[id(g)] = len(out)
         out.append((g, tuple([slot[id(k)] for k in kids])))
     return out
+
+
+def ref_program(f: PropFormula) -> list[tuple[int, object]]:
+    ops = {PAnd: AND, POr: OR, PImp: IMP}
+    return [(ATOM, g.name) if isinstance(g, PAtom) else (ops[type(g)], kids)
+            for g, kids in ref_prop_dag(f)]
 
 
 def ref_prop_stats(f: PropFormula) -> tuple[frozenset[str], int, int, int]:
@@ -128,13 +138,10 @@ def _wide_or(n: int) -> PropFormula:
 
 
 def _assert_same_dag(f: PropFormula, text: bool = True) -> None:
-    got, want = prop_dag(f), ref_prop_dag(f)
-    assert len(got) == len(want)
-    assert got[-1][0] is want[-1][0] is f
-    children = lambda dag: {id(g): Counter(id(dag[k][0]) for k in kids) for g, kids in dag}
-    assert children(got) == children(want)  # same node set, same children each
-    for i, (_, kids) in enumerate(got):
-        assert all(k < i for k in kids)
+    got, want = prop_dag(f), ref_program(f)
+    assert got == want
+    for i, (op, arg) in enumerate(got):
+        assert op == ATOM or all(k < i for k in arg)
     assert prop_stats(f, got) == ref_prop_stats(f)
     if text:
         assert prop_to_text(f, got) == ref_prop_to_text(f)

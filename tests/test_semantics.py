@@ -4,20 +4,21 @@ import pytest
 
 import gen
 from hhtkit import semantics
-from hhtkit.errors import BudgetExceeded
+from hhtkit.errors import STEP_CAP, BudgetExceeded
 from hhtkit.parser import parse_prop_text
 from hhtkit.semantics import (
     HTInterpretation,
     World,
     classical_eval,
     enumerate_interpretations,
+    first_countermodel,
     g3_eval,
     ht_valid,
     models,
     render_countermodel,
     satisfies,
 )
-from hhtkit.syntax import PAnd, PAtom, PImp, POr, prop_atoms
+from hhtkit.syntax import PAnd, PAtom, PImp, POr, prop_atoms, prop_dag
 
 
 def prop(text):
@@ -103,6 +104,32 @@ def test_budget_counts_narrowed_chunks():
         ht_valid(f, budget=2 * refs)
     assert err.value.required == 3 * refs
     assert ht_valid(f, budget=3 * refs) == HTInterpretation.of([], [])
+
+
+def test_budget_count_past_the_cap_reads_as_one_line():
+    # 10,000 atoms: 3^9,990 steps, more digits than Python turns into text
+    f = POr(PAtom(f"a{i}") for i in range(10_000))
+    for evaluator in ("g3", "literal"):
+        with pytest.raises(BudgetExceeded) as err:
+            ht_valid(f, evaluator=evaluator)
+        assert err.value.required == STEP_CAP
+        assert str(err.value) == "enumeration needs at least 10^4300 steps, budget is 5000000"
+    assert len(str(BudgetExceeded(STEP_CAP - 1, 5))) == len("enumeration needs  steps, "
+                                                             "budget is 5") + 4300
+
+
+def test_one_engine_entry_charges_what_was_spent():
+    f = prop("p -> p | q")  # 4 child references over 2 atoms: 4 steps
+    prog = prop_dag(f)
+    assert first_countermodel(prog, ["p", "q"], budget=4) is None
+    with pytest.raises(BudgetExceeded) as err:
+        first_countermodel(prog, ["p", "q"], budget=10, spent=7)
+    assert err.value.required == 11
+    for evaluator in ("g3", "literal"):
+        with pytest.raises(BudgetExceeded):
+            ht_valid(f, budget=3, evaluator=evaluator)
+    counter = first_countermodel(prop_dag(prop("p | not p")), ["p"], budget=4)
+    assert (counter, counter.atoms) == (HTInterpretation.of([], ["p"]), ("p",))
 
 
 def test_g3_tables():
