@@ -5,7 +5,8 @@ First-order formulas keep `&`, `|`, `->` and `bot` primitive; `not F`,
 `F <-> G`, `top` and `t1 != t2` are abbreviations introduced by the parser
 and re-sugared by the printer.  Propositional conjunctions/disjunctions are
 sets of children (duplicate-free by construction), so `top` is the empty
-conjunction and `bot` the empty disjunction.
+conjunction and `bot` the empty disjunction.  `prop_dag` turns a formula
+into the `(op, arg)` program that the model checker in `semantics` runs.
 
 A ground atom is a closed `Atom` whose predicate is a name: being interned,
 it is one object however it was built (parsed from a substitution file,
@@ -539,10 +540,9 @@ def piff(left: PropFormula, right: PropFormula) -> PAnd:
     return PAnd((PImp(left, right), PImp(right, left)))
 
 
-# Op codes of a program, the form of a formula that `prop_dag` gives and the
-# engine in `semantics` runs: `(ATOM, name)` or `(AND | OR | IMP, child
-# positions)`.  Programs `herbrand` grounds also hold `(CONST, state)`, which
-# has that `semantics` state under every interpretation.
+# Op codes of a program: `(ATOM, name)` or `(AND | OR | IMP, child positions)`.
+# Programs `herbrand` grounds also hold `(CONST, state)`, which has that
+# `semantics` state under every interpretation.
 ATOM, AND, OR, IMP, CONST = range(5)
 
 
