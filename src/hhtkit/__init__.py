@@ -47,9 +47,7 @@ from .kernel import (
 from .semantics import (
     HTInterpretation,
     World,
-    g3_eval,
     ht_valid,
-    models,
     render_countermodel,
     satisfies,
 )

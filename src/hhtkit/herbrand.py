@@ -55,8 +55,7 @@ from .semantics import (
     THERE_ONLY,
     HTInterpretation,
     World,
-    _enumerate_states,
-    _interpretation,
+    enumerate_interpretations,
     first_countermodel,
     satisfies,
 )
@@ -116,8 +115,7 @@ def all_function_names(terms: tuple[Term, ...], arity: int) -> Iterator[dict]:
 
 
 def all_predicate_names(terms: tuple[Term, ...], arity: int) -> Iterator[HTInterpretation]:
-    keys = list(itertools.product(terms, repeat=arity))
-    return map(_interpretation, _enumerate_states(keys))
+    return enumerate_interpretations(itertools.product(terms, repeat=arity))
 
 
 def count_function_names(universe_size: int, arity: int) -> int:

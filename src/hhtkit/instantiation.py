@@ -57,11 +57,11 @@ from .syntax import (
     Signature,
     Term,
     Var,
-    _term_subst,
     const,
     formula_to_text,
     free_variables,
     is_first_order,
+    term_subst,
     term_to_text,
 )
 
@@ -116,14 +116,19 @@ def count_universe(sig: Signature, mode: InstantiationMode) -> tuple[int, int]:
     raising as `universe` does).  With c constants, t_d terms of depth <= d
     and n_d nodes among them: t_0 = n_0 = c, t_{d+1} = c + sum over the
     functions f of t_d^arity(f), and an application's nodes are its own and
-    its arguments', so n_{d+1} = c + sum of t_d^a + a * t_d^(a-1) * n_d."""
+    its arguments', so n_{d+1} = c + sum of t_d^a + a * t_d^(a-1) * n_d.
+    With one unary function and no other, the counts grow only
+    quadratically, never reaching `STEP_CAP` or a fixed point, so they are
+    taken in closed form: t_d = c (d + 1) and n_d = c (d + 1) (d + 2) / 2."""
     if isinstance(mode, Exact):
         size = len(universe(sig, mode))
         return size, size
-    c = len(sig.object_constants())
+    c, d = len(sig.object_constants()), mode.depth
     fns = sig.nonnullary_functions()
+    if [a for _, a in fns] == [1]:
+        return min(c * (d + 1), STEP_CAP), min(c * (d + 1) * (d + 2) // 2, STEP_CAP)
     terms = nodes = c
-    for _ in range(mode.depth):
+    for _ in range(d):
         step = (min(c + sum(capped_pow(terms, a) for _, a in fns), STEP_CAP),
                 min(c + sum(capped_pow(terms, a) + a * capped_pow(terms, a - 1) * nodes
                             for _, a in fns), STEP_CAP))
@@ -246,9 +251,9 @@ def _instantiate(
             case Falsum():
                 out = BOT
             case Equals(l, r):
-                out = TOP if _term_subst(l, env) == _term_subst(r, env) else BOT
+                out = TOP if term_subst(l, env) == term_subst(r, env) else BOT
             case Atom(pred, args):  # `f` is closed: `env` binds every variable
-                out = image(Atom(pred, tuple([_term_subst(a, env) for a in args])))
+                out = image(Atom(pred, tuple([term_subst(a, env) for a in args])))
             case Binary("&", l, r):
                 out = PAnd((rec(l), rec(r)))
             case Binary("|", l, r):

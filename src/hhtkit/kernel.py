@@ -36,6 +36,7 @@ antecedent, the others `forall` in the consequent.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Mapping
@@ -551,7 +552,19 @@ SCHEMAS: dict[str, Schema] = {s.schema_id: s for s in _schemas()}
 
 def list_schemas(level: TheoryLevel) -> tuple[Schema, ...]:
     """Axiom schemas available at the given level, in table order."""
-    return tuple(s for s in _schemas() if level.admits(s.min_level))
+    return tuple(s for s in SCHEMAS.values() if level.admits(s.min_level))
+
+
+@contextmanager
+def _schema_errors(line: int):
+    """Report the failure of a schema build in its block at `line`.  The
+    build runs in the caller's frame: the block adds no recursion depth."""
+    try:
+        yield
+    except _SideCondition as e:
+        raise SideConditionViolation(line, str(e)) from None
+    except _Mismatch as e:
+        raise SchemaMismatch(line, str(e)) from None
 
 
 def build_axiom_instance(
@@ -564,12 +577,8 @@ def build_axiom_instance(
     schema = SCHEMAS.get(schema_id)
     if schema is None:
         raise SchemaMismatch(0, f"unknown schema '{schema_id}'")
-    try:
+    with _schema_errors(0):
         return schema.build(sig, binding)
-    except _SideCondition as e:
-        raise SideConditionViolation(0, str(e)) from None
-    except _Mismatch as e:
-        raise SchemaMismatch(0, str(e)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -606,12 +615,8 @@ def check_proof(proof: Proof) -> FOFormula:
                     n,
                     f"schema {schema.schema_id} needs level {schema.min_level.value}",
                 )
-            try:
+            with _schema_errors(n):
                 expected = schema.build(sig, just.as_dict())
-            except _SideCondition as e:
-                raise SideConditionViolation(n, str(e)) from None
-            except _Mismatch as e:
-                raise SchemaMismatch(n, str(e)) from None
             # interned: equal is identical, so an equal line unfolds to `f`
             if eliminate_restrictors(expected) is not f:
                 raise SchemaMismatch(

@@ -1,11 +1,11 @@
-"""Two-world (here/there) interpretations, satisfaction, exhaustive
-validity checking with canonical countermodels, and the three-valued
-evaluator used as an independent fast path.
+"""Two-world (here/there) interpretations, the literal satisfaction
+relation, and exhaustive validity checking with canonical countermodels.
 
-The fast path is bit-parallel.  An interpretation over the sorted atoms
-a_1..a_n is numbered by its states (absent 0, there-only 1, both 2) read as
-base-3 digits with a_1 most significant; that number is its canonical
-position.  Each entry of the formula's program (`syntax.prop_dag`) is
+Validity is checked by a bit-parallel engine; `ht_valid` can run the
+literal relation instead, as a reference.  An interpretation over the
+sorted atoms a_1..a_n is numbered by its states (absent 0, there-only 1,
+both 2) read as base-3 digits with a_1 most significant; that number is its
+canonical position.  Each entry of the formula's program (`syntax.prop_dag`) is
 evaluated once to a pair of Python ints (here, there) holding one bit per
 interpretation: bit k is set when interpretation k satisfies the node at
 that world.  `And`/`Or` are `&`/`|` on both masks (empty: all ones / zero),
@@ -104,26 +104,6 @@ def satisfies(i: HTInterpretation, w: World, f: PropFormula) -> bool:
     raise TypeError(f"not a propositional formula: {f!r}")
 
 
-def models(i: HTInterpretation, f: PropFormula) -> bool:
-    return satisfies(i, World.H, f)
-
-
-def g3_eval(i: HTInterpretation, f: PropFormula) -> int:
-    """Three-valued evaluation: 0 false, 1 there-only, 2 here.
-
-    Agrees with `satisfies`: value 2 iff satisfied at h, value >= 1 iff
-    satisfied at t.  Runs the bit-parallel engine on 1-bit masks.
-    """
-    prog = prop_dag(f)
-    masks = {}
-    for op, name in prog:
-        if op == ATOM:
-            state = i.atom_state(name)
-            masks[name] = (int(state == BOTH), int(state != ABSENT))
-    h, t = _evaluate(prog, masks, 1)
-    return h + t
-
-
 # the widest chunk, in trailing atoms: 3**13 bits is about 200 KB per mask
 _CHUNK_ATOMS = 13
 # bytes the masks of all nodes may hold at once; bounds the chunk width
@@ -206,38 +186,33 @@ def first_countermodel(prog, atoms, budget: int, spent: int = 0) -> HTInterpreta
     size = 3 ** width
     full = (1 << size) - 1
     masks = {a: _digit_masks(3 ** (width - 1 - j), size) for j, a in enumerate(trail)}
-    for values in _enumerate_states(lead):
-        for a, s in values.items():
-            masks[a] = (full if s == BOTH else 0, full if s != ABSENT else 0)
+    for outer in enumerate_interpretations(lead):
+        for a in lead:
+            masks[a] = (full if a in outer.here else 0, full if a in outer.there else 0)
         h, _ = _evaluate(prog, masks, full)
         if h != full:
             miss = full ^ h
             index = (miss & -miss).bit_length() - 1
+            here, there = set(outer.here), set(outer.there)
             for a in reversed(trail):
-                index, values[a] = divmod(index, 3)
-            return _interpretation(values, atoms)
+                index, s = divmod(index, 3)
+                if s == BOTH:
+                    here.add(a)
+                if s != ABSENT:
+                    there.add(a)
+            return HTInterpretation(frozenset(here), frozenset(there), tuple(atoms))
     return None
 
 
-def _interpretation(values: dict, atoms=()) -> HTInterpretation:
-    """The interpretation giving each atom its state, over `atoms`."""
-    here = frozenset(a for a, s in values.items() if s == BOTH)
-    there = frozenset(a for a, s in values.items() if s != ABSENT)
-    return HTInterpretation(here, there, tuple(atoms))
-
-
 def enumerate_interpretations(atoms: Iterable) -> Iterator[HTInterpretation]:
-    """All interpretations over the given atoms in canonical order: atoms
-    sorted by text (`str`), per-atom states counted absent < there-only <
-    both, first atom most significant."""
-    return map(_interpretation, _enumerate_states(sorted(atoms, key=str)))
-
-
-def _enumerate_states(atoms: list) -> Iterator[dict]:
-    """Each atom's state, for every interpretation over `atoms` in their
-    order, first atom most significant."""
+    """All interpretations over `atoms` in their order: per-atom states
+    counted absent < there-only < both, first atom most significant.  Over
+    atoms sorted by text (`str`) this is the canonical order."""
+    atoms = tuple(atoms)
     for states in itertools.product((ABSENT, THERE_ONLY, BOTH), repeat=len(atoms)):
-        yield dict(zip(atoms, states))
+        here = frozenset(a for a, s in zip(atoms, states) if s == BOTH)
+        there = frozenset(a for a, s in zip(atoms, states) if s != ABSENT)
+        yield HTInterpretation(here, there)
 
 
 def ht_valid(
@@ -278,31 +253,13 @@ def render_countermodel(i: HTInterpretation, atoms: Iterable) -> str:
     return "\n".join(lines)
 
 
-def classical_eval(true_atoms: frozenset[str], f: PropFormula) -> bool:
-    """Ordinary two-valued evaluation; used to cross-check the collapse of
-    the two worlds when here equals there."""
-    match f:
-        case PAtom(name):
-            return name in true_atoms
-        case PAnd(items):
-            return all(classical_eval(true_atoms, g) for g in items)
-        case POr(items):
-            return any(classical_eval(true_atoms, g) for g in items)
-        case PImp(l, r):
-            return (not classical_eval(true_atoms, l)) or classical_eval(true_atoms, r)
-    raise TypeError(f"not a propositional formula: {f!r}")
-
-
 __all__ = [
     "World",
     "HTInterpretation",
     "satisfies",
-    "models",
-    "g3_eval",
     "ht_valid",
     "first_countermodel",
     "enumerate_interpretations",
     "render_countermodel",
-    "classical_eval",
     "DEFAULT_BUDGET",
 ]

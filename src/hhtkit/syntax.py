@@ -381,16 +381,16 @@ def is_first_order(f: FOFormula) -> bool:
 # ---------------------------------------------------------------------------
 # capture-avoiding substitution: the one walk behind every quantifier axiom
 
-def _term_subst(t: Term, mapping: Mapping) -> Term:
+def term_subst(t: Term, mapping: Mapping) -> Term:
     """Replace the object and function variables of `t` that `mapping`
     maps (to a term and to a function variable respectively)."""
     match t:
         case Var():
             return mapping.get(t, t)
         case FnApp(fn, args):
-            return FnApp(fn, tuple(_term_subst(a, mapping) for a in args))
+            return FnApp(fn, tuple(term_subst(a, mapping) for a in args))
         case FnVarApp(v, args):
-            return FnVarApp(mapping.get(v, v), tuple(_term_subst(a, mapping) for a in args))
+            return FnVarApp(mapping.get(v, v), tuple(term_subst(a, mapping) for a in args))
     raise TypeError(f"not a term: {t!r}")
 
 
@@ -419,9 +419,9 @@ def substitute(f: FOFormula, mapping: Mapping) -> FOFormula:
         return f
     match f:
         case Equals(l, r):
-            return Equals(_term_subst(l, mapping), _term_subst(r, mapping))
+            return Equals(term_subst(l, mapping), term_subst(r, mapping))
         case Atom(p, args):
-            args = tuple(_term_subst(a, mapping) for a in args)
+            args = tuple(term_subst(a, mapping) for a in args)
             r = mapping.get(p, p)
             if isinstance(r, tuple):
                 params, body = r
@@ -449,7 +449,7 @@ def substitutable(f: FOFormula, v: Var, t: Term) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# restrictor elimination and closure
+# restrictor elimination
 
 def eliminate_restrictors(f: FOFormula) -> FOFormula:
     """Unfold generalized variables into guarded plain quantifiers.  A
@@ -476,21 +476,6 @@ def eliminate_restrictors(f: FOFormula) -> FOFormula:
                     out = Quant(kind, binder, out)
         f.__dict__["_unfolded"] = out
     return out
-
-
-def universal_closure(f: FOFormula) -> FOFormula:
-    """Quantify all free variables universally (second-order outermost)."""
-
-    def key(v):
-        if isinstance(v, PredVar):
-            return (0, v.name, v.arity)
-        if isinstance(v, FuncVar):
-            return (1, v.name, v.arity)
-        return (2, v.name, 0)
-
-    for v in sorted(free_variables(f), key=key, reverse=True):
-        f = Quant("forall", v, f)
-    return f
 
 
 # ---------------------------------------------------------------------------

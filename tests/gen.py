@@ -1,4 +1,5 @@
-"""Seeded random generators shared by the randomized tests."""
+"""Seeded random generators shared by the randomized tests, and the
+literal references and engine probe those tests check against."""
 
 from __future__ import annotations
 
@@ -6,25 +7,31 @@ import itertools
 import random
 
 from hhtkit.instantiation import EXACT, Substitution, herbrand_base, universe
-from hhtkit.semantics import HTInterpretation
+from hhtkit.semantics import DEFAULT_BUDGET, HTInterpretation, first_countermodel
 from hhtkit.syntax import (
+    ATOM,
     BOT,
     BOTTOM,
+    CONST,
     TOP,
     Atom,
     Binary,
     Equals,
     FOFormula,
+    FuncVar,
     GenVar,
     PAnd,
     PAtom,
     PImp,
     POr,
+    PredVar,
     PropFormula,
     Quant,
     Signature,
     Var,
     const,
+    free_variables,
+    prop_dag,
 )
 
 SIGMA_ATOMS = ("u", "v", "w")
@@ -137,3 +144,46 @@ def all_interpretations_over(atoms):
         here = frozenset(a for a, s in zip(atoms, states) if s == 2)
         there = frozenset(a for a, s in zip(atoms, states) if s != 0)
         yield HTInterpretation(here, there)
+
+
+def engine_value(i: HTInterpretation, f: PropFormula) -> int:
+    """2 when `i` satisfies `f` at h, 1 when only at t, else 0, as the
+    bit-parallel engine finds it: each atom of the program becomes the
+    constant of its state under `i`, so `first_countermodel` decides `i`
+    alone, and `f` holds at t iff `not not f` holds at h."""
+    def holds_at_h(g: PropFormula) -> bool:
+        prog = [(CONST, i.atom_state(arg)) if op == ATOM else (op, arg)
+                for op, arg in prop_dag(g)]
+        return first_countermodel(prog, [], DEFAULT_BUDGET) is None
+
+    return holds_at_h(f) + holds_at_h(PImp(PImp(f, BOT), BOT))
+
+
+def classical_eval(true_atoms: frozenset[str], f: PropFormula) -> bool:
+    """Ordinary two-valued evaluation; the two worlds collapse to it when
+    here equals there."""
+    match f:
+        case PAtom(name):
+            return name in true_atoms
+        case PAnd(items):
+            return all(classical_eval(true_atoms, g) for g in items)
+        case POr(items):
+            return any(classical_eval(true_atoms, g) for g in items)
+        case PImp(l, r):
+            return (not classical_eval(true_atoms, l)) or classical_eval(true_atoms, r)
+    raise TypeError(f"not a propositional formula: {f!r}")
+
+
+def universal_closure(f: FOFormula) -> FOFormula:
+    """Quantify all free variables universally (second-order outermost)."""
+
+    def key(v):
+        if isinstance(v, PredVar):
+            return (0, v.name, v.arity)
+        if isinstance(v, FuncVar):
+            return (1, v.name, v.arity)
+        return (2, v.name, 0)
+
+    for v in sorted(free_variables(f), key=key, reverse=True):
+        f = Quant("forall", v, f)
+    return f

@@ -37,7 +37,6 @@ from hhtkit.parser import (
 from hhtkit.semantics import (
     HTInterpretation,
     World,
-    g3_eval,
     ht_valid,
     render_countermodel,
     satisfies,
@@ -57,7 +56,6 @@ from hhtkit.syntax import (
     eliminate_restrictors,
     formula_to_text,
     prop_atoms,
-    universal_closure,
 )
 
 
@@ -255,7 +253,7 @@ def test_a3_schema_soundness():
                     mode = EXACT
                 binding = _rand_binding(rng, schema_id, sig)
                 inst = build_axiom_instance(sig, schema_id, binding)
-                closed = universal_closure(inst)
+                closed = gen.universal_closure(inst)
                 counter = hht_valid_bruteforce(sig, closed, mode, budget=10**7)
                 assert counter is None, (schema_id, formula_to_text(closed))
 
@@ -280,7 +278,7 @@ def test_a3_schema_soundness():
                 {"p": PredVar(names[0], 2), "f": FuncVar(names[1], 1),
                  "xs": (Var("x"), Var("y"))},
             )
-            closed = universal_closure(inst)
+            closed = gen.universal_closure(inst)
             assert hht_valid_bruteforce(sig_choice, closed, budget=10**7) is None
 
         for trial in range(20):
@@ -375,7 +373,7 @@ def test_a7_persistence_and_g3():
             sat_h = satisfies(i, World.H, f)
             sat_t = satisfies(i, World.T, f)
             assert not sat_h or sat_t
-            v = g3_eval(i, f)
+            v = gen.engine_value(i, f)
             assert sat_h == (v == 2)
             assert sat_t == (v >= 1)
 

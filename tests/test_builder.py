@@ -1,9 +1,14 @@
+import pathlib
+import sys
+
 import pytest
 
-from hhtkit.builder import BuildError, ProofBuilder
 from hhtkit.kernel import TheoryLevel, check_proof
 from hhtkit.parser import parse_formula_text
 from hhtkit.syntax import Signature, Var, formula_to_text
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "tools"))
+from builder import BuildError, ProofBuilder  # noqa: E402
 
 SIG = Signature.make({"a": 0}, {"P": 1, "Q": 0})
 

@@ -638,3 +638,17 @@ def test_huge_counts_are_refused_at_once(argv, err, tmp_path):
                           *(a.format(**paths) for a in argv)],
                          capture_output=True, text=True, timeout=5, env=env)
     assert (got.returncode, got.stdout, got.stderr) == (2, "", err)
+
+
+@pytest.mark.parametrize("depth, steps", [(10**6, 500001500001), (10**7, 10000002)])
+def test_linear_universe_is_counted_at_once(depth, steps, tmp_path, capsys, monkeypatch):
+    # one unary function: c (d + 1) terms of c (d + 2) (d + 1) / 2 nodes,
+    # counted in closed form; one loop pass per level took 4.4 s at 10^6
+    monkeypatch.delenv("HHTKIT_BUDGET", raising=False)
+    fof = tmp_path / "s.fof"
+    fof.write_text("const a.  fn s/1.  pred P/1.\nforall x P(x)\n")
+    t0 = time.perf_counter()
+    code, out, err = invoke(capsys, "herbrand-check", "--depth", str(depth), str(fof))
+    assert time.perf_counter() - t0 < 1
+    assert (code, out) == (2, "")
+    assert err == f"error: enumeration needs {steps} steps, budget is 5000000\n"

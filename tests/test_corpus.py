@@ -7,12 +7,13 @@ import sys
 
 import pytest
 
+import gen
 from hhtkit.corpus import cases, data_path, load_text
 from hhtkit.errors import SchemaMismatch
 from hhtkit.instantiation import EXACT, Bounded, instantiate, validate
 from hhtkit.kernel import TheoryLevel, check_proof, conclusion_for_pipeline
 from hhtkit.parser import parse_proof_file, parse_prop_file, parse_subst_file
-from hhtkit.semantics import classical_eval, ht_valid
+from hhtkit.semantics import ht_valid
 from hhtkit.syntax import prop_atoms
 
 PIPELINE = [c for c in cases() if c.proof and c.expect_proof == "accepted"]
@@ -67,8 +68,6 @@ def test_accepted_conclusions_valid_under_random_substitutions():
     # never yields a refutable instance
     import random
 
-    import gen
-
     rng = random.Random(97)
     for case in PIPELINE:
         if case.depth is not None:
@@ -92,7 +91,7 @@ def test_valid_corpus_instances_are_classically_valid():
         atoms = sorted(prop_atoms(instance))
         for bits in range(2 ** len(atoms)):
             total = frozenset(a for k, a in enumerate(atoms) if bits >> k & 1)
-            assert classical_eval(total, instance)
+            assert gen.classical_eval(total, instance)
 
 
 def load_tool(name: str, monkeypatch):

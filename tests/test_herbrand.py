@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -39,7 +40,6 @@ from hhtkit.syntax import (
     Signature,
     Var,
     const,
-    universal_closure,
 )
 
 SIG_AB = Signature.make({"a": 0, "b": 0}, {"P": 1, "Q": 0})
@@ -108,6 +108,19 @@ def test_predicate_name_counts_and_comprehension_over_singleton():
         assert h_satisfies(SIG_A, j, World.H, f)
 
 
+def test_predicate_names_come_in_a_fixed_order():
+    # a name's extension ranges over the argument tuples in product order
+    # of the universe, first tuple most significant, states counted absent <
+    # there-only < both: the k-th name holds the base-3 digits of k
+    a, b = universe(SIG_AB, EXACT)
+    for arity, keys in ((1, [(a,), (b,)]), (2, [(a, a), (a, b), (b, a), (b, b)])):
+        names = list(all_predicate_names((a, b), arity))
+        got = ["".join(str(n.atom_state(k)) for k in keys) for n in names]
+        assert got == ["".join(map(str, s)) for s in itertools.product((0, 1, 2), repeat=len(keys))]
+        assert all(n.there <= set(keys) and n.atoms == () for n in names)
+    assert got[:4] == ["0000", "0001", "0002", "0010"] and len(got) == 81
+
+
 def test_function_name_counts():
     assert count_function_names(2, 1) == 4
     names = list(all_function_names((const("a"), const("b")), 1))
@@ -146,7 +159,7 @@ def test_dca_instance_valid_over_two_constants():
 
 
 def test_choice_instance_valid():
-    f = universal_closure(
+    f = gen.universal_closure(
         fof(SIG_AB, "forall x exists y p(x, y) -> exists g^1 forall x p(x, g(x))")
     )
     assert hht_valid_bruteforce(SIG_AB, f, budget=10**7) is None
@@ -228,7 +241,7 @@ def test_grounded_validity_matches_literal_on_random_formulas(sig):
     rng = random.Random(73)
     outcomes = set()
     for _ in range(400):
-        f = universal_closure(gen.rand_formula(rng, sig, depth=4))
+        f = gen.universal_closure(gen.rand_formula(rng, sig, depth=4))
         outcomes.add(_agrees_with_literal(sig, f) is None)
     assert outcomes == {True, False}
 
@@ -248,7 +261,7 @@ def test_grounded_validity_matches_literal_in_bounded_mode():
         _agrees_with_literal(sig, fof(sig, text), Bounded(1))
     rng = random.Random(79)
     for _ in range(150):
-        f = universal_closure(gen.rand_formula(rng, sig, depth=3))
+        f = gen.universal_closure(gen.rand_formula(rng, sig, depth=3))
         _agrees_with_literal(sig, f, Bounded(1))
 
 
@@ -284,7 +297,7 @@ def test_countermodel_renders_as_herbrand_check_prints(text, tmp_path, capsys):
 
 def test_grounded_choice_matches_literal():
     sig = Signature.make({"a": 0, "b": 0}, {"Q": 0})
-    f = universal_closure(
+    f = gen.universal_closure(
         fof(sig, "forall x exists y p(x, y) -> exists g^1 forall x p(x, g(x))")
     )
     assert _agrees_with_literal(sig, f) is None

@@ -247,6 +247,32 @@ def test_universe_count_saturates_at_the_cap():
     assert count_universe(sig, Bounded(1000)) == (2002, 1001 * 1002)
 
 
+def ref_count_universe(sig: Signature, depth: int) -> tuple[int, int]:
+    """The layer loop `count_universe` runs, uncapped: one pass per depth
+    level, t_{d+1} = c + sum of t_d^a and n_{d+1} = c + sum of t_d^a +
+    a * t_d^(a-1) * n_d over the functions."""
+    c = len(sig.object_constants())
+    fns = sig.nonnullary_functions()
+    terms = nodes = c
+    for _ in range(depth):
+        terms, nodes = (c + sum(terms**a for _, a in fns),
+                        c + sum(terms**a + a * terms**(a - 1) * nodes for _, a in fns))
+    return terms, nodes
+
+
+@pytest.mark.parametrize("c", [0, 1, 3])
+def test_linear_universe_count_matches_the_layer_loop(c):
+    # `Signature.make` refuses a signature without constants; the count
+    # reads only the constants and functions
+    consts = tuple((f"c{k}", 0) for k in range(c))
+    sig = Signature(consts + (("s", 1),), (("P", 1),), frozenset())
+    for depth in range(51):
+        assert count_universe(sig, Bounded(depth)) == ref_count_universe(sig, depth)
+    if c:
+        d = 10**4000  # the loop would not finish: c (d + 1) terms, nodes past the cap
+        assert count_universe(sig, Bounded(d)) == (c * (d + 1), STEP_CAP)
+
+
 def test_universe_count_in_exact_mode():
     assert count_universe(SIG2R, EXACT) == (3, 3)
     with pytest.raises(InfiniteUniverse):

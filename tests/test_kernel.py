@@ -1,5 +1,6 @@
 import pytest
 
+import gen
 from hhtkit.errors import (
     ConclusionNotClosed,
     ConclusionNotFirstOrder,
@@ -219,14 +220,14 @@ def test_cet_acyclic_rejects_function_variable_terms():
     # the variable is resolved to a concrete table, so the instance below is
     # genuinely refutable and the schema must refuse it
     from hhtkit.herbrand import hht_valid_bruteforce
-    from hhtkit.syntax import FnVarApp, universal_closure
+    from hhtkit.syntax import FnVarApp
 
     h = FuncVar("h", 1)
     t = FnVarApp(h, (Var("x"),))
     with pytest.raises(SideConditionViolation):
         build_axiom_instance(SIG, "cet-acyclic", {"t": t, "x": Var("x")})
     sig = Signature.make({"a": 0, "b": 0}, {})
-    refutable = universal_closure(parse_formula_text("h(x) != x", sig))
+    refutable = gen.universal_closure(parse_formula_text("h(x) != x", sig))
     assert hht_valid_bruteforce(sig, refutable) is not None
 
 
@@ -442,13 +443,12 @@ _CAPTURES = {
 @pytest.mark.parametrize("label", sorted(_SO_INSTANCES))
 def test_second_order_elimination_instances_accepted(label):
     from hhtkit.herbrand import hht_valid_bruteforce
-    from hhtkit.syntax import universal_closure
 
     proof = parse_proof_file(_QUANT_HEADER + f"1: {_SO_INSTANCES[label]};\n")
     got = check_proof(proof)
     assert got == proof.lines[0].formula
     # each accepted instance is HHT-valid over the Herbrand universe {a, b}
-    assert hht_valid_bruteforce(proof.signature, universal_closure(got)) is None
+    assert hht_valid_bruteforce(proof.signature, gen.universal_closure(got)) is None
 
 
 @pytest.mark.parametrize("schema", sorted(_CAPTURES))

@@ -1,5 +1,6 @@
 import dataclasses
 import os
+import pathlib
 import random
 import re
 import sys
@@ -23,7 +24,6 @@ from hhtkit.parser import (
     parse_prop_text,
     parse_subst_file,
 )
-from hhtkit.render import render_proof
 from hhtkit.syntax import (
     Atom,
     Binary,
@@ -43,6 +43,9 @@ from hhtkit.syntax import (
     prop_stats,
     prop_to_text,
 )
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "tools"))
+from builder import render_proof  # noqa: E402
 
 SIG = Signature.make({"a": 0, "b": 0, "s": 1}, {"P": 1, "Q": 0, "R": 1}, {"R"})
 

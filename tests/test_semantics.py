@@ -9,12 +9,9 @@ from hhtkit.parser import parse_prop_text
 from hhtkit.semantics import (
     HTInterpretation,
     World,
-    classical_eval,
     enumerate_interpretations,
     first_countermodel,
-    g3_eval,
     ht_valid,
-    models,
     render_countermodel,
     satisfies,
 )
@@ -51,9 +48,9 @@ def test_empty_set_clauses():
 
 
 def test_models_examples():
-    assert models(HTInterpretation.of([], ["p"]), prop("p | not p")) is False
-    assert models(HTInterpretation.of([], []), prop("not p")) is True
-    assert models(HTInterpretation.of([], []), PAnd(())) is True
+    assert satisfies(HTInterpretation.of([], ["p"]), World.H, prop("p | not p")) is False
+    assert satisfies(HTInterpretation.of([], []), World.H, prop("not p")) is True
+    assert satisfies(HTInterpretation.of([], []), World.H, PAnd(())) is True
 
 
 def test_ht_valid_hosoi_with_enumeration_oracle():
@@ -61,7 +58,7 @@ def test_ht_valid_hosoi_with_enumeration_oracle():
     # nine interpretations of {p, q}
     f = prop("p | (p -> q) | not q")
     for i in gen.all_interpretations_over(["p", "q"]):
-        assert g3_eval(i, f) == 2
+        assert gen.engine_value(i, f) == 2
     assert ht_valid(f) is None
     assert ht_valid(f, evaluator="literal") is None
 
@@ -134,12 +131,12 @@ def test_one_engine_entry_charges_what_was_spent():
 
 def test_g3_tables():
     i = HTInterpretation.of([], ["p"])
-    assert g3_eval(i, prop("p")) == 1
-    assert g3_eval(i, prop("not not p")) == 2
-    assert g3_eval(i, POr(())) == 0
-    assert g3_eval(i, PAnd(())) == 2
-    assert g3_eval(i, prop("p -> p")) == 2
-    assert g3_eval(HTInterpretation.of(["p"], ["p"]), prop("p")) == 2
+    assert gen.engine_value(i, prop("p")) == 1
+    assert gen.engine_value(i, prop("not not p")) == 2
+    assert gen.engine_value(i, POr(())) == 0
+    assert gen.engine_value(i, PAnd(())) == 2
+    assert gen.engine_value(i, prop("p -> p")) == 2
+    assert gen.engine_value(HTInterpretation.of(["p"], ["p"]), prop("p")) == 2
 
 
 def test_persistence_and_g3_agreement_randomized():
@@ -151,7 +148,7 @@ def test_persistence_and_g3_agreement_randomized():
         sat_t = satisfies(i, World.T, f)
         if sat_h:
             assert sat_t, "h-satisfaction must persist to t"
-        v = g3_eval(i, f)
+        v = gen.engine_value(i, f)
         assert sat_h == (v == 2)
         assert sat_t == (v >= 1)
 
@@ -162,7 +159,7 @@ def test_classical_collapse_randomized():
         f = gen.rand_prop(rng, depth=3)
         total = frozenset(a for a in gen.SIGMA_ATOMS if rng.random() < 0.5)
         i = HTInterpretation(total, total)
-        assert satisfies(i, World.H, f) == classical_eval(total, f)
+        assert satisfies(i, World.H, f) == gen.classical_eval(total, f)
 
 
 def test_satisfaction_ignores_non_occurring_atoms():
@@ -178,13 +175,16 @@ def test_satisfaction_ignores_non_occurring_atoms():
 
 
 def test_enumeration_order_and_count():
-    seq = list(enumerate_interpretations(["b", "a"]))
+    seq = list(enumerate_interpretations(["a", "b"]))
     assert len(seq) == 9
     assert seq[0] == HTInterpretation.of([], [])
-    # least significant digit is the lexicographically last atom
+    # least significant digit is the last atom: over atoms sorted by text,
+    # the lexicographically last one
     assert seq[1] == HTInterpretation.of([], ["b"])
     assert seq[3] == HTInterpretation.of([], ["a"])
     assert seq[8] == HTInterpretation.of(["a", "b"], ["a", "b"])
+    # atoms are taken in the order given, first most significant
+    assert list(enumerate_interpretations(["b", "a"]))[1] == HTInterpretation.of([], ["a"])
 
 
 def test_evaluators_agree_on_first_countermodel():
@@ -213,7 +213,7 @@ def test_ht_valid_implies_classical_validity():
         atoms = sorted(prop_atoms(f))
         for bits in range(2 ** len(atoms)):
             total = frozenset(a for k, a in enumerate(atoms) if bits >> k & 1)
-            assert classical_eval(total, f)
+            assert gen.classical_eval(total, f)
     assert checked > 10
 
 
@@ -277,4 +277,4 @@ def test_deep_implication_chain():
         chain = PImp(q, chain)
     assert ht_valid(chain) == HTInterpretation.of([], ["q"])
     assert ht_valid(PImp(p, chain)) is None
-    assert g3_eval(HTInterpretation.of(["q"], ["p", "q"]), chain) == 1
+    assert gen.engine_value(HTInterpretation.of(["q"], ["p", "q"]), chain) == 1

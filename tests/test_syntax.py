@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import gen
 from hhtkit.errors import CaptureViolation, SignatureError
 from hhtkit.parser import parse_formula_text, parse_prop_text
 from hhtkit.syntax import (
@@ -25,7 +26,6 @@ from hhtkit.syntax import (
     rank,
     substitutable,
     substitute,
-    universal_closure,
 )
 
 SIG = Signature.make({"a": 0, "b": 0, "s": 1, "f": 1}, {"P": 1, "Q": 2, "R": 1}, {"R"})
@@ -137,8 +137,6 @@ def test_eliminate_identity_when_restrictor_free():
 
 def test_eliminate_idempotent_and_preserves_closedness():
     rng = random.Random(7)
-    import gen
-
     for _ in range(100):
         f = gen.rand_formula(rng, SIG, depth=3, restrictor_share=0.5)
         once = eliminate_restrictors(f)
@@ -167,7 +165,7 @@ def test_free_variables_binder_discharge():
 
 def test_universal_closure_closes():
     f = fof("P(x) -> Q(x, y)")
-    assert free_variables(universal_closure(f)) == frozenset()
+    assert free_variables(gen.universal_closure(f)) == frozenset()
 
 
 # --- printers ----------------------------------------------------------------

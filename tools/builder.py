@@ -1,4 +1,5 @@
-"""Construction layer for Hilbert-style proofs.
+"""Construction and serialization of Hilbert-style proofs for
+`tools/mkcorpus.py`.
 
 `ProofBuilder` tracks derivations with open hypotheses and compiles
 `imp_i` (discharge) into axiom-level steps, so proofs can be written in a
@@ -9,13 +10,18 @@ verifies from scratch.
 Generalization steps demand that the generalized variable is free neither
 in the implication's antecedent nor in any open hypothesis, which keeps
 later discharges sound.
+
+`render_proof`, `render_subst` and `render_signature` write proofs,
+substitutions and signature blocks as text that re-parses to structurally
+identical objects.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .kernel import (
+from hhtkit.instantiation import Substitution
+from hhtkit.kernel import (
     ByAxiom,
     ByGen,
     ByMP,
@@ -24,7 +30,8 @@ from .kernel import (
     TheoryLevel,
     build_axiom_instance,
 )
-from .syntax import (
+from hhtkit.render import render_justification
+from hhtkit.syntax import (
     BOTTOM,
     Binary,
     FOFormula,
@@ -39,6 +46,7 @@ from .syntax import (
     formula_to_text,
     free_variables,
     impl,
+    prop_to_text,
 )
 
 
@@ -300,3 +308,37 @@ class ProofBuilder:
             last = lines[-1]
             lines[-1] = ProofLine(presentation, last.justification)
         return Proof(self.signature, self.level, tuple(lines))
+
+
+def render_signature(sig: Signature) -> str:
+    parts = []
+    consts = [n for n, a in sig.functions if a == 0]
+    if consts:
+        parts.append("const " + ", ".join(consts) + ".")
+    fns = [f"{n}/{a}" for n, a in sig.functions if a > 0]
+    if fns:
+        parts.append("fn " + ", ".join(fns) + ".")
+    preds = [f"{n}/{a}" for n, a in sig.predicates if n not in sig.restrictors]
+    if preds:
+        parts.append("pred " + ", ".join(preds) + ".")
+    rs = [f"{n}/1" for n in sorted(sig.restrictors)]
+    if rs:
+        parts.append("restrictor " + ", ".join(rs) + ".")
+    return "  ".join(parts)
+
+
+def render_proof(proof: Proof) -> str:
+    out = [render_signature(proof.signature), f"level {proof.level.value};"]
+    for n, line in enumerate(proof.lines, 1):
+        jtext = render_justification(line.justification)
+        out.append(f"{n}: {formula_to_text(line.formula)} by {jtext};")
+    return "\n".join(out) + "\n"
+
+
+def render_subst(subst: Substitution) -> str:
+    out = [render_signature(subst.signature)]
+    for atom in sorted(subst.entries, key=str):
+        out.append(f"{atom} := {prop_to_text(subst.entries[atom])};")
+    for pred in sorted(subst.defaults):
+        out.append(f"default {pred} := {prop_to_text(subst.defaults[pred])};")
+    return "\n".join(out) + "\n"

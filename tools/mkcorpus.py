@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Regenerate the shipped corpus under src/hhtkit/data/.
 
-Every proof is constructed with the ProofBuilder, re-checked by the kernel,
-serialized, re-parsed and re-checked again, so the shipped files are known
-to round-trip.  Run from the repository root:
+Every proof is constructed with the ProofBuilder of `tools/builder.py`,
+re-checked by the kernel, serialized, re-parsed and re-checked again, so
+the shipped files are known to round-trip.  Run from the repository root:
 
     python tools/mkcorpus.py
 """
@@ -13,9 +13,11 @@ from __future__ import annotations
 import pathlib
 import sys
 
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
+HERE = pathlib.Path(__file__).resolve().parent
+sys.path[:0] = [str(HERE.parent / "src"), str(HERE)]
 
-from hhtkit.builder import ProofBuilder
+from builder import ProofBuilder, render_proof, render_signature, render_subst
+from hhtkit.instantiation import Substitution
 from hhtkit.kernel import TheoryLevel, check_proof
 from hhtkit.parser import (
     parse_formula_text,
@@ -23,8 +25,6 @@ from hhtkit.parser import (
     parse_prop_text,
     parse_subst_file,
 )
-from hhtkit.render import render_proof, render_signature, render_subst
-from hhtkit.instantiation import Substitution
 from hhtkit.syntax import (
     Atom,
     FnApp,
@@ -33,7 +33,7 @@ from hhtkit.syntax import (
     const,
 )
 
-DATA = pathlib.Path(__file__).resolve().parents[1] / "src" / "hhtkit" / "data"
+DATA = HERE.parent / "src" / "hhtkit" / "data"
 
 
 def write(name: str, text: str) -> None:
