@@ -36,7 +36,6 @@ antecedent, the others `forall` in the consequent.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Mapping
@@ -555,16 +554,11 @@ def list_schemas(level: TheoryLevel) -> tuple[Schema, ...]:
     return tuple(s for s in SCHEMAS.values() if level.admits(s.min_level))
 
 
-@contextmanager
-def _schema_errors(line: int):
-    """Report the failure of a schema build in its block at `line`.  The
-    build runs in the caller's frame: the block adds no recursion depth."""
-    try:
-        yield
-    except _SideCondition as e:
-        raise SideConditionViolation(line, str(e)) from None
-    except _Mismatch as e:
-        raise SchemaMismatch(line, str(e)) from None
+def _build_error(e: _SideCondition | _Mismatch, line: int) -> ProofError:
+    """The error a schema build that raised `e` is reported as, at `line`."""
+    if isinstance(e, _SideCondition):
+        return SideConditionViolation(line, str(e))
+    return SchemaMismatch(line, str(e))
 
 
 def build_axiom_instance(
@@ -577,8 +571,10 @@ def build_axiom_instance(
     schema = SCHEMAS.get(schema_id)
     if schema is None:
         raise SchemaMismatch(0, f"unknown schema '{schema_id}'")
-    with _schema_errors(0):
+    try:
         return schema.build(sig, binding)
+    except (_SideCondition, _Mismatch) as e:
+        raise _build_error(e, 0) from None
 
 
 # ---------------------------------------------------------------------------
@@ -615,8 +611,10 @@ def check_proof(proof: Proof) -> FOFormula:
                     n,
                     f"schema {schema.schema_id} needs level {schema.min_level.value}",
                 )
-            with _schema_errors(n):
+            try:
                 expected = schema.build(sig, just.as_dict())
+            except (_SideCondition, _Mismatch) as e:
+                raise _build_error(e, n) from None
             # interned: equal is identical, so an equal line unfolds to `f`
             if eliminate_restrictors(expected) is not f:
                 raise SchemaMismatch(

@@ -1,11 +1,11 @@
 """Two-world (here/there) interpretations, the literal satisfaction
 relation, and exhaustive validity checking with canonical countermodels.
 
-Validity is checked by a bit-parallel engine; `ht_valid` can run the
-literal relation instead, as a reference.  An interpretation over the
-sorted atoms a_1..a_n is numbered by its states (absent 0, there-only 1,
-both 2) read as base-3 digits with a_1 most significant; that number is its
-canonical position.  Each entry of the formula's program (`syntax.prop_dag`) is
+Validity is checked by a bit-parallel engine; `ht_valid` can run the literal
+relation instead, as a reference.  An interpretation over the sorted atoms
+a_1..a_n is numbered by its states (absent 0, there-only 1, both 2) read as
+base-3 digits with a_1 most significant; that number is its canonical
+position.  Each entry of the formula's program (`syntax.prop_dag`) is
 evaluated once to a pair of Python ints (here, there) holding one bit per
 interpretation: bit k is set when interpretation k satisfies the node at
 that world.  `And`/`Or` are `&`/`|` on both masks (empty: all ones / zero),

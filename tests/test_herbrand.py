@@ -116,7 +116,8 @@ def test_predicate_names_come_in_a_fixed_order():
     for arity, keys in ((1, [(a,), (b,)]), (2, [(a, a), (a, b), (b, a), (b, b)])):
         names = list(all_predicate_names((a, b), arity))
         got = ["".join(str(n.atom_state(k)) for k in keys) for n in names]
-        assert got == ["".join(map(str, s)) for s in itertools.product((0, 1, 2), repeat=len(keys))]
+        digits = itertools.product("012", repeat=len(keys))
+        assert got == ["".join(d) for d in digits]
         assert all(n.there <= set(keys) and n.atoms == () for n in names)
     assert got[:4] == ["0000", "0001", "0002", "0010"] and len(got) == 81
 

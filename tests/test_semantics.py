@@ -54,8 +54,8 @@ def test_models_examples():
 
 
 def test_ht_valid_hosoi_with_enumeration_oracle():
-    # independent oracle: evaluate the three-valued tables directly over all
-    # nine interpretations of {p, q}
+    # the engine on each of the nine interpretations of {p, q} alone, then
+    # on all of them at once
     f = prop("p | (p -> q) | not q")
     for i in gen.all_interpretations_over(["p", "q"]):
         assert gen.engine_value(i, f) == 2
