@@ -94,9 +94,16 @@ class _Report:
         return exit_code
 
 
-def _stage(report: _Report, name: str, started: float, **fields) -> float:
-    seconds = round(time.perf_counter() - started, 6)
-    fields["seconds"] = seconds
+def _stage(report: _Report, name: str, started: float, parsed: float | None = None,
+           **fields) -> float:
+    """Record stage `name`'s `fields` and its seconds since `started`; a
+    `parsed` time (when the stage's input was parsed) splits them into
+    `parse_seconds` and `check_seconds`."""
+    now = time.perf_counter()
+    if parsed is not None:
+        fields["parse_seconds"] = round(parsed - started, 6)
+        fields["check_seconds"] = round(now - parsed, 6)
+    fields["seconds"] = seconds = round(now - started, 6)
     report.data[name] = fields
     return seconds
 
@@ -120,6 +127,7 @@ def _proof_stage(report: _Report, path: str, pipeline: bool):
     closed and first-order.  Returns (proof, conclusion) or exit code 1."""
     t0 = time.perf_counter()
     proof = parse_proof_file(_read(path))
+    parsed = time.perf_counter()
     try:
         conclusion = check_proof(proof)
         if pipeline:
@@ -128,19 +136,19 @@ def _proof_stage(report: _Report, path: str, pipeline: bool):
         claimed = ""
         if 1 <= e.line <= len(proof.lines):
             claimed = render_justification(proof.lines[e.line - 1].justification)
-        _stage(report, "proof", t0, verdict="rejected", line=e.line,
+        _stage(report, "proof", t0, parsed, verdict="rejected", line=e.line,
                kind=type(e).__name__, reason=e.reason, justification=claimed)
         report.say(f"proof: REJECTED at line {e.line}: {type(e).__name__}: {e.reason}")
         if claimed:
             report.say(f"claimed justification: {claimed}")
         return 1
     except (ConclusionNotFirstOrder, ConclusionNotClosed) as e:
-        _stage(report, "proof", t0, verdict="rejected", kind=type(e).__name__,
+        _stage(report, "proof", t0, parsed, verdict="rejected", kind=type(e).__name__,
                reason=str(e))
         report.say(f"proof: conclusion unusable: {type(e).__name__}: {e}")
         return 1
     text = formula_to_text(conclusion)
-    secs = _stage(report, "proof", t0, verdict="accepted", level=proof.level.value,
+    secs = _stage(report, "proof", t0, parsed, verdict="accepted", level=proof.level.value,
                   lines=len(proof.lines), conclusion=text)
     report.say(f"proof: accepted (level {proof.level.value}, "
                f"{len(proof.lines)} lines){_ms(secs, pipeline)}")
@@ -150,8 +158,9 @@ def _proof_stage(report: _Report, path: str, pipeline: bool):
 
 def _instantiation_stage(report: _Report, args, sig, f, pipeline: bool):
     """Instantiate `f` with `args.subst_file` in the mode `args` asks for.
-    Returns (instance, mode, mode label) or exit code 2 for missing entries.
-    A `--depth` universe is charged before it is built, as in herbrand."""
+    Returns (instance, its `prop_dag` program, mode, mode label) or exit
+    code 2 for missing entries.  A `--depth` universe is charged before it
+    is built, as in herbrand."""
     subst = parse_subst_file(_read(args.subst_file))
     if subst.signature != sig:
         source = "proof" if pipeline else "formula"
@@ -181,7 +190,7 @@ def _instantiation_stage(report: _Report, args, sig, f, pipeline: bool):
         report.say(f"mode: {mode_label}")
         report.say(f"instance: {text}")
         report.say(counts)
-    return instance, mode, mode_label
+    return instance, dag, mode, mode_label
 
 
 def _validity_stage(report: _Report, started: float, counter, headlines: tuple,
@@ -262,9 +271,9 @@ def _cmd_pipeline(args, report: _Report) -> int:
     got = _instantiation_stage(report, args, proof.signature, conclusion, pipeline=True)
     if isinstance(got, int):
         return report.emit(got)
-    instance, mode, mode_label = got
+    instance, dag, mode, mode_label = got
     t0 = time.perf_counter()
-    counter = ht_valid(instance, _budget())
+    counter = ht_valid(instance, _budget(), dag=dag)
     headlines = (f"validity: HT-valid ({mode_label})",
                  f"validity: countermodel found ({mode_label})")
     valid = _validity_stage(report, t0, counter, headlines, pipeline=True) == 0

@@ -7,11 +7,12 @@ name so tests and the CLI corpus runner can share one source of truth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from importlib import resources
 
+from .syntax import record
 
-@dataclass(frozen=True)
+
+@record
 class CorpusCase:
     name: str
     proof: str | None = None

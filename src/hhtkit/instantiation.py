@@ -27,7 +27,6 @@ labels its results accordingly.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -61,17 +60,18 @@ from .syntax import (
     formula_to_text,
     free_variables,
     is_first_order,
+    record,
     term_subst,
     term_to_text,
 )
 
 
-@dataclass(frozen=True)
+@record
 class Exact:
     pass
 
 
-@dataclass(frozen=True)
+@record
 class Bounded:
     depth: int
 

@@ -36,7 +36,6 @@ antecedent, the others `forall` in the consequent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Mapping
 
@@ -75,6 +74,7 @@ from .syntax import (
     is_closed,
     is_first_order,
     neg,
+    record,
     substitute,
 )
 
@@ -92,7 +92,7 @@ class TheoryLevel(Enum):
 # ---------------------------------------------------------------------------
 # justifications and proofs
 
-@dataclass(frozen=True)
+@record
 class ByAxiom:
     schema_id: str
     binding: tuple[tuple[str, object], ...] = ()
@@ -106,13 +106,13 @@ class ByAxiom:
         return dict(self.binding)
 
 
-@dataclass(frozen=True)
+@record
 class ByMP:
     i: int
     j: int  # line j must be (formula of line i) -> (current formula)
 
 
-@dataclass(frozen=True)
+@record
 class ByGen:
     """Generalize line i over v.  For kind "forall" line i is G -> F and
     the result G -> forall v F; for "exists" line i is F -> G and the
@@ -138,13 +138,13 @@ GEN_KEYWORDS = {
 Justification = ByAxiom | ByMP | ByGen
 
 
-@dataclass(frozen=True)
+@record
 class ProofLine:
     formula: FOFormula
     justification: Justification
 
 
-@dataclass(frozen=True)
+@record
 class Proof:
     signature: Signature
     level: TheoryLevel
@@ -162,7 +162,7 @@ class _Mismatch(Exception):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class Schema:
     schema_id: str
     min_level: TheoryLevel

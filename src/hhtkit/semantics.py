@@ -29,12 +29,13 @@ A run over budget is refused before that work starts.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import Iterable, Iterator
 
 from .errors import STEP_CAP, BudgetExceeded, capped_pow
-from .syntax import AND, ATOM, CONST, IMP, OR, PAnd, PAtom, PImp, POr, PropFormula, prop_dag
+from .syntax import (
+    AND, ATOM, CONST, IMP, OR, PAnd, PAtom, PImp, POr, PropFormula, prop_dag, record,
+)
 
 # steps either checker may spend by default (see the module docstring)
 DEFAULT_BUDGET = 5 * 10**6
@@ -50,7 +51,7 @@ class World(IntEnum):
     T = 1
 
 
-@dataclass(frozen=True)
+@record(hidden=("atoms",))
 class HTInterpretation:
     """Pair of atom sets with here a subset of there.  The atoms are of one
     of three kinds: atom names (`str`) for propositional formulas, closed
@@ -65,7 +66,7 @@ class HTInterpretation:
 
     here: frozenset
     there: frozenset
-    atoms: tuple = field(default=(), compare=False, repr=False)  # those it ranges over
+    atoms: tuple = ()  # those it ranges over
 
     def __post_init__(self):
         if not self.here <= self.there:
@@ -220,6 +221,7 @@ def ht_valid(
     budget: int = DEFAULT_BUDGET,
     *,
     evaluator: str = "g3",
+    dag: list | None = None,
 ) -> HTInterpretation | None:
     """Exhaustively check validity over the atoms occurring in `f`.
 
@@ -230,9 +232,10 @@ def ht_valid(
     bit-parallel engine ("g3") or the literal satisfaction recursion
     ("literal"); both define the same relation.  Raises BudgetExceeded,
     before evaluating, when the engine would need more than `budget` steps,
-    whichever evaluator runs.
+    whichever evaluator runs.  `dag` is the `prop_dag` program of `f`, if the
+    caller has it.
     """
-    prog = prop_dag(f)
+    prog = dag or prop_dag(f)
     atoms = sorted({arg for op, arg in prog if op == ATOM})
     if evaluator == "g3":
         return first_countermodel(prog, atoms, budget)

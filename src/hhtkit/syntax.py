@@ -16,7 +16,6 @@ so it is compared and hashed by identity.
 
 from __future__ import annotations
 
-from dataclasses import MISSING, dataclass, fields
 from functools import cached_property, partial
 from typing import Iterable, Mapping, Union
 from weakref import ref
@@ -24,9 +23,166 @@ from weakref import ref
 from .errors import CaptureViolation, SignatureError
 
 # ---------------------------------------------------------------------------
+# value classes
+#
+# `record` and `_interned` give a class what a frozen dataclass has, built
+# from closures rather than from generated source: importing the package
+# compiles no code and loads neither `dataclasses` nor the `inspect`, `ast`,
+# `dis` and `tokenize` it would bring in.  A class's fields are its
+# annotated names, in order, and a field's class attribute is its default.
+
+
+def _fields(cls) -> tuple[tuple[str, ...], tuple]:
+    """The names of the fields `cls` annotates, in order, and the defaults
+    of the trailing ones that have one."""
+    names = tuple(cls.__dict__.get("__annotations__", ()))
+    return names, tuple(cls.__dict__[n] for n in names if n in cls.__dict__)
+
+
+def _frozen(cls, names: tuple[str, ...], shown: tuple[str, ...]) -> None:
+    """Give `cls` `__match_args__` (its fields), a dataclass-format repr of
+    the `shown` fields, and a `__setattr__` and `__delattr__` that raise
+    AttributeError, each unless its body defines it.  The repr formats its
+    fields in a plain loop, no generator, so nested values take one frame
+    per level."""
+    def __repr__(self):
+        d = self.__dict__
+        fields = []
+        for name in shown:
+            fields.append(f"{name}={d[name]!r}")
+        return f"{type(self).__qualname__}({', '.join(fields)})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    _define(cls, __match_args__=names, __repr__=__repr__, __setattr__=__setattr__,
+            __delattr__=__delattr__)
+
+
+def _define(cls, **attributes) -> None:
+    """Set the `attributes` the body of `cls` does not define itself."""
+    for name, value in attributes.items():
+        if name not in cls.__dict__:
+            setattr(cls, name, value)
+
+
+def _eq(self, other):
+    if other.__class__ is self.__class__:
+        return self._key == other._key
+    return NotImplemented
+
+
+def _hash(self):
+    return hash(self._key)
+
+
+def record(cls=None, /, *, hidden: tuple[str, ...] = ()):
+    """`cls` as a frozen value class, as `dataclass(frozen=True)` makes one:
+    `__init__` takes its fields positionally or by keyword, fills in the
+    defaults and runs `__post_init__`, if the class has one; `==` and `hash`
+    compare the tuple of its fields.  The `hidden` fields take no part in
+    `==`, `hash` or the repr.  `@record(hidden=...)` passes the option.
+
+    `__init__` keeps that tuple in the instance as `_key`, which `==` and
+    `hash` read; an `__init__` of the class body's own must set it too.  A
+    call with every field positional takes the argument tuple as the key.
+    With two fields, no `hidden` and no `__post_init__`, as an implication
+    of an instance and a proof line and its `mp` have, it stores them by
+    unpacking that tuple, as fast as a dataclass's `__init__`, where
+    `update(zip(...))` takes about 1.6 times as long."""
+    if cls is None:
+        return partial(record, hidden=hidden)
+    names, defaults = _fields(cls)
+    compared = tuple(n for n in names if n not in hidden)
+    post_init = getattr(cls, "__post_init__", None)
+    arity = len(names)
+    optional = names[arity - len(defaults):]
+
+    def bind(args: tuple, kwargs: dict) -> tuple:
+        """All the fields' values from a call's arguments, or TypeError."""
+        if len(args) > arity:
+            raise TypeError(f"{cls.__name__}() takes {arity} positional arguments "
+                            f"but {len(args)} were given")
+        values = dict(zip(names, args))
+        for name, value in kwargs.items():
+            if name not in names or name in values:
+                raise TypeError(f"{cls.__name__}() got an unexpected or repeated "
+                                f"argument {name!r}")
+            values[name] = value
+        for name, value in zip(optional, defaults):
+            values.setdefault(name, value)
+        if missing := [n for n in names if n not in values]:
+            raise TypeError(f"{cls.__name__}() missing arguments: {', '.join(missing)}")
+        return tuple(map(values.__getitem__, names))
+
+    if post_init is not None or compared != names or arity != 2:
+        def __init__(self, *args, **kwargs):
+            if kwargs or len(args) != arity:
+                args = bind(args, kwargs)
+            d = self.__dict__
+            d.update(zip(names, args))
+            if post_init is not None:
+                post_init(self)
+            d["_key"] = args if compared == names else tuple(map(d.__getitem__, compared))
+    else:
+        first, second = names
+
+        def __init__(self, *args, **kwargs):
+            if kwargs or len(args) != 2:
+                args = bind(args, kwargs)
+            d = self.__dict__
+            d[first], d[second] = d["_key"] = args
+
+    _frozen(cls, names, compared)
+    _define(cls, __init__=__init__, __eq__=_eq, __hash__=_hash)
+    return cls
+
+
+# ---------------------------------------------------------------------------
+# hash-consing (Filliâtre and Conchon, "Type-safe modular hash-consing", 2006)
+
+def _interned(cls):
+    """`cls` as a frozen value class (see `record`) with one live instance
+    per value: a call returns the live instance with equal fields, else
+    builds one, runs its `__post_init__` (which may raise, storing nothing)
+    and keeps it.  The children in a key (the field tuple; a one-field
+    class's field) are interned too, so every instance hashes and compares
+    by identity, O(1) at any depth.  Keys map to plain `weakref.ref`s
+    (calling a subclass's, `KeyedRef`'s, costs a level of recursion): an
+    unheld instance is freed."""
+    names, defaults = _fields(cls)
+    _frozen(cls, names, names)
+    post_init = getattr(cls, "__post_init__", None)
+    table: dict[object, ref] = {}
+
+    def drop(key, dead: ref) -> None:
+        if table.get(key) is dead:  # not yet replaced by a newer instance
+            del table[key]
+
+    def __new__(cls, *values):
+        if 0 < len(names) - len(values) <= len(defaults):
+            values += defaults[len(values) - len(names):]
+        key = values[0] if len(values) == 1 else values
+        if (got := table.get(key)) is not None and (node := got()) is not None:
+            return node
+        node = object.__new__(cls)
+        node.__dict__.update(zip(names, values, strict=True))  # ValueError if miscounted
+        if post_init is not None:
+            post_init(node)
+        table[key] = ref(node, partial(drop, key))
+        return node
+
+    cls.__new__ = staticmethod(__new__)
+    return cls
+
+
+# ---------------------------------------------------------------------------
 # signatures
 
-@dataclass(frozen=True)
+@record
 class Signature:
     """Function and predicate constants with arities, plus restrictor flags.
 
@@ -66,7 +222,7 @@ class Signature:
         )
 
     # built on first use and kept in the instance `__dict__`, outside the
-    # dataclass fields, so `==` and `hash` are unchanged
+    # fields, so `==` and `hash` are unchanged
     @cached_property
     def _function_arities(self) -> dict[str, int]:
         return dict(self.functions)
@@ -89,44 +245,6 @@ class Signature:
 
     def nonnullary_functions(self) -> tuple[tuple[str, int], ...]:
         return tuple((n, a) for n, a in self.functions if a > 0)
-
-
-# ---------------------------------------------------------------------------
-# hash-consing (Filliâtre and Conchon, "Type-safe modular hash-consing", 2006)
-
-def _interned(cls):
-    """`cls` as a frozen dataclass with one live instance per value: a call
-    returns the live instance with equal fields, else builds one, runs its
-    `__post_init__` (which may raise, storing nothing) and keeps it.  The
-    children in a key (the field tuple; a one-field class's field) are
-    interned too, so every instance hashes and compares by identity, O(1)
-    at any depth.  Keys map to plain `weakref.ref`s (calling a subclass's,
-    `KeyedRef`'s, costs a level of recursion): an unheld instance is freed."""
-    cls = dataclass(frozen=True, eq=False, init=False)(cls)
-    names = tuple(f.name for f in fields(cls))
-    defaults = tuple(f.default for f in fields(cls) if f.default is not MISSING)
-    post_init = getattr(cls, "__post_init__", None)
-    table: dict[object, ref] = {}
-
-    def drop(key, dead: ref) -> None:
-        if table.get(key) is dead:  # not yet replaced by a newer instance
-            del table[key]
-
-    def __new__(cls, *values):
-        if 0 < len(names) - len(values) <= len(defaults):
-            values += defaults[len(values) - len(names):]
-        key = values[0] if len(values) == 1 else values
-        if (got := table.get(key)) is not None and (node := got()) is not None:
-            return node
-        node = object.__new__(cls)
-        node.__dict__.update(zip(names, values, strict=True))  # ValueError if miscounted
-        if post_init is not None:
-            post_init(node)
-        table[key] = ref(node, partial(drop, key))
-        return node
-
-    cls.__new__ = staticmethod(__new__)
-    return cls
 
 
 # ---------------------------------------------------------------------------
@@ -481,31 +599,30 @@ def eliminate_restrictors(f: FOFormula) -> FOFormula:
 # ---------------------------------------------------------------------------
 # infinitary propositional formulas
 
-@dataclass(frozen=True, init=False)
+@record
 class PAtom:
     name: str
 
-    def __init__(self, name: str):
-        object.__setattr__(self, "name", name)
 
-
-@dataclass(frozen=True, init=False)
+@record
 class PAnd:
     items: frozenset
 
     def __init__(self, items: Iterable = ()):
-        object.__setattr__(self, "items", frozenset(items))
+        d = self.__dict__
+        d["items"], = d["_key"] = (frozenset(items),)
 
 
-@dataclass(frozen=True, init=False)
+@record
 class POr:
     items: frozenset
 
     def __init__(self, items: Iterable = ()):
-        object.__setattr__(self, "items", frozenset(items))
+        d = self.__dict__
+        d["items"], = d["_key"] = (frozenset(items),)
 
 
-@dataclass(frozen=True)
+@record
 class PImp:
     left: "PropFormula"
     right: "PropFormula"

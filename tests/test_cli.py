@@ -10,9 +10,10 @@ import pytest
 
 import gen
 import hhtkit
-from hhtkit import cli
+from hhtkit import cli, semantics, syntax
 from hhtkit.cli import run
 from hhtkit.corpus import data_path
+from hhtkit.syntax import prop_dag
 
 
 def invoke(capsys, *argv):
@@ -53,6 +54,42 @@ def test_pipeline_bounded_truncation_countermodel(capsys):
     assert code == 1
     assert "countermodel" in out
     assert "non-validity-preserving" in out
+
+
+def test_pipeline_walks_its_instance_once(monkeypatch, capsys):
+    # the instantiation stage's program is the one the model checker runs
+    walks = []
+
+    def traced(f):
+        walks.append(f)
+        return prop_dag(f)
+
+    for module in (cli, semantics, syntax):
+        monkeypatch.setattr(module, "prop_dag", traced)
+    code, out, _ = invoke(capsys, "pipeline", data_path("example6.proof"),
+                          data_path("example6.subst"))
+    assert code == 0 and "certificate: VALID" in out
+    assert len(walks) == 1
+
+
+_PROOF_KEYS = ["verdict", "level", "lines", "conclusion", "parse_seconds", "check_seconds",
+               "seconds"]
+
+
+@pytest.mark.parametrize("argv, keys", [
+    (["check-proof", data_path("example6.proof")], _PROOF_KEYS),
+    (["pipeline", data_path("example5.proof"), data_path("example5.subst")], _PROOF_KEYS),
+    (["check-proof", data_path("classical.proof")],
+     ["verdict", "line", "kind", "reason", "justification", "parse_seconds", "check_seconds",
+      "seconds"]),
+])
+def test_json_proof_stage_splits_parse_from_check(argv, keys, capsys):
+    _, out, _ = invoke(capsys, *argv, "--json")
+    stage = json.loads(out)["proof"]
+    assert list(stage) == keys
+    parse, check = stage["parse_seconds"], stage["check_seconds"]
+    assert parse > 0 and check > 0
+    assert abs(parse + check - stage["seconds"]) <= 2e-6  # each rounded to 1 us
 
 
 def test_ht_valid_countermodel_rendering(capsys):
@@ -311,7 +348,7 @@ def test_shared_parser_matches_fresh_parser(capsys, monkeypatch):
         got = []
         for argv in argvs:
             code, out, err = invoke(capsys, *argv)
-            got.append((code, re.sub(r'\[\d+\.\d ms\]|"seconds": [^,\n]+', "N", out), err))
+            got.append((code, re.sub(r'\[\d+\.\d ms\]|seconds": [^,\n]+', "N", out), err))
         return got
 
     shared = results()

@@ -1,7 +1,11 @@
 """No module of the package imports a `_`-prefixed name from a sibling
-module: what two modules share is public."""
+module: what two modules share is public.  No module imports `dataclasses`,
+and importing `hhtkit.cli` loads none of the modules it would bring in."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "hhtkit"
@@ -31,3 +35,52 @@ def test_no_module_imports_a_private_name_from_a_sibling():
            for path in sorted(PACKAGE.glob("*.py"))}
     assert "herbrand.py" in got
     assert {name: found for name, found in got.items() if found} == {}
+
+
+# the import of `hhtkit.cli` is what every CLI invocation pays first; these
+# modules cost milliseconds and nothing on that path needs them
+HEAVY = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+
+
+def dataclass_imports(source: str) -> list[str]:
+    """Each import of `dataclasses` in `source`, as written."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [a.name for a in node.names if a.name.split(".")[0] == "dataclasses"]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            if (node.module or "").split(".")[0] == "dataclasses":
+                found += [f"{node.module}.{a.name}" for a in node.names]
+    return found
+
+
+def test_the_check_finds_a_dataclasses_import():
+    source = ("from dataclasses import dataclass, field\n"
+              "import os, dataclasses as dc\n"
+              "from .dataclasses import x\n"
+              "def f():\n    import dataclasses\n")
+    assert dataclass_imports(source) == [
+        "dataclasses.dataclass", "dataclasses.field", "dataclasses", "dataclasses"]
+
+
+def test_no_module_imports_dataclasses():
+    got = {path.name: dataclass_imports(path.read_text(encoding="utf-8"))
+           for path in sorted(PACKAGE.glob("*.py"))}
+    assert "syntax.py" in got
+    assert {name: found for name, found in got.items() if found} == {}
+
+
+def _modules_loaded_by(code: str) -> set[str]:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent),
+                                                      env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", f"{code}\nimport sys\nprint(*sys.modules)"],
+                          env=env, capture_output=True, text=True, check=True)
+    return set(done.stdout.split())
+
+
+def test_importing_the_cli_loads_no_heavy_module():
+    bare = _modules_loaded_by("pass")
+    cli = _modules_loaded_by("import hhtkit.cli")
+    assert "hhtkit.cli" in cli
+    assert sorted((cli - bare) & set(HEAVY)) == []

@@ -1,4 +1,3 @@
-import dataclasses
 import os
 import pathlib
 import random
@@ -598,8 +597,8 @@ def _same_sharing(a, b, seen):
         for x, y in zip(a, b):
             _same_sharing(x, y, seen)
     else:
-        for field in dataclasses.fields(a):
-            _same_sharing(getattr(a, field.name), getattr(b, field.name), seen)
+        for name in type(a).__match_args__:
+            _same_sharing(getattr(a, name), getattr(b, name), seen)
 
 
 @pytest.mark.parametrize("name", sorted(n for n in _DATA if n.endswith(".proof")))

@@ -4,7 +4,6 @@ it is built, and the walks that cache their result on each node or compute
 it once per node: checked against literal recursive references and against
 proofs rebuilt node by node."""
 
-import dataclasses
 import gc
 import random
 import weakref
@@ -193,8 +192,8 @@ def _unshared(x):
     unshared copy can be built: a first-order node comes back as itself."""
     if isinstance(x, tuple):
         return tuple(_unshared(y) for y in x)
-    if dataclasses.is_dataclass(x) and not isinstance(x, type):
-        return type(x)(*[_unshared(getattr(x, f.name)) for f in dataclasses.fields(x)])
+    if (names := getattr(type(x), "__match_args__", None)) is not None:
+        return type(x)(*[_unshared(getattr(x, name)) for name in names])
     return x
 
 
@@ -281,7 +280,7 @@ def test_equal_nodes_of_one_parse_are_one_object():
     # a node's class and fields, children by identity: the interning key
     by_fields: dict = {}
     for node in distinct.values():
-        key = (type(node), *[getattr(node, f.name) for f in dataclasses.fields(node)])
+        key = (type(node), *[getattr(node, name) for name in type(node).__match_args__])
         assert by_fields.setdefault(key, node) is node, node
     # the sharing is real: the text spells out far more nodes than it holds
     assert len(distinct) * 20 < occurrences

@@ -54,8 +54,9 @@ each, with and without `--json`, so that how whole files are tokenized is
 compared too.
 
 Each record holds the exit code, stdout and stderr.  Stage timings
-(`"seconds"` and `[N ms]`), `SRC_DIR` and the temporary directory are masked,
-so two snapshots differ only where the CLI's output does:
+(`"seconds"`, `"parse_seconds"`, `"check_seconds"` and `[N ms]`), `SRC_DIR`
+and the temporary directory are masked, so two snapshots differ only where
+the CLI's output does:
 
     python3 tools/cli_snapshot.py ../parent parent.json
     python3 tools/cli_snapshot.py . change.json
@@ -134,7 +135,7 @@ _SYNTAX_REPLACEMENTS = ["(", ")", "{", "}", ";", ",", ".", ":", ":=", "->", "<->
 _SPACING_TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(?:-[A-Za-z_][A-Za-z0-9_]*)*"
                             r"|<->|->|:=|!=|[0-9]+|\S")
 _SPACINGS = [" ", "\t", "\r\n", "\f", "\u3000", "# comment\n", "\t# comment\r\n\u3000"]
-_TIMINGS = re.compile(r'(?<=\[)\d+\.\d(?= ms\])|(?<="seconds": )[-+.\deE]+')
+_TIMINGS = re.compile(r'(?<=\[)\d+\.\d(?= ms\])|(?<=seconds": )[-+.\deE]+')
 
 
 def _load_hhtkit(src_dir: Path):
