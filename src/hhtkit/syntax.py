@@ -12,11 +12,16 @@ A ground atom is a closed `Atom` whose predicate is a name: being interned,
 it is one object however it was built (parsed from a substitution file,
 enumerated into a Herbrand base, or met while instantiating or grounding),
 so it is compared and hashed by identity.
+
+Every node and value class of the package is frozen and built by `record`,
+or by `_interned` for the hash-consed first-order nodes, from closures at
+import time.
 """
 
 from __future__ import annotations
 
 from functools import cached_property, partial
+from operator import attrgetter
 from typing import Iterable, Mapping, Union
 from weakref import ref
 
@@ -46,10 +51,9 @@ def _frozen(cls, names: tuple[str, ...], shown: tuple[str, ...]) -> None:
     fields in a plain loop, no generator, so nested values take one frame
     per level."""
     def __repr__(self):
-        d = self.__dict__
         fields = []
         for name in shown:
-            fields.append(f"{name}={d[name]!r}")
+            fields.append(f"{name}={getattr(self, name)!r}")
         return f"{type(self).__qualname__}({', '.join(fields)})"
 
     def __setattr__(self, name, value):
@@ -69,14 +73,7 @@ def _define(cls, **attributes) -> None:
             setattr(cls, name, value)
 
 
-def _eq(self, other):
-    if other.__class__ is self.__class__:
-        return self._key == other._key
-    return NotImplemented
-
-
-def _hash(self):
-    return hash(self._key)
+_setattr = object.__setattr__
 
 
 def record(cls=None, /, *, hidden: tuple[str, ...] = ()):
@@ -86,13 +83,13 @@ def record(cls=None, /, *, hidden: tuple[str, ...] = ()):
     compare the tuple of its fields.  The `hidden` fields take no part in
     `==`, `hash` or the repr.  `@record(hidden=...)` passes the option.
 
-    `__init__` keeps that tuple in the instance as `_key`, which `==` and
-    `hash` read; an `__init__` of the class body's own must set it too.  A
-    call with every field positional takes the argument tuple as the key.
-    With two fields, no `hidden` and no `__post_init__`, as an implication
-    of an instance and a proof line and its `mp` have, it stores them by
-    unpacking that tuple, as fast as a dataclass's `__init__`, where
-    `update(zip(...))` takes about 1.6 times as long."""
+    Fields are set with `object.__setattr__`, as a dataclass sets them, and
+    never through the instance `__dict__`: on Python 3.11 touching it moves
+    the attributes out of the object into a dict, and every later read
+    takes about 3 times as long.  With one or two fields and no
+    `__post_init__`, as the atoms and implications of an instance and a
+    proof line and its `mp` have, a positional call sets them one by one,
+    without a loop."""
     if cls is None:
         return partial(record, hidden=hidden)
     names, defaults = _fields(cls)
@@ -103,6 +100,8 @@ def record(cls=None, /, *, hidden: tuple[str, ...] = ()):
 
     def bind(args: tuple, kwargs: dict) -> tuple:
         """All the fields' values from a call's arguments, or TypeError."""
+        if not kwargs and 0 < arity - len(args) <= len(defaults):
+            return args + defaults[len(args) - arity:]
         if len(args) > arity:
             raise TypeError(f"{cls.__name__}() takes {arity} positional arguments "
                             f"but {len(args)} were given")
@@ -118,26 +117,53 @@ def record(cls=None, /, *, hidden: tuple[str, ...] = ()):
             raise TypeError(f"{cls.__name__}() missing arguments: {', '.join(missing)}")
         return tuple(map(values.__getitem__, names))
 
-    if post_init is not None or compared != names or arity != 2:
+    if post_init is not None or arity not in (1, 2):
         def __init__(self, *args, **kwargs):
             if kwargs or len(args) != arity:
                 args = bind(args, kwargs)
-            d = self.__dict__
-            d.update(zip(names, args))
+            for name, value in zip(names, args):
+                _setattr(self, name, value)
             if post_init is not None:
                 post_init(self)
-            d["_key"] = args if compared == names else tuple(map(d.__getitem__, compared))
+    elif arity == 1:
+        (first,) = names
+
+        def __init__(self, *args, **kwargs):
+            if kwargs or len(args) != 1:
+                args = bind(args, kwargs)
+            _setattr(self, first, args[0])
     else:
         first, second = names
 
         def __init__(self, *args, **kwargs):
             if kwargs or len(args) != 2:
                 args = bind(args, kwargs)
-            d = self.__dict__
-            d[first], d[second] = d["_key"] = args
+            left, right = args
+            _setattr(self, first, left)
+            _setattr(self, second, right)
+
+    # the key is the tuple of the compared fields, as a dataclass hashes it;
+    # `attrgetter` of one name gives the bare value, so that key is built here
+    get = attrgetter(*compared) if compared else lambda self: ()
+    if len(compared) == 1:
+        def __eq__(self, other):
+            if other.__class__ is self.__class__:
+                return (get(self),) == (get(other),)
+            return NotImplemented
+
+        def __hash__(self):
+            return hash((get(self),))
+    else:
+        def __eq__(self, other):
+            if other.__class__ is self.__class__:
+                return get(self) == get(other)
+            return NotImplemented
+
+        def __hash__(self):
+            return hash(get(self))
 
     _frozen(cls, names, compared)
-    _define(cls, __init__=__init__, __eq__=_eq, __hash__=_hash)
+    _define(cls, __init__=__init__, __eq__=__eq__, __hash__=__hash__)
     return cls
 
 
@@ -609,8 +635,7 @@ class PAnd:
     items: frozenset
 
     def __init__(self, items: Iterable = ()):
-        d = self.__dict__
-        d["items"], = d["_key"] = (frozenset(items),)
+        _setattr(self, "items", frozenset(items))
 
 
 @record
@@ -618,8 +643,7 @@ class POr:
     items: frozenset
 
     def __init__(self, items: Iterable = ()):
-        d = self.__dict__
-        d["items"], = d["_key"] = (frozenset(items),)
+        _setattr(self, "items", frozenset(items))
 
 
 @record

@@ -190,7 +190,7 @@ def _nested(depth: int) -> PImp:
     return f
 
 
-def test_repr_of_a_deep_formula(monkeypatch):
+def test_repr_of_a_deep_formula():
     limit = sys.getrecursionlimit()
     try:
         sys.setrecursionlimit(10_000)
@@ -202,7 +202,13 @@ def test_repr_of_a_deep_formula(monkeypatch):
 
 
 def test_repr_takes_one_frame_per_level():
-    # 400 levels fit the default limit of 1,000 at two frames a level (the
-    # repr and the `repr` of its field); a dataclass repr, at three, did not
-    assert sys.getrecursionlimit() == 1000
-    assert repr(_nested(400)).count("PImp(") == 400
+    # 400 levels fit the default limit of 1,000 at two recursion levels per
+    # nesting level (the `__repr__` frame and the `repr` of its field); a
+    # dataclass repr, with its `recursive_repr` wrapper frame, took three
+    limit = sys.getrecursionlimit()
+    try:
+        sys.setrecursionlimit(1000)
+        text = repr(_nested(400))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert text.count("PImp(") == 400
