@@ -86,10 +86,9 @@ def record(cls=None, /, *, hidden: tuple[str, ...] = ()):
     Fields are set with `object.__setattr__`, as a dataclass sets them, and
     never through the instance `__dict__`: on Python 3.11 touching it moves
     the attributes out of the object into a dict, and every later read
-    takes about 3 times as long.  With one or two fields and no
-    `__post_init__`, as the atoms and implications of an instance and a
-    proof line and its `mp` have, a positional call sets them one by one,
-    without a loop."""
+    takes about 3 times as long.  With two fields and no `__post_init__`,
+    as a proof line and its `mp` have, a positional call sets them one by
+    one, without a loop."""
     if cls is None:
         return partial(record, hidden=hidden)
     names, defaults = _fields(cls)
@@ -117,7 +116,7 @@ def record(cls=None, /, *, hidden: tuple[str, ...] = ()):
             raise TypeError(f"{cls.__name__}() missing arguments: {', '.join(missing)}")
         return tuple(map(values.__getitem__, names))
 
-    if post_init is not None or arity not in (1, 2):
+    if post_init is not None or arity != 2:
         def __init__(self, *args, **kwargs):
             if kwargs or len(args) != arity:
                 args = bind(args, kwargs)
@@ -125,13 +124,6 @@ def record(cls=None, /, *, hidden: tuple[str, ...] = ()):
                 _setattr(self, name, value)
             if post_init is not None:
                 post_init(self)
-    elif arity == 1:
-        (first,) = names
-
-        def __init__(self, *args, **kwargs):
-            if kwargs or len(args) != 1:
-                args = bind(args, kwargs)
-            _setattr(self, first, args[0])
     else:
         first, second = names
 
@@ -625,9 +617,27 @@ def eliminate_restrictors(f: FOFormula) -> FOFormula:
 # ---------------------------------------------------------------------------
 # infinitary propositional formulas
 
+# An instance is built of these nodes: each is made, hashed into its
+# parent's set and compared with `TOP` and `BOT` about once per instance
+# node.  So they spell out `record`'s `__init__`, `==` and `hash` with named
+# parameters and plain attribute reads, which `record`'s closures cannot
+# have; those take `*args` and read through `attrgetter`, 50-100 ns a call
+# more, a few percent of `ht_atoms` and `universe` verdicts.
+
 @record
 class PAtom:
     name: str
+
+    def __init__(self, name: str):
+        _setattr(self, "name", name)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.name == other.name
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.name,))
 
 
 @record
@@ -637,6 +647,14 @@ class PAnd:
     def __init__(self, items: Iterable = ()):
         _setattr(self, "items", frozenset(items))
 
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.items == other.items
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.items,))
+
 
 @record
 class POr:
@@ -645,11 +663,31 @@ class POr:
     def __init__(self, items: Iterable = ()):
         _setattr(self, "items", frozenset(items))
 
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.items == other.items
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.items,))
+
 
 @record
 class PImp:
     left: "PropFormula"
     right: "PropFormula"
+
+    def __init__(self, left: "PropFormula", right: "PropFormula"):
+        _setattr(self, "left", left)
+        _setattr(self, "right", right)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.left, self.right) == (other.left, other.right)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.left, self.right))
 
 
 PropFormula = Union[PAtom, PAnd, POr, PImp]
