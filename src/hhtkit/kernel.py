@@ -91,11 +91,32 @@ class TheoryLevel(Enum):
 
 # ---------------------------------------------------------------------------
 # justifications and proofs
+#
+# Each proof line builds a `ProofLine` and its `ByAxiom` or `ByMP`, so these
+# three spell out `record`'s `__init__`, `==` and `hash`, as the
+# propositional nodes in `syntax` do: named parameters and plain attribute
+# reads, where `record`'s closures take `*args` and read through
+# `attrgetter`.
+
+_setattr = object.__setattr__
+
 
 @record
 class ByAxiom:
     schema_id: str
     binding: tuple[tuple[str, object], ...] = ()
+
+    def __init__(self, schema_id: str, binding: tuple[tuple[str, object], ...] = ()):
+        _setattr(self, "schema_id", schema_id)
+        _setattr(self, "binding", binding)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.schema_id, self.binding) == (other.schema_id, other.binding)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.schema_id, self.binding))
 
     @staticmethod
     def of(schema_id: str, **binding) -> "ByAxiom":
@@ -110,6 +131,18 @@ class ByAxiom:
 class ByMP:
     i: int
     j: int  # line j must be (formula of line i) -> (current formula)
+
+    def __init__(self, i: int, j: int):
+        _setattr(self, "i", i)
+        _setattr(self, "j", j)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.i, self.j) == (other.i, other.j)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.i, self.j))
 
 
 @record
@@ -142,6 +175,19 @@ Justification = ByAxiom | ByMP | ByGen
 class ProofLine:
     formula: FOFormula
     justification: Justification
+
+    def __init__(self, formula: FOFormula, justification: Justification):
+        _setattr(self, "formula", formula)
+        _setattr(self, "justification", justification)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.formula, self.justification)
+                    == (other.formula, other.justification))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.formula, self.justification))
 
 
 @record

@@ -86,9 +86,7 @@ def record(cls=None, /, *, hidden: tuple[str, ...] = ()):
     Fields are set with `object.__setattr__`, as a dataclass sets them, and
     never through the instance `__dict__`: on Python 3.11 touching it moves
     the attributes out of the object into a dict, and every later read
-    takes about 3 times as long.  With two fields and no `__post_init__`,
-    as a proof line and its `mp` have, a positional call sets them one by
-    one, without a loop."""
+    takes about 3 times as long."""
     if cls is None:
         return partial(record, hidden=hidden)
     names, defaults = _fields(cls)
@@ -116,23 +114,13 @@ def record(cls=None, /, *, hidden: tuple[str, ...] = ()):
             raise TypeError(f"{cls.__name__}() missing arguments: {', '.join(missing)}")
         return tuple(map(values.__getitem__, names))
 
-    if post_init is not None or arity != 2:
-        def __init__(self, *args, **kwargs):
-            if kwargs or len(args) != arity:
-                args = bind(args, kwargs)
-            for name, value in zip(names, args):
-                _setattr(self, name, value)
-            if post_init is not None:
-                post_init(self)
-    else:
-        first, second = names
-
-        def __init__(self, *args, **kwargs):
-            if kwargs or len(args) != 2:
-                args = bind(args, kwargs)
-            left, right = args
-            _setattr(self, first, left)
-            _setattr(self, second, right)
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != arity:
+            args = bind(args, kwargs)
+        for name, value in zip(names, args):
+            _setattr(self, name, value)
+        if post_init is not None:
+            post_init(self)
 
     # the key is the tuple of the compared fields, as a dataclass hashes it;
     # `attrgetter` of one name gives the bare value, so that key is built here

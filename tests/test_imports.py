@@ -3,7 +3,6 @@ module: what two modules share is public.  No module imports `dataclasses`,
 and importing `hhtkit.cli` loads none of the modules it would bring in."""
 
 import ast
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -70,17 +69,17 @@ def test_no_module_imports_dataclasses():
     assert {name: found for name, found in got.items() if found} == {}
 
 
-def _modules_loaded_by(code: str) -> set[str]:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent),
-                                                      env.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", f"{code}\nimport sys\nprint(*sys.modules)"],
-                          env=env, capture_output=True, text=True, check=True)
-    return set(done.stdout.split())
-
-
 def test_importing_the_cli_loads_no_heavy_module():
-    bare = _modules_loaded_by("pass")
-    cli = _modules_loaded_by("import hhtkit.cli")
-    assert "hhtkit.cli" in cli
-    assert sorted((cli - bare) & set(HEAVY)) == []
+    # one isolated child (`-I -S`: no PYTHON* variables, no site hooks or
+    # .pth files) that lists what `import hhtkit.cli` adds to the modules
+    # it started with
+    code = ("import sys\n"
+            "before = set(sys.modules)\n"
+            f"sys.path.insert(0, {str(PACKAGE.parent)!r})\n"
+            "import hhtkit.cli\n"
+            "print(*sorted(set(sys.modules) - before))\n")
+    done = subprocess.run([sys.executable, "-I", "-S", "-c", code],
+                          capture_output=True, text=True, check=True)
+    added = set(done.stdout.split())
+    assert "hhtkit.cli" in added
+    assert sorted(added & set(HEAVY)) == []
