@@ -158,7 +158,8 @@ def _interned(cls):
     class's field) are interned too, so every instance hashes and compares
     by identity, O(1) at any depth.  Keys map to plain `weakref.ref`s
     (calling a subclass's, `KeyedRef`'s, costs a level of recursion): an
-    unheld instance is freed."""
+    unheld instance is freed.  Fields, and the facts a `__post_init__`
+    adds, are set with `object.__setattr__` (see `record`)."""
     names, defaults = _fields(cls)
     _frozen(cls, names, names)
     post_init = getattr(cls, "__post_init__", None)
@@ -175,7 +176,8 @@ def _interned(cls):
         if (got := table.get(key)) is not None and (node := got()) is not None:
             return node
         node = object.__new__(cls)
-        node.__dict__.update(zip(names, values, strict=True))  # ValueError if miscounted
+        for name, value in zip(names, values, strict=True):  # ValueError if miscounted
+            _setattr(node, name, value)
         if post_init is not None:
             post_init(node)
         table[key] = ref(node, partial(drop, key))
@@ -302,7 +304,8 @@ class FnApp:
         for a in self.args:
             free |= a.free
             first_order = first_order and a.first_order
-        vars(self).update(free=free or _CLOSED, first_order=first_order)
+        _setattr(self, "free", free or _CLOSED)
+        _setattr(self, "first_order", first_order)
 
 
 @_interned
@@ -316,7 +319,7 @@ class FnVarApp:
         free = frozenset((self.var,))
         for a in self.args:
             free |= a.free
-        vars(self)["free"] = free
+        _setattr(self, "free", free)
 
 
 Term = Union[Var, FnApp, FnVarApp]
@@ -334,13 +337,13 @@ def const(name: str) -> FnApp:
 # predicate and function variables; `first_order`, that no predicate or
 # function variable occurs in it, bound or free; and `restricted`, that a
 # generalized variable occurs in it.  `__post_init__` computes them from the
-# children's facts, once per distinct node, and keeps them in the instance
-# `__dict__`, outside the fields (so outside `repr` and the interning key);
-# leaves that cannot hold a generalized variable, and `Falsum`, keep them on
-# the class.  Reading a fact is one attribute lookup at any depth, and
-# building a node never walks below its children.  A node reuses a child's
-# `free` set when it equals its own, and every node without free variables
-# holds `_CLOSED`.
+# children's facts, once per distinct node, and sets them on the instance
+# with `object.__setattr__`, outside the fields (so outside `repr` and the
+# interning key); leaves that cannot hold a generalized variable, and
+# `Falsum`, keep them on the class.  Reading a fact is one attribute lookup
+# at any depth, and building a node never walks below its children.  A node
+# reuses a child's `free` set when it equals its own, and every node without
+# free variables holds `_CLOSED`.
 
 
 @_interned
@@ -363,7 +366,8 @@ class Equals:
     def __post_init__(self):
         l, r = self.left, self.right
         free = l.free if r.free <= l.free else r.free if l.free <= r.free else l.free | r.free
-        vars(self).update(free=free, first_order=l.first_order and r.first_order)
+        _setattr(self, "free", free)
+        _setattr(self, "first_order", l.first_order and r.first_order)
 
 
 @_interned
@@ -391,7 +395,8 @@ class Atom:
         for a in self.args:
             free |= a.free
             first_order = first_order and a.first_order
-        vars(self).update(free=free or _CLOSED, first_order=first_order)
+        _setattr(self, "free", free or _CLOSED)
+        _setattr(self, "first_order", first_order)
 
 
 @_interned
@@ -400,11 +405,14 @@ class Binary:
     left: "FOFormula"
     right: "FOFormula"
 
+    _unfolded = None  # set by `eliminate_restrictors`
+
     def __post_init__(self):
         l, r = self.left, self.right
         free = l.free if r.free <= l.free else r.free if l.free <= r.free else l.free | r.free
-        vars(self).update(free=free, first_order=l.first_order and r.first_order,
-                          restricted=l.restricted or r.restricted)
+        _setattr(self, "free", free)
+        _setattr(self, "first_order", l.first_order and r.first_order)
+        _setattr(self, "restricted", l.restricted or r.restricted)
 
 
 @_interned
@@ -434,15 +442,16 @@ class Quant:
     binder: Binder
     body: "FOFormula"
 
+    _unfolded = None  # set by `eliminate_restrictors`
+
     def __post_init__(self):
         binder, body = self.binder, self.body
         bound = binder_variables(binder)
         free = body.free if body.free.isdisjoint(bound) else body.free - bound or _CLOSED
-        vars(self).update(
-            free=free,
-            first_order=not isinstance(binder, (PredVar, FuncVar)) and body.first_order,
-            restricted=isinstance(binder, GenVar) or body.restricted,
-        )
+        _setattr(self, "free", free)
+        _setattr(self, "first_order",
+                 not isinstance(binder, (PredVar, FuncVar)) and body.first_order)
+        _setattr(self, "restricted", isinstance(binder, GenVar) or body.restricted)
 
 
 FOFormula = Union[Falsum, Equals, Atom, Binary, Quant]
@@ -580,11 +589,11 @@ def eliminate_restrictors(f: FOFormula) -> FOFormula:
     formula with no generalized variable below it is returned as it is.
 
     Only a node whose `restricted` fact is set is walked; its unfolding is
-    cached in its instance `__dict__`, next to its facts, so each such node
-    is unfolded once."""
+    cached on the node, next to its facts, so each such node is unfolded
+    once."""
     if not f.restricted:
         return f
-    out = f.__dict__.get("_unfolded")
+    out = f._unfolded
     if out is None:
         match f:
             case Binary(op, l, r):
@@ -598,7 +607,7 @@ def eliminate_restrictors(f: FOFormula) -> FOFormula:
                         out = Quant(kind, v, out)
                 else:
                     out = Quant(kind, binder, out)
-        f.__dict__["_unfolded"] = out
+        _setattr(f, "_unfolded", out)
     return out
 
 

@@ -1,6 +1,7 @@
 """No module of the package imports a `_`-prefixed name from a sibling
 module: what two modules share is public.  No module imports `dataclasses`,
-and importing `hhtkit.cli` loads none of the modules it would bring in."""
+and importing `hhtkit.cli` loads none of the modules it would bring in.
+No module calls `vars()` or reads an instance's `__dict__`."""
 
 import ast
 import subprocess
@@ -83,3 +84,48 @@ def test_importing_the_cli_loads_no_heavy_module():
     added = set(done.stdout.split())
     assert "hhtkit.cli" in added
     assert sorted(added & set(HEAVY)) == []
+
+
+# on Python 3.11 an object's attributes live in the object itself until its
+# `__dict__` is touched, which moves them into a dict and makes every later
+# read slower; the value classes read their class's `__dict__` only
+CLASS_DICT_READERS = {"_fields", "_define"}
+
+
+def instance_dict_uses(source: str) -> list[str]:
+    """Each `vars(...)` call and each `.__dict__` read in `source`, as
+    `function: code`, but a `cls.__dict__` read in `CLASS_DICT_READERS`."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id == "vars":
+            found.append(f"{function}: {ast.unparse(node)}")
+        elif isinstance(node, ast.Attribute) and node.attr == "__dict__":
+            exempt = (function in CLASS_DICT_READERS and isinstance(node.value, ast.Name)
+                      and node.value.id == "cls")
+            if not exempt:
+                found.append(f"{function}: {ast.unparse(node)}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_the_check_finds_an_instance_dict_use():
+    source = ("def _fields(cls):\n    return cls.__dict__, vars(cls)\n"
+              "def _define(cls, node):\n    node.__dict__.update(a=1)\n"
+              "class A:\n    def f(self):\n        return self.__dict__.get('x')\n"
+              "x = vars()\n")
+    assert instance_dict_uses(source) == [
+        "_fields: vars(cls)", "_define: node.__dict__", "f: self.__dict__", "<module>: vars()"]
+
+
+def test_no_module_reads_an_instance_dict():
+    got = {path.name: instance_dict_uses(path.read_text(encoding="utf-8"))
+           for path in sorted(PACKAGE.glob("*.py"))}
+    assert "syntax.py" in got
+    assert {name: found for name, found in got.items() if found} == {}
