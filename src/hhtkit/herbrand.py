@@ -86,25 +86,25 @@ from .syntax import (
 def _hat(t: Term, env: Mapping) -> Term:
     """The ground term `t` denotes under `env`, which binds its object
     variables to terms and its function variables to function names."""
-    match t:
-        case Var():
-            got = env.get(t)
-            if got is None:
-                raise NotClosed(f"unbound variable {t.name}")
-            return got
-        case FnApp(fn, args):
-            return FnApp(fn, tuple(_hat(a, env) for a in args))
-        case FnVarApp(v, args):
-            table = env.get(v)
-            if table is None:
-                raise NotClosed(f"unbound function variable {v.name}")
-            hatted = tuple(_hat(a, env) for a in args)
-            got = table.get(hatted)
-            if got is None:
-                shown = ", ".join(term_to_text(a) for a in hatted)
-                raise OutsideUniverse(f"a function variable is applied to ({shown}), "
-                                      "which lies outside the depth-truncated universe")
-            return got
+    kind = type(t)
+    if kind is Var:
+        got = env.get(t)
+        if got is None:
+            raise NotClosed(f"unbound variable {t.name}")
+        return got
+    if kind is FnApp:
+        return FnApp(t.fn, tuple([_hat(a, env) for a in t.args]))
+    if kind is FnVarApp:
+        table = env.get(t.var)
+        if table is None:
+            raise NotClosed(f"unbound function variable {t.var.name}")
+        hatted = tuple([_hat(a, env) for a in t.args])
+        got = table.get(hatted)
+        if got is None:
+            shown = ", ".join(term_to_text(a) for a in hatted)
+            raise OutsideUniverse(f"a function variable is applied to ({shown}), "
+                                  "which lies outside the depth-truncated universe")
+        return got
     raise TypeError(f"not a term: {t!r}")
 
 
@@ -321,24 +321,13 @@ class _Grounding:
     def ground(self, f: FOFormula, env: dict) -> int:
         """Mirrors `_sat`, evaluating at both worlds and every interpretation
         at once."""
-        match f:
-            case Falsum():
-                return ABSENT
-            case Equals(l, r):
-                return BOTH if _hat(l, env) == _hat(r, env) else ABSENT
-            case Atom(pred, args):
-                hatted = tuple(_hat(a, env) for a in args)
-                if isinstance(pred, PredVar):
-                    pred = env[pred]
-                if isinstance(pred, HTInterpretation):
-                    return pred.atom_state(hatted)
-                atom = Atom(pred, hatted)
-                return self.emit(ATOM, atom) if atom in self.base else ABSENT
-            case Binary("->", l, r):
-                kl = self.ground(l, env)
+        kind = type(f)
+        if kind is Binary:
+            kl = self.ground(f.left, env)
+            if f.op == "->":
                 if kl == ABSENT:
                     return BOTH
-                kr = self.ground(r, env)
+                kr = self.ground(f.right, env)
                 if kl < 3 and kr < 3:
                     return BOTH if kl <= kr else kr
                 if kr == BOTH or kl == kr:
@@ -346,26 +335,35 @@ class _Grounding:
                 if kl == BOTH:
                     return kr
                 return self.emit(IMP, (kl, kr))
-            case Binary(sym, l, r):
-                op, zero = (AND, ABSENT) if sym == "&" else (OR, BOTH)
-                kl = self.ground(l, env)
-                if kl == zero:
-                    return zero
-                return self.junction(op, [kl, self.ground(r, env)])
-            case Quant(kind, binder, body):
-                op, zero = (AND, ABSENT) if kind == "forall" else (OR, BOTH)
-                shadowed = env.get(binder)
-                kids = []
-                for d in _domain(binder, self.terms):
-                    env[binder] = d
-                    kids.append(self.ground(body, env))
-                    if kids[-1] == zero:
-                        break
-                if shadowed is None:
-                    env.pop(binder, None)
-                else:
-                    env[binder] = shadowed
-                return self.junction(op, kids)
+            op, zero = (AND, ABSENT) if f.op == "&" else (OR, BOTH)
+            if kl == zero:
+                return zero
+            return self.junction(op, [kl, self.ground(f.right, env)])
+        if kind is Atom:
+            hatted = tuple([_hat(a, env) for a in f.args])
+            if type(f.pred) is PredVar:  # bound to a predicate name
+                return env[f.pred].atom_state(hatted)
+            atom = Atom(f.pred, hatted)
+            return self.emit(ATOM, atom) if atom in self.base else ABSENT
+        if kind is Quant:
+            op, zero = (AND, ABSENT) if f.kind == "forall" else (OR, BOTH)
+            binder, body = f.binder, f.body
+            shadowed = env.get(binder)
+            kids = []
+            for d in _domain(binder, self.terms):
+                env[binder] = d
+                kids.append(self.ground(body, env))
+                if kids[-1] == zero:
+                    break
+            if shadowed is None:
+                env.pop(binder, None)
+            else:
+                env[binder] = shadowed
+            return self.junction(op, kids)
+        if kind is Equals:
+            return BOTH if _hat(f.left, env) == _hat(f.right, env) else ABSENT
+        if kind is Falsum:
+            return ABSENT
         raise TypeError(f"not a formula: {f!r}")
 
 

@@ -4,11 +4,12 @@ first-order formula (restrictors allowed) into a propositional formula.
 
 The instance is built in one walk that carries an environment binding each
 quantified variable to a term; terms at atoms and equations are evaluated
-under it.  A generalized variable's restrictor domains are filtered once,
-one lookup per restrictor and term, and its tuples are their product.  The
-walk also collects the atoms the substitution does not map: a restrictor
-guard atom without an image is reported itself, and the bodies of the
-tuples it guards are skipped.
+under it.  A restrictor's domain is filtered once per walk, one lookup per
+term however often its quantifiers are visited, and a generalized
+variable's tuples are the product of its restrictors' domains.  The walk
+also collects the atoms the substitution does not map: a restrictor guard
+atom without an image is reported itself, and the bodies of the tuples it
+guards are skipped.
 
 The walk is memoized per node and environment: a subformula is instantiated
 once per binding of its own free variables, and its other occurrences under
@@ -16,7 +17,10 @@ that binding get the same object.  The instance is thus a DAG sharing what
 the formula shares (both sides of a `<->`) and what its quantifiers repeat,
 and the walk's work grows with those (node, binding) pairs, not with the
 tree.  Its equality, atoms, rank and text are the tree's; only its count of
-distinct nodes falls.
+distinct nodes falls.  A node's key is the terms of its free variables,
+which an `operator.itemgetter` built once per node per walk reads from the
+environment, and the walk picks a node's case by `type()`, not by a
+structural `match`, which costs several times as much per visit.
 
 Exact mode requires every function constant to be nullary, so the term
 universe is finite and the instance is faithful.  Bounded mode truncates
@@ -27,6 +31,7 @@ labels its results accordingly.
 from __future__ import annotations
 
 import itertools
+from operator import itemgetter
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -239,48 +244,61 @@ def _instantiate(
             missing.add(str(atom))
             return BOT
 
-    # what `rec` built, by node and the terms of its free variables (a
-    # node's one `free` set iterates in one order)
-    memo: dict[tuple, PropFormula] = {}
+    # per node, a getter of the terms `env` binds its free variables to
+    # (`type`, one value, for a closed node) and what `rec` built by them
+    memo: dict[FOFormula, tuple[object, dict]] = {}
+    domains: dict[str, list[Term]] = {}  # the terms each restrictor maps to `top`
+
+    def domain(r: str) -> list[Term]:
+        got = domains.get(r)
+        if got is None:
+            got = domains[r] = [t for t in terms if image(Atom(r, (t,))) == TOP]
+        return got
 
     def rec(g: FOFormula) -> PropFormula:
-        key = (g, *map(env.__getitem__, g.free))
-        if (out := memo.get(key)) is not None:
+        if (entry := memo.get(g)) is None:
+            entry = memo[g] = (itemgetter(*g.free) if g.free else type, {})
+        built, key = entry[1], entry[0](env)
+        if (out := built.get(key)) is not None:
             return out
-        match g:
-            case Falsum():
-                out = BOT
-            case Equals(l, r):
-                out = TOP if term_subst(l, env) == term_subst(r, env) else BOT
-            case Atom(pred, args):  # `f` is closed: `env` binds every variable
-                out = image(Atom(pred, tuple([term_subst(a, env) for a in args])))
-            case Binary("&", l, r):
-                out = PAnd((rec(l), rec(r)))
-            case Binary("|", l, r):
-                out = POr((rec(l), rec(r)))
-            case Binary("->", l, r):
-                out = PImp(rec(l), rec(r))
-            case Quant(kind, binder, body):
-                if isinstance(binder, GenVar):
-                    variables = binder.variables()
-                    domains = [[t for t in terms if image(Atom(r, (t,))) == TOP]
-                               for _, r in binder.items]
-                else:
-                    variables, domains = (binder,), [terms]
+        kind = type(g)
+        if kind is Binary:
+            op = g.op
+            if op == "&":
+                out = PAnd((rec(g.left), rec(g.right)))
+            elif op == "|":
+                out = POr((rec(g.left), rec(g.right)))
+            else:
+                out = PImp(rec(g.left), rec(g.right))
+        elif kind is Atom:  # `f` is closed: `env` binds every variable
+            out = image(Atom(g.pred, tuple([term_subst(a, env) for a in g.args])))
+        elif kind is Quant:
+            binder, body = g.binder, g.body
+            children = []
+            if type(binder) is GenVar:
+                variables = binder.variables()
                 shadowed = [env.get(v) for v in variables]
-                children = []
-                for choice in itertools.product(*domains):
+                for choice in itertools.product(*[domain(r) for _, r in binder.items]):
                     env.update(zip(variables, choice))
                     children.append(rec(body))
-                for v, t in zip(variables, shadowed):
-                    if t is None:
-                        env.pop(v, None)
-                    else:
-                        env[v] = t
-                out = PAnd(children) if kind == "forall" else POr(children)
-            case _:
-                raise TypeError(f"unexpected formula node: {g!r}")
-        memo[key] = out
+            else:
+                variables, shadowed = (binder,), [env.get(binder)]
+                for t in terms:
+                    env[binder] = t
+                    children.append(rec(body))
+            for v, t in zip(variables, shadowed):
+                if t is None:
+                    env.pop(v, None)
+                else:
+                    env[v] = t
+            out = PAnd(children) if g.kind == "forall" else POr(children)
+        elif kind is Equals:
+            out = TOP if term_subst(g.left, env) == term_subst(g.right, env) else BOT
+        elif kind is Falsum:
+            out = BOT
+        else:
+            raise TypeError(f"unexpected formula node: {g!r}")
+        built[key] = out
         return out
 
     try:

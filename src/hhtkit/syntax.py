@@ -517,13 +517,13 @@ def is_first_order(f: FOFormula) -> bool:
 def term_subst(t: Term, mapping: Mapping) -> Term:
     """Replace the object and function variables of `t` that `mapping`
     maps (to a term and to a function variable respectively)."""
-    match t:
-        case Var():
-            return mapping.get(t, t)
-        case FnApp(fn, args):
-            return FnApp(fn, tuple(term_subst(a, mapping) for a in args))
-        case FnVarApp(v, args):
-            return FnVarApp(mapping.get(v, v), tuple(term_subst(a, mapping) for a in args))
+    kind = type(t)
+    if kind is Var:
+        return mapping.get(t, t)
+    if kind is FnApp:
+        return FnApp(t.fn, tuple([term_subst(a, mapping) for a in t.args]))
+    if kind is FnVarApp:
+        return FnVarApp(mapping.get(t.var, t.var), tuple([term_subst(a, mapping) for a in t.args]))
     raise TypeError(f"not a term: {t!r}")
 
 

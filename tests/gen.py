@@ -6,17 +6,31 @@ from __future__ import annotations
 import itertools
 import random
 
+from hhtkit.errors import NotClosed, OutsideUniverse, UnmappedAtom
+from hhtkit.herbrand import _domain, _Grounding
 from hhtkit.instantiation import EXACT, Substitution, herbrand_base, universe
-from hhtkit.semantics import DEFAULT_BUDGET, HTInterpretation, first_countermodel
+from hhtkit.semantics import (
+    ABSENT,
+    BOTH,
+    DEFAULT_BUDGET,
+    HTInterpretation,
+    first_countermodel,
+)
 from hhtkit.syntax import (
+    AND,
     ATOM,
     BOT,
     BOTTOM,
     CONST,
+    IMP,
+    OR,
     TOP,
     Atom,
     Binary,
     Equals,
+    Falsum,
+    FnApp,
+    FnVarApp,
     FOFormula,
     FuncVar,
     GenVar,
@@ -28,10 +42,12 @@ from hhtkit.syntax import (
     PropFormula,
     Quant,
     Signature,
+    Term,
     Var,
     const,
     free_variables,
     prop_dag,
+    term_to_text,
 )
 
 SIGMA_ATOMS = ("u", "v", "w")
@@ -187,3 +203,157 @@ def universal_closure(f: FOFormula) -> FOFormula:
     for v in sorted(free_variables(f), key=key, reverse=True):
         f = Quant("forall", v, f)
     return f
+
+
+# ---------------------------------------------------------------------------
+# the quantifier-expansion walks as they were before they dispatched on
+# `type()`: `instantiation._instantiate`'s `rec`, `herbrand._Grounding.ground`
+# and the term walks they call, `syntax.term_subst` and `herbrand._hat`, each
+# a structural `match`
+
+def term_subst_reference(t, mapping):
+    match t:
+        case Var():
+            return mapping.get(t, t)
+        case FnApp(fn, args):
+            return FnApp(fn, tuple(term_subst_reference(a, mapping) for a in args))
+        case FnVarApp(v, args):
+            return FnVarApp(mapping.get(v, v),
+                            tuple(term_subst_reference(a, mapping) for a in args))
+    raise TypeError(f"not a term: {t!r}")
+
+
+def instantiate_reference(subst: Substitution, f: FOFormula, mode=EXACT):
+    """`instantiation._instantiate` of a closed first-order `f`: the instance,
+    with `bot` for each unmapped atom, and those atoms, sorted.  Memoized by
+    node and the terms of its free variables, so it shares what the walk
+    shares; a generalized variable filters its domains on every visit."""
+    terms = universe(subst.signature, mode)
+    missing: set[str] = set()
+    env: dict[Var, Term] = {}
+
+    def image(atom: Atom) -> PropFormula:
+        try:
+            return subst.lookup(atom)
+        except UnmappedAtom:
+            missing.add(str(atom))
+            return BOT
+
+    memo: dict[tuple, PropFormula] = {}
+
+    def rec(g: FOFormula) -> PropFormula:
+        key = (g, *map(env.__getitem__, g.free))
+        if (out := memo.get(key)) is not None:
+            return out
+        match g:
+            case Falsum():
+                out = BOT
+            case Equals(l, r):
+                out = TOP if term_subst_reference(l, env) == term_subst_reference(r, env) else BOT
+            case Atom(pred, args):
+                out = image(Atom(pred, tuple([term_subst_reference(a, env) for a in args])))
+            case Binary("&", l, r):
+                out = PAnd((rec(l), rec(r)))
+            case Binary("|", l, r):
+                out = POr((rec(l), rec(r)))
+            case Binary("->", l, r):
+                out = PImp(rec(l), rec(r))
+            case Quant(kind, binder, body):
+                if isinstance(binder, GenVar):
+                    variables = binder.variables()
+                    domains = [[t for t in terms if image(Atom(r, (t,))) == TOP]
+                               for _, r in binder.items]
+                else:
+                    variables, domains = (binder,), [terms]
+                shadowed = [env.get(v) for v in variables]
+                children = []
+                for choice in itertools.product(*domains):
+                    env.update(zip(variables, choice))
+                    children.append(rec(body))
+                for v, t in zip(variables, shadowed):
+                    if t is None:
+                        env.pop(v, None)
+                    else:
+                        env[v] = t
+                out = PAnd(children) if kind == "forall" else POr(children)
+            case _:
+                raise TypeError(f"unexpected formula node: {g!r}")
+        memo[key] = out
+        return out
+
+    return rec(f), tuple(sorted(missing))
+
+
+def hat_reference(t, env):
+    match t:
+        case Var():
+            got = env.get(t)
+            if got is None:
+                raise NotClosed(f"unbound variable {t.name}")
+            return got
+        case FnApp(fn, args):
+            return FnApp(fn, tuple(hat_reference(a, env) for a in args))
+        case FnVarApp(v, args):
+            table = env.get(v)
+            if table is None:
+                raise NotClosed(f"unbound function variable {v.name}")
+            hatted = tuple(hat_reference(a, env) for a in args)
+            got = table.get(hatted)
+            if got is None:
+                shown = ", ".join(term_to_text(a) for a in hatted)
+                raise OutsideUniverse(f"a function variable is applied to ({shown}), "
+                                      "which lies outside the depth-truncated universe")
+            return got
+    raise TypeError(f"not a term: {t!r}")
+
+
+class GroundingReference(_Grounding):
+    """`herbrand._Grounding` with its `ground` as a structural `match`."""
+
+    def ground(self, f: FOFormula, env: dict) -> int:
+        match f:
+            case Falsum():
+                return ABSENT
+            case Equals(l, r):
+                return BOTH if hat_reference(l, env) == hat_reference(r, env) else ABSENT
+            case Atom(pred, args):
+                hatted = tuple(hat_reference(a, env) for a in args)
+                if isinstance(pred, PredVar):
+                    pred = env[pred]
+                if isinstance(pred, HTInterpretation):
+                    return pred.atom_state(hatted)
+                atom = Atom(pred, hatted)
+                return self.emit(ATOM, atom) if atom in self.base else ABSENT
+            case Binary("->", l, r):
+                kl = self.ground(l, env)
+                if kl == ABSENT:
+                    return BOTH
+                kr = self.ground(r, env)
+                if kl < 3 and kr < 3:
+                    return BOTH if kl <= kr else kr
+                if kr == BOTH or kl == kr:
+                    return BOTH
+                if kl == BOTH:
+                    return kr
+                return self.emit(IMP, (kl, kr))
+            case Binary(sym, l, r):
+                op, zero = (AND, ABSENT) if sym == "&" else (OR, BOTH)
+                kl = self.ground(l, env)
+                if kl == zero:
+                    return zero
+                return self.junction(op, [kl, self.ground(r, env)])
+            case Quant(kind, binder, body):
+                op, zero = (AND, ABSENT) if kind == "forall" else (OR, BOTH)
+                shadowed = env.get(binder)
+                kids = []
+                for d in _domain(binder, self.terms):
+                    env[binder] = d
+                    kids.append(self.ground(body, env))
+                    if kids[-1] == zero:
+                        break
+                if shadowed is None:
+                    env.pop(binder, None)
+                else:
+                    env[binder] = shadowed
+                return self.junction(op, kids)
+        raise TypeError(f"not a formula: {f!r}")

@@ -6,7 +6,9 @@ import pytest
 import gen
 from hhtkit.cli import run
 from hhtkit.errors import STEP_CAP, BudgetExceeded, capped_pow
+from hhtkit.errors import OutsideUniverse
 from hhtkit.herbrand import (
+    _Grounding,
     _hat,
     all_function_names,
     all_predicate_names,
@@ -40,6 +42,7 @@ from hhtkit.syntax import (
     Signature,
     Var,
     const,
+    eliminate_restrictors,
 )
 
 SIG_AB = Signature.make({"a": 0, "b": 0}, {"P": 1, "Q": 0})
@@ -333,6 +336,58 @@ def test_grounded_constant_roots_match_literal(text, valid):
     assert (got is None) == valid
     if got is not None:
         assert got.there == frozenset()
+
+
+# --- the type-dispatch grounding against the structural-`match` one ---------
+
+def _grounds_as_reference(sig, f, mode=EXACT):
+    terms = universe(sig, mode)
+    base = herbrand_base(sig, terms)
+    new, old = _Grounding(base, terms), gen.GroundingReference(base, terms)
+    assert (new.prog, new.ground(f, {})) == (old.prog, old.ground(f, {})), f
+
+
+SIG_FN = Signature.make({"a": 0, "b": 0, "s": 1}, {"P": 1, "Q": 0, "R1": 1}, {"R1"})
+
+
+@pytest.mark.parametrize("sig, mode, share", [
+    (SIG_A2B, EXACT, 0.0),
+    (Signature.make({"a": 0, "b": 0, "c": 0}, {"P": 1, "R1": 1, "R2": 1}, {"R1", "R2"}),
+     EXACT, 0.6),
+    (SIG_FN, Bounded(1), 0.5),
+    (SIG_FN, Bounded(2), 0.5),
+], ids=["exact", "restricted", "fn-depth1", "fn-depth2"])
+def test_grounding_matches_the_match_reference_on_random_formulas(sig, mode, share):
+    rng = random.Random(83)
+    for _ in range(100):
+        f = gen.rand_formula(rng, sig, depth=4, restrictor_share=share)
+        _grounds_as_reference(sig, eliminate_restrictors(f), mode)
+
+
+@pytest.mark.parametrize("text", [
+    "exists p/1 forall x (p(x) <-> P(x))",
+    "forall p/0 (not not p -> p) | Q",
+    "forall p/1 (p(a) & p(b) -> forall x p(x))",
+    "forall g^1 exists x (P(g(x)) -> Q) | not Q",
+    "forall g^1 forall x (g(x) = s(x) | exists p/1 (p(g(x)) -> P(s(x))))",
+    "forall x (P(x) & forall x (x = s(x) -> P(s(x))))",
+])
+def test_grounding_matches_the_match_reference_on_names_and_terms(text):
+    for mode in (EXACT, Bounded(0), Bounded(1)) if "s(" not in text else (Bounded(1),):
+        sig = SIG_AB if mode == EXACT else SIG_FN
+        _grounds_as_reference(sig, fof(sig, text), mode)
+
+
+def test_grounding_and_reference_refuse_a_term_outside_the_universe():
+    f = fof(SIG_FN, "exists g^1 forall x P(g(s(x)))")
+    terms = universe(SIG_FN, Bounded(1))
+    base = herbrand_base(SIG_FN, terms)
+    messages = []
+    for grounding in (_Grounding(base, terms), gen.GroundingReference(base, terms)):
+        with pytest.raises(OutsideUniverse) as err:
+            grounding.ground(f, {})
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
 
 
 # --- persistence -----------------------------------------------------------------

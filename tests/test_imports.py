@@ -1,7 +1,8 @@
 """No module of the package imports a `_`-prefixed name from a sibling
 module: what two modules share is public.  No module imports `dataclasses`,
 and importing `hhtkit.cli` loads none of the modules it would bring in.
-No module calls `vars()` or reads an instance's `__dict__`."""
+No module calls `vars()` or reads an instance's `__dict__`.  The walks that
+expand quantifiers hold no `match` statement."""
 
 import ast
 import subprocess
@@ -128,4 +129,45 @@ def test_no_module_reads_an_instance_dict():
     got = {path.name: instance_dict_uses(path.read_text(encoding="utf-8"))
            for path in sorted(PACKAGE.glob("*.py"))}
     assert "syntax.py" in got
+    assert {name: found for name, found in got.items() if found} == {}
+
+
+# the walks that run once per (node, binding) when quantifiers expand pick
+# their case by `type()`: on Python 3.11 a structural `match` takes about
+# ten times as long to reach a `Binary` case; `None` covers the whole module
+EXPANSION_WALKS = {
+    "instantiation.py": None,
+    "herbrand.py": ("_Grounding", "_hat"),
+    "syntax.py": ("term_subst",),
+}
+
+
+def match_statements(source: str, names: tuple[str, ...] | None = None) -> list[str]:
+    """`name:line` for each `match` statement in `source`, within the
+    top-level functions and classes `names` lists, or anywhere."""
+    found = []
+    for top in ast.parse(source).body:
+        name = getattr(top, "name", "<module>")
+        if names is None or name in names:
+            found += [f"{name}:{node.lineno}" for node in ast.walk(top)
+                      if isinstance(node, ast.Match)]
+    return found
+
+
+def test_the_check_finds_a_match_statement():
+    source = ("def _hat(t):\n    match t:\n        case _:\n            return t\n"
+              "class _Grounding:\n    def ground(self, f):\n"
+              "        if f:\n            match f:\n                case _:\n"
+              "                    return 0\n"
+              "def _sat(f):\n    match f:\n        case _:\n            return 1\n")
+    assert match_statements(source, ("_Grounding", "_hat")) == ["_hat:2", "_Grounding:8"]
+    assert match_statements(source) == ["_hat:2", "_Grounding:8", "_sat:12"]
+
+
+def test_the_expansion_walks_hold_no_match_statement():
+    got = {}
+    for name, names in EXPANSION_WALKS.items():
+        source = (PACKAGE / name).read_text(encoding="utf-8")
+        assert set(names or ()) <= {getattr(top, "name", None) for top in ast.parse(source).body}
+        got[name] = match_statements(source, names)
     assert {name: found for name, found in got.items() if found} == {}

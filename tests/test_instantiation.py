@@ -16,6 +16,7 @@ from hhtkit.instantiation import (
     EXACT,
     Bounded,
     Substitution,
+    _instantiate,
     count_universe,
     ground_terms,
     herbrand_base,
@@ -45,6 +46,7 @@ from hhtkit.syntax import (
     const,
     eliminate_restrictors,
     prop_atoms,
+    prop_dag,
     prop_node_count,
     prop_stats,
     prop_to_text,
@@ -507,3 +509,65 @@ def test_validate_under_iff_matches_literal():
         assert_matches_literal(s, f, EXACT)
         reports.add(validate(s, f))
     assert len(reports) > 3 and () in reports
+
+
+def test_restrictor_domains_are_filtered_once_per_walk():
+    # `forall x exists (y:R) P(x, y)` over n constants, every tenth in R:
+    # one lookup per constant for R, then one per `P(x, y)` with y in R
+    n = 400
+    names = [f"c{i}" for i in range(n)]
+    sig = Signature.make(dict.fromkeys(names, 0), {"P": 2, "R": 1}, {"R"})
+    entries = {Atom("R", (const(c),)): TOP if i % 10 == 0 else BOT
+               for i, c in enumerate(names)}
+    s = Substitution(sig, entries, {"P": PAtom("p")})
+    calls = []
+    lookup = s.lookup
+    s.lookup = lambda atom: calls.append(atom) or lookup(atom)
+    got = instantiate(s, parse_formula_text("forall x exists (y:R) P(x, y)", sig))
+    assert got == PAnd([POr([PAtom("p")])])
+    assert len(calls) == n + n * (n // 10)
+
+
+# ---------------------------------------------------------------------------
+# the type-dispatch walk against the structural-`match` walk it replaced
+
+def assert_matches_reference(s, f, mode):
+    got, got_missing = _instantiate(s, f, mode)
+    want, want_missing = gen.instantiate_reference(s, f, mode)
+    assert got == want
+    # the same partition of (node, binding) pairs: the same sharing
+    assert len(prop_dag(got)) == len(prop_dag(want))
+    assert got_missing == want_missing
+
+
+@pytest.mark.parametrize("sig, mode, share", [
+    (SIG2R, EXACT, 0.3),
+    (SIG2R, EXACT, 0.7),
+    (SIG_FN, Bounded(1), 0.5),
+    (SIG_FN, Bounded(2), 0.5),
+], ids=["sig2r-0.3", "sig2r-0.7", "fn-depth1", "fn-depth2"])
+def test_walk_matches_the_match_reference_on_random_formulas(sig, mode, share):
+    rng = random.Random(67)
+    for _ in range(100):
+        f = gen.rand_formula(rng, sig, depth=4, restrictor_share=share)
+        s = partial_substitution(rng, sig, mode, rng.choice((0.0, 0.1, 0.3)))
+        assert_matches_reference(s, f, mode)
+
+
+@pytest.mark.parametrize("text", [
+    "forall x (P(x) & forall x Q(x))",
+    "exists y forall x (exists (x:R1, y:R2) S(x, y) -> S(y, x))",
+    "forall x (exists (x:R1, y:R2) (S(x, y) -> exists y P(y)) & P(x))",
+    "forall (x:R2) (exists (x:R1) P(x) -> x = a | Q(x))",
+    "forall x (P(s(x)) <-> exists y (y = s(x) & Q(y)))",
+    "exists (x:R1) forall y (S(x, s(y)) -> P(s(s(x))) | s(x) = y)",
+    "(Q(a) -> P(b)) & forall x (P(x) | (Q(a) -> P(b)))",  # one closed node, two depths
+])
+def test_walk_matches_the_match_reference_on_shadows_guards_and_terms(text):
+    sig = Signature.make({"a": 0, "b": 0, "s": 1},
+                         {"P": 1, "Q": 1, "S": 2, "R1": 1, "R2": 1}, {"R1", "R2"})
+    f = parse_formula_text(text, sig)
+    rng = random.Random(71)
+    for mode in (Bounded(0), Bounded(1), Bounded(2)):
+        for drop in (0.0, 0.0, 0.2, 0.5):
+            assert_matches_reference(partial_substitution(rng, sig, mode, drop), f, mode)

@@ -49,18 +49,23 @@ def compile_checkout(checkout: Path, prefix: Path) -> dict:
 
 
 def describe(checkout: Path) -> str:
-    """The checkout's commit, or its directory name outside git."""
-    done = subprocess.run(["git", "rev-parse", "--short", "HEAD"], cwd=checkout,
+    """The checkout's commit, marked `-dirty` when its files differ from it,
+    or its directory name outside git."""
+    done = subprocess.run(["git", "describe", "--always", "--dirty"], cwd=checkout,
                           capture_output=True, text=True)
     return done.stdout.strip() if done.returncode == 0 else checkout.name
 
 
-def run_once(checkout: Path, env: dict, workload: str, seed: int, seconds: float) -> dict:
-    """One benchmark run: the JSON object its last line of output holds."""
+def run_once(checkout: Path, env: dict, workload: str, seed: int, seconds: float,
+             label: str) -> dict:
+    """One benchmark run: the JSON object its last line of output holds.  A
+    run that fails ends the record, with `label` and the end of its stderr."""
     cmd = [sys.executable, "hhtbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
-    done = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True,
-                          check=True)
+    done = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True)
+    if done.returncode != 0:
+        tail = "\n".join(done.stderr.splitlines()[-20:])
+        sys.exit(f"{label}: exit {done.returncode}\n{tail}")
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
@@ -110,7 +115,8 @@ def main(argv=None) -> int:
             for i in range(args.pairs):
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                 for side in order:
-                    got = run_once(sides[side], envs[side], workload, args.seed, seconds)
+                    got = run_once(sides[side], envs[side], workload, args.seed, seconds,
+                                   f"{side} run of {workload}, pair {i + 1}")
                     runs[side].append(got)
                     print(f"{workload} pair {i + 1}/{args.pairs} {side}: "
                           f"wall_s {got['metrics']['wall_s']['value']:.4f} "
