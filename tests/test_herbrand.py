@@ -344,7 +344,8 @@ def _grounds_as_reference(sig, f, mode=EXACT):
     terms = universe(sig, mode)
     base = herbrand_base(sig, terms)
     new, old = _Grounding(base, terms), gen.GroundingReference(base, terms)
-    assert (new.prog, new.ground(f, {})) == (old.prog, old.ground(f, {})), f
+    new_root, old_root = new.ground(f, {}), old.ground(f, {})
+    assert (new.prog, new_root) == (old.prog, old_root), f
 
 
 SIG_FN = Signature.make({"a": 0, "b": 0, "s": 1}, {"P": 1, "Q": 0, "R1": 1}, {"R1"})
@@ -373,9 +374,9 @@ def test_grounding_matches_the_match_reference_on_random_formulas(sig, mode, sha
     "forall x (P(x) & forall x (x = s(x) -> P(s(x))))",
 ])
 def test_grounding_matches_the_match_reference_on_names_and_terms(text):
-    for mode in (EXACT, Bounded(0), Bounded(1)) if "s(" not in text else (Bounded(1),):
-        sig = SIG_AB if mode == EXACT else SIG_FN
-        _grounds_as_reference(sig, fof(sig, text), mode)
+    _grounds_as_reference(SIG_FN, fof(SIG_FN, text), Bounded(1))
+    if "s(" not in text:
+        _grounds_as_reference(SIG_AB, fof(SIG_AB, text))
 
 
 def test_grounding_and_reference_refuse_a_term_outside_the_universe():
