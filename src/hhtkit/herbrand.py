@@ -24,13 +24,13 @@ interpretation can change folds to a constant while grounding, with the
 short-circuits `_sat` takes: `bot`, equations, atoms outside the base, and
 atoms of predicate names, which may hold there but not here.  The ground
 program goes to `semantics.first_countermodel`, as `ht_valid`'s does, which
-returns the first countermodel in canonical order.  The budget is checked
-twice: `estimate_cost` (the nodes grounding may visit) before grounding,
-since a second-order domain can explode, and that count plus the engine's
-steps on the ground program, by the engine, before evaluating it.  The
-first check runs on a count of the universe, before the universe and the
-Herbrand base are built, and also refuses a universe whose terms have more
-nodes than the budget.
+returns the first countermodel in canonical order.  The base is built only
+to show a countermodel.  The budget is checked twice: `estimate_cost` (the
+nodes grounding may visit) before grounding, since a second-order domain
+can explode, and that count plus the engine's steps on the ground program,
+by the engine, before evaluating it.  The first check runs on a count of
+the universe, before the universe is built, and also refuses a universe
+whose terms have more nodes than the budget.
 """
 
 from __future__ import annotations
@@ -273,26 +273,28 @@ def hht_valid_bruteforce(
     if free_variables(f):
         raise NotClosed("validity checking needs a closed formula")
     terms = universe(sig, mode)
-    base = herbrand_base(sig, terms)
-    grounding = _Grounding(base, terms)
+    grounding = _Grounding(sig, terms)
     prog = _live_program(grounding.prog, grounding.ground(f, {}))
-    live = {arg for op, arg in prog if op == ATOM}
-    atoms = [a for a in base if a in live]  # sorted by text, as `base` is
+    atoms = sorted([arg for op, arg in prog if op == ATOM], key=str)  # as the base is
     counter = first_countermodel(prog, atoms, budget, spent=cost)
     if counter is None:
         return None
-    return HTInterpretation(counter.here, counter.there, base)
+    return HTInterpretation(counter.here, counter.there, herbrand_base(sig, terms))
 
 
 class _Grounding:
     """Grounds closed formulas over a universe into one program for the
     engine in `semantics`, sharing equal nodes.  `ground` returns a node's
     position; positions 0, 1 and 2 are the constants absent, there-only and
-    both, so a position below 3 is a constant whose value is its position."""
+    both, so a position below 3 is a constant whose value is its position.
+    A ground atom is kept when it is in the Herbrand base: its predicate is
+    declared with its arity, its arguments are in the universe.  The base
+    itself is built only to show a countermodel."""
 
-    def __init__(self, base: tuple[Atom, ...], terms: tuple[Term, ...]):
+    def __init__(self, sig: Signature, terms: tuple[Term, ...]):
         self.terms = terms
-        self.base = frozenset(base)
+        self.arities = dict(sig.predicates)
+        self.universe = frozenset(terms)
         self.prog: list[tuple[int, object]] = [
             (CONST, ABSENT), (CONST, THERE_ONLY), (CONST, BOTH)
         ]
@@ -343,8 +345,9 @@ class _Grounding:
             hatted = tuple([_hat(a, env) for a in f.args])
             if type(f.pred) is PredVar:  # bound to a predicate name
                 return env[f.pred].atom_state(hatted)
-            atom = Atom(f.pred, hatted)
-            return self.emit(ATOM, atom) if atom in self.base else ABSENT
+            if self.arities.get(f.pred) == len(hatted) and self.universe.issuperset(hatted):
+                return self.emit(ATOM, Atom(f.pred, hatted))
+            return ABSENT
         if kind is Quant:
             op, zero = (AND, ABSENT) if f.kind == "forall" else (OR, BOTH)
             binder, body = f.binder, f.body

@@ -158,8 +158,7 @@ class Substitution:
         defaults: Mapping[str, PropFormula] = (),
     ):
         self.signature = signature
-        self.entries = dict(entries.items() if isinstance(entries, Mapping) else entries)
-        self.defaults = dict(defaults.items() if isinstance(defaults, Mapping) else defaults)
+        self.entries, self.defaults = dict(entries), dict(defaults)
         for atom, image in self.entries.items():
             if atom.free:
                 raise SubstitutionError(f"substitution key {atom} is not ground")
@@ -274,18 +273,15 @@ def _instantiate(
             out = image(Atom(g.pred, tuple([term_subst(a, env) for a in g.args])))
         elif kind is Quant:
             binder, body = g.binder, g.body
-            children = []
             if type(binder) is GenVar:
-                variables = binder.variables()
-                shadowed = [env.get(v) for v in variables]
-                for choice in itertools.product(*[domain(r) for _, r in binder.items]):
-                    env.update(zip(variables, choice))
-                    children.append(rec(body))
+                variables, ranges = binder.variables(), [domain(r) for _, r in binder.items]
             else:
-                variables, shadowed = (binder,), [env.get(binder)]
-                for t in terms:
-                    env[binder] = t
-                    children.append(rec(body))
+                variables, ranges = (binder,), [terms]
+            shadowed = [env.get(v) for v in variables]
+            children = []
+            for choice in itertools.product(*ranges):
+                env.update(zip(variables, choice))
+                children.append(rec(body))
             for v, t in zip(variables, shadowed):
                 if t is None:
                     env.pop(v, None)

@@ -55,6 +55,7 @@ from .syntax import (
     Atom,
     Binary,
     Equals,
+    Falsum,
     FnApp,
     FnVarApp,
     FOFormula,
@@ -62,7 +63,6 @@ from .syntax import (
     PredVar,
     Quant,
     Signature,
-    Term,
     Var,
     conj,
     conj_all,
@@ -225,25 +225,37 @@ def _need(b: Mapping[str, object], key: str):
 
 _TERM_TYPES = (Var, FnApp, FnVarApp)
 
+# per kind of a schema key: the types its value, or each item of a list
+# kind's value, must have, whether the kind is a list, and what it must be
+_KINDS = {
+    "formula": ((Binary, Atom, Quant, Equals, Falsum), False, "a formula"),
+    "var": (Var, False, "an object variable"),
+    "term": (_TERM_TYPES, False, "a term"),
+    "fn": (str, False, "a function constant"),
+    "sovar": ((PredVar, FuncVar), False, "a second-order variable"),
+    "predvar": (PredVar, False, "a predicate variable"),
+    "funcvar": (FuncVar, False, "a function variable"),
+    "terms": (_TERM_TYPES, True, "a list of terms"),
+    "vars": (Var, True, "a list of object variables"),
+}
 
-def _need_var(b: Mapping[str, object], key: str) -> Var:
-    v = _need(b, key)
-    if not isinstance(v, Var):
-        raise _Mismatch(f"{key} must be an object variable")
-    return v
 
-
-def _need_term(b: Mapping[str, object], key: str) -> Term:
-    t = _need(b, key)
-    if not isinstance(t, _TERM_TYPES):
-        raise _Mismatch(f"{key} must be a term")
-    return t
+def _check_kinds(schema: Schema, b: Mapping[str, object]) -> None:
+    """Raise _Mismatch for the first bound value not of its key's kind."""
+    for key, kind in schema.keys:
+        if key in b:
+            types, listed, what = _KINDS[kind]
+            value = b[key]
+            if listed:
+                ok = isinstance(value, (tuple, list)) and all(isinstance(v, types) for v in value)
+            else:
+                ok = isinstance(value, types)
+            if not ok:
+                raise _Mismatch(f"{key} must be {what}")
 
 
 def _as_vars(value, key: str) -> tuple[Var, ...]:
     vs = tuple(value)
-    if not all(isinstance(v, Var) for v in vs):
-        raise _Mismatch(f"{key} must be a list of object variables")
     if len({v.name for v in vs}) != len(vs):
         raise _SideCondition(f"{key} must be distinct variables")
     return vs
@@ -302,23 +314,23 @@ def _build_efq(sig, b):
 
 
 def _build_forall_elim(sig, b):
-    x, f, t = _need_var(b, "x"), _need(b, "F"), _need_term(b, "t")
+    x, f, t = _need(b, "x"), _need(b, "F"), _need(b, "t")
     return impl(Quant("forall", x, f), _subst_req(f, x, t))
 
 
 def _build_exists_intro(sig, b):
-    x, f, t = _need_var(b, "x"), _need(b, "F"), _need_term(b, "t")
+    x, f, t = _need(b, "x"), _need(b, "F"), _need(b, "t")
     return impl(_subst_req(f, x, t), Quant("exists", x, f))
 
 
 def _build_eq_refl(sig, b):
-    t = _need_term(b, "t")
+    t = _need(b, "t")
     return Equals(t, t)
 
 
 def _build_eq_subst(sig, b):
-    t1, t2 = _need_term(b, "t1"), _need_term(b, "t2")
-    x, f = _need_var(b, "x"), _need(b, "F")
+    t1, t2 = _need(b, "t1"), _need(b, "t2")
+    x, f = _need(b, "x"), _need(b, "F")
     return impl(Equals(t1, t2), impl(_subst_req(f, x, t1), _subst_req(f, x, t2)))
 
 
@@ -328,7 +340,7 @@ def _build_hosoi(sig, b):
 
 
 def _build_sqht(sig, b):
-    x, f = _need_var(b, "x"), _need(b, "F")
+    x, f = _need(b, "x"), _need(b, "F")
     return Quant("exists", x, impl(f, Quant("forall", x, f)))
 
 
@@ -371,7 +383,7 @@ def _build_cet_inject(sig, b):
 
 
 def _build_cet_acyclic(sig, b):
-    t, x = _need_term(b, "t"), _need_var(b, "x")
+    t, x = _need(b, "t"), _need(b, "x")
     if t == x:
         raise _SideCondition("term must be different from the variable")
     if x not in t.free:
@@ -406,8 +418,6 @@ def _build_so_exists_intro(sig, b):
 def _build_so_forall_elim_abs(sig, b):
     p, g, f = _need(b, "p"), _need(b, "G"), _need(b, "F")
     xs = _as_vars(_need(b, "xs"), "xs")
-    if not isinstance(p, PredVar):
-        raise _Mismatch("p must be a predicate variable")
     if len(xs) != p.arity:
         raise _SideCondition("xs must match the arity of p")
     return impl(Quant("forall", p, g), _subst_req(g, p, (xs, f)))
@@ -416,8 +426,6 @@ def _build_so_forall_elim_abs(sig, b):
 def _build_comprehension(sig, b):
     p, f = _need(b, "p"), _need(b, "F")
     xs = _as_vars(b.get("xs", ()), "xs")
-    if not isinstance(p, PredVar):
-        raise _Mismatch("p must be a predicate variable")
     if len(xs) != p.arity:
         raise _SideCondition("xs must match the arity of p")
     if p in free_variables(f):
@@ -432,8 +440,6 @@ def _build_comprehension(sig, b):
 def _build_choice(sig, b):
     p, fv = _need(b, "p"), _need(b, "f")
     xs = _as_vars(_need(b, "xs"), "xs")
-    if not isinstance(p, PredVar) or not isinstance(fv, FuncVar):
-        raise _Mismatch("p must be a predicate variable and f a function variable")
     n = len(xs) - 1
     if n < 1:
         raise _SideCondition("choice requires n > 0")
@@ -464,10 +470,8 @@ def _closed_under(fname: str, arity: int, p: PredVar, x: Var) -> FOFormula:
 def _build_dca(sig, b):
     p = b.get("p", PredVar("p", 1))
     x = b.get("x", Var("x"))
-    if not isinstance(p, PredVar) or p.arity != 1:
+    if p.arity != 1:
         raise _Mismatch("p must be a unary predicate variable")
-    if not isinstance(x, Var):
-        raise _Mismatch("x must be an object variable")
     closure = conj_all(
         _closed_under(name, arity, p, x) for name, arity in sig.functions
     )
@@ -618,6 +622,7 @@ def build_axiom_instance(
     if schema is None:
         raise SchemaMismatch(0, f"unknown schema '{schema_id}'")
     try:
+        _check_kinds(schema, binding)
         return schema.build(sig, binding)
     except (_SideCondition, _Mismatch) as e:
         raise _build_error(e, 0) from None
@@ -657,8 +662,10 @@ def check_proof(proof: Proof) -> FOFormula:
                     n,
                     f"schema {schema.schema_id} needs level {schema.min_level.value}",
                 )
+            binding = just.as_dict()
             try:
-                expected = schema.build(sig, just.as_dict())
+                _check_kinds(schema, binding)
+                expected = schema.build(sig, binding)
             except (_SideCondition, _Mismatch) as e:
                 raise _build_error(e, n) from None
             # interned: equal is identical, so an equal line unfolds to `f`

@@ -4,25 +4,17 @@ it re-parses to a structurally identical justification."""
 from __future__ import annotations
 
 from .kernel import SCHEMAS, ByAxiom, ByGen, ByMP
-from .syntax import FuncVar, PredVar, Var, formula_to_text, term_to_text
+from .syntax import FuncVar, PredVar, Term, Var, binder_to_text, formula_to_text, term_to_text
 
 
 def _render_value(value) -> str:
-    if isinstance(value, Var):
-        return value.name
-    if isinstance(value, PredVar):
-        return f"{value.name}/{value.arity}"
-    if isinstance(value, FuncVar):
-        return f"{value.name}^{value.arity}"
     if isinstance(value, str):
         return value
     if isinstance(value, tuple):
         return "[" + ", ".join(_render_value(v) for v in value) + "]"
-    # formula or term node
-    try:
-        return formula_to_text(value)
-    except TypeError:
-        return term_to_text(value)
+    if isinstance(value, (Var, PredVar, FuncVar)):
+        return binder_to_text(value)
+    return term_to_text(value) if isinstance(value, Term) else formula_to_text(value)
 
 
 def _render_binding(just: ByAxiom) -> str:

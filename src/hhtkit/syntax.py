@@ -47,9 +47,9 @@ def _fields(cls) -> tuple[tuple[str, ...], tuple]:
 def _frozen(cls, names: tuple[str, ...], shown: tuple[str, ...]) -> None:
     """Give `cls` `__match_args__` (its fields), a dataclass-format repr of
     the `shown` fields, and a `__setattr__` and `__delattr__` that raise
-    AttributeError, each unless its body defines it.  The repr formats its
-    fields in a plain loop, no generator, so nested values take one frame
-    per level."""
+    AttributeError, each unless its body or a base class defines it.  The
+    repr formats its fields in a plain loop, no generator, so nested values
+    take one frame per level."""
     def __repr__(self):
         fields = []
         for name in shown:
@@ -67,9 +67,10 @@ def _frozen(cls, names: tuple[str, ...], shown: tuple[str, ...]) -> None:
 
 
 def _define(cls, **attributes) -> None:
-    """Set the `attributes` the body of `cls` does not define itself."""
+    """Set the `attributes` that `cls` takes from `object`, defined neither
+    by its body nor by another base class."""
     for name, value in attributes.items():
-        if name not in cls.__dict__:
+        if getattr(cls, name, None) is getattr(object, name, None):
             setattr(cls, name, value)
 
 
@@ -122,25 +123,16 @@ def record(cls=None, /, *, hidden: tuple[str, ...] = ()):
         if post_init is not None:
             post_init(self)
 
-    # the key is the tuple of the compared fields, as a dataclass hashes it;
-    # `attrgetter` of one name gives the bare value, so that key is built here
+    # the key is the tuple of the compared fields, or the bare value of one
     get = attrgetter(*compared) if compared else lambda self: ()
-    if len(compared) == 1:
-        def __eq__(self, other):
-            if other.__class__ is self.__class__:
-                return (get(self),) == (get(other),)
-            return NotImplemented
 
-        def __hash__(self):
-            return hash((get(self),))
-    else:
-        def __eq__(self, other):
-            if other.__class__ is self.__class__:
-                return get(self) == get(other)
-            return NotImplemented
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return get(self) == get(other)
+        return NotImplemented
 
-        def __hash__(self):
-            return hash(get(self))
+    def __hash__(self):
+        return hash(get(self))
 
     _frozen(cls, names, compared)
     _define(cls, __init__=__init__, __eq__=__eq__, __hash__=__hash__)
@@ -209,9 +201,7 @@ class Signature:
         predicates: Mapping[str, int] | Iterable[tuple[str, int]] = (),
         restrictors: Iterable[str] = (),
     ) -> "Signature":
-        fns = dict(functions.items() if isinstance(functions, Mapping) else functions)
-        preds = dict(predicates.items() if isinstance(predicates, Mapping) else predicates)
-        rs = frozenset(restrictors)
+        fns, preds, rs = dict(functions), dict(predicates), frozenset(restrictors)
         for name, arity in list(fns.items()) + list(preds.items()):
             if arity < 0:
                 raise SignatureError(f"negative arity for {name}")
@@ -619,7 +609,8 @@ def eliminate_restrictors(f: FOFormula) -> FOFormula:
 # node.  So they spell out `record`'s `__init__`, `==` and `hash` with named
 # parameters and plain attribute reads, which `record`'s closures cannot
 # have; those take `*args` and read through `attrgetter`, 50-100 ns a call
-# more, a few percent of `ht_atoms` and `universe` verdicts.
+# more, a few percent of `ht_atoms` and `universe` verdicts.  `PAnd` and
+# `POr` take theirs from one base, `_PSet`.
 
 @record
 class PAtom:
@@ -637,10 +628,7 @@ class PAtom:
         return hash((self.name,))
 
 
-@record
-class PAnd:
-    items: frozenset
-
+class _PSet:
     def __init__(self, items: Iterable = ()):
         _setattr(self, "items", frozenset(items))
 
@@ -654,19 +642,13 @@ class PAnd:
 
 
 @record
-class POr:
+class PAnd(_PSet):
     items: frozenset
 
-    def __init__(self, items: Iterable = ()):
-        _setattr(self, "items", frozenset(items))
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.items == other.items
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.items,))
+@record
+class POr(_PSet):
+    items: frozenset
 
 
 @record
@@ -803,7 +785,7 @@ _LEVEL_AND = 3
 _LEVEL_UNARY = 4
 
 
-def _binder_to_text(binder: Binder) -> str:
+def binder_to_text(binder: Binder) -> str:
     match binder:
         case Var(name):
             return name
@@ -848,7 +830,7 @@ def formula_to_text(f: FOFormula) -> str:
                 text = f"{rec(l, _LEVEL_AND)} & {rec(r, _LEVEL_AND + 1)}"
                 return wrap(text, _LEVEL_AND, ctx)
             case Quant(kind, binder, body):
-                text = f"{kind} {_binder_to_text(binder)} {rec(body, _LEVEL_UNARY)}"
+                text = f"{kind} {binder_to_text(binder)} {rec(body, _LEVEL_UNARY)}"
                 return wrap(text, _LEVEL_UNARY, ctx)
         raise TypeError(f"not a formula: {g!r}")
 

@@ -308,7 +308,12 @@ def hat_reference(t, env):
 
 
 class GroundingReference(_Grounding):
-    """`herbrand._Grounding` with its `ground` as a structural `match`."""
+    """`herbrand._Grounding` with its `ground` as a structural `match`, and
+    a ground atom kept by membership in the Herbrand base, as defined."""
+
+    def __init__(self, sig: Signature, terms: tuple[Term, ...]):
+        super().__init__(sig, terms)
+        self.base = frozenset(herbrand_base(sig, terms))
 
     def ground(self, f: FOFormula, env: dict) -> int:
         match f:

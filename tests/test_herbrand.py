@@ -1,9 +1,11 @@
 import itertools
 import random
+import time
 
 import pytest
 
 import gen
+from hhtkit import herbrand
 from hhtkit.cli import run
 from hhtkit.errors import STEP_CAP, BudgetExceeded, capped_pow
 from hhtkit.errors import OutsideUniverse
@@ -23,6 +25,7 @@ from hhtkit.herbrand import (
 from hhtkit.instantiation import EXACT, Bounded, Substitution, herbrand_base, universe
 from hhtkit.parser import parse_formula_text
 from hhtkit.semantics import (
+    ABSENT,
     THERE_ONLY,
     HTInterpretation,
     World,
@@ -342,8 +345,7 @@ def test_grounded_constant_roots_match_literal(text, valid):
 
 def _grounds_as_reference(sig, f, mode=EXACT):
     terms = universe(sig, mode)
-    base = herbrand_base(sig, terms)
-    new, old = _Grounding(base, terms), gen.GroundingReference(base, terms)
+    new, old = _Grounding(sig, terms), gen.GroundingReference(sig, terms)
     new_root, old_root = new.ground(f, {}), old.ground(f, {})
     assert (new.prog, new_root) == (old.prog, old_root), f
 
@@ -382,13 +384,62 @@ def test_grounding_matches_the_match_reference_on_names_and_terms(text):
 def test_grounding_and_reference_refuse_a_term_outside_the_universe():
     f = fof(SIG_FN, "exists g^1 forall x P(g(s(x)))")
     terms = universe(SIG_FN, Bounded(1))
-    base = herbrand_base(SIG_FN, terms)
     messages = []
-    for grounding in (_Grounding(base, terms), gen.GroundingReference(base, terms)):
+    for grounding in (_Grounding(SIG_FN, terms), gen.GroundingReference(SIG_FN, terms)):
         with pytest.raises(OutsideUniverse) as err:
             grounding.ground(f, {})
         messages.append(str(err.value))
     assert messages[0] == messages[1]
+
+
+# --- the Herbrand base, built only to show a countermodel ----------------------
+
+def _count_base_calls(monkeypatch) -> list:
+    calls = []
+
+    def counted(sig, terms):
+        calls.append(sig)
+        return herbrand_base(sig, terms)
+
+    monkeypatch.setattr(herbrand, "herbrand_base", counted)
+    return calls
+
+
+def test_a_valid_verdict_builds_no_herbrand_base(monkeypatch):
+    calls = _count_base_calls(monkeypatch)
+    assert hht_valid_bruteforce(SIG_AB, fof(SIG_AB, "forall x (P(x) -> P(x)) & (Q -> Q)")) is None
+    assert calls == []
+
+
+def test_a_countermodel_builds_the_herbrand_base_once(monkeypatch):
+    calls = _count_base_calls(monkeypatch)
+    got = hht_valid_bruteforce(SIG_AB, fof(SIG_AB, "P(a) | not P(a)"))
+    assert got is not None and calls == [SIG_AB]
+    assert got.atoms == herbrand_base(SIG_AB, universe(SIG_AB, EXACT))
+
+
+def test_herbrand_check_of_a_valid_formula_over_a_huge_base_is_quick(tmp_path, capsys):
+    # the base has 2^20 atoms, none of which the formula mentions
+    path = tmp_path / "p20.fof"
+    path.write_text("const a, b.  pred P/20.\nbot -> bot\n")
+    t0 = time.perf_counter()
+    assert run(["herbrand-check", str(path)]) == 0
+    assert time.perf_counter() - t0 < 1
+    assert capsys.readouterr().out == "valid over all interpretations (exact)\n"
+
+
+def test_an_atom_over_a_term_outside_the_universe_folds_to_absent(tmp_path, capsys):
+    # depth 1: the universe is {a, s(a)}, so P(s(s(a))) is outside the base
+    sig = Signature.make({"a": 0, "s": 1}, {"P": 1})
+    grounding = _Grounding(sig, universe(sig, Bounded(1)))
+    assert grounding.ground(fof(sig, "P(s(s(a)))"), {}) == ABSENT
+    assert grounding.ground(fof(sig, "P(s(a))"), {}) > ABSENT
+    path = tmp_path / "outside.fof"
+    path.write_text("const a. fn s/1. pred P/1.\nnot P(s(s(a)))\n")
+    run(["herbrand-check", "--depth", "1", str(path)])
+    assert capsys.readouterr().out.startswith("valid over all interpretations (bounded depth 1")
+    run(["herbrand-check", "--depth", "2", str(path)])
+    assert "P(s(s(a))): there-only" in capsys.readouterr().out
 
 
 # --- persistence -----------------------------------------------------------------

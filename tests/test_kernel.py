@@ -458,3 +458,39 @@ def test_quantifier_axiom_capture_reported(schema):
     with pytest.raises(SideConditionViolation) as err:
         check_proof(parse_proof_file(_QUANT_HEADER + f"1: {line};\n"))
     assert (err.value.line, err.value.reason) == (1, reason)
+
+
+# a bound value not of the kind its schema key has is a mismatch, with the
+# same reason without a proof line (line 0) and at the line it justifies
+_WRONG_KINDS = {
+    "F not a formula": ("k", {"F": 5, "G": fof("Q")}, "F must be a formula"),
+    "ss item not a term": ("cet-inject", {"f": "s", "ss": (5,), "ts": (Var("y1"),)},
+                           "ss must be a list of terms"),
+    "ts item not a term": ("cet-inject", {"f": "s", "ss": (Var("x1"),), "ts": (fof("Q"),)},
+                           "ts must be a list of terms"),
+    "ss not a list": ("cet-inject", {"f": "s", "ss": Var("x1"), "ts": (Var("y1"),)},
+                      "ss must be a list of terms"),
+    "v not second-order": ("so-forall-elim", {"v": Var("x"), "G": fof("Q"), "w": Var("y")},
+                           "v must be a second-order variable"),
+    "w not second-order": ("so-forall-elim", {"v": PredVar("p", 0), "G": fof("Q"), "w": "q"},
+                           "w must be a second-order variable"),
+    "x not a variable": ("forall-elim", {"x": FnApp("a", ()), "F": fof("Q"), "t": Var("y")},
+                         "x must be an object variable"),
+    "t not a term": ("eq-refl", {"t": fof("Q")}, "t must be a term"),
+    "xs not a list": ("comprehension", {"p": PredVar("p", 1), "xs": Var("x"), "F": fof("Q")},
+                      "xs must be a list of object variables"),
+    "p not a predicate variable": ("dca", {"p": FuncVar("p", 1)}, "p must be a predicate variable"),
+    "p not unary": ("dca", {"p": PredVar("p", 2)}, "p must be a unary predicate variable"),
+}
+
+
+@pytest.mark.parametrize("label", sorted(_WRONG_KINDS))
+def test_a_binding_of_the_wrong_kind_is_a_schema_mismatch(label):
+    schema, binding, reason = _WRONG_KINDS[label]
+    with pytest.raises(SchemaMismatch) as err:
+        build_axiom_instance(SIG, schema, binding)
+    assert (err.value.line, err.value.reason) == (0, reason)
+    line = ProofLine(fof("Q"), ByAxiom.of(schema, **binding))
+    with pytest.raises(SchemaMismatch) as err:
+        check_proof(Proof(SIG, TheoryLevel.HHT2_DCA, (line,)))
+    assert (err.value.line, err.value.reason) == (1, reason)

@@ -6,7 +6,7 @@ byte-identity checks between two checkouts.
 `SRC_DIR` is the root of a checkout; its `src/hhtkit` is imported and each
 command runs in-process through `hhtkit.cli.run`.  The command lines are those
 of this checkout's `hhtbench/workloads.py` for every workload and seed asked
-for (default: all four workloads, seeds 1-3), with generated inputs written to
+for (default: every group below, seeds 1-3), with generated inputs written to
 a temporary directory.  The `pairs` group adds `instantiate` of every shipped
 `.fof` with a `.subst` of the same name, exact and at `--depth` 1 and 2, each
 with and without `--json`.  The `proofs` group runs `check-proof`, with and
@@ -14,24 +14,22 @@ without `--json`, on seeded single-line mutations of every shipped `.proof`:
 an `mp` reference redirected, a formula binding replaced by another line's
 formula, and a `gen-all` binder renamed, two of each where the proof has
 such lines, so that rejection messages are compared too.  The `limits`
-group, run only when asked for,
-writes inputs near the default work budget (the example6 instances with 9
-and 10 constants per restrictor, a Herbrand base of 13 atoms, and a
+group writes inputs near the default work budget (the example6 instances
+with 9 and 10 constants per restrictor, a Herbrand base of 13 atoms, and a
 function quantifier over 4 constants) and records `ht-valid` or
-`herbrand-check` on each, with and without `--json`.  The `captures` group,
-also run only when asked for, writes one single-line proof per quantifier
-schema whose binding makes the substitution capture a variable
-(`forall-elim`, `exists-intro`, `eq-subst`, `so-forall-elim`,
-`so-exists-intro`, `so-forall-elim-abs`) and records `check-proof` on each,
-with and without `--json`, so that capture messages are compared too.
-The `depth` group, also run only when asked for, writes one single-line
-proof whose `forall-elim` binding `F` is a flat chain of `P(x) & ...`, a
-nest of `forall y`, or a nest of parentheses around `P(x)`, at depths 300,
-330, 490 and 1,000, and records `check-proof` on each, with and without
-`--json`, so that how deep each stage goes is compared too.  The flat chain
-also runs at 987 and 988, and the nest of `forall y` at 983 and 984: the
-last depth each is accepted at and the first it is refused at, when this
-tool runs it (found by bisection between 490 and 1,000).
+`herbrand-check` on each, with and without `--json`.  The `captures` group
+writes one single-line proof per quantifier schema whose binding makes the
+substitution capture a variable (`forall-elim`, `exists-intro`, `eq-subst`,
+`so-forall-elim`, `so-exists-intro`, `so-forall-elim-abs`) and records
+`check-proof` on each, with and without `--json`, so that capture messages
+are compared too.  The `depth` group writes one single-line proof whose
+`forall-elim` binding `F` is a flat chain of `P(x) & ...`, a nest of
+`forall y`, or a nest of parentheses around `P(x)`, at depths 300, 330, 490
+and 1,000, and records `check-proof` on each, with and without `--json`, so
+that how deep each stage goes is compared too.  The flat chain also runs at
+987 and 988, and the nest of `forall y` at 983 and 984: the last depth each
+is accepted at and the first it is refused at, when this tool runs it
+(found by bisection between 490 and 1,000).
 The `syntax` group mutates every shipped `.proof`, `.prop`, `.fof` and
 `.subst` at three seeded token sites, each token replaced as
 `tests/test_cli_property.py` replaces one, and records `check-proof`,
@@ -79,10 +77,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "hhtbench"))
 import workloads  # noqa: E402
 
 GROUPS = ("corpus", "ht_atoms", "herbrand", "universe", "pairs", "proofs", "syntax",
-          "sharing", "models", "spacing")
+          "sharing", "models", "spacing", "limits", "captures", "depth")
 UNSEEDED = ("pairs", "proofs", "syntax", "sharing", "models", "spacing", "limits", "captures",
             "depth")
-ON_REQUEST = ("limits", "captures", "depth")
 _LIMIT_FOFS = {
     "c13.fof": "const a, c1, c2, c3, c4, c5, c6, c7, c8, c9, c10, c11, c12.  pred P/1.\n"
                "forall x (P(x) -> P(x)) & exists x (P(x) | not P(x) | P(a))\n",
@@ -396,7 +393,7 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("src_dir", type=Path, help="root of the checkout to run")
     ap.add_argument("out", type=Path, help="JSON file to write")
-    ap.add_argument("--workloads", nargs="+", choices=GROUPS + ON_REQUEST,
+    ap.add_argument("--workloads", nargs="+", choices=GROUPS,
                     default=list(GROUPS))
     ap.add_argument("--seeds", nargs="+", type=int, default=[1, 2, 3])
     args = ap.parse_args(argv)
