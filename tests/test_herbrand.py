@@ -433,7 +433,7 @@ def test_an_atom_over_a_term_outside_the_universe_folds_to_absent(tmp_path, caps
     sig = Signature.make({"a": 0, "s": 1}, {"P": 1})
     grounding = _Grounding(sig, universe(sig, Bounded(1)))
     assert grounding.ground(fof(sig, "P(s(s(a)))"), {}) == ABSENT
-    assert grounding.ground(fof(sig, "P(s(a))"), {}) > ABSENT
+    assert grounding.ground(fof(sig, "P(s(a))"), {}) >= 3  # an atom, past the constants
     path = tmp_path / "outside.fof"
     path.write_text("const a. fn s/1. pred P/1.\nnot P(s(s(a)))\n")
     run(["herbrand-check", "--depth", "1", str(path)])
