@@ -29,9 +29,9 @@ from .instantiation import (
     Substitution,
     ground_terms,
     herbrand_base,
+    instance_program,
     instantiate,
     universe,
-    validate,
 )
 from .kernel import (
     ByAxiom,
@@ -54,8 +54,6 @@ from .semantics import (
 from .herbrand import (
     h_satisfies,
     hht_valid_bruteforce,
-    lift,
-    lifting_check,
 )
 from .syntax import (
     Atom,

@@ -24,10 +24,9 @@ from .errors import (
     ConclusionNotFirstOrder,
     HhtError,
     ProofError,
-    UnmappedAtom,
 )
 from .herbrand import hht_valid_bruteforce
-from .instantiation import EXACT, Bounded, count_universe, instantiate
+from .instantiation import EXACT, Bounded, count_universe, instance_program
 from .kernel import check_proof, conclusion_for_pipeline
 from .parser import (
     parse_formula_file,
@@ -39,16 +38,11 @@ from .render import render_justification
 from .semantics import (
     DEFAULT_BUDGET,
     STATE_NAMES,
+    first_countermodel,
     ht_valid,
     render_countermodel,
 )
-from .syntax import (
-    eliminate_restrictors,
-    formula_to_text,
-    prop_dag,
-    prop_stats,
-    prop_to_text,
-)
+from .syntax import eliminate_restrictors, formula_to_text, prop_stats, prop_to_text
 
 BUDGET_ENV = "HHTKIT_BUDGET"
 
@@ -158,7 +152,7 @@ def _proof_stage(report: _Report, path: str, pipeline: bool):
 
 def _instantiation_stage(report: _Report, args, sig, f, pipeline: bool):
     """Instantiate `f` with `args.subst_file` in the mode `args` asks for.
-    Returns (instance, its `prop_dag` program, mode, mode label) or exit
+    Returns (the instance's program, its atoms, mode, mode label) or exit
     code 2 for missing entries.  A `--depth` universe is charged before it
     is built, as in herbrand."""
     subst = parse_subst_file(_read(args.subst_file))
@@ -170,14 +164,12 @@ def _instantiation_stage(report: _Report, args, sig, f, pipeline: bool):
     if mode != EXACT and (nodes := count_universe(sig, mode)[1]) > budget:
         raise BudgetExceeded(nodes, budget)
     t0 = time.perf_counter()
-    try:
-        instance = instantiate(subst, f, mode)
-    except UnmappedAtom as e:
-        report.data["missing"] = list(e.missing)
-        report.say("substitution is missing entries for: " + ", ".join(e.missing))
+    prog, missing = instance_program(subst, f, mode)
+    if missing:
+        report.data["missing"] = list(missing)
+        report.say("substitution is missing entries for: " + ", ".join(missing))
         return 2
-    dag = prop_dag(instance)
-    atoms, rank, nodes, size = prop_stats(instance, dag)
+    atoms, rank, nodes, size = prop_stats(None, prog)
     stats = {"atoms": len(atoms), "rank": rank, "nodes": nodes}
     secs = _stage(report, "instantiation", t0, mode=mode_label, **stats)
     counts = f"atoms={stats['atoms']} rank={stats['rank']} nodes={stats['nodes']}"
@@ -186,11 +178,11 @@ def _instantiation_stage(report: _Report, args, sig, f, pipeline: bool):
     else:  # the text is tree-sized, however much is shared
         if size > budget:
             raise HhtError(f"printing the instance needs {size} steps, budget is {budget}")
-        report.data["instance"] = text = prop_to_text(instance, dag)
+        report.data["instance"] = text = prop_to_text(None, prog)
         report.say(f"mode: {mode_label}")
         report.say(f"instance: {text}")
         report.say(counts)
-    return instance, dag, mode, mode_label
+    return prog, atoms, mode, mode_label
 
 
 def _validity_stage(report: _Report, started: float, counter, headlines: tuple,
@@ -271,9 +263,9 @@ def _cmd_pipeline(args, report: _Report) -> int:
     got = _instantiation_stage(report, args, proof.signature, conclusion, pipeline=True)
     if isinstance(got, int):
         return report.emit(got)
-    instance, dag, mode, mode_label = got
+    prog, atoms, mode, mode_label = got
     t0 = time.perf_counter()
-    counter = ht_valid(instance, _budget(), dag=dag)
+    counter = first_countermodel(prog, sorted(atoms), _budget())
     headlines = (f"validity: HT-valid ({mode_label})",
                  f"validity: countermodel found ({mode_label})")
     valid = _validity_stage(report, t0, counter, headlines, pipeline=True) == 0

@@ -1,9 +1,8 @@
 """Two-world models over the ground-term universe of a first-order
 signature: the satisfaction relation including second-order quantification
 over concrete function and predicate names (a function variable's
-application evaluates through the table it is bound to), validity over
-every interpretation of the Herbrand base, and the model transfer from a
-substitution plus a propositional interpretation.
+application evaluates through the table it is bound to), and validity
+over every interpretation of the Herbrand base.
 
 Every interpretation is a `semantics.HTInterpretation`: a Herbrand model
 holds ground atoms, which are closed `Atom`s (see `syntax`), and a
@@ -42,10 +41,8 @@ from .errors import STEP_CAP, BudgetExceeded, NotClosed, OutsideUniverse, capped
 from .instantiation import (
     EXACT,
     InstantiationMode,
-    Substitution,
     count_universe,
     herbrand_base,
-    instantiate,
     universe,
 )
 from .semantics import (
@@ -57,7 +54,6 @@ from .semantics import (
     World,
     enumerate_interpretations,
     first_countermodel,
-    satisfies,
 )
 from .syntax import (
     AND,
@@ -80,6 +76,7 @@ from .syntax import (
     Var,
     eliminate_restrictors,
     free_variables,
+    program_builder,
     term_to_text,
 )
 
@@ -284,7 +281,8 @@ def hht_valid_bruteforce(
 
 class _Grounding:
     """Grounds closed formulas over a universe into one program for the
-    engine in `semantics`, sharing equal nodes.  `ground` returns a node's
+    engine in `semantics`, built by `syntax.program_builder`, which shares
+    equal nodes.  `ground` returns a node's
     position; positions 0, 1 and 2 are the constants absent, there-only and
     both, so a position below 3 is a constant whose value is its position.
     A ground atom is kept when it is in the Herbrand base: its predicate is
@@ -295,18 +293,9 @@ class _Grounding:
         self.terms = terms
         self.arities = dict(sig.predicates)
         self.universe = frozenset(terms)
-        self.prog: list[tuple[int, object]] = [
-            (CONST, ABSENT), (CONST, THERE_ONLY), (CONST, BOTH)
-        ]
-        self.slot: dict[tuple[int, object], int] = {}
-
-    def emit(self, op: int, arg) -> int:
-        key = (op, arg)
-        got = self.slot.get(key)
-        if got is None:
-            got = self.slot[key] = len(self.prog)
-            self.prog.append(key)
-        return got
+        self.prog, self.emit = program_builder()
+        for state in (ABSENT, THERE_ONLY, BOTH):
+            self.emit(CONST, state)
 
     def junction(self, op: int, kids: list[int]) -> int:
         """The conjunction (`AND`) or disjunction (`OR`) of `kids`."""
@@ -390,36 +379,3 @@ def _live_program(prog: list[tuple[int, object]], root: int) -> list[tuple[int, 
             moved[i] = len(out)
             out.append((op, arg))
     return out
-
-
-def lift(subst: Substitution, i: HTInterpretation) -> HTInterpretation:
-    """Build the interpretation that satisfies a ground atom at a world
-    exactly when `i` satisfies the atom's image under the substitution."""
-    sig = subst.signature
-    terms = universe(sig, EXACT)
-    base = herbrand_base(sig, terms)
-    here = []
-    there = []
-    for atom in base:
-        image = subst.lookup(atom)
-        if satisfies(i, World.H, image):
-            here.append(atom)
-        if satisfies(i, World.T, image):
-            there.append(atom)
-    return HTInterpretation(frozenset(here), frozenset(there))
-
-
-def lifting_check(
-    subst: Substitution,
-    i: HTInterpretation,
-    f: FOFormula,
-    budget: int = DEFAULT_BUDGET,
-) -> bool:
-    """Whether satisfaction of `f` under the lifted interpretation agrees
-    with satisfaction of the instance under `i`, at both worlds."""
-    j = lift(subst, i)
-    instance = instantiate(subst, f, EXACT)
-    for w in (World.H, World.T):
-        if h_satisfies(subst.signature, j, w, f, EXACT, budget) != satisfies(i, w, instance):
-            return False
-    return True

@@ -11,16 +11,17 @@ also collects the atoms the substitution does not map: a restrictor guard
 atom without an image is reported itself, and the bodies of the tuples it
 guards are skipped.
 
-The walk is memoized per node and environment: a subformula is instantiated
-once per binding of its own free variables, and its other occurrences under
-that binding get the same object.  The instance is thus a DAG sharing what
-the formula shares (both sides of a `<->`) and what its quantifiers repeat,
-and the walk's work grows with those (node, binding) pairs, not with the
-tree.  Its equality, atoms, rank and text are the tree's; only its count of
-distinct nodes falls.  A node's key is the terms of its free variables,
-which an `operator.itemgetter` built once per node per walk reads from the
-environment, and the walk picks a node's case by `type()`, not by a
-structural `match`, which costs several times as much per visit.
+The walk emits the instance as the program the model checker runs (see
+`syntax.prop_dag`), through `syntax.program_builder`, which holds each
+distinct subformula once; a substitution image is spliced in once per image
+object.  The walk is memoized per node and environment: a subformula is
+instantiated once per binding of its own free variables, and its other
+occurrences under that binding get the same position.  So the walk's work
+grows with those (node, binding) pairs, not with the tree.  A node's key is
+the terms of its free variables, which an `operator.itemgetter` built once
+per node per walk reads from the environment, and the walk picks a node's
+case by `type()`, not by a structural `match`, which costs several times as
+much per visit.  `instantiate` builds objects from the program.
 
 Exact mode requires every function constant to be nullary, so the term
 universe is finite and the instance is faithful.  Bounded mode truncates
@@ -44,7 +45,10 @@ from .errors import (
     capped_pow,
 )
 from .syntax import (
+    AND,
     BOT,
+    IMP,
+    OR,
     TOP,
     Atom,
     Binary,
@@ -53,9 +57,6 @@ from .syntax import (
     FnApp,
     FOFormula,
     GenVar,
-    PAnd,
-    PImp,
-    POr,
     PropFormula,
     Quant,
     Signature,
@@ -65,7 +66,10 @@ from .syntax import (
     formula_to_text,
     free_variables,
     is_first_order,
+    program_builder,
+    prop_of_program,
     record,
+    splice,
     term_subst,
     term_to_text,
 )
@@ -93,13 +97,17 @@ EXACT = Exact()
 def ground_terms(sig: Signature, depth: int) -> tuple[Term, ...]:
     """All ground terms of depth <= `depth`, sorted by (depth, text).  Those
     of depth <= d + 1 are the constants and every application over those of
-    depth <= d, as `count_universe` counts them."""
+    depth <= d, as `count_universe` counts them; the layers stop at the
+    first that adds no term, as `count_universe` stops at its fixed point."""
     consts: list[Term] = [const(c) for c in sig.object_constants()]
     pool, out = consts, sorted(consts, key=term_to_text)
     for _ in range(depth):
         pool = consts + [FnApp(name, args) for name, arity in sig.nonnullary_functions()
                          for args in itertools.product(pool, repeat=arity)]
-        out += sorted(set(pool).difference(out), key=term_to_text)  # those of depth d + 1
+        deeper = set(pool).difference(out)  # those of depth d + 1
+        if not deeper:  # no function to apply: every later layer is this one
+            break
+        out += sorted(deeper, key=term_to_text)
     return tuple(out)
 
 
@@ -201,7 +209,8 @@ def _check_preconditions(f: FOFormula) -> None:
 def instantiate(
     subst: Substitution, f: FOFormula, mode: InstantiationMode = EXACT
 ) -> PropFormula:
-    """Compute the instance of a closed first-order formula.
+    """Compute the instance of a closed first-order formula, as objects
+    built from its `instance_program`.
 
     Equality of ground terms maps to top/bot by syntactic identity;
     quantifiers expand to set conjunctions/disjunctions over the mode's
@@ -209,32 +218,25 @@ def instantiate(
     tuples whose restrictor images are all top.  Raises UnmappedAtom for the
     first missing atom in sorted order; its `missing` lists them all.
     """
-    instance, missing = _instantiate(subst, f, mode)
+    prog, missing = instance_program(subst, f, mode)
     if missing:
         raise UnmappedAtom(missing[0], missing)
-    return instance
+    return prop_of_program(prog)
 
 
-def validate(
+def instance_program(
     subst: Substitution, f: FOFormula, mode: InstantiationMode = EXACT
-) -> tuple[str, ...]:
-    """Report every reachable atom lacking an entry and default, sorted.
-
-    A restrictor guard atom without an entry is reported itself, and the
-    bodies of the tuples it guards are skipped.
-    """
-    return _instantiate(subst, f, mode)[1]
-
-
-def _instantiate(
-    subst: Substitution, f: FOFormula, mode: InstantiationMode
-) -> tuple[PropFormula, tuple[str, ...]]:
-    """The instance of `f`, with `bot` for each atom `subst` does not map,
-    and those atoms, sorted: the one walk the module docstring describes."""
+) -> tuple[list[tuple[int, object]], tuple[str, ...]]:
+    """The program of the instance of `f` (see `syntax.prop_dag`), with
+    `bot` for each atom `subst` does not map, and those atoms, sorted: the
+    one walk the module docstring describes.  A restrictor guard atom
+    without an entry is reported itself, and the bodies of the tuples it
+    guards are skipped."""
     _check_preconditions(f)
     terms = universe(subst.signature, mode)
     missing: set[str] = set()
     env: dict[Var, Term] = {}
+    prog, emit = program_builder()
 
     def image(atom: Atom) -> PropFormula:
         try:
@@ -243,8 +245,9 @@ def _instantiate(
             missing.add(str(atom))
             return BOT
 
+    spliced: dict[int, int] = {}  # each image's position, by the image's `id`
     # per node, a getter of the terms `env` binds its free variables to
-    # (`type`, one value, for a closed node) and what `rec` built by them
+    # (`type`, one value, for a closed node) and the positions `rec` gave by them
     memo: dict[FOFormula, tuple[object, dict]] = {}
     domains: dict[str, list[Term]] = {}  # the terms each restrictor maps to `top`
 
@@ -254,7 +257,7 @@ def _instantiate(
             got = domains[r] = [t for t in terms if image(Atom(r, (t,))) == TOP]
         return got
 
-    def rec(g: FOFormula) -> PropFormula:
+    def rec(g: FOFormula) -> int:
         if (entry := memo.get(g)) is None:
             entry = memo[g] = (itemgetter(*g.free) if g.free else type, {})
         built, key = entry[1], entry[0](env)
@@ -262,15 +265,16 @@ def _instantiate(
             return out
         kind = type(g)
         if kind is Binary:
-            op = g.op
-            if op == "&":
-                out = PAnd((rec(g.left), rec(g.right)))
-            elif op == "|":
-                out = POr((rec(g.left), rec(g.right)))
+            op, left, right = g.op, rec(g.left), rec(g.right)
+            if op == "->":
+                out = emit(IMP, (left, right))
             else:
-                out = PImp(rec(g.left), rec(g.right))
+                out = emit(AND if op == "&" else OR, (left, right) if left < right
+                           else (right, left) if right < left else (left,))
         elif kind is Atom:  # `f` is closed: `env` binds every variable
-            out = image(Atom(g.pred, tuple([term_subst(a, env) for a in g.args])))
+            got = image(Atom(g.pred, tuple([term_subst(a, env) for a in g.args])))
+            if (out := spliced.get(id(got))) is None:
+                out = spliced[id(got)] = splice(got, emit)
         elif kind is Quant:
             binder, body = g.binder, g.body
             if type(binder) is GenVar:
@@ -278,30 +282,30 @@ def _instantiate(
             else:
                 variables, ranges = (binder,), [terms]
             shadowed = [env.get(v) for v in variables]
-            children = []
+            children = set()
             for choice in itertools.product(*ranges):
                 env.update(zip(variables, choice))
-                children.append(rec(body))
+                children.add(rec(body))
             for v, t in zip(variables, shadowed):
                 if t is None:
                     env.pop(v, None)
                 else:
                     env[v] = t
-            out = PAnd(children) if g.kind == "forall" else POr(children)
+            out = emit(AND if g.kind == "forall" else OR, tuple(sorted(children)))
         elif kind is Equals:
-            out = TOP if term_subst(g.left, env) == term_subst(g.right, env) else BOT
+            out = emit(AND if term_subst(g.left, env) == term_subst(g.right, env) else OR, ())
         elif kind is Falsum:
-            out = BOT
+            out = emit(OR, ())
         else:
             raise TypeError(f"unexpected formula node: {g!r}")
         built[key] = out
         return out
 
     try:
-        instance = rec(f)
-    finally:  # `rec` refers to itself: the memo would outlive the walk until a gc
-        memo.clear()
-    return instance, tuple(sorted(missing))
+        rec(f)
+    finally:  # `rec` refers to itself: the memo and the table would outlive the walk until a gc
+        del rec
+    return prog, tuple(sorted(missing))
 
 
 def herbrand_base(sig: Signature, terms: Iterable[Term]) -> tuple[Atom, ...]:

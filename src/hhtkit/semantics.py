@@ -55,8 +55,8 @@ class World(IntEnum):
 class HTInterpretation:
     """Pair of atom sets with here a subset of there.  The atoms are of one
     of three kinds: atom names (`str`) for propositional formulas, closed
-    `Atom`s for a Herbrand model (what `herbrand` checks and `lift` builds),
-    or argument tuples for a second-order predicate name.
+    `Atom`s for a Herbrand model (what `herbrand` checks), or argument
+    tuples for a second-order predicate name.
 
     `atoms` lists, sorted by text, the atoms an interpretation ranges over,
     absent ones included: a countermodel from `ht_valid` holds the atoms of
@@ -221,7 +221,6 @@ def ht_valid(
     budget: int = DEFAULT_BUDGET,
     *,
     evaluator: str = "g3",
-    dag: list | None = None,
 ) -> HTInterpretation | None:
     """Exhaustively check validity over the atoms occurring in `f`.
 
@@ -232,10 +231,9 @@ def ht_valid(
     bit-parallel engine ("g3") or the literal satisfaction recursion
     ("literal"); both define the same relation.  Raises BudgetExceeded,
     before evaluating, when the engine would need more than `budget` steps,
-    whichever evaluator runs.  `dag` is the `prop_dag` program of `f`, if the
-    caller has it.
+    whichever evaluator runs.
     """
-    prog = dag or prop_dag(f)
+    prog = prop_dag(f)
     atoms = sorted({arg for op, arg in prog if op == ATOM})
     if evaluator == "g3":
         return first_countermodel(prog, atoms, budget)

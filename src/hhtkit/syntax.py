@@ -6,7 +6,8 @@ First-order formulas keep `&`, `|`, `->` and `bot` primitive; `not F`,
 and re-sugared by the printer.  Propositional conjunctions/disjunctions are
 sets of children (duplicate-free by construction), so `top` is the empty
 conjunction and `bot` the empty disjunction.  `prop_dag` turns a formula
-into the `(op, arg)` program that the model checker in `semantics` runs.
+into the `(op, arg)` program that the model checker in `semantics` runs;
+instantiation and Herbrand grounding emit theirs through `program_builder`.
 
 A ground atom is a closed `Atom` whose predicate is a name: being interned,
 it is one object however it was built (parsed from a substitution file,
@@ -604,8 +605,9 @@ def eliminate_restrictors(f: FOFormula) -> FOFormula:
 # ---------------------------------------------------------------------------
 # infinitary propositional formulas
 
-# An instance is built of these nodes: each is made, hashed into its
-# parent's set and compared with `TOP` and `BOT` about once per instance
+# These nodes come from `.prop` and `.subst` parsing and from `instantiate()`,
+# which builds one per entry of the instance's program: each is made, hashed
+# into its parent's set and compared with `TOP` and `BOT` about once per
 # node.  So they spell out `record`'s `__init__`, `==` and `hash` with named
 # parameters and plain attribute reads, which `record`'s closures cannot
 # have; those take `*args` and read through `attrgetter`, 50-100 ns a call
@@ -727,10 +729,58 @@ def prop_dag(f: PropFormula) -> list[tuple[int, object]]:
     return out
 
 
-def prop_stats(f: PropFormula, dag: list | None = None) -> tuple[frozenset[str], int, int, int]:
+def program_builder() -> tuple[list[tuple[int, object]], object]:
+    """An empty program and its `emit(op, arg)`, which returns the position
+    of the entry `(op, arg)`, appending it first if the program lacks it.
+    An `AND`/`OR` argument is the sorted tuple of its distinct child
+    positions and an `IMP` argument is `(left, right)`, so the program holds
+    each distinct subformula once."""
+    prog: list[tuple[int, object]] = []
+    slot: dict[tuple[int, object], int] = {}
+
+    def emit(op: int, arg) -> int:
+        key = (op, arg)
+        if (got := slot.get(key)) is None:
+            got = slot[key] = len(prog)
+            prog.append(key)
+        return got
+
+    return prog, emit
+
+
+def splice(f: PropFormula, emit) -> int:
+    """The position of `f` in the program `emit` builds (see
+    `program_builder`), its `prop_dag` entries emitted there."""
+    at: list[int] = []
+    for op, arg in prop_dag(f):
+        if op == IMP:
+            arg = (at[arg[0]], at[arg[1]])
+        elif op != ATOM:
+            arg = tuple(sorted(set(map(at.__getitem__, arg))))
+        at.append(emit(op, arg))
+    return at[-1]
+
+
+def prop_of_program(prog: list[tuple[int, object]]) -> PropFormula:
+    """The formula whose program is `prog` (no `CONST` entries), one node
+    per entry, so that an entry referenced twice is one shared object."""
+    nodes: list[PropFormula] = []
+    for op, arg in prog:
+        if op == ATOM:
+            g = PAtom(arg)
+        elif op == IMP:
+            g = PImp(nodes[arg[0]], nodes[arg[1]])
+        else:
+            g = (PAnd if op == AND else POr)(map(nodes.__getitem__, arg))
+        nodes.append(g)
+    return nodes[-1]
+
+
+def prop_stats(f: PropFormula | None, dag: list | None = None) -> tuple[frozenset[str], int, int, int]:
     """`prop_atoms`, `rank` and `prop_node_count` of `f`, and its size as a
     tree (each shared node counted at each occurrence, as its text spells
-    it out), from one `prop_dag` pass: `dag` if the caller has it."""
+    it out), from one pass over its program: `dag` if the caller has it, in
+    which case `f` is not read."""
     dag = dag or prop_dag(f)
     ranks: list[int] = []
     sizes: list[int] = []
@@ -837,9 +887,10 @@ def formula_to_text(f: FOFormula) -> str:
     return rec(f, _LEVEL_IFF)
 
 
-def prop_to_text(f: PropFormula, dag: list | None = None) -> str:
+def prop_to_text(f: PropFormula | None, dag: list | None = None) -> str:
     """The text of `f`, rendering each entry of its program (`dag` if the
-    caller has it) once however often it is printed."""
+    caller has it, in which case `f` is not read) once however often it is
+    printed."""
     dag = dag or prop_dag(f)
     texts: list[str] = []
     for op, arg in dag:

@@ -7,14 +7,16 @@ import itertools
 import random
 
 from hhtkit.errors import NotClosed, OutsideUniverse, UnmappedAtom
-from hhtkit.herbrand import _domain, _Grounding
-from hhtkit.instantiation import EXACT, Substitution, herbrand_base, universe
+from hhtkit.herbrand import _domain, _Grounding, h_satisfies
+from hhtkit.instantiation import EXACT, Substitution, herbrand_base, instantiate, universe
 from hhtkit.semantics import (
     ABSENT,
     BOTH,
     DEFAULT_BUDGET,
     HTInterpretation,
+    World,
     first_countermodel,
+    satisfies,
 )
 from hhtkit.syntax import (
     AND,
@@ -190,6 +192,42 @@ def classical_eval(true_atoms: frozenset[str], f: PropFormula) -> bool:
     raise TypeError(f"not a propositional formula: {f!r}")
 
 
+# the model transfer from a substitution plus a propositional interpretation,
+# which no command runs
+
+def lift(subst: Substitution, i: HTInterpretation) -> HTInterpretation:
+    """Build the interpretation that satisfies a ground atom at a world
+    exactly when `i` satisfies the atom's image under the substitution."""
+    sig = subst.signature
+    terms = universe(sig, EXACT)
+    base = herbrand_base(sig, terms)
+    here = []
+    there = []
+    for atom in base:
+        image = subst.lookup(atom)
+        if satisfies(i, World.H, image):
+            here.append(atom)
+        if satisfies(i, World.T, image):
+            there.append(atom)
+    return HTInterpretation(frozenset(here), frozenset(there))
+
+
+def lifting_check(
+    subst: Substitution,
+    i: HTInterpretation,
+    f: FOFormula,
+    budget: int = DEFAULT_BUDGET,
+) -> bool:
+    """Whether satisfaction of `f` under the lifted interpretation agrees
+    with satisfaction of the instance under `i`, at both worlds."""
+    j = lift(subst, i)
+    instance = instantiate(subst, f, EXACT)
+    for w in (World.H, World.T):
+        if h_satisfies(subst.signature, j, w, f, EXACT, budget) != satisfies(i, w, instance):
+            return False
+    return True
+
+
 def universal_closure(f: FOFormula) -> FOFormula:
     """Quantify all free variables universally (second-order outermost)."""
 
@@ -207,9 +245,9 @@ def universal_closure(f: FOFormula) -> FOFormula:
 
 # ---------------------------------------------------------------------------
 # the quantifier-expansion walks as they were before they dispatched on
-# `type()`: `instantiation._instantiate`'s `rec`, `herbrand._Grounding.ground`
-# and the term walks they call, `syntax.term_subst` and `herbrand._hat`, each
-# a structural `match`
+# `type()`: `instantiation.instance_program`'s walk, which built objects then,
+# `herbrand._Grounding.ground` and the term walks they call,
+# `syntax.term_subst` and `herbrand._hat`, each a structural `match`
 
 def term_subst_reference(t, mapping):
     match t:
@@ -224,10 +262,11 @@ def term_subst_reference(t, mapping):
 
 
 def instantiate_reference(subst: Substitution, f: FOFormula, mode=EXACT):
-    """`instantiation._instantiate` of a closed first-order `f`: the instance,
-    with `bot` for each unmapped atom, and those atoms, sorted.  Memoized by
-    node and the terms of its free variables, so it shares what the walk
-    shares; a generalized variable filters its domains on every visit."""
+    """`instantiation.instance_program` of a closed first-order `f`, as
+    objects: the instance, with `bot` for each unmapped atom, and those
+    atoms, sorted.  Memoized by node and the terms of its free variables,
+    so it shares what the walk shares; a generalized variable filters its
+    domains on every visit."""
     terms = universe(subst.signature, mode)
     missing: set[str] = set()
     env: dict[Var, Term] = {}

@@ -11,7 +11,7 @@ import gen
 from hhtkit.cli import run as cli_run
 from hhtkit.corpus import cases, data_path, load_text
 from hhtkit.errors import SchemaMismatch, SignatureError
-from hhtkit.herbrand import hht_valid_bruteforce, lifting_check
+from hhtkit.herbrand import hht_valid_bruteforce
 from hhtkit.instantiation import (
     EXACT,
     Bounded,
@@ -303,7 +303,7 @@ def test_a4_satisfaction_transfer():
             f = gen.rand_formula(rng, sig, depth=4, restrictor_share=0.35)
             subst = gen.rand_substitution(rng, sig)
             i = gen.rand_interpretation(rng)
-            assert lifting_check(subst, i, f), (trial, formula_to_text(f))
+            assert gen.lifting_check(subst, i, f), (trial, formula_to_text(f))
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ import hhtkit
 from hhtkit import cli, semantics, syntax
 from hhtkit.cli import run
 from hhtkit.corpus import data_path
+from hhtkit.instantiation import Substitution
 from hhtkit.syntax import prop_dag
 
 
@@ -56,20 +57,38 @@ def test_pipeline_bounded_truncation_countermodel(capsys):
     assert "non-validity-preserving" in out
 
 
-def test_pipeline_walks_its_instance_once(monkeypatch, capsys):
-    # the instantiation stage's program is the one the model checker runs
-    walks = []
+def test_pipeline_walks_its_instance_once(monkeypatch, capsys, tmp_path):
+    # the instantiation walk emits the program that the stats line, the
+    # printer and the model checker read; `prop_dag` runs only on
+    # substitution images, once per image object, to splice them in
+    images, walks = {}, []
+    lookup = Substitution.lookup
+
+    def looked_up(self, atom):
+        got = lookup(self, atom)
+        images[id(got)] = got  # held, so no later object reuses the id
+        return got
 
     def traced(f):
         walks.append(f)
         return prop_dag(f)
 
-    for module in (cli, semantics, syntax):
+    monkeypatch.setattr(Substitution, "lookup", looked_up)
+    for module in (semantics, syntax):
         monkeypatch.setattr(module, "prop_dag", traced)
-    code, out, _ = invoke(capsys, "pipeline", data_path("example6.proof"),
-                          data_path("example6.subst"))
+    assert not hasattr(cli, "prop_dag")
+    proof, subst = data_path("example6.proof"), data_path("example6.subst")
+    code, out, _ = invoke(capsys, "pipeline", proof, subst)
     assert code == 0 and "certificate: VALID" in out
-    assert len(walks) == 1
+    fof = tmp_path / "example6.fof"
+    conclusion = re.search("^conclusion: (.*)$", out, re.M).group(1)
+    fof.write_text(Path(proof).read_text().split("\n")[0] + "\n" + conclusion + "\n")
+    pipeline_walks = len(walks)
+    code, out, _ = invoke(capsys, "instantiate", str(fof), subst)
+    assert code == 0 and "atoms=4 rank=4 nodes=15" in out
+    assert 0 < pipeline_walks < len(walks)
+    assert all(images.get(id(f)) is f for f in walks)
+    assert len({id(f) for f in walks}) == len(walks)
 
 
 _PROOF_KEYS = ["verdict", "level", "lines", "conclusion", "parse_seconds", "check_seconds",
@@ -385,12 +404,14 @@ _PINNED = {
         "proof: accepted (level HHT, 210 lines)\n"
         "conclusion: exists x P(x) & Q <-> exists x (P(x) & Q)\n",
     ),
+    # P(b) and the P(f(...)) atoms map to `fb`, each its own parsed object:
+    # the program holds `fb` once, so 5 nodes (fa, fb, two sets, `->`)
     "pipeline-bounded-valid": (
         ["pipeline", "example5_alt.proof", "example5_alt.subst", "--depth", "2"], 1,
         "proof: accepted (level HHT, 138 lines) [N ms]\n"
         "conclusion: forall x P(x) -> forall x P(f(x))\n"
         "instantiation: bounded depth 2 (non-validity-preserving); "
-        "atoms=2 rank=2 nodes=6 [N ms]\n"
+        "atoms=2 rank=2 nodes=5 [N ms]\n"
         "validity: HT-valid (bounded depth 2 (non-validity-preserving)) [N ms]\n"
         "certificate: NOT CERTIFYING (bounded mode: non-validity-preserving)\n",
     ),
@@ -689,3 +710,26 @@ def test_linear_universe_is_counted_at_once(depth, steps, tmp_path, capsys, monk
     assert time.perf_counter() - t0 < 1
     assert (code, out) == (2, "")
     assert err == f"error: enumeration needs {steps} steps, budget is 5000000\n"
+
+
+def test_depth_past_the_last_new_term_is_quick(tmp_path):
+    # with no function to apply, no layer past depth 0 adds a term, so the
+    # universe is counted as 1 term and no budget refuses a deep run; going
+    # through every layer took over 1 s at --depth 10^6 and never ended here
+    fof, subst = tmp_path / "a.fof", tmp_path / "a.subst"
+    fof.write_text("const a.  pred P/1.\nforall x P(x)\n")
+    subst.write_text("const a.  pred P/1.\nP(a) := p;\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(hhtkit.__file__).parents[1])}
+    env.pop("HHTKIT_BUDGET", None)
+    outputs = []
+    for depth in ("0", "99999999999999999999"):
+        t0 = time.perf_counter()
+        got = subprocess.run([sys.executable, "-m", "hhtkit.cli", "instantiate", "--depth",
+                              depth, str(fof), str(subst)],
+                             capture_output=True, text=True, timeout=5, env=env)
+        assert time.perf_counter() - t0 < 1
+        assert (got.returncode, got.stderr) == (0, "")
+        outputs.append(got.stdout.replace(f"depth {depth} ", "depth D "))
+    assert outputs[0] == outputs[1] == (
+        "mode: bounded depth D (non-validity-preserving)\ninstance: And{p}\n"
+        "atoms=1 rank=1 nodes=2\n")

@@ -10,7 +10,7 @@ import pytest
 import gen
 from hhtkit.corpus import cases, data_path, load_text
 from hhtkit.errors import SchemaMismatch
-from hhtkit.instantiation import EXACT, Bounded, instantiate, validate
+from hhtkit.instantiation import EXACT, Bounded, instance_program, instantiate
 from hhtkit.kernel import TheoryLevel, check_proof, conclusion_for_pipeline
 from hhtkit.parser import parse_proof_file, parse_prop_file, parse_subst_file
 from hhtkit.semantics import ht_valid
@@ -29,7 +29,7 @@ def test_corpus_proof_accepted_and_instance_behaves(case):
     subst = parse_subst_file(load_text(case.subst))
     assert subst.signature == proof.signature
     mode = EXACT if case.depth is None else Bounded(case.depth)
-    assert validate(subst, conclusion, mode) == ()
+    assert instance_program(subst, conclusion, mode)[1] == ()
     instance = instantiate(subst, conclusion, mode)
     counter = ht_valid(instance)
     if case.expect_instance == "valid":

@@ -19,8 +19,6 @@ from hhtkit.herbrand import (
     estimate_cost,
     h_satisfies,
     hht_valid_bruteforce,
-    lift,
-    lifting_check,
 )
 from hhtkit.instantiation import EXACT, Bounded, Substitution, herbrand_base, universe
 from hhtkit.parser import parse_formula_text
@@ -497,7 +495,7 @@ def _carving_subst():
 def test_lift_definition_unfolds():
     sig, subst, members = _carving_subst()
     i = gen.rand_interpretation(random.Random(61), atoms=("f_c1", "f_c2", "f_c3"))
-    j = lift(subst, i)
+    j = gen.lift(subst, i)
     for c in sig.object_constants():
         atom = Atom("P", (const(c),))
         assert (atom in j.here) == (f"f_{c}" in i.here)
@@ -513,9 +511,9 @@ def test_lifting_check_universal_and_restricted():
     sig, subst, _ = _carving_subst()
     rng = random.Random(67)
     i = gen.rand_interpretation(rng, atoms=("f_c1", "f_c2", "f_c3"))
-    assert lifting_check(subst, i, parse_formula_text("forall x P(x)", sig))
-    assert lifting_check(subst, i, parse_formula_text("forall (x:R) P(x)", sig))
-    assert lifting_check(
+    assert gen.lifting_check(subst, i, parse_formula_text("forall x P(x)", sig))
+    assert gen.lifting_check(subst, i, parse_formula_text("forall (x:R) P(x)", sig))
+    assert gen.lifting_check(
         subst, i, parse_formula_text("exists (x:R) P(x) & forall y P(y)", sig)
     )
 
@@ -527,4 +525,4 @@ def test_lifting_check_randomized():
         f = gen.rand_formula(rng, sig, depth=3, restrictor_share=0.4)
         subst = gen.rand_substitution(rng, sig)
         i = gen.rand_interpretation(rng)
-        assert lifting_check(subst, i, f)
+        assert gen.lifting_check(subst, i, f)

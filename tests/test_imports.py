@@ -2,7 +2,8 @@
 module: what two modules share is public.  No module imports `dataclasses`,
 and importing `hhtkit.cli` loads none of the modules it would bring in.
 No module calls `vars()` or reads an instance's `__dict__`.  The walks that
-expand quantifiers hold no `match` statement."""
+expand quantifiers hold no `match` statement, and the verdict path builds
+no propositional objects."""
 
 import ast
 import subprocess
@@ -171,3 +172,36 @@ def test_the_expansion_walks_hold_no_match_statement():
         assert set(names or ()) <= {getattr(top, "name", None) for top in ast.parse(source).body}
         got[name] = match_statements(source, names)
     assert {name: found for name, found in got.items() if found} == {}
+
+
+# the instantiation walk emits the engine's program, which the CLI folds its
+# stats and text from and the model checker runs: neither builds
+# propositional objects nor walks them back into a program
+OFF_THE_VERDICT_PATH = {
+    "instantiation.py": ("PAnd", "POr", "PImp"),
+    "cli.py": ("prop_dag",),
+}
+
+
+def imported_names(source: str) -> set[str]:
+    """Each name `source` imports, as its module names it (an `as` does not
+    hide it)."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            found |= {a.name for a in node.names}
+    return found
+
+
+def test_the_check_finds_an_imported_name():
+    source = ("from .syntax import (\n    PAnd,\n    prop_dag as walk,\n)\n"
+              "def f():\n    from .syntax import POr\n")
+    assert imported_names(source) == {"PAnd", "prop_dag", "POr"}
+
+
+def test_the_verdict_path_imports_no_object_builder():
+    got = {}
+    for name, banned in OFF_THE_VERDICT_PATH.items():
+        source = (PACKAGE / name).read_text(encoding="utf-8")
+        got[name] = sorted(imported_names(source) & set(banned))
+    assert got == {name: [] for name in OFF_THE_VERDICT_PATH}

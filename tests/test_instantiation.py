@@ -16,17 +16,17 @@ from hhtkit.instantiation import (
     EXACT,
     Bounded,
     Substitution,
-    _instantiate,
     count_universe,
     ground_terms,
     herbrand_base,
+    instance_program,
     instantiate,
     universe,
-    validate,
 )
 from hhtkit.parser import parse_formula_text, parse_subst_file
 from hhtkit.semantics import World, satisfies
 from hhtkit.syntax import (
+    ATOM,
     BOT,
     TOP,
     Atom,
@@ -46,8 +46,8 @@ from hhtkit.syntax import (
     const,
     eliminate_restrictors,
     prop_atoms,
-    prop_dag,
     prop_node_count,
+    prop_of_program,
     prop_stats,
     prop_to_text,
     rank,
@@ -287,13 +287,13 @@ def test_unmapped_atom_names_offender():
     with pytest.raises(UnmappedAtom) as err:
         instantiate(s, f)
     assert "Q" in str(err.value)
-    assert validate(s, f) == ("Q",)
+    assert instance_program(s, f)[1] == ("Q",)
 
 
 def test_validate_empty_report_when_total():
     s = subst_p(SIG2, q=True)
     f = parse_formula_text("exists x P(x) & Q <-> exists x (P(x) & Q)", SIG2)
-    assert validate(s, f) == ()
+    assert instance_program(s, f)[1] == ()
 
 
 def test_validate_bounded_reaches_pushed_terms():
@@ -306,9 +306,9 @@ def test_validate_bounded_reaches_pushed_terms():
         t = FnApp("s", (t,))
     s = Substitution(sig, entries)
     # depth-2 universe pushes one application deeper: s(s(s(a))) is missing
-    assert validate(s, f, Bounded(2)) == ("P(s(s(s(a))))",)
+    assert instance_program(s, f, Bounded(2))[1] == ("P(s(s(s(a))))",)
     entries[Atom("P", (t,))] = PAtom("u")
-    assert validate(Substitution(sig, entries), f, Bounded(2)) == ()
+    assert instance_program(Substitution(sig, entries), f, Bounded(2))[1] == ()
 
 
 def test_restrictor_coherence_small_cases():
@@ -429,7 +429,7 @@ def partial_substitution(rng, sig, mode, drop):
 
 def assert_matches_literal(s, f, mode):
     want, want_missing = literal_instance(s, f, mode)
-    assert validate(s, f, mode) == want_missing
+    assert instance_program(s, f, mode)[1] == want_missing
     if want_missing:
         with pytest.raises(UnmappedAtom) as err:
             instantiate(s, f, mode)
@@ -507,7 +507,7 @@ def test_validate_under_iff_matches_literal():
     for drop in (0.0, 0.2, 0.4, 0.6, 0.8, 1.0):
         s = partial_substitution(rng, sig, EXACT, drop)
         assert_matches_literal(s, f, EXACT)
-        reports.add(validate(s, f))
+        reports.add(instance_program(s, f)[1])
     assert len(reports) > 3 and () in reports
 
 
@@ -529,14 +529,26 @@ def test_restrictor_domains_are_filtered_once_per_walk():
 
 
 # ---------------------------------------------------------------------------
-# the type-dispatch walk against the structural-`match` walk it replaced
+# the type-dispatch walk that emits the program against the structural-`match`
+# walk that built objects
+
+def distinct_subformulas(f) -> set:
+    seen, stack = set(), [f]
+    while stack:
+        g = stack.pop()
+        if g not in seen:
+            seen.add(g)
+            stack.extend((g.left, g.right) if type(g) is PImp else getattr(g, "items", ()))
+    return seen
+
 
 def assert_matches_reference(s, f, mode):
-    got, got_missing = _instantiate(s, f, mode)
+    prog, got_missing = instance_program(s, f, mode)
     want, want_missing = gen.instantiate_reference(s, f, mode)
-    assert got == want
-    # the same partition of (node, binding) pairs: the same sharing
-    assert len(prop_dag(got)) == len(prop_dag(want))
+    assert prop_of_program(prog) == want
+    # one entry per distinct subformula, children before parents
+    assert len(prog) == len(distinct_subformulas(want))
+    assert all(k < i for i, (op, arg) in enumerate(prog) if op != ATOM for k in arg)
     assert got_missing == want_missing
 
 
