@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import os
 import sys
@@ -352,6 +353,10 @@ def run(argv: list[str] | None = None) -> int:
         "herbrand-check": _cmd_herbrand_check,
         "pipeline": _cmd_pipeline,
     }
+    # a command builds no cycles that grow with its input, so the cyclic
+    # collector is paused while it runs; reference counting frees the rest
+    was_enabled = gc.isenabled()
+    gc.disable()
     try:
         return handlers[args.command](args, report)
     except (OSError, HhtError, ValueError, RecursionError) as e:
@@ -361,6 +366,9 @@ def run(argv: list[str] | None = None) -> int:
         # last resort: a fault of the program still ends in one line, exit 2
         print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return 2
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def entry() -> None:

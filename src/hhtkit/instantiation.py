@@ -282,10 +282,13 @@ def instance_program(
             else:
                 variables, ranges = (binder,), [terms]
             shadowed = [env.get(v) for v in variables]
-            children = set()
-            for choice in itertools.product(*ranges):
-                env.update(zip(variables, choice))
-                children.add(rec(body))
+            children, outer, last = set(), variables[:-1], variables[-1]
+            # the outer variables are bound once per choice, the innermost per term
+            for choice in itertools.product(*ranges[:-1]):
+                env.update(zip(outer, choice))
+                for t in ranges[-1]:
+                    env[last] = t
+                    children.add(rec(body))
             for v, t in zip(variables, shadowed):
                 if t is None:
                     env.pop(v, None)

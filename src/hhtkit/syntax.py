@@ -884,7 +884,10 @@ def formula_to_text(f: FOFormula) -> str:
                 return wrap(text, _LEVEL_UNARY, ctx)
         raise TypeError(f"not a formula: {g!r}")
 
-    return rec(f, _LEVEL_IFF)
+    try:
+        return rec(f, _LEVEL_IFF)
+    finally:  # `rec` refers to itself: without this each call leaves a cycle for the gc
+        del rec
 
 
 def prop_to_text(f: PropFormula | None, dag: list | None = None) -> str:

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import re
@@ -346,6 +347,63 @@ def test_internal_fault_is_one_line(json_flag, monkeypatch, capsys):
     monkeypatch.setattr(cli, "_cmd_ht_valid", fault)
     code, out, err = invoke(capsys, *json_flag, "ht-valid", data_path("lem.prop"))
     assert (code, out, err) == (2, "", "internal error: AttributeError: no attribute 'x'\n")
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_run_leaves_the_collector_switch_as_it_found_it(enabled, monkeypatch, capsys, tmp_path):
+    # `run` pauses the cyclic collector for one command, on every exit path
+    def fault(args, report):
+        raise AttributeError("no attribute 'x'")
+
+    bad = tmp_path / "bad.prop"
+    bad.write_text("p &\n")
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert invoke(capsys, "ht-valid", data_path("hosoi.prop"))[0] == 0
+        assert gc.isenabled() is enabled
+        code, _, err = invoke(capsys, "ht-valid", str(bad))
+        assert code == 2 and err.startswith("error: ")
+        assert gc.isenabled() is enabled
+        monkeypatch.setattr(cli, "_cmd_ht_valid", fault)
+        code, _, err = invoke(capsys, "ht-valid", data_path("lem.prop"))
+        assert code == 2 and err.startswith("internal error: ")
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def test_cyclic_garbage_of_a_command_does_not_grow(tmp_path, capsys):
+    # what makes the pause safe: the cycles a command leaves for the
+    # collector are a fixed few, however large its instance
+    def files(k):
+        consts = [f"c{i}" for i in range(1, 2 * k + 1)]
+        sig = f"const {', '.join(consts)}.  pred P/1, Q/1.  restrictor R1/1, R2/1."
+        lines = [sig]
+        for i, c in enumerate(consts):
+            lines += [f"P({c}) := p_{c};", f"Q({c}) := q_{c};",
+                      f"R1({c}) := {'top' if i < k else 'bot'};",
+                      f"R2({c}) := {'bot' if i < k else 'top'};"]
+        fof, subst = tmp_path / f"k{k}.fof", tmp_path / f"k{k}.subst"
+        fof.write_text(f"{sig}\nexists (x:R1) P(x) & exists (y:R2) Q(y)"
+                       " <-> exists (x:R1, y:R2) (P(x) & Q(y))\n")
+        subst.write_text("\n".join(lines) + "\n")
+        return str(fof), str(subst)
+
+    def garbage(k):
+        argv = ["instantiate", *files(k), "--json"]
+        was = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            assert invoke(capsys, *argv)[0] == 0
+            return gc.collect()
+        finally:
+            if was:
+                gc.enable()
+
+    garbage(10)  # first use of lazily built caches
+    assert garbage(10) == garbage(60)
 
 
 def test_shared_parser_matches_fresh_parser(capsys, monkeypatch):

@@ -144,6 +144,15 @@ def test_empty_restricted_sets_give_units():
     s = Substitution(SIG2R, entries)
     assert instantiate(s, parse_formula_text("forall (x:R) P(x)", SIG2R)) == TOP
     assert instantiate(s, parse_formula_text("exists (x:R) P(x)", SIG2R)) == BOT
+    # two variables: an empty outer and an empty innermost domain
+    sig = Signature.make({"c1": 0, "c2": 0}, {"P": 1, "R": 1, "T": 1}, {"R", "T"})
+    entries = {Atom("P", (const(c),)): PAtom(f"f_{c}") for c in ("c1", "c2")}
+    for c in ("c1", "c2"):
+        entries[Atom("R", (const(c),))], entries[Atom("T", (const(c),))] = BOT, TOP
+    s = Substitution(sig, entries)
+    for binder in ("(x:R, y:T)", "(x:T, y:R)"):
+        assert instantiate(s, parse_formula_text(f"forall {binder} (P(x) | P(y))", sig)) == TOP
+        assert instantiate(s, parse_formula_text(f"exists {binder} (P(x) & P(y))", sig)) == BOT
 
 
 def test_quantifier_over_non_occurring_variable_collapses():
@@ -470,6 +479,7 @@ def test_instance_matches_literal_expansion(sig, mode, share):
     "forall x (exists (x:R1, y:R2) (S(x, y) -> exists y P(y)) & P(x))",
     "forall (x:R2) (exists (x:R1) P(x) -> x = a | Q(x))",
     "exists y forall x (forall y S(x, y) -> S(y, x))",
+    "forall z (exists (x:R1, y:R2, z:R1) (S(x, z) | P(y)) & P(z))",
 ])
 def test_shadowed_binders_match_literal_expansion(text):
     sig = Signature.make({"a": 0, "b": 0, "c": 0},

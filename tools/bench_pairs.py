@@ -10,10 +10,12 @@ parent and then in the change when i is even, the other way round when it
 is odd, each for the `run_seconds` of this checkout's `BENCHMARK.json`.  The
 end-to-end metrics and their bounds come from that file too.
 
-Before any timing, each checkout is compiled into its own private
-`PYTHONPYCACHEPREFIX`, which its runs then use (the benchmark's set-up
-subprocesses inherit it): `setup_s` then times the same cached imports on
-both sides, whatever `__pycache__` either checkout holds.
+Both sides run with `PYTHONDONTWRITEBYTECODE=1` and no
+`PYTHONPYCACHEPREFIX`, so every set-up sample compiles `src/` afresh, as
+in a fresh checkout that writes no bytecode: `setup_s` then includes the
+compile, on both sides alike.  A checkout whose `src/` holds a
+`__pycache__` would time cached imports instead; it is refused with exit 2,
+not cleaned.
 
 The record holds, per workload and metric, both sides' values pair by pair,
 their medians and quartiles, the bound, in how many pairs the change was
@@ -32,19 +34,20 @@ import os
 import statistics
 import subprocess
 import sys
-import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def compile_checkout(checkout: Path, prefix: Path) -> dict:
-    """The environment for runs in `checkout`, whose bytecode is compiled
-    under `prefix` first."""
-    env = dict(os.environ, PYTHONPYCACHEPREFIX=str(prefix))
-    env.pop("PYTHONDONTWRITEBYTECODE", None)
-    subprocess.run([sys.executable, "-m", "compileall", "-q", "src", "hhtbench"],
-                   cwd=checkout, env=env, check=True)
+def run_env(checkout: Path) -> dict:
+    """The environment for runs in `checkout`: no bytecode is read from a
+    cache or written.  Exits 2 if `checkout`'s `src/` holds a `__pycache__`."""
+    cached = next((checkout / "src").rglob("__pycache__"), None)
+    if cached is not None:
+        print(f"error: {cached} exists; set-up would time cached imports", file=sys.stderr)
+        sys.exit(2)
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env.pop("PYTHONPYCACHEPREFIX", None)
     return env
 
 
@@ -104,35 +107,34 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     seconds = spec["run_seconds"]
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
-        envs = {side: compile_checkout(path, Path(tmp, side)) for side, path in sides.items()}
-        record = {"parent": describe(sides["parent"]), "change": describe(sides["change"]),
-                  "seed": args.seed, "run_seconds": seconds, "pairs": args.pairs,
-                  "python": sys.version.split()[0], "cpus": os.cpu_count(),
-                  "workloads": {}}
-        for workload in args.workloads:
-            runs: dict[str, list[dict]] = {"parent": [], "change": []}
-            for i in range(args.pairs):
-                order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-                for side in order:
-                    got = run_once(sides[side], envs[side], workload, args.seed, seconds,
-                                   f"{side} run of {workload}, pair {i + 1}")
-                    runs[side].append(got)
-                    print(f"{workload} pair {i + 1}/{args.pairs} {side}: "
-                          f"wall_s {got['metrics']['wall_s']['value']:.4f} "
-                          f"failed {got['failed']}/{got['attempted']}", flush=True)
-            metrics = {}
-            for m in spec["end_to_end"]:
-                values = {side: [r["metrics"][m["name"]]["value"] for r in runs[side]]
-                          for side in runs}
-                metrics[m["name"]] = {"unit": m["unit"], **summarize(
-                    values["parent"], values["change"], m["better"], m["bound"])}
-            record["workloads"][workload] = {
-                "metrics": metrics,
-                "failed": {side: [r["failed"] for r in runs[side]] for side in runs},
-                "attempted": {side: [r["attempted"] for r in runs[side]] for side in runs},
-                "correct": {side: all(r["correct"] for r in runs[side]) for side in runs},
-            }
+    envs = {side: run_env(path) for side, path in sides.items()}
+    record = {"parent": describe(sides["parent"]), "change": describe(sides["change"]),
+              "seed": args.seed, "run_seconds": seconds, "pairs": args.pairs,
+              "python": sys.version.split()[0], "cpus": os.cpu_count(),
+              "workloads": {}}
+    for workload in args.workloads:
+        runs: dict[str, list[dict]] = {"parent": [], "change": []}
+        for i in range(args.pairs):
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            for side in order:
+                got = run_once(sides[side], envs[side], workload, args.seed, seconds,
+                               f"{side} run of {workload}, pair {i + 1}")
+                runs[side].append(got)
+                print(f"{workload} pair {i + 1}/{args.pairs} {side}: "
+                      f"wall_s {got['metrics']['wall_s']['value']:.4f} "
+                      f"failed {got['failed']}/{got['attempted']}", flush=True)
+        metrics = {}
+        for m in spec["end_to_end"]:
+            values = {side: [r["metrics"][m["name"]]["value"] for r in runs[side]]
+                      for side in runs}
+            metrics[m["name"]] = {"unit": m["unit"], **summarize(
+                values["parent"], values["change"], m["better"], m["bound"])}
+        record["workloads"][workload] = {
+            "metrics": metrics,
+            "failed": {side: [r["failed"] for r in runs[side]] for side in runs},
+            "attempted": {side: [r["attempted"] for r in runs[side]] for side in runs},
+            "correct": {side: all(r["correct"] for r in runs[side]) for side in runs},
+        }
     args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     print(f"{len(args.workloads)} workloads x {args.pairs} pairs -> {args.out}")
     return 0
