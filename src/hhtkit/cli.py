@@ -153,9 +153,9 @@ def _proof_stage(report: _Report, path: str, pipeline: bool):
 
 def _instantiation_stage(report: _Report, args, sig, f, pipeline: bool):
     """Instantiate `f` with `args.subst_file` in the mode `args` asks for.
-    Returns (the instance's program, its atoms, mode, mode label) or exit
-    code 2 for missing entries.  A `--depth` universe is charged before it
-    is built, as in herbrand."""
+    Returns (the instance's program, mode, mode label) or exit code 2 for
+    missing entries.  A `--depth` universe is charged before it is built,
+    as in herbrand."""
     subst = parse_subst_file(_read(args.subst_file))
     if subst.signature != sig:
         source = "proof" if pipeline else "formula"
@@ -183,7 +183,7 @@ def _instantiation_stage(report: _Report, args, sig, f, pipeline: bool):
         report.say(f"mode: {mode_label}")
         report.say(f"instance: {text}")
         report.say(counts)
-    return prog, atoms, mode, mode_label
+    return prog, mode, mode_label
 
 
 def _validity_stage(report: _Report, started: float, counter, headlines: tuple,
@@ -264,9 +264,9 @@ def _cmd_pipeline(args, report: _Report) -> int:
     got = _instantiation_stage(report, args, proof.signature, conclusion, pipeline=True)
     if isinstance(got, int):
         return report.emit(got)
-    prog, atoms, mode, mode_label = got
+    prog, mode, mode_label = got
     t0 = time.perf_counter()
-    counter = first_countermodel(prog, sorted(atoms), _budget())
+    counter = first_countermodel(prog, _budget())
     headlines = (f"validity: HT-valid ({mode_label})",
                  f"validity: countermodel found ({mode_label})")
     valid = _validity_stage(report, t0, counter, headlines, pipeline=True) == 0

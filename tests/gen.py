@@ -172,7 +172,7 @@ def engine_value(i: HTInterpretation, f: PropFormula) -> int:
     def holds_at_h(g: PropFormula) -> bool:
         prog = [(CONST, i.atom_state(arg)) if op == ATOM else (op, arg)
                 for op, arg in prop_dag(g)]
-        return first_countermodel(prog, [], DEFAULT_BUDGET) is None
+        return first_countermodel(prog, DEFAULT_BUDGET) is None
 
     return holds_at_h(f) + holds_at_h(PImp(PImp(f, BOT), BOT))
 

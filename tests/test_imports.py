@@ -3,7 +3,8 @@ module: what two modules share is public.  No module imports `dataclasses`,
 and importing `hhtkit.cli` loads none of the modules it would bring in.
 No module calls `vars()` or reads an instance's `__dict__`.  The walks that
 expand quantifiers hold no `match` statement, and the verdict path builds
-no propositional objects."""
+no propositional objects.  No class `record` builds spells out the methods
+`record` gives it."""
 
 import ast
 import subprocess
@@ -205,3 +206,41 @@ def test_the_verdict_path_imports_no_object_builder():
         source = (PACKAGE / name).read_text(encoding="utf-8")
         got[name] = sorted(imported_names(source) & set(banned))
     assert got == {name: [] for name in OFF_THE_VERDICT_PATH}
+
+
+# `record` builds every value class's `__init__`, `==` and `hash`, with
+# named parameters for one or two fields; an undecorated base, such as
+# `syntax._PSet`, may still define one for the classes built on it
+RECORD_METHODS = ("__init__", "__eq__", "__hash__")
+
+
+def record_methods(source: str) -> list[str]:
+    """`class.method` for each method of `RECORD_METHODS` that a class
+    decorated with `record` or `record(...)` defines in its body."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef) and any(
+                isinstance(d, ast.Name) and d.id == "record"
+                or isinstance(d, ast.Call) and getattr(d.func, "id", None) == "record"
+                for d in node.decorator_list):
+            found += [f"{node.name}.{item.name}" for item in node.body
+                      if isinstance(item, ast.FunctionDef) and item.name in RECORD_METHODS]
+    return found
+
+
+def test_the_check_finds_a_spelled_out_record_method():
+    source = ("class _Base:\n    def __init__(self):\n        pass\n"
+              "@record\nclass A(_Base):\n    x: int\n"
+              "    def __eq__(self, other):\n        return True\n"
+              "    def of(self):\n        return self\n"
+              "@record(hidden=('y',))\nclass B:\n    y: int\n"
+              "    def __hash__(self):\n        return 0\n"
+              "@_interned\nclass C:\n    def __init__(self):\n        pass\n")
+    assert record_methods(source) == ["A.__eq__", "B.__hash__"]
+
+
+def test_no_record_spells_out_its_methods():
+    got = {path.name: record_methods(path.read_text(encoding="utf-8"))
+           for path in sorted(PACKAGE.glob("*.py"))}
+    assert "kernel.py" in got
+    assert {name: found for name, found in got.items() if found} == {}

@@ -121,10 +121,10 @@ def test_match_args_are_the_fields_in_order():
 
 def test_equality_and_hash_are_the_field_tuple():
     a, b = PAtom("a"), PAtom("b")
-    assert TOP != BOT and hash(TOP) == hash((frozenset(),)) == hash(BOT)
+    assert TOP != BOT and hash(TOP) == hash(frozenset()) == hash(BOT)
     assert PImp(a, b) == PImp(PAtom("a"), PAtom("b")) and PImp(a, b) != PImp(b, a)
     assert hash(PImp(a, b)) == hash((a, b))
-    assert hash(a) == hash(("a",))
+    assert hash(a) == hash("a")
     assert PAnd([a, b, a]) == PAnd((b, a)) and PAnd((a,)) != POr((a,))
     assert ByMP(1, 2) == ByMP(1, 2) and hash(ByMP(1, 2)) == hash((1, 2))
     assert ByMP(1, 2) != (1, 2) and ByMP(1, 2) != ByGen(1, X, "forall")
@@ -149,6 +149,7 @@ def test_keyword_and_default_construction():
     assert ByAxiom("k").binding == () and ByAxiom("k") == ByAxiom("k", ())
     assert ByAxiom(schema_id="k", binding=(("F", BOT),)) == ByAxiom("k", (("F", BOT),))
     assert ByMP(j=2, i=1) == ByMP(1, 2)
+    assert PAtom(name="a") == PAtom("a")
     assert HTInterpretation(frozenset(), frozenset(), atoms=("p",)).atoms == ("p",)
     assert PAnd() == TOP and POr() == BOT
     assert FnApp("a") is FnApp("a", ())
@@ -160,6 +161,9 @@ def test_keyword_and_default_construction():
     lambda: ByMP(1, 2, k=3),
     lambda: ByMP(1, i=1),
     lambda: CorpusCase(proof="c.proof"),
+    lambda: PAtom(),
+    lambda: PAtom("a", "b"),
+    lambda: PAtom("a", name="b"),
 ])
 def test_a_miscounted_call_is_refused(call):
     with pytest.raises(TypeError):

@@ -118,14 +118,14 @@ def test_budget_count_past_the_cap_reads_as_one_line():
 def test_one_engine_entry_charges_what_was_spent():
     f = prop("p -> p | q")  # 4 child references over 2 atoms: 4 steps
     prog = prop_dag(f)
-    assert first_countermodel(prog, ["p", "q"], budget=4) is None
+    assert first_countermodel(prog, budget=4) is None
     with pytest.raises(BudgetExceeded) as err:
-        first_countermodel(prog, ["p", "q"], budget=10, spent=7)
+        first_countermodel(prog, budget=10, spent=7)
     assert err.value.required == 11
     for evaluator in ("g3", "literal"):
         with pytest.raises(BudgetExceeded):
             ht_valid(f, budget=3, evaluator=evaluator)
-    counter = first_countermodel(prop_dag(prop("p | not p")), ["p"], budget=4)
+    counter = first_countermodel(prop_dag(prop("p | not p")), budget=4)
     assert (counter, counter.atoms) == (HTInterpretation.of([], ["p"]), ("p",))
 
 

@@ -1,10 +1,11 @@
 """Record hhtkit's CLI output on every benchmark command line, for
 byte-identity checks between two checkouts.
 
-    python3 tools/cli_snapshot.py SRC_DIR OUT.json [--workloads ...] [--seeds ...]
+    python3 tools/cli_snapshot.py CHECKOUT OUT.json [--workloads ...] [--seeds ...]
 
-`SRC_DIR` is the root of a checkout; its `src/hhtkit` is imported and each
-command runs in-process through `hhtkit.cli.run`.  The command lines are those
+`CHECKOUT` is the root of a checkout, the directory that holds `src/hhtkit`
+(exit 2 if it does not); that package is imported and each command runs
+in-process through `hhtkit.cli.run`.  The command lines are those
 of this checkout's `hhtbench/workloads.py` for every workload and seed asked
 for (default: every group below, seeds 1-3), with generated inputs written to
 a temporary directory.  The `pairs` group adds `instantiate` of every shipped
@@ -52,7 +53,7 @@ each, with and without `--json`, so that how whole files are tokenized is
 compared too.
 
 Each record holds the exit code, stdout and stderr.  Stage timings
-(`"seconds"`, `"parse_seconds"`, `"check_seconds"` and `[N ms]`), `SRC_DIR`
+(`"seconds"`, `"parse_seconds"`, `"check_seconds"` and `[N ms]`), `CHECKOUT`
 and the temporary directory are masked, so two snapshots differ only where
 the CLI's output does:
 
@@ -135,14 +136,14 @@ _SPACINGS = [" ", "\t", "\r\n", "\f", "\u3000", "# comment\n", "\t# comment\r\n\
 _TIMINGS = re.compile(r'(?<=\[)\d+\.\d(?= ms\])|(?<=seconds": )[-+.\deE]+')
 
 
-def _load_hhtkit(src_dir: Path):
-    """`hhtkit.cli` and `hhtkit.corpus` from `src_dir/src`."""
-    sys.path.insert(0, str(src_dir / "src"))
+def _load_hhtkit(checkout: Path):
+    """`hhtkit.cli` and `hhtkit.corpus` from `checkout/src`."""
+    sys.path.insert(0, str(checkout / "src"))
     from hhtkit import cli, corpus
 
-    if not Path(cli.__file__).resolve().is_relative_to(src_dir):
+    if not Path(cli.__file__).resolve().is_relative_to(checkout):
         raise SystemExit(f"cli_snapshot: hhtkit was imported from {cli.__file__}, "
-                         f"not from {src_dir}")
+                         f"not from {checkout}")
     return cli, corpus
 
 
@@ -359,16 +360,16 @@ def _argvs(group: str, seed: int, corpus, workdir: str) -> dict[str, list[str]]:
     return out
 
 
-def snapshot(src_dir: Path, groups, seeds) -> dict[str, dict]:
+def snapshot(checkout: Path, groups, seeds) -> dict[str, dict]:
     """Label -> masked record of every command line of `groups` and `seeds`,
-    run against the hhtkit of the checkout at `src_dir`."""
-    src_dir = src_dir.resolve()
-    cli, corpus = _load_hhtkit(src_dir)
+    run against the hhtkit of the checkout at `checkout`."""
+    checkout = checkout.resolve()
+    cli, corpus = _load_hhtkit(checkout)
     records = {}
     with tempfile.TemporaryDirectory() as workdir:
 
         def mask(text: str) -> str:
-            text = text.replace(workdir, "{dir}").replace(str(src_dir), "{src}")
+            text = text.replace(workdir, "{dir}").replace(str(checkout), "{src}")
             return _TIMINGS.sub("N", text)
 
         for group in groups:
@@ -391,13 +392,17 @@ def snapshot(src_dir: Path, groups, seeds) -> dict[str, dict]:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("src_dir", type=Path, help="root of the checkout to run")
+    ap.add_argument("checkout", type=Path, help="root of the checkout to run")
     ap.add_argument("out", type=Path, help="JSON file to write")
     ap.add_argument("--workloads", nargs="+", choices=GROUPS,
                     default=list(GROUPS))
     ap.add_argument("--seeds", nargs="+", type=int, default=[1, 2, 3])
     args = ap.parse_args(argv)
-    records = snapshot(args.src_dir, args.workloads, args.seeds)
+    if not (args.checkout / "src" / "hhtkit").is_dir():
+        print(f"cli_snapshot: {args.checkout} is not a checkout: expected "
+              f"{args.checkout / 'src' / 'hhtkit'}", file=sys.stderr)
+        return 2
+    records = snapshot(args.checkout, args.workloads, args.seeds)
     args.out.write_text(json.dumps(records, indent=1, sort_keys=True) + "\n",
                         encoding="utf-8")
     print(f"{len(records)} command lines -> {args.out}")
