@@ -32,7 +32,7 @@ from .kernel import check_proof, conclusion_for_pipeline
 from .parser import (
     parse_formula_file,
     parse_proof_file,
-    parse_prop_file,
+    parse_prop_program,
     parse_subst_file,
 )
 from .render import render_justification
@@ -40,7 +40,6 @@ from .semantics import (
     DEFAULT_BUDGET,
     STATE_NAMES,
     first_countermodel,
-    ht_valid,
     render_countermodel,
 )
 from .syntax import eliminate_restrictors, formula_to_text, prop_stats, prop_to_text
@@ -235,9 +234,9 @@ _VALIDITY_HEADLINES = {
 
 
 def _cmd_ht_valid(args, report: _Report) -> int:
-    f = parse_prop_file(_read(args.prop_file))
+    prog = parse_prop_program(_read(args.prop_file))
     t0 = time.perf_counter()
-    counter = ht_valid(f, _budget())
+    counter = first_countermodel(prog, _budget())
     headlines = _VALIDITY_HEADLINES[args.command]
     return report.emit(_validity_stage(report, t0, counter, headlines, pipeline=False))
 

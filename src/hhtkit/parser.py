@@ -7,9 +7,9 @@ follows it, so `forall x P(x) -> Q` is `(forall x P(x)) -> Q`.
 
 Both formula languages share one precedence-climbing routine,
 `_parse_binary`, driven by the table `_BINARY` (connective -> binding power
-and associativity) and a per-language table of constructors; only the
-prefix forms (atoms, `not`, quantifiers, `And{..}`, `Or{..}`) have a parser
-per language.  Each level of `(`, `And{` or `Or{` costs two Python frames
+and associativity) and a per-language constructor; only the prefix forms
+(atoms, `not`, quantifiers, `And{..}`, `Or{..}`) have a parser per
+language.  Each level of `(`, `And{` or `Or{` costs two Python frames
 (`_parse_binary` and the prefix parser) and each `not` or quantifier one,
 so under the default recursion limit of 1000 about 490 nested parentheses
 or 980 nested `not` parse; deeper input ends in `RecursionError`.
@@ -22,27 +22,30 @@ found only when the error is raised, by scanning the text again.
 First-order constructors intern their nodes (see `syntax`): a subformula
 that recurs, within a line, across lines and bindings, or across parses, is
 one object while any occurrence of it is alive, so its facts are computed
-and `syntax.eliminate_restrictors` unfolds it once.  Propositional nodes
-are not interned.
+and `syntax.eliminate_restrictors` unfolds it once.  Propositional text is
+parsed straight into the model checker's program: each rule emits its
+entry through a `syntax.program_builder` and returns its position, so a
+subformula that recurs in one text is one entry.  `parse_prop_text`,
+`parse_prop_file` and `parse_subst_file` build objects from the program.
 
 Parsing is context-free given the signature and reads one token ahead, so
 in a text whose words mostly repeat, a span whose tokens occurred earlier
 in the parse is not parsed again: the `Cursor`'s span memo returns the node
-a second parse would give, which saves time only.  `_parse_binary` looks a
-span up where it is told the token that stops it: a group's `)`, a proof
-line's `by`, a formula binding's `,` or `;` at its depth and, for the right
-operand of `->` or `<->` in a span without `<->` (power 1 stops at one,
-power 0 does not), the span's own.  A span is stored once it parsed and
-stopped there, so a wrong prediction costs a miss and errors do not change.
-The key is the span's tokens alone: no formula goes on at any of these
-stops, and the caller checks its own (`expect(")")`, `eat(",")`,
-`expect("by")`), so a subformula restated as a group, a right operand and a
-binding is parsed once.  A propositional `And{..}` or `Or{..}` group is
-looked up whole, and its key keeps its `}`, since a hit moves past that `}`
-without checking it.  The keys one parse slices hold at most 8 tokens per
-token of its text (the shipped proofs take 1.5 to 1.7).  `Cursor.end` reads
-a stop from a string of one mark per token; in a text whose words are
-mostly distinct it predicts none, and no span is looked up.
+or program position a second parse would give, which saves time only.
+`_parse_binary` looks a span up where it is told the token that stops it: a
+group's `)`, a proof line's `by`, a formula binding's `,` or `;` at its
+depth and, for the right operand of `->` or `<->` in a span without `<->`
+(power 1 stops at one, power 0 does not), the span's own.  A span is stored
+once it parsed and stopped there, so a wrong prediction costs a miss and
+errors do not change.  The key is the span's tokens alone: no formula goes
+on at any of these stops, and the caller checks its own (`expect(")")`,
+`eat(",")`, `expect("by")`), so a subformula restated as a group, a right
+operand and a binding is parsed once.  A propositional `And{..}` or
+`Or{..}` group is looked up whole, and its key keeps its `}`, since a hit
+moves past that `}` without checking it.  The keys one parse slices hold at
+most 8 tokens per token of its text (the shipped proofs take 1.5 to 1.7).
+`Cursor.end` reads a stop from a string of one mark per token; in a text
+whose words are mostly distinct it predicts none, and no span is looked up.
 
 Identifiers not declared in the ambient signature parse as variables:
 object variables in term position, predicate variables (of the applied
@@ -68,9 +71,11 @@ from .kernel import (
     TheoryLevel,
 )
 from .syntax import (
-    BOT,
+    AND,
+    ATOM,
     BOTTOM,
-    TOP,
+    IMP,
+    OR,
     TRUTH,
     Atom,
     Binary,
@@ -80,10 +85,6 @@ from .syntax import (
     FOFormula,
     FuncVar,
     GenVar,
-    PAnd,
-    PAtom,
-    PImp,
-    POr,
     PredVar,
     PropFormula,
     Quant,
@@ -91,8 +92,9 @@ from .syntax import (
     Term,
     Var,
     iff,
-    piff,
-    pneg,
+    program_builder,
+    prop_nodes,
+    prop_of_program,
 )
 
 _TOKEN = (r"[A-Za-z_][A-Za-z0-9_]*+(?:-[A-Za-z_][A-Za-z0-9_]*+)*+"
@@ -139,7 +141,7 @@ class Cursor:
         bad = [t for t in distinct if len(t) == 1 and t not in _ONE_CHAR]
         if bad:
             self.i = min(map(self.tokens.index, bad))
-            raise self.error(f"unexpected character {self.tokens[self.i]!r}")
+            raise self.error(f"unexpected character {self.found()}")
         self.spans: dict[tuple[str, ...], object] = {}
         self.room = 8 * len(self.tokens)  # key tokens left (module docstring)
         self.semi = (0, -1)  # a token and the first `;` from it on (see `end`)
@@ -210,31 +212,33 @@ class Cursor:
             return True
         return False
 
+    def found(self) -> str:
+        """The next token as an error message names it."""
+        text = self.tokens[self.i]
+        return repr(text) if text else "end of input"
+
     def expect(self, text: str) -> None:
-        found = self.tokens[self.i]
-        if found != text:
-            found = repr(found) if found else "end of input"
-            raise self.error(f"expected {text!r}, found {found}")
+        if self.tokens[self.i] != text:
+            raise self.error(f"expected {text!r}, found {self.found()}")
         self.i += 1
 
     def expect_ident(self, what: str = "identifier") -> str:
         text = self.tokens[self.i]
         if text[:1] not in _IDENT_START:
-            raise self.error(f"expected {what}, found {text!r}")
+            raise self.error(f"expected {what}, found {self.found()}")
         self.i += 1
         return text
 
     def expect_num(self) -> int:
         text = self.tokens[self.i]
         if not text.isdecimal():
-            raise self.error(f"expected number, found {text!r}")
+            raise self.error(f"expected number, found {self.found()}")
         self.i += 1
         return int(text)
 
     def expect_eof(self) -> None:
-        text = self.tokens[self.i]
-        if text:
-            raise self.error(f"unexpected trailing input {text!r}")
+        if self.tokens[self.i]:
+            raise self.error(f"unexpected trailing input {self.found()}")
 
     def error(self, message: str) -> ParseError:
         """A ParseError at the next token, whose offset is found by scanning
@@ -299,10 +303,11 @@ def parse_signature_block(cur: Cursor) -> Signature:
 _BINARY = {"<->": (0, False), "->": (1, True), "|": (2, False), "&": (3, False)}
 
 
-def _parse_binary(cur: Cursor, sig: Signature | None, lang, min_power: int = 0, end: int = -1):
+def _parse_binary(cur: Cursor, ctx, lang, min_power: int = 0, end: int = -1):
     """A formula whose top-level connectives bind at least `min_power`, by
     precedence climbing.  `lang` is a pair (prefix parser, constructor
-    `build(connective, left, right)`); the prefix parser is called
+    `build(ctx, connective, left, right)`), both passed `ctx`: a signature
+    or a propositional program's `emit`.  The prefix parser is called
     directly, so a nesting level costs one frame here and one there.  `end`
     is where a span is predicted to stop (module docstring)."""
     key, f = cur.recall(cur.i, end) if end >= 0 else ((), None)
@@ -311,7 +316,7 @@ def _parse_binary(cur: Cursor, sig: Signature | None, lang, min_power: int = 0, 
         return f
     inner = end if key and "<->" not in key else -1  # the `end` of the right operands
     prefix, build = lang
-    f = prefix(cur, sig)
+    f = prefix(cur, ctx)
     while True:
         op = cur.peek()
         spec = _BINARY.get(op)
@@ -321,8 +326,8 @@ def _parse_binary(cur: Cursor, sig: Signature | None, lang, min_power: int = 0, 
             return f
         cur.next()
         power, right = spec
-        f = build(op, f, _parse_binary(cur, sig, lang, power if right else power + 1,
-                                       inner if power < 2 else -1))
+        f = build(ctx, op, f, _parse_binary(cur, ctx, lang, power if right else power + 1,
+                                            inner if power < 2 else -1))
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +440,7 @@ def _parse_unary(cur: Cursor, sig: Signature) -> FOFormula:
         cur.next()
         return TRUTH
     if text[:1] not in _IDENT_START:
-        raise cur.error(f"expected a formula, found {text!r}")
+        raise cur.error(f"expected a formula, found {cur.found()}")
     cur.next()
     args = _parse_args(cur, sig, allow_vars=True) if cur.at("(") else None
     if cur.at("=") or cur.at("!="):
@@ -455,11 +460,9 @@ def _parse_unary(cur: Cursor, sig: Signature) -> FOFormula:
     return Atom(PredVar(text, len(args)), args)
 
 
-def _fo_binary(op: str, left: FOFormula, right: FOFormula) -> FOFormula:
+def _fo_binary(sig: Signature, op: str, left: FOFormula, right: FOFormula) -> FOFormula:
     """`left op right`; `<->` is the conjunction of the two implications."""
-    if op == "<->":
-        return iff(left, right)
-    return Binary(op, left, right)
+    return iff(left, right) if op == "<->" else Binary(op, left, right)
 
 
 _FO = (_parse_unary, _fo_binary)
@@ -483,25 +486,21 @@ def parse_formula_file(text: str) -> tuple[Signature, FOFormula]:
 
 
 # ---------------------------------------------------------------------------
-# propositional formulas
+# propositional formulas, parsed into program entries (module docstring)
 
-def _parse_prop_unary(cur: Cursor, sig: None) -> PropFormula:
-    """`sig` is unused: it keeps the signature `_parse_binary` calls with."""
+def _parse_prop_unary(cur: Cursor, emit) -> int:
     text = cur.peek()
     if text == "(":
         cur.next()
-        f = _parse_binary(cur, None, _PROP, 0, cur.end(")"))
+        f = _parse_binary(cur, emit, _PROP, 0, cur.end(")"))
         cur.expect(")")
         return f
     if text == "not":
         cur.next()
-        return pneg(_parse_prop_unary(cur, None))
-    if text == "top":
+        return emit(IMP, (_parse_prop_unary(cur, emit), emit(OR, ())))
+    if text in ("top", "bot"):
         cur.next()
-        return TOP
-    if text == "bot":
-        cur.next()
-        return BOT
+        return emit(AND if text == "top" else OR, ())
     if text in ("And", "Or"):
         cur.next()
         cur.expect("{")
@@ -510,48 +509,57 @@ def _parse_prop_unary(cur: Cursor, sig: None) -> PropFormula:
         if f is not None:
             cur.i = end + 1
             return f
-        items = []
+        items = set()
         if not cur.at("}"):
             while True:
-                items.append(_parse_binary(cur, None, _PROP))
+                items.add(_parse_binary(cur, emit, _PROP))
                 if not cur.eat(";"):
                     break
         cur.expect("}")
-        f = cur.spans[key] = PAnd(items) if text == "And" else POr(items)  # closed at `end`
-        return f
+        f = cur.spans[key] = emit(AND if text == "And" else OR, tuple(sorted(items)))
+        return f  # stored as the span closed at `end`
     if text[:1] not in _IDENT_START:
-        raise cur.error(f"expected a propositional formula, found {text!r}")
+        raise cur.error(f"expected a propositional formula, found {cur.found()}")
     cur.next()
-    return PAtom(text)
+    return emit(ATOM, text)
 
 
-def _prop_binary(op: str, left: PropFormula, right: PropFormula) -> PropFormula:
+def _prop_binary(emit, op: str, left: int, right: int) -> int:
     """`left op right`; `<->` is the conjunction of the two implications."""
-    if op == "&":
-        return PAnd((left, right))
-    if op == "|":
-        return POr((left, right))
     if op == "->":
-        return PImp(left, right)
-    return piff(left, right)
+        return emit(IMP, (left, right))
+    if op == "<->":
+        op, left, right = "&", emit(IMP, (left, right)), emit(IMP, (right, left))
+    pair = (left, right) if left < right else (right, left) if right < left else (left,)
+    return emit(AND if op == "&" else OR, pair)
 
 
 _PROP = (_parse_prop_unary, _prop_binary)
 
 
-def parse_prop_text(text: str) -> PropFormula:
+def _prop_program(text: str, semicolon: bool) -> list[tuple[int, object]]:
+    """The program of the formula `text` holds, root last; `semicolon` allows a `;` after it."""
+    prog, emit = program_builder()
     cur = Cursor(text)
-    f = _parse_binary(cur, None, _PROP)
+    _parse_binary(cur, emit, _PROP)
+    if semicolon:
+        cur.eat(";")
     cur.expect_eof()
-    return f
+    return prog
+
+
+def parse_prop_program(text: str) -> list[tuple[int, object]]:
+    """The program (see `syntax.program_builder`) of a `.prop` file: one
+    formula, optionally `;`-terminated.  No formula object is built."""
+    return _prop_program(text, True)
+
+
+def parse_prop_text(text: str) -> PropFormula:
+    return prop_of_program(_prop_program(text, False))
 
 
 def parse_prop_file(text: str) -> PropFormula:
-    cur = Cursor(text)
-    f = _parse_binary(cur, None, _PROP)
-    cur.eat(";")
-    cur.expect_eof()
-    return f
+    return prop_of_program(parse_prop_program(text))
 
 
 # ---------------------------------------------------------------------------
@@ -559,41 +567,36 @@ def parse_prop_file(text: str) -> PropFormula:
 
 def parse_subst_file(text: str) -> Substitution:
     """Signature block, then `P(a,b) := <prop>;` entries and
-    `default P := <prop>;` lines."""
+    `default P := <prop>;` lines.  The images are parsed into one program
+    and built from it in one pass, so equal images are one object."""
     cur = Cursor(text)
     sig = parse_signature_block(cur)
-    entries: dict[Atom, PropFormula] = {}
-    defaults: dict[str, PropFormula] = {}
+    prog, emit = program_builder()
+    entries: dict[Atom, int] = {}  # an image's position in `prog`
+    defaults: dict[str, int] = {}
     while cur.peek():
-        if cur.eat("default"):
-            pred = cur.expect_ident("predicate")
-            if sig.predicate_arity(pred) is None:
-                raise cur.error(f"unknown predicate {pred}")
-            cur.expect(":=")
-            image = _parse_binary(cur, None, _PROP)
-            cur.expect(";")
-            if pred in defaults:
-                raise cur.error(f"duplicate default for {pred}")
-            defaults[pred] = image
-            continue
+        default = cur.eat("default")
         pred = cur.expect_ident("predicate")
         arity = sig.predicate_arity(pred)
         if arity is None:
             raise cur.error(f"unknown predicate {pred}")
         args: tuple[Term, ...] = ()
-        if cur.at("("):
-            args = _parse_args(cur, sig, allow_vars=False)
-        if len(args) != arity:
-            raise cur.error(f"{pred} expects {arity} arguments, got {len(args)}")
+        if not default:
+            if cur.at("("):
+                args = _parse_args(cur, sig, allow_vars=False)
+            if len(args) != arity:
+                raise cur.error(f"{pred} expects {arity} arguments, got {len(args)}")
         cur.expect(":=")
-        image = _parse_binary(cur, None, _PROP)
+        image = _parse_binary(cur, emit, _PROP)
         cur.expect(";")
-        atom = Atom(pred, args)
-        if atom in entries:
-            raise cur.error(f"duplicate entry for {pred}")
-        entries[atom] = image
+        key, table = (pred, defaults) if default else (Atom(pred, args), entries)
+        if key in table:
+            raise cur.error(f"duplicate {'default' if default else 'entry'} for {pred}")
+        table[key] = image
+    nodes = prop_nodes(prog)
     try:
-        return Substitution(sig, entries, defaults)
+        return Substitution(sig, {a: nodes[k] for a, k in entries.items()},
+                            {p: nodes[k] for p, k in defaults.items()})
     except Exception as e:
         raise cur.error(str(e)) from None
 

@@ -7,7 +7,7 @@ and re-sugared by the printer.  Propositional conjunctions/disjunctions are
 sets of children (duplicate-free by construction), so `top` is the empty
 conjunction and `bot` the empty disjunction.  `prop_dag` turns a formula
 into the `(op, arg)` program that the model checker in `semantics` runs;
-instantiation and Herbrand grounding emit theirs through `program_builder`.
+the parser, instantiation and grounding emit theirs via `program_builder`.
 
 A ground atom is a closed `Atom` whose predicate is a name: being interned,
 it is one object however it was built (parsed from a substitution file,
@@ -665,14 +665,6 @@ TOP = PAnd(())
 BOT = POr(())
 
 
-def pneg(f: PropFormula) -> PImp:
-    return PImp(f, BOT)
-
-
-def piff(left: PropFormula, right: PropFormula) -> PAnd:
-    return PAnd((PImp(left, right), PImp(right, left)))
-
-
 # Op codes of a program: `(ATOM, name)` or `(AND | OR | IMP, child positions)`.
 # Programs `herbrand` grounds also hold `(CONST, state)`, which has that
 # `semantics` state under every interpretation.
@@ -750,8 +742,13 @@ def splice(f: PropFormula, emit) -> int:
 
 
 def prop_of_program(prog: list[tuple[int, object]]) -> PropFormula:
-    """The formula whose program is `prog` (no `CONST` entries), one node
-    per entry, so that an entry referenced twice is one shared object."""
+    """The formula whose program is `prog`, its last entry (see `prop_nodes`)."""
+    return prop_nodes(prog)[-1]
+
+
+def prop_nodes(prog: list[tuple[int, object]]) -> list[PropFormula]:
+    """The formula of each entry of `prog` (no `CONST` entries), built in
+    one pass, so that an entry referenced twice is one shared object."""
     nodes: list[PropFormula] = []
     for op, arg in prog:
         if op == ATOM:
@@ -761,7 +758,7 @@ def prop_of_program(prog: list[tuple[int, object]]) -> PropFormula:
         else:
             g = (PAnd if op == AND else POr)(map(nodes.__getitem__, arg))
         nodes.append(g)
-    return nodes[-1]
+    return nodes
 
 
 def prop_stats(f: PropFormula | None, dag: list | None = None) -> tuple[frozenset[str], int, int, int]:

@@ -11,10 +11,12 @@ import pytest
 
 import gen
 import hhtkit
-from hhtkit import cli, semantics, syntax
+from hhtkit import cli, parser, semantics, syntax
 from hhtkit.cli import run
 from hhtkit.corpus import data_path
 from hhtkit.instantiation import Substitution
+from hhtkit.parser import parse_prop_file
+from hhtkit.semantics import ht_valid, render_countermodel
 from hhtkit.syntax import prop_dag
 
 
@@ -90,6 +92,28 @@ def test_pipeline_walks_its_instance_once(monkeypatch, capsys, tmp_path):
     assert 0 < pipeline_walks < len(walks)
     assert all(images.get(id(f)) is f for f in walks)
     assert len({id(f) for f in walks}) == len(walks)
+
+
+def test_validity_commands_build_no_formula_object(monkeypatch, capsys):
+    # `ht-valid` and `countermodel` parse a `.prop` file into the engine's
+    # program and run it: no formula object is built, and no `prop_dag` runs
+    props = sorted(Path(data_path("lem.prop")).parent.glob("*.prop"))
+    want = {p: ht_valid(parse_prop_file(p.read_text()), evaluator="literal") for p in props}
+    assert len(props) == 6 and None in want.values() and set(want.values()) != {None}
+
+    def refused(*args):
+        raise AssertionError("not on the path of a validity command")
+
+    for module, name in ((semantics, "prop_dag"), (syntax, "prop_dag"),
+                         (parser, "prop_of_program"), (parser, "prop_nodes")):
+        monkeypatch.setattr(module, name, refused)
+    assert not hasattr(cli, "prop_dag") and not hasattr(cli, "ht_valid")
+    for path, counter in want.items():
+        for command in ("ht-valid", "countermodel"):
+            code, out, err = invoke(capsys, command, str(path))
+            assert (code, err) == (int(counter is not None), ""), (path, command)
+            if counter is not None:
+                assert out.endswith(render_countermodel(counter, counter.atoms) + "\n")
 
 
 _PROOF_KEYS = ["verdict", "level", "lines", "conclusion", "parse_seconds", "check_seconds",

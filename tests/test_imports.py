@@ -175,12 +175,13 @@ def test_the_expansion_walks_hold_no_match_statement():
     assert {name: found for name, found in got.items() if found} == {}
 
 
-# the instantiation walk emits the engine's program, which the CLI folds its
-# stats and text from and the model checker runs: neither builds
-# propositional objects nor walks them back into a program
+# the instantiation walk and the parser of `.prop` text emit the engine's
+# program, which the CLI folds its stats and text from and the model
+# checker runs: neither builds propositional objects nor walks them back
+# into a program
 OFF_THE_VERDICT_PATH = {
     "instantiation.py": ("PAnd", "POr", "PImp"),
-    "cli.py": ("prop_dag",),
+    "cli.py": ("prop_dag", "ht_valid", "parse_prop_file"),
 }
 
 

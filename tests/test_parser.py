@@ -200,6 +200,17 @@ _PARSERS = {
     ("proof", _PROOF_HEAD + "1: P(a) by axiom k with H := P(a);\n",
      "3:27: schema k has no metavariable H (expected one of F, G)"),
     ("proof", _PROOF_HEAD + "1: P(a) by magic;\n", "3:17: unknown justification 'magic'"),
+    # every message names the end of the text the same way
+    ("prop", "p ->", "1:5: expected a propositional formula, found end of input"),
+    ("prop", "not", "1:4: expected a propositional formula, found end of input"),
+    ("fof", "const a. pred P/1.\nP(a) ->", "2:8: expected a formula, found end of input"),
+    ("fof", "const a. pred P/1.\nforall", "2:7: expected variable, found end of input"),
+    ("proof", _PROOF_HEAD + "1: P(a) by mp", "3:14: expected number, found end of input"),
+    ("proof", _PROOF_HEAD + "1: P(a) by", "3:11: expected justification, found end of input"),
+    ("subst", "const a. pred P/1.\nP(a) :=",
+     "2:8: expected a propositional formula, found end of input"),
+    ("subst", "const a. pred P/1.\nP(a) := p;\ndefault",
+     "3:8: expected predicate, found end of input"),
 ])
 def test_parse_error_message_is_pinned(kind, text, message):
     with pytest.raises(ParseError) as err:
@@ -772,12 +783,13 @@ def _nested_iff_instance(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 6, 18])
 def test_prop_groups_are_parsed_once(n):
-    # each level's group is parsed once and met again as a memo hit: 5 nodes
-    # a level (the group, two implications, two `p`) where the tree doubles;
-    # most words of n = 2 are distinct, so no group is looked up
+    # each level's group is parsed once and met again as a memo hit, and
+    # the program holds each distinct subformula once: 3 entries a level
+    # (the group and two implications; `p` is one entry) where the tree
+    # doubles, also at n = 2, whose words are mostly distinct, so that no
+    # group is looked up
     f = parse_prop_text(_nested_iff_instance(n))
-    tree = 9 * 2 ** (n - 1) - 5
-    assert prop_stats(f)[2:] == (tree if n == 2 else 5 * n - 1, tree)
+    assert prop_stats(f)[2:] == (3 * n, 9 * 2 ** (n - 1) - 5)
 
 
 def _prop_mutations():

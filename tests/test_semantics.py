@@ -5,8 +5,9 @@ import pytest
 import gen
 from hhtkit import semantics
 from hhtkit.errors import STEP_CAP, BudgetExceeded
-from hhtkit.parser import parse_prop_text
+from hhtkit.parser import parse_prop_program, parse_prop_text
 from hhtkit.semantics import (
+    DEFAULT_BUDGET,
     HTInterpretation,
     World,
     enumerate_interpretations,
@@ -15,7 +16,10 @@ from hhtkit.semantics import (
     render_countermodel,
     satisfies,
 )
-from hhtkit.syntax import PAnd, PAtom, PImp, POr, prop_atoms, prop_dag
+from hhtkit.syntax import (
+    AND, IMP, OR, PAnd, PAtom, PImp, POr, prop_atoms, prop_dag, prop_of_program,
+    prop_to_text,
+)
 
 
 def prop(text):
@@ -200,6 +204,57 @@ def test_evaluators_agree_on_first_countermodel():
             assert got_g3.atoms == got_lit.atoms == tuple(sorted(prop_atoms(f)))
             disagreements += 1
     assert disagreements > 50  # the sample includes plenty of invalid formulas
+
+
+_LEAVES = {"u": PAtom("u"), "v": PAtom("v"), "w": PAtom("w"), "top": PAnd(()), "bot": POr(())}
+
+
+def _sugared(rng: random.Random, depth: int) -> tuple[str, PAnd | POr | PImp | PAtom]:
+    """Random `.prop` text that also spells `not`, `<->`, `&`, `|`, `top`
+    and `bot`, and repeats subformulas, with the formula it stands for."""
+    if depth == 0 or rng.random() < 0.2:
+        text = rng.choice(list(_LEAVES))
+        return text, _LEAVES[text]
+    kind = rng.randrange(4)
+    left, f = _sugared(rng, depth - 1)
+    if kind == 0:
+        return f"not ({left})", PImp(f, POr(()))
+    right, g = (left, f) if kind == 1 else _sugared(rng, depth - 1)
+    op = rng.choice(["<->", "->", "&", "|"])
+    built = {"<->": _leq(f, g), "->": PImp(f, g), "&": PAnd((f, g)), "|": POr((f, g))}
+    return f"({left}) {op} ({right})", built[op]
+
+
+def test_a_parsed_program_gives_the_literal_verdict():
+    # `ht-valid` runs the program `.prop` text parses to, without objects:
+    # its verdict, first countermodel and that countermodel's atoms are
+    # those of the literal relation on the formula the text stands for
+    rng = random.Random(43)
+    cases = [(prop_to_text(f), f) for f in (gen.rand_prop(rng, depth=3) for _ in range(300))]
+    cases += [_sugared(rng, 4) for _ in range(300)]
+    found = 0
+    for text, f in cases:
+        prog = parse_prop_program(text)
+        got = first_countermodel(prog, DEFAULT_BUDGET)
+        want = ht_valid(f, evaluator="literal")
+        assert got == want and (got is None or got.atoms == want.atoms), text
+        assert prop_of_program(prog) == f, text
+        found += got is not None
+    assert 100 < found < len(cases) - 100
+
+
+def test_a_parsed_program_holds_each_subformula_once():
+    # hash-consed as the instantiation walk emits: distinct entries, children
+    # first, an `And`/`Or` argument the sorted tuple of its distinct children
+    prog = parse_prop_program("(p -> q) & (p -> q) | not (q <-> p) | And{p; p; top} -> bot;")
+    assert len(set(prog)) == len(prog)
+    for k, (op, arg) in enumerate(prog):
+        if op in (AND, OR):
+            assert list(arg) == sorted(set(arg))
+        if op in (AND, OR, IMP):
+            assert all(j < k for j in arg)
+    assert prog[-1][0] == IMP and prop_of_program(prog) == prop(
+        "Or{Or{And{p -> q}; And{q -> p; p -> q} -> bot}; And{p; top}} -> bot")
 
 
 def test_ht_valid_implies_classical_validity():

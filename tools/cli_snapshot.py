@@ -41,7 +41,9 @@ that parse-error text is compared too.  The `sharing` group writes
 subformulas the parser shares while the text doubles per level, and records
 `instantiate` (with `P := p`, with and without `--json`) and
 `herbrand-check` on each, so that work linear in the shared formula is
-checked to print what the tree walks printed.  The `models` group records
+checked to print what the tree walks printed.  It also writes each level's
+text as a `.prop` file, where `P` is an atom, and records `ht-valid` on it,
+with and without `--json`, so that propositional sharing is compared too.  The `models` group records
 `herbrand-check`, with and without `--json`, on second-order formulas over
 `const a, b` whose quantifiers range over predicate names and function
 tables, and at `--depth 1` on a function variable applied outside the
@@ -319,9 +321,13 @@ def _sharing_argvs(workdir: str) -> dict[str, list[str]]:
             text = f"P <-> ({text})"
         path = Path(workdir, f"iff{n}.fof")
         path.write_text(f"const a.  pred P/0.\n{text}\n", encoding="utf-8")
+        prop = Path(workdir, f"iff{n}.prop")
+        prop.write_text(f"{text}\n", encoding="utf-8")
         for flag in ([], ["--json"]):
             argv = ["instantiate", str(path), str(subst), *flag]
             out[" ".join(["sharing", f"iff{n}", "instantiate", *flag])] = argv
+            out[" ".join(["sharing", f"iff{n}", "ht-valid", *flag])] = ["ht-valid", str(prop),
+                                                                          *flag]
         out[f"sharing iff{n} herbrand-check"] = ["herbrand-check", str(path)]
     return out
 
