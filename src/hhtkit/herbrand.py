@@ -21,15 +21,16 @@ formula once: a quantifier becomes the conjunction (forall) or disjunction
 atom becomes an atom of the program, the `Atom` itself.  What no
 interpretation can change folds to a constant while grounding, with the
 short-circuits `_sat` takes: `bot`, equations, atoms outside the base, and
-atoms of predicate names, which may hold there but not here.  The ground
-program goes to `semantics.first_countermodel`, as `ht_valid`'s does, which
-returns the first countermodel in canonical order.  The base is built only
-to show a countermodel.  The budget is checked twice: `estimate_cost` (the
-nodes grounding may visit) before grounding, since a second-order domain
-can explode, and that count plus the engine's steps on the ground program,
-by the engine, before evaluating it.  The first check runs on a count of
-the universe, before the universe is built, and also refuses a universe
-whose terms have more nodes than the budget.
+atoms of predicate names, which may hold there but not here.  The root is
+grafted (`syntax.graft`) into a fresh program, which keeps only what it
+depends on, and handed to `semantics.first_countermodel`, as `ht_valid`'s
+program is; it returns the first countermodel in canonical order.  The
+base is built only to show a countermodel.  The budget is checked twice:
+`estimate_cost` (the nodes grounding may visit) before grounding, since a
+second-order domain can explode, and that count plus the engine's steps on
+the ground program, by the engine, before evaluating it.  The first check
+runs on a count of the universe, before the universe is built, and also
+refuses a universe whose terms have more nodes than the budget.
 """
 
 from __future__ import annotations
@@ -76,6 +77,7 @@ from .syntax import (
     Var,
     eliminate_restrictors,
     free_variables,
+    graft,
     program_builder,
     term_to_text,
 )
@@ -271,7 +273,9 @@ def hht_valid_bruteforce(
         raise NotClosed("validity checking needs a closed formula")
     terms = universe(sig, mode)
     grounding = _Grounding(sig, terms)
-    prog = _live_program(grounding.prog, grounding.ground(f, {}))
+    root = grounding.ground(f, {})
+    prog, emit = program_builder()  # only what `root` depends on
+    graft(grounding.prog, root, emit, [None] * len(grounding.prog))
     counter = first_countermodel(prog, budget, spent=cost)
     if counter is None:
         return None
@@ -357,24 +361,3 @@ class _Grounding:
             return ABSENT
         raise TypeError(f"not a formula: {f!r}")
 
-
-def _live_program(prog: list[tuple[int, object]], root: int) -> list[tuple[int, object]]:
-    """The nodes `root` depends on, renumbered in the same order, so that
-    `root` comes last; atoms nothing depends on drop out."""
-    live = [False] * (root + 1)
-    live[root] = True
-    for i in range(root, -1, -1):
-        op, arg = prog[i]
-        if live[i] and op in (AND, OR, IMP):
-            for k in arg:
-                live[k] = True
-    moved: dict[int, int] = {}
-    out: list[tuple[int, object]] = []
-    for i in range(root + 1):
-        if live[i]:
-            op, arg = prog[i]
-            if op in (AND, OR, IMP):
-                arg = tuple(moved[k] for k in arg)
-            moved[i] = len(out)
-            out.append((op, arg))
-    return out

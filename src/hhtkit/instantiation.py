@@ -13,8 +13,10 @@ guards are skipped.
 
 The walk emits the instance as the program the model checker runs (see
 `syntax.prop_dag`), through `syntax.program_builder`, which holds each
-distinct subformula once; a substitution image is spliced in once per image
-object.  The walk is memoized per node and environment: a subformula is
+distinct subformula once.  A substitution's images are entries of its own
+program, grafted in by position (`syntax.graft`), so an entry several images
+share is copied once; a restrictor's domain is read off its images and
+copies none.  The walk is memoized per node and environment: a subformula is
 instantiated once per binding of its own free variables, and its other
 occurrences under that binding get the same position.  So the walk's work
 grows with those (node, binding) pairs, not with the tree.  A node's key is
@@ -46,10 +48,8 @@ from .errors import (
 )
 from .syntax import (
     AND,
-    BOT,
     IMP,
     OR,
-    TOP,
     Atom,
     Binary,
     Equals,
@@ -65,11 +65,11 @@ from .syntax import (
     const,
     formula_to_text,
     free_variables,
+    graft,
     is_first_order,
     program_builder,
     prop_of_program,
     record,
-    splice,
     term_subst,
     term_to_text,
 )
@@ -151,50 +151,49 @@ def count_universe(sig: Signature, mode: InstantiationMode) -> tuple[int, int]:
     return terms, nodes
 
 
+TRUTH_VALUES = ((AND, ()), (OR, ()))  # the entries of `top` and `bot`, a restrictor's images
+
+
+def restrictor_error(key: Atom | str) -> str:
+    """Why an image other than `top` or `bot` is refused for the restrictor
+    entry `key` (an `Atom`) or default (a predicate name)."""
+    if type(key) is Atom:
+        return f"restrictor atom {key} must map to top or bot"
+    return f"restrictor default {key} must be top or bot"
+
+
 class Substitution:
-    """Total map from ground atoms to propositional formulas, represented
-    by explicit entries, keyed by closed `Atom`s, plus optional
-    per-predicate defaults.
+    """Total map from ground atoms to propositional formulas: `entries`,
+    keyed by closed `Atom`s, and optional per-predicate `defaults` give the
+    position of each image in one program, `program`.  A restrictor's
+    entries and default must be `top` or `bot`."""
 
-    Entries and defaults for restrictor predicates must be `top` or `bot`.
-    """
-
-    def __init__(
-        self,
-        signature: Signature,
-        entries: Mapping[Atom, PropFormula] = (),
-        defaults: Mapping[str, PropFormula] = (),
-    ):
-        self.signature = signature
+    def __init__(self, signature: Signature, program: list[tuple[int, object]],
+                 entries: Mapping[Atom, int] = (), defaults: Mapping[str, int] = ()):
+        self.signature, self.program = signature, program
         self.entries, self.defaults = dict(entries), dict(defaults)
-        for atom, image in self.entries.items():
+        for atom, k in self.entries.items():
             if atom.free:
                 raise SubstitutionError(f"substitution key {atom} is not ground")
             arity = signature.predicate_arity(atom.pred)
             if arity is None:
                 raise SubstitutionError(f"unknown predicate {atom.pred}")
             if arity != len(atom.args):
-                raise SubstitutionError(
-                    f"arity mismatch for {atom} (expected {arity} args)"
-                )
-            if signature.is_restrictor(atom.pred) and image not in (TOP, BOT):
-                raise SubstitutionError(
-                    f"restrictor atom {atom} must map to top or bot"
-                )
-        for pred, image in self.defaults.items():
+                raise SubstitutionError(f"arity mismatch for {atom} (expected {arity} args)")
+            if signature.is_restrictor(atom.pred) and program[k] not in TRUTH_VALUES:
+                raise SubstitutionError(restrictor_error(atom))
+        for pred, k in self.defaults.items():
             if signature.predicate_arity(pred) is None:
                 raise SubstitutionError(f"unknown predicate {pred}")
-            if signature.is_restrictor(pred) and image not in (TOP, BOT):
-                raise SubstitutionError(f"restrictor default {pred} must be top or bot")
+            if signature.is_restrictor(pred) and program[k] not in TRUTH_VALUES:
+                raise SubstitutionError(restrictor_error(pred))
 
-    def lookup(self, atom: Atom) -> PropFormula:
+    def lookup(self, atom: Atom) -> int:
+        """The position in `program` of the image of `atom`."""
         got = self.entries.get(atom)
-        if got is not None:
-            return got
-        got = self.defaults.get(atom.pred)
-        if got is not None:
-            return got
-        raise UnmappedAtom(str(atom))
+        if got is None and (got := self.defaults.get(atom.pred)) is None:
+            raise UnmappedAtom(str(atom))
+        return got
 
 
 def _check_preconditions(f: FOFormula) -> None:
@@ -237,15 +236,16 @@ def instance_program(
     missing: set[str] = set()
     env: dict[Var, Term] = {}
     prog, emit = program_builder()
+    images = subst.program
+    moved = [None] * len(images)  # each image entry's position in `prog` (`syntax.graft`)
 
-    def image(atom: Atom) -> PropFormula:
+    def image(atom: Atom) -> int | None:
         try:
             return subst.lookup(atom)
         except UnmappedAtom:
             missing.add(str(atom))
-            return BOT
+            return None
 
-    spliced: dict[int, int] = {}  # each image's position, by the image's `id`
     # per node, a getter of the terms `env` binds its free variables to
     # (`type`, one value, for a closed node) and the positions `rec` gave by them
     memo: dict[FOFormula, tuple[object, dict]] = {}
@@ -254,7 +254,8 @@ def instance_program(
     def domain(r: str) -> list[Term]:
         got = domains.get(r)
         if got is None:
-            got = domains[r] = [t for t in terms if image(Atom(r, (t,))) == TOP]
+            got = domains[r] = [t for t in terms if (k := image(Atom(r, (t,)))) is not None
+                                and images[k] == (AND, ())]
         return got
 
     def rec(g: FOFormula) -> int:
@@ -272,9 +273,11 @@ def instance_program(
                 out = emit(AND if op == "&" else OR, (left, right) if left < right
                            else (right, left) if right < left else (left,))
         elif kind is Atom:  # `f` is closed: `env` binds every variable
-            got = image(Atom(g.pred, tuple([term_subst(a, env) for a in g.args])))
-            if (out := spliced.get(id(got))) is None:
-                out = spliced[id(got)] = splice(got, emit)
+            k = image(Atom(g.pred, tuple([term_subst(a, env) for a in g.args])))
+            if k is None:
+                out = emit(OR, ())
+            elif (out := moved[k]) is None:
+                out = graft(images, k, emit, moved)
         elif kind is Quant:
             binder, body = g.binder, g.body
             if type(binder) is GenVar:

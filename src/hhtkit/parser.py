@@ -25,8 +25,9 @@ one object while any occurrence of it is alive, so its facts are computed
 and `syntax.eliminate_restrictors` unfolds it once.  Propositional text is
 parsed straight into the model checker's program: each rule emits its
 entry through a `syntax.program_builder` and returns its position, so a
-subformula that recurs in one text is one entry.  `parse_prop_text`,
-`parse_prop_file` and `parse_subst_file` build objects from the program.
+subformula that recurs in one text is one entry; a substitution keeps the
+program of its images.  `parse_prop_text` and `parse_prop_file` build
+objects from the program.
 
 Parsing is context-free given the signature and reads one token ahead, so
 in a text whose words mostly repeat, a span whose tokens occurred earlier
@@ -59,7 +60,7 @@ from collections import deque
 from itertools import islice, repeat
 
 from .errors import ParseError
-from .instantiation import Substitution
+from .instantiation import TRUTH_VALUES, Substitution, restrictor_error
 from .kernel import (
     GEN_KEYWORDS,
     ByAxiom,
@@ -93,7 +94,6 @@ from .syntax import (
     Var,
     iff,
     program_builder,
-    prop_nodes,
     prop_of_program,
 )
 
@@ -567,14 +567,16 @@ def parse_prop_file(text: str) -> PropFormula:
 
 def parse_subst_file(text: str) -> Substitution:
     """Signature block, then `P(a,b) := <prop>;` entries and
-    `default P := <prop>;` lines.  The images are parsed into one program
-    and built from it in one pass, so equal images are one object."""
+    `default P := <prop>;` lines.  The images are parsed into one program,
+    the substitution's, so equal images are one entry.  Each entry is
+    checked where it is read, a refused one reported at its start."""
     cur = Cursor(text)
     sig = parse_signature_block(cur)
     prog, emit = program_builder()
     entries: dict[Atom, int] = {}  # an image's position in `prog`
     defaults: dict[str, int] = {}
     while cur.peek():
+        start = cur.i
         default = cur.eat("default")
         pred = cur.expect_ident("predicate")
         arity = sig.predicate_arity(pred)
@@ -592,13 +594,11 @@ def parse_subst_file(text: str) -> Substitution:
         key, table = (pred, defaults) if default else (Atom(pred, args), entries)
         if key in table:
             raise cur.error(f"duplicate {'default' if default else 'entry'} for {pred}")
+        if sig.is_restrictor(pred) and prog[image] not in TRUTH_VALUES:
+            cur.i = start
+            raise cur.error(restrictor_error(key))
         table[key] = image
-    nodes = prop_nodes(prog)
-    try:
-        return Substitution(sig, {a: nodes[k] for a, k in entries.items()},
-                            {p: nodes[k] for p, k in defaults.items()})
-    except Exception as e:
-        raise cur.error(str(e)) from None
+    return Substitution(sig, prog, entries, defaults)
 
 
 # ---------------------------------------------------------------------------

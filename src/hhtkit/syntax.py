@@ -7,7 +7,8 @@ and re-sugared by the printer.  Propositional conjunctions/disjunctions are
 sets of children (duplicate-free by construction), so `top` is the empty
 conjunction and `bot` the empty disjunction.  `prop_dag` turns a formula
 into the `(op, arg)` program that the model checker in `semantics` runs;
-the parser, instantiation and grounding emit theirs via `program_builder`.
+the parser, instantiation and grounding emit theirs via `program_builder`,
+and `graft` copies an entry, with what it depends on, between programs.
 
 A ground atom is a closed `Atom` whose predicate is a name: being interned,
 it is one object however it was built (parsed from a substitution file,
@@ -728,27 +729,35 @@ def program_builder() -> tuple[list[tuple[int, object]], object]:
     return prog, emit
 
 
-def splice(f: PropFormula, emit) -> int:
-    """The position of `f` in the program `emit` builds (see
-    `program_builder`), its `prop_dag` entries emitted there."""
-    at: list[int] = []
-    for op, arg in prop_dag(f):
+def graft(prog: list[tuple[int, object]], root: int, emit, moved: list) -> int:
+    """The position, in the program `emit` builds (see `program_builder`),
+    of entry `root` of `prog`, copied there after what it depends on, in
+    their order in `prog`; `ATOM` and `CONST` entries are leaves.  `moved[k]`
+    is entry k's new position once copied, else None, so roots grafted with
+    one `moved` copy a shared entry once."""
+    todo, stack = [], [root]
+    while stack:
+        k = stack.pop()
+        if moved[k] is None:
+            moved[k] = -1  # found, not yet copied
+            todo.append(k)
+            op, arg = prog[k]
+            if op != ATOM and op != CONST:
+                stack.extend(arg)
+    todo.sort()
+    for k in todo:
+        op, arg = prog[k]
         if op == IMP:
-            arg = (at[arg[0]], at[arg[1]])
-        elif op != ATOM:
-            arg = tuple(sorted(set(map(at.__getitem__, arg))))
-        at.append(emit(op, arg))
-    return at[-1]
+            arg = (moved[arg[0]], moved[arg[1]])
+        elif op != ATOM and op != CONST:
+            arg = tuple(sorted(set(map(moved.__getitem__, arg))))
+        moved[k] = emit(op, arg)
+    return moved[root]
 
 
 def prop_of_program(prog: list[tuple[int, object]]) -> PropFormula:
-    """The formula whose program is `prog`, its last entry (see `prop_nodes`)."""
-    return prop_nodes(prog)[-1]
-
-
-def prop_nodes(prog: list[tuple[int, object]]) -> list[PropFormula]:
-    """The formula of each entry of `prog` (no `CONST` entries), built in
-    one pass, so that an entry referenced twice is one shared object."""
+    """The formula of the last entry of `prog` (no `CONST` entries), built
+    in one pass, so that an entry referenced twice is one shared object."""
     nodes: list[PropFormula] = []
     for op, arg in prog:
         if op == ATOM:
@@ -758,7 +767,7 @@ def prop_nodes(prog: list[tuple[int, object]]) -> list[PropFormula]:
         else:
             g = (PAnd if op == AND else POr)(map(nodes.__getitem__, arg))
         nodes.append(g)
-    return nodes
+    return nodes[-1]
 
 
 def prop_stats(f: PropFormula | None, dag: list | None = None) -> tuple[frozenset[str], int, int, int]:

@@ -4,7 +4,9 @@ literal references and engine probe those tests check against."""
 from __future__ import annotations
 
 import itertools
+import pathlib
 import random
+import sys
 
 from hhtkit.errors import NotClosed, OutsideUniverse, UnmappedAtom
 from hhtkit.herbrand import _domain, _Grounding, h_satisfies
@@ -49,8 +51,12 @@ from hhtkit.syntax import (
     const,
     free_variables,
     prop_dag,
+    prop_of_program,
     term_to_text,
 )
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "tools"))
+from builder import make_subst  # noqa: E402
 
 SIGMA_ATOMS = ("u", "v", "w")
 
@@ -143,7 +149,13 @@ def rand_substitution(
             entries[atom] = TOP if rng.random() < 0.5 else BOT
         else:
             entries[atom] = rand_prop(rng, prop_depth)
-    return Substitution(sig, entries)
+    return make_subst(sig, entries)
+
+
+def subst_image(subst: Substitution, atom: Atom) -> PropFormula:
+    """The image of `atom` as an object: a prefix of a program is a program
+    rooted at its last entry.  UnmappedAtom if `subst` does not map it."""
+    return prop_of_program(subst.program[: subst.lookup(atom) + 1])
 
 
 def nested_iff(n: int) -> str:
@@ -204,7 +216,7 @@ def lift(subst: Substitution, i: HTInterpretation) -> HTInterpretation:
     here = []
     there = []
     for atom in base:
-        image = subst.lookup(atom)
+        image = subst_image(subst, atom)
         if satisfies(i, World.H, image):
             here.append(atom)
         if satisfies(i, World.T, image):
@@ -273,7 +285,7 @@ def instantiate_reference(subst: Substitution, f: FOFormula, mode=EXACT):
 
     def image(atom: Atom) -> PropFormula:
         try:
-            return subst.lookup(atom)
+            return subst_image(subst, atom)
         except UnmappedAtom:
             missing.add(str(atom))
             return BOT

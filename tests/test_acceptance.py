@@ -86,7 +86,7 @@ def _family_subst(sig: Signature, carve: dict[str, set[str]]) -> Substitution:
         else:
             suffix = "_".join(t.fn for t in atom.args)
             entries[atom] = PAtom(f"{atom.pred.lower()}{'_' + suffix if suffix else ''}")
-    return Substitution(sig, entries)
+    return gen.make_subst(sig, entries)
 
 
 def test_a1_corpus_soundness():

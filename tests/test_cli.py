@@ -14,10 +14,8 @@ import hhtkit
 from hhtkit import cli, parser, semantics, syntax
 from hhtkit.cli import run
 from hhtkit.corpus import data_path
-from hhtkit.instantiation import Substitution
 from hhtkit.parser import parse_prop_file
 from hhtkit.semantics import ht_valid, render_countermodel
-from hhtkit.syntax import prop_dag
 
 
 def invoke(capsys, *argv):
@@ -60,38 +58,48 @@ def test_pipeline_bounded_truncation_countermodel(capsys):
     assert "non-validity-preserving" in out
 
 
+_TIMINGS = re.compile(r'(?<=\[)\d+\.\d(?= ms\])|(?<=seconds": )[-+.\deE]+')
+
+
 def test_pipeline_walks_its_instance_once(monkeypatch, capsys, tmp_path):
     # the instantiation walk emits the program that the stats line, the
-    # printer and the model checker read; `prop_dag` runs only on
-    # substitution images, once per image object, to splice them in
-    images, walks = {}, []
-    lookup = Substitution.lookup
-
-    def looked_up(self, atom):
-        got = lookup(self, atom)
-        images[id(got)] = got  # held, so no later object reuses the id
-        return got
-
-    def traced(f):
-        walks.append(f)
-        return prop_dag(f)
-
-    monkeypatch.setattr(Substitution, "lookup", looked_up)
-    for module in (semantics, syntax):
-        monkeypatch.setattr(module, "prop_dag", traced)
-    assert not hasattr(cli, "prop_dag")
-    proof, subst = data_path("example6.proof"), data_path("example6.subst")
-    code, out, _ = invoke(capsys, "pipeline", proof, subst)
+    # printer and the model checker read, and grafts each substitution image
+    # into it from the substitution's program: no `prop_dag` runs, and every
+    # shipped `.proof` and `.fof` with its `.subst` prints what it printed
+    # with `prop_dag` in place
+    data = Path(data_path("lem.prop")).parent
+    proof, subst = data / "example6.proof", data / "example6.subst"
+    code, out, _ = invoke(capsys, "pipeline", str(proof), str(subst))
     assert code == 0 and "certificate: VALID" in out
     fof = tmp_path / "example6.fof"
     conclusion = re.search("^conclusion: (.*)$", out, re.M).group(1)
-    fof.write_text(Path(proof).read_text().split("\n")[0] + "\n" + conclusion + "\n")
-    pipeline_walks = len(walks)
-    code, out, _ = invoke(capsys, "instantiate", str(fof), subst)
-    assert code == 0 and "atoms=4 rank=4 nodes=15" in out
-    assert 0 < pipeline_walks < len(walks)
-    assert all(images.get(id(f)) is f for f in walks)
-    assert len({id(f) for f in walks}) == len(walks)
+    fof.write_text(proof.read_text().split("\n")[0] + "\n" + conclusion + "\n")
+    runs = [("pipeline", p) for p in sorted(data.glob("*.proof"))]
+    runs += [("instantiate", p) for p in sorted(data.glob("*.fof"))]
+    runs = [(c, str(p), str(p.with_suffix(".subst"))) for c, p in runs
+            if p.with_suffix(".subst").exists()] + [("instantiate", str(fof), str(subst))]
+    runs = [run + opts for run in runs for opts in ((), ("--depth", "2"), ("--json",))]
+    assert len(runs) == 27
+
+    def shown(argv):
+        code, out, err = invoke(capsys, *argv)
+        return code, _TIMINGS.sub("", out), err
+
+    want = {argv: shown(argv) for argv in runs}
+    assert {code for code, _, _ in want.values()} == {0, 1, 2}
+
+    def refused(*args):
+        raise AssertionError("not on the path of an instance command")
+
+    # every module of the package that holds the name, `syntax` and `semantics` among them
+    patched = [m for name, m in sys.modules.items()
+               if name.startswith("hhtkit") and hasattr(m, "prop_dag")]
+    assert {syntax, semantics} <= set(patched) and cli not in patched
+    for module in patched:
+        monkeypatch.setattr(module, "prop_dag", refused)
+    for argv in runs:
+        assert shown(argv) == want[argv], argv
+    assert "atoms=4 rank=4 nodes=15" in want[("instantiate", str(fof), str(subst))][1]
 
 
 def test_validity_commands_build_no_formula_object(monkeypatch, capsys):
@@ -105,7 +113,7 @@ def test_validity_commands_build_no_formula_object(monkeypatch, capsys):
         raise AssertionError("not on the path of a validity command")
 
     for module, name in ((semantics, "prop_dag"), (syntax, "prop_dag"),
-                         (parser, "prop_of_program"), (parser, "prop_nodes")):
+                         (parser, "prop_of_program")):
         monkeypatch.setattr(module, name, refused)
     assert not hasattr(cli, "prop_dag") and not hasattr(cli, "ht_valid")
     for path, counter in want.items():

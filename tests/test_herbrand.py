@@ -20,7 +20,7 @@ from hhtkit.herbrand import (
     h_satisfies,
     hht_valid_bruteforce,
 )
-from hhtkit.instantiation import EXACT, Bounded, Substitution, herbrand_base, universe
+from hhtkit.instantiation import EXACT, Bounded, herbrand_base, universe
 from hhtkit.parser import parse_formula_text
 from hhtkit.semantics import (
     ABSENT,
@@ -489,7 +489,7 @@ def _carving_subst():
     for c in sig.object_constants():
         entries[Atom("P", (const(c),))] = PAtom(f"f_{c}")
         entries[Atom("R", (const(c),))] = TOP if c in members else BOT
-    return sig, Substitution(sig, entries), members
+    return sig, gen.make_subst(sig, entries), members
 
 
 def test_lift_definition_unfolds():

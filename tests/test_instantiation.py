@@ -26,8 +26,10 @@ from hhtkit.instantiation import (
 from hhtkit.parser import parse_formula_text, parse_subst_file
 from hhtkit.semantics import World, satisfies
 from hhtkit.syntax import (
+    AND,
     ATOM,
     BOT,
+    OR,
     TOP,
     Atom,
     Binary,
@@ -65,15 +67,16 @@ def subst_p(sig, q=False):
     }
     if q:
         entries[Atom("Q", ())] = PAtom("g")
-    return Substitution(sig, entries)
+    return gen.make_subst(sig, entries)
 
 
 def test_lookup_entry_default_missing():
     s = parse_subst_file(
         "const a, b. pred P/1. restrictor R/1.\nP(a) := u; default R := bot;"
     )
-    assert s.lookup(Atom("P", (const("a"),))) == PAtom("u")
-    assert s.lookup(Atom("R", (const("b"),))) == BOT
+    # a position in the substitution's program
+    assert s.program[s.lookup(Atom("P", (const("a"),)))] == (ATOM, "u")
+    assert s.program[s.lookup(Atom("R", (const("b"),)))] == (OR, ())
     with pytest.raises(UnmappedAtom):
         s.lookup(Atom("P", (const("b"),)))
 
@@ -102,7 +105,7 @@ def test_restricted_forall_carves_index_set():
     entries[Atom("R", (const("c1"),))] = BOT
     entries[Atom("R", (const("c2"),))] = TOP
     entries[Atom("R", (const("c3"),))] = TOP
-    s = Substitution(SIG2R, entries)
+    s = gen.make_subst(SIG2R, entries)
     f = parse_formula_text("forall x P(x) -> forall (x:R) P(x)", SIG2R)
     got = instantiate(s, f)
     assert got == PImp(
@@ -123,7 +126,7 @@ def test_restricted_pair_distributes_over_product():
         entries[Atom("Q", (const(c),))] = PAtom(f"g_{c}")
         entries[Atom("R1", (const(c),))] = TOP if c.startswith("a") else BOT
         entries[Atom("R2", (const(c),))] = TOP if c.startswith("b") else BOT
-    s = Substitution(sig, entries)
+    s = gen.make_subst(sig, entries)
     f = parse_formula_text(
         "exists (x:R1) P(x) & exists (y:R2) Q(y) <-> exists (x:R1, y:R2) (P(x) & Q(y))",
         sig,
@@ -141,7 +144,7 @@ def test_empty_restricted_sets_give_units():
     entries = {Atom("P", (const(c),)): PAtom("u") for c in ("c1", "c2", "c3")}
     for c in ("c1", "c2", "c3"):
         entries[Atom("R", (const(c),))] = BOT
-    s = Substitution(SIG2R, entries)
+    s = gen.make_subst(SIG2R, entries)
     assert instantiate(s, parse_formula_text("forall (x:R) P(x)", SIG2R)) == TOP
     assert instantiate(s, parse_formula_text("exists (x:R) P(x)", SIG2R)) == BOT
     # two variables: an empty outer and an empty innermost domain
@@ -149,7 +152,7 @@ def test_empty_restricted_sets_give_units():
     entries = {Atom("P", (const(c),)): PAtom(f"f_{c}") for c in ("c1", "c2")}
     for c in ("c1", "c2"):
         entries[Atom("R", (const(c),))], entries[Atom("T", (const(c),))] = BOT, TOP
-    s = Substitution(sig, entries)
+    s = gen.make_subst(sig, entries)
     for binder in ("(x:R, y:T)", "(x:T, y:R)"):
         assert instantiate(s, parse_formula_text(f"forall {binder} (P(x) | P(y))", sig)) == TOP
         assert instantiate(s, parse_formula_text(f"exists {binder} (P(x) & P(y))", sig)) == BOT
@@ -173,7 +176,7 @@ def test_preconditions():
 
 def test_exact_mode_refuses_function_constants():
     sig = Signature.make({"a": 0, "s": 1}, {"P": 1})
-    s = Substitution(sig, {Atom("P", (const("a"),)): PAtom("u")})
+    s = gen.make_subst(sig, {Atom("P", (const("a"),)): PAtom("u")})
     with pytest.raises(InfiniteUniverse):
         instantiate(s, parse_formula_text("forall x P(x)", sig))
 
@@ -181,7 +184,17 @@ def test_exact_mode_refuses_function_constants():
 @pytest.mark.parametrize("key", [Atom("P", (Var("x"),)), Atom(PredVar("p", 1), (const("c1"),))])
 def test_substitution_refuses_a_non_ground_key(key):
     with pytest.raises(SubstitutionError, match="is not ground"):
-        Substitution(SIG2, {key: PAtom("u")})
+        Substitution(SIG2, [(ATOM, "u")], {key: 0})
+
+
+def test_substitution_refuses_a_restrictor_image_by_its_entry():
+    prog = [(ATOM, "u"), (AND, ()), (OR, ())]
+    r1 = Atom("R", (const("c1"),))
+    assert Substitution(SIG2R, prog, {r1: 1}, {"R": 2}).lookup(r1) == 1
+    with pytest.raises(SubstitutionError, match=r"restrictor atom R\(c1\) must map to top"):
+        Substitution(SIG2R, prog, {r1: 0})
+    with pytest.raises(SubstitutionError, match="restrictor default R must be top or bot"):
+        Substitution(SIG2R, prog, {}, {"R": 0})
 
 
 def test_bounded_universe_terms():
@@ -313,11 +326,11 @@ def test_validate_bounded_reaches_pushed_terms():
     for _ in range(3):
         entries[Atom("P", (t,))] = PAtom("u")
         t = FnApp("s", (t,))
-    s = Substitution(sig, entries)
+    s = gen.make_subst(sig, entries)
     # depth-2 universe pushes one application deeper: s(s(s(a))) is missing
     assert instance_program(s, f, Bounded(2))[1] == ("P(s(s(s(a))))",)
     entries[Atom("P", (t,))] = PAtom("u")
-    assert instance_program(Substitution(sig, entries), f, Bounded(2))[1] == ()
+    assert instance_program(gen.make_subst(sig, entries), f, Bounded(2))[1] == ()
 
 
 def test_restrictor_coherence_small_cases():
@@ -350,7 +363,7 @@ def test_instance_rank_bound():
         s = gen.rand_substitution(rng, SIG2R)
         inst = instantiate(s, f)
         max_range_rank = max(
-            (rank(img) for img in s.entries.values()), default=0
+            (rank(gen.subst_image(s, a)) for a in s.entries), default=0
         )
         assert rank(inst) <= max_range_rank + _depth(f)
 
@@ -362,8 +375,8 @@ def test_instance_atoms_come_from_range():
         s = gen.rand_substitution(rng, SIG2R)
         inst = instantiate(s, f)
         range_atoms = set()
-        for img in s.entries.values():
-            range_atoms |= prop_atoms(img)
+        for a in s.entries:
+            range_atoms |= prop_atoms(gen.subst_image(s, a))
         assert prop_atoms(inst) <= range_atoms
 
 
@@ -381,7 +394,7 @@ def literal_instance(subst, f, mode=EXACT):
 
     def image(atom):
         try:
-            return subst.lookup(atom)
+            return gen.subst_image(subst, atom)
         except UnmappedAtom:
             missing.add(str(atom))
             return BOT
@@ -433,7 +446,7 @@ def partial_substitution(rng, sig, mode, drop):
             entries[atom] = TOP if rng.random() < 0.5 else BOT
         else:
             entries[atom] = gen.rand_prop(rng, 2)
-    return Substitution(sig, entries)
+    return gen.make_subst(sig, entries)
 
 
 def assert_matches_literal(s, f, mode):
@@ -496,7 +509,7 @@ def test_nested_iff_instance_is_shared(n):
     # once, so the instance holds 3 nodes per level while its tree doubles
     sig = Signature.make({"a": 0}, {"P": 0})
     f = parse_formula_text(gen.nested_iff(n), sig)
-    s = Substitution(sig, {Atom("P", ()): PAtom("p")})
+    s = gen.make_subst(sig, {Atom("P", ()): PAtom("p")})
     got = instantiate(s, f)
     want, _ = literal_instance(s, f)
     assert got == want
@@ -529,7 +542,7 @@ def test_restrictor_domains_are_filtered_once_per_walk():
     sig = Signature.make(dict.fromkeys(names, 0), {"P": 2, "R": 1}, {"R"})
     entries = {Atom("R", (const(c),)): TOP if i % 10 == 0 else BOT
                for i, c in enumerate(names)}
-    s = Substitution(sig, entries, {"P": PAtom("p")})
+    s = gen.make_subst(sig, entries, {"P": PAtom("p")})
     calls = []
     lookup = s.lookup
     s.lookup = lambda atom: calls.append(atom) or lookup(atom)

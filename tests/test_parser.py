@@ -211,6 +211,11 @@ _PARSERS = {
      "2:8: expected a propositional formula, found end of input"),
     ("subst", "const a. pred P/1.\nP(a) := p;\ndefault",
      "3:8: expected predicate, found end of input"),
+    # a restrictor's image is refused at its entry, not at the end of input
+    ("subst", "const a. pred P/1. restrictor R/1.\nR(a) := p;\nP(a) := q;\n\n\n",
+     "2:1: restrictor atom R(a) must map to top or bot"),
+    ("subst", "const a. pred P/1. restrictor R/1.\nP(a) := q;\n\ndefault R := p & q;\n",
+     "4:1: restrictor default R must be top or bot"),
 ])
 def test_parse_error_message_is_pinned(kind, text, message):
     with pytest.raises(ParseError) as err:

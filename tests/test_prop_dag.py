@@ -3,17 +3,26 @@ references: the match-dispatching, comprehension-per-node versions they
 replaced, copied here as they were.  `prop_dag` returns the engine's
 program, so the reference's node list is mapped to `(op, arg)` entries as
 the engine's compiler once mapped it; the two programs must be equal, entry
-for entry, and the stats and text must be too."""
+for entry, and the stats and text must be too.
+
+`syntax.graft` against the paths it replaced: a formula object's program
+emitted entry by entry (as substitution images were spliced into an
+instance), and the live part of a Herbrand grounding renumbered in place,
+copied here as it was."""
 
 import random
 
 import pytest
 
 import gen
-from hhtkit.instantiation import instantiate
+from hhtkit.herbrand import _Grounding, hht_valid_bruteforce
+from hhtkit.instantiation import EXACT, Bounded, instantiate, universe
+from hhtkit.parser import parse_formula_text, parse_prop_text
+from hhtkit.semantics import DEFAULT_BUDGET, first_countermodel, ht_valid
 from hhtkit.syntax import (
     AND,
     ATOM,
+    CONST,
     IMP,
     OR,
     PAnd,
@@ -22,6 +31,9 @@ from hhtkit.syntax import (
     POr,
     PropFormula,
     Signature,
+    eliminate_restrictors,
+    graft,
+    program_builder,
     prop_dag,
     prop_stats,
     prop_to_text,
@@ -169,3 +181,109 @@ def test_deep_and_wide_formulas_match_references(make, n, text):
 def test_non_formula_is_refused():
     with pytest.raises(TypeError, match="not a propositional formula"):
         prop_dag(PAnd([PAtom("p"), "q"]))
+
+
+# --- `graft` ------------------------------------------------------------------
+
+
+def ref_live_program(prog: list[tuple[int, object]], root: int) -> list[tuple[int, object]]:
+    """The entries `root` depends on, renumbered in the same order."""
+    live = [False] * (root + 1)
+    live[root] = True
+    for i in range(root, -1, -1):
+        op, arg = prog[i]
+        if live[i] and op in (AND, OR, IMP):
+            for k in arg:
+                live[k] = True
+    moved: dict[int, int] = {}
+    out: list[tuple[int, object]] = []
+    for i in range(root + 1):
+        if live[i]:
+            op, arg = prog[i]
+            if op in (AND, OR, IMP):
+                arg = tuple(moved[k] for k in arg)
+            moved[i] = len(out)
+            out.append((op, arg))
+    return out
+
+
+def _grafted(prog: list[tuple[int, object]], root: int) -> list[tuple[int, object]]:
+    out, emit = program_builder()
+    assert graft(prog, root, emit, [None] * len(prog)) == len(out) - 1
+    return out
+
+
+def test_a_grafted_formula_keeps_its_text_stats_and_verdict():
+    rng = random.Random(9)
+    formulas = _instances(7, 40) + _pooled(8, 200) + [gen.rand_prop(rng, 4) for _ in range(200)]
+    for f in formulas:
+        # the same formula with each distinct subformula one object, as the
+        # parser builds it, so that `prop_dag` holds it once, as `graft` does
+        g = parse_prop_text(prop_to_text(f))
+        dag = prop_dag(f)
+        prog = _grafted(dag, len(dag) - 1)
+        # an `And`/`Or` entry holds its distinct children sorted, as one the
+        # builder's other callers emit does
+        assert all(list(arg) == sorted(set(arg)) for op, arg in prog if op in (AND, OR))
+        assert prop_to_text(None, prog) == prop_to_text(f)
+        assert prop_stats(None, prog) == prop_stats(g)
+        assert first_countermodel(prog, DEFAULT_BUDGET) == ht_valid(f, evaluator="literal")
+
+
+def test_a_shared_moved_copies_a_common_entry_once():
+    # images `p -> q` (at 2) and `Or{p -> q}` (at 5) share three entries;
+    # `r` and `And{p -> q; r}` are reached from neither
+    images = [(ATOM, "p"), (ATOM, "q"), (IMP, (0, 1)), (ATOM, "r"), (AND, (2, 3)), (OR, (2,))]
+    prog, emit = program_builder()
+    calls = []
+
+    def counted(op, arg):
+        calls.append((op, arg))
+        return emit(op, arg)
+
+    moved = [None] * len(images)
+    first = graft(images, 2, counted, moved)
+    assert graft(images, 5, counted, moved) == 3 and graft(images, 2, counted, moved) == first
+    assert calls == prog == [(ATOM, "p"), (ATOM, "q"), (IMP, (0, 1)), (OR, (2,))]
+    assert moved == [0, 1, 2, None, None, 3]
+
+
+SIG_AB = Signature.make({"a": 0, "b": 0}, {"P": 1, "Q": 0})
+
+
+def test_a_constant_herbrand_root_grafts_to_one_entry():
+    # positions 0, 1 and 2 of a grounding are its constants; atoms emitted
+    # before a root folded to one are not copied
+    grounding = _Grounding(SIG_AB, universe(SIG_AB, EXACT))
+    roots = [grounding.ground(parse_formula_text(text, SIG_AB), {}) for text in (
+        "a = b", "forall x (P(x) & x = a)", "forall x (x = x)", "bot -> P(a)")]
+    assert roots == [0, 0, 2, 2] and len(grounding.prog) > 3
+    for root in (0, 1, 2):
+        assert _grafted(grounding.prog, root) == [(CONST, root)]
+        assert ref_live_program(grounding.prog, root) == [(CONST, root)]
+
+
+@pytest.mark.parametrize("sig, mode, share", [
+    (SIG_AB, EXACT, 0.0),
+    (Signature.make({"a": 0, "b": 0, "c": 0}, {"P": 1, "R1": 1, "R2": 1}, {"R1", "R2"}),
+     EXACT, 0.6),
+    (Signature.make({"a": 0, "s": 1}, {"P": 1, "Q": 0, "R1": 1}, {"R1"}), Bounded(1), 0.5),
+], ids=["exact", "restricted", "fn-depth1"])
+def test_herbrand_verdicts_agree_with_the_reference_grounding(sig, mode, share):
+    # `hht_valid_bruteforce` against the structural-`match` grounding with
+    # its live part renumbered in place: grafted into a fresh program, that
+    # part keeps its order, so the two programs are equal
+    rng = random.Random(89)
+    terms = universe(sig, mode)
+    verdicts = set()
+    for _ in range(150):
+        f = eliminate_restrictors(gen.universal_closure(
+            gen.rand_formula(rng, sig, depth=4, restrictor_share=share)))
+        grounding = gen.GroundingReference(sig, terms)
+        root = grounding.ground(f, {})
+        want = ref_live_program(grounding.prog, root)
+        assert _grafted(grounding.prog, root) == want
+        counter = hht_valid_bruteforce(sig, f, mode, budget=10**8)
+        assert counter == first_countermodel(want, 10**8)
+        verdicts.add(counter is None)
+    assert verdicts == {True, False}

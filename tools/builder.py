@@ -13,12 +13,14 @@ later discharges sound.
 
 `render_proof`, `render_subst` and `render_signature` write proofs,
 substitutions and signature blocks as text that re-parses to structurally
-identical objects.
+identical objects.  `make_subst` builds a substitution from formula objects,
+the one place outside the parser that makes a substitution's program.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Mapping
 
 from hhtkit.instantiation import Substitution
 from hhtkit.kernel import (
@@ -45,7 +47,10 @@ from hhtkit.syntax import (
     eliminate_restrictors,
     formula_to_text,
     free_variables,
+    graft,
     impl,
+    program_builder,
+    prop_dag,
     prop_to_text,
 )
 
@@ -335,10 +340,29 @@ def render_proof(proof: Proof) -> str:
     return "\n".join(out) + "\n"
 
 
+def make_subst(sig: Signature, entries: Mapping = (), defaults: Mapping = ()) -> Substitution:
+    """The substitution mapping the atoms of `entries` and the predicates of
+    `defaults` to the formula objects they give, each image's `prop_dag`
+    grafted into one program, so an entry images share is one entry."""
+    prog, emit = program_builder()
+
+    def place(f) -> int:
+        dag = prop_dag(f)
+        return graft(dag, len(dag) - 1, emit, [None] * len(dag))
+
+    return Substitution(sig, prog, {a: place(f) for a, f in dict(entries).items()},
+                        {p: place(f) for p, f in dict(defaults).items()})
+
+
 def render_subst(subst: Substitution) -> str:
+    """The text of `subst`; an image at position k is printed from the
+    program's first k + 1 entries, a program rooted at k."""
+    def image(k: int) -> str:
+        return prop_to_text(None, subst.program[: k + 1])
+
     out = [render_signature(subst.signature)]
     for atom in sorted(subst.entries, key=str):
-        out.append(f"{atom} := {prop_to_text(subst.entries[atom])};")
+        out.append(f"{atom} := {image(subst.entries[atom])};")
     for pred in sorted(subst.defaults):
-        out.append(f"default {pred} := {prop_to_text(subst.defaults[pred])};")
+        out.append(f"default {pred} := {image(subst.defaults[pred])};")
     return "\n".join(out) + "\n"

@@ -52,7 +52,16 @@ are compared too.  The `spacing` group rejoins the tokens of every shipped
 `.proof` by a seeded mix of spaces, tabs, `\\r\\n`, `\\f`, U+3000 and
 `# comment\\n` lines, glued to a token or not, and records `check-proof` on
 each, with and without `--json`, so that how whole files are tokenized is
-compared too.
+compared too.  The `images` group rewrites every shipped `.subst` and
+records `instantiate` of it with its formula (the same-named `.fof`, else
+the conclusion of the same-named `.proof` under its signature), exact and at
+`--depth 1`, each with and without `--json`: with one entry of a predicate
+without a default dropped (so the atom is reported missing), with each
+restrictor's entries replaced by `default R := top;` or `default R := bot;`,
+with one restrictor image set to `p` (refused), with every other image
+replaced by one shared formula, and with that formula joined to each of
+them, so that unmapped atoms, restrictor defaults and errors, and images
+that share entries are compared too.
 
 Each record holds the exit code, stdout and stderr.  Stage timings
 (`"seconds"`, `"parse_seconds"`, `"check_seconds"` and `[N ms]`), `CHECKOUT`
@@ -80,9 +89,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "hhtbench"))
 import workloads  # noqa: E402
 
 GROUPS = ("corpus", "ht_atoms", "herbrand", "universe", "pairs", "proofs", "syntax",
-          "sharing", "models", "spacing", "limits", "captures", "depth")
+          "sharing", "models", "spacing", "limits", "captures", "depth", "images")
 UNSEEDED = ("pairs", "proofs", "syntax", "sharing", "models", "spacing", "limits", "captures",
-            "depth")
+            "depth", "images")
 _LIMIT_FOFS = {
     "c13.fof": "const a, c1, c2, c3, c4, c5, c6, c7, c8, c9, c10, c11, c12.  pred P/1.\n"
                "forall x (P(x) -> P(x)) & exists x (P(x) | not P(x) | P(a))\n",
@@ -332,6 +341,55 @@ def _sharing_argvs(workdir: str) -> dict[str, list[str]]:
     return out
 
 
+# an entry or default line of a `.subst` file: `default`, the predicate, the image
+_SUBST_LINE = re.compile(r"(default )?([A-Za-z_]\w*).* := (.*);$")
+_SHARED_IMAGE = "(u -> v) & not w"
+
+
+def _image_variants(text: str) -> dict[str, str]:
+    """Label -> `text` with its images rewritten (see `images` in the module
+    docstring)."""
+    header, *lines = text.rstrip("\n").split("\n")
+    found = re.search(r"restrictor ([^.]*)\.", header)
+    restrictors = [r.split("/")[0].strip() for r in found.group(1).split(",")] if found else []
+    parsed = [_SUBST_LINE.match(line) for line in lines]
+    defaulted = {m.group(2) for m in parsed if m.group(1)}
+    guard = [not m.group(1) and m.group(2) in restrictors for m in parsed]
+    drop = next(i for i, m in enumerate(parsed) if not m.group(1) and m.group(2) not in defaulted)
+    out = {"missing": lines[:drop] + lines[drop + 1:]}
+    if restrictors:
+        kept = [line for line, g in zip(lines, guard) if not g]
+        for value in ("top", "bot"):
+            out[f"default-{value}"] = kept + [f"default {r} := {value};" for r in restrictors]
+        first = guard.index(True)
+        out["restrictor-p"] = list(lines)
+        out["restrictor-p"][first] = lines[first].rsplit(" := ", 1)[0] + " := p;"
+    for label, image in (("shared", lambda m: _SHARED_IMAGE),
+                         ("overlap", lambda m: f"{m.group(3)} | ({_SHARED_IMAGE})")):
+        out[label] = [line if g else f"{line.rsplit(' := ', 1)[0]} := {image(m)};"
+                      for line, m, g in zip(lines, parsed, guard)]
+    return {label: "\n".join([header, *body]) + "\n" for label, body in out.items()}
+
+
+def _image_argvs(data_path, workdir: str) -> dict[str, list[str]]:
+    out = {}
+    for subst in sorted(Path(data_path("")).glob("*.subst")):
+        fof = subst.with_suffix(".fof")
+        if not fof.is_file():
+            proof = subst.with_suffix(".proof").read_text(encoding="utf-8").split("\n")
+            last = [m for line in proof if (m := _PROOF_LINE.match(line))][-1]
+            fof = Path(workdir, f"images-{subst.stem}.fof")
+            fof.write_text(f"{proof[0]}\n{last.group(2)}\n", encoding="utf-8")
+        for label, text in _image_variants(subst.read_text(encoding="utf-8")).items():
+            path = Path(workdir, f"images-{subst.stem}-{label}.subst")
+            path.write_text(text, encoding="utf-8")
+            for depth in ([], ["--depth", "1"]):
+                for flag in ([], ["--json"]):
+                    argv = ["instantiate", str(fof), str(path), *depth, *flag]
+                    out[" ".join(["images", subst.stem, label, *depth, *flag])] = argv
+    return out
+
+
 def _argvs(group: str, seed: int, corpus, workdir: str) -> dict[str, list[str]]:
     """Label -> argv for one workload and seed, with its inputs written."""
     if group == "pairs":
@@ -352,6 +410,8 @@ def _argvs(group: str, seed: int, corpus, workdir: str) -> dict[str, list[str]]:
         return _sharing_argvs(workdir)
     if group == "models":
         return _model_argvs(workdir)
+    if group == "images":
+        return _image_argvs(corpus.data_path, workdir)
     if group == "corpus":
         cases = workloads.corpus(seed, corpus.cases, corpus.data_path)
     elif group == "herbrand":

@@ -16,7 +16,7 @@ import sys
 HERE = pathlib.Path(__file__).resolve().parent
 sys.path[:0] = [str(HERE.parent / "src"), str(HERE)]
 
-from builder import ProofBuilder, render_proof, render_signature, render_subst
+from builder import ProofBuilder, make_subst, render_proof, render_signature, render_subst
 from hhtkit.instantiation import Substitution
 from hhtkit.kernel import TheoryLevel, check_proof
 from hhtkit.parser import (
@@ -54,7 +54,7 @@ def emit_proof(name: str, proof) -> None:
 def emit_subst(name: str, subst: Substitution) -> None:
     text = render_subst(subst)
     reparsed = parse_subst_file(text)
-    assert reparsed.entries == subst.entries and reparsed.defaults == subst.defaults
+    assert render_subst(reparsed) == text, f"{name}: substitution text does not round-trip"
     write(name, text)
 
 
@@ -358,20 +358,20 @@ def p_entries(sig: Signature, pred: str, names: list[str], images: list[str]):
 
 
 def subst_p3() -> Substitution:
-    return Substitution(SIG3, p_entries(SIG3, "P", ["c1", "c2", "c3"], ["f1", "f2", "f3"]))
+    return make_subst(SIG3, p_entries(SIG3, "P", ["c1", "c2", "c3"], ["f1", "f2", "f3"]))
 
 
 def subst_p3q() -> Substitution:
     entries = p_entries(SIG3Q, "P", ["c1", "c2", "c3"], ["f1", "f2", "f3"])
     entries[Atom("Q", ())] = parse_prop_text("g")
-    return Substitution(SIG3Q, entries)
+    return make_subst(SIG3Q, entries)
 
 
 def subst_example5() -> Substitution:
     # image of R carves {c2, c3} out of {c1, c2, c3}
     entries = p_entries(SIG3R, "P", ["c1", "c2", "c3"], ["f1", "f2", "f3"])
     entries.update(p_entries(SIG3R, "R", ["c1", "c2", "c3"], ["bot", "top", "top"]))
-    return Substitution(SIG3R, entries)
+    return make_subst(SIG3R, entries)
 
 
 def subst_example6() -> Substitution:
@@ -380,7 +380,7 @@ def subst_example6() -> Substitution:
     entries.update(p_entries(SIG_AB, "R1", ["a1", "a2", "b1", "b2"], ["top", "top", "bot", "bot"]))
     entries.update(p_entries(SIG_AB, "R2", ["a1", "a2", "b1", "b2"], ["bot", "bot", "top", "top"]))
     defaults = {"P": parse_prop_text("bot"), "Q": parse_prop_text("bot")}
-    return Substitution(SIG_AB, entries, defaults)
+    return make_subst(SIG_AB, entries, defaults)
 
 
 def subst_example5_alt() -> Substitution:
@@ -397,7 +397,7 @@ def subst_example5_alt() -> Substitution:
         entries[Atom("P", (term(0, base),))] = parse_prop_text(img)
         for d in range(1, 4):
             entries[Atom("P", (term(d, base),))] = parse_prop_text("fb")
-    return Substitution(SIG_F, entries)
+    return make_subst(SIG_F, entries)
 
 
 def subst_example7() -> Substitution:
@@ -410,13 +410,13 @@ def subst_example7() -> Substitution:
     entries = {
         Atom("P", (term(i),)): parse_prop_text(f"f{i}") for i in range(5)
     }
-    return Substitution(SIG_IND, entries)
+    return make_subst(SIG_IND, entries)
 
 
 def subst_bad_rewritten() -> Substitution:
     entries = p_entries(SIG2PQ, "P", ["c1", "c2"], ["f1", "f3"])
     entries.update(p_entries(SIG2PQ, "Q", ["c1", "c2"], ["f2", "f4"]))
-    return Substitution(SIG2PQ, entries)
+    return make_subst(SIG2PQ, entries)
 
 
 # ---------------------------------------------------------------------------
