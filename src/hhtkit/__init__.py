@@ -29,7 +29,6 @@ from .instantiation import (
     Substitution,
     ground_terms,
     herbrand_base,
-    instance_program,
     instantiate,
     universe,
 )
@@ -64,12 +63,7 @@ from .syntax import (
     FOFormula,
     FuncVar,
     GenVar,
-    PAnd,
-    PAtom,
-    PImp,
-    POr,
     PredVar,
-    PropFormula,
     Quant,
     Signature,
     Var,

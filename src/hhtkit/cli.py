@@ -25,23 +25,14 @@ from .errors import (
     ConclusionNotFirstOrder,
     HhtError,
     ProofError,
+    UnmappedAtom,
 )
 from .herbrand import hht_valid_bruteforce
-from .instantiation import EXACT, Bounded, count_universe, instance_program
+from .instantiation import EXACT, Bounded, count_universe, instantiate
 from .kernel import check_proof, conclusion_for_pipeline
-from .parser import (
-    parse_formula_file,
-    parse_proof_file,
-    parse_prop_program,
-    parse_subst_file,
-)
+from .parser import parse_formula_file, parse_proof_file, parse_prop_file, parse_subst_file
 from .render import render_justification
-from .semantics import (
-    DEFAULT_BUDGET,
-    STATE_NAMES,
-    first_countermodel,
-    render_countermodel,
-)
+from .semantics import DEFAULT_BUDGET, STATE_NAMES, ht_valid, render_countermodel
 from .syntax import eliminate_restrictors, formula_to_text, prop_stats, prop_to_text
 
 BUDGET_ENV = "HHTKIT_BUDGET"
@@ -164,12 +155,13 @@ def _instantiation_stage(report: _Report, args, sig, f, pipeline: bool):
     if mode != EXACT and (nodes := count_universe(sig, mode)[1]) > budget:
         raise BudgetExceeded(nodes, budget)
     t0 = time.perf_counter()
-    prog, missing = instance_program(subst, f, mode)
-    if missing:
-        report.data["missing"] = list(missing)
-        report.say("substitution is missing entries for: " + ", ".join(missing))
+    try:
+        prog = instantiate(subst, f, mode)
+    except UnmappedAtom as e:
+        report.data["missing"] = list(e.missing)
+        report.say("substitution is missing entries for: " + ", ".join(e.missing))
         return 2
-    atoms, rank, nodes, size = prop_stats(None, prog)
+    atoms, rank, nodes, size = prop_stats(prog)
     stats = {"atoms": len(atoms), "rank": rank, "nodes": nodes}
     secs = _stage(report, "instantiation", t0, mode=mode_label, **stats)
     counts = f"atoms={stats['atoms']} rank={stats['rank']} nodes={stats['nodes']}"
@@ -178,7 +170,7 @@ def _instantiation_stage(report: _Report, args, sig, f, pipeline: bool):
     else:  # the text is tree-sized, however much is shared
         if size > budget:
             raise HhtError(f"printing the instance needs {size} steps, budget is {budget}")
-        report.data["instance"] = text = prop_to_text(None, prog)
+        report.data["instance"] = text = prop_to_text(prog)
         report.say(f"mode: {mode_label}")
         report.say(f"instance: {text}")
         report.say(counts)
@@ -234,9 +226,9 @@ _VALIDITY_HEADLINES = {
 
 
 def _cmd_ht_valid(args, report: _Report) -> int:
-    prog = parse_prop_program(_read(args.prop_file))
+    prog = parse_prop_file(_read(args.prop_file))
     t0 = time.perf_counter()
-    counter = first_countermodel(prog, _budget())
+    counter = ht_valid(prog, _budget())
     headlines = _VALIDITY_HEADLINES[args.command]
     return report.emit(_validity_stage(report, t0, counter, headlines, pipeline=False))
 
@@ -265,7 +257,7 @@ def _cmd_pipeline(args, report: _Report) -> int:
         return report.emit(got)
     prog, mode, mode_label = got
     t0 = time.perf_counter()
-    counter = first_countermodel(prog, _budget())
+    counter = ht_valid(prog, _budget())
     headlines = (f"validity: HT-valid ({mode_label})",
                  f"validity: countermodel found ({mode_label})")
     valid = _validity_stage(report, t0, counter, headlines, pipeline=True) == 0

@@ -23,8 +23,8 @@ interpretation can change folds to a constant while grounding, with the
 short-circuits `_sat` takes: `bot`, equations, atoms outside the base, and
 atoms of predicate names, which may hold there but not here.  The root is
 grafted (`syntax.graft`) into a fresh program, which keeps only what it
-depends on, and handed to `semantics.first_countermodel`, as `ht_valid`'s
-program is; it returns the first countermodel in canonical order.  The
+depends on, and handed to `semantics.first_countermodel`, the engine
+`ht_valid` runs; it returns the first countermodel in canonical order.  The
 base is built only to show a countermodel.  The budget is checked twice:
 `estimate_cost` (the nodes grounding may visit) before grounding, since a
 second-order domain can explode, and that count plus the engine's steps on
@@ -36,7 +36,7 @@ refuses a universe whose terms have more nodes than the budget.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 
 from .errors import STEP_CAP, BudgetExceeded, NotClosed, OutsideUniverse, capped_pow
 from .instantiation import (

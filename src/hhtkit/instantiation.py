@@ -1,6 +1,7 @@
 """Substitutions mapping ground atoms (closed `Atom`s, see `syntax`) to
 propositional formulas, and the instance operation turning a closed
-first-order formula (restrictors allowed) into a propositional formula.
+first-order formula (restrictors allowed) into a propositional formula,
+the program the model checker runs (see `syntax`).
 
 The instance is built in one walk that carries an environment binding each
 quantified variable to a term; terms at atoms and equations are evaluated
@@ -11,11 +12,10 @@ also collects the atoms the substitution does not map: a restrictor guard
 atom without an image is reported itself, and the bodies of the tuples it
 guards are skipped.
 
-The walk emits the instance as the program the model checker runs (see
-`syntax.prop_dag`), through `syntax.program_builder`, which holds each
-distinct subformula once.  A substitution's images are entries of its own
-program, grafted in by position (`syntax.graft`), so an entry several images
-share is copied once; a restrictor's domain is read off its images and
+The walk emits the instance through `syntax.program_builder`, which holds
+each distinct subformula once.  A substitution's images are entries of its
+own program, grafted in by position (`syntax.graft`), so an entry several
+images share is copied once; a restrictor's domain is read off its images and
 copies none.  The walk is memoized per node and environment: a subformula is
 instantiated once per binding of its own free variables, and its other
 occurrences under that binding get the same position.  So the walk's work
@@ -23,7 +23,7 @@ grows with those (node, binding) pairs, not with the tree.  A node's key is
 the terms of its free variables, which an `operator.itemgetter` built once
 per node per walk reads from the environment, and the walk picks a node's
 case by `type()`, not by a structural `match`, which costs several times as
-much per visit.  `instantiate` builds objects from the program.
+much per visit.
 
 Exact mode requires every function constant to be nullary, so the term
 universe is finite and the instance is faithful.  Bounded mode truncates
@@ -34,8 +34,8 @@ labels its results accordingly.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable, Mapping
 from operator import itemgetter
-from typing import Iterable, Mapping
 
 from .errors import (
     STEP_CAP,
@@ -57,7 +57,6 @@ from .syntax import (
     FnApp,
     FOFormula,
     GenVar,
-    PropFormula,
     Quant,
     Signature,
     Term,
@@ -68,7 +67,6 @@ from .syntax import (
     graft,
     is_first_order,
     program_builder,
-    prop_of_program,
     record,
     term_subst,
     term_to_text,
@@ -207,9 +205,9 @@ def _check_preconditions(f: FOFormula) -> None:
 
 def instantiate(
     subst: Substitution, f: FOFormula, mode: InstantiationMode = EXACT
-) -> PropFormula:
-    """Compute the instance of a closed first-order formula, as objects
-    built from its `instance_program`.
+) -> list[tuple[int, object]]:
+    """The program of the instance of a closed first-order formula `f`: the
+    one walk the module docstring describes.
 
     Equality of ground terms maps to top/bot by syntactic identity;
     quantifiers expand to set conjunctions/disjunctions over the mode's
@@ -217,20 +215,6 @@ def instantiate(
     tuples whose restrictor images are all top.  Raises UnmappedAtom for the
     first missing atom in sorted order; its `missing` lists them all.
     """
-    prog, missing = instance_program(subst, f, mode)
-    if missing:
-        raise UnmappedAtom(missing[0], missing)
-    return prop_of_program(prog)
-
-
-def instance_program(
-    subst: Substitution, f: FOFormula, mode: InstantiationMode = EXACT
-) -> tuple[list[tuple[int, object]], tuple[str, ...]]:
-    """The program of the instance of `f` (see `syntax.prop_dag`), with
-    `bot` for each atom `subst` does not map, and those atoms, sorted: the
-    one walk the module docstring describes.  A restrictor guard atom
-    without an entry is reported itself, and the bodies of the tuples it
-    guards are skipped."""
     _check_preconditions(f)
     terms = universe(subst.signature, mode)
     missing: set[str] = set()
@@ -311,7 +295,10 @@ def instance_program(
         rec(f)
     finally:  # `rec` refers to itself: the memo and the table would outlive the walk until a gc
         del rec
-    return prog, tuple(sorted(missing))
+    if missing:
+        missing = sorted(missing)
+        raise UnmappedAtom(missing[0], missing)
+    return prog
 
 
 def herbrand_base(sig: Signature, terms: Iterable[Term]) -> tuple[Atom, ...]:

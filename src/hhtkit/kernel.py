@@ -36,8 +36,8 @@ antecedent, the others `forall` in the consequent.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Mapping
 from enum import Enum
-from typing import Callable, Mapping
 
 from .errors import (
     CaptureViolation,

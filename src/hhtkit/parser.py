@@ -26,8 +26,7 @@ and `syntax.eliminate_restrictors` unfolds it once.  Propositional text is
 parsed straight into the model checker's program: each rule emits its
 entry through a `syntax.program_builder` and returns its position, so a
 subformula that recurs in one text is one entry; a substitution keeps the
-program of its images.  `parse_prop_text` and `parse_prop_file` build
-objects from the program.
+program of its images.
 
 Parsing is context-free given the signature and reads one token ahead, so
 in a text whose words mostly repeat, a span whose tokens occurred earlier
@@ -87,14 +86,12 @@ from .syntax import (
     FuncVar,
     GenVar,
     PredVar,
-    PropFormula,
     Quant,
     Signature,
     Term,
     Var,
     iff,
     program_builder,
-    prop_of_program,
 )
 
 _TOKEN = (r"[A-Za-z_][A-Za-z0-9_]*+(?:-[A-Za-z_][A-Za-z0-9_]*+)*+"
@@ -548,18 +545,14 @@ def _prop_program(text: str, semicolon: bool) -> list[tuple[int, object]]:
     return prog
 
 
-def parse_prop_program(text: str) -> list[tuple[int, object]]:
-    """The program (see `syntax.program_builder`) of a `.prop` file: one
-    formula, optionally `;`-terminated.  No formula object is built."""
+def parse_prop_text(text: str) -> list[tuple[int, object]]:
+    """The program (see `syntax.program_builder`) of one formula."""
+    return _prop_program(text, False)
+
+
+def parse_prop_file(text: str) -> list[tuple[int, object]]:
+    """The program of a `.prop` file: one formula, optionally `;`-terminated."""
     return _prop_program(text, True)
-
-
-def parse_prop_text(text: str) -> PropFormula:
-    return prop_of_program(_prop_program(text, False))
-
-
-def parse_prop_file(text: str) -> PropFormula:
-    return prop_of_program(parse_prop_program(text))
 
 
 # ---------------------------------------------------------------------------

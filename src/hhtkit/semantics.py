@@ -5,10 +5,10 @@ Validity is checked by a bit-parallel engine; `ht_valid` can run the literal
 relation instead, as a reference.  An interpretation over the sorted atoms
 a_1..a_n is numbered by its states (absent 0, there-only 1, both 2) read as
 base-3 digits with a_1 most significant; that number is its canonical
-position.  Each entry of the formula's program (`syntax.prop_dag`; the
-parser and the instantiation walk emit one directly) is evaluated once to
-a pair of Python ints (here, there) holding one bit per interpretation:
-bit k is set when interpretation k satisfies the node at that world.
+position.  A formula is a program (see `syntax`), and each of its entries
+is evaluated once to a pair of Python ints (here, there) holding one bit
+per interpretation: bit k is set when interpretation k satisfies the node
+at that world.
 `And`/`Or` are `&`/`|` on both masks (empty: all ones / zero),
 and an implication is `there = ~lt | rt`, `here = (~lh | rh) & there`.  The
 formula is valid iff the here-mask is all ones, and its lowest clear bit is
@@ -31,13 +31,11 @@ A run over budget is refused before that work starts.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable, Iterator
 from enum import IntEnum
-from typing import Iterable, Iterator
 
 from .errors import STEP_CAP, BudgetExceeded, capped_pow
-from .syntax import (
-    AND, ATOM, CONST, IMP, OR, PAnd, PAtom, PImp, POr, PropFormula, prop_dag, record,
-)
+from .syntax import AND, ATOM, CONST, IMP, OR, record
 
 # steps either checker may spend by default (see the module docstring)
 DEFAULT_BUDGET = 5 * 10**6
@@ -89,22 +87,24 @@ class HTInterpretation:
         return ABSENT
 
 
-def satisfies(i: HTInterpretation, w: World, f: PropFormula) -> bool:
-    """Literal recursive satisfaction; the implication clause quantifies
-    over both worlds w' >= w."""
-    match f:
-        case PAtom(name):
-            return name in i.world(w)
-        case PAnd(items):
-            return all(satisfies(i, w, g) for g in items)
-        case POr(items):
-            return any(satisfies(i, w, g) for g in items)
-        case PImp(l, r):
-            for w2 in (World.H, World.T):
-                if w2 >= w and satisfies(i, w2, l) and not satisfies(i, w2, r):
-                    return False
-            return True
-    raise TypeError(f"not a propositional formula: {f!r}")
+def satisfies(i: HTInterpretation, w: World, prog: list, k: int = -1) -> bool:
+    """Literal recursive satisfaction of entry `k` of the program `prog`
+    (its formula by default), one call per subformula and world it is
+    asked at; the implication clause quantifies over both worlds w' >= w."""
+    op, arg = prog[k]
+    if op == ATOM:
+        return arg in i.world(w)
+    if op == AND:
+        return all(satisfies(i, w, prog, g) for g in arg)
+    if op == OR:
+        return any(satisfies(i, w, prog, g) for g in arg)
+    if op == IMP:
+        l, r = arg
+        for w2 in (World.H, World.T):
+            if w2 >= w and satisfies(i, w2, prog, l) and not satisfies(i, w2, prog, r):
+                return False
+        return True
+    raise TypeError(f"not a propositional program entry: {prog[k]!r}")
 
 
 # the widest chunk, in trailing atoms: 3**13 bits is about 200 KB per mask
@@ -114,9 +114,8 @@ _MASK_BYTES = 1 << 25
 
 
 def _evaluate(prog, masks: dict, full: int) -> tuple[int, int]:
-    """(here, there) masks of the root of `prog`, a program as
-    `syntax.prop_dag` gives it; `full` has one bit per interpretation and
-    `masks` gives each atom's pair."""
+    """(here, there) masks of the root of the program `prog`; `full` has
+    one bit per interpretation and `masks` gives each atom's pair."""
     hs: list[int] = []
     ts: list[int] = []
     for op, arg in prog:
@@ -225,12 +224,13 @@ def enumerate_interpretations(atoms: Iterable) -> Iterator[HTInterpretation]:
 
 
 def ht_valid(
-    f: PropFormula,
+    f: list,
     budget: int = DEFAULT_BUDGET,
     *,
     evaluator: str = "g3",
 ) -> HTInterpretation | None:
-    """Exhaustively check validity over the atoms occurring in `f`.
+    """Exhaustively check validity of the program `f` over the atoms it
+    names.
 
     Returns None when valid, otherwise the first failing interpretation in
     canonical order, whose `atoms` are the atoms of `f`, sorted: those it
@@ -241,13 +241,12 @@ def ht_valid(
     before evaluating, when the engine would need more than `budget` steps,
     whichever evaluator runs.
     """
-    prog = prop_dag(f)
     if evaluator == "g3":
-        return first_countermodel(prog, budget)
+        return first_countermodel(f, budget)
     if evaluator != "literal":
         raise ValueError(f"unknown evaluator {evaluator!r}")
-    atoms = _atoms(prog)
-    _plan(prog, len(atoms), budget)
+    atoms = _atoms(f)
+    _plan(f, len(atoms), budget)
     for i in enumerate_interpretations(atoms):
         if not satisfies(i, World.H, f):
             return HTInterpretation(i.here, i.there, tuple(atoms))

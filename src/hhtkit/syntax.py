@@ -3,12 +3,12 @@ finitely-represented infinitary propositional formulas.
 
 First-order formulas keep `&`, `|`, `->` and `bot` primitive; `not F`,
 `F <-> G`, `top` and `t1 != t2` are abbreviations introduced by the parser
-and re-sugared by the printer.  Propositional conjunctions/disjunctions are
-sets of children (duplicate-free by construction), so `top` is the empty
-conjunction and `bot` the empty disjunction.  `prop_dag` turns a formula
-into the `(op, arg)` program that the model checker in `semantics` runs;
-the parser, instantiation and grounding emit theirs via `program_builder`,
-and `graft` copies an entry, with what it depends on, between programs.
+and re-sugared by the printer.  A propositional formula is the `(op, arg)`
+program that the model checker in `semantics` runs: one entry per distinct
+subformula, its conjunctions and disjunctions sets of children, so `top` is
+the empty conjunction and `bot` the empty disjunction.  The parser,
+instantiation and grounding emit programs via `program_builder`, and
+`graft` copies an entry, with what it depends on, between programs.
 
 A ground atom is a closed `Atom` whose predicate is a name: being interned,
 it is one object however it was built (parsed from a substitution file,
@@ -17,15 +17,15 @@ so it is compared and hashed by identity.
 
 Every node and value class of the package is frozen and built by `record`,
 or by `_interned` for the hash-consed first-order nodes, from closures at
-import time; a record of one or two fields and no `__post_init__`, such as
-`PAtom` or `PImp`, gets an `__init__` with named parameters.
+import time; a record of two fields and no `__post_init__`, such as `ByMP`,
+gets an `__init__` with named parameters.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from functools import cached_property, partial
 from operator import attrgetter
-from typing import Iterable, Mapping, Union
 from weakref import ref
 
 from .errors import CaptureViolation, SignatureError
@@ -90,11 +90,11 @@ def record(cls=None, /, *, hidden: tuple[str, ...] = ()):
     `hidden` fields take no part in `==`, `hash` or the repr.
     `@record(hidden=...)` passes the option.
 
-    A class of one or two fields and no `__post_init__`, such as `PAtom`,
-    `PImp`, `ByMP` or `ProofLine`, gets an `__init__` with named
-    positional-only parameters that sets its fields directly, in about 60%
-    of the time of the general one, which packs `*args`; it leaves the rest,
-    keywords, defaults and a wrong count, to the same `bind`.
+    A class of two fields and no `__post_init__`, such as `ByMP` or
+    `ProofLine`, gets an `__init__` with named positional-only parameters
+    that sets its fields directly, in about 60% of the time of the general
+    one, which packs `*args`; it leaves the rest, keywords, defaults and a
+    wrong count, to the same `bind`.
 
     Fields are set with `object.__setattr__`, as a dataclass sets them, and
     never through the instance `__dict__`: on Python 3.11 touching it moves
@@ -127,14 +127,7 @@ def record(cls=None, /, *, hidden: tuple[str, ...] = ()):
             raise TypeError(f"{cls.__name__}() missing arguments: {', '.join(missing)}")
         return tuple(map(values.__getitem__, names))
 
-    if post_init is None and arity == 1:
-        (first,) = names
-
-        def __init__(self, a=_UNSET, /, **kwargs):
-            if kwargs or a is _UNSET:
-                (a,) = bind(() if a is _UNSET else (a,), kwargs)
-            _setattr(self, first, a)
-    elif post_init is None and arity == 2:
+    if post_init is None and arity == 2:
         first, second = names
 
         def __init__(self, a=_UNSET, b=_UNSET, /, **kwargs):
@@ -341,7 +334,7 @@ class FnVarApp:
         _setattr(self, "free", free)
 
 
-Term = Union[Var, FnApp, FnVarApp]
+Term = Var | FnApp | FnVarApp
 
 
 def const(name: str) -> FnApp:
@@ -452,7 +445,7 @@ class GenVar:
         return tuple(v for v, _ in self.items)
 
 
-Binder = Union[Var, GenVar, PredVar, FuncVar]
+Binder = Var | GenVar | PredVar | FuncVar
 
 
 @_interned
@@ -473,7 +466,7 @@ class Quant:
         _setattr(self, "restricted", isinstance(binder, GenVar) or body.restricted)
 
 
-FOFormula = Union[Falsum, Equals, Atom, Binary, Quant]
+FOFormula = Falsum | Equals | Atom | Binary | Quant
 
 TRUTH = Binary("->", BOTTOM, BOTTOM)
 
@@ -632,82 +625,16 @@ def eliminate_restrictors(f: FOFormula) -> FOFormula:
 
 # ---------------------------------------------------------------------------
 # infinitary propositional formulas
-
-@record
-class PAtom:
-    name: str
-
-
-class _PSet:
-    # `PAnd` and `POr` hold their children as a frozenset, whatever is passed
-    def __init__(self, items: Iterable = ()):
-        _setattr(self, "items", frozenset(items))
-
-
-@record
-class PAnd(_PSet):
-    items: frozenset
-
-
-@record
-class POr(_PSet):
-    items: frozenset
-
-
-@record
-class PImp:
-    left: "PropFormula"
-    right: "PropFormula"
-
-
-PropFormula = Union[PAtom, PAnd, POr, PImp]
-
-TOP = PAnd(())
-BOT = POr(())
-
-
-# Op codes of a program: `(ATOM, name)` or `(AND | OR | IMP, child positions)`.
-# Programs `herbrand` grounds also hold `(CONST, state)`, which has that
-# `semantics` state under every interpretation.
+#
+# A propositional formula is a program: a list of `(op, arg)` entries, one
+# per distinct subformula, children before parents and the formula last.
+# `(ATOM, name)` is an atom, `(AND, positions)` and `(OR, positions)` the
+# conjunction and disjunction of the entries at the sorted distinct
+# `positions` (so `top` is `(AND, ())` and `bot` is `(OR, ())`), and
+# `(IMP, (left, right))` an implication.  Programs `herbrand` grounds also
+# hold `(CONST, state)`, which has that `semantics` state under every
+# interpretation.  A prefix `prog[: k + 1]` is the program of entry k.
 ATOM, AND, OR, IMP, CONST = range(5)
-
-
-def prop_dag(f: PropFormula) -> list[tuple[int, object]]:
-    """The program of `f`: one `(op, arg)` entry per distinct node (shared
-    objects once) in post-order, so children come first and `f` last.
-    Uses an explicit stack, so nesting depth is not limited by recursion.
-
-    Python 3.11 runs a list comprehension as a nested function call, so the
-    per-node work here, and in the folds over the result, goes through
-    `map` and plain loops instead: a node's child positions are
-    `map(slot.get, map(id, kids))`, and only unplaced children are pushed."""
-    slot: dict[int, int] = {}
-    out: list[tuple[int, object]] = []
-    stack: list[PropFormula] = [f]  # a node stays until its children are placed
-    while stack:
-        g = stack[-1]
-        if id(g) in slot:  # placed through another parent since it was pushed
-            stack.pop()
-            continue
-        t = type(g)
-        if t is PImp:
-            op, kids = IMP, (g.left, g.right)
-        elif t is PAnd or t is POr:
-            op, kids = AND if t is PAnd else OR, g.items
-        elif t is PAtom:
-            op, kids = ATOM, ()
-        else:
-            raise TypeError(f"not a propositional formula: {g!r}")
-        at = tuple(map(slot.get, map(id, kids)))
-        if None in at:
-            for k, s in zip(kids, at):
-                if s is None:
-                    stack.append(k)
-            continue
-        stack.pop()
-        slot[id(g)] = len(out)
-        out.append((op, g.name if op == ATOM else at))
-    return out
 
 
 def program_builder() -> tuple[list[tuple[int, object]], object]:
@@ -755,31 +682,18 @@ def graft(prog: list[tuple[int, object]], root: int, emit, moved: list) -> int:
     return moved[root]
 
 
-def prop_of_program(prog: list[tuple[int, object]]) -> PropFormula:
-    """The formula of the last entry of `prog` (no `CONST` entries), built
-    in one pass, so that an entry referenced twice is one shared object."""
-    nodes: list[PropFormula] = []
-    for op, arg in prog:
-        if op == ATOM:
-            g = PAtom(arg)
-        elif op == IMP:
-            g = PImp(nodes[arg[0]], nodes[arg[1]])
-        else:
-            g = (PAnd if op == AND else POr)(map(nodes.__getitem__, arg))
-        nodes.append(g)
-    return nodes[-1]
+def prop_stats(prog: list[tuple[int, object]]) -> tuple[frozenset[str], int, int, int]:
+    """`prop_atoms`, `rank` and `prop_node_count` of `prog`, and its size as
+    a tree (each shared entry counted at each occurrence, as its text spells
+    it out), from one pass.
 
-
-def prop_stats(f: PropFormula | None, dag: list | None = None) -> tuple[frozenset[str], int, int, int]:
-    """`prop_atoms`, `rank` and `prop_node_count` of `f`, and its size as a
-    tree (each shared node counted at each occurrence, as its text spells
-    it out), from one pass over its program: `dag` if the caller has it, in
-    which case `f` is not read."""
-    dag = dag or prop_dag(f)
+    Python 3.11 runs a list comprehension as a nested function call, so the
+    per-entry work here and in `prop_to_text` goes through `map` and plain
+    loops instead."""
     ranks: list[int] = []
     sizes: list[int] = []
     atoms: list[str] = []
-    for op, arg in dag:
+    for op, arg in prog:
         if op != ATOM and arg:
             ranks.append(max(map(ranks.__getitem__, arg)) + 1)
             sizes.append(sum(map(sizes.__getitem__, arg)) + 1)
@@ -788,22 +702,22 @@ def prop_stats(f: PropFormula | None, dag: list | None = None) -> tuple[frozense
             sizes.append(1)
             if op == ATOM:
                 atoms.append(arg)
-    return frozenset(atoms), ranks[-1], len(dag), sizes[-1]
+    return frozenset(atoms), ranks[-1], len(prog), sizes[-1]
 
 
-def rank(f: PropFormula) -> int:
-    """Nesting rank: atoms are rank 0; a set or implication node has the
+def rank(prog: list[tuple[int, object]]) -> int:
+    """Nesting rank: atoms are rank 0; a set or implication entry has the
     smallest rank strictly greater than the ranks of all its children."""
-    return prop_stats(f)[1]
+    return prop_stats(prog)[1]
 
 
-def prop_atoms(f: PropFormula) -> frozenset[str]:
-    return frozenset(arg for op, arg in prop_dag(f) if op == ATOM)
+def prop_atoms(prog: list[tuple[int, object]]) -> frozenset[str]:
+    return frozenset(arg for op, arg in prog if op == ATOM)
 
 
-def prop_node_count(f: PropFormula) -> int:
-    """Number of distinct structural nodes (shared subterms counted once)."""
-    return len(prop_dag(f))
+def prop_node_count(prog: list[tuple[int, object]]) -> int:
+    """Number of distinct subformulas: the program's entries."""
+    return len(prog)
 
 
 # ---------------------------------------------------------------------------
@@ -884,18 +798,16 @@ def formula_to_text(f: FOFormula) -> str:
         del rec
 
 
-def prop_to_text(f: PropFormula | None, dag: list | None = None) -> str:
-    """The text of `f`, rendering each entry of its program (`dag` if the
-    caller has it, in which case `f` is not read) once however often it is
+def prop_to_text(prog: list[tuple[int, object]]) -> str:
+    """The text of `prog`, rendering each entry once however often it is
     printed."""
-    dag = dag or prop_dag(f)
     texts: list[str] = []
-    for op, arg in dag:
+    for op, arg in prog:
         if op == ATOM:
             text = arg
         elif op == IMP:
             left, right = texts[arg[0]], texts[arg[1]]
-            text = f"({left}) -> {right}" if dag[arg[0]][0] == IMP else f"{left} -> {right}"
+            text = f"({left}) -> {right}" if prog[arg[0]][0] == IMP else f"{left} -> {right}"
         elif arg:
             head = "And{" if op == AND else "Or{"
             text = head + "; ".join(sorted(map(texts.__getitem__, arg))) + "}"

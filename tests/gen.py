@@ -1,5 +1,11 @@
 """Seeded random generators shared by the randomized tests, and the
-literal references and engine probe those tests check against."""
+literal references and engine probe those tests check against.
+
+The references read a propositional formula as a test-local tree, not as
+the package's program: `("atom", name)`, `("and", kids)`, `("or", kids)`
+with `kids` a frozenset of trees, or `("imp", left, right)`.  `tree` reads
+one off a program and `program` writes one as a program; two programs are
+compared by their trees or their text, never entry by entry."""
 
 from __future__ import annotations
 
@@ -23,12 +29,10 @@ from hhtkit.semantics import (
 from hhtkit.syntax import (
     AND,
     ATOM,
-    BOT,
     BOTTOM,
     CONST,
     IMP,
     OR,
-    TOP,
     Atom,
     Binary,
     Equals,
@@ -38,20 +42,14 @@ from hhtkit.syntax import (
     FOFormula,
     FuncVar,
     GenVar,
-    PAnd,
-    PAtom,
-    PImp,
-    POr,
     PredVar,
-    PropFormula,
     Quant,
     Signature,
     Term,
     Var,
     const,
     free_variables,
-    prop_dag,
-    prop_of_program,
+    program_builder,
     term_to_text,
 )
 
@@ -61,18 +59,79 @@ from builder import make_subst  # noqa: E402
 SIGMA_ATOMS = ("u", "v", "w")
 
 
-def rand_prop(rng: random.Random, depth: int = 2, atoms=SIGMA_ATOMS) -> PropFormula:
+def atom(name: str) -> tuple:
+    return ("atom", name)
+
+
+def conj(kids=()) -> tuple:
+    return ("and", frozenset(kids))
+
+
+def disj(kids=()) -> tuple:
+    return ("or", frozenset(kids))
+
+
+def imp(left: tuple, right: tuple) -> tuple:
+    return ("imp", left, right)
+
+
+TOP = conj()
+BOT = disj()
+
+
+def tree(prog: list, k: int = -1) -> tuple:
+    """The tree of entry `k` of the program `prog` (its formula by
+    default), in one pass over the entries up to `k`, so an entry
+    referenced twice is one shared tuple."""
+    trees: list[tuple] = []
+    for op, arg in prog[: k + 1 or None]:
+        if op == ATOM:
+            t = atom(arg)
+        elif op == IMP:
+            t = imp(trees[arg[0]], trees[arg[1]])
+        else:
+            t = (conj if op == AND else disj)(map(trees.__getitem__, arg))
+        trees.append(t)
+    return trees[-1]
+
+
+def program(t: tuple) -> list:
+    """The program of the tree `t`, emitted through
+    `syntax.program_builder`; an explicit stack, so any depth."""
+    prog, emit = program_builder()
+    placed: dict[int, int] = {}
+    stack = [t]  # a tree stays until its children are placed
+    while stack:
+        g = stack[-1]
+        kids = (g[1], g[2]) if g[0] == "imp" else g[1] if g[0] != "atom" else ()
+        todo = [k for k in kids if id(k) not in placed]
+        if todo:
+            stack.extend(todo)
+            continue
+        stack.pop()
+        if g[0] == "atom":
+            placed[id(g)] = emit(ATOM, g[1])
+        elif g[0] == "imp":
+            placed[id(g)] = emit(IMP, (placed[id(g[1])], placed[id(g[2])]))
+        else:
+            placed[id(g)] = emit(AND if g[0] == "and" else OR,
+                                 tuple(sorted({placed[id(k)] for k in kids})))
+    return prog
+
+
+def rand_prop(rng: random.Random, depth: int = 2, atoms=SIGMA_ATOMS) -> tuple:
+    """A random tree."""
     if depth <= 0 or rng.random() < 0.35:
         roll = rng.random()
         if roll < 0.8:
-            return PAtom(rng.choice(atoms))
+            return atom(rng.choice(atoms))
         return rng.choice((TOP, BOT))
     kind = rng.randrange(3)
     if kind == 0:
-        return PAnd(rand_prop(rng, depth - 1, atoms) for _ in range(rng.randrange(3)))
+        return conj([rand_prop(rng, depth - 1, atoms) for _ in range(rng.randrange(3))])
     if kind == 1:
-        return POr(rand_prop(rng, depth - 1, atoms) for _ in range(rng.randrange(3)))
-    return PImp(rand_prop(rng, depth - 1, atoms), rand_prop(rng, depth - 1, atoms))
+        return disj([rand_prop(rng, depth - 1, atoms) for _ in range(rng.randrange(3))])
+    return imp(rand_prop(rng, depth - 1, atoms), rand_prop(rng, depth - 1, atoms))
 
 
 def rand_interpretation(rng: random.Random, atoms=SIGMA_ATOMS) -> HTInterpretation:
@@ -143,19 +202,25 @@ def rand_substitution(
     rng: random.Random, sig: Signature, prop_depth: int = 2
 ) -> Substitution:
     """Total on the Herbrand base; restrictor atoms get top or bot."""
-    entries: dict[Atom, PropFormula] = {}
-    for atom in herbrand_base(sig, universe(sig, EXACT)):
-        if sig.is_restrictor(atom.pred):
-            entries[atom] = TOP if rng.random() < 0.5 else BOT
+    entries: dict[Atom, tuple] = {}
+    for a in herbrand_base(sig, universe(sig, EXACT)):
+        if sig.is_restrictor(a.pred):
+            entries[a] = TOP if rng.random() < 0.5 else BOT
         else:
-            entries[atom] = rand_prop(rng, prop_depth)
-    return make_subst(sig, entries)
+            entries[a] = rand_prop(rng, prop_depth)
+    return tree_subst(sig, entries)
 
 
-def subst_image(subst: Substitution, atom: Atom) -> PropFormula:
-    """The image of `atom` as an object: a prefix of a program is a program
+def tree_subst(sig: Signature, entries=(), defaults=()) -> Substitution:
+    """`make_subst` with each image given as a tree."""
+    return make_subst(sig, {a: program(t) for a, t in dict(entries).items()},
+                      {p: program(t) for p, t in dict(defaults).items()})
+
+
+def subst_image(subst: Substitution, a: Atom) -> list:
+    """The program of the image of `a`: a prefix of a program is a program
     rooted at its last entry.  UnmappedAtom if `subst` does not map it."""
-    return prop_of_program(subst.program[: subst.lookup(atom) + 1])
+    return subst.program[: subst.lookup(a) + 1]
 
 
 def nested_iff(n: int) -> str:
@@ -176,32 +241,31 @@ def all_interpretations_over(atoms):
         yield HTInterpretation(here, there)
 
 
-def engine_value(i: HTInterpretation, f: PropFormula) -> int:
-    """2 when `i` satisfies `f` at h, 1 when only at t, else 0, as the
-    bit-parallel engine finds it: each atom of the program becomes the
+def engine_value(i: HTInterpretation, f: tuple) -> int:
+    """2 when `i` satisfies the tree `f` at h, 1 when only at t, else 0, as
+    the bit-parallel engine finds it: each atom of the program becomes the
     constant of its state under `i`, so `first_countermodel` decides `i`
     alone, and `f` holds at t iff `not not f` holds at h."""
-    def holds_at_h(g: PropFormula) -> bool:
-        prog = [(CONST, i.atom_state(arg)) if op == ATOM else (op, arg)
-                for op, arg in prop_dag(g)]
-        return first_countermodel(prog, DEFAULT_BUDGET) is None
+    prog = [(CONST, i.atom_state(arg)) if op == ATOM else (op, arg)
+            for op, arg in program(f)]
+    n = len(prog)  # then `bot`, `not f` and `not not f`
+    doubled = prog + [(OR, ()), (IMP, (n - 1, n)), (IMP, (n + 1, n))]
+    return sum(first_countermodel(p, DEFAULT_BUDGET) is None for p in (prog, doubled))
 
-    return holds_at_h(f) + holds_at_h(PImp(PImp(f, BOT), BOT))
 
-
-def classical_eval(true_atoms: frozenset[str], f: PropFormula) -> bool:
-    """Ordinary two-valued evaluation; the two worlds collapse to it when
-    here equals there."""
-    match f:
-        case PAtom(name):
-            return name in true_atoms
-        case PAnd(items):
-            return all(classical_eval(true_atoms, g) for g in items)
-        case POr(items):
-            return any(classical_eval(true_atoms, g) for g in items)
-        case PImp(l, r):
-            return (not classical_eval(true_atoms, l)) or classical_eval(true_atoms, r)
-    raise TypeError(f"not a propositional formula: {f!r}")
+def classical_eval(true_atoms: frozenset[str], f: tuple) -> bool:
+    """Ordinary two-valued evaluation of a tree; the two worlds collapse to
+    it when here equals there."""
+    kind = f[0]
+    if kind == "atom":
+        return f[1] in true_atoms
+    if kind == "and":
+        return all(classical_eval(true_atoms, g) for g in f[1])
+    if kind == "or":
+        return any(classical_eval(true_atoms, g) for g in f[1])
+    if kind == "imp":
+        return (not classical_eval(true_atoms, f[1])) or classical_eval(true_atoms, f[2])
+    raise TypeError(f"not a propositional tree: {f!r}")
 
 
 # the model transfer from a substitution plus a propositional interpretation,
@@ -215,12 +279,12 @@ def lift(subst: Substitution, i: HTInterpretation) -> HTInterpretation:
     base = herbrand_base(sig, terms)
     here = []
     there = []
-    for atom in base:
-        image = subst_image(subst, atom)
+    for a in base:
+        image = subst_image(subst, a)
         if satisfies(i, World.H, image):
-            here.append(atom)
+            here.append(a)
         if satisfies(i, World.T, image):
-            there.append(atom)
+            there.append(a)
     return HTInterpretation(frozenset(here), frozenset(there))
 
 
@@ -257,7 +321,7 @@ def universal_closure(f: FOFormula) -> FOFormula:
 
 # ---------------------------------------------------------------------------
 # the quantifier-expansion walks as they were before they dispatched on
-# `type()`: `instantiation.instance_program`'s walk, which built objects then,
+# `type()`: `instantiation.instantiate`'s walk, which built objects then,
 # `herbrand._Grounding.ground` and the term walks they call,
 # `syntax.term_subst` and `herbrand._hat`, each a structural `match`
 
@@ -274,25 +338,24 @@ def term_subst_reference(t, mapping):
 
 
 def instantiate_reference(subst: Substitution, f: FOFormula, mode=EXACT):
-    """`instantiation.instance_program` of a closed first-order `f`, as
-    objects: the instance, with `bot` for each unmapped atom, and those
-    atoms, sorted.  Memoized by node and the terms of its free variables,
-    so it shares what the walk shares; a generalized variable filters its
-    domains on every visit."""
+    """`instantiation.instantiate` of a closed first-order `f`, as a tree,
+    with `bot` for each unmapped atom, and those atoms, sorted.  Memoized by
+    node and the terms of its free variables, so it shares what the walk
+    shares; a generalized variable filters its domains on every visit."""
     terms = universe(subst.signature, mode)
     missing: set[str] = set()
     env: dict[Var, Term] = {}
 
-    def image(atom: Atom) -> PropFormula:
+    def image(a: Atom) -> tuple:
         try:
-            return subst_image(subst, atom)
+            return tree(subst.program, subst.lookup(a))
         except UnmappedAtom:
-            missing.add(str(atom))
+            missing.add(str(a))
             return BOT
 
-    memo: dict[tuple, PropFormula] = {}
+    memo: dict[tuple, tuple] = {}
 
-    def rec(g: FOFormula) -> PropFormula:
+    def rec(g: FOFormula) -> tuple:
         key = (g, *map(env.__getitem__, g.free))
         if (out := memo.get(key)) is not None:
             return out
@@ -304,11 +367,11 @@ def instantiate_reference(subst: Substitution, f: FOFormula, mode=EXACT):
             case Atom(pred, args):
                 out = image(Atom(pred, tuple([term_subst_reference(a, env) for a in args])))
             case Binary("&", l, r):
-                out = PAnd((rec(l), rec(r)))
+                out = conj((rec(l), rec(r)))
             case Binary("|", l, r):
-                out = POr((rec(l), rec(r)))
+                out = disj((rec(l), rec(r)))
             case Binary("->", l, r):
-                out = PImp(rec(l), rec(r))
+                out = imp(rec(l), rec(r))
             case Quant(kind, binder, body):
                 if isinstance(binder, GenVar):
                     variables = binder.variables()
@@ -326,7 +389,7 @@ def instantiate_reference(subst: Substitution, f: FOFormula, mode=EXACT):
                         env.pop(v, None)
                     else:
                         env[v] = t
-                out = PAnd(children) if kind == "forall" else POr(children)
+                out = conj(children) if kind == "forall" else disj(children)
             case _:
                 raise TypeError(f"unexpected formula node: {g!r}")
         memo[key] = out
@@ -378,8 +441,8 @@ class GroundingReference(_Grounding):
                     pred = env[pred]
                 if isinstance(pred, HTInterpretation):
                     return pred.atom_state(hatted)
-                atom = Atom(pred, hatted)
-                return self.emit(ATOM, atom) if atom in self.base else ABSENT
+                ground = Atom(pred, hatted)
+                return self.emit(ATOM, ground) if ground in self.base else ABSENT
             case Binary("->", l, r):
                 kl = self.ground(l, env)
                 if kl == ABSENT:

@@ -42,12 +42,9 @@ from hhtkit.semantics import (
     satisfies,
 )
 from hhtkit.syntax import (
-    BOT,
-    TOP,
     FnApp,
     FuncVar,
     GenVar,
-    PAtom,
     PredVar,
     Quant,
     Signature,
@@ -80,13 +77,13 @@ def _family_signature(template: Signature, n_constants: int) -> Signature:
 
 def _family_subst(sig: Signature, carve: dict[str, set[str]]) -> Substitution:
     entries = {}
-    for atom in herbrand_base(sig, universe(sig, EXACT)):
-        if sig.is_restrictor(atom.pred):
-            entries[atom] = TOP if atom.args[0].fn in carve[atom.pred] else BOT
+    for a in herbrand_base(sig, universe(sig, EXACT)):
+        if sig.is_restrictor(a.pred):
+            entries[a] = gen.TOP if a.args[0].fn in carve[a.pred] else gen.BOT
         else:
-            suffix = "_".join(t.fn for t in atom.args)
-            entries[atom] = PAtom(f"{atom.pred.lower()}{'_' + suffix if suffix else ''}")
-    return gen.make_subst(sig, entries)
+            suffix = "_".join(t.fn for t in a.args)
+            entries[a] = gen.atom(f"{a.pred.lower()}{'_' + suffix if suffix else ''}")
+    return gen.tree_subst(sig, entries)
 
 
 def test_a1_corpus_soundness():
@@ -159,10 +156,8 @@ def test_a2_countermodel_correctness():
                 assert ht_valid(f, evaluator=evaluator) is None, name
         # a larger quantifier-shift instance, built instead of shipped:
         # the disjunction over a three-element family of (member -> whole)
-        from hhtkit.syntax import PAnd, PImp, POr
-
-        family = tuple(PAtom(a) for a in ("p", "q", "r"))
-        shift = POr(PImp(g, PAnd(family)) for g in family)
+        family = tuple(gen.atom(a) for a in ("p", "q", "r"))
+        shift = gen.program(gen.disj(gen.imp(g, gen.conj(family)) for g in family))
         for evaluator in ("g3", "literal"):
             assert ht_valid(shift, evaluator=evaluator) is None
 
@@ -370,8 +365,8 @@ def test_a7_persistence_and_g3():
         for _ in range(10_000):
             f = gen.rand_prop(rng, depth=3)
             i = gen.rand_interpretation(rng)
-            sat_h = satisfies(i, World.H, f)
-            sat_t = satisfies(i, World.T, f)
+            sat_h = satisfies(i, World.H, gen.program(f))
+            sat_t = satisfies(i, World.T, gen.program(f))
             assert not sat_h or sat_t
             v = gen.engine_value(i, f)
             assert sat_h == (v == 2)

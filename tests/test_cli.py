@@ -11,7 +11,7 @@ import pytest
 
 import gen
 import hhtkit
-from hhtkit import cli, parser, semantics, syntax
+from hhtkit import cli, semantics
 from hhtkit.cli import run
 from hhtkit.corpus import data_path
 from hhtkit.parser import parse_prop_file
@@ -64,9 +64,9 @@ _TIMINGS = re.compile(r'(?<=\[)\d+\.\d(?= ms\])|(?<=seconds": )[-+.\deE]+')
 def test_pipeline_walks_its_instance_once(monkeypatch, capsys, tmp_path):
     # the instantiation walk emits the program that the stats line, the
     # printer and the model checker read, and grafts each substitution image
-    # into it from the substitution's program: no `prop_dag` runs, and every
-    # shipped `.proof` and `.fof` with its `.subst` prints what it printed
-    # with `prop_dag` in place
+    # into it from the substitution's program: the literal satisfaction
+    # relation never runs, and every shipped `.proof` and `.fof` with its
+    # `.subst` prints what it printed with that relation in place
     data = Path(data_path("lem.prop")).parent
     proof, subst = data / "example6.proof", data / "example6.subst"
     code, out, _ = invoke(capsys, "pipeline", str(proof), str(subst))
@@ -91,12 +91,12 @@ def test_pipeline_walks_its_instance_once(monkeypatch, capsys, tmp_path):
     def refused(*args):
         raise AssertionError("not on the path of an instance command")
 
-    # every module of the package that holds the name, `syntax` and `semantics` among them
+    # every module of the package that holds the name, `semantics` among them
     patched = [m for name, m in sys.modules.items()
-               if name.startswith("hhtkit") and hasattr(m, "prop_dag")]
-    assert {syntax, semantics} <= set(patched) and cli not in patched
+               if name.startswith("hhtkit") and hasattr(m, "satisfies")]
+    assert semantics in patched and cli not in patched
     for module in patched:
-        monkeypatch.setattr(module, "prop_dag", refused)
+        monkeypatch.setattr(module, "satisfies", refused)
     for argv in runs:
         assert shown(argv) == want[argv], argv
     assert "atoms=4 rank=4 nodes=15" in want[("instantiate", str(fof), str(subst))][1]
@@ -104,7 +104,7 @@ def test_pipeline_walks_its_instance_once(monkeypatch, capsys, tmp_path):
 
 def test_validity_commands_build_no_formula_object(monkeypatch, capsys):
     # `ht-valid` and `countermodel` parse a `.prop` file into the engine's
-    # program and run it: no formula object is built, and no `prop_dag` runs
+    # program and run the engine on it, never the literal relation
     props = sorted(Path(data_path("lem.prop")).parent.glob("*.prop"))
     want = {p: ht_valid(parse_prop_file(p.read_text()), evaluator="literal") for p in props}
     assert len(props) == 6 and None in want.values() and set(want.values()) != {None}
@@ -112,10 +112,8 @@ def test_validity_commands_build_no_formula_object(monkeypatch, capsys):
     def refused(*args):
         raise AssertionError("not on the path of a validity command")
 
-    for module, name in ((semantics, "prop_dag"), (syntax, "prop_dag"),
-                         (parser, "prop_of_program")):
-        monkeypatch.setattr(module, name, refused)
-    assert not hasattr(cli, "prop_dag") and not hasattr(cli, "ht_valid")
+    monkeypatch.setattr(semantics, "satisfies", refused)
+    assert not hasattr(cli, "satisfies")
     for path, counter in want.items():
         for command in ("ht-valid", "countermodel"):
             code, out, err = invoke(capsys, command, str(path))

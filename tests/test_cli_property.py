@@ -24,7 +24,9 @@ from hypothesis import strategies as st  # noqa: E402
 from hhtkit.cli import run  # noqa: E402
 from hhtkit.corpus import data_path  # noqa: E402
 from hhtkit.semantics import STATE_NAMES, ht_valid  # noqa: E402
-from hhtkit.syntax import BOT, TOP, PAnd, PAtom, PImp, POr, prop_atoms, prop_to_text  # noqa: E402
+from hhtkit.syntax import prop_atoms, prop_to_text  # noqa: E402
+
+import gen  # noqa: E402
 
 _EXAMPLE4_SUBST = ("const c1, c2, c3.  pred P/1.\n"
                    "P(c1) := f1;\nP(c2) := f2;\nP(c3) := f3;\n")
@@ -135,14 +137,14 @@ def test_json_exit_1_carries_a_verdict_on_shipped_inputs(command):
 
 _ATOMS = ("a", "b", "c", "d", "e")
 _PROPS = st.recursive(
-    st.sampled_from([PAtom(a) for a in _ATOMS] + [TOP, BOT]),
+    st.sampled_from([gen.atom(a) for a in _ATOMS] + [gen.TOP, gen.BOT]),
     lambda kids: st.one_of(
-        st.lists(kids, max_size=3).map(PAnd),
-        st.lists(kids, max_size=3).map(POr),
-        st.tuples(kids, kids).map(lambda lr: PImp(*lr)),
+        st.lists(kids, max_size=3).map(gen.conj),
+        st.lists(kids, max_size=3).map(gen.disj),
+        st.tuples(kids, kids).map(lambda lr: gen.imp(*lr)),
     ),
     max_leaves=12,
-)
+).map(gen.program)
 
 
 @settings(max_examples=150, derandomize=True, database=None, deadline=None)

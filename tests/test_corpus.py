@@ -10,7 +10,7 @@ import pytest
 import gen
 from hhtkit.corpus import cases, data_path, load_text
 from hhtkit.errors import SchemaMismatch
-from hhtkit.instantiation import EXACT, Bounded, instance_program, instantiate
+from hhtkit.instantiation import EXACT, Bounded, instantiate
 from hhtkit.kernel import TheoryLevel, check_proof, conclusion_for_pipeline
 from hhtkit.parser import parse_proof_file, parse_prop_file, parse_subst_file
 from hhtkit.semantics import ht_valid
@@ -29,8 +29,7 @@ def test_corpus_proof_accepted_and_instance_behaves(case):
     subst = parse_subst_file(load_text(case.subst))
     assert subst.signature == proof.signature
     mode = EXACT if case.depth is None else Bounded(case.depth)
-    assert instance_program(subst, conclusion, mode)[1] == ()
-    instance = instantiate(subst, conclusion, mode)
+    instance = instantiate(subst, conclusion, mode)  # UnmappedAtom if an entry is missing
     counter = ht_valid(instance)
     if case.expect_instance == "valid":
         assert counter is None
@@ -91,7 +90,7 @@ def test_valid_corpus_instances_are_classically_valid():
         atoms = sorted(prop_atoms(instance))
         for bits in range(2 ** len(atoms)):
             total = frozenset(a for k, a in enumerate(atoms) if bits >> k & 1)
-            assert gen.classical_eval(total, instance)
+            assert gen.classical_eval(total, gen.tree(instance))
 
 
 def load_tool(name: str, monkeypatch):

@@ -31,14 +31,11 @@ from hhtkit.semantics import (
     render_countermodel,
 )
 from hhtkit.syntax import (
-    BOT,
-    TOP,
     Atom,
     Binary,
     FnApp,
     FnVarApp,
     FuncVar,
-    PAtom,
     Quant,
     Signature,
     Var,
@@ -487,9 +484,9 @@ def _carving_subst():
     entries = {}
     members = {"c2", "c3"}
     for c in sig.object_constants():
-        entries[Atom("P", (const(c),))] = PAtom(f"f_{c}")
-        entries[Atom("R", (const(c),))] = TOP if c in members else BOT
-    return sig, gen.make_subst(sig, entries), members
+        entries[Atom("P", (const(c),))] = gen.atom(f"f_{c}")
+        entries[Atom("R", (const(c),))] = gen.TOP if c in members else gen.BOT
+    return sig, gen.tree_subst(sig, entries), members
 
 
 def test_lift_definition_unfolds():

@@ -2,9 +2,10 @@
 module: what two modules share is public.  No module imports `dataclasses`,
 and importing `hhtkit.cli` loads none of the modules it would bring in.
 No module calls `vars()` or reads an instance's `__dict__`.  The walks that
-expand quantifiers hold no `match` statement, and the verdict path builds
-no propositional objects.  No class `record` builds spells out the methods
-`record` gives it."""
+expand quantifiers hold no `match` statement, and the package has one
+propositional formula, the program: no module defines or imports a name
+of the object layer it replaced.  No class `record` builds spells out the
+methods `record` gives it."""
 
 import ast
 import subprocess
@@ -42,7 +43,7 @@ def test_no_module_imports_a_private_name_from_a_sibling():
 
 # the import of `hhtkit.cli` is what every CLI invocation pays first; these
 # modules cost milliseconds and nothing on that path needs them
-HEAVY = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+HEAVY = ("dataclasses", "inspect", "ast", "dis", "tokenize", "typing")
 
 
 def dataclass_imports(source: str) -> list[str]:
@@ -175,43 +176,50 @@ def test_the_expansion_walks_hold_no_match_statement():
     assert {name: found for name, found in got.items() if found} == {}
 
 
-# the instantiation walk and the parser of `.prop` text emit the engine's
-# program, which the CLI folds its stats and text from and the model
-# checker runs: neither builds propositional objects nor walks them back
-# into a program
-OFF_THE_VERDICT_PATH = {
-    "instantiation.py": ("PAnd", "POr", "PImp"),
-    "cli.py": ("prop_dag", "ht_valid", "parse_prop_file"),
-}
+# a propositional formula is the engine's program, which the parser, the
+# instantiation walk and Herbrand grounding emit and the printer, the stats
+# and both checkers read: none of the object layer it replaced, nor its
+# converters, is defined or imported anywhere in the package
+OBJECT_LAYER = frozenset({
+    "PAtom", "PAnd", "POr", "PImp", "PropFormula", "prop_dag", "prop_of_program",
+    "parse_prop_program", "instance_program",
+})
 
 
-def imported_names(source: str) -> set[str]:
+def bound_names(source: str) -> set[str]:
     """Each name `source` imports, as its module names it (an `as` does not
-    hide it)."""
+    hide it), and each function, class or variable it defines."""
     found = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             found |= {a.name for a in node.names}
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            found.add(node.id)
     return found
 
 
 def test_the_check_finds_an_imported_name():
     source = ("from .syntax import (\n    PAnd,\n    prop_dag as walk,\n)\n"
-              "def f():\n    from .syntax import POr\n")
-    assert imported_names(source) == {"PAnd", "prop_dag", "POr"}
+              "def f():\n    from .syntax import POr\n"
+              "class PAtom:\n    pass\n"
+              "def prop_of_program(prog):\n    return prog\n"
+              "PropFormula = int\nfor PImp in ():\n    pass\n")
+    assert bound_names(source) & OBJECT_LAYER == {
+        "PAnd", "prop_dag", "POr", "PAtom", "prop_of_program", "PropFormula", "PImp"}
 
 
 def test_the_verdict_path_imports_no_object_builder():
-    got = {}
-    for name, banned in OFF_THE_VERDICT_PATH.items():
-        source = (PACKAGE / name).read_text(encoding="utf-8")
-        got[name] = sorted(imported_names(source) & set(banned))
-    assert got == {name: [] for name in OFF_THE_VERDICT_PATH}
+    got = {path.name: sorted(bound_names(path.read_text(encoding="utf-8")) & OBJECT_LAYER)
+           for path in sorted(PACKAGE.glob("*.py"))}
+    assert "syntax.py" in got
+    assert {name: found for name, found in got.items() if found} == {}
 
 
 # `record` builds every value class's `__init__`, `==` and `hash`, with
-# named parameters for one or two fields; an undecorated base, such as
-# `syntax._PSet`, may still define one for the classes built on it
+# named parameters for two fields; an undecorated base may still define
+# one for the classes built on it
 RECORD_METHODS = ("__init__", "__eq__", "__hash__")
 
 

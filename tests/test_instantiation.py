@@ -4,6 +4,7 @@ import random
 import pytest
 
 import gen
+from gen import atom, conj, disj, imp, program
 from hhtkit.errors import (
     STEP_CAP,
     InfiniteUniverse,
@@ -19,7 +20,6 @@ from hhtkit.instantiation import (
     count_universe,
     ground_terms,
     herbrand_base,
-    instance_program,
     instantiate,
     universe,
 )
@@ -28,19 +28,13 @@ from hhtkit.semantics import World, satisfies
 from hhtkit.syntax import (
     AND,
     ATOM,
-    BOT,
     OR,
-    TOP,
     Atom,
     Binary,
     Equals,
     Falsum,
     FnApp,
     GenVar,
-    PAnd,
-    PAtom,
-    PImp,
-    POr,
     PredVar,
     Quant,
     Signature,
@@ -49,7 +43,6 @@ from hhtkit.syntax import (
     eliminate_restrictors,
     prop_atoms,
     prop_node_count,
-    prop_of_program,
     prop_stats,
     prop_to_text,
     rank,
@@ -61,13 +54,27 @@ SIG2 = Signature.make({"c1": 0, "c2": 0}, {"P": 1, "Q": 0})
 SIG2R = Signature.make({"c1": 0, "c2": 0, "c3": 0}, {"P": 1, "R": 1}, {"R"})
 
 
+def instance(subst, f, mode=EXACT):
+    """The tree of the instance of `f`."""
+    return gen.tree(instantiate(subst, f, mode))
+
+
+def unmapped(subst, f, mode=EXACT):
+    """The atoms `instantiate` reports missing, sorted; () if it returns."""
+    try:
+        instantiate(subst, f, mode)
+    except UnmappedAtom as e:
+        return e.missing
+    return ()
+
+
 def subst_p(sig, q=False):
     entries = {
-        Atom("P", (const(c),)): PAtom(f"f_{c}") for c in sig.object_constants()
+        Atom("P", (const(c),)): atom(f"f_{c}") for c in sig.object_constants()
     }
     if q:
-        entries[Atom("Q", ())] = PAtom("g")
-    return gen.make_subst(sig, entries)
+        entries[Atom("Q", ())] = atom("g")
+    return gen.tree_subst(sig, entries)
 
 
 def test_lookup_entry_default_missing():
@@ -84,33 +91,33 @@ def test_lookup_entry_default_missing():
 def test_instance_of_distribution_equivalence():
     s = subst_p(SIG2, q=True)
     f = parse_formula_text("exists x P(x) & Q <-> exists x (P(x) & Q)", SIG2)
-    got = instantiate(s, f)
-    family = POr((PAtom("f_c1"), PAtom("f_c2")))
-    lhs = PAnd((family, PAtom("g")))
-    rhs = POr((PAnd((PAtom("f_c1"), PAtom("g"))), PAnd((PAtom("f_c2"), PAtom("g")))))
-    assert got == PAnd((PImp(lhs, rhs), PImp(rhs, lhs)))
+    got = instance(s, f)
+    family = disj((atom("f_c1"), atom("f_c2")))
+    lhs = conj((family, atom("g")))
+    rhs = disj((conj((atom("f_c1"), atom("g"))), conj((atom("f_c2"), atom("g")))))
+    assert got == conj((imp(lhs, rhs), imp(rhs, lhs)))
 
 
 def test_equality_clauses():
     s = subst_p(SIG2)
-    assert instantiate(s, parse_formula_text("c1 = c1", SIG2)) == TOP
-    assert instantiate(s, parse_formula_text("c1 = c2", SIG2)) == BOT
+    assert instance(s, parse_formula_text("c1 = c1", SIG2)) == gen.TOP
+    assert instance(s, parse_formula_text("c1 = c2", SIG2)) == gen.BOT
 
 
 def test_restricted_forall_carves_index_set():
     entries = {
-        Atom("P", (const(c),)): PAtom(f"f_{c}")
+        Atom("P", (const(c),)): atom(f"f_{c}")
         for c in ("c1", "c2", "c3")
     }
-    entries[Atom("R", (const("c1"),))] = BOT
-    entries[Atom("R", (const("c2"),))] = TOP
-    entries[Atom("R", (const("c3"),))] = TOP
-    s = gen.make_subst(SIG2R, entries)
+    entries[Atom("R", (const("c1"),))] = gen.BOT
+    entries[Atom("R", (const("c2"),))] = gen.TOP
+    entries[Atom("R", (const("c3"),))] = gen.TOP
+    s = gen.tree_subst(SIG2R, entries)
     f = parse_formula_text("forall x P(x) -> forall (x:R) P(x)", SIG2R)
-    got = instantiate(s, f)
-    assert got == PImp(
-        PAnd((PAtom("f_c1"), PAtom("f_c2"), PAtom("f_c3"))),
-        PAnd((PAtom("f_c2"), PAtom("f_c3"))),
+    got = instance(s, f)
+    assert got == imp(
+        conj((atom("f_c1"), atom("f_c2"), atom("f_c3"))),
+        conj((atom("f_c2"), atom("f_c3"))),
     )
 
 
@@ -122,48 +129,48 @@ def test_restricted_pair_distributes_over_product():
     )
     entries = {}
     for c in sig.object_constants():
-        entries[Atom("P", (const(c),))] = PAtom(f"f_{c}")
-        entries[Atom("Q", (const(c),))] = PAtom(f"g_{c}")
-        entries[Atom("R1", (const(c),))] = TOP if c.startswith("a") else BOT
-        entries[Atom("R2", (const(c),))] = TOP if c.startswith("b") else BOT
-    s = gen.make_subst(sig, entries)
+        entries[Atom("P", (const(c),))] = atom(f"f_{c}")
+        entries[Atom("Q", (const(c),))] = atom(f"g_{c}")
+        entries[Atom("R1", (const(c),))] = gen.TOP if c.startswith("a") else gen.BOT
+        entries[Atom("R2", (const(c),))] = gen.TOP if c.startswith("b") else gen.BOT
+    s = gen.tree_subst(sig, entries)
     f = parse_formula_text(
         "exists (x:R1) P(x) & exists (y:R2) Q(y) <-> exists (x:R1, y:R2) (P(x) & Q(y))",
         sig,
     )
-    got = instantiate(s, f)
-    lhs = PAnd((POr((PAtom("f_a1"), PAtom("f_a2"))), POr((PAtom("g_b1"),))))
-    rhs = POr((
-        PAnd((PAtom("f_a1"), PAtom("g_b1"))),
-        PAnd((PAtom("f_a2"), PAtom("g_b1"))),
+    got = instance(s, f)
+    lhs = conj((disj((atom("f_a1"), atom("f_a2"))), disj((atom("g_b1"),))))
+    rhs = disj((
+        conj((atom("f_a1"), atom("g_b1"))),
+        conj((atom("f_a2"), atom("g_b1"))),
     ))
-    assert got == PAnd((PImp(lhs, rhs), PImp(rhs, lhs)))
+    assert got == conj((imp(lhs, rhs), imp(rhs, lhs)))
 
 
 def test_empty_restricted_sets_give_units():
-    entries = {Atom("P", (const(c),)): PAtom("u") for c in ("c1", "c2", "c3")}
+    entries = {Atom("P", (const(c),)): atom("u") for c in ("c1", "c2", "c3")}
     for c in ("c1", "c2", "c3"):
-        entries[Atom("R", (const(c),))] = BOT
-    s = gen.make_subst(SIG2R, entries)
-    assert instantiate(s, parse_formula_text("forall (x:R) P(x)", SIG2R)) == TOP
-    assert instantiate(s, parse_formula_text("exists (x:R) P(x)", SIG2R)) == BOT
+        entries[Atom("R", (const(c),))] = gen.BOT
+    s = gen.tree_subst(SIG2R, entries)
+    assert instance(s, parse_formula_text("forall (x:R) P(x)", SIG2R)) == gen.TOP
+    assert instance(s, parse_formula_text("exists (x:R) P(x)", SIG2R)) == gen.BOT
     # two variables: an empty outer and an empty innermost domain
     sig = Signature.make({"c1": 0, "c2": 0}, {"P": 1, "R": 1, "T": 1}, {"R", "T"})
-    entries = {Atom("P", (const(c),)): PAtom(f"f_{c}") for c in ("c1", "c2")}
+    entries = {Atom("P", (const(c),)): atom(f"f_{c}") for c in ("c1", "c2")}
     for c in ("c1", "c2"):
-        entries[Atom("R", (const(c),))], entries[Atom("T", (const(c),))] = BOT, TOP
-    s = gen.make_subst(sig, entries)
+        entries[Atom("R", (const(c),))], entries[Atom("T", (const(c),))] = gen.BOT, gen.TOP
+    s = gen.tree_subst(sig, entries)
     for binder in ("(x:R, y:T)", "(x:T, y:R)"):
-        assert instantiate(s, parse_formula_text(f"forall {binder} (P(x) | P(y))", sig)) == TOP
-        assert instantiate(s, parse_formula_text(f"exists {binder} (P(x) & P(y))", sig)) == BOT
+        assert instance(s, parse_formula_text(f"forall {binder} (P(x) | P(y))", sig)) == gen.TOP
+        assert instance(s, parse_formula_text(f"exists {binder} (P(x) & P(y))", sig)) == gen.BOT
 
 
 def test_quantifier_over_non_occurring_variable_collapses():
     s = subst_p(SIG2, q=True)
     f = parse_formula_text("forall x Q", SIG2)
-    got = instantiate(s, f)
-    assert got == PAnd((PAtom("g"),))
-    assert got == PAnd((instantiate(s, parse_formula_text("Q", SIG2)),))
+    got = instance(s, f)
+    assert got == conj((atom("g"),))
+    assert got == conj((instance(s, parse_formula_text("Q", SIG2)),))
 
 
 def test_preconditions():
@@ -176,7 +183,7 @@ def test_preconditions():
 
 def test_exact_mode_refuses_function_constants():
     sig = Signature.make({"a": 0, "s": 1}, {"P": 1})
-    s = gen.make_subst(sig, {Atom("P", (const("a"),)): PAtom("u")})
+    s = gen.tree_subst(sig, {Atom("P", (const("a"),)): atom("u")})
     with pytest.raises(InfiniteUniverse):
         instantiate(s, parse_formula_text("forall x P(x)", sig))
 
@@ -309,13 +316,13 @@ def test_unmapped_atom_names_offender():
     with pytest.raises(UnmappedAtom) as err:
         instantiate(s, f)
     assert "Q" in str(err.value)
-    assert instance_program(s, f)[1] == ("Q",)
+    assert unmapped(s, f) == ("Q",)
 
 
 def test_validate_empty_report_when_total():
     s = subst_p(SIG2, q=True)
     f = parse_formula_text("exists x P(x) & Q <-> exists x (P(x) & Q)", SIG2)
-    assert instance_program(s, f)[1] == ()
+    assert unmapped(s, f) == ()
 
 
 def test_validate_bounded_reaches_pushed_terms():
@@ -324,13 +331,13 @@ def test_validate_bounded_reaches_pushed_terms():
     entries = {}
     t = const("a")
     for _ in range(3):
-        entries[Atom("P", (t,))] = PAtom("u")
+        entries[Atom("P", (t,))] = atom("u")
         t = FnApp("s", (t,))
-    s = gen.make_subst(sig, entries)
+    s = gen.tree_subst(sig, entries)
     # depth-2 universe pushes one application deeper: s(s(s(a))) is missing
-    assert instance_program(s, f, Bounded(2))[1] == ("P(s(s(s(a))))",)
-    entries[Atom("P", (t,))] = PAtom("u")
-    assert instance_program(gen.make_subst(sig, entries), f, Bounded(2))[1] == ()
+    assert unmapped(s, f, Bounded(2)) == ("P(s(s(s(a))))",)
+    entries[Atom("P", (t,))] = atom("u")
+    assert unmapped(gen.tree_subst(sig, entries), f, Bounded(2)) == ()
 
 
 def test_restrictor_coherence_small_cases():
@@ -383,6 +390,17 @@ def test_instance_atoms_come_from_range():
 # ---------------------------------------------------------------------------
 # the one-walk instance against the literal expansion
 
+def distinct_subformulas(t) -> set:
+    """The subtrees of the tree `t`, equal ones once."""
+    seen, stack = set(), [t]
+    while stack:
+        g = stack.pop()
+        if g not in seen:
+            seen.add(g)
+            stack.extend(g[1:] if g[0] == "imp" else g[1] if g[0] != "atom" else ())
+    return seen
+
+
 def literal_instance(subst, f, mode=EXACT):
     """The instance by literal expansion: a quantifier substitutes each term
     (or tuple of terms) into its body, and a generalized variable's guard is
@@ -392,34 +410,34 @@ def literal_instance(subst, f, mode=EXACT):
     terms = universe(subst.signature, mode)
     missing = set()
 
-    def image(atom):
+    def image(a):
         try:
-            return gen.subst_image(subst, atom)
+            return gen.tree(gen.subst_image(subst, a))
         except UnmappedAtom:
-            missing.add(str(atom))
-            return BOT
+            missing.add(str(a))
+            return gen.BOT
 
     def guard_ok(items, choice):
         images = [image(Atom(r, (t,))) for (_, r), t in zip(items, choice)]
-        return all(got == TOP for got in images)
+        return all(got == gen.TOP for got in images)
 
     def rec(g):
         match g:
             case Falsum():
-                return BOT
+                return gen.BOT
             case Equals(l, r):
-                return TOP if l == r else BOT
+                return gen.TOP if l == r else gen.BOT
             case Atom(pred, args):
                 return image(Atom(pred, args))
             case Binary("&", l, r):
-                return PAnd((rec(l), rec(r)))
+                return conj((rec(l), rec(r)))
             case Binary("|", l, r):
-                return POr((rec(l), rec(r)))
+                return disj((rec(l), rec(r)))
             case Binary("->", l, r):
-                return PImp(rec(l), rec(r))
+                return imp(rec(l), rec(r))
             case Quant(kind, Var() as v, body):
                 children = (rec(substitute(body, {v: t})) for t in terms)
-                return PAnd(children) if kind == "forall" else POr(children)
+                return conj(children) if kind == "forall" else disj(children)
             case Quant(kind, GenVar(items) as gv, body):
                 children = []
                 for choice in itertools.product(terms, repeat=len(items)):
@@ -429,7 +447,7 @@ def literal_instance(subst, f, mode=EXACT):
                     for v, t in zip(gv.variables(), choice):
                         inst = substitute(inst, {v: t})
                     children.append(rec(inst))
-                return PAnd(children) if kind == "forall" else POr(children)
+                return conj(children) if kind == "forall" else disj(children)
         raise TypeError(f"unexpected formula node: {g!r}")
 
     return rec(f), tuple(sorted(missing))
@@ -439,30 +457,30 @@ def partial_substitution(rng, sig, mode, drop):
     """Entries on the mode's Herbrand base, each left out with chance `drop`;
     restrictor atoms get top or bot."""
     entries = {}
-    for atom in herbrand_base(sig, universe(sig, mode)):
+    for a in herbrand_base(sig, universe(sig, mode)):
         if rng.random() < drop:
             continue
-        if sig.is_restrictor(atom.pred):
-            entries[atom] = TOP if rng.random() < 0.5 else BOT
+        if sig.is_restrictor(a.pred):
+            entries[a] = gen.TOP if rng.random() < 0.5 else gen.BOT
         else:
-            entries[atom] = gen.rand_prop(rng, 2)
-    return gen.make_subst(sig, entries)
+            entries[a] = gen.rand_prop(rng, 2)
+    return gen.tree_subst(sig, entries)
 
 
 def assert_matches_literal(s, f, mode):
     want, want_missing = literal_instance(s, f, mode)
-    assert instance_program(s, f, mode)[1] == want_missing
+    assert unmapped(s, f, mode) == want_missing
     if want_missing:
         with pytest.raises(UnmappedAtom) as err:
             instantiate(s, f, mode)
         assert (err.value.atom, err.value.missing) == (want_missing[0], want_missing)
     else:
         got = instantiate(s, f, mode)
-        assert got == want
+        assert gen.tree(got) == want
         # the walk shares what the literal expansion builds twice: the same
-        # tree, in no more distinct nodes
-        assert prop_stats(got)[3] == prop_stats(want)[3]
-        assert prop_node_count(got) <= prop_node_count(want)
+        # tree, in one entry per distinct subformula
+        assert prop_stats(got)[3] == prop_stats(program(want))[3]
+        assert prop_node_count(got) == len(distinct_subformulas(want))
 
 
 SIG_FN = Signature.make(
@@ -509,10 +527,10 @@ def test_nested_iff_instance_is_shared(n):
     # once, so the instance holds 3 nodes per level while its tree doubles
     sig = Signature.make({"a": 0}, {"P": 0})
     f = parse_formula_text(gen.nested_iff(n), sig)
-    s = gen.make_subst(sig, {Atom("P", ()): PAtom("p")})
+    s = gen.tree_subst(sig, {Atom("P", ()): atom("p")})
     got = instantiate(s, f)
     want, _ = literal_instance(s, f)
-    assert got == want
+    assert gen.tree(got) == want
     assert prop_stats(got) == (frozenset({"p"}), 2 * n, 3 * n, 9 * 2 ** (n - 1) - 5)
     text = "And{p -> p}"
     for _ in range(n - 1):
@@ -530,7 +548,7 @@ def test_validate_under_iff_matches_literal():
     for drop in (0.0, 0.2, 0.4, 0.6, 0.8, 1.0):
         s = partial_substitution(rng, sig, EXACT, drop)
         assert_matches_literal(s, f, EXACT)
-        reports.add(instance_program(s, f)[1])
+        reports.add(unmapped(s, f))
     assert len(reports) > 3 and () in reports
 
 
@@ -540,14 +558,14 @@ def test_restrictor_domains_are_filtered_once_per_walk():
     n = 400
     names = [f"c{i}" for i in range(n)]
     sig = Signature.make(dict.fromkeys(names, 0), {"P": 2, "R": 1}, {"R"})
-    entries = {Atom("R", (const(c),)): TOP if i % 10 == 0 else BOT
+    entries = {Atom("R", (const(c),)): gen.TOP if i % 10 == 0 else gen.BOT
                for i, c in enumerate(names)}
-    s = gen.make_subst(sig, entries, {"P": PAtom("p")})
+    s = gen.tree_subst(sig, entries, {"P": atom("p")})
     calls = []
     lookup = s.lookup
     s.lookup = lambda atom: calls.append(atom) or lookup(atom)
-    got = instantiate(s, parse_formula_text("forall x exists (y:R) P(x, y)", sig))
-    assert got == PAnd([POr([PAtom("p")])])
+    got = instance(s, parse_formula_text("forall x exists (y:R) P(x, y)", sig))
+    assert got == conj([disj([atom("p")])])
     assert len(calls) == n + n * (n // 10)
 
 
@@ -555,24 +573,16 @@ def test_restrictor_domains_are_filtered_once_per_walk():
 # the type-dispatch walk that emits the program against the structural-`match`
 # walk that built objects
 
-def distinct_subformulas(f) -> set:
-    seen, stack = set(), [f]
-    while stack:
-        g = stack.pop()
-        if g not in seen:
-            seen.add(g)
-            stack.extend((g.left, g.right) if type(g) is PImp else getattr(g, "items", ()))
-    return seen
-
-
 def assert_matches_reference(s, f, mode):
-    prog, got_missing = instance_program(s, f, mode)
     want, want_missing = gen.instantiate_reference(s, f, mode)
-    assert prop_of_program(prog) == want
+    assert unmapped(s, f, mode) == want_missing
+    if want_missing:
+        return
+    prog = instantiate(s, f, mode)
+    assert gen.tree(prog) == want
     # one entry per distinct subformula, children before parents
     assert len(prog) == len(distinct_subformulas(want))
     assert all(k < i for i, (op, arg) in enumerate(prog) if op != ATOM for k in arg)
-    assert got_missing == want_missing
 
 
 @pytest.mark.parametrize("sig, mode, share", [

@@ -29,10 +29,6 @@ from hhtkit.syntax import (
     Equals,
     FnVarApp,
     FuncVar,
-    PAnd,
-    PAtom,
-    PImp,
-    POr,
     PredVar,
     Quant,
     Signature,
@@ -72,6 +68,8 @@ def test_imp_right_assoc():
     (parse_prop_text, "p", "q", "r"),
 ])
 def test_associativity_in_both_languages(parse, a, b, c):
+    if parse is parse_prop_text:  # programs are compared by their trees
+        parse = lambda text: gen.tree(parse_prop_text(text))  # noqa: E731
     for op in ("<->", "|", "&"):
         f = parse(f"{a} {op} {b} {op} {c}")
         assert f == parse(f"({a} {op} {b}) {op} {c}"), op
@@ -130,12 +128,16 @@ def test_restrictor_binder_validation():
 
 
 def test_prop_sets_and_sugar():
-    assert parse_prop_text("And{}") == PAnd(())
-    assert parse_prop_text("top") == PAnd(())
-    assert parse_prop_text("bot") == POr(())
-    assert parse_prop_text("p & q") == PAnd((PAtom("p"), PAtom("q")))
-    assert parse_prop_text("And{p; q; p}") == PAnd((PAtom("p"), PAtom("q")))
-    assert parse_prop_text("not p") == PImp(PAtom("p"), POr(()))
+    def prop(text):
+        return gen.tree(parse_prop_text(text))
+
+    p, q = gen.atom("p"), gen.atom("q")
+    assert prop("And{}") == gen.TOP
+    assert prop("top") == gen.TOP
+    assert prop("bot") == gen.BOT
+    assert prop("p & q") == gen.conj((p, q))
+    assert prop("And{p; q; p}") == gen.conj((p, q))
+    assert prop("not p") == gen.imp(p, gen.BOT)
 
 
 def test_formula_file_and_errors():
@@ -266,8 +268,8 @@ def test_prop_round_trip_randomized():
     rng = random.Random(17)
     for _ in range(300):
         f = gen.rand_prop(rng, depth=3)
-        text = prop_to_text(f)
-        assert parse_prop_text(text) == f, text
+        text = prop_to_text(gen.program(f))
+        assert gen.tree(parse_prop_text(text)) == f, text
 
 
 @pytest.mark.parametrize(
@@ -817,7 +819,7 @@ def _prop_mutations():
 def test_prop_memo_changes_no_parse(monkeypatch):
     def outcome(text):
         try:
-            return repr(parse_prop_text(text))
+            return prop_to_text(parse_prop_text(text))
         except ParseError as e:
             return f"ParseError: {e}"
 

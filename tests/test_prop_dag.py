@@ -1,23 +1,23 @@
-"""`syntax.prop_dag`, `prop_stats` and `prop_to_text` against literal
-references: the match-dispatching, comprehension-per-node versions they
-replaced, copied here as they were.  `prop_dag` returns the engine's
-program, so the reference's node list is mapped to `(op, arg)` entries as
-the engine's compiler once mapped it; the two programs must be equal, entry
-for entry, and the stats and text must be too.
+"""`syntax.prop_stats` and `prop_to_text` against literal references that
+read the formula as a `gen` tree: atoms, rank, distinct subformulas (equal
+subtrees found by a key of their kind and their children's classes) and
+size as a tree, and the text, each found once per subtree object, children
+first.
 
-`syntax.graft` against the paths it replaced: a formula object's program
-emitted entry by entry (as substitution images were spliced into an
-instance), and the live part of a Herbrand grounding renumbered in place,
-copied here as it was."""
+`syntax.graft` into a builder: a program with an entry per subtree object
+keeps its text, stats and verdict, and the live part of a Herbrand
+grounding comes out as the path it replaced, renumbering in place, copied
+here as it was, gives it."""
 
 import random
 
 import pytest
 
 import gen
+from gen import atom, conj, disj, imp, program
 from hhtkit.herbrand import _Grounding, hht_valid_bruteforce
 from hhtkit.instantiation import EXACT, Bounded, instantiate, universe
-from hhtkit.parser import parse_formula_text, parse_prop_text
+from hhtkit.parser import parse_formula_text
 from hhtkit.semantics import DEFAULT_BUDGET, first_countermodel, ht_valid
 from hhtkit.syntax import (
     AND,
@@ -25,16 +25,10 @@ from hhtkit.syntax import (
     CONST,
     IMP,
     OR,
-    PAnd,
-    PAtom,
-    PImp,
-    POr,
-    PropFormula,
     Signature,
     eliminate_restrictors,
     graft,
     program_builder,
-    prop_dag,
     prop_stats,
     prop_to_text,
 )
@@ -42,65 +36,78 @@ from hhtkit.syntax import (
 # --- literal references ------------------------------------------------------
 
 
-def ref_prop_dag(f: PropFormula) -> list[tuple[PropFormula, tuple[int, ...]]]:
-    slot: dict[int, int] = {}
-    out: list[tuple[PropFormula, tuple[int, ...]]] = []
-    # (node, None) is still to expand; (node, children) waits for them
-    stack: list[tuple[PropFormula, tuple | None]] = [(f, None)]
+def _kids(t: tuple) -> tuple:
+    return () if t[0] == "atom" else (t[1], t[2]) if t[0] == "imp" else tuple(t[1])
+
+
+def _post_order(t: tuple) -> list[tuple]:
+    """Each subtree object of `t` once, after its children."""
+    done: set[int] = set()
+    out: list[tuple] = []
+    # (tree, False) is still to expand; (tree, True) waits for its children
+    stack = [(t, False)]
     while stack:
-        g, kids = stack.pop()
-        if id(g) in slot:
+        g, expanded = stack.pop()
+        if id(g) in done:
             continue
-        if kids is None:
-            match g:
-                case PAtom():
-                    kids = ()
-                case PAnd(items) | POr(items):
-                    kids = tuple(items)
-                case PImp(l, r):
-                    kids = (l, r)
-                case _:
-                    raise TypeError(f"not a propositional formula: {g!r}")
-            if kids:
-                stack.append((g, kids))
-                stack.extend([(k, None) for k in kids])
-                continue
-        slot[id(g)] = len(out)
-        out.append((g, tuple([slot[id(k)] for k in kids])))
+        if not expanded:
+            stack.append((g, True))
+            stack.extend([(k, False) for k in _kids(g)])
+            continue
+        done.add(id(g))
+        out.append(g)
     return out
 
 
-def ref_program(f: PropFormula) -> list[tuple[int, object]]:
-    ops = {PAnd: AND, POr: OR, PImp: IMP}
-    return [(ATOM, g.name) if isinstance(g, PAtom) else (ops[type(g)], kids)
-            for g, kids in ref_prop_dag(f)]
+def ref_prop_stats(t: tuple) -> tuple[frozenset[str], int, int, int]:
+    classes: dict[tuple, int] = {}  # a subtree's key: its kind and its children's classes
+    of: dict[int, int] = {}  # each subtree object's class, equal subtrees' the same
+    ranks: dict[int, int] = {}
+    sizes: dict[int, int] = {}
+    order = _post_order(t)
+    for g in order:
+        kids = _kids(g)
+        cls = [of[id(k)] for k in kids]
+        key = g if g[0] == "atom" else (g[0], *cls) if g[0] == "imp" else (g[0], frozenset(cls))
+        of[id(g)] = classes.setdefault(key, len(classes))
+        ranks[id(g)] = max([ranks[id(k)] for k in kids], default=-1) + 1
+        sizes[id(g)] = 1 + sum([sizes[id(k)] for k in kids])
+    atoms = frozenset(g[1] for g in order if g[0] == "atom")
+    return atoms, ranks[id(t)], len(classes), sizes[id(t)]
 
 
-def ref_prop_stats(f: PropFormula) -> tuple[frozenset[str], int, int, int]:
-    dag = ref_prop_dag(f)
-    ranks: list[int] = []
-    sizes: list[int] = []
-    for _, kids in dag:
-        ranks.append(max([ranks[k] for k in kids], default=-1) + 1)
-        sizes.append(1 + sum([sizes[k] for k in kids]))
-    atoms = frozenset(g.name for g, _ in dag if isinstance(g, PAtom))
-    return atoms, ranks[-1], len(dag), sizes[-1]
+def ref_prop_to_text(t: tuple) -> str:
+    texts: dict[int, str] = {}
+    for g in _post_order(t):
+        if g[0] == "atom":
+            text = g[1]
+        elif g[0] == "imp":
+            left, right = texts[id(g[1])], texts[id(g[2])]
+            text = f"({left}) -> {right}" if g[1][0] == "imp" else f"{left} -> {right}"
+        else:
+            empty, head = ("top", "And{") if g[0] == "and" else ("bot", "Or{")
+            kids = sorted([texts[id(k)] for k in g[1]])
+            text = head + "; ".join(kids) + "}" if kids else empty
+        texts[id(g)] = text
+    return texts[id(t)]
 
 
-def ref_prop_to_text(f: PropFormula) -> str:
-    texts: list[str] = []
-    for g, kids in ref_prop_dag(f):
-        match g:
-            case PAtom(name):
-                text = name
-            case PAnd() | POr():
-                empty, head = ("top", "And{") if isinstance(g, PAnd) else ("bot", "Or{")
-                text = head + "; ".join(sorted([texts[k] for k in kids])) + "}" if kids else empty
-            case PImp(l, _):
-                left, right = texts[kids[0]], texts[kids[1]]
-                text = f"({left}) -> {right}" if isinstance(l, PImp) else f"{left} -> {right}"
-        texts.append(text)
-    return texts[-1]
+def _unshared_program(t: tuple) -> list[tuple[int, object]]:
+    """One entry per subtree object of `t`, children in the order the tree
+    gives them: equal subtrees built apart are separate entries, and an
+    `And`/`Or` argument is unsorted, as no builder emits them."""
+    at: dict[int, int] = {}
+    prog: list[tuple[int, object]] = []
+    for g in _post_order(t):
+        if g[0] == "atom":
+            entry = (ATOM, g[1])
+        elif g[0] == "imp":
+            entry = (IMP, (at[id(g[1])], at[id(g[2])]))
+        else:
+            entry = (AND if g[0] == "and" else OR, tuple([at[id(k)] for k in g[1]]))
+        at[id(g)] = len(prog)
+        prog.append(entry)
+    return prog
 
 
 # --- inputs ------------------------------------------------------------------
@@ -108,64 +115,63 @@ def ref_prop_to_text(f: PropFormula) -> str:
 SIG = Signature.make({"c1": 0, "c2": 0, "c3": 0}, {"P": 1, "Q": 2, "R": 1}, {"R"})
 
 
-def _instances(seed: int, count: int) -> list[PropFormula]:
-    """Instances of `gen` formulas: the instantiation walk returns one object
-    per (subformula, binding), so quantifiers and repeated images share."""
+def _instances(seed: int, count: int) -> list[tuple]:
+    """Instances of `gen` formulas, as trees: the instantiation walk emits
+    one entry per (subformula, binding), so quantifiers and repeated images
+    share."""
     rng = random.Random(seed)
     out = []
     while len(out) < count:
         f = gen.rand_formula(rng, SIG, depth=4, restrictor_share=0.4)
-        out.append(instantiate(gen.rand_substitution(rng, SIG), f))
+        out.append(gen.tree(instantiate(gen.rand_substitution(rng, SIG), f)))
     return out
 
 
-def _pooled(seed: int, count: int) -> list[PropFormula]:
-    """`gen` formulas combined by picking children from the nodes built so
-    far, so a node is the child of several parents, at several depths."""
+def _pooled(seed: int, count: int) -> list[tuple]:
+    """`gen` trees combined by picking children from the trees built so
+    far, so a tree is the child of several parents, at several depths."""
     rng = random.Random(seed)
     pool = [gen.rand_prop(rng, depth=2) for _ in range(6)]
     for _ in range(count):
         kind = rng.randrange(3)
         if kind == 2:
-            pool.append(PImp(rng.choice(pool), rng.choice(pool)))
+            pool.append(imp(rng.choice(pool), rng.choice(pool)))
         else:
             kids = [rng.choice(pool) for _ in range(rng.randrange(4))]
-            pool.append((PAnd if kind == 0 else POr)(kids))
+            pool.append((conj if kind == 0 else disj)(kids))
     return pool[-count:]
 
 
-def _deep_chain(n: int) -> PropFormula:
-    f = PAtom("p0")
+def _deep_chain(n: int) -> tuple:
+    f = atom("p0")
     for i in range(n):
-        f = PImp(PAtom(f"p{i % 7}"), f) if i % 2 else PImp(f, PAtom(f"p{i % 5}"))
+        f = imp(atom(f"p{i % 7}"), f) if i % 2 else imp(f, atom(f"p{i % 5}"))
     return f
 
 
-def _wide_or(n: int) -> PropFormula:
-    shared = PAtom("s")
-    return POr([PImp(PAtom(f"a{i}"), shared) for i in range(n)] + [shared])
+def _wide_or(n: int) -> tuple:
+    shared = atom("s")
+    return disj([imp(atom(f"a{i}"), shared) for i in range(n)] + [shared])
 
 
 # --- the comparison ----------------------------------------------------------
 
 
-def _assert_same_dag(f: PropFormula, text: bool = True) -> None:
-    got, want = prop_dag(f), ref_program(f)
-    assert got == want
+def _assert_same_stats(t: tuple, text: bool = True) -> None:
+    got = program(t)
     for i, (op, arg) in enumerate(got):
         assert op == ATOM or all(k < i for k in arg)
-    assert prop_stats(f, got) == ref_prop_stats(f)
+    assert prop_stats(got) == ref_prop_stats(t)
     if text:
-        assert prop_to_text(f, got) == ref_prop_to_text(f)
+        assert prop_to_text(got) == ref_prop_to_text(t)
 
 
 def test_shared_gen_formulas_match_references():
     formulas = _instances(5, 60) + _pooled(6, 300)
-    shared = sum(prop_stats(f)[3] > prop_stats(f)[2] for f in formulas)
+    shared = sum(prop_stats(program(t))[3] > prop_stats(program(t))[2] for t in formulas)
     assert shared > 150  # most inputs are DAGs, not trees
-    for f in formulas:
-        _assert_same_dag(f)
-        assert (prop_stats(f), prop_to_text(f)) == (ref_prop_stats(f), ref_prop_to_text(f))
+    for t in formulas:
+        _assert_same_stats(t)
 
 
 # Both `prop_to_text`s keep the text of every node until the root's is
@@ -175,12 +181,7 @@ def test_shared_gen_formulas_match_references():
     (_deep_chain, 100_000, False), (_deep_chain, 3_000, True), (_wide_or, 10_000, True),
 ])
 def test_deep_and_wide_formulas_match_references(make, n, text):
-    _assert_same_dag(make(n), text)
-
-
-def test_non_formula_is_refused():
-    with pytest.raises(TypeError, match="not a propositional formula"):
-        prop_dag(PAnd([PAtom("p"), "q"]))
+    _assert_same_stats(make(n), text)
 
 
 # --- `graft` ------------------------------------------------------------------
@@ -216,18 +217,15 @@ def _grafted(prog: list[tuple[int, object]], root: int) -> list[tuple[int, objec
 def test_a_grafted_formula_keeps_its_text_stats_and_verdict():
     rng = random.Random(9)
     formulas = _instances(7, 40) + _pooled(8, 200) + [gen.rand_prop(rng, 4) for _ in range(200)]
-    for f in formulas:
-        # the same formula with each distinct subformula one object, as the
-        # parser builds it, so that `prop_dag` holds it once, as `graft` does
-        g = parse_prop_text(prop_to_text(f))
-        dag = prop_dag(f)
-        prog = _grafted(dag, len(dag) - 1)
+    for t in formulas:
+        raw = _unshared_program(t)
+        prog = _grafted(raw, len(raw) - 1)
         # an `And`/`Or` entry holds its distinct children sorted, as one the
-        # builder's other callers emit does
+        # builder's other callers emit does, and each subformula is one entry
         assert all(list(arg) == sorted(set(arg)) for op, arg in prog if op in (AND, OR))
-        assert prop_to_text(None, prog) == prop_to_text(f)
-        assert prop_stats(None, prog) == prop_stats(g)
-        assert first_countermodel(prog, DEFAULT_BUDGET) == ht_valid(f, evaluator="literal")
+        assert prop_to_text(prog) == ref_prop_to_text(t)
+        assert prop_stats(prog) == ref_prop_stats(t)
+        assert first_countermodel(prog, DEFAULT_BUDGET) == ht_valid(raw, evaluator="literal")
 
 
 def test_a_shared_moved_copies_a_common_entry_once():

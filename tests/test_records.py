@@ -12,8 +12,7 @@ from hhtkit.instantiation import Bounded, Exact
 from hhtkit.kernel import ByAxiom, ByGen, ByMP, Proof, ProofLine, Schema, TheoryLevel
 from hhtkit.semantics import HTInterpretation
 from hhtkit.syntax import (
-    BOT,
-    TOP,
+    BOTTOM,
     Atom,
     Binary,
     Equals,
@@ -22,10 +21,6 @@ from hhtkit.syntax import (
     FnVarApp,
     FuncVar,
     GenVar,
-    PAnd,
-    PAtom,
-    PImp,
-    POr,
     PredVar,
     Quant,
     Signature,
@@ -54,10 +49,6 @@ REPRS = [
     (GenVar(((X, "P"),)), "GenVar(items=((Var(name='x'), 'P'),))"),
     (Quant("forall", X, Atom("P", (X,))),
      "Quant(kind='forall', binder=Var(name='x'), body=Atom(pred='P', args=(Var(name='x'),)))"),
-    (PAtom("p"), "PAtom(name='p')"),
-    (PAnd((PAtom("p"),)), "PAnd(items=frozenset({PAtom(name='p')}))"),
-    (POr((PAtom("q"),)), "POr(items=frozenset({PAtom(name='q')}))"),
-    (PImp(PAtom("p"), BOT), "PImp(left=PAtom(name='p'), right=POr(items=frozenset()))"),
     (ByAxiom("efq", (("F", Falsum()),)), "ByAxiom(schema_id='efq', binding=(('F', Falsum()),))"),
     (ByMP(1, 2), "ByMP(i=1, j=2)"),
     (ByGen(1, X, "forall"), "ByGen(i=1, v=Var(name='x'), kind='forall')"),
@@ -89,7 +80,7 @@ def _value_classes():
 
 def test_every_value_class_is_pinned():
     assert {type(x) for x, _ in REPRS} == _value_classes()
-    assert len(REPRS) == 26
+    assert len(REPRS) == 22
 
 
 @pytest.mark.parametrize("value, text", REPRS, ids=[type(x).__name__ for x, _ in REPRS])
@@ -109,24 +100,20 @@ def test_instances_are_frozen(value):
 
 
 def test_match_args_are_the_fields_in_order():
-    assert PImp.__match_args__ == ("left", "right")
+    assert ByMP.__match_args__ == ("i", "j")
     assert HTInterpretation.__match_args__ == ("here", "there", "atoms")
     assert CorpusCase.__match_args__[:3] == ("name", "proof", "subst")
-    match PImp(PAtom("p"), BOT):
-        case PImp(PAtom(name), POr(items)):
-            assert (name, items) == ("p", frozenset())
+    match ProofLine(Falsum(), ByMP(1, 2)):
+        case ProofLine(Falsum(), ByMP(i, j)):
+            assert (i, j) == (1, 2)
         case _:
             pytest.fail("no match")
 
 
 def test_equality_and_hash_are_the_field_tuple():
-    a, b = PAtom("a"), PAtom("b")
-    assert TOP != BOT and hash(TOP) == hash(frozenset()) == hash(BOT)
-    assert PImp(a, b) == PImp(PAtom("a"), PAtom("b")) and PImp(a, b) != PImp(b, a)
-    assert hash(PImp(a, b)) == hash((a, b))
-    assert hash(a) == hash("a")
-    assert PAnd([a, b, a]) == PAnd((b, a)) and PAnd((a,)) != POr((a,))
-    assert ByMP(1, 2) == ByMP(1, 2) and hash(ByMP(1, 2)) == hash((1, 2))
+    assert ByMP(1, 2) == ByMP(1, 2) and ByMP(1, 2) != ByMP(2, 1)
+    assert hash(ByMP(1, 2)) == hash((1, 2))
+    assert hash(Bounded(1)) == hash(1)
     assert ByMP(1, 2) != (1, 2) and ByMP(1, 2) != ByGen(1, X, "forall")
     assert Exact() == Exact() and hash(Exact()) == hash(())
     assert Bounded(1) != Bounded(2) and Bounded(1) != Exact()
@@ -147,11 +134,10 @@ def test_keyword_and_default_construction():
         "c", "c.proof", None, 1, "accepted", "")
     assert CorpusCase(name="c", depth=1, proof="c.proof") == case
     assert ByAxiom("k").binding == () and ByAxiom("k") == ByAxiom("k", ())
-    assert ByAxiom(schema_id="k", binding=(("F", BOT),)) == ByAxiom("k", (("F", BOT),))
+    assert ByAxiom(schema_id="k", binding=(("F", BOTTOM),)) == ByAxiom("k", (("F", BOTTOM),))
     assert ByMP(j=2, i=1) == ByMP(1, 2)
-    assert PAtom(name="a") == PAtom("a")
+    assert Bounded(depth=1) == Bounded(1)
     assert HTInterpretation(frozenset(), frozenset(), atoms=("p",)).atoms == ("p",)
-    assert PAnd() == TOP and POr() == BOT
     assert FnApp("a") is FnApp("a", ())
 
 
@@ -161,9 +147,9 @@ def test_keyword_and_default_construction():
     lambda: ByMP(1, 2, k=3),
     lambda: ByMP(1, i=1),
     lambda: CorpusCase(proof="c.proof"),
-    lambda: PAtom(),
-    lambda: PAtom("a", "b"),
-    lambda: PAtom("a", name="b"),
+    lambda: Bounded(),
+    lambda: Bounded(1, 2),
+    lambda: Bounded(1, depth=2),
 ])
 def test_a_miscounted_call_is_refused(call):
     with pytest.raises(TypeError):
@@ -187,10 +173,10 @@ def test_signature_caches_outside_its_fields():
     assert sig == fresh and hash(sig) == hash(fresh) and repr(sig) == repr(fresh)
 
 
-def _nested(depth: int) -> PImp:
-    f = PAtom("p")
+def _nested(depth: int) -> Binary:
+    f = Atom("p")
     for _ in range(depth):
-        f = PImp(f, BOT)
+        f = Binary("->", f, BOTTOM)
     return f
 
 
@@ -201,8 +187,8 @@ def test_repr_of_a_deep_formula():
         text = repr(_nested(900))
     finally:
         sys.setrecursionlimit(limit)
-    assert text == ("PImp(left=" * 900 + "PAtom(name='p')"
-                    + ", right=POr(items=frozenset()))" * 900)
+    assert text == ("Binary(op='->', left=" * 900 + "Atom(pred='p', args=())"
+                    + ", right=Falsum())" * 900)
 
 
 def test_repr_takes_one_frame_per_level():
@@ -215,4 +201,4 @@ def test_repr_takes_one_frame_per_level():
         text = repr(_nested(400))
     finally:
         sys.setrecursionlimit(limit)
-    assert text.count("PImp(") == 400
+    assert text.count("Binary(") == 400

@@ -3,9 +3,10 @@ import random
 import pytest
 
 import gen
+from gen import atom, conj, disj, imp, program
 from hhtkit import semantics
 from hhtkit.errors import STEP_CAP, BudgetExceeded
-from hhtkit.parser import parse_prop_program, parse_prop_text
+from hhtkit.parser import parse_prop_file, parse_prop_text
 from hhtkit.semantics import (
     DEFAULT_BUDGET,
     HTInterpretation,
@@ -16,10 +17,7 @@ from hhtkit.semantics import (
     render_countermodel,
     satisfies,
 )
-from hhtkit.syntax import (
-    AND, IMP, OR, PAnd, PAtom, PImp, POr, prop_atoms, prop_dag, prop_of_program,
-    prop_to_text,
-)
+from hhtkit.syntax import AND, ATOM, IMP, OR, prop_atoms, prop_to_text
 
 
 def prop(text):
@@ -47,14 +45,14 @@ def test_double_negation_hand_evaluated():
 def test_empty_set_clauses():
     for i in (HTInterpretation.of([], []), HTInterpretation.of(["p"], ["p"])):
         for w in World:
-            assert satisfies(i, w, PAnd(()))
-            assert not satisfies(i, w, POr(()))
+            assert satisfies(i, w, prop("top"))
+            assert not satisfies(i, w, prop("bot"))
 
 
 def test_models_examples():
     assert satisfies(HTInterpretation.of([], ["p"]), World.H, prop("p | not p")) is False
     assert satisfies(HTInterpretation.of([], []), World.H, prop("not p")) is True
-    assert satisfies(HTInterpretation.of([], []), World.H, PAnd(())) is True
+    assert satisfies(HTInterpretation.of([], []), World.H, prop("top")) is True
 
 
 def test_ht_valid_hosoi_with_enumeration_oracle():
@@ -62,7 +60,7 @@ def test_ht_valid_hosoi_with_enumeration_oracle():
     # on all of them at once
     f = prop("p | (p -> q) | not q")
     for i in gen.all_interpretations_over(["p", "q"]):
-        assert gen.engine_value(i, f) == 2
+        assert gen.engine_value(i, gen.tree(f)) == 2
     assert ht_valid(f) is None
     assert ht_valid(f, evaluator="literal") is None
 
@@ -88,18 +86,25 @@ def test_ht_valid_first_failure_is_minimal():
 def test_budget_guard():
     # 22 child references over 22 atoms: 22 x 3^12 steps, over the default budget
     atoms = [f"a{i:02d}" for i in range(22)]
-    f = POr(tuple(PAtom(a) for a in atoms))
+    f = prop("Or{" + "; ".join(atoms) + "}")
     with pytest.raises(BudgetExceeded):
         ht_valid(f)
     assert ht_valid(f, budget=10**8) is not None
 
 
 def test_budget_counts_narrowed_chunks():
-    # 6,144 nodes narrow the chunk to 9 atoms to bound the masks' memory, so
-    # 10 atoms take 3 chunks, each a step per child reference
+    # 6,144 entries narrow the chunk to 9 atoms to bound the masks' memory,
+    # so 10 atoms take 3 chunks, each a step per child reference; written
+    # by hand, with an entry per occurrence of an atom, as no builder emits
     atoms = [f"a{i}" for i in range(10)]
-    f = PAnd(PAnd(PAtom(a) for j, a in enumerate(atoms) if bits >> j & 1)
-             for bits in range(1, 1024))
+    f, groups = [], []
+    for bits in range(1, 1024):
+        members = [(ATOM, a) for j, a in enumerate(atoms) if bits >> j & 1]
+        f += members
+        groups.append(len(f))
+        f.append((AND, tuple(range(len(f) - len(members), len(f)))))
+    f.append((AND, tuple(groups)))
+    assert len(f) == 6144
     refs = 1023 + 10 * 512
     with pytest.raises(BudgetExceeded) as err:
         ht_valid(f, budget=2 * refs)
@@ -109,7 +114,7 @@ def test_budget_counts_narrowed_chunks():
 
 def test_budget_count_past_the_cap_reads_as_one_line():
     # 10,000 atoms: 3^9,990 steps, more digits than Python turns into text
-    f = POr(PAtom(f"a{i}") for i in range(10_000))
+    f = program(disj(atom(f"a{i}") for i in range(10_000)))
     for evaluator in ("g3", "literal"):
         with pytest.raises(BudgetExceeded) as err:
             ht_valid(f, evaluator=evaluator)
@@ -121,26 +126,25 @@ def test_budget_count_past_the_cap_reads_as_one_line():
 
 def test_one_engine_entry_charges_what_was_spent():
     f = prop("p -> p | q")  # 4 child references over 2 atoms: 4 steps
-    prog = prop_dag(f)
-    assert first_countermodel(prog, budget=4) is None
+    assert first_countermodel(f, budget=4) is None
     with pytest.raises(BudgetExceeded) as err:
-        first_countermodel(prog, budget=10, spent=7)
+        first_countermodel(f, budget=10, spent=7)
     assert err.value.required == 11
     for evaluator in ("g3", "literal"):
         with pytest.raises(BudgetExceeded):
             ht_valid(f, budget=3, evaluator=evaluator)
-    counter = first_countermodel(prop_dag(prop("p | not p")), budget=4)
+    counter = first_countermodel(prop("p | not p"), budget=4)
     assert (counter, counter.atoms) == (HTInterpretation.of([], ["p"]), ("p",))
 
 
 def test_g3_tables():
     i = HTInterpretation.of([], ["p"])
-    assert gen.engine_value(i, prop("p")) == 1
-    assert gen.engine_value(i, prop("not not p")) == 2
-    assert gen.engine_value(i, POr(())) == 0
-    assert gen.engine_value(i, PAnd(())) == 2
-    assert gen.engine_value(i, prop("p -> p")) == 2
-    assert gen.engine_value(HTInterpretation.of(["p"], ["p"]), prop("p")) == 2
+    assert gen.engine_value(i, atom("p")) == 1
+    assert gen.engine_value(i, imp(imp(atom("p"), gen.BOT), gen.BOT)) == 2
+    assert gen.engine_value(i, gen.BOT) == 0
+    assert gen.engine_value(i, gen.TOP) == 2
+    assert gen.engine_value(i, imp(atom("p"), atom("p"))) == 2
+    assert gen.engine_value(HTInterpretation.of(["p"], ["p"]), atom("p")) == 2
 
 
 def test_persistence_and_g3_agreement_randomized():
@@ -148,8 +152,8 @@ def test_persistence_and_g3_agreement_randomized():
     for _ in range(2000):
         f = gen.rand_prop(rng, depth=3)
         i = gen.rand_interpretation(rng)
-        sat_h = satisfies(i, World.H, f)
-        sat_t = satisfies(i, World.T, f)
+        sat_h = satisfies(i, World.H, program(f))
+        sat_t = satisfies(i, World.T, program(f))
         if sat_h:
             assert sat_t, "h-satisfaction must persist to t"
         v = gen.engine_value(i, f)
@@ -163,13 +167,13 @@ def test_classical_collapse_randomized():
         f = gen.rand_prop(rng, depth=3)
         total = frozenset(a for a in gen.SIGMA_ATOMS if rng.random() < 0.5)
         i = HTInterpretation(total, total)
-        assert satisfies(i, World.H, f) == gen.classical_eval(total, f)
+        assert satisfies(i, World.H, program(f)) == gen.classical_eval(total, f)
 
 
 def test_satisfaction_ignores_non_occurring_atoms():
     rng = random.Random(31)
     for _ in range(500):
-        f = gen.rand_prop(rng, depth=3, atoms=("u", "v"))
+        f = program(gen.rand_prop(rng, depth=3, atoms=("u", "v")))
         i = gen.rand_interpretation(rng, atoms=("u", "v"))
         extra = HTInterpretation.of(
             set(i.here) | {"zz"}, set(i.there) | {"zz", "zy"}
@@ -195,7 +199,7 @@ def test_evaluators_agree_on_first_countermodel():
     rng = random.Random(39)
     disagreements = 0
     for _ in range(400):
-        f = gen.rand_prop(rng, depth=3)
+        f = program(gen.rand_prop(rng, depth=3))
         got_g3 = ht_valid(f, evaluator="g3")
         got_lit = ht_valid(f, evaluator="literal")
         assert got_g3 == got_lit
@@ -206,39 +210,40 @@ def test_evaluators_agree_on_first_countermodel():
     assert disagreements > 50  # the sample includes plenty of invalid formulas
 
 
-_LEAVES = {"u": PAtom("u"), "v": PAtom("v"), "w": PAtom("w"), "top": PAnd(()), "bot": POr(())}
+_LEAVES = {"u": atom("u"), "v": atom("v"), "w": atom("w"), "top": gen.TOP, "bot": gen.BOT}
 
 
-def _sugared(rng: random.Random, depth: int) -> tuple[str, PAnd | POr | PImp | PAtom]:
+def _sugared(rng: random.Random, depth: int) -> tuple[str, tuple]:
     """Random `.prop` text that also spells `not`, `<->`, `&`, `|`, `top`
-    and `bot`, and repeats subformulas, with the formula it stands for."""
+    and `bot`, and repeats subformulas, with the tree it stands for."""
     if depth == 0 or rng.random() < 0.2:
         text = rng.choice(list(_LEAVES))
         return text, _LEAVES[text]
     kind = rng.randrange(4)
     left, f = _sugared(rng, depth - 1)
     if kind == 0:
-        return f"not ({left})", PImp(f, POr(()))
+        return f"not ({left})", imp(f, gen.BOT)
     right, g = (left, f) if kind == 1 else _sugared(rng, depth - 1)
     op = rng.choice(["<->", "->", "&", "|"])
-    built = {"<->": _leq(f, g), "->": PImp(f, g), "&": PAnd((f, g)), "|": POr((f, g))}
+    built = {"<->": _leq(f, g), "->": imp(f, g), "&": conj((f, g)), "|": disj((f, g))}
     return f"({left}) {op} ({right})", built[op]
 
 
 def test_a_parsed_program_gives_the_literal_verdict():
-    # `ht-valid` runs the program `.prop` text parses to, without objects:
-    # its verdict, first countermodel and that countermodel's atoms are
-    # those of the literal relation on the formula the text stands for
+    # `ht-valid` runs the program `.prop` text parses to: it is the tree
+    # the text stands for, and its verdict, first countermodel and that
+    # countermodel's atoms are those of the literal relation
     rng = random.Random(43)
-    cases = [(prop_to_text(f), f) for f in (gen.rand_prop(rng, depth=3) for _ in range(300))]
+    cases = [(prop_to_text(program(f)), f)
+             for f in (gen.rand_prop(rng, depth=3) for _ in range(300))]
     cases += [_sugared(rng, 4) for _ in range(300)]
     found = 0
     for text, f in cases:
-        prog = parse_prop_program(text)
+        prog = parse_prop_file(text)
+        assert gen.tree(prog) == f, text
         got = first_countermodel(prog, DEFAULT_BUDGET)
-        want = ht_valid(f, evaluator="literal")
+        want = ht_valid(prog, evaluator="literal")
         assert got == want and (got is None or got.atoms == want.atoms), text
-        assert prop_of_program(prog) == f, text
         found += got is not None
     assert 100 < found < len(cases) - 100
 
@@ -246,15 +251,15 @@ def test_a_parsed_program_gives_the_literal_verdict():
 def test_a_parsed_program_holds_each_subformula_once():
     # hash-consed as the instantiation walk emits: distinct entries, children
     # first, an `And`/`Or` argument the sorted tuple of its distinct children
-    prog = parse_prop_program("(p -> q) & (p -> q) | not (q <-> p) | And{p; p; top} -> bot;")
+    prog = parse_prop_file("(p -> q) & (p -> q) | not (q <-> p) | And{p; p; top} -> bot;")
     assert len(set(prog)) == len(prog)
     for k, (op, arg) in enumerate(prog):
         if op in (AND, OR):
             assert list(arg) == sorted(set(arg))
         if op in (AND, OR, IMP):
             assert all(j < k for j in arg)
-    assert prog[-1][0] == IMP and prop_of_program(prog) == prop(
-        "Or{Or{And{p -> q}; And{q -> p; p -> q} -> bot}; And{p; top}} -> bot")
+    assert prog[-1][0] == IMP and gen.tree(prog) == gen.tree(prop(
+        "Or{Or{And{p -> q}; And{q -> p; p -> q} -> bot}; And{p; top}} -> bot"))
 
 
 def test_ht_valid_implies_classical_validity():
@@ -262,10 +267,10 @@ def test_ht_valid_implies_classical_validity():
     checked = 0
     for _ in range(400):
         f = gen.rand_prop(rng, depth=3)
-        if ht_valid(f) is not None:
+        if ht_valid(program(f)) is not None:
             continue
         checked += 1
-        atoms = sorted(prop_atoms(f))
+        atoms = sorted(prop_atoms(program(f)))
         for bits in range(2 ** len(atoms)):
             total = frozenset(a for k, a in enumerate(atoms) if bits >> k & 1)
             assert gen.classical_eval(total, f)
@@ -284,7 +289,7 @@ def test_chunk_boundaries_match_literal(cap, value, monkeypatch):
     found = 0
     for _ in range(150):
         atoms = tuple(f"x{k}" for k in range(rng.randint(4, 6)))
-        f = gen.rand_prop(rng, depth=4, atoms=atoms)
+        f = program(gen.rand_prop(rng, depth=4, atoms=atoms))
         got = ht_valid(f)
         assert got == ht_valid(f, evaluator="literal"), f
         found += got is not None
@@ -292,13 +297,13 @@ def test_chunk_boundaries_match_literal(cap, value, monkeypatch):
 
 
 def _leq(a, b):
-    return PAnd((PImp(a, b), PImp(b, a)))
+    return conj((imp(a, b), imp(b, a)))
 
 
 def _distributivity(atoms):
     # Or{And{p..}; q} <-> And{Or{p; q}..}: valid
-    *ps, q = (PAtom(a) for a in atoms)
-    return _leq(POr((PAnd(ps), q)), PAnd(POr((p, q)) for p in ps))
+    *ps, q = (atom(a) for a in atoms)
+    return _leq(disj((conj(ps), q)), conj(disj((p, q)) for p in ps))
 
 
 def _names(prefix, n):
@@ -309,27 +314,27 @@ def _names(prefix, n):
 def test_known_answers_past_one_chunk(n):
     assert n > semantics._CHUNK_ATOMS
     ps = _names("p", n - 1)
-    assert ht_valid(_distributivity(ps + ["q"])) is None
+    assert ht_valid(program(_distributivity(ps + ["q"]))) is None
 
     # y sorts before every z, so the first countermodel (y there-only, all
     # else absent) has index 3^(n-1) and opens a later chunk
-    y = PAtom("y")
-    f = PAnd((_distributivity(_names("z", n - 1)), POr((y, PImp(y, POr(()))))))
-    assert ht_valid(f) == HTInterpretation.of([], ["y"])
+    y = atom("y")
+    f = conj((_distributivity(_names("z", n - 1)), disj((y, imp(y, gen.BOT)))))
+    assert ht_valid(program(f)) == HTInterpretation.of([], ["y"])
 
     # the only countermodel: every p both, q there-only, index 3^n - 2
-    q = PAtom("q")
-    f = PImp(PAnd(PAtom(p) for p in ps), POr((q, PImp(q, POr(())))))
-    assert ht_valid(f) == HTInterpretation.of(ps, ps + ["q"])
+    q = atom("q")
+    f = imp(conj(atom(p) for p in ps), disj((q, imp(q, gen.BOT))))
+    assert ht_valid(program(f)) == HTInterpretation.of(ps, ps + ["q"])
 
 
 def test_deep_implication_chain():
     # q -> (q -> ... -> p) fails first at p absent, q there-only; prefixing
     # p -> makes it valid.  5000 levels exceed the recursion limit.
-    p, q = PAtom("p"), PAtom("q")
+    p, q = atom("p"), atom("q")
     chain = p
     for _ in range(5000):
-        chain = PImp(q, chain)
-    assert ht_valid(chain) == HTInterpretation.of([], ["q"])
-    assert ht_valid(PImp(p, chain)) is None
+        chain = imp(q, chain)
+    assert ht_valid(program(chain)) == HTInterpretation.of([], ["q"])
+    assert ht_valid(program(imp(p, chain))) is None
     assert gen.engine_value(HTInterpretation.of(["q"], ["p", "q"]), chain) == 1

@@ -40,12 +40,7 @@ from hhtkit.syntax import (
     FOFormula,
     FuncVar,
     GenVar,
-    PAnd,
-    PAtom,
-    PImp,
-    POr,
     PredVar,
-    PropFormula,
     Quant,
     Signature,
     Term,
@@ -164,24 +159,22 @@ def ref_estimate_cost(f: FOFormula, n: int) -> int:
     raise TypeError(f"not a formula: {f!r}")
 
 
-def ref_prop_to_text(f: PropFormula) -> str:
-    match f:
-        case PAtom(name):
-            return name
-        case PAnd(items):
-            if not items:
-                return "top"
-            return "And{" + "; ".join(sorted(ref_prop_to_text(c) for c in items)) + "}"
-        case POr(items):
-            if not items:
-                return "bot"
-            return "Or{" + "; ".join(sorted(ref_prop_to_text(c) for c in items)) + "}"
-        case PImp(l, r):
-            left = ref_prop_to_text(l)
-            if isinstance(l, PImp):
-                left = f"({left})"
-            return f"{left} -> {ref_prop_to_text(r)}"
-    raise TypeError(f"not a propositional formula: {f!r}")
+def ref_prop_to_text(f: tuple) -> str:
+    """The text of the `gen` tree `f`, recursively."""
+    kind = f[0]
+    if kind == "atom":
+        return f[1]
+    if kind in ("and", "or"):
+        if not f[1]:
+            return "top" if kind == "and" else "bot"
+        head = "And{" if kind == "and" else "Or{"
+        return head + "; ".join(sorted(ref_prop_to_text(c) for c in f[1])) + "}"
+    if kind == "imp":
+        left = ref_prop_to_text(f[1])
+        if f[1][0] == "imp":
+            left = f"({left})"
+        return f"{left} -> {ref_prop_to_text(f[2])}"
+    raise TypeError(f"not a propositional tree: {f!r}")
 
 
 # --- helpers -----------------------------------------------------------------
@@ -531,10 +524,10 @@ def test_prop_to_text_matches_reference():
     rng = random.Random(17)
     for _ in range(300):
         f = gen.rand_prop(rng, 4)
-        assert prop_to_text(f) == ref_prop_to_text(f)
+        assert prop_to_text(gen.program(f)) == ref_prop_to_text(f)
     # instances whose nodes are shared, printed as the tree they stand for
     for f in _formulas(19, 60, 0.3):
         if not is_first_order(f) or free_variables(f):
             continue
         instance = instantiate(gen.rand_substitution(rng, SIG), f)
-        assert prop_to_text(instance) == ref_prop_to_text(instance)
+        assert prop_to_text(instance) == ref_prop_to_text(gen.tree(instance))

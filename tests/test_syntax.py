@@ -6,14 +6,8 @@ import gen
 from hhtkit.errors import CaptureViolation, SignatureError
 from hhtkit.parser import parse_formula_text, parse_prop_text
 from hhtkit.syntax import (
-    BOT,
-    TOP,
     FnApp,
     GenVar,
-    PAnd,
-    PAtom,
-    PImp,
-    POr,
     PredVar,
     Quant,
     Signature,
@@ -59,30 +53,28 @@ def test_signature_namespaces_disjoint():
 # --- rank -------------------------------------------------------------------
 
 def test_rank_atom_is_zero():
-    assert rank(PAtom("p")) == 0
+    assert rank(parse_prop_text("p")) == 0
 
 
 def test_rank_disjunction_under_conjunction():
     # a set of atoms has rank 1; wrapping with one more atom gives rank 2
-    inner = POr((PAtom("f1"), PAtom("f2"), PAtom("f3")))
-    assert rank(inner) == 1
-    assert rank(PAnd((inner, PAtom("g")))) == 2
+    assert rank(parse_prop_text("Or{f1; f2; f3}")) == 1
+    assert rank(parse_prop_text("And{Or{f1; f2; f3}; g}")) == 2
 
 
 def test_rank_empty_sets():
-    assert rank(TOP) == 0
-    assert rank(BOT) == 0
+    assert rank(parse_prop_text("top")) == 0
+    assert rank(parse_prop_text("bot")) == 0
 
 
 def test_rank_implication_exceeds_children():
-    f = PImp(PAtom("p"), PAnd((PAtom("q"),)))
-    assert rank(f) == 2
+    assert rank(parse_prop_text("p -> And{q}")) == 2
 
 
 def test_set_children_deduplicate():
-    assert PAnd((PAtom("p"), PAtom("p"))) == PAnd((PAtom("p"),))
+    assert gen.tree(parse_prop_text("And{p; p}")) == gen.conj((gen.atom("p"),))
     # singleton set nodes stay distinct from their child
-    assert rank(PAnd((PAtom("p"),))) == 1
+    assert rank(parse_prop_text("And{p}")) == 1
 
 
 # --- substitution -----------------------------------------------------------

@@ -13,14 +13,14 @@ later discharges sound.
 
 `render_proof`, `render_subst` and `render_signature` write proofs,
 substitutions and signature blocks as text that re-parses to structurally
-identical objects.  `make_subst` builds a substitution from formula objects,
-the one place outside the parser that makes a substitution's program.
+identical objects.  `make_subst` builds a substitution from the programs
+of its images, grafted into one program.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Mapping
 
 from hhtkit.instantiation import Substitution
 from hhtkit.kernel import (
@@ -50,7 +50,6 @@ from hhtkit.syntax import (
     graft,
     impl,
     program_builder,
-    prop_dag,
     prop_to_text,
 )
 
@@ -342,13 +341,13 @@ def render_proof(proof: Proof) -> str:
 
 def make_subst(sig: Signature, entries: Mapping = (), defaults: Mapping = ()) -> Substitution:
     """The substitution mapping the atoms of `entries` and the predicates of
-    `defaults` to the formula objects they give, each image's `prop_dag`
-    grafted into one program, so an entry images share is one entry."""
+    `defaults` to the programs they give (as `parser.parse_prop_text`
+    returns them), each grafted into one program, so an entry images share
+    is one entry."""
     prog, emit = program_builder()
 
-    def place(f) -> int:
-        dag = prop_dag(f)
-        return graft(dag, len(dag) - 1, emit, [None] * len(dag))
+    def place(image) -> int:
+        return graft(image, len(image) - 1, emit, [None] * len(image))
 
     return Substitution(sig, prog, {a: place(f) for a, f in dict(entries).items()},
                         {p: place(f) for p, f in dict(defaults).items()})
@@ -358,7 +357,7 @@ def render_subst(subst: Substitution) -> str:
     """The text of `subst`; an image at position k is printed from the
     program's first k + 1 entries, a program rooted at k."""
     def image(k: int) -> str:
-        return prop_to_text(None, subst.program[: k + 1])
+        return prop_to_text(subst.program[: k + 1])
 
     out = [render_signature(subst.signature)]
     for atom in sorted(subst.entries, key=str):
