@@ -17,15 +17,14 @@ is a side-condition violation.  Formulas
 with generalized variables are admitted by eliminating them up front, so
 the matching core only ever sees plain formulas.
 
-Axiom schema inventory (see `list_schemas`):
-
-  all levels   k s and-elim-left and-elim-right and-intro or-intro-left
-               or-intro-right or-elim efq forall-elim exists-intro eq-refl
-               eq-subst hosoi sqht dec-eq cet-distinct cet-inject
-               cet-acyclic
-  HHT2         so-forall-elim so-exists-intro so-forall-elim-abs
-               comprehension choice
-  HHT2+DCA     dca
+Each axiom schema is declared once, at its builder:
+`@_schema("k", _HHT, "F -> (G -> F)", _F, _G)` over `def _k(sig, F, G)`
+registers `Schema("k", ...)` in `SCHEMAS`, in declaration order (see
+`list_schemas`): 19 schemas at every level, 5 more from HHT2 on, and `dca`
+at HHT2+DCA.  A key is a parameter of the builder, and one with a default
+may be left out of a binding.  `_check_binding` refuses a value of the
+wrong kind, a required key left out and an undeclared key, and then
+`schema.build(sig, **binding)` builds the instance.
 
 Inference rules (justifications, not schemas): mp and generalization.
 Generalization is one rule, `ByGen`, with four spellings in proof files:
@@ -168,13 +167,28 @@ class Schema:
     min_level: TheoryLevel
     keys: tuple[tuple[str, str], ...]  # (name, kind), kind drives binding parsing
     template: str
-    build: Callable[[Signature, Mapping[str, object]], FOFormula]
+    build: Callable[..., FOFormula]  # build(sig, **binding)
 
 
-def _need(b: Mapping[str, object], key: str):
-    if key not in b:
-        raise _Mismatch(f"missing binding for {key}")
-    return b[key]
+SCHEMAS: dict[str, Schema] = {}
+# schema id -> the keys its builder takes with no default, in key order
+_REQUIRED: dict[str, tuple[str, ...]] = {}
+
+
+def _schema(schema_id: str, level: TheoryLevel, template: str, *keys: tuple[str, str]):
+    """Register the decorated builder `build(sig, **binding)` as schema
+    `schema_id`, whose binding keys are `keys`; a key with a default in the
+    builder may be left out of a binding."""
+
+    def declare(build):
+        code = build.__code__
+        params = code.co_varnames[1 : code.co_argcount]
+        required = params[: len(params) - len(build.__defaults__ or ())]
+        _REQUIRED[schema_id] = tuple(k for k, _ in keys if k in required)
+        SCHEMAS[schema_id] = Schema(schema_id, level, keys, template, build)
+        return build
+
+    return declare
 
 
 _TERM_TYPES = (Var, FnApp, FnVarApp)
@@ -194,10 +208,14 @@ _KINDS = {
 }
 
 
-def _check_kinds(schema: Schema, b: Mapping[str, object]) -> None:
-    """Raise _Mismatch for the first bound value not of its key's kind."""
+def _check_binding(schema: Schema, b: Mapping[str, object]) -> None:
+    """Raise _Mismatch for the first bound value not of its key's kind, then
+    for the first required key left out, then for a key `schema` does not
+    declare, so that `schema.build(sig, **b)` gets exactly its parameters."""
+    bound = 0
     for key, kind in schema.keys:
         if key in b:
+            bound += 1
             types, listed, what = _KINDS[kind]
             value = b[key]
             if listed:
@@ -206,6 +224,16 @@ def _check_kinds(schema: Schema, b: Mapping[str, object]) -> None:
                 ok = isinstance(value, types)
             if not ok:
                 raise _Mismatch(f"{key} must be {what}")
+    for key in _REQUIRED[schema.schema_id]:
+        if key not in b:
+            raise _Mismatch(f"missing binding for {key}")
+    if bound != len(b):
+        names = [k for k, _ in schema.keys]
+        key = next(k for k in b if k not in names)
+        raise _Mismatch(
+            f"schema {schema.schema_id} has no metavariable {key} "
+            f"(expected one of {', '.join(names)})"
+        )
 
 
 def _as_vars(value, key: str) -> tuple[Var, ...]:
@@ -223,121 +251,129 @@ def _subst_req(f: FOFormula, v, r) -> FOFormula:
         raise _SideCondition(f"term not substitutable: {e}") from None
 
 
-def _build_k(sig, b):
-    f, g = _need(b, "F"), _need(b, "G")
-    return impl(f, impl(g, f))
+_HHT, _HHT2, _DCA = TheoryLevel.HHT, TheoryLevel.HHT2, TheoryLevel.HHT2_DCA
+_F, _G, _H = ("F", "formula"), ("G", "formula"), ("H", "formula")
+_X, _T, _T1, _T2 = ("x", "var"), ("t", "term"), ("t1", "term"), ("t2", "term")
+_P, _XS = ("p", "predvar"), ("xs", "vars")
+_FN, _SS, _TS = ("f", "fn"), ("ss", "terms"), ("ts", "terms")
 
 
-def _build_s(sig, b):
-    f, g, h = _need(b, "F"), _need(b, "G"), _need(b, "H")
-    return impl(impl(f, impl(g, h)), impl(impl(f, g), impl(f, h)))
+@_schema("k", _HHT, "F -> (G -> F)", _F, _G)
+def _k(sig, F, G):
+    return impl(F, impl(G, F))
 
 
-def _build_and_elim_left(sig, b):
-    f, g = _need(b, "F"), _need(b, "G")
-    return impl(conj(f, g), f)
+@_schema("s", _HHT, "(F -> (G -> H)) -> ((F -> G) -> (F -> H))", _F, _G, _H)
+def _s(sig, F, G, H):
+    return impl(impl(F, impl(G, H)), impl(impl(F, G), impl(F, H)))
 
 
-def _build_and_elim_right(sig, b):
-    f, g = _need(b, "F"), _need(b, "G")
-    return impl(conj(f, g), g)
+@_schema("and-elim-left", _HHT, "F & G -> F", _F, _G)
+def _and_elim_left(sig, F, G):
+    return impl(conj(F, G), F)
 
 
-def _build_and_intro(sig, b):
-    f, g = _need(b, "F"), _need(b, "G")
-    return impl(f, impl(g, conj(f, g)))
+@_schema("and-elim-right", _HHT, "F & G -> G", _F, _G)
+def _and_elim_right(sig, F, G):
+    return impl(conj(F, G), G)
 
 
-def _build_or_intro_left(sig, b):
-    f, g = _need(b, "F"), _need(b, "G")
-    return impl(f, disj(f, g))
+@_schema("and-intro", _HHT, "F -> (G -> F & G)", _F, _G)
+def _and_intro(sig, F, G):
+    return impl(F, impl(G, conj(F, G)))
 
 
-def _build_or_intro_right(sig, b):
-    f, g = _need(b, "F"), _need(b, "G")
-    return impl(g, disj(f, g))
+@_schema("or-intro-left", _HHT, "F -> F | G", _F, _G)
+def _or_intro_left(sig, F, G):
+    return impl(F, disj(F, G))
 
 
-def _build_or_elim(sig, b):
-    f, g, h = _need(b, "F"), _need(b, "G"), _need(b, "H")
-    return impl(impl(f, h), impl(impl(g, h), impl(disj(f, g), h)))
+@_schema("or-intro-right", _HHT, "G -> F | G", _F, _G)
+def _or_intro_right(sig, F, G):
+    return impl(G, disj(F, G))
 
 
-def _build_efq(sig, b):
-    return impl(BOTTOM, _need(b, "F"))
+@_schema("or-elim", _HHT, "(F -> H) -> ((G -> H) -> (F | G -> H))", _F, _G, _H)
+def _or_elim(sig, F, G, H):
+    return impl(impl(F, H), impl(impl(G, H), impl(disj(F, G), H)))
 
 
-def _build_forall_elim(sig, b):
-    x, f, t = _need(b, "x"), _need(b, "F"), _need(b, "t")
-    return impl(Quant("forall", x, f), _subst_req(f, x, t))
+@_schema("efq", _HHT, "bot -> F", _F)
+def _efq(sig, F):
+    return impl(BOTTOM, F)
 
 
-def _build_exists_intro(sig, b):
-    x, f, t = _need(b, "x"), _need(b, "F"), _need(b, "t")
-    return impl(_subst_req(f, x, t), Quant("exists", x, f))
+@_schema("forall-elim", _HHT, "forall x F -> F[x := t]", _X, _F, _T)
+def _forall_elim(sig, x, F, t):
+    return impl(Quant("forall", x, F), _subst_req(F, x, t))
 
 
-def _build_eq_refl(sig, b):
-    t = _need(b, "t")
+@_schema("exists-intro", _HHT, "F[x := t] -> exists x F", _X, _F, _T)
+def _exists_intro(sig, x, F, t):
+    return impl(_subst_req(F, x, t), Quant("exists", x, F))
+
+
+@_schema("eq-refl", _HHT, "t = t", _T)
+def _eq_refl(sig, t):
     return Equals(t, t)
 
 
-def _build_eq_subst(sig, b):
-    t1, t2 = _need(b, "t1"), _need(b, "t2")
-    x, f = _need(b, "x"), _need(b, "F")
-    return impl(Equals(t1, t2), impl(_subst_req(f, x, t1), _subst_req(f, x, t2)))
+@_schema("eq-subst", _HHT, "t1 = t2 -> (F[x := t1] -> F[x := t2])", _T1, _T2, _X, _F)
+def _eq_subst(sig, t1, t2, x, F):
+    return impl(Equals(t1, t2), impl(_subst_req(F, x, t1), _subst_req(F, x, t2)))
 
 
-def _build_hosoi(sig, b):
-    f, g = _need(b, "F"), _need(b, "G")
-    return disj(disj(f, impl(f, g)), neg(g))
+@_schema("hosoi", _HHT, "F | (F -> G) | not G", _F, _G)
+def _hosoi(sig, F, G):
+    return disj(disj(F, impl(F, G)), neg(G))
 
 
-def _build_sqht(sig, b):
-    x, f = _need(b, "x"), _need(b, "F")
-    return Quant("exists", x, impl(f, Quant("forall", x, f)))
+@_schema("sqht", _HHT, "exists x (F -> forall x F)", _X, _F)
+def _sqht(sig, x, F):
+    return Quant("exists", x, impl(F, Quant("forall", x, F)))
 
 
-def _build_dec_eq(sig, b):
-    t1 = b.get("t1", Var("x"))
-    t2 = b.get("t2", Var("y"))
+@_schema("dec-eq", _HHT, "t1 = t2 | t1 != t2", _T1, _T2)
+def _dec_eq(sig, t1=Var("x"), t2=Var("y")):
     return disj(Equals(t1, t2), neg(Equals(t1, t2)))
 
 
-def _fn_args(sig, b, key_fn: str, key_args: str, default_prefix: str):
-    name = _need(b, key_fn)
+def _fn_args(sig, name: str, args, key_args: str, default_prefix: str):
     arity = sig.function_arity(name)
     if arity is None:
         raise _SideCondition(f"unknown function constant {name}")
-    args = b.get(key_args)
     if args is None:
         args = tuple(Var(f"{default_prefix}{i}") for i in range(1, arity + 1))
     else:
         args = tuple(args)
     if len(args) != arity:
         raise _Mismatch(f"{key_args} must have {arity} terms for {name}")
-    return name, args
+    return args
 
 
-def _build_cet_distinct(sig, b):
-    f, ss = _fn_args(sig, b, "f", "ss", "x")
-    g, ts = _fn_args(sig, b, "g", "ts", "y")
+@_schema("cet-distinct", _HHT, "f(s1,...,sn) != g(t1,...,tm)   (f, g distinct)",
+         _FN, ("g", "fn"), _SS, _TS)
+def _cet_distinct(sig, f, g, ss=None, ts=None):
+    ss = _fn_args(sig, f, ss, "ss", "x")
+    ts = _fn_args(sig, g, ts, "ts", "y")
     if f == g:
         raise _SideCondition("function constants must be distinct")
     return neg(Equals(FnApp(f, ss), FnApp(g, ts)))
 
 
-def _build_cet_inject(sig, b):
-    f, ss = _fn_args(sig, b, "f", "ss", "x")
-    _, ts = _fn_args(sig, b, "f", "ts", "y")
+@_schema("cet-inject", _HHT,
+         "f(s1,...,sn) = f(t1,...,tn) -> s1 = t1 & ... & sn = tn   (n > 0)", _FN, _SS, _TS)
+def _cet_inject(sig, f, ss=None, ts=None):
+    ss = _fn_args(sig, f, ss, "ss", "x")
+    ts = _fn_args(sig, f, ts, "ts", "y")
     if not ss:
         raise _SideCondition("injectivity requires arity greater than 0")
     eqs = [Equals(s, t) for s, t in zip(ss, ts)]
     return impl(Equals(FnApp(f, ss), FnApp(f, ts)), conj_all(eqs))
 
 
-def _build_cet_acyclic(sig, b):
-    t, x = _need(b, "t"), _need(b, "x")
+@_schema("cet-acyclic", _HHT, "t != x   (t contains x, t differs from x)", _T, _X)
+def _cet_acyclic(sig, t, x):
     if t == x:
         raise _SideCondition("term must be different from the variable")
     if x not in t.free:
@@ -350,63 +386,68 @@ def _build_cet_acyclic(sig, b):
     return neg(Equals(t, x))
 
 
-def _need_sovars(b: Mapping[str, object]):
-    """`v`, `G` and `G[v := w]` for a second-order variable `w` of the same
-    kind and arity as `v`."""
-    v, g, w = _need(b, "v"), _need(b, "G"), _need(b, "w")
+def _so_instance(v, G, w) -> FOFormula:
+    """`G[v := w]` for a second-order variable `w` of the same kind and
+    arity as `v`."""
     if type(v) is not type(w) or v.arity != w.arity:
         raise _SideCondition("second-order variables must have the same kind and arity")
-    return v, g, _subst_req(g, v, w)
+    return _subst_req(G, v, w)
 
 
-def _build_so_forall_elim(sig, b):
-    v, g, inst = _need_sovars(b)
-    return impl(Quant("forall", v, g), inst)
+_SOVARS = (("v", "sovar"), _G, ("w", "sovar"))
 
 
-def _build_so_exists_intro(sig, b):
-    v, g, inst = _need_sovars(b)
-    return impl(inst, Quant("exists", v, g))
+@_schema("so-forall-elim", _HHT2, "forall v G -> G[v := w]", *_SOVARS)
+def _so_forall_elim(sig, v, G, w):
+    return impl(Quant("forall", v, G), _so_instance(v, G, w))
 
 
-def _build_so_forall_elim_abs(sig, b):
-    p, g, f = _need(b, "p"), _need(b, "G"), _need(b, "F")
-    xs = _as_vars(_need(b, "xs"), "xs")
+@_schema("so-exists-intro", _HHT2, "G[v := w] -> exists v G", *_SOVARS)
+def _so_exists_intro(sig, v, G, w):
+    return impl(_so_instance(v, G, w), Quant("exists", v, G))
+
+
+@_schema("so-forall-elim-abs", _HHT2, "forall p G -> G[p <= lambda x1...xn. F]", _P, _G, _XS, _F)
+def _so_forall_elim_abs(sig, p, G, xs, F):
+    xs = _as_vars(xs, "xs")
     if len(xs) != p.arity:
         raise _SideCondition("xs must match the arity of p")
-    return impl(Quant("forall", p, g), _subst_req(g, p, (xs, f)))
+    return impl(Quant("forall", p, G), _subst_req(G, p, (xs, F)))
 
 
-def _build_comprehension(sig, b):
-    p, f = _need(b, "p"), _need(b, "F")
-    xs = _as_vars(b.get("xs", ()), "xs")
+@_schema("comprehension", _HHT2,
+         "exists p forall x1...xn (p(x1,...,xn) <-> F)   (p not free in F)", _P, _XS, _F)
+def _comprehension(sig, p, F, xs=()):
+    xs = _as_vars(xs, "xs")
     if len(xs) != p.arity:
         raise _SideCondition("xs must match the arity of p")
-    if p in free_variables(f):
+    if p in free_variables(F):
         raise _SideCondition(f"{p.name}/{p.arity} must not be free in F")
     atom = Atom(p, xs)
-    body = conj(impl(atom, f), impl(f, atom))
+    body = conj(impl(atom, F), impl(F, atom))
     for x in reversed(xs):
         body = Quant("forall", x, body)
     return Quant("exists", p, body)
 
 
-def _build_choice(sig, b):
-    p, fv = _need(b, "p"), _need(b, "f")
-    xs = _as_vars(_need(b, "xs"), "xs")
+@_schema("choice", _HHT2, "forall x1...xn exists y p(x1,...,xn,y) -> "
+         "exists f forall x1...xn p(x1,...,xn,f(x1,...,xn))   (n > 0)",
+         _P, ("f", "funcvar"), _XS)
+def _choice(sig, p, f, xs):
+    xs = _as_vars(xs, "xs")
     n = len(xs) - 1
     if n < 1:
         raise _SideCondition("choice requires n > 0")
-    if p.arity != n + 1 or fv.arity != n:
+    if p.arity != n + 1 or f.arity != n:
         raise _SideCondition("arities must be n+1 for p and n for f")
     front, last = xs[:-1], xs[-1]
     ant = Quant("exists", last, Atom(p, xs))
     for x in reversed(front):
         ant = Quant("forall", x, ant)
-    cons = Atom(p, front + (FnVarApp(fv, front),))
+    cons = Atom(p, front + (FnVarApp(f, front),))
     for x in reversed(front):
         cons = Quant("forall", x, cons)
-    cons = Quant("exists", fv, cons)
+    cons = Quant("exists", f, cons)
     return impl(ant, cons)
 
 
@@ -421,136 +462,13 @@ def _closed_under(fname: str, arity: int, p: PredVar, x: Var) -> FOFormula:
     return core
 
 
-def _build_dca(sig, b):
-    p = b.get("p", PredVar("p", 1))
-    x = b.get("x", Var("x"))
+@_schema("dca", _DCA, "forall p (closure under every function constant -> forall x p(x))",
+         _P, _X)
+def _dca(sig, p=PredVar("p", 1), x=Var("x")):
     if p.arity != 1:
         raise _Mismatch("p must be a unary predicate variable")
-    closure = conj_all(
-        _closed_under(name, arity, p, x) for name, arity in sig.functions
-    )
+    closure = conj_all(_closed_under(name, arity, p, x) for name, arity in sig.functions)
     return Quant("forall", p, impl(closure, Quant("forall", x, Atom(p, (x,)))))
-
-
-def _schemas() -> tuple[Schema, ...]:
-    L0, L2, L3 = TheoryLevel.HHT, TheoryLevel.HHT2, TheoryLevel.HHT2_DCA
-    FG = (("F", "formula"), ("G", "formula"))
-    FGH = FG + (("H", "formula"),)
-    return (
-        Schema("k", L0, FG, "F -> (G -> F)", _build_k),
-        Schema("s", L0, FGH, "(F -> (G -> H)) -> ((F -> G) -> (F -> H))", _build_s),
-        Schema("and-elim-left", L0, FG, "F & G -> F", _build_and_elim_left),
-        Schema("and-elim-right", L0, FG, "F & G -> G", _build_and_elim_right),
-        Schema("and-intro", L0, FG, "F -> (G -> F & G)", _build_and_intro),
-        Schema("or-intro-left", L0, FG, "F -> F | G", _build_or_intro_left),
-        Schema("or-intro-right", L0, FG, "G -> F | G", _build_or_intro_right),
-        Schema("or-elim", L0, FGH, "(F -> H) -> ((G -> H) -> (F | G -> H))", _build_or_elim),
-        Schema("efq", L0, (("F", "formula"),), "bot -> F", _build_efq),
-        Schema(
-            "forall-elim",
-            L0,
-            (("x", "var"), ("F", "formula"), ("t", "term")),
-            "forall x F -> F[x := t]",
-            _build_forall_elim,
-        ),
-        Schema(
-            "exists-intro",
-            L0,
-            (("x", "var"), ("F", "formula"), ("t", "term")),
-            "F[x := t] -> exists x F",
-            _build_exists_intro,
-        ),
-        Schema("eq-refl", L0, (("t", "term"),), "t = t", _build_eq_refl),
-        Schema(
-            "eq-subst",
-            L0,
-            (("t1", "term"), ("t2", "term"), ("x", "var"), ("F", "formula")),
-            "t1 = t2 -> (F[x := t1] -> F[x := t2])",
-            _build_eq_subst,
-        ),
-        Schema("hosoi", L0, FG, "F | (F -> G) | not G", _build_hosoi),
-        Schema(
-            "sqht",
-            L0,
-            (("x", "var"), ("F", "formula")),
-            "exists x (F -> forall x F)",
-            _build_sqht,
-        ),
-        Schema(
-            "dec-eq",
-            L0,
-            (("t1", "term"), ("t2", "term")),
-            "t1 = t2 | t1 != t2",
-            _build_dec_eq,
-        ),
-        Schema(
-            "cet-distinct",
-            L0,
-            (("f", "fn"), ("g", "fn"), ("ss", "terms"), ("ts", "terms")),
-            "f(s1,...,sn) != g(t1,...,tm)   (f, g distinct)",
-            _build_cet_distinct,
-        ),
-        Schema(
-            "cet-inject",
-            L0,
-            (("f", "fn"), ("ss", "terms"), ("ts", "terms")),
-            "f(s1,...,sn) = f(t1,...,tn) -> s1 = t1 & ... & sn = tn   (n > 0)",
-            _build_cet_inject,
-        ),
-        Schema(
-            "cet-acyclic",
-            L0,
-            (("t", "term"), ("x", "var")),
-            "t != x   (t contains x, t differs from x)",
-            _build_cet_acyclic,
-        ),
-        Schema(
-            "so-forall-elim",
-            L2,
-            (("v", "sovar"), ("G", "formula"), ("w", "sovar")),
-            "forall v G -> G[v := w]",
-            _build_so_forall_elim,
-        ),
-        Schema(
-            "so-exists-intro",
-            L2,
-            (("v", "sovar"), ("G", "formula"), ("w", "sovar")),
-            "G[v := w] -> exists v G",
-            _build_so_exists_intro,
-        ),
-        Schema(
-            "so-forall-elim-abs",
-            L2,
-            (("p", "predvar"), ("G", "formula"), ("xs", "vars"), ("F", "formula")),
-            "forall p G -> G[p <= lambda x1...xn. F]",
-            _build_so_forall_elim_abs,
-        ),
-        Schema(
-            "comprehension",
-            L2,
-            (("p", "predvar"), ("xs", "vars"), ("F", "formula")),
-            "exists p forall x1...xn (p(x1,...,xn) <-> F)   (p not free in F)",
-            _build_comprehension,
-        ),
-        Schema(
-            "choice",
-            L2,
-            (("p", "predvar"), ("f", "funcvar"), ("xs", "vars")),
-            "forall x1...xn exists y p(x1,...,xn,y) -> "
-            "exists f forall x1...xn p(x1,...,xn,f(x1,...,xn))   (n > 0)",
-            _build_choice,
-        ),
-        Schema(
-            "dca",
-            L3,
-            (("p", "predvar"), ("x", "var")),
-            "forall p (closure under every function constant -> forall x p(x))",
-            _build_dca,
-        ),
-    )
-
-
-SCHEMAS: dict[str, Schema] = {s.schema_id: s for s in _schemas()}
 
 
 def list_schemas(level: TheoryLevel) -> tuple[Schema, ...]:
@@ -576,8 +494,8 @@ def build_axiom_instance(
     if schema is None:
         raise SchemaMismatch(0, f"unknown schema '{schema_id}'")
     try:
-        _check_kinds(schema, binding)
-        return schema.build(sig, binding)
+        _check_binding(schema, binding)
+        return schema.build(sig, **binding)
     except (_SideCondition, _Mismatch) as e:
         raise _build_error(e, 0) from None
 
@@ -618,8 +536,8 @@ def check_proof(proof: Proof) -> FOFormula:
                 )
             binding = just.as_dict()
             try:
-                _check_kinds(schema, binding)
-                expected = schema.build(sig, binding)
+                _check_binding(schema, binding)
+                expected = schema.build(sig, **binding)
             except (_SideCondition, _Mismatch) as e:
                 raise _build_error(e, n) from None
             # interned: equal is identical, so an equal line unfolds to `f`

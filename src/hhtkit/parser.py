@@ -665,6 +665,8 @@ def _parse_justification(cur: Cursor, sig: Signature):
         kinds = dict(schema.keys)
         if cur.eat("with"):
             while True:
+                if cur.peek() in binding:
+                    raise cur.error(f"duplicate binding for {cur.peek()}")
                 key = cur.expect_ident("binding key")
                 if key not in kinds:
                     raise cur.error(

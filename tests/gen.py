@@ -49,6 +49,7 @@ from hhtkit.syntax import (
     Var,
     const,
     free_variables,
+    graft,
     program_builder,
     term_to_text,
 )
@@ -218,9 +219,11 @@ def tree_subst(sig: Signature, entries=(), defaults=()) -> Substitution:
 
 
 def subst_image(subst: Substitution, a: Atom) -> list:
-    """The program of the image of `a`: a prefix of a program is a program
-    rooted at its last entry.  UnmappedAtom if `subst` does not map it."""
-    return subst.program[: subst.lookup(a) + 1]
+    """The program of the image of `a` alone, grafted into a fresh program;
+    UnmappedAtom if `subst` does not map it."""
+    prog, emit = program_builder()
+    graft(subst.program, subst.lookup(a), emit, [None] * len(subst.program))
+    return prog
 
 
 def nested_iff(n: int) -> str:

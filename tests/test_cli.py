@@ -821,3 +821,24 @@ def test_depth_past_the_last_new_term_is_quick(tmp_path):
     assert outputs[0] == outputs[1] == (
         "mode: bounded depth D (non-validity-preserving)\ninstance: And{p}\n"
         "atoms=1 rank=1 nodes=2\n")
+
+
+# The deepest `F` of a one-line `forall-elim` proof, as the `depth` group of
+# tools/cli_snapshot.py writes it, that `check-proof` accepts from the shell
+# under the default recursion limit; one level deeper exits 2 with Python's
+# recursion error.  A frame added on the path that builds and checks an
+# axiom instance fails here.
+@pytest.mark.parametrize("f", [
+    "(" + " & ".join(["P(x)"] * 985) + ")",
+    "forall y " * 981 + "P(x)",
+], ids=["and985", "forall981"])
+def test_deepest_axiom_binding_is_checked_from_the_shell(f, tmp_path):
+    path = tmp_path / "deep.proof"
+    path.write_text(f"const a.  pred P/1.\nlevel HHT;\n1: forall x {f} -> "
+                    f"{f.replace('P(x)', 'P(a)')} by axiom forall-elim "
+                    f"with x := x, F := {f}, t := a;\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(hhtkit.__file__).parents[1])}
+    got = subprocess.run([sys.executable, "-m", "hhtkit.cli", "check-proof", str(path)],
+                         capture_output=True, text=True, timeout=30, env=env)
+    assert (got.returncode, got.stderr) == (0, ""), got.stderr
+    assert got.stdout.startswith("proof: accepted (level HHT, 1 lines)\n")

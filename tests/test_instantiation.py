@@ -375,6 +375,15 @@ def test_instance_rank_bound():
         assert rank(inst) <= max_range_rank + _depth(f)
 
 
+def test_subst_image_holds_only_what_its_root_reaches():
+    # the prefix `s.program[: k + 1]` of the image of P(b) holds `p` too,
+    # parsed before it
+    s = parse_subst_file("const a, b.  pred P/1.\nP(a) := p;\nP(b) := q -> q;\n")
+    image = gen.subst_image(s, Atom("P", (const("b"),)))
+    assert prop_atoms(image) == {"q"}
+    assert prop_to_text(image) == "q -> q"
+
+
 def test_instance_atoms_come_from_range():
     rng = random.Random(47)
     for _ in range(100):

@@ -1,3 +1,5 @@
+import inspect
+
 import pytest
 
 import gen
@@ -12,6 +14,7 @@ from hhtkit.errors import (
 )
 from hhtkit.corpus import load_text
 from hhtkit.kernel import (
+    SCHEMAS,
     ByAxiom,
     ByMP,
     Proof,
@@ -491,6 +494,113 @@ def test_a_binding_of_the_wrong_kind_is_a_schema_mismatch(label):
         build_axiom_instance(SIG, schema, binding)
     assert (err.value.line, err.value.reason) == (0, reason)
     line = ProofLine(fof("Q"), ByAxiom.of(schema, **binding))
+    with pytest.raises(SchemaMismatch) as err:
+        check_proof(Proof(SIG, TheoryLevel.HHT2_DCA, (line,)))
+    assert (err.value.line, err.value.reason) == (1, reason)
+
+
+# ---------------------------------------------------------------------------
+# schema declarations: one well-formed binding per schema, and what leaving
+# a key out or adding one gives
+
+_A, _B, _X, _Y = FnApp("a", ()), FnApp("b", ()), Var("x"), Var("y")
+_FG = {"F": fof("P(a)"), "G": fof("Q")}
+_FGH = {**_FG, "H": fof("P(b)")}
+_PX = {"x": _X, "F": fof("P(x)")}
+_SO = {"v": PredVar("p", 1), "G": fof("p(a) -> Q"), "w": PredVar("q", 1)}
+_BINDINGS = {
+    "k": _FG, "s": _FGH, "and-elim-left": _FG, "and-elim-right": _FG, "and-intro": _FG,
+    "or-intro-left": _FG, "or-intro-right": _FG, "or-elim": _FGH, "efq": {"F": fof("Q")},
+    "forall-elim": {**_PX, "t": _A}, "exists-intro": {**_PX, "t": _B},
+    "eq-refl": {"t": _A}, "eq-subst": {"t1": _A, "t2": _B, **_PX},
+    "hosoi": _FG, "sqht": _PX, "dec-eq": {"t1": _A, "t2": _B},
+    "cet-distinct": {"f": "s", "g": "a", "ss": (_B,), "ts": ()},
+    "cet-inject": {"f": "s", "ss": (_A,), "ts": (_B,)},
+    "cet-acyclic": {"t": FnApp("s", (_X,)), "x": _X},
+    "so-forall-elim": _SO, "so-exists-intro": _SO,
+    "so-forall-elim-abs": {"p": PredVar("p", 1), "G": fof("forall y p(y)"), "xs": (_X,),
+                           "F": fof("P(x) & Q")},
+    "comprehension": {"p": PredVar("p", 0), "xs": (), "F": fof("Q")},
+    "choice": {"p": PredVar("p", 2), "f": FuncVar("f", 1), "xs": (_X, _Y)},
+    "dca": {"p": PredVar("q", 1), "x": _Y},
+}
+# the value each key that may be left out stands for, as README lists them
+_DEFAULTS = {
+    "dec-eq": {"t1": _X, "t2": _Y},
+    "cet-distinct": {"ss": (Var("x1"),), "ts": ()},  # s/1 and a/0
+    "cet-inject": {"ss": (Var("x1"),), "ts": (Var("y1"),)},
+    "comprehension": {"xs": ()},
+    "dca": {"p": PredVar("p", 1), "x": _X},
+}
+
+
+def _keys(schema_id):
+    return [key for key, _ in SCHEMAS[schema_id].keys]
+
+
+def _parameters(schema_id):
+    """The builder's parameters after `sig`."""
+    params = list(inspect.signature(SCHEMAS[schema_id].build).parameters.values())
+    assert params[0].name == "sig"
+    return params[1:]
+
+
+def test_schemas_keep_their_order():
+    assert list(SCHEMAS) == [
+        "k", "s", "and-elim-left", "and-elim-right", "and-intro", "or-intro-left",
+        "or-intro-right", "or-elim", "efq", "forall-elim", "exists-intro", "eq-refl",
+        "eq-subst", "hosoi", "sqht", "dec-eq", "cet-distinct", "cet-inject", "cet-acyclic",
+        "so-forall-elim", "so-exists-intro", "so-forall-elim-abs", "comprehension", "choice",
+        "dca",
+    ]
+    assert sorted(_BINDINGS) == sorted(SCHEMAS)
+
+
+@pytest.mark.parametrize("schema_id", list(SCHEMAS))
+def test_declared_keys_are_the_builder_parameters(schema_id):
+    params = _parameters(schema_id)
+    assert sorted(p.name for p in params) == sorted(_keys(schema_id))
+    optional = {p.name for p in params if p.default is not inspect.Parameter.empty}
+    assert optional == set(_DEFAULTS.get(schema_id, {}))
+
+
+@pytest.mark.parametrize("schema_id", list(SCHEMAS))
+def test_the_binding_builds_and_checks(schema_id):
+    f = build_axiom_instance(SIG, schema_id, _BINDINGS[schema_id])
+    line = ProofLine(f, ByAxiom.of(schema_id, **_BINDINGS[schema_id]))
+    assert check_proof(Proof(SIG, TheoryLevel.HHT2_DCA, (line,))) is f
+
+
+@pytest.mark.parametrize("schema_id", list(SCHEMAS))
+def test_a_required_key_left_out_is_missing(schema_id):
+    binding = _BINDINGS[schema_id]
+    for key in _keys(schema_id):
+        if key in _DEFAULTS.get(schema_id, {}):
+            continue
+        rest = {k: v for k, v in binding.items() if k != key}
+        with pytest.raises(SchemaMismatch) as err:
+            build_axiom_instance(SIG, schema_id, rest)
+        assert (err.value.line, err.value.reason) == (0, f"missing binding for {key}")
+
+
+@pytest.mark.parametrize("schema_id", sorted(_DEFAULTS))
+def test_an_optional_key_left_out_takes_its_default(schema_id):
+    binding = _BINDINGS[schema_id]
+    for key, default in _DEFAULTS[schema_id].items():
+        rest = {k: v for k, v in binding.items() if k != key}
+        assert build_axiom_instance(SIG, schema_id, rest) == build_axiom_instance(
+            SIG, schema_id, {**rest, key: default})
+
+
+@pytest.mark.parametrize("schema_id", list(SCHEMAS))
+def test_an_undeclared_key_is_a_schema_mismatch(schema_id):
+    binding = {**_BINDINGS[schema_id], "Z": fof("Q")}
+    reason = (f"schema {schema_id} has no metavariable Z "
+              f"(expected one of {', '.join(_keys(schema_id))})")
+    with pytest.raises(SchemaMismatch) as err:
+        build_axiom_instance(SIG, schema_id, binding)
+    assert (err.value.line, err.value.reason) == (0, reason)
+    line = ProofLine(fof("Q"), ByAxiom.of(schema_id, **binding))
     with pytest.raises(SchemaMismatch) as err:
         check_proof(Proof(SIG, TheoryLevel.HHT2_DCA, (line,)))
     assert (err.value.line, err.value.reason) == (1, reason)

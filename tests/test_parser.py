@@ -202,6 +202,11 @@ _PARSERS = {
     ("proof", _PROOF_HEAD + "1: P(a) by axiom k with H := P(a);\n",
      "3:27: schema k has no metavariable H (expected one of F, G)"),
     ("proof", _PROOF_HEAD + "1: P(a) by magic;\n", "3:17: unknown justification 'magic'"),
+    # a repeated key is refused where it is repeated, not overwritten
+    ("proof", _PROOF_HEAD + "1: a = a by axiom eq-refl with t := b, t := a;\n",
+     "3:40: duplicate binding for t"),
+    ("proof", _PROOF_HEAD + "1: P(a) by axiom k with F := P(b), G := P(a), F := P(a);\n",
+     "3:47: duplicate binding for F"),
     # every message names the end of the text the same way
     ("prop", "p ->", "1:5: expected a propositional formula, found end of input"),
     ("prop", "not", "1:4: expected a propositional formula, found end of input"),

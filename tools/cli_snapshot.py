@@ -14,11 +14,13 @@ with and without `--json`.  The `proofs` group runs `check-proof`, with and
 without `--json`, on seeded single-line mutations of every shipped `.proof`:
 an `mp` reference redirected, a formula binding replaced by another line's
 formula, and a `gen-all` binder renamed, two of each where the proof has
-such lines, so that rejection messages are compared too.  The `limits`
-group writes inputs near the default work budget (the example6 instances
-with 9 and 10 constants per restrictor, a Herbrand base of 13 atoms, and a
-function quantifier over 4 constants) and records `ht-valid` or
-`herbrand-check` on each, with and without `--json`.  The `captures` group
+such lines, and the first binding of its first axiom line given twice
+(`with K := V, K := V, ...`), so that rejection and parse-error messages
+are compared too.  The `limits` group writes inputs near the default work
+budget (the example6 instances with 9 and 10 constants per restrictor, a
+Herbrand base of 13 atoms, and a function quantifier over 4 constants) and
+records `ht-valid` or `herbrand-check` on each, with and without `--json`.
+The `captures` group
 writes one single-line proof per quantifier schema whose binding makes the
 substitution capture a variable (`forall-elim`, `exists-intro`, `eq-subst`,
 `so-forall-elim`, `so-exists-intro`, `so-forall-elim-abs`) and records
@@ -180,11 +182,14 @@ _MUTATION_SITES = {
     "binding": re.compile(r"(?:with|,) [FGH] := (.*?)(?=, [\w-]+ := |$)"),
     "gen": re.compile(r"^gen-all \d+ (\w+)$"),
 }
+# an axiom line's first binding, `K := V`
+_FIRST_BINDING = re.compile(r"^axiom [\w-]+ with (\w+ := .*?)(?=, \w+ := |$)")
 
 
 def _mutate(text: str, rng: random.Random) -> dict[str, str]:
     """Label -> `text` with one proof line changed, two per kind of mutation
-    where the proof has a site for it."""
+    where the proof has a site for it, and `repeat`: the first axiom line
+    with a binding given its first binding twice."""
     lines = text.split("\n")
     numbered = [(i, m) for i, line in enumerate(lines) if (m := _PROOF_LINE.match(line))]
     formulas = sorted({m.group(2) for _, m in numbered})
@@ -206,6 +211,12 @@ def _mutate(text: str, rng: random.Random) -> dict[str, str]:
             line = lines[i]
             mutated = lines[:i] + [line[:start] + rng.choice(choices) + line[end:]] + lines[i + 1:]
             out[f"{kind}{k + 1}"] = "\n".join(mutated)
+    for i, m in numbered:
+        if s := _FIRST_BINDING.match(m.group(3)):
+            end = m.start(3) + s.end(1)
+            lines[i] = f"{lines[i][:end]}, {s.group(1)}{lines[i][end:]}"
+            out["repeat"] = "\n".join(lines)
+            break
     return out
 
 
