@@ -32,7 +32,7 @@ from .instantiation import EXACT, Bounded, count_universe, instantiate
 from .kernel import check_proof, conclusion_for_pipeline
 from .parser import parse_formula_file, parse_proof_file, parse_prop_file, parse_subst_file
 from .render import render_justification
-from .semantics import DEFAULT_BUDGET, STATE_NAMES, ht_valid, render_countermodel
+from .semantics import DEFAULT_BUDGET, STATE_NAMES, ht_valid
 from .syntax import eliminate_restrictors, formula_to_text, prop_stats, prop_to_text
 
 BUDGET_ENV = "HHTKIT_BUDGET"
@@ -186,13 +186,13 @@ def _validity_stage(report: _Report, started: float, counter, headlines: tuple,
     found = counter is not None
     fields = {"verdict": "countermodel" if found else "valid", **fields}
     if found:
-        fields["countermodel"] = {str(a): STATE_NAMES[counter.atom_state(a)]
-                                  for a in counter.atoms}
+        states = {str(a): STATE_NAMES[counter.atom_state(a)] for a in counter.atoms}
+        fields["countermodel"] = states
     secs = _stage(report, "validity", started, **fields)
     if headlines[found]:
         report.say(headlines[found] + _ms(secs, pipeline))
     if found:
-        report.say(render_countermodel(counter, counter.atoms))
+        report.say("\n".join(f"{a}: {state}" for a, state in states.items()))
     return int(found)
 
 

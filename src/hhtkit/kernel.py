@@ -24,7 +24,10 @@ registers `Schema("k", ...)` in `SCHEMAS`, in declaration order (see
 at HHT2+DCA.  A key is a parameter of the builder, and one with a default
 may be left out of a binding.  `_check_binding` refuses a value of the
 wrong kind, a required key left out and an undeclared key, and then
-`schema.build(sig, **binding)` builds the instance.
+`schema.build(sig, **binding)` builds the instance.  Both raise the public
+`SchemaMismatch` or `SideConditionViolation` at line 0, as
+`build_axiom_instance` reports them; `check_proof` re-raises the same
+class and reason at the line the binding justifies.
 
 Inference rules (justifications, not schemas): mp and generalization.
 Generalization is one rule, `ByGen`, with four spellings in proof files:
@@ -153,14 +156,6 @@ class Proof:
 # ---------------------------------------------------------------------------
 # schema table
 
-class _SideCondition(Exception):
-    pass
-
-
-class _Mismatch(Exception):
-    pass
-
-
 @record
 class Schema:
     schema_id: str
@@ -209,7 +204,7 @@ _KINDS = {
 
 
 def _check_binding(schema: Schema, b: Mapping[str, object]) -> None:
-    """Raise _Mismatch for the first bound value not of its key's kind, then
+    """Raise SchemaMismatch for the first bound value not of its key's kind, then
     for the first required key left out, then for a key `schema` does not
     declare, so that `schema.build(sig, **b)` gets exactly its parameters."""
     bound = 0
@@ -223,23 +218,21 @@ def _check_binding(schema: Schema, b: Mapping[str, object]) -> None:
             else:
                 ok = isinstance(value, types)
             if not ok:
-                raise _Mismatch(f"{key} must be {what}")
+                raise SchemaMismatch(0, f"{key} must be {what}")
     for key in _REQUIRED[schema.schema_id]:
         if key not in b:
-            raise _Mismatch(f"missing binding for {key}")
+            raise SchemaMismatch(0, f"missing binding for {key}")
     if bound != len(b):
         names = [k for k, _ in schema.keys]
         key = next(k for k in b if k not in names)
-        raise _Mismatch(
-            f"schema {schema.schema_id} has no metavariable {key} "
-            f"(expected one of {', '.join(names)})"
-        )
+        raise SchemaMismatch(0, f"schema {schema.schema_id} has no metavariable {key} "
+                             f"(expected one of {', '.join(names)})")
 
 
 def _as_vars(value, key: str) -> tuple[Var, ...]:
     vs = tuple(value)
     if len({v.name for v in vs}) != len(vs):
-        raise _SideCondition(f"{key} must be distinct variables")
+        raise SideConditionViolation(0, f"{key} must be distinct variables")
     return vs
 
 
@@ -248,7 +241,7 @@ def _subst_req(f: FOFormula, v, r) -> FOFormula:
     try:
         return substitute(f, {v: r})
     except CaptureViolation as e:
-        raise _SideCondition(f"term not substitutable: {e}") from None
+        raise SideConditionViolation(0, f"term not substitutable: {e}") from None
 
 
 _HHT, _HHT2, _DCA = TheoryLevel.HHT, TheoryLevel.HHT2, TheoryLevel.HHT2_DCA
@@ -341,13 +334,13 @@ def _dec_eq(sig, t1=Var("x"), t2=Var("y")):
 def _fn_args(sig, name: str, args, key_args: str, default_prefix: str):
     arity = sig.function_arity(name)
     if arity is None:
-        raise _SideCondition(f"unknown function constant {name}")
+        raise SideConditionViolation(0, f"unknown function constant {name}")
     if args is None:
         args = tuple(Var(f"{default_prefix}{i}") for i in range(1, arity + 1))
     else:
         args = tuple(args)
     if len(args) != arity:
-        raise _Mismatch(f"{key_args} must have {arity} terms for {name}")
+        raise SchemaMismatch(0, f"{key_args} must have {arity} terms for {name}")
     return args
 
 
@@ -357,7 +350,7 @@ def _cet_distinct(sig, f, g, ss=None, ts=None):
     ss = _fn_args(sig, f, ss, "ss", "x")
     ts = _fn_args(sig, g, ts, "ts", "y")
     if f == g:
-        raise _SideCondition("function constants must be distinct")
+        raise SideConditionViolation(0, "function constants must be distinct")
     return neg(Equals(FnApp(f, ss), FnApp(g, ts)))
 
 
@@ -367,7 +360,7 @@ def _cet_inject(sig, f, ss=None, ts=None):
     ss = _fn_args(sig, f, ss, "ss", "x")
     ts = _fn_args(sig, f, ts, "ts", "y")
     if not ss:
-        raise _SideCondition("injectivity requires arity greater than 0")
+        raise SideConditionViolation(0, "injectivity requires arity greater than 0")
     eqs = [Equals(s, t) for s, t in zip(ss, ts)]
     return impl(Equals(FnApp(f, ss), FnApp(f, ts)), conj_all(eqs))
 
@@ -375,14 +368,14 @@ def _cet_inject(sig, f, ss=None, ts=None):
 @_schema("cet-acyclic", _HHT, "t != x   (t contains x, t differs from x)", _T, _X)
 def _cet_acyclic(sig, t, x):
     if t == x:
-        raise _SideCondition("term must be different from the variable")
+        raise SideConditionViolation(0, "term must be different from the variable")
     if x not in t.free:
-        raise _SideCondition("term must contain the variable")
+        raise SideConditionViolation(0, "term must contain the variable")
     # only constructor terms keep the variable as a structural subterm after
     # evaluation; a function variable could map it anywhere, so the
     # acyclicity axiom is unsound for terms containing one
     if not t.first_order:
-        raise _SideCondition("term must be built from signature constructors only")
+        raise SideConditionViolation(0, "term must be built from signature constructors only")
     return neg(Equals(t, x))
 
 
@@ -390,7 +383,8 @@ def _so_instance(v, G, w) -> FOFormula:
     """`G[v := w]` for a second-order variable `w` of the same kind and
     arity as `v`."""
     if type(v) is not type(w) or v.arity != w.arity:
-        raise _SideCondition("second-order variables must have the same kind and arity")
+        raise SideConditionViolation(
+            0, "second-order variables must have the same kind and arity")
     return _subst_req(G, v, w)
 
 
@@ -411,7 +405,7 @@ def _so_exists_intro(sig, v, G, w):
 def _so_forall_elim_abs(sig, p, G, xs, F):
     xs = _as_vars(xs, "xs")
     if len(xs) != p.arity:
-        raise _SideCondition("xs must match the arity of p")
+        raise SideConditionViolation(0, "xs must match the arity of p")
     return impl(Quant("forall", p, G), _subst_req(G, p, (xs, F)))
 
 
@@ -420,9 +414,9 @@ def _so_forall_elim_abs(sig, p, G, xs, F):
 def _comprehension(sig, p, F, xs=()):
     xs = _as_vars(xs, "xs")
     if len(xs) != p.arity:
-        raise _SideCondition("xs must match the arity of p")
+        raise SideConditionViolation(0, "xs must match the arity of p")
     if p in free_variables(F):
-        raise _SideCondition(f"{p.name}/{p.arity} must not be free in F")
+        raise SideConditionViolation(0, f"{p.name}/{p.arity} must not be free in F")
     atom = Atom(p, xs)
     body = conj(impl(atom, F), impl(F, atom))
     for x in reversed(xs):
@@ -437,9 +431,9 @@ def _choice(sig, p, f, xs):
     xs = _as_vars(xs, "xs")
     n = len(xs) - 1
     if n < 1:
-        raise _SideCondition("choice requires n > 0")
+        raise SideConditionViolation(0, "choice requires n > 0")
     if p.arity != n + 1 or f.arity != n:
-        raise _SideCondition("arities must be n+1 for p and n for f")
+        raise SideConditionViolation(0, "arities must be n+1 for p and n for f")
     front, last = xs[:-1], xs[-1]
     ant = Quant("exists", last, Atom(p, xs))
     for x in reversed(front):
@@ -466,7 +460,7 @@ def _closed_under(fname: str, arity: int, p: PredVar, x: Var) -> FOFormula:
          _P, _X)
 def _dca(sig, p=PredVar("p", 1), x=Var("x")):
     if p.arity != 1:
-        raise _Mismatch("p must be a unary predicate variable")
+        raise SchemaMismatch(0, "p must be a unary predicate variable")
     closure = conj_all(_closed_under(name, arity, p, x) for name, arity in sig.functions)
     return Quant("forall", p, impl(closure, Quant("forall", x, Atom(p, (x,)))))
 
@@ -474,13 +468,6 @@ def _dca(sig, p=PredVar("p", 1), x=Var("x")):
 def list_schemas(level: TheoryLevel) -> tuple[Schema, ...]:
     """Axiom schemas available at the given level, in table order."""
     return tuple(s for s in SCHEMAS.values() if level.admits(s.min_level))
-
-
-def _build_error(e: _SideCondition | _Mismatch, line: int) -> ProofError:
-    """The error a schema build that raised `e` is reported as, at `line`."""
-    if isinstance(e, _SideCondition):
-        return SideConditionViolation(line, str(e))
-    return SchemaMismatch(line, str(e))
 
 
 def build_axiom_instance(
@@ -493,11 +480,8 @@ def build_axiom_instance(
     schema = SCHEMAS.get(schema_id)
     if schema is None:
         raise SchemaMismatch(0, f"unknown schema '{schema_id}'")
-    try:
-        _check_binding(schema, binding)
-        return schema.build(sig, **binding)
-    except (_SideCondition, _Mismatch) as e:
-        raise _build_error(e, 0) from None
+    _check_binding(schema, binding)
+    return schema.build(sig, **binding)
 
 
 # ---------------------------------------------------------------------------
@@ -538,8 +522,8 @@ def check_proof(proof: Proof) -> FOFormula:
             try:
                 _check_binding(schema, binding)
                 expected = schema.build(sig, **binding)
-            except (_SideCondition, _Mismatch) as e:
-                raise _build_error(e, n) from None
+            except (SchemaMismatch, SideConditionViolation) as e:
+                raise type(e)(n, e.reason) from None
             # interned: equal is identical, so an equal line unfolds to `f`
             if eliminate_restrictors(expected) is not f:
                 raise SchemaMismatch(

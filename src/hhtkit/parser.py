@@ -58,7 +58,7 @@ import re
 from collections import deque
 from itertools import islice, repeat
 
-from .errors import ParseError
+from .errors import ParseError, SignatureError
 from .instantiation import TRUTH_VALUES, Substitution, restrictor_error
 from .kernel import (
     GEN_KEYWORDS,
@@ -289,7 +289,7 @@ def parse_signature_block(cur: Cursor) -> Signature:
         cur.expect(".")
     try:
         return Signature.make(functions, predicates, restrictors)
-    except Exception as e:
+    except SignatureError as e:
         raise cur.error(str(e)) from None
 
 

@@ -35,7 +35,7 @@ from collections.abc import Iterable, Iterator
 from enum import IntEnum
 
 from .errors import STEP_CAP, BudgetExceeded, capped_pow
-from .syntax import AND, ATOM, CONST, IMP, OR, record
+from .syntax import AND, ATOM, CONST, IMP, OR, prop_atoms, record
 
 # steps either checker may spend by default (see the module docstring)
 DEFAULT_BUDGET = 5 * 10**6
@@ -175,19 +175,14 @@ def _plan(prog, n_atoms: int, budget: int, spent: int = 0) -> int:
     return width
 
 
-def _atoms(prog) -> list:
-    """The atoms `prog` names, sorted by text (`str`): the canonical order."""
-    return sorted({arg for op, arg in prog if op == ATOM}, key=str)
-
-
 def first_countermodel(prog, budget: int, spent: int = 0) -> HTInterpretation | None:
     """The first interpretation in canonical order over the atoms `prog`
-    names (`_atoms`, first most significant) that fails `prog` at h, with
+    names (`prop_atoms`, sorted by text, first most significant) that fails `prog` at h, with
     those atoms as its `atoms`, or None; `_plan` charges `spent` first.  The
     trailing atoms are the least significant digits, so inside a chunk the
     bit index is the canonical order; the leading atoms are enumerated
     outside it in canonical order as constant masks."""
-    atoms = _atoms(prog)
+    atoms = sorted(prop_atoms(prog), key=str)
     width = _plan(prog, len(atoms), budget, spent)
     split = len(atoms) - width
     lead, trail = atoms[:split], atoms[split:]
@@ -245,7 +240,7 @@ def ht_valid(
         return first_countermodel(f, budget)
     if evaluator != "literal":
         raise ValueError(f"unknown evaluator {evaluator!r}")
-    atoms = _atoms(f)
+    atoms = sorted(prop_atoms(f), key=str)
     _plan(f, len(atoms), budget)
     for i in enumerate_interpretations(atoms):
         if not satisfies(i, World.H, f):

@@ -16,6 +16,7 @@ from hhtkit.cli import run
 from hhtkit.corpus import data_path
 from hhtkit.parser import parse_prop_file
 from hhtkit.semantics import ht_valid, render_countermodel
+from hhtkit.syntax import Signature
 
 
 def invoke(capsys, *argv):
@@ -377,6 +378,17 @@ def test_internal_fault_is_one_line(json_flag, monkeypatch, capsys):
     monkeypatch.setattr(cli, "_cmd_ht_valid", fault)
     code, out, err = invoke(capsys, *json_flag, "ht-valid", data_path("lem.prop"))
     assert (code, out, err) == (2, "", "internal error: AttributeError: no attribute 'x'\n")
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_a_fault_in_a_signature_block_is_internal(json_flag, monkeypatch, capsys):
+    # the parser turns a refused signature into a parse error, not any fault
+    def fault(*args):
+        raise KeyError("arity")
+
+    monkeypatch.setattr(Signature, "make", fault)
+    code, out, err = invoke(capsys, *json_flag, "check-proof", data_path("example1a.proof"))
+    assert (code, out, err) == (2, "", "internal error: KeyError: 'arity'\n")
 
 
 @pytest.mark.parametrize("enabled", [True, False])

@@ -5,9 +5,11 @@ No module calls `vars()` or reads an instance's `__dict__`.  The walks that
 expand quantifiers hold no `match` statement, and the package has one
 propositional formula, the program: no module defines or imports a name
 of the object layer it replaced.  No class `record` builds spells out the
-methods `record` gives it."""
+methods `record` gives it, and no module but `errors` defines an exception
+class."""
 
 import ast
+import builtins
 import subprocess
 import sys
 from pathlib import Path
@@ -251,5 +253,49 @@ def test_the_check_finds_a_spelled_out_record_method():
 def test_no_record_spells_out_its_methods():
     got = {path.name: record_methods(path.read_text(encoding="utf-8"))
            for path in sorted(PACKAGE.glob("*.py"))}
+    assert "kernel.py" in got
+    assert {name: found for name, found in got.items() if found} == {}
+
+
+# every error the package raises is declared in `errors.py`, where callers
+# find the classes and reasons they catch; no module keeps a private one
+BUILTIN_EXCEPTIONS = frozenset(
+    name for name in dir(builtins)
+    if isinstance(getattr(builtins, name), type)
+    and issubclass(getattr(builtins, name), BaseException))
+
+
+def exception_classes(source: str, known=frozenset()) -> list[str]:
+    """Each class `source` defines, at any depth, whose base is a built-in
+    exception, a name in `known` (as a name or an attribute) or another
+    such class of `source`."""
+    classes = [node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.ClassDef)]
+    found = set()
+    grew = True
+    while grew:
+        grew = False
+        for node in classes:
+            bases = {getattr(b, "id", None) or getattr(b, "attr", None) for b in node.bases}
+            if node.name not in found and bases & (BUILTIN_EXCEPTIONS | known | found):
+                found.add(node.name)
+                grew = True
+    return [node.name for node in classes if node.name in found]
+
+
+def test_the_check_finds_an_exception_class():
+    source = ("class _Mismatch(Local):\n    pass\n"
+              "class Local(Exception):\n    pass\n"
+              "class Wrapped(errors.ProofError):\n    pass\n"
+              "class Plain(Signature):\n    pass\n"
+              "def f():\n    class Hidden(ValueError):\n        pass\n")
+    assert exception_classes(source, {"ProofError"}) == [
+        "_Mismatch", "Local", "Wrapped", "Hidden"]
+
+
+def test_only_errors_defines_exception_classes():
+    errors = exception_classes((PACKAGE / "errors.py").read_text(encoding="utf-8"))
+    assert {"HhtError", "ParseError", "SchemaMismatch", "SideConditionViolation"} <= set(errors)
+    got = {path.name: exception_classes(path.read_text(encoding="utf-8"), frozenset(errors))
+           for path in sorted(PACKAGE.glob("*.py")) if path.name != "errors.py"}
     assert "kernel.py" in got
     assert {name: found for name, found in got.items() if found} == {}

@@ -9,6 +9,7 @@ from hhtkit.errors import (
     ForwardReference,
     LevelViolation,
     MPMismatch,
+    ProofError,
     SchemaMismatch,
     SideConditionViolation,
 )
@@ -497,6 +498,64 @@ def test_a_binding_of_the_wrong_kind_is_a_schema_mismatch(label):
     with pytest.raises(SchemaMismatch) as err:
         check_proof(Proof(SIG, TheoryLevel.HHT2_DCA, (line,)))
     assert (err.value.line, err.value.reason) == (1, reason)
+
+
+# each builder refusal a proof file can reach: label -> (level, a proof
+# line, the class and reason it is refused with, at line 0 without a proof
+# line and at the line it justifies)
+_REFUSALS = {
+    "cet-distinct": ("HHT", "a != a by axiom cet-distinct with f := a, g := a",
+                     SideConditionViolation, "function constants must be distinct"),
+    "cet-inject constant": ("HHT", "a = b -> a = b by axiom cet-inject with f := a",
+                            SideConditionViolation, "injectivity requires arity greater than 0"),
+    "cet-inject length": ("HHT", "s(a) = s(b) -> a = b by axiom cet-inject with f := s, "
+                          "ss := [a, b]", SchemaMismatch, "ss must have 1 terms for s"),
+    "cet-acyclic same": ("HHT", "x != x by axiom cet-acyclic with t := x, x := x",
+                         SideConditionViolation, "term must be different from the variable"),
+    "cet-acyclic absent": ("HHT", "s(y) != x by axiom cet-acyclic with t := s(y), x := x",
+                           SideConditionViolation, "term must contain the variable"),
+    "cet-acyclic function variable": (
+        "HHT2", "g(x) != x by axiom cet-acyclic with t := g(x), x := x",
+        SideConditionViolation, "term must be built from signature constructors only"),
+    "comprehension free": ("HHT2", "P(a) by axiom comprehension with p := p/1, xs := [x], "
+                           "F := p(x)", SideConditionViolation, "p/1 must not be free in F"),
+    "comprehension arity": ("HHT2", "P(a) by axiom comprehension with p := p/1, xs := [x, y], "
+                            "F := Q(x,y)", SideConditionViolation, "xs must match the arity of p"),
+    "comprehension repeat": (
+        "HHT2", "P(a) by axiom comprehension with p := p/2, xs := [x, x], F := Q(x,x)",
+        SideConditionViolation, "xs must be distinct variables"),
+    "choice n = 0": ("HHT2", "P(a) by axiom choice with p := p/1, f := g^0, xs := [y]",
+                     SideConditionViolation, "choice requires n > 0"),
+    "choice arity": ("HHT2", "P(a) by axiom choice with p := p/2, f := g^2, xs := [x, y]",
+                     SideConditionViolation, "arities must be n+1 for p and n for f"),
+    "so-forall-elim kind": (
+        "HHT2", "P(a) by axiom so-forall-elim with v := p/1, G := p(a), w := g^1",
+        SideConditionViolation, "second-order variables must have the same kind and arity"),
+    "so-forall-elim arity": (
+        "HHT2", "P(a) by axiom so-forall-elim with v := p/1, G := p(a), w := q/2",
+        SideConditionViolation, "second-order variables must have the same kind and arity"),
+    "so-forall-elim-abs arity": (
+        "HHT2", "P(a) by axiom so-forall-elim-abs with p := p/1, G := p(a), xs := [x, y], "
+        "F := Q(x,y)", SideConditionViolation, "xs must match the arity of p"),
+    "dca binary": ("HHT2+DCA", "P(a) by axiom dca with p := p/2",
+                   SchemaMismatch, "p must be a unary predicate variable"),
+    "k without G": ("HHT", "P(a) -> P(b) -> P(a) by axiom k with F := P(a)",
+                    SchemaMismatch, "missing binding for G"),
+}
+
+
+@pytest.mark.parametrize("label", list(_REFUSALS))
+def test_a_refused_binding_is_reported_at_its_line(label):
+    level, text, cls, reason = _REFUSALS[label]
+    header = f"const a, b.  fn s/1.  pred P/1, Q/2.\nlevel {level};\n"
+    proof = parse_proof_file(f"{header}1: {text};\n")
+    just = proof.lines[0].justification
+    with pytest.raises(ProofError) as err:
+        build_axiom_instance(proof.signature, just.schema_id, just.as_dict())
+    assert (type(err.value), err.value.line, err.value.reason) == (cls, 0, reason)
+    with pytest.raises(ProofError) as err:
+        check_proof(proof)
+    assert (type(err.value), err.value.line, err.value.reason) == (cls, 1, reason)
 
 
 # ---------------------------------------------------------------------------

@@ -23,9 +23,15 @@ records `ht-valid` or `herbrand-check` on each, with and without `--json`.
 The `captures` group
 writes one single-line proof per quantifier schema whose binding makes the
 substitution capture a variable (`forall-elim`, `exists-intro`, `eq-subst`,
-`so-forall-elim`, `so-exists-intro`, `so-forall-elim-abs`) and records
-`check-proof` on each, with and without `--json`, so that capture messages
-are compared too.  The `depth` group writes one single-line proof whose
+`so-forall-elim`, `so-exists-intro`, `so-forall-elim-abs`), and one per
+other refusal of a schema builder that a proof file can reach (`cet-distinct`
+of one constant twice, `cet-inject` of a constant and with too many `ss`,
+the three `cet-acyclic` conditions, `comprehension` with `p` free in `F`, a
+wrong `xs` arity and a repeated `xs`, `choice` with n = 0 and with wrong
+arities, `so-forall-elim` across kinds and arities, `so-forall-elim-abs`
+with a wrong `xs` arity, `dca` with a binary `p`, and `k` without `G`), and
+records `check-proof` on each, with and without `--json`, so that capture
+and side-condition messages are compared too.  The `depth` group writes one single-line proof whose
 `forall-elim` binding `F` is a flat chain of `P(x) & ...`, a nest of
 `forall y`, or a nest of parentheses around `P(x)`, at depths 300, 330, 490
 and 1,000, and records `check-proof` on each, with and without `--json`, so
@@ -115,6 +121,33 @@ _CAPTURE_LINES = {
     "so-forall-elim-abs": "forall p/1 forall y p(y) -> forall y Q(y,y) by axiom "
                           "so-forall-elim-abs with p := p/1, G := forall y p(y), xs := [x], "
                           "F := Q(x,y);",
+}
+_REFUSAL_HEADER = "const a, b.  fn s/1.  pred P/1, Q/2.\nlevel {};\n1: "
+# label -> (level, a proof line whose binding a schema builder refuses)
+_REFUSAL_LINES = {
+    "cet-distinct": ("HHT", "a != a by axiom cet-distinct with f := a, g := a;"),
+    "cet-inject-constant": ("HHT", "a = b -> a = b by axiom cet-inject with f := a;"),
+    "cet-inject-length": ("HHT", "s(a) = s(b) -> a = b by axiom cet-inject "
+                                 "with f := s, ss := [a, b];"),
+    "cet-acyclic-same": ("HHT", "x != x by axiom cet-acyclic with t := x, x := x;"),
+    "cet-acyclic-absent": ("HHT", "s(y) != x by axiom cet-acyclic with t := s(y), x := x;"),
+    "cet-acyclic-funcvar": ("HHT2", "g(x) != x by axiom cet-acyclic with t := g(x), x := x;"),
+    "comprehension-free": ("HHT2", "P(a) by axiom comprehension with p := p/1, xs := [x], "
+                                   "F := p(x);"),
+    "comprehension-arity": ("HHT2", "P(a) by axiom comprehension with p := p/1, "
+                                    "xs := [x, y], F := Q(x,y);"),
+    "comprehension-repeat": ("HHT2", "P(a) by axiom comprehension with p := p/2, "
+                                     "xs := [x, x], F := Q(x,x);"),
+    "choice-n0": ("HHT2", "P(a) by axiom choice with p := p/1, f := g^0, xs := [y];"),
+    "choice-arity": ("HHT2", "P(a) by axiom choice with p := p/2, f := g^2, xs := [x, y];"),
+    "so-forall-elim-kind": ("HHT2", "P(a) by axiom so-forall-elim with v := p/1, G := p(a), "
+                                    "w := g^1;"),
+    "so-forall-elim-arity": ("HHT2", "P(a) by axiom so-forall-elim with v := p/1, G := p(a), "
+                                     "w := q/2;"),
+    "so-forall-elim-abs-arity": ("HHT2", "P(a) by axiom so-forall-elim-abs with p := p/1, "
+                                         "G := p(a), xs := [x, y], F := Q(x,y);"),
+    "dca-binary": ("HHT2+DCA", "P(a) by axiom dca with p := p/2;"),
+    "k-without-G": ("HHT", "P(a) -> P(b) -> P(a) by axiom k with F := P(a);"),
 }
 # name -> (herbrand-check options, file text)
 _MODEL_FOFS = {
@@ -297,12 +330,15 @@ def _limit_argvs(workdir: str) -> dict[str, list[str]]:
 
 
 def _capture_argvs(workdir: str) -> dict[str, list[str]]:
+    texts = {schema: _CAPTURE_HEADER + line for schema, line in _CAPTURE_LINES.items()}
+    for label, (level, line) in _REFUSAL_LINES.items():
+        texts[label] = _REFUSAL_HEADER.format(level) + line
     out = {}
-    for schema, line in _CAPTURE_LINES.items():
-        path = Path(workdir, f"capture-{schema}.proof")
-        path.write_text(_CAPTURE_HEADER + line + "\n", encoding="utf-8")
+    for label, text in texts.items():
+        path = Path(workdir, f"capture-{label}.proof")
+        path.write_text(text + "\n", encoding="utf-8")
         for flag in ([], ["--json"]):
-            out[" ".join(["captures", schema, *flag])] = ["check-proof", str(path), *flag]
+            out[" ".join(["captures", label, *flag])] = ["check-proof", str(path), *flag]
     return out
 
 
