@@ -28,12 +28,12 @@ from .errors import (
     UnmappedAtom,
 )
 from .herbrand import hht_valid_bruteforce
-from .instantiation import EXACT, Bounded, count_universe, instantiate
+from .instantiation import EXACT, Bounded, count_universe, herbrand_base, instantiate, universe
 from .kernel import check_proof, conclusion_for_pipeline
 from .parser import parse_formula_file, parse_proof_file, parse_prop_file, parse_subst_file
 from .render import render_justification
 from .semantics import DEFAULT_BUDGET, STATE_NAMES, ht_valid
-from .syntax import eliminate_restrictors, formula_to_text, prop_stats, prop_to_text
+from .syntax import eliminate_restrictors, formula_to_text, prop_atoms, prop_stats, prop_to_text
 
 BUDGET_ENV = "HHTKIT_BUDGET"
 
@@ -177,16 +177,16 @@ def _instantiation_stage(report: _Report, args, sig, f, pipeline: bool):
     return prog, mode, mode_label
 
 
-def _validity_stage(report: _Report, started: float, counter, headlines: tuple,
+def _validity_stage(report: _Report, started: float, counter, atoms, headlines: tuple,
                     pipeline: bool, **fields) -> int:
     """Report a validity check begun at `started`: exit code 0 if `counter`
-    is None, 1 if it is a countermodel, shown over its `atoms` (sorted by
-    text).  `headlines` holds the verdict line for each outcome (None: no
-    line)."""
+    is None, 1 if it is a countermodel, shown over `atoms` (sorted by text;
+    read only then).  `headlines` holds the verdict line for each outcome
+    (None: no line)."""
     found = counter is not None
     fields = {"verdict": "countermodel" if found else "valid", **fields}
     if found:
-        states = {str(a): STATE_NAMES[counter.atom_state(a)] for a in counter.atoms}
+        states = {str(a): STATE_NAMES[counter.atom_state(a)] for a in atoms}
         fields["countermodel"] = states
     secs = _stage(report, "validity", started, **fields)
     if headlines[found]:
@@ -229,8 +229,9 @@ def _cmd_ht_valid(args, report: _Report) -> int:
     prog = parse_prop_file(_read(args.prop_file))
     t0 = time.perf_counter()
     counter = ht_valid(prog, _budget())
+    atoms = sorted(prop_atoms(prog), key=str) if counter else ()
     headlines = _VALIDITY_HEADLINES[args.command]
-    return report.emit(_validity_stage(report, t0, counter, headlines, pipeline=False))
+    return report.emit(_validity_stage(report, t0, counter, atoms, headlines, pipeline=False))
 
 
 def _cmd_herbrand_check(args, report: _Report) -> int:
@@ -238,9 +239,10 @@ def _cmd_herbrand_check(args, report: _Report) -> int:
     mode, mode_label = _mode_from_args(args)
     t0 = time.perf_counter()
     counter = hht_valid_bruteforce(sig, f, mode, _budget(args.budget))
+    base = herbrand_base(sig, universe(sig, mode)) if counter else ()
     headlines = (f"valid over all interpretations ({mode_label})",
                  f"countermodel found ({mode_label}):")
-    if _validity_stage(report, t0, counter, headlines, pipeline=False, mode=mode_label):
+    if _validity_stage(report, t0, counter, base, headlines, pipeline=False, mode=mode_label):
         return report.emit(1)
     if mode != EXACT:
         report.say("bounded mode: non-validity-preserving")
@@ -258,9 +260,10 @@ def _cmd_pipeline(args, report: _Report) -> int:
     prog, mode, mode_label = got
     t0 = time.perf_counter()
     counter = ht_valid(prog, _budget())
+    atoms = sorted(prop_atoms(prog), key=str) if counter else ()
     headlines = (f"validity: HT-valid ({mode_label})",
                  f"validity: countermodel found ({mode_label})")
-    valid = _validity_stage(report, t0, counter, headlines, pipeline=True) == 0
+    valid = _validity_stage(report, t0, counter, atoms, headlines, pipeline=True) == 0
     certifying = mode == EXACT and valid
     report.data["certifying"] = certifying
     if certifying:

@@ -25,12 +25,13 @@ atoms of predicate names, which may hold there but not here.  The root is
 grafted (`syntax.graft`) into a fresh program, which keeps only what it
 depends on, and handed to `semantics.first_countermodel`, the engine
 `ht_valid` runs; it returns the first countermodel in canonical order.  The
-base is built only to show a countermodel.  The budget is checked twice:
-`estimate_cost` (the nodes grounding may visit) before grounding, since a
-second-order domain can explode, and that count plus the engine's steps on
-the ground program, by the engine, before evaluating it.  The first check
-runs on a count of the universe, before the universe is built, and also
-refuses a universe whose terms have more nodes than the budget.
+base is never built here: the CLI builds it to show a countermodel over it.
+The budget is checked twice: `estimate_cost` (the nodes grounding may
+visit) before grounding, since a second-order domain can explode, and that
+count plus the engine's steps on the ground program, by the engine, before
+evaluating it.  The first check runs on a count of the universe, before the
+universe is built, and also refuses a universe whose terms have more nodes
+than the budget.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ from .instantiation import (
     EXACT,
     InstantiationMode,
     count_universe,
-    herbrand_base,
     universe,
 )
 from .semantics import (
@@ -263,10 +263,10 @@ def hht_valid_bruteforce(
 ) -> HTInterpretation | None:
     """Check satisfaction at world h under every interpretation over the
     Herbrand base; None when valid, else the first failure in canonical
-    order, whose `atoms` are the base.  Exact mode is the real thing;
-    Bounded mode is a labeled, non-validity-preserving approximation.  The
-    formula is grounded once and evaluated over all interpretations at once
-    (see the module docstring); the result is the one `h_satisfies` defines."""
+    order.  Exact mode is the real thing; Bounded mode is a labeled,
+    non-validity-preserving approximation.  The formula is grounded once
+    and evaluated over all interpretations at once (see the module
+    docstring); the result is the one `h_satisfies` defines."""
     f = eliminate_restrictors(f)
     cost = _check_budget(sig, f, mode, budget)
     if free_variables(f):
@@ -276,10 +276,7 @@ def hht_valid_bruteforce(
     root = grounding.ground(f, {})
     prog, emit = program_builder()  # only what `root` depends on
     graft(grounding.prog, root, emit, [None] * len(grounding.prog))
-    counter = first_countermodel(prog, budget, spent=cost)
-    if counter is None:
-        return None
-    return HTInterpretation(counter.here, counter.there, herbrand_base(sig, terms))
+    return first_countermodel(prog, budget, spent=cost)
 
 
 class _Grounding:
@@ -289,8 +286,8 @@ class _Grounding:
     position; positions 0, 1 and 2 are the constants absent, there-only and
     both, so a position below 3 is a constant whose value is its position.
     A ground atom is kept when it is in the Herbrand base: its predicate is
-    declared with its arity, its arguments are in the universe.  The base
-    itself is built only to show a countermodel."""
+    declared with its arity, its arguments are in the universe; the base
+    itself is never built."""
 
     def __init__(self, sig: Signature, terms: tuple[Term, ...]):
         self.terms = terms

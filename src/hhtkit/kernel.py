@@ -23,11 +23,11 @@ registers `Schema("k", ...)` in `SCHEMAS`, in declaration order (see
 `list_schemas`): 19 schemas at every level, 5 more from HHT2 on, and `dca`
 at HHT2+DCA.  A key is a parameter of the builder, and one with a default
 may be left out of a binding.  `_check_binding` refuses a value of the
-wrong kind, a required key left out and an undeclared key, and then
-`schema.build(sig, **binding)` builds the instance.  Both raise the public
-`SchemaMismatch` or `SideConditionViolation` at line 0, as
-`build_axiom_instance` reports them; `check_proof` re-raises the same
-class and reason at the line the binding justifies.
+wrong kind, a required key left out and an undeclared key with a
+`SchemaMismatch`, and then `schema.build(sig, **binding)` builds the
+instance or raises a `SideConditionViolation`, for a wrong arity too.  Both
+raise at line 0, as `build_axiom_instance` reports them; `check_proof`
+re-raises the same class and reason at the line the binding justifies.
 
 Inference rules (justifications, not schemas): mp and generalization.
 Generalization is one rule, `ByGen`, with four spellings in proof files:
@@ -340,7 +340,8 @@ def _fn_args(sig, name: str, args, key_args: str, default_prefix: str):
     else:
         args = tuple(args)
     if len(args) != arity:
-        raise SchemaMismatch(0, f"{key_args} must have {arity} terms for {name}")
+        noun = "term" if arity == 1 else "terms"
+        raise SideConditionViolation(0, f"{key_args} must have {arity} {noun} for {name}")
     return args
 
 
@@ -460,7 +461,7 @@ def _closed_under(fname: str, arity: int, p: PredVar, x: Var) -> FOFormula:
          _P, _X)
 def _dca(sig, p=PredVar("p", 1), x=Var("x")):
     if p.arity != 1:
-        raise SchemaMismatch(0, "p must be a unary predicate variable")
+        raise SideConditionViolation(0, "p must be a unary predicate variable")
     closure = conj_all(_closed_under(name, arity, p, x) for name, arity in sig.functions)
     return Quant("forall", p, impl(closure, Quant("forall", x, Atom(p, (x,)))))
 

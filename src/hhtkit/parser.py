@@ -237,11 +237,12 @@ class Cursor:
         if self.tokens[self.i]:
             raise self.error(f"unexpected trailing input {self.found()}")
 
-    def error(self, message: str) -> ParseError:
-        """A ParseError at the next token, whose offset is found by scanning
-        the text again up to it."""
+    def error(self, message: str, at: int | None = None) -> ParseError:
+        """A ParseError at token `at`, by default the next one (`i - 1` is
+        the token just read), whose offset is found by scanning the text
+        again up to it."""
         found = (m for m in _TOKEN_RE.finditer(self.text) if m.group()[0] != "#")
-        m = next(islice(found, self.i, None), None)
+        m = next(islice(found, self.i if at is None else at, None), None)
         pos = m.start() if m else len(self.text)
         line = self.text.count("\n", 0, pos) + 1
         return ParseError(message, line, pos - self.text.rfind("\n", 0, pos))
@@ -259,18 +260,19 @@ def parse_signature_block(cur: Cursor) -> Signature:
     predicates: dict[str, int] = {}
     restrictors: set[str] = set()
 
-    def declare(table: dict[str, int], name: str, arity: int) -> None:
+    def declare(table: dict[str, int], name: str, arity: int, at: int) -> None:
         if name in functions or name in predicates:
             if table.get(name) != arity:
-                raise cur.error(f"conflicting declaration of {name}")
+                raise cur.error(f"conflicting declaration of {name}", at)
         table[name] = arity
 
     while cur.peek() in _SIG_KEYWORDS:
         kw = cur.next()
         while True:
+            at = cur.i
             name = cur.expect_ident("name")
             if kw == "const":
-                declare(functions, name, 0)
+                declare(functions, name, 0, at)
             else:
                 if cur.eat("/"):
                     arity = cur.expect_num()
@@ -279,9 +281,9 @@ def parse_signature_block(cur: Cursor) -> Signature:
                 else:
                     raise cur.error(f"expected /arity after {name}")
                 if kw == "fn":
-                    declare(functions, name, arity)
+                    declare(functions, name, arity, at)
                 else:
-                    declare(predicates, name, arity)
+                    declare(predicates, name, arity, at)
                     if kw == "restrictor":
                         restrictors.add(name)
             if not cur.eat(","):
@@ -376,7 +378,7 @@ def _parse_term(cur: Cursor, sig: Signature, allow_vars: bool = True) -> Term:
 def _expect_variable(cur: Cursor, sig: Signature) -> str:
     name = cur.expect_ident("variable")
     if sig.function_arity(name) is not None or sig.predicate_arity(name) is not None:
-        raise cur.error(f"{name} is a declared constant, not a variable")
+        raise cur.error(f"{name} is a declared constant, not a variable", cur.i - 1)
     return name
 
 
@@ -391,7 +393,7 @@ def _parse_binder(cur: Cursor, sig: Signature, second_order: bool = False):
             cur.expect(":")
             rname = cur.expect_ident("restrictor")
             if not sig.is_restrictor(rname):
-                raise cur.error(f"{rname} is not a declared restrictor")
+                raise cur.error(f"{rname} is not a declared restrictor", cur.i - 1)
             items.append((Var(vname), rname))
             if not cur.eat(","):
                 break
@@ -574,7 +576,7 @@ def parse_subst_file(text: str) -> Substitution:
         pred = cur.expect_ident("predicate")
         arity = sig.predicate_arity(pred)
         if arity is None:
-            raise cur.error(f"unknown predicate {pred}")
+            raise cur.error(f"unknown predicate {pred}", cur.i - 1)
         args: tuple[Term, ...] = ()
         if not default:
             if cur.at("("):
@@ -588,8 +590,7 @@ def parse_subst_file(text: str) -> Substitution:
         if key in table:
             raise cur.error(f"duplicate {'default' if default else 'entry'} for {pred}")
         if sig.is_restrictor(pred) and prog[image] not in TRUTH_VALUES:
-            cur.i = start
-            raise cur.error(restrictor_error(key))
+            raise cur.error(restrictor_error(key), start)
         table[key] = image
     return Substitution(sig, prog, entries, defaults)
 
@@ -606,11 +607,11 @@ def _parse_level(cur: Cursor) -> TheoryLevel:
     if name == "HHT2" and cur.eat("+"):
         suffix = cur.expect_ident("DCA")
         if suffix != "DCA":
-            raise cur.error(f"unknown level HHT2+{suffix}")
+            raise cur.error(f"unknown level HHT2+{suffix}", cur.i - 1)
         name = "HHT2+DCA"
     level = _LEVELS.get(name)
     if level is None:
-        raise cur.error(f"unknown theory level {name}")
+        raise cur.error(f"unknown theory level {name}", cur.i - 1)
     cur.expect(";")
     return level
 
@@ -625,7 +626,7 @@ def _parse_binding_value(cur: Cursor, sig: Signature, kind: str):
     if kind == "fn":
         name = cur.expect_ident("function constant")
         if sig.function_arity(name) is None:
-            raise cur.error(f"unknown function constant {name}")
+            raise cur.error(f"unknown function constant {name}", cur.i - 1)
         return name
     if kind in ("sovar", "predvar", "funcvar"):
         v = _parse_binder(cur, sig, second_order=True)
@@ -660,7 +661,7 @@ def _parse_justification(cur: Cursor, sig: Signature):
         sid = cur.expect_ident("schema id")
         schema = SCHEMAS.get(sid)
         if schema is None:
-            raise cur.error(f"unknown schema id {sid}")
+            raise cur.error(f"unknown schema id {sid}", cur.i - 1)
         binding: dict[str, object] = {}
         kinds = dict(schema.keys)
         if cur.eat("with"):
@@ -669,10 +670,8 @@ def _parse_justification(cur: Cursor, sig: Signature):
                     raise cur.error(f"duplicate binding for {cur.peek()}")
                 key = cur.expect_ident("binding key")
                 if key not in kinds:
-                    raise cur.error(
-                        f"schema {sid} has no metavariable {key} "
-                        f"(expected one of {', '.join(kinds)})"
-                    )
+                    raise cur.error(f"schema {sid} has no metavariable {key} "
+                                    f"(expected one of {', '.join(kinds)})", cur.i - 1)
                 cur.expect(":=")
                 binding[key] = _parse_binding_value(cur, sig, kinds[key])
                 if not cur.eat(","):
@@ -687,7 +686,7 @@ def _parse_justification(cur: Cursor, sig: Signature):
         i = cur.expect_num()
         v = _parse_binding_value(cur, sig, "sovar" if second_order else "var")
         return ByGen(i, v, kind)
-    raise cur.error(f"unknown justification {kw!r}")
+    raise cur.error(f"unknown justification {kw!r}", cur.i - 1)
 
 
 def parse_proof_file(text: str) -> Proof:
@@ -700,7 +699,7 @@ def parse_proof_file(text: str) -> Proof:
     while cur.peek():
         n = cur.expect_num()
         if n != len(lines) + 1:
-            raise cur.error(f"expected line number {len(lines) + 1}, found {n}")
+            raise cur.error(f"expected line number {len(lines) + 1}, found {n}", cur.i - 1)
         cur.expect(":")
         f = _parse_binary(cur, sig, _FO, 0, cur.end("by"))
         just = _parse_justification(cur, sig)

@@ -1,5 +1,6 @@
-"""Two-world (here/there) interpretations, the literal satisfaction
-relation, and exhaustive validity checking with canonical countermodels.
+"""Two-world interpretations, the pairs <H, T> of atom sets, the literal
+satisfaction relation, and exhaustive validity checking with canonical
+countermodels, which a caller shows over the atoms it picks.
 
 Validity is checked by a bit-parallel engine; `ht_valid` can run the literal
 relation instead, as a reference.  An interpretation over the sorted atoms
@@ -51,22 +52,15 @@ class World(IntEnum):
     T = 1
 
 
-@record(hidden=("atoms",))
+@record
 class HTInterpretation:
-    """Pair of atom sets with here a subset of there.  The atoms are of one
-    of three kinds: atom names (`str`) for propositional formulas, closed
-    `Atom`s for a Herbrand model (what `herbrand` checks), or argument
-    tuples for a second-order predicate name.
-
-    `atoms` lists, sorted by text, the atoms an interpretation ranges over,
-    absent ones included: a countermodel from `ht_valid` holds the atoms of
-    its formula and one from `herbrand.hht_valid_bruteforce` the Herbrand
-    base, and the CLI shows a countermodel over them.  It is empty
-    elsewhere and takes no part in `==`."""
+    """The pair <H, T> of atom sets with here a subset of there.  The atoms
+    are of one of three kinds: atom names (`str`) for propositional
+    formulas, closed `Atom`s for a Herbrand model (what `herbrand` checks),
+    or argument tuples for a second-order predicate name."""
 
     here: frozenset
     there: frozenset
-    atoms: tuple = ()  # those it ranges over
 
     def __post_init__(self):
         if not self.here <= self.there:
@@ -177,8 +171,8 @@ def _plan(prog, n_atoms: int, budget: int, spent: int = 0) -> int:
 
 def first_countermodel(prog, budget: int, spent: int = 0) -> HTInterpretation | None:
     """The first interpretation in canonical order over the atoms `prog`
-    names (`prop_atoms`, sorted by text, first most significant) that fails `prog` at h, with
-    those atoms as its `atoms`, or None; `_plan` charges `spent` first.  The
+    names (`prop_atoms`, sorted by text, first most significant) that fails
+    `prog` at h, or None; `_plan` charges `spent` first.  The
     trailing atoms are the least significant digits, so inside a chunk the
     bit index is the canonical order; the leading atoms are enumerated
     outside it in canonical order as constant masks."""
@@ -203,7 +197,7 @@ def first_countermodel(prog, budget: int, spent: int = 0) -> HTInterpretation | 
                     here.add(a)
                 if s != ABSENT:
                     there.add(a)
-            return HTInterpretation(frozenset(here), frozenset(there), tuple(atoms))
+            return HTInterpretation(frozenset(here), frozenset(there))
     return None
 
 
@@ -228,8 +222,7 @@ def ht_valid(
     names.
 
     Returns None when valid, otherwise the first failing interpretation in
-    canonical order, whose `atoms` are the atoms of `f`, sorted: those it
-    ranges over, which a caller shows it over.  `evaluator` picks the
+    canonical order over the atoms of `f`.  `evaluator` picks the
     three-valued tables evaluated over all interpretations at once by the
     bit-parallel engine ("g3") or the literal satisfaction recursion
     ("literal"); both define the same relation.  Raises BudgetExceeded,
@@ -244,7 +237,7 @@ def ht_valid(
     _plan(f, len(atoms), budget)
     for i in enumerate_interpretations(atoms):
         if not satisfies(i, World.H, f):
-            return HTInterpretation(i.here, i.there, tuple(atoms))
+            return i
     return None
 
 

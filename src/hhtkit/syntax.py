@@ -47,15 +47,15 @@ def _fields(cls) -> tuple[tuple[str, ...], tuple]:
     return names, tuple(cls.__dict__[n] for n in names if n in cls.__dict__)
 
 
-def _frozen(cls, names: tuple[str, ...], shown: tuple[str, ...]) -> None:
+def _frozen(cls, names: tuple[str, ...]) -> None:
     """Give `cls` `__match_args__` (its fields), a dataclass-format repr of
-    the `shown` fields, and a `__setattr__` and `__delattr__` that raise
+    them, and a `__setattr__` and `__delattr__` that raise
     AttributeError, each unless its body or a base class defines it.  The
     repr formats its fields in a plain loop, no generator, so nested values
     take one frame per level."""
     def __repr__(self):
         fields = []
-        for name in shown:
+        for name in names:
             fields.append(f"{name}={getattr(self, name)!r}")
         return f"{type(self).__qualname__}({', '.join(fields)})"
 
@@ -82,13 +82,11 @@ _setattr = object.__setattr__
 _UNSET = object()  # a positional argument the call left out
 
 
-def record(cls=None, /, *, hidden: tuple[str, ...] = ()):
+def record(cls):
     """`cls` as a frozen value class, as `dataclass(frozen=True)` makes one:
     `__init__` takes its fields positionally or by keyword, fills in the
     defaults and runs `__post_init__`, if the class has one; `==` and `hash`
-    compare the tuple of its fields, or the bare value of a single one.  The
-    `hidden` fields take no part in `==`, `hash` or the repr.
-    `@record(hidden=...)` passes the option.
+    compare the tuple of its fields, or the bare value of a single one.
 
     A class of two fields and no `__post_init__`, such as `ByMP` or
     `ProofLine`, gets an `__init__` with named positional-only parameters
@@ -100,10 +98,7 @@ def record(cls=None, /, *, hidden: tuple[str, ...] = ()):
     never through the instance `__dict__`: on Python 3.11 touching it moves
     the attributes out of the object into a dict, and every later read
     takes about 3 times as long."""
-    if cls is None:
-        return partial(record, hidden=hidden)
     names, defaults = _fields(cls)
-    compared = tuple(n for n in names if n not in hidden)
     post_init = getattr(cls, "__post_init__", None)
     arity = len(names)
     optional = names[arity - len(defaults):]
@@ -145,8 +140,8 @@ def record(cls=None, /, *, hidden: tuple[str, ...] = ()):
                 post_init(self)
     __init__.__qualname__ = f"{cls.__qualname__}.__init__"  # named in TypeErrors
 
-    # the key is the tuple of the compared fields, or the bare value of one
-    get = attrgetter(*compared) if compared else lambda self: ()
+    # the key is the tuple of the fields, or the bare value of one
+    get = attrgetter(*names) if names else lambda self: ()
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -156,7 +151,7 @@ def record(cls=None, /, *, hidden: tuple[str, ...] = ()):
     def __hash__(self):
         return hash(get(self))
 
-    _frozen(cls, names, compared)
+    _frozen(cls, names)
     _define(cls, __init__=__init__, __eq__=__eq__, __hash__=__hash__)
     return cls
 
@@ -175,7 +170,7 @@ def _interned(cls):
     unheld instance is freed.  Fields, and the facts a `__post_init__`
     adds, are set with `object.__setattr__` (see `record`)."""
     names, defaults = _fields(cls)
-    _frozen(cls, names, names)
+    _frozen(cls, names)
     post_init = getattr(cls, "__post_init__", None)
     table: dict[object, ref] = {}
 

@@ -16,7 +16,7 @@ from hhtkit.cli import run
 from hhtkit.corpus import data_path
 from hhtkit.parser import parse_prop_file
 from hhtkit.semantics import ht_valid, render_countermodel
-from hhtkit.syntax import Signature
+from hhtkit.syntax import Signature, prop_atoms
 
 
 def invoke(capsys, *argv):
@@ -120,7 +120,8 @@ def test_validity_commands_build_no_formula_object(monkeypatch, capsys):
             code, out, err = invoke(capsys, command, str(path))
             assert (code, err) == (int(counter is not None), ""), (path, command)
             if counter is not None:
-                assert out.endswith(render_countermodel(counter, counter.atoms) + "\n")
+                atoms = prop_atoms(parse_prop_file(path.read_text()))
+                assert out.endswith(render_countermodel(counter, atoms) + "\n")
 
 
 _PROOF_KEYS = ["verdict", "level", "lines", "conclusion", "parse_seconds", "check_seconds",

@@ -5,7 +5,7 @@ import time
 import pytest
 
 import gen
-from hhtkit import herbrand
+from hhtkit import cli, herbrand, instantiation
 from hhtkit.cli import run
 from hhtkit.errors import STEP_CAP, BudgetExceeded, capped_pow
 from hhtkit.errors import OutsideUniverse
@@ -119,7 +119,7 @@ def test_predicate_names_come_in_a_fixed_order():
         got = ["".join(str(n.atom_state(k)) for k in keys) for n in names]
         digits = itertools.product("012", repeat=len(keys))
         assert got == ["".join(d) for d in digits]
-        assert all(n.there <= set(keys) and n.atoms == () for n in names)
+        assert all(n.there <= set(keys) for n in names)
     assert got[:4] == ["0000", "0001", "0002", "0010"] and len(got) == 81
 
 
@@ -293,8 +293,6 @@ def test_countermodel_renders_as_herbrand_check_prints(text, tmp_path, capsys):
     base = herbrand_base(SIG_AB, universe(SIG_AB, EXACT))
     lines = render_countermodel(j, base)
     assert capsys.readouterr().out == f"countermodel found (exact):\n{lines}\n"
-    # the countermodel carries the base the CLI renders it over
-    assert j.atoms == base
 
 
 def test_grounded_choice_matches_literal():
@@ -387,7 +385,7 @@ def test_grounding_and_reference_refuse_a_term_outside_the_universe():
     assert messages[0] == messages[1]
 
 
-# --- the Herbrand base, built only to show a countermodel ----------------------
+# --- the Herbrand base, built by the CLI only to show a countermodel ------------
 
 def _count_base_calls(monkeypatch) -> list:
     calls = []
@@ -396,21 +394,36 @@ def _count_base_calls(monkeypatch) -> list:
         calls.append(sig)
         return herbrand_base(sig, terms)
 
-    monkeypatch.setattr(herbrand, "herbrand_base", counted)
+    monkeypatch.setattr(instantiation, "herbrand_base", counted)
+    monkeypatch.setattr(cli, "herbrand_base", counted)
     return calls
 
 
-def test_a_valid_verdict_builds_no_herbrand_base(monkeypatch):
+def test_a_valid_verdict_builds_no_herbrand_base(monkeypatch, tmp_path):
     calls = _count_base_calls(monkeypatch)
     assert hht_valid_bruteforce(SIG_AB, fof(SIG_AB, "forall x (P(x) -> P(x)) & (Q -> Q)")) is None
+    path = tmp_path / "valid.fof"
+    path.write_text("const a, b.  pred P/1, Q/0.\nP(a) -> P(a)\n")
+    assert run(["herbrand-check", str(path)]) == 0
     assert calls == []
 
 
-def test_a_countermodel_builds_the_herbrand_base_once(monkeypatch):
+def test_the_checker_builds_no_herbrand_base(monkeypatch):
+    # a countermodel is the pair <H, T>; the atoms it is shown over are the caller's
+    assert not hasattr(herbrand, "herbrand_base")
     calls = _count_base_calls(monkeypatch)
     got = hht_valid_bruteforce(SIG_AB, fof(SIG_AB, "P(a) | not P(a)"))
-    assert got is not None and calls == [SIG_AB]
-    assert got.atoms == herbrand_base(SIG_AB, universe(SIG_AB, EXACT))
+    assert got == interp(there=[pa("P", "a")]) and calls == []
+
+
+def test_a_countermodel_builds_the_herbrand_base_once(monkeypatch, tmp_path, capsys):
+    calls = _count_base_calls(monkeypatch)
+    path = tmp_path / "counter.fof"
+    path.write_text("const a, b.  pred P/1, Q/0.\nP(a) | not P(a)\n")
+    assert run(["herbrand-check", str(path)]) == 1
+    assert len(calls) == 1
+    shown = [line.split(": ")[0] for line in capsys.readouterr().out.splitlines()[1:]]
+    assert shown == ["P(a)", "P(b)", "Q"]
 
 
 def test_herbrand_check_of_a_valid_formula_over_a_huge_base_is_quick(tmp_path, capsys):

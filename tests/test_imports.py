@@ -227,13 +227,11 @@ RECORD_METHODS = ("__init__", "__eq__", "__hash__")
 
 def record_methods(source: str) -> list[str]:
     """`class.method` for each method of `RECORD_METHODS` that a class
-    decorated with `record` or `record(...)` defines in its body."""
+    decorated with `record` defines in its body."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.ClassDef) and any(
-                isinstance(d, ast.Name) and d.id == "record"
-                or isinstance(d, ast.Call) and getattr(d.func, "id", None) == "record"
-                for d in node.decorator_list):
+                isinstance(d, ast.Name) and d.id == "record" for d in node.decorator_list):
             found += [f"{node.name}.{item.name}" for item in node.body
                       if isinstance(item, ast.FunctionDef) and item.name in RECORD_METHODS]
     return found
@@ -244,7 +242,7 @@ def test_the_check_finds_a_spelled_out_record_method():
               "@record\nclass A(_Base):\n    x: int\n"
               "    def __eq__(self, other):\n        return True\n"
               "    def of(self):\n        return self\n"
-              "@record(hidden=('y',))\nclass B:\n    y: int\n"
+              "@record\nclass B:\n    y: int\n"
               "    def __hash__(self):\n        return 0\n"
               "@_interned\nclass C:\n    def __init__(self):\n        pass\n")
     assert record_methods(source) == ["A.__eq__", "B.__hash__"]

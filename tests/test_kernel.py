@@ -484,7 +484,6 @@ _WRONG_KINDS = {
     "xs not a list": ("comprehension", {"p": PredVar("p", 1), "xs": Var("x"), "F": fof("Q")},
                       "xs must be a list of object variables"),
     "p not a predicate variable": ("dca", {"p": FuncVar("p", 1)}, "p must be a predicate variable"),
-    "p not unary": ("dca", {"p": PredVar("p", 2)}, "p must be a unary predicate variable"),
 }
 
 
@@ -509,7 +508,7 @@ _REFUSALS = {
     "cet-inject constant": ("HHT", "a = b -> a = b by axiom cet-inject with f := a",
                             SideConditionViolation, "injectivity requires arity greater than 0"),
     "cet-inject length": ("HHT", "s(a) = s(b) -> a = b by axiom cet-inject with f := s, "
-                          "ss := [a, b]", SchemaMismatch, "ss must have 1 terms for s"),
+                          "ss := [a, b]", SideConditionViolation, "ss must have 1 term for s"),
     "cet-acyclic same": ("HHT", "x != x by axiom cet-acyclic with t := x, x := x",
                          SideConditionViolation, "term must be different from the variable"),
     "cet-acyclic absent": ("HHT", "s(y) != x by axiom cet-acyclic with t := s(y), x := x",
@@ -538,7 +537,7 @@ _REFUSALS = {
         "HHT2", "P(a) by axiom so-forall-elim-abs with p := p/1, G := p(a), xs := [x, y], "
         "F := Q(x,y)", SideConditionViolation, "xs must match the arity of p"),
     "dca binary": ("HHT2+DCA", "P(a) by axiom dca with p := p/2",
-                   SchemaMismatch, "p must be a unary predicate variable"),
+                   SideConditionViolation, "p must be a unary predicate variable"),
     "k without G": ("HHT", "P(a) -> P(b) -> P(a) by axiom k with F := P(a)",
                     SchemaMismatch, "missing binding for G"),
 }

@@ -178,30 +178,34 @@ _PARSERS = {
     ("fof", "const a. pred P.\nP(a)\n", "1:16: expected /arity after P"),
     # numbers are ASCII digits only
     ("fof", "const a.  pred P/\u0661.\nP(a) -> P(a)\n", "1:18: unexpected character '\u0661'"),
-    ("fof", "const a. fn a/1.\n", "1:16: conflicting declaration of a"),
-    ("fof", "const a. pred P/1.\nforall a P(a)\n", "2:10: a is a declared constant, not a variable"),
-    ("fof", "const a. pred P/1, R/1.\nforall (x:P) P(x)\n", "2:12: P is not a declared restrictor"),
+    # a refusal of a name just read points at that name
+    ("fof", "const a. fn a/1.\n", "1:13: conflicting declaration of a"),
+    ("fof", "const a. pred P/1, P/2.\n", "1:20: conflicting declaration of P"),
+    ("fof", "const a. pred P/1.\nforall a P(a)\n", "2:8: a is a declared constant, not a variable"),
+    ("fof", "const a. pred P/1, R/1.\nforall (x:P) P(x)\n", "2:11: P is not a declared restrictor"),
     ("fof", "const a. fn s/1. pred P/1.\ns(a)\n", "3:1: function constant s used as a formula"),
     ("fof", "const a. pred P/1.\nP(a) = a\n", "2:8: predicate P used in term position"),
     # a `(` after `=` starts no argument list of a bare left side
     ("formula", "x = (y) z", "1:5: expected term, found '('"),
     ("formula", "a = (b)", "1:5: expected term, found '('"),
     ("subst", "const a. pred P/1.\nP(x) := p;\n", "2:4: unknown constant x"),
-    ("subst", "const a. pred P/1.\nQ(a) := p;\n", "2:2: unknown predicate Q"),
+    ("subst", "const a. pred P/1.\nQ(a) := p;\n", "2:1: unknown predicate Q"),
     ("subst", "const a. pred P/1.\nP(a) := p;\nP(a) := q;\n", "4:1: duplicate entry for P"),
     ("subst", "const a. pred P/1.\ndefault P := p;\ndefault P := q;\n",
      "4:1: duplicate default for P"),
     ("proof", _PROOF_HEAD + "2: P(a) -> P(a) by axiom k with F := P(a), G := P(a);\n",
-     "3:2: expected line number 1, found 2"),
+     "3:1: expected line number 1, found 2"),
     ("proof", _PROOF_HEAD + "1: P(a) by axiom double-negation with F := P(a);\n",
-     "3:34: unknown schema id double-negation"),
-    ("proof", "const a. pred P/1.\nlevel HHT2+X;\n", "2:13: unknown level HHT2+X"),
+     "3:18: unknown schema id double-negation"),
+    ("proof", "const a. pred P/1.\nlevel HHT2+X;\n", "2:12: unknown level HHT2+X"),
+    ("proof", "const a. pred P/1.\nlevel HHT3;\n", "2:7: unknown theory level HHT3"),
+    ("proof", _PROOF_HEAD + "1: a = a by axiom cet-inject with f := b;\n", "3:40: unknown function constant b"),
     ("proof", _PROOF_HEAD, "3:1: proof file has no lines"),
-    ("proof", _PROOF_HEAD + "1: P(a) by gen-all 1 a;\n", "3:23: a is a declared constant, not a variable"),
+    ("proof", _PROOF_HEAD + "1: P(a) by gen-all 1 a;\n", "3:22: a is a declared constant, not a variable"),
     ("proof", _PROOF_HEAD + "1: P(a) by so-gen 1 x;\n", "3:22: expected p/arity or f^arity"),
     ("proof", _PROOF_HEAD + "1: P(a) by axiom k with H := P(a);\n",
-     "3:27: schema k has no metavariable H (expected one of F, G)"),
-    ("proof", _PROOF_HEAD + "1: P(a) by magic;\n", "3:17: unknown justification 'magic'"),
+     "3:25: schema k has no metavariable H (expected one of F, G)"),
+    ("proof", _PROOF_HEAD + "1: P(a) by magic;\n", "3:12: unknown justification 'magic'"),
     # a repeated key is refused where it is repeated, not overwritten
     ("proof", _PROOF_HEAD + "1: a = a by axiom eq-refl with t := b, t := a;\n",
      "3:40: duplicate binding for t"),

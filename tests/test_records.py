@@ -62,7 +62,7 @@ REPRS = [
      "template='bot -> F', build=<built-in function len>)"),
     (Exact(), "Exact()"),
     (Bounded(2), "Bounded(depth=2)"),
-    (HTInterpretation(frozenset(), frozenset({"p"}), ("p", "q")),
+    (HTInterpretation(frozenset(), frozenset({"p"})),
      "HTInterpretation(here=frozenset(), there=frozenset({'p'}))"),
     (CorpusCase("c", proof="c.proof", depth=1),
      "CorpusCase(name='c', proof='c.proof', subst=None, prop=None, depth=1, "
@@ -101,7 +101,7 @@ def test_instances_are_frozen(value):
 
 def test_match_args_are_the_fields_in_order():
     assert ByMP.__match_args__ == ("i", "j")
-    assert HTInterpretation.__match_args__ == ("here", "there", "atoms")
+    assert HTInterpretation.__match_args__ == ("here", "there")
     assert CorpusCase.__match_args__[:3] == ("name", "proof", "subst")
     match ProofLine(Falsum(), ByMP(1, 2)):
         case ProofLine(Falsum(), ByMP(i, j)):
@@ -117,15 +117,8 @@ def test_equality_and_hash_are_the_field_tuple():
     assert ByMP(1, 2) != (1, 2) and ByMP(1, 2) != ByGen(1, X, "forall")
     assert Exact() == Exact() and hash(Exact()) == hash(())
     assert Bounded(1) != Bounded(2) and Bounded(1) != Exact()
-
-
-def test_interpretations_compare_without_their_atoms():
-    one = HTInterpretation(frozenset({"p"}), frozenset({"p", "q"}), ("p", "q"))
-    other = HTInterpretation(frozenset({"p"}), frozenset({"p", "q"}))
-    assert one == other and hash(one) == hash(other)
-    assert hash(one) == hash((frozenset({"p"}), frozenset({"p", "q"})))
-    assert one.atoms == ("p", "q") and other.atoms == ()
-    assert repr(one) == repr(other)
+    i = HTInterpretation(frozenset({"p"}), frozenset({"p", "q"}))
+    assert hash(i) == hash((frozenset({"p"}), frozenset({"p", "q"})))
 
 
 def test_keyword_and_default_construction():
@@ -137,7 +130,7 @@ def test_keyword_and_default_construction():
     assert ByAxiom(schema_id="k", binding=(("F", BOTTOM),)) == ByAxiom("k", (("F", BOTTOM),))
     assert ByMP(j=2, i=1) == ByMP(1, 2)
     assert Bounded(depth=1) == Bounded(1)
-    assert HTInterpretation(frozenset(), frozenset(), atoms=("p",)).atoms == ("p",)
+    assert HTInterpretation(there=frozenset({"p"}), here=frozenset()).there == {"p"}
     assert FnApp("a") is FnApp("a", ())
 
 

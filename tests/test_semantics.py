@@ -134,7 +134,7 @@ def test_one_engine_entry_charges_what_was_spent():
         with pytest.raises(BudgetExceeded):
             ht_valid(f, budget=3, evaluator=evaluator)
     counter = first_countermodel(prop("p | not p"), budget=4)
-    assert (counter, counter.atoms) == (HTInterpretation.of([], ["p"]), ("p",))
+    assert counter == HTInterpretation.of([], ["p"])
 
 
 def test_g3_tables():
@@ -204,8 +204,8 @@ def test_evaluators_agree_on_first_countermodel():
         got_lit = ht_valid(f, evaluator="literal")
         assert got_g3 == got_lit
         if got_g3 is not None:
-            # each ranges over the atoms of `f`, absent ones included
-            assert got_g3.atoms == got_lit.atoms == tuple(sorted(prop_atoms(f)))
+            # each ranges over the atoms of `f`, the ones the CLI shows it over
+            assert got_g3.there <= prop_atoms(f)
             disagreements += 1
     assert disagreements > 50  # the sample includes plenty of invalid formulas
 
@@ -231,8 +231,8 @@ def _sugared(rng: random.Random, depth: int) -> tuple[str, tuple]:
 
 def test_a_parsed_program_gives_the_literal_verdict():
     # `ht-valid` runs the program `.prop` text parses to: it is the tree
-    # the text stands for, and its verdict, first countermodel and that
-    # countermodel's atoms are those of the literal relation
+    # the text stands for, and its verdict and first countermodel are
+    # those of the literal relation
     rng = random.Random(43)
     cases = [(prop_to_text(program(f)), f)
              for f in (gen.rand_prop(rng, depth=3) for _ in range(300))]
@@ -243,7 +243,7 @@ def test_a_parsed_program_gives_the_literal_verdict():
         assert gen.tree(prog) == f, text
         got = first_countermodel(prog, DEFAULT_BUDGET)
         want = ht_valid(prog, evaluator="literal")
-        assert got == want and (got is None or got.atoms == want.atoms), text
+        assert got == want, text
         found += got is not None
     assert 100 < found < len(cases) - 100
 

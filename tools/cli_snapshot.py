@@ -44,7 +44,13 @@ The `syntax` group mutates every shipped `.proof`, `.prop`, `.fof` and
 `tests/test_cli_property.py` replaces one, and records `check-proof`,
 `ht-valid` or `instantiate` on each (a `.fof` or `.subst` with its
 same-named partner, else with subsum4's), with and without `--json`, so
-that parse-error text is compared too.  The `sharing` group writes
+that parse-error text is compared too.  It also writes one file for each
+refusal of a name just read (a conflicting declaration, a declared constant
+as a variable, an undeclared restrictor, an unknown predicate in a
+`.subst`, an unknown level or `HHT2+` suffix, a wrong line number, and an
+unknown justification, schema id, metavariable or function constant), with
+no other fault, and records it the same way, so that the position each
+refusal names is compared too.  The `sharing` group writes
 `P <-> (P <-> ... (P <-> P))` with n = 2, 4, ..., 12 connectives, whose
 subformulas the parser shares while the text doubles per level, and records
 `instantiate` (with `P := p`, with and without `--json`) and
@@ -175,6 +181,26 @@ _SYNTAX_REPLACEMENTS = ["(", ")", "{", "}", ";", ",", ".", ":", ":=", "->", "<->
                         "not", "bot", "top", "forall", "exists", "And", "Or", "x", "P",
                         "P(x)", "c1", "f^1", "p/2", "0", "99", "level", "by", "axiom", "gen",
                         "\n", " ", ""]
+# label -> (suffix, text) of a file with one parse fault: a name refused
+# right after it is read, which the error points at
+_FAULT_HEAD = "const a. pred P/1, R/1. restrictor R/1.\n"
+_FAULT_LINE = ": P(a) -> P(a) -> P(a) by axiom k with F := P(a), G := P(a);\n"
+_FAULT_PROOF = _FAULT_HEAD + "level HHT;\n1"
+_SYNTAX_FAULTS = {
+    "conflicting-declaration": (".fof", "const a. pred P/1, P/2.\nP(a)\n"),
+    "declared-constant": (".fof", _FAULT_HEAD + "forall a P(a)\n"),
+    "not-a-restrictor": (".fof", _FAULT_HEAD + "forall (x:P) P(x)\n"),
+    "unknown-predicate": (".subst", _FAULT_HEAD + "Q(a) := p;\n"),
+    "unknown-level": (".proof", _FAULT_HEAD + "level HHT3;\n1" + _FAULT_LINE),
+    "unknown-level-suffix": (".proof", _FAULT_HEAD + "level HHT2+X;\n1" + _FAULT_LINE),
+    "line-number": (".proof", _FAULT_HEAD + "level HHT;\n2" + _FAULT_LINE),
+    "unknown-justification": (".proof", _FAULT_PROOF + ": P(a) by magic;\n"),
+    "unknown-schema": (".proof", _FAULT_PROOF + ": P(a) -> P(a) "
+                                 "by axiom double-negation with F := P(a);\n"),
+    "no-metavariable": (".proof", _FAULT_PROOF + ": P(a) -> P(a) by axiom k with H := P(a);\n"),
+    "unknown-function-constant": (".proof", _FAULT_PROOF + ": a = a "
+                                            "by axiom cet-inject with f := b;\n"),
+}
 # a token as hhtkit reads one, and what `spacing` puts between two
 _SPACING_TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(?:-[A-Za-z_][A-Za-z0-9_]*)*"
                             r"|<->|->|:=|!=|[0-9]+|\S")
@@ -266,32 +292,44 @@ def _proof_argvs(data_path, workdir: str) -> dict[str, list[str]]:
     return out
 
 
+def _syntax_argv(data: Path, stem: str, target: Path) -> list[str]:
+    """The command that reads `target`: `check-proof` or `ht-valid`, or
+    `instantiate` of a `.fof` or `.subst` with the partner named `stem` in
+    `data`, else with subsum4's."""
+    suffix = target.suffix
+    if suffix == ".proof":
+        return ["check-proof", str(target)]
+    if suffix == ".prop":
+        return ["ht-valid", str(target)]
+    partner = data / f"{stem}{'.subst' if suffix == '.fof' else '.fof'}"
+    if not partner.is_file():
+        partner = data / f"subsum4{partner.suffix}"
+    files = (target, partner) if suffix == ".fof" else (partner, target)
+    return ["instantiate", *map(str, files)]
+
+
 def _syntax_argvs(data_path, workdir: str) -> dict[str, list[str]]:
     data = Path(data_path(""))
-    out = {}
+    targets = {}  # record label -> (file name, partner stem, text)
     for path in sorted(data.glob("*")):
-        suffix = path.suffix
-        if suffix not in (".proof", ".prop", ".fof", ".subst"):
+        if path.suffix not in (".proof", ".prop", ".fof", ".subst"):
             continue
         rng = random.Random(path.name)
         tokens = _SYNTAX_TOKEN.findall(path.read_text(encoding="utf-8"))
         for k in range(3):
             mutated = list(tokens)
             mutated[rng.randrange(len(tokens))] = rng.choice(_SYNTAX_REPLACEMENTS)
-            target = Path(workdir, f"syntax{k + 1}-{path.name}")
-            target.write_text("".join(mutated), encoding="utf-8")
-            if suffix == ".proof":
-                argv = ["check-proof", str(target)]
-            elif suffix == ".prop":
-                argv = ["ht-valid", str(target)]
-            else:
-                partner = path.with_suffix(".subst" if suffix == ".fof" else ".fof")
-                if not partner.is_file():
-                    partner = data / f"subsum4{partner.suffix}"
-                files = (target, partner) if suffix == ".fof" else (partner, target)
-                argv = ["instantiate", *map(str, files)]
-            for flag in ([], ["--json"]):
-                out[" ".join(["syntax", path.name, f"mutation{k + 1}", *flag])] = argv + flag
+            targets[f"{path.name} mutation{k + 1}"] = (
+                f"syntax{k + 1}-{path.name}", path.stem, "".join(mutated))
+    for label, (suffix, text) in _SYNTAX_FAULTS.items():
+        targets[f"fault {label}"] = (f"fault-{label}{suffix}", "subsum4", text)
+    out = {}
+    for label, (name, stem, text) in targets.items():
+        target = Path(workdir, name)
+        target.write_text(text, encoding="utf-8")
+        argv = _syntax_argv(data, stem, target)
+        for flag in ([], ["--json"]):
+            out[" ".join(["syntax", label, *flag])] = argv + flag
     return out
 
 
